@@ -24,9 +24,19 @@ from .errors import (
     SymbolicResidueError,
     UnsupportedSymbolError,
 )
-from .exterior import METRIC_IDS, Form, form, hodge, interior, wedge, zero_form
+from .exterior import (
+    METRIC_IDS,
+    Form,
+    perm_sign,
+    form,
+    grid_form,
+    hodge,
+    interior,
+    wedge,
+    zero_form,
+)
 from .frames import ConnectionForms, PointwiseFrameData
-from .scalars import TrigScalar, sadd, sis_zero, smul
+from .scalars import TrigScalar, is_exact_zero, sadd, sis_zero, smul
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -106,20 +116,19 @@ def project_u2(beta: Form) -> Form:
 def phi_pullback(beta: Form) -> Form:
     """The 2-form (X, Y) -> beta(phi X, phi Y)."""
     _require_metric_2form(beta)
-    terms = {}
-    for a in range(5):
-        for b in range(a + 1, 5):
-            v = Fraction(0)
-            for u in range(5):
-                if PHI_MAT[u][a] == 0:
+
+    def entry(a, b):
+        v = Fraction(0)
+        for u in range(5):
+            if PHI_MAT[u][a] == 0:
+                continue
+            for w in range(5):
+                if PHI_MAT[w][b] == 0:
                     continue
-                for w in range(5):
-                    if PHI_MAT[w][b] == 0:
-                        continue
-                    v = sadd(v, smul(smul(PHI_MAT[u][a], PHI_MAT[w][b]), beta.evaluate(u, w)))
-            if not sis_zero(v) or isinstance(v, float):
-                terms[(a, b)] = v
-    return Form(2, terms)
+                v = sadd(v, smul(smul(PHI_MAT[u][a], PHI_MAT[w][b]), beta.evaluate(u, w)))
+        return v
+
+    return grid_form(entry)
 
 
 def phi_invariance_type(beta: Form, tol_scale=1.0):
@@ -208,13 +217,7 @@ class Tensor3:
 
     def component_form(self, i):
         """The 2-form of the (1-based) first-slot direction i."""
-        terms = {}
-        for a in range(5):
-            for b in range(a + 1, 5):
-                c = self.values[i - 1][a][b]
-                if not sis_zero(c) or isinstance(c, float):
-                    terms[(a, b)] = c
-        return Form(2, terms)
+        return grid_form(lambda a, b: self.values[i - 1][a][b])
 
 
 def t3_from_func(fn):
@@ -226,15 +229,8 @@ def t3_from_func(fn):
     )
 
 
-ZERO3 = t3_from_func(lambda i, j, k: Fraction(0))
-
-
 def t3_from_form3(rho: Form) -> Tensor3:
     return t3_from_func(lambda i, j, k: rho.evaluate(i, j, k))
-
-
-def form2_matrix(beta: Form):
-    return tuple(tuple(beta.evaluate(i, j) for j in range(5)) for i in range(5))
 
 
 def theta(beta: Form) -> Tensor3:
@@ -272,9 +268,6 @@ class FrameConnection:
 
     base: tuple  # 5x5x5
     channels: tuple  # ((aux_id, 5x5 matrix), ...)
-
-    def channel_items(self):
-        return self.channels
 
 
 def _empty_cube():
@@ -329,7 +322,7 @@ def _matrix_is_zero(m, tol_scale=1.0):
 
 
 def _require_channels_stabilize_phi(fc: FrameConnection, what, tol_scale=1.0):
-    for sid, mat in fc.channel_items():
+    for sid, mat in fc.channels:
         if not _matrix_is_zero(_mu(mat), tol_scale):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in {what}"
@@ -337,7 +330,7 @@ def _require_channels_stabilize_phi(fc: FrameConnection, what, tol_scale=1.0):
 
 
 def _require_channels_fix_xi(fc: FrameConnection, what, tol_scale=1.0):
-    for sid, mat in fc.channel_items():
+    for sid, mat in fc.channels:
         if any(not sis_zero(mat[XI][a], tol_scale) for a in range(5)):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in {what}"
@@ -356,13 +349,7 @@ def nabla_xi_matrix(fc: FrameConnection, tol_scale=1.0):
 
 def d_eta_form(fc: FrameConnection, tol_scale=1.0) -> Form:
     nx = nabla_xi_matrix(fc, tol_scale)
-    terms = {}
-    for a in range(5):
-        for b in range(a + 1, 5):
-            v = sadd(nx[a][b], smul(Fraction(-1), nx[b][a]))
-            if not sis_zero(v) or isinstance(v, float):
-                terms[(a, b)] = v
-    return Form(2, terms)
+    return grid_form(lambda a, b: sadd(nx[a][b], smul(Fraction(-1), nx[b][a])))
 
 
 def xi_is_killing(fc: FrameConnection, tol_scale=1.0):
@@ -395,7 +382,7 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
 
     full = t3_from_func(np_full)
 
-    gammas = [project_u2_complement(_omega_form(w, k)) for k in range(5)]
+    gammas = [project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5)]
 
     def np_gamma(k, a, b):
         acc = Fraction(0)
@@ -408,16 +395,6 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
     if not (full - via_gamma).is_zero(tol_scale):
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
-
-
-def _omega_form(w, k) -> Form:
-    terms = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            v = w[i][j][k]
-            if not sis_zero(v) or isinstance(v, float):
-                terms[(i, j)] = v
-    return Form(2, terms)
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
@@ -500,62 +477,49 @@ def gamma_form(source, tol_scale=1.0) -> Form:
     dphi = d_phi_tensor(np).values
     nij = nijenhuis(fc, tol_scale).values
     P = PHI_MAT
-    terms = {}
-    for x in range(5):
-        for y in range(x + 1, 5):
-            v1 = Fraction(0)
-            for u in range(5):
-                if P[u][x] != 0:
-                    v1 = sadd(v1, smul(P[u][x], dphi[XI][u][y]))
-            v2 = Fraction(0)
-            for u in range(5):
-                if P[u][x] == 0:
+
+    def entry(x, y):
+        v1 = Fraction(0)
+        for u in range(5):
+            if P[u][x] != 0:
+                v1 = sadd(v1, smul(P[u][x], dphi[XI][u][y]))
+        v2 = Fraction(0)
+        for u in range(5):
+            if P[u][x] == 0:
+                continue
+            for w in range(5):
+                if P[w][y] == 0:
                     continue
-                for w in range(5):
-                    if P[w][y] == 0:
-                        continue
-                    v2 = sadd(v2, smul(smul(P[u][x], P[w][y]), nij[u][w][XI]))
-            if not sis_zero(sadd(v1, smul(Fraction(-1), v2)), tol_scale):
-                raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
-            if not sis_zero(v1) or isinstance(v1, float):
-                terms[(x, y)] = v1
-    return Form(2, terms)
+                v2 = sadd(v2, smul(smul(P[u][x], P[w][y]), nij[u][w][XI]))
+        if not sis_zero(sadd(v1, smul(Fraction(-1), v2)), tol_scale):
+            raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
+        return v1
+
+    return grid_form(entry)
 
 
-def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
-    """(nabla_{e_k} alpha) for a metric-symbol form, from the base values.
-
-    nabla acts as a derivation, replacing each monomial slot s by
-    sum_j w[s][j](e_k) e_j.
-    """
-    w = fc.base
+def _derivation(alpha: Form, entry) -> Form:
+    """The so(5) element with entries entry(s, j) acting on a metric-symbol
+    form as a derivation: each monomial slot s becomes sum_j entry(s, j) e_j."""
     out = zero_form(alpha.degree)
     for idx, coef in alpha.terms.items():
         for pos, sym in enumerate(idx):
             for j in range(5):
-                v = w[sym][j][k]
-                if sis_zero(v) and not isinstance(v, float):
+                v = entry(sym, j)
+                if is_exact_zero(v) or (j != sym and j in idx):
                     continue
                 new = list(idx)
                 new[pos] = j
-                sign = _sort_sign(new)
-                if sign == 0:
-                    continue
                 mono = tuple(sorted(new))
-                out = out + Form(alpha.degree, {mono: smul(coef, smul(Fraction(sign), v))})
+                out = out + Form(alpha.degree, {mono: smul(coef, smul(perm_sign(new), v))})
     return out
 
 
-def _sort_sign(ids):
-    ids = list(ids)
-    if len(set(ids)) != len(ids):
-        return 0
-    sign = 1
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if ids[i] > ids[j]:
-                sign = -sign
-    return sign
+def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
+    """(nabla_{e_k} alpha) for a metric-symbol form, from the base values:
+    the derivation with entries w[s][j](e_k)."""
+    w = fc.base
+    return _derivation(alpha, lambda s, j: w[s][j][k])
 
 
 def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
@@ -565,7 +529,7 @@ def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
     if alpha.degree == 0:
         return zero_form(0)
     fc = frame_connection(source)
-    for sid, mat in fc.channel_items():
+    for sid, mat in fc.channels:
         if not _channel_kills_form(mat, alpha, tol_scale):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the codifferential"
@@ -579,26 +543,12 @@ def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
 
 def _channel_kills_form(mat, alpha: Form, tol_scale=1.0):
     """True when the constant so(5) channel acts trivially on the form."""
-    acted = zero_form(alpha.degree)
-    for idx, coef in alpha.terms.items():
-        for pos, sym in enumerate(idx):
-            for j in range(5):
-                v = mat[sym][j]
-                if sis_zero(v):
-                    continue
-                new = list(idx)
-                new[pos] = j
-                sign = _sort_sign(new)
-                if sign == 0:
-                    continue
-                mono = tuple(sorted(new))
-                acted = acted + Form(alpha.degree, {mono: smul(coef, smul(Fraction(sign), v))})
-    return acted.is_zero(tol_scale)
+    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero(tol_scale)
 
 
 def d_form_via_connection(fc: FrameConnection, alpha: Form, tol_scale=1.0) -> Form:
     """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
-    for sid, mat in fc.channel_items():
+    for sid, mat in fc.channels:
         if not _channel_kills_form(mat, alpha, tol_scale):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the differential"

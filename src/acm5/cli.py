@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .acms import PHI, d_eta_form, frame_connection, predicates
+from .acms import F, PHI, d_eta_form, frame_connection, predicates
 from .connection import (
     characteristic_connection,
     curvature,
@@ -37,7 +37,16 @@ from .errors import (
     IntegrabilityError,
     SchemaError,
 )
-from .exterior import CoframeData, Form, Symbol, d_squared_zero, form, render_form
+from .exterior import (
+    CoframeData,
+    Form,
+    Symbol,
+    TrigRules,
+    d_squared_zero,
+    form,
+    proportionality,
+    render_form,
+)
 from .family import build, identify_group, verify_identities
 from .frames import connection_from_structure
 from .scalars import fmt_scalar
@@ -47,11 +56,15 @@ _RAT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def _parse_rational(s, where):
-    if isinstance(s, int):
+    if type(s) is int:  # JSON true/false are bools, not coefficients
         return Fraction(s)
     if not isinstance(s, str) or not _RAT.match(s.strip()):
         raise SchemaError(f"{where}: not a rational 'p/q' string: {s!r}")
     return Fraction(s)
+
+
+def _is_name_list(x):
+    return isinstance(x, list) and all(isinstance(n, str) for n in x)
 
 
 def load_coframe(path: str) -> CoframeData:
@@ -63,16 +76,29 @@ def load_coframe(path: str) -> CoframeData:
             raise SchemaError(
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     for key in ("symbols", "d", "orientation"):
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
+    if not isinstance(doc["symbols"], list):
+        raise SchemaError("'symbols' must be a list")
+    if not isinstance(doc["d"], dict):
+        raise SchemaError("'d' must be an object mapping symbol names to term lists")
     symbols = []
     for i, entry in enumerate(doc["symbols"]):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"symbols[{i}]: need objects with 'name' and 'kind'")
-        symbols.append(Symbol(entry["name"], entry["kind"], entry.get("index")))
+        sym = Symbol(entry["name"], entry["kind"], entry.get("index"))
+        if not isinstance(sym.name, str):
+            raise SchemaError(f"symbols[{i}]: 'name' must be a string")
+        if any(s.name == sym.name for s in symbols):
+            raise SchemaError(f"symbols[{i}]: duplicate symbol name {sym.name!r}")
+        if sym.kind == "metric" and type(sym.index) is not int:
+            raise SchemaError(f"symbols[{i}]: a metric symbol needs an integer 'index'")
+        symbols.append(sym)
     metric = [s for s in symbols if s.kind == "metric"]
     auxiliary = [s for s in symbols if s.kind == "auxiliary"]
     if len(metric) != 5 or sorted(s.index for s in metric) != [1, 2, 3, 4, 5]:
@@ -90,6 +116,8 @@ def load_coframe(path: str) -> CoframeData:
             if not isinstance(t, dict) or "coeff" not in t or "wedge" not in t:
                 raise SchemaError(f"{where}: terms need 'coeff' and 'wedge'")
             names = t["wedge"]
+            if not _is_name_list(names):
+                raise SchemaError(f"{where}: 'wedge' must be a list of symbol names")
             if len(names) != degree:
                 raise SchemaError(f"{where}: wedge list must have length {degree}")
             try:
@@ -113,14 +141,14 @@ def load_coframe(path: str) -> CoframeData:
     for name, sid in ids.items():
         d_table.setdefault(sid, form(2, {}))
     orientation = doc["orientation"]
-    if sorted(orientation) != sorted(s.name for s in metric):
+    if not _is_name_list(orientation) or sorted(orientation) != sorted(s.name for s in metric):
         raise SchemaError("orientation must list the five metric symbols")
     orient_ids = tuple(ids[n] for n in orientation)
     trig_rules = None
     if "trig" in doc:
-        from .exterior import TrigRules
-
         tr = doc["trig"]
+        if not isinstance(tr, dict) or set(tr) - {"df", "dg"}:
+            raise SchemaError("trig: expected an object with optional 'df' and 'dg' term lists")
         df = parse_form(tr["df"], 1, "trig.df") if "df" in tr else None
         dg = parse_form(tr["dg"], 1, "trig.dg") if "dg" in tr else None
         trig_rules = TrigRules(df, dg)
@@ -141,7 +169,7 @@ def coframe_document(c: CoframeData):
             for idx in sorted(f.terms)
         ]
 
-    return {
+    doc = {
         "symbols": [
             {"name": s.name, "kind": s.kind, **({"index": s.index} if s.index else {})}
             for s in c.symbols
@@ -149,6 +177,10 @@ def coframe_document(c: CoframeData):
         "d": {c.name_of(sid): term_list(c.d_table[sid]) for sid in range(c.n_symbols)},
         "orientation": [c.name_of(i) for i in c.orientation],
     }
+    if c.trig_rules is not None:
+        rules = {"df": c.trig_rules.df, "dg": c.trig_rules.dg}
+        doc["trig"] = {k: term_list(f) for k, f in rules.items() if f is not None}
+    return doc
 
 
 def _to_float_coframe(c: CoframeData) -> CoframeData:
@@ -191,7 +223,7 @@ def classification_report(c: CoframeData, tol_scale=1.0):
     preds = predicates(fc, tol_scale)
     report["predicates"] = preds.as_dict()
     deta = d_eta_form(fc, tol_scale)
-    prop = _proportionality(deta, PHI, tol_scale)
+    prop = proportionality(deta, PHI, tol_scale)
     report["predicates"]["d_eta_vs_fundamental"] = (
         fmt_scalar(prop) if (preds.quasi_sasaki and prop is not None) else None
     )
@@ -206,8 +238,7 @@ def classification_report(c: CoframeData, tol_scale=1.0):
     parts, tag = torsion_type(cc, tol_scale)
     cur = curvature(c, cc.omega_c, tol_scale)
     space = spinor_space()
-    flip = form(2, {(0, 1): 1, (2, 3): -1})
-    ker = spinor_kernel(space, flip)
+    ker = spinor_kernel(space, F)
     parallel = parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
     names = [s.name for s in c.symbols]
     report["characteristic_connection"] = {
@@ -231,18 +262,6 @@ def classification_report(c: CoframeData, tol_scale=1.0):
         "parallel_spinors": parallel,
     }
     return report, 0
-
-
-def _proportionality(f1: Form, f2: Form, tol_scale=1.0):
-    """Constant c with f1 = c f2, or None."""
-    if f1.is_zero(tol_scale):
-        return Fraction(0)
-    for idx, c in f2.terms.items():
-        ratio = f1.coefficient(idx) / c
-        if (f1 - f2.scale(ratio)).is_zero(tol_scale):
-            return ratio
-        return None
-    return None
 
 
 def _color(s, code, enabled):

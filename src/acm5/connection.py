@@ -36,7 +36,16 @@ from .errors import (
     NotGeneralizedQuasiSasakiError,
     SymbolicResidueError,
 )
-from .exterior import METRIC_IDS, CoframeData, Form, d_squared_zero, ext_d, form, wedge
+from .exterior import (
+    METRIC_IDS,
+    CoframeData,
+    Form,
+    d_squared_zero,
+    ext_d,
+    form,
+    grid_form,
+    wedge,
+)
 from .frames import ConnectionForms
 from .scalars import sadd, sis_zero, smul
 from .torsionclass import CartanParts, cartan_decompose
@@ -114,9 +123,6 @@ def compatibility_report(omega: ConnectionForms, tol_scale=1.0) -> Compatibility
     except SymbolicResidueError:
         phi_zero = False
     return CompatibilityReport(xi_zero, eta_zero, phi_zero)
-
-
-TORSION_TAGS = ("zero", "skew", "traceless-cyclic", "mixed")
 
 
 def torsion_type(cc: CharacteristicConnection, tol_scale=1.0):
@@ -218,13 +224,7 @@ def _endomorphism_values(grid):
     out = []
     for a in range(5):
         for b in range(a + 1, 5):
-            terms = {}
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    v = grid[i][j].evaluate(a, b)
-                    if not sis_zero(v) or isinstance(v, float):
-                        terms[(i, j)] = v
-            f = Form(2, terms)
+            f = grid_form(lambda i, j: grid[i][j].evaluate(a, b))
             if not f.is_zero():
                 out.append(f)
     return out
@@ -232,15 +232,6 @@ def _endomorphism_values(grid):
 
 def _form_to_matrix(beta: Form):
     return [[beta.evaluate(i, j) for j in range(5)] for i in range(5)]
-
-
-def _matrix_to_form(m) -> Form:
-    terms = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if not sis_zero(m[i][j]) or isinstance(m[i][j], float):
-                terms[(i, j)] = m[i][j]
-    return Form(2, terms)
 
 
 def _commutator(a, b):
@@ -287,7 +278,7 @@ def _bracket_closure(elements, tol_scale=1.0):
         for x in snapshot:
             for y in snapshot:
                 m = _commutator(_form_to_matrix(x), _form_to_matrix(y))
-                f = _matrix_to_form(m)
+                f = grid_form(lambda i, j: m[i][j])
                 if not f.is_zero(tol_scale) and try_add(f):
                     changed = True
     return basis
@@ -362,7 +353,6 @@ def _gr(x):
 
 
 GR0 = GaussianRational(0)
-GR1 = GaussianRational(1)
 GRI = GaussianRational(0, 1)
 
 
@@ -443,41 +433,6 @@ def spinor_space() -> SpinorSpace:
     return SpinorSpace(gens)
 
 
-def matrix_kernel(m):
-    """Exact kernel basis of a square Gaussian-rational matrix."""
-    rows = [list(r) for r in m]
-    n = len(rows)
-    cols = list(range(n))
-    pivots = []
-    r = 0
-    for c in cols:
-        pivot = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in cols if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [GR0] * n
-        v[fc] = GR1
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 @dataclass(frozen=True)
 class SpinorKernelReport:
     kernel_basis: tuple
@@ -487,7 +442,7 @@ class SpinorKernelReport:
 def spinor_kernel(space: SpinorSpace, f2: Form) -> SpinorKernelReport:
     """Kernel of the Clifford action of a 2-form."""
     m = space.action_of_2form(f2)
-    basis = matrix_kernel(m)
+    basis = linalg.nullspace(m)
     return SpinorKernelReport(tuple(basis), len(basis))
 
 

@@ -28,14 +28,7 @@ from .errors import (
     SchemaError,
     UnsupportedSymbolError,
 )
-from .scalars import (
-    TrigScalar,
-    fmt_scalar,
-    sadd,
-    sis_zero,
-    smul,
-    sneg,
-)
+from .scalars import TrigScalar, fmt_scalar, is_exact_zero, sadd, sis_zero, smul
 
 METRIC_IDS = (0, 1, 2, 3, 4)
 
@@ -57,7 +50,7 @@ class Form:
         for idx, c in self.terms.items():
             if len(idx) != self.degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad multi-index {idx} for degree {self.degree}")
-            if sis_zero(c) and not isinstance(c, float):
+            if is_exact_zero(c):
                 raise ValueError("zero coefficient stored")
 
     # -- queries --------------------------------------------------------
@@ -100,7 +93,7 @@ class Form:
         c = self.terms.get(key)
         if c is None:
             return Fraction(0)
-        return smul(c, _perm_sign(ids))
+        return smul(c, perm_sign(ids))
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -111,27 +104,23 @@ class Form:
         _check_modes(self, other)
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            acc = sadd(terms.get(idx, Fraction(0)), c)
-            if sis_zero(acc) and not isinstance(acc, float):
-                terms.pop(idx, None)
-            else:
-                terms[idx] = acc
+            _accumulate(terms, idx, c)
         return Form(max(self.degree, other.degree), terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.degree, {i: sneg(c) for i, c in self.terms.items()})
+        return Form(self.degree, {i: -c for i, c in self.terms.items()})
 
     def scale(self, s):
         s = _coerce(s)
-        if sis_zero(s) and not isinstance(s, float):
+        if is_exact_zero(s):
             return Form(self.degree, {})
         out = {}
         for idx, c in self.terms.items():
             v = smul(s, c)
-            if not sis_zero(v) or isinstance(v, float):
+            if not is_exact_zero(v):
                 out[idx] = v
         return Form(self.degree, out)
 
@@ -152,11 +141,28 @@ def form(degree, terms=None):
     out = {}
     for idx, c in (terms or {}).items():
         c = _coerce(c)
-        if sis_zero(c) and not isinstance(c, float):
+        if is_exact_zero(c):
             continue
         idx = tuple(idx)
         out[idx] = c
     return Form(degree, out)
+
+
+def grid_form(entry):
+    """The metric 2-form whose coefficient on the monomial (i, j), i < j, is entry(i, j).
+
+    Ids are 0-based; the storage rule of :func:`form` decides which terms are kept.
+    """
+    return form(2, {(i, j): entry(i, j) for i in range(5) for j in range(i + 1, 5)})
+
+
+def _accumulate(terms, idx, v):
+    """Add v to terms[idx] in place, dropping the entry when it cancels exactly."""
+    acc = sadd(terms.get(idx, Fraction(0)), v)
+    if is_exact_zero(acc):
+        terms.pop(idx, None)
+    else:
+        terms[idx] = acc
 
 
 def zero_form(degree=0):
@@ -170,7 +176,8 @@ def e(i):
     return Form(1, {(i - 1,): Fraction(1)})
 
 
-def _perm_sign(ids):
+def perm_sign(ids):
+    """Sign of the permutation that sorts distinct ids."""
     ids = list(ids)
     sign = 1
     for i in range(len(ids)):
@@ -216,12 +223,7 @@ def wedge(a, b):
             if set(i1) & set(i2):
                 continue
             idx, sign = _merge(i1, i2)
-            v = smul(smul(c1, c2), Fraction(sign))
-            acc = sadd(out.get(idx, Fraction(0)), v)
-            if sis_zero(acc) and not isinstance(acc, float):
-                out.pop(idx, None)
-            else:
-                out[idx] = acc
+            _accumulate(out, idx, smul(smul(c1, c2), Fraction(sign)))
     return Form(deg, out)
 
 
@@ -237,20 +239,14 @@ def hodge(a, coframe=None):
     """Hodge star on metric-symbol forms, relative to the declared orientation."""
     vol_sign = Fraction(1)
     if coframe is not None:
-        vol_sign = _perm_sign(coframe.orientation)
+        vol_sign = perm_sign(coframe.orientation)
     out = {}
     for idx, c in a.terms.items():
         if any(i not in METRIC_IDS for i in idx):
             raise UnsupportedSymbolError("star is defined on metric symbols only")
         comp = tuple(i for i in METRIC_IDS if i not in idx)
-        sign = _perm_sign(idx + comp) * vol_sign
-        out_idx = comp
-        v = smul(c, sign)
-        acc = sadd(out.get(out_idx, Fraction(0)), v)
-        if sis_zero(acc) and not isinstance(acc, float):
-            out.pop(out_idx, None)
-        else:
-            out[out_idx] = acc
+        sign = perm_sign(idx + comp) * vol_sign
+        _accumulate(out, comp, smul(c, sign))
     return Form(5 - a.degree, out)
 
 
@@ -267,12 +263,7 @@ def interior(i, a):
             continue
         pos = idx.index(sym)
         rest = idx[:pos] + idx[pos + 1 :]
-        v = smul(c, Fraction((-1) ** pos))
-        acc = sadd(out.get(rest, Fraction(0)), v)
-        if sis_zero(acc) and not isinstance(acc, float):
-            out.pop(rest, None)
-        else:
-            out[rest] = acc
+        _accumulate(out, rest, smul(c, Fraction((-1) ** pos)))
     return Form(a.degree - 1, out)
 
 
@@ -323,18 +314,8 @@ class CoframeData:
     def n_symbols(self):
         return len(self.symbols)
 
-    @property
-    def aux_ids(self):
-        return tuple(range(5, len(self.symbols)))
-
     def name_of(self, sid):
         return self.symbols[sid].name
-
-    def id_of(self, name):
-        for sid, s in enumerate(self.symbols):
-            if s.name == name:
-                return sid
-        raise KeyError(name)
 
     def with_trig_rules(self, df=None, dg=None):
         return CoframeData(self.symbols, self.d_table, self.orientation, TrigRules(df, dg))
@@ -436,6 +417,16 @@ def d_squared_zero(c, tol_scale=1.0):
         if not r.is_zero(tol_scale):
             ok = False
     return DSquaredReport(residuals, ok)
+
+
+def proportionality(f1, f2, tol_scale=1.0):
+    """The constant c with f1 = c f2, or None when there is none."""
+    if f1.is_zero(tol_scale):
+        return Fraction(0)
+    for idx, c in f2.terms.items():
+        ratio = f1.coefficient(idx) / c
+        return ratio if (f1 - f2.scale(ratio)).is_zero(tol_scale) else None
+    return None
 
 
 def render_form(f, names=None):

@@ -56,6 +56,8 @@ from .exterior import (
     e,
     ext_d,
     form,
+    grid_form,
+    proportionality,
     wedge,
     zero_form,
 )
@@ -199,15 +201,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     )
 
     nij = nijenhuis(fc)
-    reeb_slice = form(
-        2,
-        {
-            (y, z): v
-            for y in range(5)
-            for z in range(y + 1, 5)
-            if (v := nij.values[XI][y][z])
-        },
-    )
+    reeb_slice = grid_form(lambda y, z: nij.values[XI][y][z])
     check("N(xi, ., .) = 2 d eta", reeb_slice == 2 * deta)
 
     skew_expected = a3 == 0 and a4 == 0
@@ -277,7 +271,8 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     preds = predicates(fc)
     check("generalized quasi-Sasaki", preds.generalized_quasi_sasaki)
     check("semi-cosymplectic", preds.semi_cosymplectic)
-    gamma_zero = intrinsic_torsion(fc).is_zero()
+    torsion = intrinsic_torsion(fc)
+    gamma_zero = torsion.is_zero()
     check("normal iff integrable", preds.normal == gamma_zero)
     check("almost cosymplectic iff integrable", preds.almost_cosymplectic == gamma_zero)
     check(
@@ -368,7 +363,8 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     if inst.alpha != 0:
         check(
             "holonomy algebra is the line through e12 - e34",
-            len(cur.holonomy_basis) == 1 and _proportional(cur.holonomy_basis[0], F),
+            len(cur.holonomy_basis) == 1
+            and proportionality(cur.holonomy_basis[0], F) is not None,
         )
     else:
         check("holonomy algebra is trivial (flat case)", len(cur.holonomy_basis) == 0)
@@ -381,7 +377,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         parallel_spinor_check(space, cc.omega_c, ker.kernel_basis),
     )
 
-    report = classify(intrinsic_torsion(fc))
+    report = classify(torsion)
     check(
         "class is W4 + W7 with empty residual",
         report.norms["residual"] == 0
@@ -392,13 +388,6 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     check("W4 component iff (a1, a2) != 0", (report.norms["W4"] != 0) == (a1 != 0 or a2 != 0))
     check("W7 component iff (a3, a4) != 0", (report.norms["W7"] != 0) == (a3 != 0 or a4 != 0))
     return IdentityReplayReport(tuple(items))
-
-
-def _proportional(f1: Form, f2: Form):
-    for idx, c in f2.terms.items():
-        ratio = f1.coefficient(idx) / c
-        return (f1 - f2.scale(ratio)).is_zero()
-    return f1.is_zero()
 
 
 # ---------------------------------------------------------------------------

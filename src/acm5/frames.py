@@ -26,6 +26,7 @@ from .exterior import (
     Form,
     ext_d,
     form,
+    grid_form,
     wedge,
     wedge_all,
     zero_form,
@@ -79,16 +80,10 @@ class PointwiseFrameData:
 
     def induced_d_table(self):
         """Generator 2-forms from the first structure equation."""
-        out = {}
-        for i in range(5):
-            terms = {}
-            for a in range(5):
-                for b in range(a + 1, 5):
-                    c = self.values[i][b][a] - self.values[i][a][b]
-                    if c:
-                        terms[(a, b)] = c
-            out[f"e{i + 1}"] = form(2, terms)
-        return out
+        v = self.values
+        return {
+            f"e{i + 1}": grid_form(lambda a, b: v[i][b][a] - v[i][a][b]) for i in range(5)
+        }
 
 
 def pointwise_from_upper(upper):

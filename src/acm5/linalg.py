@@ -1,8 +1,11 @@
-"""Small dense linear algebra over exact rationals (or floats in check mode).
+"""Small dense linear algebra on plain lists of lists.
 
-Everything works on plain lists of lists.  Pivoting is by magnitude for
-floats and first-nonzero for Fractions; zero decisions go through
-``scalars.sis_zero`` so the float tolerance is honored uniformly.
+One elimination routine, :func:`rref`, serves every scalar type the library
+uses: exact ``Fraction`` (and ``int``), binary64 ``float`` in check mode,
+and the Gaussian rationals of the spinor module.  :func:`rank`,
+:func:`solve_unique` and :func:`nullspace` are built on it.  Pivoting is by
+magnitude for floats and first-nonzero for exact scalars; zero decisions go
+through ``scalars.sis_zero`` so the float tolerance is honored uniformly.
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import sis_zero
-
-
-def _is_zero(x, tol_scale):
-    return sis_zero(x, tol_scale)
 
 
 def rref(matrix, tol_scale=1.0):
@@ -29,20 +28,20 @@ def rref(matrix, tol_scale=1.0):
             break
         best = None
         for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c], tol_scale):
-                if best is None:
-                    best = i
-                elif isinstance(rows[i][c], float) and abs(rows[i][c]) > abs(rows[best][c]):
-                    best = i
-                if not isinstance(rows[i][c], float):
-                    break
+            x = rows[i][c]
+            if sis_zero(x, tol_scale):
+                continue
+            if best is None or abs(x) > abs(rows[best][c]):
+                best = i
+            if not isinstance(x, float):
+                break
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
         rows[r] = [x / piv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c], tol_scale):
+            if i != r and not sis_zero(rows[i][c], tol_scale):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -86,21 +85,6 @@ def nullspace(matrix, tol_scale=1.0):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def weighted_dot(u, v, weights):
-    acc = None
-    for a, b, w in zip(u, v, weights):
-        t = a * b * w
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def project_onto_span(basis, v, inner, tol_scale=1.0):

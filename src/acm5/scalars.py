@@ -14,6 +14,10 @@ and results collapse back to ``Fraction`` whenever they are constant, so
 identities such as ``sin(f)**2 + cos(f)**2 == 1`` hold on the nose.
 Floats never mix with exact scalars; attempting to do so raises
 :class:`~acm5.errors.ModeMismatchError`.
+
+The storage rule for coefficients lives in :func:`is_exact_zero`: an exact
+zero is never stored, while every float is kept, even ``0.0``, so a float
+result shows each term that the exact computation produced.
 """
 
 from __future__ import annotations
@@ -195,14 +199,6 @@ def collapse(x):
 # facade over Fraction | int | float | TrigScalar
 
 
-def smode(x):
-    if isinstance(x, float):
-        return "float"
-    if isinstance(x, (int, Fraction, TrigScalar)):
-        return "exact"
-    raise TypeError(f"not a scalar: {x!r}")
-
-
 def sadd(a, b):
     if isinstance(a, TrigScalar) or isinstance(b, TrigScalar):
         return collapse(_lift(a) + _lift(b))
@@ -213,10 +209,6 @@ def smul(a, b):
     if isinstance(a, TrigScalar) or isinstance(b, TrigScalar):
         return collapse(_lift(a) * _lift(b))
     return a * b
-
-
-def sneg(a):
-    return -a
 
 
 def sdiv(a, b):
@@ -237,6 +229,11 @@ def sis_zero(x, tol_scale=1.0):
     if isinstance(x, TrigScalar):
         return x.is_zero()
     return x == 0
+
+
+def is_exact_zero(x):
+    """True for an exact zero, false for every float: the coefficient storage rule."""
+    return not isinstance(x, float) and sis_zero(x)
 
 
 def rat(x):

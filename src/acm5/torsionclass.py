@@ -30,7 +30,7 @@ from .acms import (
     vartheta,
 )
 from .errors import SymbolicResidueError
-from .exterior import Form, zero_form
+from .exterior import grid_form, zero_form
 from .scalars import sadd, sis_zero, smul
 
 # coordinates on the complement of the stabilizer algebra inside 2-forms
@@ -81,10 +81,6 @@ class IntrinsicTorsion:
             return NotImplemented
         return (self - other).is_zero()
 
-    def as_tensor(self) -> Tensor3:
-        comps = self.components
-        return t3_from_func(lambda i, j, k: comps[i].evaluate(j, k))
-
 
 def torsion_from_coords(coords) -> IntrinsicTorsion:
     comps = []
@@ -119,32 +115,16 @@ def intrinsic_torsion(source, tol_scale=1.0) -> IntrinsicTorsion:
     project to zero; otherwise the input is outside scope.
     """
     fc = frame_connection(source)
-    for sid, mat in fc.channel_items():
-        chan = _matrix_to_form(mat)
+    for sid, mat in fc.channels:
+        chan = grid_form(lambda i, j: mat[i][j])
         if not project_u2_complement(chan).is_zero(tol_scale):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} contributes to the intrinsic torsion"
             )
-    comps = []
-    for k in range(5):
-        terms = {}
-        for i in range(5):
-            for j in range(i + 1, 5):
-                v = fc.base[i][j][k]
-                if not sis_zero(v) or isinstance(v, float):
-                    terms[(i, j)] = v
-        comps.append(project_u2_complement(Form(2, terms)))
-    return IntrinsicTorsion(tuple(comps))
-
-
-def _matrix_to_form(mat) -> Form:
-    terms = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            v = mat[i][j]
-            if not sis_zero(v) or isinstance(v, float):
-                terms[(i, j)] = v
-    return Form(2, terms)
+    w = fc.base
+    return IntrinsicTorsion(
+        tuple(project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5))
+    )
 
 
 @lru_cache(maxsize=1)

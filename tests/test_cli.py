@@ -1,7 +1,10 @@
 import json
 import re
 
-from acm5.cli import main
+import pytest
+
+from acm5.cli import emit_coframe, load_coframe, main
+from acm5.family import build, identify_group
 
 FAMILY_1000 = ["family", "--params", "1", "0", "0", "0"]
 
@@ -72,6 +75,13 @@ def test_validate_truncated_json(tmp_path, capsys):
     path.write_text('{"symbols": [')
     code, _, err = run(capsys, ["validate", str(path)])
     assert code == 1 and "line" in err and "column" in err
+
+
+def test_validate_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff\xfe{"symbols": []}')
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code == 1 and err.startswith("schema error: not UTF-8")
 
 
 def test_validate_unknown_symbol(tmp_path, capsys):
@@ -157,3 +167,44 @@ def test_classify_without_compatible_connection(tmp_path, capsys):
     assert report["characteristic_connection"] is None
     assert "not" in report["note"]
     assert report["classification"]["strict_class"] == ["W6"]
+
+
+MALFORMED = [
+    ("d-not-object", lambda doc: doc.update(d=[]), "'d' must be an object"),
+    ("string-index", lambda doc: doc["symbols"][0].update(index="1"), "integer 'index'"),
+    ("orientation-not-list", lambda doc: doc.update(orientation=5), "orientation"),
+    ("wedge-string", lambda doc: doc["d"]["e1"][0].update(wedge="e2"), "'wedge' must be a list"),
+    ("boolean-coeff", lambda doc: doc["d"]["e1"][0].update(coeff=True), "not a rational"),
+    ("trig-list", lambda doc: doc.update(trig=[]), "trig"),
+    ("duplicate-name", lambda doc: doc["symbols"][5].update(name="e1"), "duplicate symbol name"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_field_types_are_schema_errors(tmp_path, capsys, mutate, fragment):
+    path = emit(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["classify", str(path), "--json"])
+    assert code == 1
+    assert err.startswith("schema error:") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(1, 0, 2, 0).coframe, lambda: identify_group((-1, 0, 2, 0)).coframe],
+    ids=["family", "trig-rules"],
+)
+def test_emit_load_round_trip(tmp_path, make):
+    c = make()
+    path = tmp_path / "coframe.json"
+    emit_coframe(c, str(path))
+    loaded = load_coframe(str(path))
+    assert loaded.symbols == c.symbols
+    assert loaded.orientation == c.orientation
+    assert loaded.trig_rules == c.trig_rules
+    assert loaded.d_table.keys() == c.d_table.keys()
+    assert all(loaded.d_table[sid] == c.d_table[sid] for sid in c.d_table)

@@ -1,0 +1,53 @@
+"""Every top-level definition in the library has a user.
+
+A function, class or constant defined at module level in ``src/acm5`` must
+be referenced by name somewhere else in ``src/`` or ``tests/``: as a name,
+an attribute, or an imported name (so the re-exports in ``__init__`` count).
+Only the standard library ``ast`` module is used.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "acm5"
+
+
+def _definitions(tree):
+    """Names bound by top-level def, class and assignment statements."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _references(tree):
+    """Every use of a name: loads, attribute accesses and imported names."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                refs[alias.name] += 1
+    return refs
+
+
+def test_every_top_level_definition_is_referenced():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    refs = Counter()
+    defined = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        refs.update(_references(tree))
+        if path.parent == PACKAGE:
+            defined.extend((path.stem, name) for name in _definitions(tree))
+    unused = sorted(f"{module}.{name}" for module, name in defined if not refs[name])
+    assert not unused, f"defined but never referenced: {unused}"
