@@ -10,11 +10,15 @@ values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
 tracked as independent linear channels; operations that must produce
 numbers verify that every channel cancels and raise SymbolicResidueError
 otherwise.
+
+Memo rule: read the invariants of one structure (nabla Phi, N, d eta, gamma,
+the predicates) through ``derived``, so each, with its cross-check, is
+computed once per frame connection; a direct call always computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -268,6 +272,16 @@ class FrameConnection:
 
     base: tuple  # 5x5x5
     channels: tuple  # ((aux_id, 5x5 matrix), ...)
+    forms: ConnectionForms | None = field(default=None, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+def derived(fc: FrameConnection, fn, tol_scale=1.0):
+    """fn(fc, tol_scale), computed once per frame connection and tolerance."""
+    key = (fn.__name__, tol_scale)
+    if key not in fc._memo:
+        fc._memo[key] = fn(fc, tol_scale)
+    return fc._memo[key]
 
 
 def _empty_cube():
@@ -299,7 +313,7 @@ def frame_connection(source) -> FrameConnection:
         channels = tuple(
             (sid, tuple(tuple(r) for r in mat)) for sid, mat in sorted(chans.items())
         )
-        return FrameConnection(base, channels)
+        return FrameConnection(base, channels, source)
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 
@@ -348,12 +362,12 @@ def nabla_xi_matrix(fc: FrameConnection, tol_scale=1.0):
 
 
 def d_eta_form(fc: FrameConnection, tol_scale=1.0) -> Form:
-    nx = nabla_xi_matrix(fc, tol_scale)
+    nx = derived(fc, nabla_xi_matrix, tol_scale)
     return grid_form(lambda a, b: sadd(nx[a][b], smul(Fraction(-1), nx[b][a])))
 
 
 def xi_is_killing(fc: FrameConnection, tol_scale=1.0):
-    nx = nabla_xi_matrix(fc, tol_scale)
+    nx = derived(fc, nabla_xi_matrix, tol_scale)
     return all(
         sis_zero(sadd(nx[a][b], nx[b][a]), tol_scale)
         for a in range(5)
@@ -410,12 +424,8 @@ def nijenhuis(source, tol_scale=1.0) -> Tensor3:
     """Nijenhuis tensor, computed through the derivative of the fundamental
     form and cross-checked against the covariant commutator expression."""
     fc = frame_connection(source)
-    np = nabla_phi(fc, tol_scale).values
-    nx = nabla_xi_matrix(fc, tol_scale)
-    deta = tuple(
-        tuple(sadd(nx[a][b], smul(Fraction(-1), nx[b][a])) for b in range(5))
-        for a in range(5)
-    )
+    np = derived(fc, nabla_phi, tol_scale).values
+    deta = derived(fc, d_eta_form, tol_scale)
     P = PHI_MAT
 
     def n_via_np(x, y, z):
@@ -455,7 +465,7 @@ def nijenhuis(source, tol_scale=1.0) -> Tensor3:
                 smul(P[x][u], sadd(np[z][u][y], smul(Fraction(-1), np[y][u][z]))),
             )
         if x == XI:
-            acc = sadd(acc, deta[y][z])
+            acc = sadd(acc, deta.evaluate(y, z))
         return acc
 
     second = t3_from_func(cov)
@@ -471,11 +481,11 @@ def gamma_form(source, tol_scale=1.0) -> Form:
     evaluated and must agree.
     """
     fc = frame_connection(source)
-    if not predicates(fc, tol_scale).generalized_quasi_sasaki:
+    if not derived(fc, predicates, tol_scale).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError("structure is not generalized quasi-Sasaki")
-    np = nabla_phi(fc, tol_scale)
+    np = derived(fc, nabla_phi, tol_scale)
     dphi = d_phi_tensor(np).values
-    nij = nijenhuis(fc, tol_scale).values
+    nij = derived(fc, nijenhuis, tol_scale).values
     P = PHI_MAT
 
     def entry(x, y):
@@ -573,31 +583,21 @@ class Predicates:
     xi_killing: bool
 
     def as_dict(self):
-        return {
-            "normal": self.normal,
-            "semi_cosymplectic": self.semi_cosymplectic,
-            "almost_cosymplectic": self.almost_cosymplectic,
-            "cosymplectic": self.cosymplectic,
-            "quasi_sasaki": self.quasi_sasaki,
-            "nearly_cosymplectic": self.nearly_cosymplectic,
-            "quasi_cosymplectic": self.quasi_cosymplectic,
-            "generalized_quasi_sasaki": self.generalized_quasi_sasaki,
-            "xi_killing": self.xi_killing,
-        }
+        return asdict(self)
 
 
 def predicates(source, tol_scale=1.0) -> Predicates:
     """All named structure predicates, each from its defining tensor equation."""
     fc = frame_connection(source)
-    np = nabla_phi(fc, tol_scale)
+    np = derived(fc, nabla_phi, tol_scale)
     npv = np.values
-    nij = nijenhuis(fc, tol_scale)
+    nij = derived(fc, nijenhuis, tol_scale)
     nijv = nij.values
     dphi = d_phi_tensor(np)
     dphiv = dphi.values
-    deta = d_eta_form(fc, tol_scale)
-    killing = xi_is_killing(fc, tol_scale)
-    nx = nabla_xi_matrix(fc, tol_scale)
+    deta = derived(fc, d_eta_form, tol_scale)
+    killing = derived(fc, xi_is_killing, tol_scale)
+    nx = derived(fc, nabla_xi_matrix, tol_scale)
     P = PHI_MAT
 
     normal = nij.is_zero(tol_scale)

@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .acms import F, PHI, d_eta_form, frame_connection, predicates
+from .acms import F, PHI, d_eta_form, derived, frame_connection, predicates
 from .connection import (
     characteristic_connection,
     curvature,
@@ -211,8 +211,7 @@ def classification_report(c: CoframeData, tol_scale=1.0):
     }
     if not gate.ok:
         return report, 1
-    omega = connection_from_structure(c)
-    fc = frame_connection(omega)
+    fc = frame_connection(connection_from_structure(c))
     gamma = intrinsic_torsion(fc, tol_scale)
     cls = classify(gamma, tol_scale)
     report["classification"] = {
@@ -220,9 +219,9 @@ def classification_report(c: CoframeData, tol_scale=1.0):
         "strict_class": list(cls.class_tags),
         "integrable": cls.integrable,
     }
-    preds = predicates(fc, tol_scale)
+    preds = derived(fc, predicates, tol_scale)
     report["predicates"] = preds.as_dict()
-    deta = d_eta_form(fc, tol_scale)
+    deta = derived(fc, d_eta_form, tol_scale)
     prop = proportionality(deta, PHI, tol_scale)
     report["predicates"]["d_eta_vs_fundamental"] = (
         fmt_scalar(prop) if (preds.quasi_sasaki and prop is not None) else None
@@ -234,7 +233,7 @@ def classification_report(c: CoframeData, tol_scale=1.0):
             "generalized quasi-Sasaki"
         )
         return report, 0
-    cc = characteristic_connection(c, omega, tol_scale)
+    cc = characteristic_connection(c, fc, tol_scale)
     parts, tag = torsion_type(cc, tol_scale)
     cur = curvature(c, cc.omega_c, tol_scale)
     space = spinor_space()
@@ -312,15 +311,24 @@ def render_text(report, color=False):
 # subcommands
 
 
-def cmd_validate(args):
+def _load_or_exit_code(path):
+    """(coframe, None), or (None, exit code) after printing why the file cannot be read."""
     try:
-        c = load_coframe(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
+        return load_coframe(path), None
+    except OSError as exc:
+        missing = isinstance(exc, FileNotFoundError)
+        why = "no such file" if missing else f"cannot read ({exc.strerror})"
+        print(f"error: {why}: {path}", file=sys.stderr)
+        return None, 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
-        return 1
+        return None, 1
+
+
+def cmd_validate(args):
+    c, code = _load_or_exit_code(args.path)
+    if c is None:
+        return code
     gate = d_squared_zero(c)
     if gate.ok:
         print("ok: schema valid and d^2 = 0 on all generators")
@@ -333,14 +341,9 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
-    try:
-        c = load_coframe(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 1
+    c, code = _load_or_exit_code(args.path)
+    if c is None:
+        return code
     tol = 1.0
     if args.float:
         c = _to_float_coframe(c)
@@ -371,21 +374,21 @@ def cmd_family(args):
     except SchemaError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.emit:
+    if args.emit or args.verify:
         try:
             inst = build(*params)
         except IntegrabilityError as exc:
             print(f"constraint error: {exc}", file=sys.stderr)
             return 2
-        emit_coframe(inst.coframe, args.emit)
+    if args.emit:
+        try:
+            emit_coframe(inst.coframe, args.emit)
+        except OSError as exc:
+            print(f"error: cannot write {args.emit}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"wrote {args.emit}")
         return 0
     if args.verify:
-        try:
-            inst = build(*params)
-        except IntegrabilityError as exc:
-            print(f"constraint error: {exc}", file=sys.stderr)
-            return 2
         rep = verify_identities(inst)
         color = bool(os.environ.get("ACM5_COLOR"))
         for name, ok, detail in rep.items:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .acms import (
     ETA,
     Tensor3,
     d_eta_form,
+    derived,
     frame_connection,
     gamma_form,
     nabla_phi,
@@ -58,17 +60,18 @@ class CharacteristicConnection:
     torsion: Tensor3  # T(X, Y, Z), antisymmetric in the first two slots
 
 
-def characteristic_connection(c: CoframeData, omega_g: ConnectionForms, tol_scale=1.0):
+def characteristic_connection(c: CoframeData, omega_g, tol_scale=1.0):
     """Construct the unique compatible metric connection and verify
-    componentwise that it parallelizes xi, eta and phi."""
+    componentwise that it parallelizes xi, eta and phi.  omega_g is the
+    Levi-Civita ConnectionForms or the memoizing FrameConnection of them."""
     fc = frame_connection(omega_g)
-    if not predicates(fc, tol_scale).generalized_quasi_sasaki:
+    if not derived(fc, predicates, tol_scale).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError(
             "no compatible connection: structure is not generalized quasi-Sasaki"
         )
-    nij = nijenhuis(fc, tol_scale)
-    deta = d_eta_form(fc, tol_scale)
-    gamma = gamma_form(fc, tol_scale)
+    nij = derived(fc, nijenhuis, tol_scale)
+    deta = derived(fc, d_eta_form, tol_scale)
+    gamma = derived(fc, gamma_form, tol_scale)
     eta = ETA if (deta - gamma).mode == "exact" else Form(1, {(4,): 1.0})
     corr3 = wedge(deta - gamma, eta)
     half = Fraction(1, 2)
@@ -76,7 +79,7 @@ def characteristic_connection(c: CoframeData, omega_g: ConnectionForms, tol_scal
     a_c = t3_from_func(
         lambda x, y, z: smul(half, sadd(corr3.evaluate(x, y, z), smul(Fraction(-1), nv[x][y][z])))
     )
-    omega_c = connection_plus_tensor(omega_g, a_c)
+    omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c, tol_scale)
     if not report.ok:
         raise ACM5Error("internal consistency: compatible connection fails its defining property")
@@ -422,6 +425,7 @@ class SpinorSpace:
         return acc
 
 
+@lru_cache(maxsize=1)
 def spinor_space() -> SpinorSpace:
     gens = (
         _mat_scale(GRI, _kron(_S1, _ID2)),

@@ -31,6 +31,7 @@ from .acms import (
     Z1,
     Z2,
     d_eta_form,
+    derived,
     frame_connection,
     gamma_form,
     nabla_phi,
@@ -190,9 +191,9 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     )
     fc = frame_connection(solved)
 
-    deta = d_eta_form(fc)
+    deta = derived(fc, d_eta_form)
     check("d eta from values matches d(e5)", deta == ext_d(e(5), cf))
-    gamma = gamma_form(fc)
+    gamma = derived(fc, gamma_form)
     check("gamma + 2 d eta = 6 a3 Z1 + 6 a4 Z2", gamma + 2 * deta == (6 * a3) * Z1 + (6 * a4) * Z2)
     check("gamma - d eta = 6 a1 Z1 + 6 a2 Z2", gamma - deta == (6 * a1) * Z1 + (6 * a2) * Z2)
     check(
@@ -200,7 +201,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         3 * deta == (-6 * (a1 - a3)) * Z1 + (-6 * (a2 - a4)) * Z2,
     )
 
-    nij = nijenhuis(fc)
+    nij = derived(fc, nijenhuis)
     reeb_slice = grid_form(lambda y, z: nij.values[XI][y][z])
     check("N(xi, ., .) = 2 d eta", reeb_slice == 2 * deta)
 
@@ -268,7 +269,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     check("d F = 0", ext_d(F, cf).is_zero())
     check("d eta is phi-anti-invariant", phi_pullback(deta) == -1 * deta)
 
-    preds = predicates(fc)
+    preds = derived(fc, predicates)
     check("generalized quasi-Sasaki", preds.generalized_quasi_sasaki)
     check("semi-cosymplectic", preds.semi_cosymplectic)
     torsion = intrinsic_torsion(fc)
@@ -284,7 +285,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         preds.quasi_cosymplectic == (a1 == -2 * a3 and a2 == -2 * a4),
     )
 
-    np = nabla_phi(fc)
+    np = derived(fc, nabla_phi)
     npv = np.values
     disp1 = (-2 * a2 - 4 * a4) * Z1 + (2 * a1 + 4 * a3) * Z2
     check(
@@ -314,7 +315,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         ),
     )
 
-    cc = characteristic_connection(cf, solved)
+    cc = characteristic_connection(cf, fc)
     expected_c = connection_forms({(1, 2): A2, (3, 4): -1 * A2})
     check(
         "A2 determines the compatible connection",

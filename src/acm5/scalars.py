@@ -44,6 +44,18 @@ def _norm_atom(kind, m, n, coef):
     return (kind, m, n), coef
 
 
+def _accumulate_atom(coeffs, kind, m, n, coef):
+    """Add coef times the atom in place: normalise it, add, and drop it when it cancels."""
+    key, coef = _norm_atom(kind, m, n, coef)
+    if key is None:
+        return
+    acc = coeffs.get(key, Fraction(0)) + coef
+    if acc:
+        coeffs[key] = acc
+    else:
+        coeffs.pop(key, None)
+
+
 class TrigScalar:
     """Exact element of the two-phase trigonometric ring."""
 
@@ -52,15 +64,7 @@ class TrigScalar:
     def __init__(self, coeffs):
         clean = {}
         for (kind, m, n), coef in coeffs.items():
-            coef = Fraction(coef)
-            key, coef = _norm_atom(kind, m, n, coef)
-            if key is None:
-                continue
-            acc = clean.get(key, Fraction(0)) + coef
-            if acc:
-                clean[key] = acc
-            elif key in clean:
-                del clean[key]
+            _accumulate_atom(clean, kind, m, n, Fraction(coef))
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------
@@ -88,12 +92,8 @@ class TrigScalar:
             return NotImplemented
         other = _lift(other)
         merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc = merged.get(k, Fraction(0)) + v
-            if acc:
-                merged[k] = acc
-            elif k in merged:
-                del merged[k]
+        for (kind, m, n), v in other.coeffs.items():
+            _accumulate_atom(merged, kind, m, n, v)
         out = TrigScalar.__new__(TrigScalar)
         out.coeffs = merged
         return out
@@ -116,17 +116,6 @@ class TrigScalar:
             return NotImplemented
         other = _lift(other)
         out = {}
-
-        def put(kind, m, n, coef):
-            key, coef = _norm_atom(kind, m, n, coef)
-            if key is None:
-                return
-            acc = out.get(key, Fraction(0)) + coef
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-
         half = Fraction(1, 2)
         for (k1, m1, n1), c1 in self.coeffs.items():
             for (k2, m2, n2), c2 in other.coeffs.items():
@@ -134,17 +123,17 @@ class TrigScalar:
                 sm, sn = m1 + m2, n1 + n2
                 dm, dn = m1 - m2, n1 - n2
                 if k1 == "c" and k2 == "c":
-                    put("c", dm, dn, c)
-                    put("c", sm, sn, c)
+                    _accumulate_atom(out, "c", dm, dn, c)
+                    _accumulate_atom(out, "c", sm, sn, c)
                 elif k1 == "s" and k2 == "s":
-                    put("c", dm, dn, c)
-                    put("c", sm, sn, -c)
+                    _accumulate_atom(out, "c", dm, dn, c)
+                    _accumulate_atom(out, "c", sm, sn, -c)
                 elif k1 == "s" and k2 == "c":
-                    put("s", sm, sn, c)
-                    put("s", dm, dn, c)
+                    _accumulate_atom(out, "s", sm, sn, c)
+                    _accumulate_atom(out, "s", dm, dn, c)
                 else:  # cos * sin
-                    put("s", sm, sn, c)
-                    put("s", dm, dn, -c)
+                    _accumulate_atom(out, "s", sm, sn, c)
+                    _accumulate_atom(out, "s", dm, dn, -c)
         res = TrigScalar.__new__(TrigScalar)
         res.coeffs = out
         return res

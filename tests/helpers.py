@@ -5,7 +5,12 @@ The oracles here deliberately re-implement the conventions from scratch
 Levi-Civita solve) so the library is checked against a second path.
 """
 
+import contextlib
+import functools
+import importlib
 import itertools
+import sys
+from collections import Counter
 from fractions import Fraction
 
 from acm5.exterior import Form, form
@@ -95,3 +100,39 @@ def random_pointwise(rng):
             for k in range(1, 6):
                 upper[(i, j, k)] = random_fraction(rng)
     return pointwise_from_upper(upper)
+
+
+@contextlib.contextmanager
+def count_calls(*names):
+    """Count calls of the ``acm5`` functions named ``"module.function"`` in the block.
+
+    As ``bench/tracing.py`` does, each function is replaced in every
+    ``acm5.*`` namespace that binds it (modules import each other's
+    functions by name) and restored on exit.  Yields a Counter by name.
+    """
+    counts = Counter()
+    patches = []
+    namespaces = [m for n, m in sys.modules.items() if n == "acm5" or n.startswith("acm5.")]
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        module, fname = name.split(".")
+        original = getattr(importlib.import_module(f"acm5.{module}"), fname)
+        wrapper = counted(name, original)
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    patches.append((ns, attr, original))
+                    setattr(ns, attr, wrapper)
+    try:
+        yield counts
+    finally:
+        for ns, attr, original in reversed(patches):
+            setattr(ns, attr, original)

@@ -148,6 +148,17 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and "no such file" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "{dir}"], ["validate", "{dir}"], [*FAMILY_1000, "--emit", "{dir}/no/x.json"]],
+    ids=["classify-directory", "validate-directory", "emit-into-missing-directory"],
+)
+def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv):
+    code, out, err = run(capsys, [a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_classify_without_compatible_connection(tmp_path, capsys):
     # su(2) block coframe: valid, but not generalized quasi-Sasaki
     path = tmp_path / "su2.json"

@@ -1,0 +1,52 @@
+"""Each invariant of one structure is computed once.
+
+``acms.derived`` memoizes the invariants on the frame connection, so a
+classify report or an identity replay runs each two-path cross-check once
+per structure.  The second nabla Phi calls come from the compatibility
+check of the characteristic connection, which is a different structure.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from acm5 import acms
+from acm5.cli import _tol_scale, _to_float_coframe, classification_report, load_coframe
+from acm5.family import build, verify_identities
+from helpers import count_calls
+
+ONCE = ("acms.nijenhuis", "acms.predicates", "acms.gamma_form", "acms.d_eta_form")
+INPUT = Path(__file__).parent / "golden" / "inputs" / "family_1_0_2_0.json"
+
+
+def test_identity_replay_computes_each_invariant_once():
+    inst = build(1, 0, 2, 0)
+    with count_calls("acms.nabla_phi", *ONCE) as calls:
+        assert verify_identities(inst).ok
+    assert calls["acms.nabla_phi"] <= 3
+    assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_classification_report_computes_each_invariant_once(mode):
+    c = load_coframe(str(INPUT))
+    tol = 1.0
+    if mode == "float":
+        c = _to_float_coframe(c)
+        tol = _tol_scale(c)
+    with count_calls("acms.nabla_phi", *ONCE) as calls:
+        report, code = classification_report(c, tol)
+    assert code == 0 and report["characteristic_connection"] is not None
+    assert calls["acms.nabla_phi"] <= 2
+    assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
+
+
+def test_memo_is_per_tolerance_and_direct_calls_always_compute():
+    fc = acms.frame_connection(build(1, 0, 2, 0).omega_g)
+    with count_calls("acms.nabla_phi") as calls:
+        first = acms.derived(fc, acms.nabla_phi)
+        assert acms.derived(fc, acms.nabla_phi) is first
+        assert acms.derived(fc, acms.nabla_phi, 2.0) == first
+        assert acms.nabla_phi(fc) == first
+    assert calls["acms.nabla_phi"] == 3
+    assert fc == acms.frame_connection(build(1, 0, 2, 0).omega_g)
