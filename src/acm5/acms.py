@@ -40,7 +40,7 @@ from .exterior import (
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
-from .scalars import TrigScalar, is_exact_zero, sadd, sis_zero, smul
+from .scalars import TrigScalar, is_exact_zero, sis_zero
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -84,7 +84,7 @@ def inner_form(a: Form, b: Form):
     for idx, c in small.items():
         d = large.get(idx)
         if d is not None:
-            acc = sadd(acc, smul(c, d))
+            acc += c * d
     return acc
 
 
@@ -104,7 +104,7 @@ def lambda2_project(beta: Form, part: int) -> Form:
         raise ValueError("part must be 1..4")
     out = zero_form(2)
     for b in LAMBDA2_BASES[part]:
-        coef = smul(inner_form(beta, b), Fraction(1) / inner_form(b, b))
+        coef = inner_form(beta, b) * (Fraction(1) / inner_form(b, b))
         out = out + b.scale(coef)
     return out
 
@@ -129,7 +129,7 @@ def phi_pullback(beta: Form) -> Form:
             for w in range(5):
                 if PHI_MAT[w][b] == 0:
                     continue
-                v = sadd(v, smul(smul(PHI_MAT[u][a], PHI_MAT[w][b]), beta.evaluate(u, w)))
+                v += PHI_MAT[u][a] * PHI_MAT[w][b] * beta.evaluate(u, w)
         return v
 
     return grid_form(entry)
@@ -168,7 +168,7 @@ class Tensor3:
         return Tensor3(
             tuple(
                 tuple(
-                    tuple(sadd(a, b) for a, b in zip(ra, rb))
+                    tuple(a + b for a, b in zip(ra, rb))
                     for ra, rb in zip(ma, mb)
                 )
                 for ma, mb in zip(self.values, other.values)
@@ -181,7 +181,7 @@ class Tensor3:
     def scale(self, s):
         return Tensor3(
             tuple(
-                tuple(tuple(smul(s, v) for v in r) for r in m) for m in self.values
+                tuple(tuple(s * v for v in r) for r in m) for m in self.values
             )
         )
 
@@ -195,7 +195,7 @@ class Tensor3:
         for ma, mb in zip(self.values, other.values):
             for ra, rb in zip(ma, mb):
                 for a, b in zip(ra, rb):
-                    acc = sadd(acc, smul(a, b))
+                    acc += a * b
         return acc
 
     def norm_sq(self):
@@ -204,7 +204,7 @@ class Tensor3:
     def is_antisymmetric_last_two(self, tol_scale=1.0):
         v = self.values
         return all(
-            sis_zero(sadd(v[i][j][k], v[i][k][j]), tol_scale)
+            sis_zero(v[i][j][k] + v[i][k][j], tol_scale)
             for i in range(5)
             for j in range(5)
             for k in range(5)
@@ -213,7 +213,7 @@ class Tensor3:
     def is_totally_skew(self, tol_scale=1.0):
         v = self.values
         return self.is_antisymmetric_last_two(tol_scale) and all(
-            sis_zero(sadd(v[i][j][k], v[j][i][k]), tol_scale)
+            sis_zero(v[i][j][k] + v[j][i][k], tol_scale)
             for i in range(5)
             for j in range(5)
             for k in range(5)
@@ -248,10 +248,8 @@ def vartheta(beta: Form) -> Tensor3:
     _require_metric_2form(beta)
     star = hodge(beta)
     return t3_from_func(
-        lambda i, j, k: sadd(
-            smul(Fraction(3) if i == XI else Fraction(0), beta.evaluate(j, k)),
-            smul(Fraction(-1), star.evaluate(i, j, k)),
-        )
+        lambda i, j, k: (Fraction(3) if i == XI else Fraction(0)) * beta.evaluate(j, k)
+        - star.evaluate(i, j, k)
     )
 
 
@@ -325,8 +323,8 @@ def _mu(matrix):
         for b in range(5):
             acc = Fraction(0)
             for i in range(5):
-                acc = sadd(acc, smul(matrix[i][a], PHI_MAT[i][b]))
-                acc = sadd(acc, smul(Fraction(-1), smul(matrix[i][b], PHI_MAT[i][a])))
+                acc += matrix[i][a] * PHI_MAT[i][b]
+                acc -= matrix[i][b] * PHI_MAT[i][a]
             out[a][b] = acc
     return out
 
@@ -363,13 +361,13 @@ def nabla_xi_matrix(fc: FrameConnection, tol_scale=1.0):
 
 def d_eta_form(fc: FrameConnection, tol_scale=1.0) -> Form:
     nx = derived(fc, nabla_xi_matrix, tol_scale)
-    return grid_form(lambda a, b: sadd(nx[a][b], smul(Fraction(-1), nx[b][a])))
+    return grid_form(lambda a, b: nx[a][b] - nx[b][a])
 
 
 def xi_is_killing(fc: FrameConnection, tol_scale=1.0):
     nx = derived(fc, nabla_xi_matrix, tol_scale)
     return all(
-        sis_zero(sadd(nx[a][b], nx[b][a]), tol_scale)
+        sis_zero(nx[a][b] + nx[b][a], tol_scale)
         for a in range(5)
         for b in range(5)
     )
@@ -390,8 +388,8 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
     def np_full(k, a, b):
         acc = Fraction(0)
         for i in range(5):
-            acc = sadd(acc, smul(w[i][a][k], PHI_MAT[i][b]))
-            acc = sadd(acc, smul(Fraction(-1), smul(w[i][b][k], PHI_MAT[i][a])))
+            acc += w[i][a][k] * PHI_MAT[i][b]
+            acc -= w[i][b][k] * PHI_MAT[i][a]
         return acc
 
     full = t3_from_func(np_full)
@@ -401,8 +399,8 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
     def np_gamma(k, a, b):
         acc = Fraction(0)
         for i in range(5):
-            acc = sadd(acc, smul(gammas[k].evaluate(i, a), PHI_MAT[i][b]))
-            acc = sadd(acc, smul(Fraction(-1), smul(gammas[k].evaluate(i, b), PHI_MAT[i][a])))
+            acc += gammas[k].evaluate(i, a) * PHI_MAT[i][b]
+            acc -= gammas[k].evaluate(i, b) * PHI_MAT[i][a]
         return acc
 
     via_gamma = t3_from_func(np_gamma)
@@ -413,11 +411,7 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
     v = np.values
-    return t3_from_func(
-        lambda a, b, c: sadd(
-            sadd(v[a][b][c], smul(Fraction(-1), v[b][a][c])), v[c][a][b]
-        )
-    )
+    return t3_from_func(lambda a, b, c: v[a][b][c] - v[b][a][c] + v[c][a][b])
 
 
 def nijenhuis(source, tol_scale=1.0) -> Tensor3:
@@ -432,17 +426,17 @@ def nijenhuis(source, tol_scale=1.0) -> Tensor3:
         acc = Fraction(0)
         for u in range(5):
             if P[u][y] != 0:
-                acc = sadd(acc, smul(P[u][y], np[u][x][z]))
+                acc += P[u][y] * np[u][x][z]
             if P[u][z] != 0:
-                acc = sadd(acc, smul(Fraction(-1), smul(P[u][z], np[u][x][y])))
+                acc -= P[u][z] * np[u][x][y]
             if P[u][x] != 0:
-                acc = sadd(acc, smul(P[u][x], sadd(np[y][u][z], smul(Fraction(-1), np[z][u][y]))))
+                acc += P[u][x] * (np[y][u][z] - np[z][u][y])
         if x == XI:
             for u in range(5):
                 if P[u][z] != 0:
-                    acc = sadd(acc, smul(P[u][z], np[y][XI][u]))
+                    acc += P[u][z] * np[y][XI][u]
                 if P[u][y] != 0:
-                    acc = sadd(acc, smul(Fraction(-1), smul(P[u][y], np[z][XI][u])))
+                    acc -= P[u][y] * np[z][XI][u]
         return acc
 
     first = t3_from_func(n_via_np)
@@ -453,19 +447,16 @@ def nijenhuis(source, tol_scale=1.0) -> Tensor3:
         acc = Fraction(0)
         for u in range(5):
             if P[u][y] != 0:
-                acc = sadd(acc, smul(P[u][y], np[u][x][z]))
+                acc += P[u][y] * np[u][x][z]
             if P[u][z] != 0:
-                acc = sadd(acc, smul(Fraction(-1), smul(P[u][z], np[u][x][y])))
+                acc -= P[u][z] * np[u][x][y]
         # + g(x, phi((nabla_Z phi)(Y) - (nabla_Y phi)(Z)))
         for u in range(5):
             if P[x][u] == 0:
                 continue
-            acc = sadd(
-                acc,
-                smul(P[x][u], sadd(np[z][u][y], smul(Fraction(-1), np[y][u][z]))),
-            )
+            acc += P[x][u] * (np[z][u][y] - np[y][u][z])
         if x == XI:
-            acc = sadd(acc, deta.evaluate(y, z))
+            acc += deta.evaluate(y, z)
         return acc
 
     second = t3_from_func(cov)
@@ -492,7 +483,7 @@ def gamma_form(source, tol_scale=1.0) -> Form:
         v1 = Fraction(0)
         for u in range(5):
             if P[u][x] != 0:
-                v1 = sadd(v1, smul(P[u][x], dphi[XI][u][y]))
+                v1 += P[u][x] * dphi[XI][u][y]
         v2 = Fraction(0)
         for u in range(5):
             if P[u][x] == 0:
@@ -500,8 +491,8 @@ def gamma_form(source, tol_scale=1.0) -> Form:
             for w in range(5):
                 if P[w][y] == 0:
                     continue
-                v2 = sadd(v2, smul(smul(P[u][x], P[w][y]), nij[u][w][XI]))
-        if not sis_zero(sadd(v1, smul(Fraction(-1), v2)), tol_scale):
+                v2 += P[u][x] * P[w][y] * nij[u][w][XI]
+        if not sis_zero(v1 - v2, tol_scale):
             raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
         return v1
 
@@ -521,7 +512,7 @@ def _derivation(alpha: Form, entry) -> Form:
                 new = list(idx)
                 new[pos] = j
                 mono = tuple(sorted(new))
-                out = out + Form(alpha.degree, {mono: smul(coef, smul(perm_sign(new), v))})
+                out = out + Form(alpha.degree, {mono: coef * (perm_sign(new) * v)})
     return out
 
 
@@ -603,17 +594,17 @@ def predicates(source, tol_scale=1.0) -> Predicates:
     normal = nij.is_zero(tol_scale)
     delta_eta = Fraction(0)
     for i in range(5):
-        delta_eta = sadd(delta_eta, smul(Fraction(-1), nx[i][i]))
+        delta_eta -= nx[i][i]
     delta_phi = [Fraction(0)] * 5
     for b in range(5):
         acc = Fraction(0)
         for i in range(5):
-            acc = sadd(acc, smul(Fraction(-1), npv[i][i][b]))
+            acc -= npv[i][i][b]
         delta_phi[b] = acc
     semi = sis_zero(delta_eta, tol_scale) and all(sis_zero(v, tol_scale) for v in delta_phi)
     almost = dphi.is_zero(tol_scale) and deta.is_zero(tol_scale)
     nearly = all(
-        sis_zero(sadd(npv[a][c][b], npv[b][c][a]), tol_scale)
+        sis_zero(npv[a][c][b] + npv[b][c][a], tol_scale)
         for a in range(5)
         for b in range(5)
         for c in range(5)
@@ -628,7 +619,7 @@ def predicates(source, tol_scale=1.0) -> Predicates:
             for w in range(5):
                 if P[w][b] == 0:
                     continue
-                acc = sadd(acc, smul(smul(P[u][a], P[w][b]), npv[u][c][w]))
+                acc += P[u][a] * P[w][b] * npv[u][c][w]
         return acc
 
     def quasi_cos_rhs(a, b, c):
@@ -638,11 +629,11 @@ def predicates(source, tol_scale=1.0) -> Predicates:
         for u in range(5):
             if P[u][a] == 0:
                 continue
-            acc = sadd(acc, smul(P[u][a], nx[u][c]))
+            acc += P[u][a] * nx[u][c]
         return acc
 
     quasi_cos = all(
-        sis_zero(sadd(quasi_cos_lhs(a, b, c), smul(Fraction(-1), quasi_cos_rhs(a, b, c))), tol_scale)
+        sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c), tol_scale)
         for a in range(5)
         for b in range(5)
         for c in range(5)

@@ -346,8 +346,12 @@ def cmd_classify(args):
         return code
     tol = 1.0
     if args.float:
-        c = _to_float_coframe(c)
-        tol = _tol_scale(c)
+        try:
+            c = _to_float_coframe(c)
+            tol = _tol_scale(c)
+        except OverflowError:
+            print("error: --float: a coefficient is too large for binary64", file=sys.stderr)
+            return 2
     try:
         report, code = classification_report(c, tol)
     except ACM5Error as exc:

@@ -49,7 +49,7 @@ from .exterior import (
     wedge,
 )
 from .frames import ConnectionForms
-from .scalars import sadd, sis_zero, smul
+from .scalars import sis_zero
 from .torsionclass import CartanParts, cartan_decompose
 
 
@@ -58,6 +58,7 @@ class CharacteristicConnection:
     omega_c: ConnectionForms
     a_c: Tensor3  # difference tensor, antisymmetric in the last two slots
     torsion: Tensor3  # T(X, Y, Z), antisymmetric in the first two slots
+    compatibility: CompatibilityReport  # its defining check, run once on construction
 
 
 def characteristic_connection(c: CoframeData, omega_g, tol_scale=1.0):
@@ -76,16 +77,14 @@ def characteristic_connection(c: CoframeData, omega_g, tol_scale=1.0):
     corr3 = wedge(deta - gamma, eta)
     half = Fraction(1, 2)
     nv = nij.values
-    a_c = t3_from_func(
-        lambda x, y, z: smul(half, sadd(corr3.evaluate(x, y, z), smul(Fraction(-1), nv[x][y][z])))
-    )
+    a_c = t3_from_func(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nv[x][y][z]))
     omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c, tol_scale)
     if not report.ok:
         raise ACM5Error("internal consistency: compatible connection fails its defining property")
     av = a_c.values
-    torsion = t3_from_func(lambda x, y, z: sadd(av[x][y][z], smul(Fraction(-1), av[y][x][z])))
-    return CharacteristicConnection(omega_c, a_c, torsion)
+    torsion = t3_from_func(lambda x, y, z: av[x][y][z] - av[y][x][z])
+    return CharacteristicConnection(omega_c, a_c, torsion, report)
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
@@ -203,7 +202,7 @@ def curvature(c: CoframeData, omega: ConnectionForms, tol_scale=1.0) -> Curvatur
         for b in range(5):
             acc = Fraction(0)
             for i in range(5):
-                acc = sadd(acc, grid[i][b].evaluate(a, i))
+                acc += grid[i][b].evaluate(a, i)
             rrow.append(acc)
         ricci.append(tuple(rrow))
     holonomy = _bracket_closure(_endomorphism_values(grid), tol_scale)
@@ -240,10 +239,8 @@ def _form_to_matrix(beta: Form):
 def _commutator(a, b):
     return [
         [
-            sadd(
-                sum_products(a[i], [b[k][j] for k in range(5)]),
-                smul(Fraction(-1), sum_products(b[i], [a[k][j] for k in range(5)])),
-            )
+            sum_products(a[i], [b[k][j] for k in range(5)])
+            - sum_products(b[i], [a[k][j] for k in range(5)])
             for j in range(5)
         ]
         for i in range(5)
@@ -253,7 +250,7 @@ def _commutator(a, b):
 def sum_products(row, col):
     acc = Fraction(0)
     for x, y in zip(row, col):
-        acc = sadd(acc, smul(x, y))
+        acc += x * y
     return acc
 
 

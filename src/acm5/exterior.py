@@ -28,7 +28,7 @@ from .errors import (
     SchemaError,
     UnsupportedSymbolError,
 )
-from .scalars import TrigScalar, fmt_scalar, is_exact_zero, sadd, sis_zero, smul
+from .scalars import TrigScalar, fmt_scalar, is_exact_zero, sis_zero
 
 METRIC_IDS = (0, 1, 2, 3, 4)
 
@@ -93,7 +93,7 @@ class Form:
         c = self.terms.get(key)
         if c is None:
             return Fraction(0)
-        return smul(c, perm_sign(ids))
+        return c * perm_sign(ids)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -119,7 +119,7 @@ class Form:
             return Form(self.degree, {})
         out = {}
         for idx, c in self.terms.items():
-            v = smul(s, c)
+            v = s * c
             if not is_exact_zero(v):
                 out[idx] = v
         return Form(self.degree, out)
@@ -158,7 +158,7 @@ def grid_form(entry):
 
 def _accumulate(terms, idx, v):
     """Add v to terms[idx] in place, dropping the entry when it cancels exactly."""
-    acc = sadd(terms.get(idx, Fraction(0)), v)
+    acc = terms.get(idx, Fraction(0)) + v
     if is_exact_zero(acc):
         terms.pop(idx, None)
     else:
@@ -223,7 +223,7 @@ def wedge(a, b):
             if set(i1) & set(i2):
                 continue
             idx, sign = _merge(i1, i2)
-            _accumulate(out, idx, smul(smul(c1, c2), Fraction(sign)))
+            _accumulate(out, idx, c1 * c2 * Fraction(sign))
     return Form(deg, out)
 
 
@@ -246,7 +246,7 @@ def hodge(a, coframe=None):
             raise UnsupportedSymbolError("star is defined on metric symbols only")
         comp = tuple(i for i in METRIC_IDS if i not in idx)
         sign = perm_sign(idx + comp) * vol_sign
-        _accumulate(out, comp, smul(c, sign))
+        _accumulate(out, comp, c * sign)
     return Form(5 - a.degree, out)
 
 
@@ -263,7 +263,7 @@ def interior(i, a):
             continue
         pos = idx.index(sym)
         rest = idx[:pos] + idx[pos + 1 :]
-        _accumulate(out, rest, smul(c, Fraction((-1) ** pos)))
+        _accumulate(out, rest, c * Fraction((-1) ** pos))
     return Form(a.degree - 1, out)
 
 
@@ -392,7 +392,7 @@ def ext_d(a, c):
                 Form(len(before), {before: unit}) if before else Form(0, {(): unit}),
                 wedge(dsym, Form(len(after), {after: unit}) if after else Form(0, {(): unit})),
             )
-            result = result + piece.scale(smul(coef, sign))
+            result = result + piece.scale(coef * sign)
     return result
 
 

@@ -41,7 +41,6 @@ from .acms import (
 )
 from .connection import (
     characteristic_connection,
-    compatibility_report,
     curvature,
     parallel_spinor_check,
     spinor_kernel,
@@ -325,8 +324,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
             for j in range(5)
         ),
     )
-    comp = compatibility_report(cc.omega_c)
-    check("compatible connection parallelizes xi, eta, phi", comp.ok)
+    check("compatible connection parallelizes xi, eta, phi", cc.compatibility.ok)
 
     _, tag = torsion_type(cc)
     check(

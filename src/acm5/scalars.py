@@ -9,11 +9,16 @@ Three kinds of coefficients appear throughout the library:
 * binary64 floats, used only for cross-checking exact results against a
   relative tolerance of ``FLOAT_RTOL``.
 
-Rationals embed into the trig ring as the frequency-zero cosine component
-and results collapse back to ``Fraction`` whenever they are constant, so
-identities such as ``sin(f)**2 + cos(f)**2 == 1`` hold on the nose.
-Floats never mix with exact scalars; attempting to do so raises
-:class:`~acm5.errors.ModeMismatchError`.
+All three are combined with the plain operators ``+ - * /``; the rules
+of the trig ring live on :class:`TrigScalar`'s own operators:
+
+* rationals embed as the frequency-zero cosine component, and every
+  operator result that is constant collapses back to a ``Fraction``, so
+  ``SIN_F * SIN_F + COS_F * COS_F`` is ``Fraction(1)`` on the nose;
+* floats never mix with the trig ring: a ``float`` on either side raises
+  :class:`~acm5.errors.ModeMismatchError`;
+* a trig scalar divides only by a rational; division by a non-constant
+  trig scalar raises :class:`~acm5.errors.ExtensionOverflowError`.
 
 The storage rule for coefficients lives in :func:`is_exact_zero`: an exact
 zero is never stored, while every float is kept, even ``0.0``, so a float
@@ -88,33 +93,31 @@ class TrigScalar:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, (TrigScalar, int, Fraction)):
-            return NotImplemented
         other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         merged = dict(self.coeffs)
         for (kind, m, n), v in other.coeffs.items():
             _accumulate_atom(merged, kind, m, n, v)
-        out = TrigScalar.__new__(TrigScalar)
-        out.coeffs = merged
-        return out
+        return collapse(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = TrigScalar.__new__(TrigScalar)
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
+        return collapse({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-_lift(other))
+        other = _lift(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return _lift(other) + (-self)
+        other = _lift(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (TrigScalar, int, Fraction)):
-            return NotImplemented
         other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         out = {}
         half = Fraction(1, 2)
         for (k1, m1, n1), c1 in self.coeffs.items():
@@ -134,11 +137,21 @@ class TrigScalar:
                 else:  # cos * sin
                     _accumulate_atom(out, "s", sm, sn, c)
                     _accumulate_atom(out, "s", dm, dn, -c)
-        res = TrigScalar.__new__(TrigScalar)
-        res.coeffs = out
-        return res
+        return collapse(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.is_constant():
+            raise ExtensionOverflowError("division by a non-constant trig scalar")
+        return self * (1 / other.constant_part())
+
+    def __rtruediv__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def deriv_terms(self):
         """Chain-rule data: list of (factor, m, n) with d(self) = sum factor*(m*df + n*dg)."""
@@ -147,9 +160,9 @@ class TrigScalar:
             if m == 0 and n == 0:
                 continue
             if kind == "s":
-                out.append((collapse(TrigScalar.atom("c", m, n, coef)), m, n))
+                out.append((TrigScalar.atom("c", m, n, coef), m, n))
             else:
-                out.append((collapse(TrigScalar.atom("s", m, n, -coef)), m, n))
+                out.append((TrigScalar.atom("s", m, n, -coef), m, n))
         return out
 
     # -- misc ----------------------------------------------------------
@@ -168,48 +181,21 @@ class TrigScalar:
 
 
 def _lift(x):
+    """The ring element of an exact scalar; NotImplemented for a non-scalar."""
     if isinstance(x, TrigScalar):
         return x
     if isinstance(x, (int, Fraction)):
         return TrigScalar.const(x)
     if isinstance(x, float):
         raise ModeMismatchError("cannot mix float scalars with the trig ring")
-    raise TypeError(f"not a scalar: {x!r}")
+    return NotImplemented
 
 
-def collapse(x):
-    """Return a Fraction when a trig scalar is actually constant."""
-    if isinstance(x, TrigScalar) and x.is_constant():
-        return x.constant_part()
-    return x
-
-
-# ---------------------------------------------------------------------------
-# facade over Fraction | int | float | TrigScalar
-
-
-def sadd(a, b):
-    if isinstance(a, TrigScalar) or isinstance(b, TrigScalar):
-        return collapse(_lift(a) + _lift(b))
-    return a + b
-
-
-def smul(a, b):
-    if isinstance(a, TrigScalar) or isinstance(b, TrigScalar):
-        return collapse(_lift(a) * _lift(b))
-    return a * b
-
-
-def sdiv(a, b):
-    if isinstance(b, TrigScalar):
-        b = collapse(b)
-        if isinstance(b, TrigScalar):
-            raise ExtensionOverflowError("division by a non-constant trig scalar")
-    if isinstance(a, TrigScalar):
-        return collapse(a * TrigScalar.const(Fraction(1) / Fraction(b)))
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    return Fraction(a) / Fraction(b)
+def collapse(coeffs):
+    """The ring element with these normalised coefficients: a Fraction when it is constant."""
+    out = TrigScalar.__new__(TrigScalar)
+    out.coeffs = coeffs
+    return out.constant_part() if out.is_constant() else out
 
 
 def sis_zero(x, tol_scale=1.0):

@@ -31,7 +31,7 @@ from .acms import (
 )
 from .errors import SymbolicResidueError
 from .exterior import grid_form, zero_form
-from .scalars import sadd, sis_zero, smul
+from .scalars import sis_zero
 
 # coordinates on the complement of the stabilizer algebra inside 2-forms
 _CBASIS = (Z1, Z2) + L24
@@ -58,7 +58,7 @@ class IntrinsicTorsion:
         out = []
         for f in self.components:
             for b, nb in zip(_CBASIS, _CNORMS):
-                out.append(smul(inner_form(f, b), Fraction(1) / nb))
+                out.append(inner_form(f, b) * (Fraction(1) / nb))
         return out
 
     def norm_sq(self):
@@ -95,7 +95,7 @@ def torsion_from_coords(coords) -> IntrinsicTorsion:
 def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
     acc = Fraction(0)
     for a, b in zip(u.components, v.components):
-        acc = sadd(acc, inner_form(a, b))
+        acc += inner_form(a, b)
     return acc
 
 
@@ -149,7 +149,7 @@ def residual_basis() -> tuple:
         weights.extend(_CNORMS)
     for vecs in w_subspaces().values():
         for v in vecs:
-            rows.append([smul(c, w) for c, w in zip(v.as_coords(), weights)])
+            rows.append([c * w for c, w in zip(v.as_coords(), weights)])
     kernel = linalg.nullspace(rows)
     return tuple(torsion_from_coords(v) for v in kernel)
 
@@ -177,10 +177,10 @@ def classify(gamma: IntrinsicTorsion, tol_scale=1.0) -> ClassReport:
         n = Fraction(0)
         for ci, bi in zip(coefs, basis):
             for cj, bj in zip(coefs, basis):
-                n = sadd(n, smul(smul(ci, cj), inner_w(bi, bj)))
+                n += ci * cj * inner_w(bi, bj)
         norms[name] = n
-        accounted = sadd(accounted, n)
-    norms["residual"] = sadd(total, smul(Fraction(-1), accounted))
+        accounted += n
+    norms["residual"] = total - accounted
     tags = tuple(
         name for name in (*MODULE_NAMES, "residual") if not sis_zero(norms[name], tol_scale)
     )
@@ -215,21 +215,19 @@ def cartan_decompose(a: Tensor3) -> CartanParts:
     for z in range(5):
         acc = Fraction(0)
         for i in range(5):
-            acc = sadd(acc, v[i][i][z])
-        vec.append(smul(quarter, acc))
+            acc += v[i][i][z]
+        vec.append(quarter * acc)
 
     def vec_part(x, y, z):
         out = Fraction(0)
         if x == y:
-            out = sadd(out, vec[z])
+            out += vec[z]
         if x == z:
-            out = sadd(out, smul(Fraction(-1), vec[y]))
+            out -= vec[y]
         return out
 
     vectorial = t3_from_func(vec_part)
     third = Fraction(1, 3)
-    skew = t3_from_func(
-        lambda x, y, z: smul(third, sadd(sadd(v[x][y][z], v[y][z][x]), v[z][x][y]))
-    )
+    skew = t3_from_func(lambda x, y, z: third * (v[x][y][z] + v[y][z][x] + v[z][x][y]))
     cyclic = a - vectorial - skew
     return CartanParts(vectorial, tuple(vec), skew, cyclic)

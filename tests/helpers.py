@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from acm5.exterior import Form, form
+from acm5.exterior import CoframeData, Form, form
 
 
 def random_fraction(rng, span=4, den=3):
@@ -100,6 +100,81 @@ def random_pointwise(rng):
             for k in range(1, 6):
                 upper[(i, j, k)] = random_fraction(rng)
     return pointwise_from_upper(upper)
+
+
+def _identity(n):
+    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+
+def matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def cayley(s):
+    """Q = (I - S)(I + S)^-1, orthogonal whenever S is antisymmetric (exact Gauss-Jordan)."""
+    n = len(s)
+    ident = _identity(n)
+    m = [[ident[r][c] + s[r][c] for c in range(n)] + ident[r] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
+    minus = [[ident[r][c] - s[r][c] for c in range(n)] for r in range(n)]
+    return matmul(minus, [row[n:] for row in m])
+
+
+def u2_rotation(a, b, c, d):
+    """The Cayley rotation of the u(2) + 0 element that acts on (e1 + i e2, e3 + i e4)
+    by the anti-Hermitian matrix [[i a, b + i c], [-b + i c, i d]] and kills e5.
+
+    Such an S commutes with phi, so Q lies in U(2)x1 and preserves the
+    almost contact metric structure.
+    """
+    s = [
+        [0, -a, b, -c, 0],
+        [a, 0, c, b, 0],
+        [-b, -c, 0, -d, 0],
+        [c, -b, d, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
+    return cayley([[Fraction(v) for v in row] for row in s])
+
+
+def rotate(c: CoframeData, q):
+    """The coframe f_a = sum_i q[a][i] e_i of an orthogonal q, written back in f.
+
+    Every metric leg of every generator derivative is rewritten through
+    e_i = sum_a q[a][i] f_a; auxiliary symbols are left as they are.
+    """
+
+    def legs(x):
+        return [(a, q[a][x]) for a in range(5)] if x < 5 else [(x, Fraction(1))]
+
+    def substituted(f: Form):
+        out = {}
+        for (x, y), coef in f.terms.items():
+            for xn, xc in legs(x):
+                for yn, yc in legs(y):
+                    if xn != yn:
+                        key, sign = ((xn, yn), 1) if xn < yn else ((yn, xn), -1)
+                        out[key] = out.get(key, Fraction(0)) + sign * coef * xc * yc
+        return out
+
+    table = {sid: form(2, substituted(f)) for sid, f in c.d_table.items() if sid >= 5}
+    metric = [substituted(c.d_table[i]) for i in range(5)]
+    for a in range(5):
+        acc = {}
+        for i in range(5):
+            for key, v in metric[i].items():
+                acc[key] = acc.get(key, Fraction(0)) + q[a][i] * v
+        table[a] = form(2, acc)
+    return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
 
 
 @contextlib.contextmanager

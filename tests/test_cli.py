@@ -159,6 +159,24 @@ def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize(
+    "zeros", [400, 200], ids=["coefficient-overflows", "tolerance-scale-overflows"]
+)
+def test_float_mode_rejects_coefficients_beyond_binary64(tmp_path, capsys, zeros):
+    path = tmp_path / "big.json"
+    doc = {
+        "symbols": [{"name": f"e{i}", "kind": "metric", "index": i} for i in range(1, 6)],
+        "d": {"e5": [{"coeff": "1" + "0" * zeros, "wedge": ["e1", "e2"]}]},
+        "orientation": ["e1", "e2", "e3", "e4", "e5"],
+    }
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["classify", str(path), "--json", "--float"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "binary64" in err and err.count("\n") == 1
+    code, _, _ = run(capsys, ["classify", str(path), "--json"])
+    assert code == 0
+
+
 def test_classify_without_compatible_connection(tmp_path, capsys):
     # su(2) block coframe: valid, but not generalized quasi-Sasaki
     path = tmp_path / "su2.json"

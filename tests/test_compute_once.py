@@ -2,8 +2,9 @@
 
 ``acms.derived`` memoizes the invariants on the frame connection, so a
 classify report or an identity replay runs each two-path cross-check once
-per structure.  The second nabla Phi calls come from the compatibility
-check of the characteristic connection, which is a different structure.
+per structure.  The second nabla Phi call comes from the compatibility
+check of the characteristic connection, which is a different structure;
+it runs once, when the connection is built.
 """
 
 from pathlib import Path
@@ -21,9 +22,10 @@ INPUT = Path(__file__).parent / "golden" / "inputs" / "family_1_0_2_0.json"
 
 def test_identity_replay_computes_each_invariant_once():
     inst = build(1, 0, 2, 0)
-    with count_calls("acms.nabla_phi", *ONCE) as calls:
+    with count_calls("acms.nabla_phi", "connection.compatibility_report", *ONCE) as calls:
         assert verify_identities(inst).ok
-    assert calls["acms.nabla_phi"] <= 3
+    assert calls["acms.nabla_phi"] <= 2
+    assert calls["connection.compatibility_report"] == 1
     assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
 
 

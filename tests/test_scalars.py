@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acm5.errors import ExtensionOverflowError, ModeMismatchError
 from acm5.scalars import (
@@ -11,27 +13,24 @@ from acm5.scalars import (
     TrigScalar,
     fmt_scalar,
     rat,
-    sadd,
-    sdiv,
     sis_zero,
-    smul,
 )
 
 
 def test_pythagoras_collapses_to_rational():
-    x = sadd(smul(SIN_F, SIN_F), smul(COS_F, COS_F))
+    x = SIN_F * SIN_F + COS_F * COS_F
     assert isinstance(x, Fraction) and x == 1
 
 
 def test_product_to_sum_identities():
     # sin f cos f = sin(2f)/2
-    assert smul(SIN_F, COS_F) == TrigScalar.atom("s", 2, 0, Fraction(1, 2))
+    assert SIN_F * COS_F == TrigScalar.atom("s", 2, 0, Fraction(1, 2))
     # cos f cos g = (cos(f-g) + cos(f+g))/2
-    prod = smul(COS_F, COS_G)
+    prod = COS_F * COS_G
     expected = TrigScalar({("c", 1, -1): Fraction(1, 2), ("c", 1, 1): Fraction(1, 2)})
     assert prod == expected
     # sin(f)sin(g) recombined with cos(f)cos(g) gives cos(f-g)
-    assert sadd(smul(SIN_F, SIN_G), smul(COS_F, COS_G)) == TrigScalar.atom("c", 1, -1)
+    assert SIN_F * SIN_G + COS_F * COS_G == TrigScalar.atom("c", 1, -1)
 
 
 def test_negative_frequency_normalization():
@@ -41,16 +40,16 @@ def test_negative_frequency_normalization():
 
 
 def test_rational_embedding_and_collapse():
-    two = smul(Fraction(2), COS_F)
+    two = Fraction(2) * COS_F
     assert isinstance(two, TrigScalar)
-    back = sadd(two, smul(Fraction(-2), COS_F))
+    back = two + Fraction(-2) * COS_F
     assert back == 0 and isinstance(back, Fraction)
-    assert smul(TrigScalar.const(3), TrigScalar.const(Fraction(1, 3))) == 1
+    assert TrigScalar.const(3) * TrigScalar.const(Fraction(1, 3)) == 1
 
 
 def test_derivative_terms():
     d = SIN_F.deriv_terms()
-    assert d == [(COS_F, 1, 0)] or d == [(smul(1, COS_F), 1, 0)]
+    assert d == [(COS_F, 1, 0)] or d == [(1 * COS_F, 1, 0)]
     (factor, m, n), = COS_G.deriv_terms()
     assert factor == -SIN_G and (m, n) == (0, 1)
     assert TrigScalar.const(7).deriv_terms() == []
@@ -58,13 +57,13 @@ def test_derivative_terms():
 
 def test_float_never_mixes_with_trig():
     with pytest.raises(ModeMismatchError):
-        smul(SIN_F, 0.5)
+        SIN_F * 0.5
 
 
 def test_division_by_trig_rejected():
     with pytest.raises(ExtensionOverflowError):
-        sdiv(Fraction(1), SIN_F)
-    assert sdiv(SIN_F, Fraction(2)) == TrigScalar.atom("s", 1, 0, Fraction(1, 2))
+        Fraction(1) / SIN_F
+    assert SIN_F / Fraction(2) == TrigScalar.atom("s", 1, 0, Fraction(1, 2))
 
 
 def test_float_zero_uses_relative_tolerance():
@@ -77,4 +76,45 @@ def test_rat_parsing_and_formatting():
     assert rat("3/4") == Fraction(3, 4)
     assert fmt_scalar(Fraction(-7, 2)) == "-7/2"
     assert fmt_scalar(Fraction(5)) == "5"
-    assert fmt_scalar(sadd(COS_F, Fraction(2))) == "2 + cos(f)"
+    assert fmt_scalar(COS_F + Fraction(2)) == "2 + cos(f)"
+
+
+_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_atoms = st.tuples(st.sampled_from("cs"), st.integers(-2, 2), st.integers(-2, 2))
+trig_scalars = st.dictionaries(_atoms, _coefs, max_size=3).map(TrigScalar)
+operands = st.one_of(trig_scalars, st.integers(-3, 3), _coefs)
+
+
+def _collapsed(r):
+    """A result is a TrigScalar exactly when it is non-constant, else a Fraction."""
+    if isinstance(r, TrigScalar):
+        return not r.is_constant()
+    return isinstance(r, Fraction)
+
+
+@given(trig_scalars, operands, operands)
+def test_operators_form_a_ring_and_collapse_constants(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    for r in (x + y, y + x, x * y, y * x, x - y, y - x, -x, x + z * y):
+        assert _collapsed(r)
+    diff = x - x
+    assert diff == 0 and isinstance(diff, Fraction)
+
+
+@given(trig_scalars, st.floats(allow_nan=False, allow_infinity=False))
+def test_float_on_either_side_raises(x, f):
+    for op in (
+        lambda: x + f,
+        lambda: f + x,
+        lambda: x - f,
+        lambda: f - x,
+        lambda: x * f,
+        lambda: f * x,
+        lambda: x / f,
+        lambda: f / x,
+    ):
+        with pytest.raises(ModeMismatchError):
+            op()
