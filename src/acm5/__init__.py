@@ -71,7 +71,6 @@ from .frames import (
     canonical_algebra,
     connection_from_structure,
     frame_change_verify,
-    koszul_connection,
     verify_first_structure,
 )
 from .torsionclass import (
@@ -122,7 +121,6 @@ __all__ = [
     "identify_group",
     "interior",
     "intrinsic_torsion",
-    "koszul_connection",
     "lambda2_project",
     "nabla_phi",
     "nijenhuis",

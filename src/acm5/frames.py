@@ -6,10 +6,10 @@ connection on a left-invariant orthonormal coframe reads
 
     d e_i = sum_j w[i][j] ^ e_j.
 
-The Levi-Civita forms of a pure 5-symbol coframe come from the closed-form
-antisymmetrized combination of structure constants; coframes that involve
-auxiliary symbols are handled by a direct linear solve of the structure
-equation, which has a unique antisymmetric solution whenever one exists.
+The Levi-Civita forms come from one closed form: the Koszul formula for a
+left-invariant metric on the metric channels, and a direct read of the
+structure table on each auxiliary channel.  The antisymmetric solution is
+unique whenever it exists, and its existence is two checks on the table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import linalg
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
     METRIC_IDS,
@@ -31,7 +30,7 @@ from .exterior import (
     wedge_all,
     zero_form,
 )
-from .scalars import TrigScalar
+from .scalars import sis_zero
 
 
 @dataclass(frozen=True)
@@ -95,87 +94,41 @@ def pointwise_from_upper(upper):
     return PointwiseFrameData(tuple(tuple(tuple(r) for r in m) for m in cube))
 
 
-def _pure_metric_rational(c: CoframeData):
-    for sid in METRIC_IDS:
-        f = c.d_table[sid]
-        if any(i not in METRIC_IDS for i in f.symbols_used()):
-            return False
-        if any(isinstance(v, TrigScalar) for v in f.terms.values()):
-            return False
-    return True
+def connection_from_structure(c: CoframeData) -> ConnectionForms:
+    """Levi-Civita connection forms: the antisymmetric solution of the first structure equation.
 
+    The metric channels follow the Koszul formula for a left-invariant metric,
 
-def koszul_connection(c: CoframeData) -> ConnectionForms:
-    """Levi-Civita connection forms of a pure 5-symbol left-invariant coframe.
+        2 w[b][c](e_a) = de_a(e_b, e_c) + de_b(e_a, e_c) - de_c(e_a, e_b),
 
-    2 w[b][c](e_a) = de_a(e_b, e_c) + de_b(e_a, e_c) - de_c(e_a, e_b).
+    and each auxiliary channel is read off directly, w[b][c](A) = de_b(A, e_c).
+    A solution exists, and is then unique, exactly when no de_i has an
+    auxiliary ^ auxiliary term and de_i(A, e_j) is antisymmetric in (i, j);
+    otherwise RankError.
     """
-    if not _pure_metric_rational(c):
-        raise UnsupportedSymbolError(
-            "closed-form solve needs a metric-only constant coframe; "
-            "verify a supplied table instead"
-        )
     d = [c.d_table[i] for i in range(5)]
+    aux = range(5, c.n_symbols)
+    n = c.name_of
+    for i in range(5):
+        for (s, t), v in d[i].terms.items():
+            if s not in METRIC_IDS and not sis_zero(v):
+                raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
+    for a in aux:
+        for i in range(5):
+            for j in range(i, 5):
+                if not sis_zero(d[i].evaluate(a, j) + d[j].evaluate(a, i)):
+                    raise RankError(
+                        f"no Levi-Civita solution: d{n(i)}, d{n(j)} disagree on the {n(a)} channel"
+                    )
     half = Fraction(1, 2)
     entries = {}
     for b in range(5):
         for cc in range(b + 1, 5):
-            terms = {}
-            for a in range(5):
-                v = (
-                    d[a].evaluate(b, cc)
-                    + d[b].evaluate(a, cc)
-                    - d[cc].evaluate(a, b)
-                ) * half
-                if v:
-                    terms[(a,)] = v
-            entries[(b + 1, cc + 1)] = form(1, terms)
-    return connection_forms(entries)
-
-
-def connection_from_structure(c: CoframeData) -> ConnectionForms:
-    """Solve the first structure equation for antisymmetric connection forms.
-
-    Works for constant-coefficient coframes that may involve auxiliary
-    symbols; the solution, when it exists, is unique by the usual
-    Christoffel symmetry argument extended to the enlarged symbol space.
-    """
-    nsym = c.n_symbols
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    unknown = {(p, s): k for k, (p, s) in enumerate((p, s) for p in pairs for s in range(nsym))}
-    monos = [(s, t) for s in range(nsym) for t in range(s + 1, nsym)]
-    rows, rhs = [], []
-    for i in range(5):
-        de = c.d_table[i]
-        for mono in monos:
-            row = [Fraction(0)] * len(unknown)
-            # sum_j w[i][j] ^ e_j with w[i][j] = sum_s x[(i,j),s] * s
-            for j in range(5):
-                if j == i:
-                    continue
-                p, sign_ij = ((i, j), 1) if i < j else ((j, i), -1)
-                for s in range(nsym):
-                    if s == j:
-                        continue
-                    pair = (min(s, j), max(s, j))
-                    if pair != mono:
-                        continue
-                    sign = 1 if s < j else -1
-                    row[unknown[(p, s)]] += Fraction(sign_ij * sign)
-            rows.append(row)
-            rhs.append(de.coefficient(mono))
-    try:
-        sol = linalg.solve_unique(rows, rhs)
-    except ValueError as exc:
-        raise RankError(f"structure equation has no unique solution: {exc}") from exc
-    entries = {}
-    for p in pairs:
-        terms = {}
-        for s in range(nsym):
-            v = sol[unknown[(p, s)]]
-            if v:
-                terms[(s,)] = v
-        entries[(p[0] + 1, p[1] + 1)] = form(1, terms)
+            values = [
+                (d[a].evaluate(b, cc) + d[b].evaluate(a, cc) - d[cc].evaluate(a, b)) * half
+                for a in range(5)
+            ] + [d[b].evaluate(a, cc) for a in aux]
+            entries[(b + 1, cc + 1)] = form(1, {(a,): v for a, v in enumerate(values) if v})
     return connection_forms(entries)
 
 
@@ -191,12 +144,13 @@ class FirstStructureReport:
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms, tol_scale=1.0):
     """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator."""
+    one = 1.0 if c.mode() == "float" else 1
     residuals = {}
     ok = True
     for i in range(5):
         acc = c.d_table[i]
         for j in range(5):
-            acc = acc - wedge(omega.omega[i][j], form(1, {(j,): 1}))
+            acc = acc - wedge(omega.omega[i][j], form(1, {(j,): one}))
         residuals[c.name_of(i)] = acc
         if not acc.is_zero(tol_scale):
             ok = False

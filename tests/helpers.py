@@ -1,19 +1,32 @@
 """Shared test utilities: independent oracles and seeded generators.
 
 The oracles here deliberately re-implement the conventions from scratch
-(evaluation-based wedge, permutation-parity star, bracket-based
-Levi-Civita solve) so the library is checked against a second path.
+(evaluation-based wedge, permutation-parity star, bracket-based and dense
+linear Levi-Civita solves) so the library is checked against a second path.
 """
 
 import contextlib
 import functools
 import importlib
 import itertools
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+from acm5 import linalg
+from acm5.errors import RankError
 from acm5.exterior import CoframeData, Form, form
+from acm5.frames import connection_forms
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
+GOLDEN_FAMILY_POINTS = [
+    tuple(Fraction(p) for p in case["argv"][2:6])
+    for case in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    if case["argv"][0] == "family" and "--verify" in case["argv"]
+]
 
 
 def random_fraction(rng, span=4, den=3):
@@ -89,6 +102,41 @@ def koszul_oracle(d_forms):
             for cc in range(5):
                 w[b][cc][a] = half * (c[a][b][cc] - c[a][cc][b] - c[b][cc][a])
     return w
+
+
+def structure_solve_oracle(c: CoframeData):
+    """Levi-Civita forms by a dense linear solve of the first structure equation.
+
+    One unknown per (pair i < j, symbol s), one equation per (generator,
+    monomial) of de_i = sum_j w[i][j] ^ e_j: 75 x 60 for one auxiliary symbol.
+    Raises RankError when the system has no unique solution.
+    """
+    nsym = c.n_symbols
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    unknown = {(p, s): k for k, (p, s) in enumerate((p, s) for p in pairs for s in range(nsym))}
+    monos = list(itertools.combinations(range(nsym), 2))
+    rows, rhs = [], []
+    for i in range(5):
+        for mono in monos:
+            row = [Fraction(0)] * len(unknown)
+            for j in range(5):
+                if j == i:
+                    continue
+                p, sign_ij = ((i, j), 1) if i < j else ((j, i), -1)
+                for s in range(nsym):
+                    if s != j and (min(s, j), max(s, j)) == mono:
+                        row[unknown[(p, s)]] += Fraction(sign_ij * (1 if s < j else -1))
+            rows.append(row)
+            rhs.append(c.d_table[i].coefficient(mono))
+    try:
+        sol = linalg.solve_unique(rows, rhs)
+    except ValueError as exc:
+        raise RankError(f"structure equation has no unique solution: {exc}") from exc
+    entries = {}
+    for p in pairs:
+        terms = {(s,): sol[unknown[(p, s)]] for s in range(nsym) if sol[unknown[(p, s)]]}
+        entries[(p[0] + 1, p[1] + 1)] = form(1, terms)
+    return connection_forms(entries)
 
 
 def random_pointwise(rng):

@@ -42,11 +42,11 @@ from acm5.errors import (
 )
 from acm5.exterior import abelian_coframe, e, form, hodge, wedge
 from acm5.family import build
-from acm5.frames import koszul_connection
+from acm5.frames import connection_from_structure
 
 from helpers import random_form, random_pointwise
 
-ABELIAN_OMEGA = koszul_connection(abelian_coframe())
+ABELIAN_OMEGA = connection_from_structure(abelian_coframe())
 
 
 # -- adapted structure invariants ---------------------------------------------
@@ -325,7 +325,7 @@ def test_d_via_connection_matches_ext_d_for_valid_coframes():
             "e3": -1 * wedge(e(1), e(2)),
         }
     )
-    fc = frame_connection(koszul_connection(cf))
+    fc = frame_connection(connection_from_structure(cf))
     rng = random.Random(97)
     for _ in range(5):
         a = random_form(rng, 2)

@@ -4,14 +4,15 @@
 classify report or an identity replay runs each two-path cross-check once
 per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
-it runs once, when the connection is built.
+it runs once, when the connection is built.  The Levi-Civita solve is a
+closed form and runs no elimination.
 """
 
 from pathlib import Path
 
 import pytest
 
-from acm5 import acms
+from acm5 import acms, frames
 from acm5.cli import _tol_scale, _to_float_coframe, classification_report, load_coframe
 from acm5.family import build, verify_identities
 from helpers import count_calls
@@ -52,3 +53,14 @@ def test_memo_is_per_tolerance_and_direct_calls_always_compute():
         assert acms.nabla_phi(fc) == first
     assert calls["acms.nabla_phi"] == 3
     assert fc == acms.frame_connection(build(1, 0, 2, 0).omega_g)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_levi_civita_solve_runs_no_elimination(mode):
+    c = load_coframe(str(INPUT))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    with count_calls("linalg.rref", "frames.connection_from_structure") as calls:
+        omega = frames.connection_from_structure(c)
+    assert frames.verify_first_structure(c, omega).ok
+    assert calls == {"frames.connection_from_structure": 1}

@@ -23,12 +23,12 @@ from acm5.connection import (
 from acm5.errors import NotGeneralizedQuasiSasakiError
 from acm5.exterior import abelian_coframe, coframe, e, ext_d, form, wedge
 from acm5.family import build
-from acm5.frames import koszul_connection
+from acm5.frames import connection_from_structure
 
 from helpers import random_fraction
 
 ABELIAN = abelian_coframe()
-ABELIAN_OMEGA = koszul_connection(ABELIAN)
+ABELIAN_OMEGA = connection_from_structure(ABELIAN)
 
 
 def test_characteristic_connection_family_table():
@@ -58,7 +58,7 @@ def test_compatibility_triple_vanishes():
 
 def test_not_generalized_quasi_sasaki_rejected():
     cf = coframe({"e1": wedge(e(4), e(5))})
-    om = koszul_connection(cf)
+    om = connection_from_structure(cf)
     from acm5.acms import predicates
 
     assert not predicates(om).generalized_quasi_sasaki

@@ -2,9 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acm5.errors import RankError, UnsupportedSymbolError
-from acm5.exterior import abelian_coframe, coframe, d_squared_zero, e, form, wedge
+from acm5.cli import _to_float_coframe, emit_coframe, load_coframe, main
+from acm5.errors import RankError
+from acm5.exterior import (
+    abelian_coframe,
+    coframe,
+    d_squared_zero,
+    e,
+    form,
+    wedge,
+    zero_form,
+)
 from acm5.family import build, identify_group, rational_sqrt
 from acm5.frames import (
     FrameChange,
@@ -12,11 +23,17 @@ from acm5.frames import (
     connection_forms,
     connection_from_structure,
     frame_change_verify,
-    koszul_connection,
     verify_first_structure,
 )
 
-from helpers import koszul_oracle, random_fraction
+from helpers import (
+    GOLDEN,
+    GOLDEN_FAMILY_POINTS,
+    GOLDEN_INPUTS,
+    koszul_oracle,
+    random_fraction,
+    structure_solve_oracle,
+)
 
 
 def su2_block_coframe():
@@ -31,12 +48,12 @@ def su2_block_coframe():
 
 
 def test_koszul_abelian_is_zero():
-    om = koszul_connection(abelian_coframe())
+    om = connection_from_structure(abelian_coframe())
     assert all(om.omega[i][j].is_zero() for i in range(5) for j in range(5))
 
 
 def test_koszul_su2_block_values():
-    om = koszul_connection(su2_block_coframe())
+    om = connection_from_structure(su2_block_coframe())
     # bi-invariant metric: nabla_X Y = [X, Y] / 2
     assert om.entry(1, 2) == form(1, {(2,): Fraction(1, 2)})
     assert om.entry(2, 3) == form(1, {(0,): Fraction(1, 2)})
@@ -57,19 +74,13 @@ def test_koszul_matches_bracket_oracle():
                     terms[(a, b)] = c
         d_forms[f"e{i}"] = form(2, terms)
     cf = coframe(d_forms)
-    om = koszul_connection(cf)
+    om = connection_from_structure(cf)
     oracle = koszul_oracle([cf.d_table[i] for i in range(5)])
     for b in range(5):
         for c in range(5):
             for a in range(5):
                 assert om.omega[b][c].coefficient((a,)) == oracle[b][c][a]
     assert verify_first_structure(cf, om).ok
-
-
-def test_koszul_rejects_auxiliary_symbols():
-    inst = build(1, 0, 0, 0)
-    with pytest.raises(UnsupportedSymbolError):
-        koszul_connection(inst.coframe)
 
 
 def test_family_table_satisfies_first_structure():
@@ -102,7 +113,7 @@ def test_first_structure_fails_for_zero_connection():
 
 def test_koszul_output_is_unique_solution():
     cf = su2_block_coframe()
-    om = koszul_connection(cf)
+    om = connection_from_structure(cf)
     rng = random.Random(5)
     for _ in range(10):
         i = rng.randrange(5)
@@ -123,7 +134,7 @@ def test_pointwise_values_induce_the_source_structure_table():
     from acm5.frames import pointwise_from_upper
 
     cf = su2_block_coframe()
-    om = koszul_connection(cf)
+    om = connection_from_structure(cf)
     upper = {}
     for i in range(1, 6):
         for j in range(i + 1, 6):
@@ -139,9 +150,85 @@ def test_pointwise_values_induce_the_source_structure_table():
 
 def test_structure_solver_agrees_with_koszul():
     cf = su2_block_coframe()
-    a = koszul_connection(cf)
-    b = connection_from_structure(cf)
-    assert all((a.omega[i][j] - b.omega[i][j]).is_zero() for i in range(5) for j in range(5))
+    assert connection_from_structure(cf) == structure_solve_oracle(cf)
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=[p.name for p in GOLDEN_INPUTS])
+def test_structure_solver_matches_dense_oracle_on_golden_inputs(path):
+    c = load_coframe(str(path))
+    assert connection_from_structure(c) == structure_solve_oracle(c)
+
+
+@pytest.mark.parametrize(
+    "params", GOLDEN_FAMILY_POINTS, ids=["_".join(map(str, p)) for p in GOLDEN_FAMILY_POINTS]
+)
+def test_structure_solver_matches_dense_oracle_on_golden_family_points(params):
+    c = build(*params).coframe
+    assert connection_from_structure(c) == structure_solve_oracle(c)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(_RATIONALS, min_size=10 * 7, max_size=10 * 7),
+    n_aux=st.integers(min_value=0, max_value=2),
+)
+def test_structure_solver_round_trips_a_random_connection(values, n_aux):
+    # any antisymmetric w is the Levi-Civita connection of the table it induces
+    names = [f"A{k}" for k in range(1, n_aux + 1)]
+    nsym = 5 + n_aux
+    it = iter(values)
+    w = connection_forms(
+        {
+            (i, j): form(1, {(s,): next(it) for s in range(nsym)})
+            for i in range(1, 6)
+            for j in range(i + 1, 6)
+        }
+    )
+    table = {}
+    for i in range(5):
+        de = zero_form(2)
+        for j in range(5):
+            de = de + wedge(w.omega[i][j], e(j + 1))
+        table[f"e{i + 1}"] = de
+    c = coframe(table, auxiliary=names)
+    assert connection_from_structure(c) == w
+    assert verify_first_structure(c, w).ok
+
+
+A_WEDGE = {"e1": wedge(e(2), form(1, {(5,): 1}))}
+AUX_PAIR = {"e5": form(2, {(5, 6): 1})}
+
+
+@pytest.mark.parametrize(
+    "table, auxiliary",
+    [(A_WEDGE, ("A",)), (AUX_PAIR, ("A", "B"))],
+    ids=["channels-disagree", "aux-wedge-aux"],
+)
+def test_unsolvable_structure_raises_rank_error(table, auxiliary, tmp_path, capsys):
+    c = coframe(table, auxiliary=auxiliary)
+    assert d_squared_zero(c).ok
+    with pytest.raises(RankError):
+        connection_from_structure(c)
+    with pytest.raises(RankError):
+        structure_solve_oracle(c)
+    path = tmp_path / "unsolvable.json"
+    emit_coframe(c, str(path))
+    capsys.readouterr()
+    assert main(["classify", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: RankError:")
+
+
+def test_first_structure_in_float_mode():
+    c = _to_float_coframe(load_coframe(str(GOLDEN / "inputs" / "family_1_0_2_0.json")))
+    omega = connection_from_structure(c)
+    assert omega.omega[0][2].mode == "float"
+    assert verify_first_structure(c, omega).ok
+    assert not verify_first_structure(c, connection_forms({})).ok
 
 
 def test_structure_solver_reproduces_family_table():

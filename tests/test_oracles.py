@@ -10,9 +10,7 @@
   zero) exactly then.
 """
 
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,15 +19,8 @@ from acm5.cli import classification_report, load_coframe
 from acm5.connection import characteristic_connection, torsion_type
 from acm5.family import build
 from acm5.frames import connection_from_structure
-from helpers import matmul, rotate, u2_rotation
+from helpers import GOLDEN, GOLDEN_FAMILY_POINTS, GOLDEN_INPUTS, matmul, rotate, u2_rotation
 
-GOLDEN = Path(__file__).parent / "golden"
-INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
-FAMILY_POINTS = [
-    tuple(Fraction(p) for p in case["argv"][2:6])
-    for case in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    if case["argv"][0] == "family" and "--verify" in case["argv"]
-]
 ROTATIONS = {
     "dense": u2_rotation(1, Fraction(1, 2), -1, 2),
     "mixing": u2_rotation(0, 1, Fraction(-1, 3), Fraction(1, 2)),
@@ -73,7 +64,7 @@ def _skew_torsion_iff_friedrich_ivanov(c, omega):
 
 def test_friedrich_ivanov_on_golden_inputs():
     verdicts = {}
-    for path in INPUTS:
+    for path in GOLDEN_INPUTS:
         c = load_coframe(str(path))
         verdicts[path.name] = _skew_torsion_iff_friedrich_ivanov(c, connection_from_structure(c))
     assert verdicts.pop("su2_block.json") is None
@@ -81,7 +72,7 @@ def test_friedrich_ivanov_on_golden_inputs():
 
 
 @pytest.mark.parametrize(
-    "params", FAMILY_POINTS, ids=["_".join(map(str, p)) for p in FAMILY_POINTS]
+    "params", GOLDEN_FAMILY_POINTS, ids=["_".join(map(str, p)) for p in GOLDEN_FAMILY_POINTS]
 )
 def test_friedrich_ivanov_on_golden_family_points(params):
     inst = build(*params)

@@ -22,7 +22,7 @@ from acm5.acms import (
 )
 from acm5.exterior import form
 from acm5.family import build
-from acm5.frames import koszul_connection, pointwise_from_upper
+from acm5.frames import connection_from_structure, pointwise_from_upper
 from acm5.torsionclass import (
     MODULE_NAMES,
     IntrinsicTorsion,
@@ -80,7 +80,7 @@ def test_family_torsion_components():
 
 
 def test_abelian_torsion_vanishes():
-    om = koszul_connection(abelian_coframe())
+    om = connection_from_structure(abelian_coframe())
     assert intrinsic_torsion(om).is_zero()
 
 
@@ -96,8 +96,6 @@ def test_intrinsic_torsion_rejects_auxiliary_outside_stabilizer():
 
 
 def test_two_construction_paths_agree():
-    from acm5.frames import connection_from_structure
-
     inst = build(3, 4, 0, 0)
     via_table = intrinsic_torsion(inst.omega_g)
     via_solve = intrinsic_torsion(connection_from_structure(inst.coframe))
@@ -190,7 +188,7 @@ def test_classify_norms_sum_to_total():
 
 
 def test_classify_integrable_flag():
-    r = classify(intrinsic_torsion(koszul_connection(abelian_coframe())))
+    r = classify(intrinsic_torsion(connection_from_structure(abelian_coframe())))
     assert r.integrable and r.class_tags == ()
 
 
