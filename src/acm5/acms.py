@@ -5,6 +5,17 @@ form is e5, and the endomorphism is fixed by phi(e1) = -e2, phi(e2) = e1,
 phi(e3) = -e4, phi(e4) = e3, phi(e5) = 0, which is the unique choice with
 Phi(X, Y) = g(X, phi(Y)).
 
+phi is a signed permutation of e1..e4 and zero on e5, so every sum over
+PHI_MAT has at most one nonzero term per slot.  ``PHI_ENTRIES`` lists the
+nonzero entries PHI_MAT[u][b] = s as (u, b, s) by ascending u, and
+``PHI_COL[b]`` is the (u, s) of column b, with s = 0 for the Reeb column so
+that a read through it adds nothing; both are read from PHI_MAT once.  The
+tensor kernels add or subtract these signed reads and never multiply by a
+zero or a unit.  A kernel entry starts from ``Fraction(0)`` and adds its
+terms in the order of the full sum; where the full sum would have
+multiplied a float by one of phi's zeros, the entry starts from ``0.0``
+instead, so float results keep their type and their bits.
+
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
 tracked as independent linear channels; operations that must produce
@@ -57,6 +68,20 @@ L24 = tuple(form(2, {(i, 4): 1}) for i in range(4))
 PHI_MAT = tuple(
     tuple(PHI.evaluate(i, j) for j in range(5)) for i in range(5)
 )
+PHI_ENTRIES = tuple(
+    (u, b, 1 if PHI_MAT[u][b] > 0 else -1)
+    for u in range(5)
+    for b in range(5)
+    if PHI_MAT[u][b]
+)
+PHI_COL = tuple(
+    next(((u, s) for u, c, s in PHI_ENTRIES if c == b), (b, 0)) for b in range(5)
+)
+
+
+def _signed_add(acc, s, v):
+    """acc + s v for s in (-1, 0, 1), without the product."""
+    return acc + v if s > 0 else acc - v if s < 0 else acc
 
 
 @dataclass(frozen=True)
@@ -122,15 +147,8 @@ def phi_pullback(beta: Form) -> Form:
     _require_metric_2form(beta)
 
     def entry(a, b):
-        v = Fraction(0)
-        for u in range(5):
-            if PHI_MAT[u][a] == 0:
-                continue
-            for w in range(5):
-                if PHI_MAT[w][b] == 0:
-                    continue
-                v += PHI_MAT[u][a] * PHI_MAT[w][b] * beta.evaluate(u, w)
-        return v
+        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+        return _signed_add(Fraction(0), s * t, beta.evaluate(u, w))
 
     return grid_form(entry)
 
@@ -317,16 +335,22 @@ def frame_connection(source) -> FrameConnection:
 
 def _mu(matrix):
     """Action of a so(5) element on the fundamental form:
-    mu(C)(a, b) = sum_i C[i][a] Phi(i, b) - C[i][b] Phi(i, a)."""
-    out = [[Fraction(0)] * 5 for _ in range(5)]
+    mu(C)(a, b) = sum_i C[i][a] Phi(i, b) - C[i][b] Phi(i, a).
+
+    At most two signed reads per entry; the entry starts from 0.0 when
+    column a or b of C holds a float (the full sum's products with phi's
+    zeros are floats there).
+    """
+    floaty = [any(isinstance(matrix[i][a], float) for i in range(5)) for a in range(5)]
+    out = []
     for a in range(5):
+        row = []
         for b in range(5):
-            acc = Fraction(0)
-            for i in range(5):
-                acc += matrix[i][a] * PHI_MAT[i][b]
-                acc -= matrix[i][b] * PHI_MAT[i][a]
-            out[a][b] = acc
-    return out
+            acc = 0.0 if floaty[a] or floaty[b] else Fraction(0)
+            (ua, sa), (ub, sb) = PHI_COL[a], PHI_COL[b]
+            row.append(_signed_add(_signed_add(acc, sb, matrix[ub][a]), -sa, matrix[ua][b]))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _matrix_is_zero(m, tol_scale=1.0):
@@ -383,30 +407,27 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
     """
     fc = frame_connection(source)
     _require_channels_stabilize_phi(fc, "nabla Phi", tol_scale)
-    w = fc.base
-
-    def np_full(k, a, b):
-        acc = Fraction(0)
-        for i in range(5):
-            acc += w[i][a][k] * PHI_MAT[i][b]
-            acc -= w[i][b][k] * PHI_MAT[i][a]
-        return acc
-
-    full = t3_from_func(np_full)
-
-    gammas = [project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5)]
-
-    def np_gamma(k, a, b):
-        acc = Fraction(0)
-        for i in range(5):
-            acc += gammas[k].evaluate(i, a) * PHI_MAT[i][b]
-            acc -= gammas[k].evaluate(i, b) * PHI_MAT[i][a]
-        return acc
-
-    via_gamma = t3_from_func(np_gamma)
-    if not (full - via_gamma).is_zero(tol_scale):
+    full = np_full(fc.base)
+    if not (full - np_gamma(fc.base)).is_zero(tol_scale):
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
+
+
+def np_full(w) -> Tensor3:
+    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the base values w[i][j][k]."""
+    return Tensor3(
+        tuple(_mu([[w[i][a][k] for a in range(5)] for i in range(5)]) for k in range(5))
+    )
+
+
+def np_gamma(w) -> Tensor3:
+    """The same contraction on the projection of each w(e_k) to the complement
+    of the stabilizer, read once per projection as a 5x5 grid."""
+    out = []
+    for k in range(5):
+        gamma = project_u2_complement(grid_form(lambda i, j: w[i][j][k]))
+        out.append(_mu([[gamma.evaluate(i, a) for a in range(5)] for i in range(5)]))
+    return Tensor3(tuple(out))
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
@@ -419,50 +440,55 @@ def nijenhuis(source, tol_scale=1.0) -> Tensor3:
     form and cross-checked against the covariant commutator expression."""
     fc = frame_connection(source)
     np = derived(fc, nabla_phi, tol_scale).values
-    deta = derived(fc, d_eta_form, tol_scale)
-    P = PHI_MAT
+    first = n_via_np(np)
+    second = n_cov(np, derived(fc, d_eta_form, tol_scale))
+    if not (first - second).is_zero(tol_scale):
+        raise ACM5Error("internal consistency: Nijenhuis expressions disagree")
+    return first
 
-    def n_via_np(x, y, z):
+
+def n_via_np(np) -> Tensor3:
+    """N from nabla Phi, np[k][a][b] = (nabla_{e_k} Phi)(e_a, e_b), terms by ascending u."""
+
+    def entry(x, y, z):
         acc = Fraction(0)
-        for u in range(5):
-            if P[u][y] != 0:
-                acc += P[u][y] * np[u][x][z]
-            if P[u][z] != 0:
-                acc -= P[u][z] * np[u][x][y]
-            if P[u][x] != 0:
-                acc += P[u][x] * (np[y][u][z] - np[z][u][y])
+        for u, c, s in PHI_ENTRIES:
+            if c == y:
+                acc = _signed_add(acc, s, np[u][x][z])
+            if c == z:
+                acc = _signed_add(acc, -s, np[u][x][y])
+            if c == x:
+                acc = _signed_add(acc, s, np[y][u][z] - np[z][u][y])
         if x == XI:
-            for u in range(5):
-                if P[u][z] != 0:
-                    acc += P[u][z] * np[y][XI][u]
-                if P[u][y] != 0:
-                    acc -= P[u][y] * np[z][XI][u]
+            for u, c, s in PHI_ENTRIES:
+                if c == z:
+                    acc = _signed_add(acc, s, np[y][XI][u])
+                if c == y:
+                    acc = _signed_add(acc, -s, np[z][XI][u])
         return acc
 
-    first = t3_from_func(n_via_np)
+    return t3_from_func(entry)
 
-    # covariant path: g(X, [phi, phi](Y, Z)) + eta(X) d eta(Y, Z)
-    # nf[a][b][c] = component c of (nabla_{e_a} phi)(e_b) = np[a][c][b]
-    def cov(x, y, z):
+
+def n_cov(np, deta: Form) -> Tensor3:
+    """N as g(X, [phi, phi](Y, Z)) + eta(X) d eta(Y, Z), where component c of
+    (nabla_{e_a} phi)(e_b) is np[a][c][b]."""
+
+    def entry(x, y, z):
         acc = Fraction(0)
-        for u in range(5):
-            if P[u][y] != 0:
-                acc += P[u][y] * np[u][x][z]
-            if P[u][z] != 0:
-                acc -= P[u][z] * np[u][x][y]
-        # + g(x, phi((nabla_Z phi)(Y) - (nabla_Y phi)(Z)))
-        for u in range(5):
-            if P[x][u] == 0:
-                continue
-            acc += P[x][u] * (np[z][u][y] - np[y][u][z])
+        for u, c, s in PHI_ENTRIES:
+            if c == y:
+                acc = _signed_add(acc, s, np[u][x][z])
+            if c == z:
+                acc = _signed_add(acc, -s, np[u][x][y])
+        # + g(x, phi((nabla_Z phi)(Y) - (nabla_Y phi)(Z))), with PHI_MAT[x][u] = -PHI_MAT[u][x]
+        u, s = PHI_COL[x]
+        acc = _signed_add(acc, -s, np[z][u][y] - np[y][u][z])
         if x == XI:
             acc += deta.evaluate(y, z)
         return acc
 
-    second = t3_from_func(cov)
-    if not (first - second).is_zero(tol_scale):
-        raise ACM5Error("internal consistency: Nijenhuis expressions disagree")
-    return first
+    return t3_from_func(entry)
 
 
 def gamma_form(source, tol_scale=1.0) -> Form:
@@ -477,21 +503,11 @@ def gamma_form(source, tol_scale=1.0) -> Form:
     np = derived(fc, nabla_phi, tol_scale)
     dphi = d_phi_tensor(np).values
     nij = derived(fc, nijenhuis, tol_scale).values
-    P = PHI_MAT
 
     def entry(x, y):
-        v1 = Fraction(0)
-        for u in range(5):
-            if P[u][x] != 0:
-                v1 += P[u][x] * dphi[XI][u][y]
-        v2 = Fraction(0)
-        for u in range(5):
-            if P[u][x] == 0:
-                continue
-            for w in range(5):
-                if P[w][y] == 0:
-                    continue
-                v2 += P[u][x] * P[w][y] * nij[u][w][XI]
+        (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
+        v1 = _signed_add(Fraction(0), s, dphi[XI][u][y])
+        v2 = _signed_add(Fraction(0), s * t, nij[u][w][XI])
         if not sis_zero(v1 - v2, tol_scale):
             raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
         return v1
@@ -557,7 +573,7 @@ def d_form_via_connection(fc: FrameConnection, alpha: Form, tol_scale=1.0) -> Fo
     out = zero_form(alpha.degree + 1)
     for i in range(5):
         na = covariant_derivative_form(fc, alpha, i)
-        out = out + wedge(form(1, {(i,): 1}), na)
+        out = out + wedge(form(1, {(i,): 1.0 if na.mode == "float" else 1}), na)
     return out
 
 
@@ -589,7 +605,6 @@ def predicates(source, tol_scale=1.0) -> Predicates:
     deta = derived(fc, d_eta_form, tol_scale)
     killing = derived(fc, xi_is_killing, tol_scale)
     nx = derived(fc, nabla_xi_matrix, tol_scale)
-    P = PHI_MAT
 
     normal = nij.is_zero(tol_scale)
     delta_eta = Fraction(0)
@@ -612,25 +627,12 @@ def predicates(source, tol_scale=1.0) -> Predicates:
 
     def quasi_cos_lhs(a, b, c):
         # g((nabla_a phi) e_b, e_c) + g((nabla_{phi a} phi)(phi e_b), e_c)
-        acc = npv[a][c][b]
-        for u in range(5):
-            if P[u][a] == 0:
-                continue
-            for w in range(5):
-                if P[w][b] == 0:
-                    continue
-                acc += P[u][a] * P[w][b] * npv[u][c][w]
-        return acc
+        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+        return _signed_add(npv[a][c][b], s * t, npv[u][c][w])
 
     def quasi_cos_rhs(a, b, c):
-        if b != XI:
-            return Fraction(0)
-        acc = Fraction(0)
-        for u in range(5):
-            if P[u][a] == 0:
-                continue
-            acc += P[u][a] * nx[u][c]
-        return acc
+        u, s = PHI_COL[a]
+        return _signed_add(Fraction(0), s, nx[u][c]) if b == XI else Fraction(0)
 
     quasi_cos = all(
         sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c), tol_scale)

@@ -14,6 +14,11 @@ Conventions, fixed once and used everywhere:
 * The exterior derivative extends the generator table by linearity and the
   graded Leibniz rule; trig coefficients differentiate through declared
   df/dg rules.
+* The d^2-gate contracts a table of constant (all rational or all float)
+  structure constants directly: d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k),
+  accumulated into one term dictionary in the order ext_d(ext_d(e_i))
+  would add the same products.  Any other table (trig coefficients, mixed
+  exact and float values) goes through ext_d twice.
 """
 
 from __future__ import annotations
@@ -408,15 +413,36 @@ class DSquaredReport:
 
 def d_squared_zero(c, tol_scale=1.0):
     """d(d(symbol)) for every generator; integrable iff all vanish."""
-    residuals = {}
-    ok = True
+    kinds = {type(v) for f in c.d_table.values() for v in f.terms.values()}
+    if kinds <= {Fraction} or kinds == {float}:
+        dd = _d_squared_constant(c)
+    else:
+        dd = [ext_d(ext_d(Form(1, {(sid,): Fraction(1)}), c), c) for sid in range(c.n_symbols)]
+    residuals = {c.name_of(sid): r for sid, r in enumerate(dd)}
+    return DSquaredReport(residuals, all(r.is_zero(tol_scale) for r in dd))
+
+
+def _d_squared_constant(c):
+    """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
+
+    ext_d skips a generator whose derivative is zero at the default
+    tolerance, and so does this contraction.
+    """
+    live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
+    out = []
     for sid in range(c.n_symbols):
-        gen = Form(1, {(sid,): Fraction(1)})
-        r = ext_d(ext_d(gen, c), c)
-        residuals[c.name_of(sid)] = r
-        if not r.is_zero(tol_scale):
-            ok = False
-    return DSquaredReport(residuals, ok)
+        terms = {}
+        for (j, k), a in live.get(sid, {}).items():
+            for idx, b in live.get(j, {}).items():
+                if k not in idx:
+                    mono, sign = _merge(idx, (k,))
+                    _accumulate(terms, mono, a * b if sign > 0 else -(a * b))
+            for idx, b in live.get(k, {}).items():
+                if j not in idx:
+                    mono, sign = _merge((j,), idx)
+                    _accumulate(terms, mono, -(a * b) if sign > 0 else a * b)
+        out.append(Form(3, terms))
+    return out
 
 
 def proportionality(f1, f2, tol_scale=1.0):

@@ -3,6 +3,8 @@
 The oracles here deliberately re-implement the conventions from scratch
 (evaluation-based wedge, permutation-parity star, bracket-based and dense
 linear Levi-Civita solves) so the library is checked against a second path.
+The tensor-kernel oracles keep the full sums over PHI_MAT that the
+signed-permutation kernels of ``acms`` replaced.
 """
 
 import contextlib
@@ -16,9 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from acm5 import linalg
+from acm5.acms import PHI_MAT, XI, project_u2_complement
 from acm5.errors import RankError
-from acm5.exterior import CoframeData, Form, form
+from acm5.exterior import CoframeData, Form, TrigRules, coframe, e, form, grid_form, wedge
 from acm5.frames import connection_forms
+from acm5.scalars import COS_F
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
@@ -137,6 +141,90 @@ def structure_solve_oracle(c: CoframeData):
         terms = {(s,): sol[unknown[(p, s)]] for s in range(nsym) if sol[unknown[(p, s)]]}
         entries[(p[0] + 1, p[1] + 1)] = form(1, terms)
     return connection_forms(entries)
+
+
+def _cube(fn):
+    return [[[fn(i, j, k) for k in range(5)] for j in range(5)] for i in range(5)]
+
+
+def nabla_phi_oracle(w):
+    """Both paths of nabla Phi as full 5-term sums over PHI_MAT, products with
+    its zeros included: ``np_full`` from the base values w[i][j][k] and
+    ``np_gamma`` from the projection of each w(e_k) to the complement of the
+    stabilizer, each entry a [k][a][b] cube."""
+    P = PHI_MAT
+
+    def np_full(k, a, b):
+        acc = Fraction(0)
+        for i in range(5):
+            acc += w[i][a][k] * P[i][b]
+            acc -= w[i][b][k] * P[i][a]
+        return acc
+
+    gammas = [project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5)]
+
+    def np_gamma(k, a, b):
+        acc = Fraction(0)
+        for i in range(5):
+            acc += gammas[k].evaluate(i, a) * P[i][b]
+            acc -= gammas[k].evaluate(i, b) * P[i][a]
+        return acc
+
+    return {"np_full": _cube(np_full), "np_gamma": _cube(np_gamma)}
+
+
+def nijenhuis_oracle(np, deta):
+    """Both Nijenhuis expressions as loops over PHI_MAT from np[k][a][b] =
+    (nabla_{e_k} Phi)(e_a, e_b) and the 2-form d eta: ``n_via_np`` and the
+    covariant commutator ``cov``."""
+    P = PHI_MAT
+
+    def n_via_np(x, y, z):
+        acc = Fraction(0)
+        for u in range(5):
+            if P[u][y] != 0:
+                acc += P[u][y] * np[u][x][z]
+            if P[u][z] != 0:
+                acc -= P[u][z] * np[u][x][y]
+            if P[u][x] != 0:
+                acc += P[u][x] * (np[y][u][z] - np[z][u][y])
+        if x == XI:
+            for u in range(5):
+                if P[u][z] != 0:
+                    acc += P[u][z] * np[y][XI][u]
+                if P[u][y] != 0:
+                    acc -= P[u][y] * np[z][XI][u]
+        return acc
+
+    def cov(x, y, z):
+        acc = Fraction(0)
+        for u in range(5):
+            if P[u][y] != 0:
+                acc += P[u][y] * np[u][x][z]
+            if P[u][z] != 0:
+                acc -= P[u][z] * np[u][x][y]
+        for u in range(5):
+            if P[x][u] == 0:
+                continue
+            acc += P[x][u] * (np[z][u][y] - np[y][u][z])
+        if x == XI:
+            acc += deta.evaluate(y, z)
+        return acc
+
+    return {"n_via_np": _cube(n_via_np), "cov": _cube(cov)}
+
+
+def trig_coframe():
+    """A d-table with a non-constant trig coefficient: de1 = cos(f) e2^e3, df = e5.
+
+    d(de1) = -sin(f) e2^e3^e5, so e1 fails the d^2-gate.
+    """
+    return coframe({"e1": COS_F * wedge(e(2), e(3))}, trig_rules=TrigRules(df=e(5)))
+
+
+def bits(v):
+    """A value with its Python type, floats by their bit pattern (so 0.0 and -0.0 differ)."""
+    return (type(v), v.hex() if isinstance(v, float) else v)
 
 
 def random_pointwise(rng):

@@ -44,7 +44,7 @@ from acm5.exterior import abelian_coframe, e, form, hodge, wedge
 from acm5.family import build
 from acm5.frames import connection_from_structure
 
-from helpers import random_form, random_pointwise
+from helpers import GOLDEN, random_form, random_pointwise
 
 ABELIAN_OMEGA = connection_from_structure(abelian_coframe())
 
@@ -334,6 +334,24 @@ def test_d_via_connection_matches_ext_d_for_valid_coframes():
     inst = build(2, 1, 4, 2)
     with pytest.raises(SymbolicResidueError):
         d_form_via_connection(frame_connection(inst.omega_g), form(2, {(0, 2): 1}))
+
+
+def test_d_via_connection_in_float_mode():
+    from acm5.acms import d_form_via_connection
+    from acm5.cli import _to_float_coframe, load_coframe
+    from acm5.exterior import ext_d
+
+    exact = load_coframe(str(GOLDEN / "inputs" / "su2_block.json"))
+    c = _to_float_coframe(exact)
+    fc = frame_connection(connection_from_structure(c))
+    for alpha in (form(1, {(0,): 1.0}), form(2, {(0, 1): 1.0, (2, 4): -0.5})):
+        got = d_form_via_connection(fc, alpha)
+        assert got.mode == "float"
+        assert (got - ext_d(alpha, c)).is_zero()
+    want = ext_d(form(1, {(0,): 1}), exact)
+    got = d_form_via_connection(fc, form(1, {(0,): 1.0}))
+    assert set(got.terms) >= set(want.terms)
+    assert all(abs(got.coefficient(idx) - float(want.coefficient(idx))) < 1e-12 for idx in got.terms)
 
 
 def test_nabla_phi_rejects_auxiliary_outside_stabilizer():

@@ -5,7 +5,8 @@ classify report or an identity replay runs each two-path cross-check once
 per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
 it runs once, when the connection is built.  The Levi-Civita solve is a
-closed form and runs no elimination.
+closed form and runs no elimination, and the d^2-gate contracts a constant
+table without ext_d.
 """
 
 from pathlib import Path
@@ -14,8 +15,9 @@ import pytest
 
 from acm5 import acms, frames
 from acm5.cli import _tol_scale, _to_float_coframe, classification_report, load_coframe
+from acm5.exterior import d_squared_zero
 from acm5.family import build, verify_identities
-from helpers import count_calls
+from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
 
 ONCE = ("acms.nijenhuis", "acms.predicates", "acms.gamma_form", "acms.d_eta_form")
 INPUT = Path(__file__).parent / "golden" / "inputs" / "family_1_0_2_0.json"
@@ -64,3 +66,21 @@ def test_levi_civita_solve_runs_no_elimination(mode):
         omega = frames.connection_from_structure(c)
     assert frames.verify_first_structure(c, omega).ok
     assert calls == {"frames.connection_from_structure": 1}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_d_squared_gate_runs_no_ext_d_on_constant_tables(path, mode):
+    c = load_coframe(str(path))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    with count_calls("exterior.ext_d", "exterior.wedge") as calls:
+        assert d_squared_zero(c).ok
+    assert calls == {}
+
+
+def test_d_squared_gate_keeps_ext_d_for_trig_coefficients():
+    c = trig_coframe()
+    with count_calls("exterior.ext_d") as calls:
+        assert not d_squared_zero(c).ok
+    assert calls["exterior.ext_d"] == 2 * c.n_symbols
