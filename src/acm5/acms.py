@@ -153,14 +153,14 @@ def phi_pullback(beta: Form) -> Form:
     return grid_form(entry)
 
 
-def phi_invariance_type(beta: Form, tol_scale=1.0):
+def phi_invariance_type(beta: Form):
     """+1, -1 or 0 according to beta(phi., phi.) = +beta, -beta or 0."""
     t = phi_pullback(beta)
-    if t.is_zero(tol_scale):
+    if t.is_zero():
         return 0
-    if (t - beta).is_zero(tol_scale):
+    if (t - beta).is_zero():
         return 1
-    if (t + beta).is_zero(tol_scale):
+    if (t + beta).is_zero():
         return -1
     raise AmbiguityError("2-form mixes invariance types")
 
@@ -177,10 +177,8 @@ class Tensor3:
         """1-based access."""
         return self.values[i - 1][j - 1][k - 1]
 
-    def is_zero(self, tol_scale=1.0):
-        return all(
-            sis_zero(v, tol_scale) for m in self.values for r in m for v in r
-        )
+    def is_zero(self):
+        return all(sis_zero(v) for m in self.values for r in m for v in r)
 
     def __add__(self, other):
         return Tensor3(
@@ -219,19 +217,19 @@ class Tensor3:
     def norm_sq(self):
         return self.inner(self)
 
-    def is_antisymmetric_last_two(self, tol_scale=1.0):
+    def is_antisymmetric_last_two(self):
         v = self.values
         return all(
-            sis_zero(v[i][j][k] + v[i][k][j], tol_scale)
+            sis_zero(v[i][j][k] + v[i][k][j])
             for i in range(5)
             for j in range(5)
             for k in range(5)
         )
 
-    def is_totally_skew(self, tol_scale=1.0):
+    def is_totally_skew(self):
         v = self.values
-        return self.is_antisymmetric_last_two(tol_scale) and all(
-            sis_zero(v[i][j][k] + v[j][i][k], tol_scale)
+        return self.is_antisymmetric_last_two() and all(
+            sis_zero(v[i][j][k] + v[j][i][k])
             for i in range(5)
             for j in range(5)
             for k in range(5)
@@ -292,11 +290,11 @@ class FrameConnection:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def derived(fc: FrameConnection, fn, tol_scale=1.0):
-    """fn(fc, tol_scale), computed once per frame connection and tolerance."""
-    key = (fn.__name__, tol_scale)
+def derived(fc: FrameConnection, fn):
+    """fn(fc), computed once per frame connection."""
+    key = fn.__name__
     if key not in fc._memo:
-        fc._memo[key] = fn(fc, tol_scale)
+        fc._memo[key] = fn(fc)
     return fc._memo[key]
 
 
@@ -353,51 +351,34 @@ def _mu(matrix):
     return tuple(out)
 
 
-def _matrix_is_zero(m, tol_scale=1.0):
-    return all(sis_zero(v, tol_scale) for r in m for v in r)
-
-
-def _require_channels_stabilize_phi(fc: FrameConnection, what, tol_scale=1.0):
+def _require_channels_vanish(fc: FrameConnection, what, residue):
+    """Raise unless residue(mat), an iterable of scalars, vanishes on every auxiliary channel."""
     for sid, mat in fc.channels:
-        if not _matrix_is_zero(_mu(mat), tol_scale):
-            raise SymbolicResidueError(
-                f"auxiliary symbol id {sid} leaves a residue in {what}"
-            )
-
-
-def _require_channels_fix_xi(fc: FrameConnection, what, tol_scale=1.0):
-    for sid, mat in fc.channels:
-        if any(not sis_zero(mat[XI][a], tol_scale) for a in range(5)):
-            raise SymbolicResidueError(
-                f"auxiliary symbol id {sid} leaves a residue in {what}"
-            )
+        if not all(sis_zero(v) for v in residue(mat)):
+            raise SymbolicResidueError(f"auxiliary symbol id {sid} leaves a residue in {what}")
 
 
 # -- base-path tensors -------------------------------------------------------
 
 
-def nabla_xi_matrix(fc: FrameConnection, tol_scale=1.0):
+def nabla_xi_matrix(fc: FrameConnection):
     """NX[k][a] = g(nabla_{e_k} xi, e_a)."""
-    _require_channels_fix_xi(fc, "nabla xi", tol_scale)
+    _require_channels_vanish(fc, "nabla xi", lambda mat: mat[XI])
     w = fc.base
     return tuple(tuple(w[XI][a][k] for a in range(5)) for k in range(5))
 
 
-def d_eta_form(fc: FrameConnection, tol_scale=1.0) -> Form:
-    nx = derived(fc, nabla_xi_matrix, tol_scale)
+def d_eta_form(fc: FrameConnection) -> Form:
+    nx = derived(fc, nabla_xi_matrix)
     return grid_form(lambda a, b: nx[a][b] - nx[b][a])
 
 
-def xi_is_killing(fc: FrameConnection, tol_scale=1.0):
-    nx = derived(fc, nabla_xi_matrix, tol_scale)
-    return all(
-        sis_zero(nx[a][b] + nx[b][a], tol_scale)
-        for a in range(5)
-        for b in range(5)
-    )
+def xi_is_killing(fc: FrameConnection):
+    nx = derived(fc, nabla_xi_matrix)
+    return all(sis_zero(nx[a][b] + nx[b][a]) for a in range(5) for b in range(5))
 
 
-def nabla_phi(source, tol_scale=1.0) -> Tensor3:
+def nabla_phi(source) -> Tensor3:
     """(nabla_X Phi)(Y, Z) from connection values; the stabilizer part of the
     connection drops out, and auxiliary channels are required to cancel.
 
@@ -406,9 +387,9 @@ def nabla_phi(source, tol_scale=1.0) -> Tensor3:
     agree by equivariance and are asserted equal.
     """
     fc = frame_connection(source)
-    _require_channels_stabilize_phi(fc, "nabla Phi", tol_scale)
+    _require_channels_vanish(fc, "nabla Phi", lambda mat: (v for r in _mu(mat) for v in r))
     full = np_full(fc.base)
-    if not (full - np_gamma(fc.base)).is_zero(tol_scale):
+    if not (full - np_gamma(fc.base)).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
 
@@ -435,14 +416,14 @@ def d_phi_tensor(np: Tensor3) -> Tensor3:
     return t3_from_func(lambda a, b, c: v[a][b][c] - v[b][a][c] + v[c][a][b])
 
 
-def nijenhuis(source, tol_scale=1.0) -> Tensor3:
+def nijenhuis(source) -> Tensor3:
     """Nijenhuis tensor, computed through the derivative of the fundamental
     form and cross-checked against the covariant commutator expression."""
     fc = frame_connection(source)
-    np = derived(fc, nabla_phi, tol_scale).values
+    np = derived(fc, nabla_phi).values
     first = n_via_np(np)
-    second = n_cov(np, derived(fc, d_eta_form, tol_scale))
-    if not (first - second).is_zero(tol_scale):
+    second = n_cov(np, derived(fc, d_eta_form))
+    if not (first - second).is_zero():
         raise ACM5Error("internal consistency: Nijenhuis expressions disagree")
     return first
 
@@ -491,24 +472,24 @@ def n_cov(np, deta: Form) -> Tensor3:
     return t3_from_func(entry)
 
 
-def gamma_form(source, tol_scale=1.0) -> Form:
+def gamma_form(source) -> Form:
     """The 2-form gamma(X, Y) = dPhi(xi, phi X, Y) = N(phi X, phi Y, xi).
 
     Defined on generalized quasi-Sasaki structures; both expressions are
     evaluated and must agree.
     """
     fc = frame_connection(source)
-    if not derived(fc, predicates, tol_scale).generalized_quasi_sasaki:
+    if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError("structure is not generalized quasi-Sasaki")
-    np = derived(fc, nabla_phi, tol_scale)
+    np = derived(fc, nabla_phi)
     dphi = d_phi_tensor(np).values
-    nij = derived(fc, nijenhuis, tol_scale).values
+    nij = derived(fc, nijenhuis).values
 
     def entry(x, y):
         (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
         v1 = _signed_add(Fraction(0), s, dphi[XI][u][y])
         v2 = _signed_add(Fraction(0), s * t, nij[u][w][XI])
-        if not sis_zero(v1 - v2, tol_scale):
+        if not sis_zero(v1 - v2):
             raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
         return v1
 
@@ -539,7 +520,7 @@ def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
     return _derivation(alpha, lambda s, j: w[s][j][k])
 
 
-def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
+def codifferential(alpha: Form, source) -> Form:
     """delta alpha = - sum_i e_i . nabla_{e_i} alpha."""
     if any(i not in METRIC_IDS for i in alpha.symbols_used()):
         raise UnsupportedSymbolError("codifferential needs a metric-symbol form")
@@ -547,7 +528,7 @@ def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
         return zero_form(0)
     fc = frame_connection(source)
     for sid, mat in fc.channels:
-        if not _channel_kills_form(mat, alpha, tol_scale):
+        if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the codifferential"
             )
@@ -558,15 +539,15 @@ def codifferential(alpha: Form, source, tol_scale=1.0) -> Form:
     return out
 
 
-def _channel_kills_form(mat, alpha: Form, tol_scale=1.0):
+def _channel_kills_form(mat, alpha: Form):
     """True when the constant so(5) channel acts trivially on the form."""
-    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero(tol_scale)
+    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
 
 
-def d_form_via_connection(fc: FrameConnection, alpha: Form, tol_scale=1.0) -> Form:
+def d_form_via_connection(fc: FrameConnection, alpha: Form) -> Form:
     """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
     for sid, mat in fc.channels:
-        if not _channel_kills_form(mat, alpha, tol_scale):
+        if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the differential"
             )
@@ -593,20 +574,20 @@ class Predicates:
         return asdict(self)
 
 
-def predicates(source, tol_scale=1.0) -> Predicates:
+def predicates(source) -> Predicates:
     """All named structure predicates, each from its defining tensor equation."""
     fc = frame_connection(source)
-    np = derived(fc, nabla_phi, tol_scale)
+    np = derived(fc, nabla_phi)
     npv = np.values
-    nij = derived(fc, nijenhuis, tol_scale)
+    nij = derived(fc, nijenhuis)
     nijv = nij.values
     dphi = d_phi_tensor(np)
     dphiv = dphi.values
-    deta = derived(fc, d_eta_form, tol_scale)
-    killing = derived(fc, xi_is_killing, tol_scale)
-    nx = derived(fc, nabla_xi_matrix, tol_scale)
+    deta = derived(fc, d_eta_form)
+    killing = derived(fc, xi_is_killing)
+    nx = derived(fc, nabla_xi_matrix)
 
-    normal = nij.is_zero(tol_scale)
+    normal = nij.is_zero()
     delta_eta = Fraction(0)
     for i in range(5):
         delta_eta -= nx[i][i]
@@ -616,10 +597,10 @@ def predicates(source, tol_scale=1.0) -> Predicates:
         for i in range(5):
             acc -= npv[i][i][b]
         delta_phi[b] = acc
-    semi = sis_zero(delta_eta, tol_scale) and all(sis_zero(v, tol_scale) for v in delta_phi)
-    almost = dphi.is_zero(tol_scale) and deta.is_zero(tol_scale)
+    semi = sis_zero(delta_eta) and all(sis_zero(v) for v in delta_phi)
+    almost = dphi.is_zero() and deta.is_zero()
     nearly = all(
-        sis_zero(npv[a][c][b] + npv[b][c][a], tol_scale)
+        sis_zero(npv[a][c][b] + npv[b][c][a])
         for a in range(5)
         for b in range(5)
         for c in range(5)
@@ -635,7 +616,7 @@ def predicates(source, tol_scale=1.0) -> Predicates:
         return _signed_add(Fraction(0), s, nx[u][c]) if b == XI else Fraction(0)
 
     quasi_cos = all(
-        sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c), tol_scale)
+        sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c))
         for a in range(5)
         for b in range(5)
         for c in range(5)
@@ -645,14 +626,14 @@ def predicates(source, tol_scale=1.0) -> Predicates:
     gqs = (
         killing
         and all(
-            sis_zero(nijv[x][y][z], tol_scale) and sis_zero(dphiv[x][y][z], tol_scale)
+            sis_zero(nijv[x][y][z]) and sis_zero(dphiv[x][y][z])
             for x in horiz
             for y in horiz
             for z in horiz
         )
     )
     almost_and_normal = normal and almost
-    quasi = normal and dphi.is_zero(tol_scale)
+    quasi = normal and dphi.is_zero()
     return Predicates(
         normal=normal,
         semi_cosymplectic=semi,

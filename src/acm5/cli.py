@@ -10,13 +10,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage or
 constraint error.  All numbers are exact rational strings unless --float
-is given.  Set ACM5_COLOR=1 to colorize text output.
+is given; float mode runs at unit scale against one fixed tolerance, 1e-9
+(see :func:`classification_report`).  Set ACM5_COLOR=1 to colorize text
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -163,9 +166,16 @@ def emit_coframe(c: CoframeData, path: str):
 
 
 def coframe_document(c: CoframeData):
+    """The JSON document of a coframe; SchemaError on a coefficient load cannot read."""
+
+    def coeff(v):
+        if not _RAT.match(s := fmt_scalar(v)):
+            raise SchemaError(f"cannot emit a non-rational coefficient: {s}")
+        return s
+
     def term_list(f: Form):
         return [
-            {"coeff": fmt_scalar(f.terms[idx]), "wedge": [c.name_of(i) for i in idx]}
+            {"coeff": coeff(f.terms[idx]), "wedge": [c.name_of(i) for i in idx]}
             for idx in sorted(f.terms)
         ]
 
@@ -183,48 +193,65 @@ def coframe_document(c: CoframeData):
     return doc
 
 
-def _to_float_coframe(c: CoframeData) -> CoframeData:
-    def conv(f: Form):
-        return Form(f.degree, {idx: float(v) for idx, v in f.terms.items()})
-
-    table = {sid: conv(f) for sid, f in c.d_table.items()}
+def _with_coefficients(c: CoframeData, fn) -> CoframeData:
+    table = {
+        sid: Form(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
+        for sid, f in c.d_table.items()
+    }
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
 
 
-def _tol_scale(c: CoframeData):
-    m = max((f.max_abs() for f in c.d_table.values()), default=1.0)
-    return max(1.0, m) ** 3
+def _largest_coefficient(c: CoframeData):
+    return max((abs(v) for f in c.d_table.values() for v in f.terms.values()), default=0.0)
+
+
+def _to_float_coframe(c: CoframeData) -> CoframeData:
+    """The binary64 coframe; OverflowError when max|c|^2 is not finite."""
+    out = _with_coefficients(c, float)
+    m = _largest_coefficient(out)
+    if not math.isfinite(m * m):
+        raise OverflowError("max|c|^2 is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 
-def classification_report(c: CoframeData, tol_scale=1.0):
-    """The full pipeline: solve, project, classify, predicates, connection."""
-    report = {}
-    report["symbols"] = [s.name for s in c.symbols]
-    gate = d_squared_zero(c, tol_scale)
-    report["validation"] = {
-        "d_squared_zero": gate.ok,
-        "failing_generators": gate.failing,
+def classification_report(c: CoframeData):
+    """The full pipeline: solve, project, classify, predicates, connection.
+
+    A float coframe runs at unit scale: scaled by 2^-e so that its largest
+    coefficient lies in [1/2, 1), where one FLOAT_RTOL serves every check.
+    This homothety keeps every class, predicate, tag and dimension; degree-1
+    values come back scaled by 2^e and degree-2 values by 2^e twice (4^e
+    alone can exceed binary64).  Powers of two scale binary64 exactly.
+    """
+    e = math.frexp(_largest_coefficient(c))[1] if c.mode() == "float" else 0
+    if e:
+        c = _with_coefficients(c, lambda v: math.ldexp(v, -e))
+    unit = Fraction(2) ** e  # exact, so an exact zero still prints "0"
+    gate = d_squared_zero(c)
+    report = {
+        "symbols": [s.name for s in c.symbols],
+        "validation": {"d_squared_zero": gate.ok, "failing_generators": gate.failing},
     }
     if not gate.ok:
         return report, 1
     fc = frame_connection(connection_from_structure(c))
-    gamma = intrinsic_torsion(fc, tol_scale)
-    cls = classify(gamma, tol_scale)
+    gamma = intrinsic_torsion(fc)
+    cls = classify(gamma)
     report["classification"] = {
-        "norms": {k: fmt_scalar(v) for k, v in cls.norms.items()},
+        "norms": {k: fmt_scalar(v * unit * unit) for k, v in cls.norms.items()},
         "strict_class": list(cls.class_tags),
         "integrable": cls.integrable,
     }
-    preds = derived(fc, predicates, tol_scale)
+    preds = derived(fc, predicates)
     report["predicates"] = preds.as_dict()
-    deta = derived(fc, d_eta_form, tol_scale)
-    prop = proportionality(deta, PHI, tol_scale)
+    deta = derived(fc, d_eta_form)
+    prop = proportionality(deta, PHI)
     report["predicates"]["d_eta_vs_fundamental"] = (
-        fmt_scalar(prop) if (preds.quasi_sasaki and prop is not None) else None
+        fmt_scalar(prop * unit) if (preds.quasi_sasaki and prop is not None) else None
     )
     if not preds.generalized_quasi_sasaki:
         report["characteristic_connection"] = None
@@ -233,29 +260,29 @@ def classification_report(c: CoframeData, tol_scale=1.0):
             "generalized quasi-Sasaki"
         )
         return report, 0
-    cc = characteristic_connection(c, fc, tol_scale)
-    parts, tag = torsion_type(cc, tol_scale)
-    cur = curvature(c, cc.omega_c, tol_scale)
+    cc = characteristic_connection(c, fc)
+    parts, tag = torsion_type(cc)
+    cur = curvature(c, cc.omega_c)
     space = spinor_space()
     ker = spinor_kernel(space, F)
     parallel = parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
     names = [s.name for s in c.symbols]
     report["characteristic_connection"] = {
         "connection_forms": {
-            f"w({i + 1},{j + 1})": render_form(cc.omega_c.omega[i][j], names)
+            f"w({i + 1},{j + 1})": render_form(cc.omega_c.omega[i][j].scale(unit), names)
             for i in range(5)
             for j in range(i + 1, 5)
-            if not cc.omega_c.omega[i][j].is_zero(tol_scale)
+            if not cc.omega_c.omega[i][j].is_zero()
         },
         "torsion_type": tag,
         "curvature_entries": {
-            f"R({i + 1},{j + 1})": render_form(cur.curvature[i][j], names)
+            f"R({i + 1},{j + 1})": render_form(cur.curvature[i][j].scale(unit).scale(unit), names)
             for i in range(5)
             for j in range(i + 1, 5)
-            if not cur.curvature[i][j].is_zero(tol_scale)
+            if not cur.curvature[i][j].is_zero()
         },
-        "ricci_diagonal": [fmt_scalar(cur.ricci[i][i]) for i in range(5)],
-        "ricci": [[fmt_scalar(v) for v in row] for row in cur.ricci],
+        "ricci_diagonal": [fmt_scalar(cur.ricci[i][i] * unit * unit) for i in range(5)],
+        "ricci": [[fmt_scalar(v * unit * unit) for v in row] for row in cur.ricci],
         "holonomy_dimension": len(cur.holonomy_basis),
         "spinor_kernel_dimension": ker.dimension,
         "parallel_spinors": parallel,
@@ -344,16 +371,14 @@ def cmd_classify(args):
     c, code = _load_or_exit_code(args.path)
     if c is None:
         return code
-    tol = 1.0
     if args.float:
         try:
             c = _to_float_coframe(c)
-            tol = _tol_scale(c)
         except OverflowError:
             print("error: --float: a coefficient is too large for binary64", file=sys.stderr)
             return 2
     try:
-        report, code = classification_report(c, tol)
+        report, code = classification_report(c)
     except ACM5Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -61,25 +61,25 @@ class CharacteristicConnection:
     compatibility: CompatibilityReport  # its defining check, run once on construction
 
 
-def characteristic_connection(c: CoframeData, omega_g, tol_scale=1.0):
+def characteristic_connection(c: CoframeData, omega_g):
     """Construct the unique compatible metric connection and verify
     componentwise that it parallelizes xi, eta and phi.  omega_g is the
     Levi-Civita ConnectionForms or the memoizing FrameConnection of them."""
     fc = frame_connection(omega_g)
-    if not derived(fc, predicates, tol_scale).generalized_quasi_sasaki:
+    if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError(
             "no compatible connection: structure is not generalized quasi-Sasaki"
         )
-    nij = derived(fc, nijenhuis, tol_scale)
-    deta = derived(fc, d_eta_form, tol_scale)
-    gamma = derived(fc, gamma_form, tol_scale)
+    nij = derived(fc, nijenhuis)
+    deta = derived(fc, d_eta_form)
+    gamma = derived(fc, gamma_form)
     eta = ETA if (deta - gamma).mode == "exact" else Form(1, {(4,): 1.0})
     corr3 = wedge(deta - gamma, eta)
     half = Fraction(1, 2)
     nv = nij.values
     a_c = t3_from_func(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nv[x][y][z]))
     omega_c = connection_plus_tensor(fc.forms, a_c)
-    report = compatibility_report(omega_c, tol_scale)
+    report = compatibility_report(omega_c)
     if not report.ok:
         raise ACM5Error("internal consistency: compatible connection fails its defining property")
     av = a_c.values
@@ -111,23 +111,23 @@ class CompatibilityReport:
         return self.nabla_xi_zero and self.nabla_eta_zero and self.nabla_phi_zero
 
 
-def compatibility_report(omega: ConnectionForms, tol_scale=1.0) -> CompatibilityReport:
+def compatibility_report(omega: ConnectionForms) -> CompatibilityReport:
     """Componentwise check of nabla xi = nabla eta = nabla phi = 0."""
     fc = frame_connection(omega)
     try:
-        nx = nabla_xi_matrix(fc, tol_scale)
-        xi_zero = all(sis_zero(v, tol_scale) for row in nx for v in row)
+        nx = nabla_xi_matrix(fc)
+        xi_zero = all(sis_zero(v) for row in nx for v in row)
         eta_zero = xi_zero  # eta is the metric dual of xi; same frame values
     except SymbolicResidueError:
         xi_zero = eta_zero = False
     try:
-        phi_zero = nabla_phi(fc, tol_scale).is_zero(tol_scale)
+        phi_zero = nabla_phi(fc).is_zero()
     except SymbolicResidueError:
         phi_zero = False
     return CompatibilityReport(xi_zero, eta_zero, phi_zero)
 
 
-def torsion_type(cc: CharacteristicConnection, tol_scale=1.0):
+def torsion_type(cc: CharacteristicConnection):
     """Cartan decomposition of the torsion plus a type tag."""
     tv = cc.torsion.values
     # re-slot to last-two antisymmetry for the decomposition
@@ -141,9 +141,9 @@ def torsion_type(cc: CharacteristicConnection, tol_scale=1.0):
     parts = CartanParts(
         back(parts_a.vectorial), parts_a.vector, back(parts_a.skew), back(parts_a.cyclic)
     )
-    vec0 = parts.vectorial.is_zero(tol_scale)
-    skew0 = parts.skew.is_zero(tol_scale)
-    cyc0 = parts.cyclic.is_zero(tol_scale)
+    vec0 = parts.vectorial.is_zero()
+    skew0 = parts.skew.is_zero()
+    cyc0 = parts.cyclic.is_zero()
     if vec0 and skew0 and cyc0:
         tag = "zero"
     elif vec0 and cyc0:
@@ -169,14 +169,14 @@ class CurvatureData:
         return self.curvature[i - 1][j - 1]
 
 
-def curvature(c: CoframeData, omega: ConnectionForms, tol_scale=1.0) -> CurvatureData:
+def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     """Second structure equation R[i][j] = d w[i][j] + sum_k w[i][k] ^ w[k][j].
 
     Auxiliary symbols must cancel after substituting their derivatives; the
     Ricci convention Ric(X, Y) = sum_i R[i][Y](X, e_i) is fixed by the
     worked family of examples.
     """
-    if not d_squared_zero(c, tol_scale).ok:
+    if not d_squared_zero(c).ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
     grid = []
     for i in range(5):
@@ -185,7 +185,7 @@ def curvature(c: CoframeData, omega: ConnectionForms, tol_scale=1.0) -> Curvatur
             r = ext_d(omega.omega[i][j], c)
             for k in range(5):
                 r = r + wedge(omega.omega[i][k], omega.omega[k][j])
-            row.append(_chop(r, tol_scale))
+            row.append(_chop(r))
         grid.append(row)
     for i in range(5):
         for j in range(5):
@@ -194,7 +194,7 @@ def curvature(c: CoframeData, omega: ConnectionForms, tol_scale=1.0) -> Curvatur
                 raise SymbolicResidueError(
                     f"curvature entry ({i + 1},{j + 1}) keeps auxiliary symbols {bad}"
                 )
-            if not (grid[i][j] + grid[j][i]).is_zero(tol_scale):
+            if not (grid[i][j] + grid[j][i]).is_zero():
                 raise ACM5Error("curvature matrix is not antisymmetric")
     ricci = []
     for a in range(5):
@@ -205,19 +205,17 @@ def curvature(c: CoframeData, omega: ConnectionForms, tol_scale=1.0) -> Curvatur
                 acc += grid[i][b].evaluate(a, i)
             rrow.append(acc)
         ricci.append(tuple(rrow))
-    holonomy = _bracket_closure(_endomorphism_values(grid), tol_scale)
+    holonomy = _bracket_closure(_endomorphism_values(grid))
     return CurvatureData(
         tuple(tuple(r) for r in grid), tuple(ricci), tuple(holonomy)
     )
 
 
-def _chop(f: Form, tol_scale):
+def _chop(f: Form):
     """Drop float coefficients below the verification tolerance."""
     if f.mode != "float":
         return f
-    return Form(
-        f.degree, {idx: v for idx, v in f.terms.items() if not sis_zero(v, tol_scale)}
-    )
+    return Form(f.degree, {idx: v for idx, v in f.terms.items() if not sis_zero(v)})
 
 
 def _endomorphism_values(grid):
@@ -258,13 +256,13 @@ def _coords(beta: Form):
     return [beta.coefficient((i, j)) for i in range(5) for j in range(i + 1, 5)]
 
 
-def _bracket_closure(elements, tol_scale=1.0):
+def _bracket_closure(elements):
     """Grow a list of so(5) elements (as 2-forms) until closed under bracket."""
     basis = []
 
     def try_add(f):
         rows = [_coords(b) for b in basis] + [_coords(f)]
-        if linalg.rank(rows, tol_scale) > len(basis):
+        if linalg.rank(rows) > len(basis):
             basis.append(f)
             return True
         return False
@@ -279,7 +277,7 @@ def _bracket_closure(elements, tol_scale=1.0):
             for y in snapshot:
                 m = _commutator(_form_to_matrix(x), _form_to_matrix(y))
                 f = grid_form(lambda i, j: m[i][j])
-                if not f.is_zero(tol_scale) and try_add(f):
+                if not f.is_zero() and try_add(f):
                     changed = True
     return basis
 

@@ -66,8 +66,8 @@ class Form:
                 return "float"
         return "exact"
 
-    def is_zero(self, tol_scale=1.0):
-        return all(sis_zero(c, tol_scale) for c in self.terms.values())
+    def is_zero(self):
+        return all(sis_zero(c) for c in self.terms.values())
 
     def coefficient(self, idx):
         return self.terms.get(tuple(idx), Fraction(0))
@@ -77,16 +77,6 @@ class Form:
         for idx in self.terms:
             out.update(idx)
         return out
-
-    def max_abs(self):
-        """Largest |numeric coefficient|; used to scale float tolerances."""
-        m = 0.0
-        for c in self.terms.values():
-            if isinstance(c, TrigScalar):
-                m = max(m, max((abs(float(v)) for v in c.coeffs.values()), default=0.0))
-            else:
-                m = max(m, abs(float(c)))
-        return m
 
     def evaluate(self, *ids):
         """Value on frame directions given by 0-based symbol ids."""
@@ -411,7 +401,7 @@ class DSquaredReport:
         return [name for name, f in self.residuals.items() if not f.is_zero()]
 
 
-def d_squared_zero(c, tol_scale=1.0):
+def d_squared_zero(c):
     """d(d(symbol)) for every generator; integrable iff all vanish."""
     kinds = {type(v) for f in c.d_table.values() for v in f.terms.values()}
     if kinds <= {Fraction} or kinds == {float}:
@@ -419,7 +409,7 @@ def d_squared_zero(c, tol_scale=1.0):
     else:
         dd = [ext_d(ext_d(Form(1, {(sid,): Fraction(1)}), c), c) for sid in range(c.n_symbols)]
     residuals = {c.name_of(sid): r for sid, r in enumerate(dd)}
-    return DSquaredReport(residuals, all(r.is_zero(tol_scale) for r in dd))
+    return DSquaredReport(residuals, all(r.is_zero() for r in dd))
 
 
 def _d_squared_constant(c):
@@ -445,13 +435,13 @@ def _d_squared_constant(c):
     return out
 
 
-def proportionality(f1, f2, tol_scale=1.0):
+def proportionality(f1, f2):
     """The constant c with f1 = c f2, or None when there is none."""
-    if f1.is_zero(tol_scale):
+    if f1.is_zero():
         return Fraction(0)
     for idx, c in f2.terms.items():
         ratio = f1.coefficient(idx) / c
-        return ratio if (f1 - f2.scale(ratio)).is_zero(tol_scale) else None
+        return ratio if (f1 - f2.scale(ratio)).is_zero() else None
     return None
 
 

@@ -142,7 +142,7 @@ class FirstStructureReport:
         return [n for n, f in self.residuals.items() if not f.is_zero()]
 
 
-def verify_first_structure(c: CoframeData, omega: ConnectionForms, tol_scale=1.0):
+def verify_first_structure(c: CoframeData, omega: ConnectionForms):
     """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator."""
     one = 1.0 if c.mode() == "float" else 1
     residuals = {}
@@ -152,7 +152,7 @@ def verify_first_structure(c: CoframeData, omega: ConnectionForms, tol_scale=1.0
         for j in range(5):
             acc = acc - wedge(omega.omega[i][j], form(1, {(j,): one}))
         residuals[c.name_of(i)] = acc
-        if not acc.is_zero(tol_scale):
+        if not acc.is_zero():
             ok = False
     return FirstStructureReport(residuals, ok)
 
@@ -207,7 +207,7 @@ class FrameChange:
     new_forms: tuple  # 6 Forms over the source coframe symbols
 
 
-def frame_change_verify(c: CoframeData, fc: FrameChange, target: CanonicalAlgebra, tol_scale=1.0):
+def frame_change_verify(c: CoframeData, fc: FrameChange, target: CanonicalAlgebra):
     """Check d(new_i) = sum c^i_(jk) new_j ^ new_k exactly.
 
     Comparing both sides in the source basis is equivalent to re-expressing
@@ -219,13 +219,13 @@ def frame_change_verify(c: CoframeData, fc: FrameChange, target: CanonicalAlgebr
     if len(fc.new_forms) != 6:
         raise ValueError("need six new forms")
     top = wedge_all(fc.new_forms)
-    if top.is_zero(tol_scale):
+    if top.is_zero():
         raise RankError("new forms are linearly dependent")
     for i in range(6):
         lhs = ext_d(fc.new_forms[i], c)
         rhs = zero_form(2)
         for (j, k), coef in target.d_coeffs.get(i, {}).items():
             rhs = rhs + wedge(fc.new_forms[j], fc.new_forms[k]).scale(coef)
-        if not (lhs - rhs).is_zero(tol_scale):
+        if not (lhs - rhs).is_zero():
             return False
     return True

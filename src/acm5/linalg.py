@@ -15,7 +15,7 @@ from fractions import Fraction
 from .scalars import sis_zero
 
 
-def rref(matrix, tol_scale=1.0):
+def rref(matrix):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(r) for r in matrix]
     if not rows:
@@ -29,7 +29,7 @@ def rref(matrix, tol_scale=1.0):
         best = None
         for i in range(r, len(rows)):
             x = rows[i][c]
-            if sis_zero(x, tol_scale):
+            if sis_zero(x):
                 continue
             if best is None or abs(x) > abs(rows[best][c]):
                 best = i
@@ -41,7 +41,7 @@ def rref(matrix, tol_scale=1.0):
         piv = rows[r][c]
         rows[r] = [x / piv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not sis_zero(rows[i][c], tol_scale):
+            if i != r and not sis_zero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -49,15 +49,15 @@ def rref(matrix, tol_scale=1.0):
     return rows, pivots
 
 
-def rank(matrix, tol_scale=1.0):
-    return len(rref(matrix, tol_scale)[1])
+def rank(matrix):
+    return len(rref(matrix)[1])
 
 
-def solve_unique(A, b, tol_scale=1.0):
+def solve_unique(A, b):
     """Solve A x = b requiring a unique solution; raises ValueError otherwise."""
     n = len(A[0]) if A else 0
     aug = [list(row) + [bi] for row, bi in zip(A, b)]
-    rows, pivots = rref(aug, tol_scale)
+    rows, pivots = rref(aug)
     if n in pivots:
         raise ValueError("inconsistent linear system")
     if len(pivots) < n:
@@ -68,12 +68,12 @@ def solve_unique(A, b, tol_scale=1.0):
     return x
 
 
-def nullspace(matrix, tol_scale=1.0):
+def nullspace(matrix):
     """Basis of the kernel of the row-space map."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(matrix, tol_scale)
+    rows, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     one = 1.0 if any(isinstance(x, float) for row in matrix for x in row) else Fraction(1)
@@ -87,11 +87,11 @@ def nullspace(matrix, tol_scale=1.0):
     return basis
 
 
-def project_onto_span(basis, v, inner, tol_scale=1.0):
+def project_onto_span(basis, v, inner):
     """Coefficients of the orthogonal projection of v onto span(basis),
     via the Gram-matrix solve; callers recombine with the basis."""
     if not basis:
         return []
     gram = [[inner(bi, bj) for bj in basis] for bi in basis]
     rhs = [inner(bi, v) for bi in basis]
-    return solve_unique(gram, rhs, tol_scale)
+    return solve_unique(gram, rhs)

@@ -6,8 +6,10 @@ Three kinds of coefficients appear throughout the library:
 * elements of a trigonometric ring: rational combinations of sin/cos of
   integer-frequency combinations of two abstract phases ``f`` and ``g``,
   with products reduced exactly by the product-to-sum identities;
-* binary64 floats, used only for cross-checking exact results against a
-  relative tolerance of ``FLOAT_RTOL``.
+* binary64 floats, used only for cross-checking exact results.  Float
+  mode runs at unit scale (``cli.classification_report`` scales the
+  coframe so that its largest coefficient lies in [1/2, 1)), so one fixed
+  tolerance, ``FLOAT_RTOL`` = 1e-9, decides every float zero.
 
 All three are combined with the plain operators ``+ - * /``; the rules
 of the trig ring live on :class:`TrigScalar`'s own operators:
@@ -198,9 +200,9 @@ def collapse(coeffs):
     return out.constant_part() if out.is_constant() else out
 
 
-def sis_zero(x, tol_scale=1.0):
+def sis_zero(x):
     if isinstance(x, float):
-        return abs(x) <= FLOAT_RTOL * max(1.0, tol_scale)
+        return abs(x) <= FLOAT_RTOL
     if isinstance(x, TrigScalar):
         return x.is_zero()
     return x == 0

@@ -73,8 +73,8 @@ class IntrinsicTorsion:
     def scale(self, s):
         return IntrinsicTorsion(tuple(f.scale(s) for f in self.components))
 
-    def is_zero(self, tol_scale=1.0):
-        return all(f.is_zero(tol_scale) for f in self.components)
+    def is_zero(self):
+        return all(f.is_zero() for f in self.components)
 
     def __eq__(self, other):
         if not isinstance(other, IntrinsicTorsion):
@@ -107,7 +107,7 @@ def tensor_to_w(a: Tensor3) -> IntrinsicTorsion:
     )
 
 
-def intrinsic_torsion(source, tol_scale=1.0) -> IntrinsicTorsion:
+def intrinsic_torsion(source) -> IntrinsicTorsion:
     """Project the connection values onto the complement of the stabilizer
     algebra, direction by direction.
 
@@ -117,7 +117,7 @@ def intrinsic_torsion(source, tol_scale=1.0) -> IntrinsicTorsion:
     fc = frame_connection(source)
     for sid, mat in fc.channels:
         chan = grid_form(lambda i, j: mat[i][j])
-        if not project_u2_complement(chan).is_zero(tol_scale):
+        if not project_u2_complement(chan).is_zero():
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} contributes to the intrinsic torsion"
             )
@@ -165,7 +165,7 @@ class ClassReport:
         return not self.class_tags and sis_zero(self.total_norm_sq)
 
 
-def classify(gamma: IntrinsicTorsion, tol_scale=1.0) -> ClassReport:
+def classify(gamma: IntrinsicTorsion) -> ClassReport:
     """Orthogonal projection norms per submodule plus residual."""
     subs = w_subspaces()
     norms = {}
@@ -173,7 +173,7 @@ def classify(gamma: IntrinsicTorsion, tol_scale=1.0) -> ClassReport:
     accounted = Fraction(0)
     for name in MODULE_NAMES:
         basis = subs[name]
-        coefs = linalg.project_onto_span(list(basis), gamma, inner_w, tol_scale)
+        coefs = linalg.project_onto_span(list(basis), gamma, inner_w)
         n = Fraction(0)
         for ci, bi in zip(coefs, basis):
             for cj, bj in zip(coefs, basis):
@@ -181,9 +181,7 @@ def classify(gamma: IntrinsicTorsion, tol_scale=1.0) -> ClassReport:
         norms[name] = n
         accounted += n
     norms["residual"] = total - accounted
-    tags = tuple(
-        name for name in (*MODULE_NAMES, "residual") if not sis_zero(norms[name], tol_scale)
-    )
+    tags = tuple(name for name in (*MODULE_NAMES, "residual") if not sis_zero(norms[name]))
     return ClassReport(norms, tags, total)
 
 

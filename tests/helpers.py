@@ -313,6 +313,15 @@ def rotate(c: CoframeData, q):
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
 
 
+def scaled(c: CoframeData, lam):
+    """The coframe with every structure constant multiplied by lam.
+
+    It is the orthonormal coframe of the homothetic metric g / lam^2.
+    """
+    table = {sid: f.scale(lam) for sid, f in c.d_table.items()}
+    return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
+
+
 @contextlib.contextmanager
 def count_calls(*names):
     """Count calls of the ``acm5`` functions named ``"module.function"`` in the block.

@@ -1,10 +1,13 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from acm5.cli import emit_coframe, load_coframe, main
+from acm5.cli import coframe_document, emit_coframe, load_coframe, main
+from acm5.errors import SchemaError
 from acm5.family import build, identify_group
+from helpers import GOLDEN_INPUTS, scaled, trig_coframe
 
 FAMILY_1000 = ["family", "--params", "1", "0", "0", "0"]
 
@@ -177,6 +180,37 @@ def test_float_mode_rejects_coefficients_beyond_binary64(tmp_path, capsys, zeros
     assert code == 0
 
 
+def _float_invariants(report):
+    """What --float must state exactly as exact mode does.
+
+    ``parallel_spinors`` is not among them: the spin lift converts float
+    connection values to exact rationals and tests their residue for an
+    exact zero, so a rounding error of 1e-16 reads as a non-parallel spinor.
+    """
+    preds = {k: v for k, v in report["predicates"].items() if k != "d_eta_vs_fundamental"}
+    cc = report["characteristic_connection"]
+    keys = ("torsion_type", "holonomy_dimension", "spinor_kernel_dimension")
+    return report["classification"]["strict_class"], preds, cc and {k: cc[k] for k in keys}
+
+
+@pytest.mark.parametrize("k", [-6, 5, 12])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_float_mode_agrees_with_exact_mode_at_every_scale(tmp_path, capsys, path, k):
+    doc = tmp_path / "scaled.json"
+    emit_coframe(scaled(load_coframe(str(path)), Fraction(10) ** k), str(doc))
+    reports = []
+    for extra in ([], ["--float"]):
+        code, out, _ = run(capsys, ["classify", str(doc), "--json", *extra])
+        assert code == 0
+        reports.append(json.loads(out))
+    exact, floating = reports
+    assert _float_invariants(floating) == _float_invariants(exact)
+    exact_norms = {n: Fraction(v) for n, v in exact["classification"]["norms"].items()}
+    bound = 1e-9 * max(exact_norms.values())
+    for name, v in floating["classification"]["norms"].items():
+        assert abs(float(v) - exact_norms[name]) <= bound, name
+
+
 def test_classify_without_compatible_connection(tmp_path, capsys):
     # su(2) block coframe: valid, but not generalized quasi-Sasaki
     path = tmp_path / "su2.json"
@@ -237,3 +271,13 @@ def test_emit_load_round_trip(tmp_path, make):
     assert loaded.trig_rules == c.trig_rules
     assert loaded.d_table.keys() == c.d_table.keys()
     assert all(loaded.d_table[sid] == c.d_table[sid] for sid in c.d_table)
+
+
+def test_emit_rejects_a_coefficient_load_cannot_read(tmp_path):
+    c = trig_coframe()  # de1 = cos(f) e2^e3
+    with pytest.raises(SchemaError, match="cos"):
+        coframe_document(c)
+    path = tmp_path / "trig.json"
+    with pytest.raises(SchemaError):
+        emit_coframe(c, str(path))
+    assert not path.exists()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from acm5 import acms, frames
-from acm5.cli import _tol_scale, _to_float_coframe, classification_report, load_coframe
+from acm5.cli import _to_float_coframe, classification_report, load_coframe
 from acm5.exterior import d_squared_zero
 from acm5.family import build, verify_identities
 from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
@@ -35,25 +35,22 @@ def test_identity_replay_computes_each_invariant_once():
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_classification_report_computes_each_invariant_once(mode):
     c = load_coframe(str(INPUT))
-    tol = 1.0
     if mode == "float":
         c = _to_float_coframe(c)
-        tol = _tol_scale(c)
     with count_calls("acms.nabla_phi", *ONCE) as calls:
-        report, code = classification_report(c, tol)
+        report, code = classification_report(c)
     assert code == 0 and report["characteristic_connection"] is not None
     assert calls["acms.nabla_phi"] <= 2
     assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
 
 
-def test_memo_is_per_tolerance_and_direct_calls_always_compute():
+def test_memo_computes_once_and_direct_calls_always_compute():
     fc = acms.frame_connection(build(1, 0, 2, 0).omega_g)
     with count_calls("acms.nabla_phi") as calls:
         first = acms.derived(fc, acms.nabla_phi)
         assert acms.derived(fc, acms.nabla_phi) is first
-        assert acms.derived(fc, acms.nabla_phi, 2.0) == first
         assert acms.nabla_phi(fc) == first
-    assert calls["acms.nabla_phi"] == 3
+    assert calls["acms.nabla_phi"] == 2
     assert fc == acms.frame_connection(build(1, 0, 2, 0).omega_g)
 
 

@@ -8,8 +8,18 @@
   tensor is totally skew and xi is Killing.  On a generalized quasi-Sasaki
   structure the compatible connection is unique, so its torsion is skew (or
   zero) exactly then.
+* Homothety: multiplying every structure constant by lam gives the
+  orthonormal coframe of g / lam^2, so the class, the predicates, the
+  torsion tag and the holonomy and spinor data stay the same, while the
+  norms, the curvature and the Ricci values scale by lam^2 and the ratio
+  d eta / fundamental form by lam.
+* The abstract's claim: every nonzero integrable point of the
+  four-parameter family is generalized quasi-Sasaki, and neither
+  quasi-Sasaki nor normal.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,9 +27,19 @@ import pytest
 from acm5.acms import PHI_MAT, frame_connection, nijenhuis, predicates, xi_is_killing
 from acm5.cli import classification_report, load_coframe
 from acm5.connection import characteristic_connection, torsion_type
+from acm5.errors import IntegrabilityError
+from acm5.exterior import coframe, e, wedge
 from acm5.family import build
 from acm5.frames import connection_from_structure
-from helpers import GOLDEN, GOLDEN_FAMILY_POINTS, GOLDEN_INPUTS, matmul, rotate, u2_rotation
+from helpers import (
+    GOLDEN,
+    GOLDEN_FAMILY_POINTS,
+    GOLDEN_INPUTS,
+    matmul,
+    rotate,
+    scaled,
+    u2_rotation,
+)
 
 ROTATIONS = {
     "dense": u2_rotation(1, Fraction(1, 2), -1, 2),
@@ -77,3 +97,78 @@ def test_friedrich_ivanov_on_golden_inputs():
 def test_friedrich_ivanov_on_golden_family_points(params):
     inst = build(*params)
     assert _skew_torsion_iff_friedrich_ivanov(inst.coframe, inst.omega_g) is True
+
+
+# every golden input, and a Sasakian coframe for a nonzero d eta ratio
+HOMOTHETY_SOURCES = {p.stem: functools.partial(load_coframe, str(p)) for p in GOLDEN_INPUTS}
+HOMOTHETY_SOURCES["sasakian"] = lambda: coframe(
+    {"e5": 2 * (wedge(e(1), e(2)) + wedge(e(3), e(4)))}
+)
+
+
+@functools.cache
+def _base_report(name):
+    report, code = classification_report(HOMOTHETY_SOURCES[name]())
+    assert code == 0
+    return report
+
+
+SCALE_FREE_KEYS = (
+    "torsion_type",
+    "holonomy_dimension",
+    "spinor_kernel_dimension",
+    "parallel_spinors",
+)
+
+
+def _scale_free_part(report):
+    """Everything a homothety keeps: the rest are values of degree 1 or 2."""
+    cls = report["classification"]
+    preds = dict(report["predicates"])
+    preds.pop("d_eta_vs_fundamental")
+    cc = report["characteristic_connection"]
+    if cc is not None:
+        cc = {k: cc[k] for k in SCALE_FREE_KEYS} | {
+            "connection_forms": sorted(cc["connection_forms"]),
+            "curvature_entries": sorted(cc["curvature_entries"]),
+        }
+    return cls["strict_class"], cls["integrable"], preds, cc
+
+
+def _ricci(report):
+    cc = report["characteristic_connection"]
+    return cc and [[Fraction(v) for v in row] for row in cc["ricci"]]
+
+
+@pytest.mark.parametrize("lam", [Fraction(2), Fraction(1, 3), Fraction(10**5)], ids=str)
+@pytest.mark.parametrize("name", HOMOTHETY_SOURCES)
+def test_homothety_scales_only_the_values(name, lam):
+    base = _base_report(name)
+    report, code = classification_report(scaled(HOMOTHETY_SOURCES[name](), lam))
+    assert code == 0
+    assert _scale_free_part(report) == _scale_free_part(base)
+    norms = report["classification"]["norms"]
+    assert {k: Fraction(v) for k, v in norms.items()} == {
+        k: lam**2 * Fraction(v) for k, v in base["classification"]["norms"].items()
+    }
+    ratio = base["predicates"]["d_eta_vs_fundamental"]
+    expected = None if ratio is None else str(lam * Fraction(ratio))
+    assert report["predicates"]["d_eta_vs_fundamental"] == expected
+    ricci = _ricci(base)
+    assert _ricci(report) == (ricci and [[lam**2 * v for v in row] for row in ricci])
+
+
+def test_every_integrable_family_point_is_strictly_generalized_quasi_sasaki():
+    seen = 0
+    for params in itertools.product((-2, -1, 0, 1, 3), repeat=4):
+        if not any(params):
+            continue
+        try:
+            inst = build(*params)
+        except IntegrabilityError:
+            continue
+        preds = predicates(frame_connection(inst.omega_g))
+        assert preds.generalized_quasi_sasaki, params
+        assert not preds.quasi_sasaki and not preds.normal, params
+        seen += 1
+    assert seen == 110

@@ -69,7 +69,6 @@ def test_division_by_trig_rejected():
 def test_float_zero_uses_relative_tolerance():
     assert sis_zero(1e-12)
     assert not sis_zero(1e-6)
-    assert sis_zero(1e-6, tol_scale=1e4)
 
 
 def test_rat_parsing_and_formatting():
