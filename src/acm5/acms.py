@@ -22,9 +22,10 @@ tracked as independent linear channels; operations that must produce
 numbers verify that every channel cancels and raise SymbolicResidueError
 otherwise.
 
-Memo rule: read the invariants of one structure (nabla Phi, N, d eta, gamma,
-the predicates) through ``derived``, so each, with its cross-check, is
-computed once per frame connection; a direct call always computes.
+Memo rule: read the invariants of one structure (the projections of the
+w(e_k), nabla Phi, N, d eta, gamma, the predicates) through ``derived``, so
+each, with its cross-check, is computed once per frame connection; a direct
+call always computes.
 """
 
 from __future__ import annotations
@@ -134,8 +135,23 @@ def lambda2_project(beta: Form, part: int) -> Form:
     return out
 
 
+# the complement of the stabilizer: each basis 2-form (Z1, Z2, the Reeb legs) with its squared norm
+COMPLEMENT_FRAME = tuple((b, inner_form(b, b)) for b in LAMBDA2_BASES[2] + LAMBDA2_BASES[4])
+
+
 def project_u2_complement(beta: Form) -> Form:
-    return lambda2_project(beta, 2) + lambda2_project(beta, 4)
+    """lambda2_project(beta, 2) + lambda2_project(beta, 4) as a coordinate map:
+    (beta_02 - beta_13)/2 on Z1, (beta_03 + beta_12)/2 on Z2, each Reeb leg
+    beta_i4.  Each entry is ``Fraction(0)`` plus the product the general
+    projection adds, so float entries keep their bits (0.0 + -0.0 is 0.0)."""
+    _require_metric_2form(beta)
+    out = {}
+    for b, norm in COMPLEMENT_FRAME:
+        coef = inner_form(beta, b) / norm
+        if not is_exact_zero(coef):
+            for idx, s in b.terms.items():
+                out[idx] = Fraction(0) + s * coef
+    return Form(2, out)
 
 
 def project_u2(beta: Form) -> Form:
@@ -389,7 +405,7 @@ def nabla_phi(source) -> Tensor3:
     fc = frame_connection(source)
     _require_channels_vanish(fc, "nabla Phi", lambda mat: (v for r in _mu(mat) for v in r))
     full = np_full(fc.base)
-    if not (full - np_gamma(fc.base)).is_zero():
+    if not (full - np_gamma(derived(fc, complement_forms))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
 
@@ -401,14 +417,19 @@ def np_full(w) -> Tensor3:
     )
 
 
-def np_gamma(w) -> Tensor3:
-    """The same contraction on the projection of each w(e_k) to the complement
-    of the stabilizer, read once per projection as a 5x5 grid."""
-    out = []
-    for k in range(5):
-        gamma = project_u2_complement(grid_form(lambda i, j: w[i][j][k]))
-        out.append(_mu([[gamma.evaluate(i, a) for a in range(5)] for i in range(5)]))
-    return Tensor3(tuple(out))
+def complement_forms(fc: FrameConnection) -> tuple:
+    """The projections of the five 2-forms w(e_k) to the complement of the
+    stabilizer: the intrinsic torsion, and the second path of nabla Phi."""
+    w = fc.base
+    return tuple(project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5))
+
+
+def np_gamma(gammas) -> Tensor3:
+    """The same contraction on the projections gammas[k] of each w(e_k) to the
+    complement of the stabilizer, each read once as a 5x5 grid."""
+    return Tensor3(
+        tuple(_mu([[g.evaluate(i, a) for a in range(5)] for i in range(5)]) for g in gammas)
+    )
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:

@@ -467,9 +467,13 @@ def apply_matrix(m, v):
 
 
 def parallel_spinor_check(space: SpinorSpace, omega: ConnectionForms, spinors):
-    """True when the spin lift of the connection annihilates every spinor."""
+    """True when the spin lift of the connection annihilates every spinor.
+    The lift is exact; for float connection values (run at unit scale) each
+    residue part is decided as a float by sis_zero, so rounding reads as zero."""
+    floating = any(f.mode == "float" for row in omega.omega for f in row)
+    vanishes = (lambda x: sis_zero(float(x))) if floating else (lambda x: x == 0)
     for m in spin_lift_matrices(space, omega).values():
         for psi in spinors:
-            if any(apply_matrix(m, psi)):
+            if not all(vanishes(v.re) and vanishes(v.im) for v in apply_matrix(m, psi)):
                 return False
     return True

@@ -17,12 +17,14 @@ Conventions, fixed once and used everywhere:
 * The d^2-gate contracts a table of constant (all rational or all float)
   structure constants directly: d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k),
   accumulated into one term dictionary in the order ext_d(ext_d(e_i))
-  would add the same products.  Any other table (trig coefficients, mixed
-  exact and float values) goes through ext_d twice.
+  would add the same products, a rational table as integers over the lcm
+  of its denominators.  Any other table (trig coefficients, mixed exact and
+  float values) goes through ext_d twice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -82,13 +84,11 @@ class Form:
         """Value on frame directions given by 0-based symbol ids."""
         if len(ids) != self.degree:
             raise ValueError("wrong number of arguments")
-        if len(set(ids)) != len(ids):
-            return Fraction(0)
         key = tuple(sorted(ids))
-        c = self.terms.get(key)
+        c = self.terms.get(key)  # repeated ids never match a stored monomial
         if c is None:
             return Fraction(0)
-        return c * perm_sign(ids)
+        return c if key == ids else c * perm_sign(ids)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -152,8 +152,8 @@ def grid_form(entry):
 
 
 def _accumulate(terms, idx, v):
-    """Add v to terms[idx] in place, dropping the entry when it cancels exactly."""
-    acc = terms.get(idx, Fraction(0)) + v
+    """Add v to terms[idx], a new entry from the int 0; drop it when it cancels exactly."""
+    acc = terms.get(idx, 0) + v
     if is_exact_zero(acc):
         terms.pop(idx, None)
     else:
@@ -416,9 +416,15 @@ def _d_squared_constant(c):
     """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
 
     ext_d skips a generator whose derivative is zero at the default
-    tolerance, and so does this contraction.
+    tolerance, and so does this contraction.  A rational table runs on
+    integer numerators over L, the lcm of its denominators, and each residual
+    term is divided by L^2 once; a float table runs on its own values.
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
+    exact = all(isinstance(v, Fraction) for t in live.values() for v in t.values())
+    den = math.lcm(*(v.denominator for t in live.values() for v in t.values())) if exact else 1
+    num = (lambda v: v.numerator * (den // v.denominator)) if exact else (lambda v: v)
+    live = {sid: {idx: num(v) for idx, v in t.items()} for sid, t in live.items()}
     out = []
     for sid in range(c.n_symbols):
         terms = {}
@@ -431,6 +437,8 @@ def _d_squared_constant(c):
                 if j not in idx:
                     mono, sign = _merge((j,), idx)
                     _accumulate(terms, mono, -(a * b) if sign > 0 else a * b)
+        if exact:
+            terms = {mono: Fraction(v, den * den) for mono, v in terms.items()}
         out.append(Form(3, terms))
     return out
 

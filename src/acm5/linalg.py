@@ -85,13 +85,3 @@ def nullspace(matrix):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def project_onto_span(basis, v, inner):
-    """Coefficients of the orthogonal projection of v onto span(basis),
-    via the Gram-matrix solve; callers recombine with the basis."""
-    if not basis:
-        return []
-    gram = [[inner(bi, bj) for bj in basis] for bi in basis]
-    rhs = [inner(bi, v) for bi in basis]
-    return solve_unique(gram, rhs)

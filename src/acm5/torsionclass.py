@@ -5,6 +5,10 @@ algebra), a 30-dimensional space.  Five irreducible submodules, here
 labeled W3..W7, are constructed by pushing the four 2-form types through
 the two equivariant embeddings and projecting; the orthogonal complement
 of their sum is reported as a residual without further decomposition.
+
+Each basis is orthogonal (Gram diagonals W3: 4; W4: 6, 6; W5: 4, 4, 4;
+W6: 1, 1, 1, 1; W7: 12, 12), so ``classify`` reads each module norm as
+sum c_i^2 g_ii with c_i = <b_i, gamma>/g_ii, and solves no linear system.
 """
 
 from __future__ import annotations
@@ -16,26 +20,23 @@ from typing import Mapping
 
 from . import linalg
 from .acms import (
-    L24,
+    COMPLEMENT_FRAME,
     LAMBDA2_BASES,
     Tensor3,
-    Z1,
-    Z2,
+    complement_forms,
+    derived,
     frame_connection,
     inner_form,
-    pr_w,
     project_u2_complement,
     t3_from_func,
     theta,
     vartheta,
 )
-from .errors import SymbolicResidueError
+from .errors import ACM5Error, SymbolicResidueError
 from .exterior import grid_form, zero_form
 from .scalars import sis_zero
 
-# coordinates on the complement of the stabilizer algebra inside 2-forms
-_CBASIS = (Z1, Z2) + L24
-_CNORMS = tuple(inner_form(b, b) for b in _CBASIS)
+_U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
 
 MODULE_NAMES = ("W3", "W4", "W5", "W6", "W7")
 
@@ -51,15 +52,11 @@ class IntrinsicTorsion:
         for f in self.components:
             if any(i > 4 for i in f.symbols_used()):
                 raise SymbolicResidueError("torsion components must be numeric 2-forms")
-            if f.mode == "exact" and not (project_u2_complement(f) - f).is_zero():
+            if f.mode == "exact" and not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
                 raise ValueError("torsion components must avoid the stabilizer algebra")
 
     def as_coords(self):
-        out = []
-        for f in self.components:
-            for b, nb in zip(_CBASIS, _CNORMS):
-                out.append(inner_form(f, b) * (Fraction(1) / nb))
-        return out
+        return [inner_form(f, b) / nb for f in self.components for b, nb in COMPLEMENT_FRAME]
 
     def norm_sq(self):
         return inner_w(self, self)
@@ -86,7 +83,7 @@ def torsion_from_coords(coords) -> IntrinsicTorsion:
     comps = []
     for k in range(5):
         f = zero_form(2)
-        for b, c in zip(_CBASIS, coords[6 * k : 6 * k + 6]):
+        for (b, _), c in zip(COMPLEMENT_FRAME, coords[6 * k : 6 * k + 6]):
             f = f + b.scale(c)
         comps.append(f)
     return IntrinsicTorsion(tuple(comps))
@@ -121,37 +118,43 @@ def intrinsic_torsion(source) -> IntrinsicTorsion:
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} contributes to the intrinsic torsion"
             )
-    w = fc.base
-    return IntrinsicTorsion(
-        tuple(project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5))
-    )
+    return IntrinsicTorsion(derived(fc, complement_forms))
 
 
 @lru_cache(maxsize=1)
 def w_subspaces() -> Mapping[str, tuple]:
     """Spanning sets of the five constructed submodules, as torsion-space
-    elements; dimensions (1, 2, 3, 4, 2)."""
-    out = {}
-    out["W3"] = tuple(tensor_to_w(pr_w(theta(b))) for b in LAMBDA2_BASES[1])
-    out["W4"] = tuple(tensor_to_w(pr_w(theta(b))) for b in LAMBDA2_BASES[2])
-    out["W5"] = tuple(tensor_to_w(pr_w(theta(b))) for b in LAMBDA2_BASES[3])
-    out["W6"] = tuple(tensor_to_w(pr_w(theta(b))) for b in LAMBDA2_BASES[4])
-    out["W7"] = tuple(tensor_to_w(pr_w(vartheta(b))) for b in LAMBDA2_BASES[2])
-    return out
+    elements; dimensions (1, 2, 3, 4, 2).  W3..W6 embed the 2-form types 1..4
+    by theta, W7 embeds type 2 by vartheta; ``tensor_to_w`` projects."""
+    embedded = (("W3", theta, 1), ("W4", theta, 2), ("W5", theta, 3), ("W6", theta, 4))
+    return {
+        name: tuple(tensor_to_w(emb(b)) for b in LAMBDA2_BASES[part])
+        for name, emb, part in (*embedded, ("W7", vartheta, 2))
+    }
 
 
 @lru_cache(maxsize=1)
 def residual_basis() -> tuple:
-    """Orthogonal complement of W3 + ... + W7 inside the torsion space."""
-    rows = []
-    weights = []
-    for k in range(5):
-        weights.extend(_CNORMS)
-    for vecs in w_subspaces().values():
-        for v in vecs:
-            rows.append([c * w for c, w in zip(v.as_coords(), weights)])
-    kernel = linalg.nullspace(rows)
-    return tuple(torsion_from_coords(v) for v in kernel)
+    """Orthogonal complement of W3 + ... + W7 inside the torsion space: the
+    coordinates x with sum_j x_j <v, b_j> = 0 for every spanning vector v."""
+    rows = [
+        [inner_form(f, b) for f in v.components for b, _ in COMPLEMENT_FRAME]
+        for vecs in w_subspaces().values()
+        for v in vecs
+    ]
+    return tuple(torsion_from_coords(x) for x in linalg.nullspace(rows))
+
+
+@lru_cache(maxsize=1)
+def module_frames() -> Mapping[str, tuple]:
+    """Each basis element of ``w_subspaces()`` with its Gram diagonal g_ii;
+    ACM5Error unless every basis is orthogonal."""
+    out = {}
+    for name, basis in w_subspaces().items():
+        if any(inner_w(bi, bj) != 0 for i, bi in enumerate(basis) for bj in basis[:i]):
+            raise ACM5Error(f"internal consistency: the {name} basis is not orthogonal")
+        out[name] = tuple((b, inner_w(b, b)) for b in basis)
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,15 @@ class ClassReport:
 
 def classify(gamma: IntrinsicTorsion) -> ClassReport:
     """Orthogonal projection norms per submodule plus residual."""
-    subs = w_subspaces()
+    frames = module_frames()
     norms = {}
     total = inner_w(gamma, gamma)
     accounted = Fraction(0)
     for name in MODULE_NAMES:
-        basis = subs[name]
-        coefs = linalg.project_onto_span(list(basis), gamma, inner_w)
         n = Fraction(0)
-        for ci, bi in zip(coefs, basis):
-            for cj, bj in zip(coefs, basis):
-                n += ci * cj * inner_w(bi, bj)
+        for b, g in frames[name]:
+            c = inner_w(b, gamma) / g
+            n += c * c * g
         norms[name] = n
         accounted += n
     norms["residual"] = total - accounted

@@ -4,7 +4,9 @@ The oracles here deliberately re-implement the conventions from scratch
 (evaluation-based wedge, permutation-parity star, bracket-based and dense
 linear Levi-Civita solves) so the library is checked against a second path.
 The tensor-kernel oracles keep the full sums over PHI_MAT that the
-signed-permutation kernels of ``acms`` replaced.
+signed-permutation kernels of ``acms`` replaced, and the coordinate-map
+oracles keep the general type projections and the Gram-matrix solve that
+``project_u2_complement`` and ``torsionclass.classify`` replaced.
 """
 
 import contextlib
@@ -18,11 +20,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from acm5 import linalg
-from acm5.acms import PHI_MAT, XI, project_u2_complement
+from acm5.acms import PHI_MAT, XI, lambda2_project, project_u2_complement
 from acm5.errors import RankError
 from acm5.exterior import CoframeData, Form, TrigRules, coframe, e, form, grid_form, wedge
 from acm5.frames import connection_forms
 from acm5.scalars import COS_F
+from acm5.torsionclass import MODULE_NAMES, inner_w, w_subspaces
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
@@ -212,6 +215,33 @@ def nijenhuis_oracle(np, deta):
         return acc
 
     return {"n_via_np": _cube(n_via_np), "cov": _cube(cov)}
+
+
+def project_u2_complement_oracle(beta: Form) -> Form:
+    """The projection to the complement of the stabilizer as the sum of the
+    general type-2 and type-4 projections."""
+    return lambda2_project(beta, 2) + lambda2_project(beta, 4)
+
+
+def classify_norms_oracle(gamma):
+    """The W3..W7 and residual norms by the Gram-matrix solve: per module,
+    G c = (<b_i, gamma>) through ``linalg.solve_unique``, then
+    sum_ij c_i c_j <b_i, b_j>, every inner product by ``inner_w``."""
+    norms = {}
+    total = inner_w(gamma, gamma)
+    accounted = Fraction(0)
+    for name in MODULE_NAMES:
+        basis = w_subspaces()[name]
+        gram = [[inner_w(bi, bj) for bj in basis] for bi in basis]
+        coefs = linalg.solve_unique(gram, [inner_w(bi, gamma) for bi in basis])
+        n = Fraction(0)
+        for ci, bi in zip(coefs, basis):
+            for cj, bj in zip(coefs, basis):
+                n += ci * cj * inner_w(bi, bj)
+        norms[name] = n
+        accounted += n
+    norms["residual"] = total - accounted
+    return norms
 
 
 def trig_coframe():

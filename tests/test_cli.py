@@ -3,11 +3,20 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acm5.cli import coframe_document, emit_coframe, load_coframe, main
+from acm5.cli import (
+    _to_float_coframe,
+    classification_report,
+    coframe_document,
+    emit_coframe,
+    load_coframe,
+    main,
+)
 from acm5.errors import SchemaError
 from acm5.family import build, identify_group
-from helpers import GOLDEN_INPUTS, scaled, trig_coframe
+from helpers import GOLDEN_INPUTS, rotate, scaled, trig_coframe, u2_rotation
 
 FAMILY_1000 = ["family", "--params", "1", "0", "0", "0"]
 
@@ -181,15 +190,10 @@ def test_float_mode_rejects_coefficients_beyond_binary64(tmp_path, capsys, zeros
 
 
 def _float_invariants(report):
-    """What --float must state exactly as exact mode does.
-
-    ``parallel_spinors`` is not among them: the spin lift converts float
-    connection values to exact rationals and tests their residue for an
-    exact zero, so a rounding error of 1e-16 reads as a non-parallel spinor.
-    """
+    """What --float must state exactly as exact mode does."""
     preds = {k: v for k, v in report["predicates"].items() if k != "d_eta_vs_fundamental"}
     cc = report["characteristic_connection"]
-    keys = ("torsion_type", "holonomy_dimension", "spinor_kernel_dimension")
+    keys = ("torsion_type", "holonomy_dimension", "spinor_kernel_dimension", "parallel_spinors")
     return report["classification"]["strict_class"], preds, cc and {k: cc[k] for k in keys}
 
 
@@ -209,6 +213,24 @@ def test_float_mode_agrees_with_exact_mode_at_every_scale(tmp_path, capsys, path
     bound = 1e-9 * max(exact_norms.values())
     for name, v in floating["classification"]["norms"].items():
         assert abs(float(v) - exact_norms[name]) <= bound, name
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(GOLDEN_INPUTS),
+    st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4),
+    st.integers(-6, 12),
+)
+def test_float_mode_agrees_with_exact_mode_on_rotated_inputs(path, rotation, k):
+    """A U(2)x1 rotation of a golden input, scaled by 10^k: same structure up
+    to a frame change and a homothety, so --float must state every invariant
+    as exact mode does."""
+    c = scaled(rotate(load_coframe(str(path)), u2_rotation(*rotation)), Fraction(10) ** k)
+    exact, code = classification_report(c)
+    assert code == 0
+    floating, code = classification_report(_to_float_coframe(c))
+    assert code == 0
+    assert _float_invariants(floating) == _float_invariants(exact)
 
 
 def test_classify_without_compatible_connection(tmp_path, capsys):

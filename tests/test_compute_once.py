@@ -4,9 +4,12 @@
 classify report or an identity replay runs each two-path cross-check once
 per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
-it runs once, when the connection is built.  The Levi-Civita solve is a
-closed form and runs no elimination, and the d^2-gate contracts a constant
-table without ext_d.
+it runs once, when the connection is built.  The five projections of the
+w(e_k) to the complement of the stabilizer are computed once per
+structure and shared by the intrinsic torsion and nabla Phi, and the module
+norms need no linear solve.  The Levi-Civita solve is a closed form and
+runs no elimination, and the d^2-gate contracts a constant table without
+ext_d.
 """
 
 from pathlib import Path
@@ -17,6 +20,7 @@ from acm5 import acms, frames
 from acm5.cli import _to_float_coframe, classification_report, load_coframe
 from acm5.exterior import d_squared_zero
 from acm5.family import build, verify_identities
+from acm5.torsionclass import w_subspaces
 from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
 
 ONCE = ("acms.nijenhuis", "acms.predicates", "acms.gamma_form", "acms.d_eta_form")
@@ -42,6 +46,28 @@ def test_classification_report_computes_each_invariant_once(mode):
     assert code == 0 and report["characteristic_connection"] is not None
     assert calls["acms.nabla_phi"] <= 2
     assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "name,structures", [("family_1_0_2_0.json", 2), ("su2_block.json", 1)]
+)
+def test_classification_report_projects_each_connection_form_once(name, structures, mode):
+    """Five projections per structure: the Levi-Civita connection, and on a
+    generalized quasi-Sasaki input the characteristic connection too; plus
+    one per auxiliary symbol, whose channel must project to zero.  The
+    submodule bases are built once per process, before counting."""
+    c = load_coframe(str(INPUT.parent / name))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    w_subspaces()
+    with count_calls("acms.project_u2_complement", "linalg.solve_unique") as calls:
+        report, code = classification_report(c)
+    assert code == 0
+    assert (report["characteristic_connection"] is not None) == (structures == 2)
+    aux = c.n_symbols - 5
+    assert calls["acms.project_u2_complement"] == 5 * structures + aux
+    assert calls["linalg.solve_unique"] == 0
 
 
 def test_memo_computes_once_and_direct_calls_always_compute():

@@ -1,10 +1,14 @@
-"""The exact tensor kernels against the full sums they replace.
+"""The exact tensor kernels and coordinate maps against the general code they replace.
 
-``acms`` reads phi as a signed permutation and the d^2-gate contracts a
-constant table directly.  The oracles are the 5-term sums over PHI_MAT
-(``helpers.nabla_phi_oracle``, ``helpers.nijenhuis_oracle``) and ext_d
-applied twice.  Entries are compared with their Python type and floats bit
-for bit, so the float zeros that a 5-term sum produces are pinned too.
+``acms`` reads phi as a signed permutation and projects 2-forms by a fixed
+coordinate map, ``torsionclass.classify`` reads module norms off an
+orthogonal frame, and the d^2-gate contracts a constant table directly.
+The oracles are the 5-term sums over PHI_MAT (``helpers.nabla_phi_oracle``,
+``helpers.nijenhuis_oracle``), the general type projections
+(``helpers.project_u2_complement_oracle``), the Gram-matrix solve
+(``helpers.classify_norms_oracle``) and ext_d applied twice.  Entries are
+compared with their Python type and floats bit for bit, so the float zeros
+that the general code produces are pinned too.
 """
 
 import itertools
@@ -16,16 +20,27 @@ from hypothesis import strategies as st
 
 from acm5 import acms
 from acm5.cli import _to_float_coframe, load_coframe
-from acm5.exterior import CoframeData, Form, d_squared_zero, ext_d, form, standard_symbols
+from acm5.exterior import (
+    CoframeData,
+    Form,
+    d_squared_zero,
+    ext_d,
+    form,
+    grid_form,
+    standard_symbols,
+)
 from acm5.family import build
 from acm5.frames import connection_from_structure
+from acm5.torsionclass import IntrinsicTorsion, classify, intrinsic_torsion
 from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     bits,
     cayley,
+    classify_norms_oracle,
     nabla_phi_oracle,
     nijenhuis_oracle,
+    project_u2_complement_oracle,
     rotate,
     trig_coframe,
 )
@@ -39,11 +54,12 @@ def _same(tensor, cube):
 
 def _check_kernels(w):
     oracle = nabla_phi_oracle(w)
+    fc = acms.FrameConnection(w, ())
     full = acms.np_full(w)
     _same(full, oracle["np_full"])
-    _same(acms.np_gamma(w), oracle["np_gamma"])
+    _same(acms.np_gamma(acms.complement_forms(fc)), oracle["np_gamma"])
     np = full.values
-    deta = acms.d_eta_form(acms.FrameConnection(w, ()))
+    deta = acms.d_eta_form(fc)
     oracle = nijenhuis_oracle(np, deta)
     _same(acms.n_via_np(np), oracle["n_via_np"])
     _same(acms.n_cov(np, deta), oracle["cov"])
@@ -103,6 +119,74 @@ def test_kernels_match_oracles_on_random_float_cubes(values):
     _check_kernels(_antisymmetric_cube(values))
 
 
+# -- the coordinate maps --------------------------------------------------------
+
+
+def _terms(f: Form):
+    return [(idx, bits(v)) for idx, v in f.terms.items()]
+
+
+def _check_projection(beta):
+    assert _terms(acms.project_u2_complement(beta)) == _terms(project_u2_complement_oracle(beta))
+
+
+def _check_classify(gamma):
+    report = classify(gamma)
+    oracle = classify_norms_oracle(gamma)
+    assert {k: bits(v) for k, v in report.norms.items()} == {k: bits(v) for k, v in oracle.items()}
+
+
+def _check_coordinate_maps(fc):
+    for k in range(5):
+        _check_projection(grid_form(lambda i, j: fc.base[i][j][k]))
+    _check_classify(intrinsic_torsion(fc))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_coordinate_maps_match_oracles_on_golden_inputs(path, mode):
+    c = load_coframe(str(path))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    _check_coordinate_maps(acms.frame_connection(connection_from_structure(c)))
+
+
+@pytest.mark.parametrize("point", GOLDEN_FAMILY_POINTS, ids=lambda p: "_".join(map(str, p)))
+def test_coordinate_maps_match_oracles_on_golden_family_points(point):
+    _check_coordinate_maps(acms.frame_connection(build(*point).omega_g))
+
+
+MONOMIALS = list(itertools.combinations(range(5), 2))
+float_entries = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+rational_entries = st.one_of(st.none(), st.fractions(-3, 3, max_denominator=7).filter(bool))
+
+
+def _two_forms(entries):
+    """2-forms with a missing term wherever entries draws None."""
+    return st.lists(entries, min_size=10, max_size=10).map(
+        lambda values: Form(2, {m: v for m, v in zip(MONOMIALS, values) if v is not None})
+    )
+
+
+float_forms, rational_forms = _two_forms(float_entries), _two_forms(rational_entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(float_forms, rational_forms))
+def test_projection_matches_type_projections_on_random_2forms(beta):
+    _check_projection(beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(*(st.lists(f, min_size=5, max_size=5) for f in (float_forms, rational_forms))))
+def test_classify_matches_gram_solve_on_random_torsion(betas):
+    _check_classify(IntrinsicTorsion(tuple(acms.project_u2_complement(b) for b in betas)))
+
+
 # -- the d^2-gate -------------------------------------------------------------
 
 
@@ -127,7 +211,13 @@ def _check_d_squared(c):
 
 
 coefficients = st.one_of(
-    st.fractions(-3, 3, max_denominator=3).filter(bool), st.just(Fraction(1, 10**12))
+    st.fractions(-3, 3, max_denominator=3).filter(bool),
+    st.just(Fraction(1, 10**12)),
+    st.builds(
+        Fraction,
+        st.integers(-9, 9).filter(bool),
+        st.sampled_from([64, 65, 67, 71, 73, 65**2, 71 * 67, 73**3]),
+    ),
 )
 
 

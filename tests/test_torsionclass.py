@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from acm5 import linalg
+import pytest
+
+from acm5 import linalg, torsionclass
 from acm5.acms import (
     F,
     PHI,
@@ -20,6 +22,7 @@ from acm5.acms import (
     vartheta,
     xi_is_killing,
 )
+from acm5.errors import ACM5Error
 from acm5.exterior import form
 from acm5.family import build
 from acm5.frames import connection_from_structure, pointwise_from_upper
@@ -30,6 +33,7 @@ from acm5.torsionclass import (
     classify,
     inner_w,
     intrinsic_torsion,
+    module_frames,
     residual_basis,
     tensor_to_w,
     torsion_from_coords,
@@ -148,6 +152,29 @@ def test_all_submodules_mutually_orthogonal():
         for u in vecs:
             for r in residual_basis():
                 assert inner_w(u, r) == 0
+
+
+def test_module_frames_hold_each_basis_with_its_gram_diagonal():
+    frames = module_frames()
+    assert {name: [b for b, _ in frame] for name, frame in frames.items()} == {
+        name: list(basis) for name, basis in w_subspaces().items()
+    }
+    assert {name: [g for _, g in frame] for name, frame in frames.items()} == {
+        "W3": [4], "W4": [6, 6], "W5": [4, 4, 4], "W6": [1, 1, 1, 1], "W7": [12, 12]
+    }
+
+
+def test_module_frames_reject_a_basis_that_is_not_orthogonal(monkeypatch):
+    subs = dict(w_subspaces())
+    b0, b1 = subs["W4"]
+    subs["W4"] = (b0, b0 + b1)
+    monkeypatch.setattr(torsionclass, "w_subspaces", lambda: subs)
+    module_frames.cache_clear()
+    try:
+        with pytest.raises(ACM5Error, match="W4 basis is not orthogonal"):
+            module_frames()
+    finally:
+        module_frames.cache_clear()
 
 
 def test_projection_restricted_to_embeddings_has_rank_12():
