@@ -11,10 +11,13 @@ nonzero entries PHI_MAT[u][b] = s as (u, b, s) by ascending u, and
 ``PHI_COL[b]`` is the (u, s) of column b, with s = 0 for the Reeb column so
 that a read through it adds nothing; both are read from PHI_MAT once.  The
 tensor kernels add or subtract these signed reads and never multiply by a
-zero or a unit.  A kernel entry starts from ``Fraction(0)`` and adds its
-terms in the order of the full sum; where the full sum would have
-multiplied a float by one of phi's zeros, the entry starts from ``0.0``
-instead, so float results keep their type and their bits.
+zero or a unit.  A kernel entry starts from the int 0 (a float keeps its
+bits) and adds its terms in the order of the full sum, from ``0.0`` where
+the full sum would have multiplied a float by one of phi's zeros.  Integral
+Fraction inputs are narrowed to ints, so at the integer scale of
+``cli.classification_report`` each exact entry is an int (an exact rational;
+both paths of each cross-check still run independently).  A sum that reaches
+a division starts from ``Fraction(0)``, since int / int is a float.
 
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
@@ -30,6 +33,7 @@ call always computes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -83,6 +87,11 @@ PHI_COL = tuple(
 def _signed_add(acc, s, v):
     """acc + s v for s in (-1, 0, 1), without the product."""
     return acc + v if s > 0 else acc - v if s < 0 else acc
+
+
+def _narrow(v):
+    """An integral Fraction as the int of the same value; any other scalar as it is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def phi_pullback(beta: Form) -> Form:
 
     def entry(a, b):
         (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
-        return _signed_add(Fraction(0), s * t, beta.evaluate(u, w))
+        return _signed_add(0, s * t, beta.evaluate(u, w))
 
     return grid_form(entry)
 
@@ -196,19 +205,19 @@ class Tensor3:
     def is_zero(self):
         return all(sis_zero(v) for m in self.values for r in m for v in r)
 
-    def __add__(self, other):
+    def _zip(self, other, op):
         return Tensor3(
             tuple(
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(ma, mb)
-                )
+                tuple(tuple(map(op, ra, rb)) for ra, rb in zip(ma, mb))
                 for ma, mb in zip(self.values, other.values)
             )
         )
 
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._zip(other, operator.sub)
 
     def scale(self, s):
         return Tensor3(
@@ -314,17 +323,13 @@ def derived(fc: FrameConnection, fn):
     return fc._memo[key]
 
 
-def _empty_cube():
-    return [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
-
-
 def frame_connection(source) -> FrameConnection:
     if isinstance(source, FrameConnection):
         return source
     if isinstance(source, PointwiseFrameData):
         return FrameConnection(source.values, ())
     if isinstance(source, ConnectionForms):
-        cube = _empty_cube()
+        cube = [[[0] * 5 for _ in range(5)] for _ in range(5)]
         chans = {}
         for i in range(5):
             for j in range(5):
@@ -335,7 +340,7 @@ def frame_connection(source) -> FrameConnection:
                     if sid in METRIC_IDS:
                         for k in range(5):
                             if sid == k:
-                                cube[i][j][k] = coef
+                                cube[i][j][k] = _narrow(coef)
                     else:
                         chans.setdefault(sid, [[Fraction(0)] * 5 for _ in range(5)])
                         chans[sid][i][j] = coef
@@ -360,7 +365,7 @@ def _mu(matrix):
     for a in range(5):
         row = []
         for b in range(5):
-            acc = 0.0 if floaty[a] or floaty[b] else Fraction(0)
+            acc = 0.0 if floaty[a] or floaty[b] else 0
             (ua, sa), (ub, sb) = PHI_COL[a], PHI_COL[b]
             row.append(_signed_add(_signed_add(acc, sb, matrix[ub][a]), -sa, matrix[ua][b]))
         out.append(tuple(row))
@@ -428,7 +433,7 @@ def np_gamma(gammas) -> Tensor3:
     """The same contraction on the projections gammas[k] of each w(e_k) to the
     complement of the stabilizer, each read once as a 5x5 grid."""
     return Tensor3(
-        tuple(_mu([[g.evaluate(i, a) for a in range(5)] for i in range(5)]) for g in gammas)
+        tuple(_mu([[_narrow(g.evaluate(i, a)) for a in range(5)] for i in range(5)]) for g in gammas)
     )
 
 
@@ -453,7 +458,7 @@ def n_via_np(np) -> Tensor3:
     """N from nabla Phi, np[k][a][b] = (nabla_{e_k} Phi)(e_a, e_b), terms by ascending u."""
 
     def entry(x, y, z):
-        acc = Fraction(0)
+        acc = 0
         for u, c, s in PHI_ENTRIES:
             if c == y:
                 acc = _signed_add(acc, s, np[u][x][z])
@@ -477,7 +482,7 @@ def n_cov(np, deta: Form) -> Tensor3:
     (nabla_{e_a} phi)(e_b) is np[a][c][b]."""
 
     def entry(x, y, z):
-        acc = Fraction(0)
+        acc = 0
         for u, c, s in PHI_ENTRIES:
             if c == y:
                 acc = _signed_add(acc, s, np[u][x][z])
@@ -508,8 +513,8 @@ def gamma_form(source) -> Form:
 
     def entry(x, y):
         (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
-        v1 = _signed_add(Fraction(0), s, dphi[XI][u][y])
-        v2 = _signed_add(Fraction(0), s * t, nij[u][w][XI])
+        v1 = _signed_add(0, s, dphi[XI][u][y])
+        v2 = _signed_add(0, s * t, nij[u][w][XI])
         if not sis_zero(v1 - v2):
             raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
         return v1
@@ -609,12 +614,12 @@ def predicates(source) -> Predicates:
     nx = derived(fc, nabla_xi_matrix)
 
     normal = nij.is_zero()
-    delta_eta = Fraction(0)
+    delta_eta = 0
     for i in range(5):
         delta_eta -= nx[i][i]
-    delta_phi = [Fraction(0)] * 5
+    delta_phi = [0] * 5
     for b in range(5):
-        acc = Fraction(0)
+        acc = 0
         for i in range(5):
             acc -= npv[i][i][b]
         delta_phi[b] = acc
@@ -634,7 +639,7 @@ def predicates(source) -> Predicates:
 
     def quasi_cos_rhs(a, b, c):
         u, s = PHI_COL[a]
-        return _signed_add(Fraction(0), s, nx[u][c]) if b == XI else Fraction(0)
+        return _signed_add(0, s, nx[u][c]) if b == XI else 0
 
     quasi_cos = all(
         sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c))

@@ -218,19 +218,34 @@ def _to_float_coframe(c: CoframeData) -> CoframeData:
 # report assembly
 
 
+def _working_scale(c: CoframeData):
+    """(c at its working scale, unit): the coframe that the report computes on
+    and the exact factor that takes its degree-1 values back to c."""
+    if c.mode() == "float":
+        e = math.frexp(_largest_coefficient(c))[1]
+        return (_with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c), Fraction(2) ** e
+    values = [v for f in c.d_table.values() for v in f.terms.values()]
+    if not all(isinstance(v, Fraction) for v in values):
+        return c, Fraction(1)
+    lam = 4 * math.lcm(*(v.denominator for v in values))
+    return _with_coefficients(c, lambda v: v * lam), Fraction(1, lam)
+
+
 def classification_report(c: CoframeData):
     """The full pipeline: solve, project, classify, predicates, connection.
 
-    A float coframe runs at unit scale: scaled by 2^-e so that its largest
-    coefficient lies in [1/2, 1), where one FLOAT_RTOL serves every check.
-    This homothety keeps every class, predicate, tag and dimension; degree-1
-    values come back scaled by 2^e and degree-2 values by 2^e twice (4^e
-    alone can exceed binary64).  Powers of two scale binary64 exactly.
+    It runs on a homothetic copy of c (``_working_scale``), which keeps every
+    class, predicate, tag and dimension.  A float coframe runs at unit scale,
+    scaled by 2^-e so that its largest coefficient lies in [1/2, 1), where one
+    FLOAT_RTOL serves every check; powers of two scale binary64 exactly.  An
+    all-rational coframe runs at integer scale, times lam = 4 lcm(denominators):
+    every Levi-Civita value (the Koszul 1/2) and every coordinate of the
+    complement projection (its 1/2) is then an integer, so the tensor kernels
+    add ints.  Any other table (trig coefficients) runs as given.  Degree-1
+    values come back times the unit, degree-2 values times the unit twice
+    (its square alone can exceed binary64).
     """
-    e = math.frexp(_largest_coefficient(c))[1] if c.mode() == "float" else 0
-    if e:
-        c = _with_coefficients(c, lambda v: math.ldexp(v, -e))
-    unit = Fraction(2) ** e  # exact, so an exact zero still prints "0"
+    c, unit = _working_scale(c)  # unit is exact, so an exact zero still prints "0"
     gate = d_squared_zero(c)
     report = {
         "symbols": [s.name for s in c.symbols],

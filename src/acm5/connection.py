@@ -15,7 +15,7 @@ complex representation with generators over the Gaussian rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -374,10 +374,6 @@ def _mat_scale(s, a):
     return tuple(tuple(_gr(s) * x for x in row) for row in a)
 
 
-def _mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
 def _kron(a, b):
     n, m = len(a), len(b)
     return tuple(
@@ -395,20 +391,19 @@ ID4 = _kron(_ID2, _ID2)
 
 @dataclass(frozen=True)
 class SpinorSpace:
-    """Five 4x4 generators with g_i g_j + g_j g_i = -2 delta_ij."""
+    """Five 4x4 generators with g_i g_j + g_j g_i = -2 delta_ij, and the
+    products g_i g_j for i < j, multiplied once for that check."""
 
     generators: tuple
+    products: dict = field(init=False, repr=False, compare=False)  # (i, j) -> g_i g_j
 
     def __post_init__(self):
-        for i in range(5):
-            for j in range(5):
-                anti = _mat_add(
-                    _mat_mul(self.generators[i], self.generators[j]),
-                    _mat_mul(self.generators[j], self.generators[i]),
-                )
-                target = _mat_scale(-2 if i == j else 0, ID4)
-                if not _mat_is_zero(_mat_add(anti, _mat_scale(-1, target))):
-                    raise ACM5Error("Clifford relations fail")
+        g = self.generators
+        prod = {(i, j): _mat_mul(g[i], g[j]) for i in range(5) for j in range(5)}
+        for (i, j), gij in prod.items():
+            if _mat_add(gij, prod[j, i]) != _mat_scale(-2 if i == j else 0, ID4):
+                raise ACM5Error("Clifford relations fail")
+        object.__setattr__(self, "products", {k: m for k, m in prod.items() if k[0] < k[1]})
 
     def action_of_2form(self, beta: Form):
         """Clifford action sum_{i<j} beta_ij g_i g_j."""
@@ -416,7 +411,7 @@ class SpinorSpace:
         for (i, j), coef in beta.terms.items():
             if j > 4:
                 raise SymbolicResidueError("spinor action needs a metric 2-form")
-            acc = _mat_add(acc, _mat_scale(coef, _mat_mul(self.generators[i], self.generators[j])))
+            acc = _mat_add(acc, _mat_scale(coef, self.products[i, j]))
         return acc
 
 
@@ -456,9 +451,8 @@ def spin_lift_matrices(space: SpinorSpace, omega: ConnectionForms):
     for i in range(5):
         for j in range(i + 1, 5):
             for (sid,), coef in omega.omega[i][j].terms.items():
-                prod = _mat_mul(space.generators[i], space.generators[j])
                 m = out.setdefault(sid, _mat_scale(0, ID4))
-                out[sid] = _mat_add(m, _mat_scale(half * coef, prod))
+                out[sid] = _mat_add(m, _mat_scale(half * coef, space.products[i, j]))
     return out
 
 

@@ -24,6 +24,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,23 +183,10 @@ def perm_sign(ids):
     return Fraction(sign)
 
 
+@functools.cache
 def _merge(i1, i2):
-    """Concatenate-sort two disjoint sorted index tuples; returns (tuple, sign)."""
-    out = []
-    sign = 1
-    a, b = list(i1), list(i2)
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] < b[ib]:
-            out.append(a[ia])
-            ia += 1
-        else:
-            sign *= (-1) ** (len(a) - ia)
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out), sign
+    """Concatenate-sort two disjoint sorted index tuples; returns (tuple, sign).  Memoized."""
+    return tuple(sorted(i1 + i2)), perm_sign(i1 + i2)
 
 
 def _check_modes(a, b):
@@ -218,7 +206,7 @@ def wedge(a, b):
             if set(i1) & set(i2):
                 continue
             idx, sign = _merge(i1, i2)
-            _accumulate(out, idx, c1 * c2 * Fraction(sign))
+            _accumulate(out, idx, c1 * c2 * sign)
     return Form(deg, out)
 
 

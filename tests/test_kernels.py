@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acm5 import acms
-from acm5.cli import _to_float_coframe, load_coframe
+from acm5.cli import _to_float_coframe, _working_scale, load_coframe
 from acm5.exterior import (
     CoframeData,
     Form,
@@ -47,8 +47,14 @@ from helpers import (
 
 
 def _same(tensor, cube):
-    assert [bits(v) for m in tensor.values for r in m for v in r] == [
-        bits(v) for m in cube for r in m for v in r
+    """Entry by entry: floats with their type and bits, exact entries by value
+    (a kernel entry may be an int, which is an exact rational too)."""
+
+    def key(v):
+        return bits(v) if isinstance(v, float) else Fraction(v)
+
+    assert [key(v) for m in tensor.values for r in m for v in r] == [
+        key(v) for m in cube for r in m for v in r
     ]
 
 
@@ -87,12 +93,14 @@ def test_phi_map_reads_phi_mat():
         assert acms.PHI_COL[b] == (col[0] if col else (b, 0))
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["exact", "float", "integer"])
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
 def test_kernels_match_oracles_on_golden_inputs(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
         c = _to_float_coframe(c)
+    if mode == "integer":
+        c, _ = _working_scale(c)
     _check_kernels(acms.frame_connection(connection_from_structure(c)).base)
 
 
