@@ -4,9 +4,12 @@
 stdout of case ``id`` is ``golden/expected/<id>.out``.  Inputs live in
 ``golden/inputs``: six family coframes (W4-only, W7-only, mixed, flat,
 nearly- and quasi-cosymplectic), an su(2)-block coframe that is not
-generalized quasi-Sasaki, and the abelian coframe.  The expected files were
-produced before any refactoring of the library and are never regenerated
-by the tests: a change that alters them changes the program's output.
+generalized quasi-Sasaki, the abelian coframe, and the Iwasawa group of
+complex hyperbolic space times R (``ch2_x_R.json``): cosymplectic, with
+zero torsion, 4-dimensional holonomy and no parallel spinors.  The expected
+files were produced before any refactoring of the library and are never
+regenerated by the tests: a change that alters them changes the program's
+output.
 """
 
 import json
