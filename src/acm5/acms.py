@@ -52,7 +52,6 @@ from .exterior import (
     grid_form,
     hodge,
     interior,
-    wedge,
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
@@ -161,10 +160,6 @@ def project_u2_complement(beta: Form) -> Form:
             for idx, s in b.terms.items():
                 out[idx] = Fraction(0) + s * coef
     return Form(2, out)
-
-
-def project_u2(beta: Form) -> Form:
-    return lambda2_project(beta, 1) + lambda2_project(beta, 3)
 
 
 def phi_pullback(beta: Form) -> Form:
@@ -568,20 +563,6 @@ def codifferential(alpha: Form, source) -> Form:
 def _channel_kills_form(mat, alpha: Form):
     """True when the constant so(5) channel acts trivially on the form."""
     return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
-
-
-def d_form_via_connection(fc: FrameConnection, alpha: Form) -> Form:
-    """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
-    for sid, mat in fc.channels:
-        if not _channel_kills_form(mat, alpha):
-            raise SymbolicResidueError(
-                f"auxiliary symbol id {sid} leaves a residue in the differential"
-            )
-    out = zero_form(alpha.degree + 1)
-    for i in range(5):
-        na = covariant_derivative_form(fc, alpha, i)
-        out = out + wedge(form(1, {(i,): 1.0 if na.mode == "float" else 1}), na)
-    return out
 
 
 @dataclass(frozen=True)

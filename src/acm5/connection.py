@@ -7,10 +7,11 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
     A(X, Y, Z) = 1/2 { ((d eta - gamma) ^ eta)(X, Y, Z) - N(X, Y, Z) },
 
 and the torsion is the antisymmetrization of A in the first two slots.
-Curvature uses the second structure equation; the holonomy algebra is the
-bracket closure of the curvature endomorphisms, which suffices for
-constant-coefficient coframes.  Spinors live on an exact 4-dimensional
-complex representation with generators over the Gaussian rationals.
+Curvature uses the second structure equation; the holonomy algebra is
+computed as the bracket closure of the curvature endomorphisms.  Spinors
+live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
+permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
+(column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi.
 """
 
 from __future__ import annotations
@@ -283,191 +284,90 @@ def _bracket_closure(elements):
 
 
 # ---------------------------------------------------------------------------
-# spinors over the Gaussian rationals
+# spinors as signed permutations of R^8
 
 
-class GaussianRational:
-    """Complex numbers with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_gr(other))
-
-    def __rsub__(self, other):
-        return _gr(other) + (-self)
-
-    def __mul__(self, other):
-        other = _gr(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _gr(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def conj(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+# The generators i s1 x 1, i s2 x 1, i s3 x s1, i s3 x s2 and i s3 x s3 of
+# Cl(5) on C^4, written on R^8 through z_k = x_{2k} + i x_{2k+1}: row r of a
+# table is (c, s) when the row reads s * x_c.
+GENERATORS = (
+    ((5, -1), (4, 1), (7, -1), (6, 1), (1, -1), (0, 1), (3, -1), (2, 1)),
+    ((4, 1), (5, 1), (6, 1), (7, 1), (0, -1), (1, -1), (2, -1), (3, -1)),
+    ((3, -1), (2, 1), (1, -1), (0, 1), (7, 1), (6, -1), (5, 1), (4, -1)),
+    ((2, 1), (3, 1), (0, -1), (1, -1), (6, -1), (7, -1), (4, 1), (5, 1)),
+    ((1, -1), (0, 1), (3, 1), (2, -1), (5, 1), (4, -1), (7, -1), (6, 1)),
+)
+J = ((1, -1), (0, 1), (3, -1), (2, 1), (5, -1), (4, 1), (7, -1), (6, 1))  # multiplication by i
+MINUS_ONE = tuple((r, -1) for r in range(8))
 
 
-def _gr(x):
-    return x if isinstance(x, GaussianRational) else GaussianRational(x)
-
-
-GR0 = GaussianRational(0)
-GRI = GaussianRational(0, 1)
-
-
-def _mat(rows):
-    return tuple(tuple(_gr(x) for x in row) for row in rows)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), GR0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(s, a):
-    return tuple(tuple(_gr(s) * x for x in row) for row in a)
-
-
-def _kron(a, b):
-    n, m = len(a), len(b)
-    return tuple(
-        tuple(a[i // m][j // m] * b[i % m][j % m] for j in range(n * m))
-        for i in range(n * m)
-    )
-
-
-_S1 = _mat([[0, 1], [1, 0]])
-_S2 = _mat([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]])
-_S3 = _mat([[1, 0], [0, -1]])
-_ID2 = _mat([[1, 0], [0, 1]])
-ID4 = _kron(_ID2, _ID2)
+def _compose(g, h):
+    """The table of the product g h."""
+    return tuple((h[c][0], s * h[c][1]) for c, s in g)
 
 
 @dataclass(frozen=True)
 class SpinorSpace:
-    """Five 4x4 generators with g_i g_j + g_j g_i = -2 delta_ij, and the
-    products g_i g_j for i < j, multiplied once for that check."""
+    """Five signed-permutation tables with g_i g_j + g_j g_i = -2 delta_ij,
+    and the products g_i g_j for i < j, composed once for that check."""
 
     generators: tuple
     products: dict = field(init=False, repr=False, compare=False)  # (i, j) -> g_i g_j
 
     def __post_init__(self):
         g = self.generators
-        prod = {(i, j): _mat_mul(g[i], g[j]) for i in range(5) for j in range(5)}
+        prod = {(i, j): _compose(g[i], g[j]) for i in range(5) for j in range(5)}
         for (i, j), gij in prod.items():
-            if _mat_add(gij, prod[j, i]) != _mat_scale(-2 if i == j else 0, ID4):
+            if gij != (MINUS_ONE if i == j else tuple((c, -s) for c, s in prod[j, i])):
                 raise ACM5Error("Clifford relations fail")
-        object.__setattr__(self, "products", {k: m for k, m in prod.items() if k[0] < k[1]})
+        object.__setattr__(self, "products", {k: t for k, t in prod.items() if k[0] < k[1]})
 
     def action_of_2form(self, beta: Form):
-        """Clifford action sum_{i<j} beta_ij g_i g_j."""
-        acc = _mat_scale(0, ID4)
+        """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix."""
+        m = [[Fraction(0)] * 8 for _ in range(8)]
         for (i, j), coef in beta.terms.items():
             if j > 4:
                 raise SymbolicResidueError("spinor action needs a metric 2-form")
-            acc = _mat_add(acc, _mat_scale(coef, self.products[i, j]))
-        return acc
+            for row, (c, s) in zip(m, self.products[i, j]):
+                row[c] += s * coef
+        return m
 
 
 @lru_cache(maxsize=1)
 def spinor_space() -> SpinorSpace:
-    gens = (
-        _mat_scale(GRI, _kron(_S1, _ID2)),
-        _mat_scale(GRI, _kron(_S2, _ID2)),
-        _mat_scale(GRI, _kron(_S3, _S1)),
-        _mat_scale(GRI, _kron(_S3, _S2)),
-        _mat_scale(GRI, _kron(_S3, _S3)),
-    )
-    return SpinorSpace(gens)
+    return SpinorSpace(GENERATORS)
 
 
 @dataclass(frozen=True)
 class SpinorKernelReport:
     kernel_basis: tuple
-    dimension: int
+    dimension: int  # complex dimension: half the real one
 
 
 def spinor_kernel(space: SpinorSpace, f2: Form) -> SpinorKernelReport:
-    """Kernel of the Clifford action of a 2-form."""
+    """Kernel of the Clifford action of a 2-form.  The action is complex
+    linear, so the real kernel must be stable under J; that is checked."""
     m = space.action_of_2form(f2)
     basis = linalg.nullspace(m)
-    return SpinorKernelReport(tuple(basis), len(basis))
-
-
-def spin_lift_matrices(space: SpinorSpace, omega: ConnectionForms):
-    """Per-symbol matrices of (1/2) sum_{i<j} w[i][j] g_i g_j.
-
-    The lift is a 1-form with matrix values; returning coefficients per
-    coframe symbol keeps everything in exact complex arithmetic.
-    """
-    out = {}
-    half = Fraction(1, 2)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            for (sid,), coef in omega.omega[i][j].terms.items():
-                m = out.setdefault(sid, _mat_scale(0, ID4))
-                out[sid] = _mat_add(m, _mat_scale(half * coef, space.products[i, j]))
-    return out
-
-
-def apply_matrix(m, v):
-    return tuple(sum((m[i][k] * v[k] for k in range(len(v))), GR0) for i in range(len(v)))
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in m]
+    for v in basis:
+        turned = [s * v[c] for c, s in J]
+        if not all(sis_zero(sum(x * turned[c] for c, x in row)) for row in rows):
+            raise ACM5Error("internal consistency: spinor kernel is not stable under J")
+    return SpinorKernelReport(tuple(basis), len(basis) // 2)
 
 
 def parallel_spinor_check(space: SpinorSpace, omega: ConnectionForms, spinors):
-    """True when the spin lift of the connection annihilates every spinor.
-    The lift is exact; for float connection values (run at unit scale) each
-    residue part is decided as a float by sis_zero, so rounding reads as zero."""
-    floating = any(f.mode == "float" for row in omega.omega for f in row)
-    vanishes = (lambda x: sis_zero(float(x))) if floating else (lambda x: x == 0)
-    for m in spin_lift_matrices(space, omega).values():
-        for psi in spinors:
-            if not all(vanishes(v.re) and vanishes(v.im) for v in apply_matrix(m, psi)):
-                return False
-    return True
+    """True when the spin lift (1/2) sum_{i<j} w[i][j] g_i g_j of the
+    connection annihilates every spinor.  Per coframe symbol and spinor the
+    residue adds signed reads of the w[i][j] coefficients; the 1/2 is dropped
+    because the test is homogeneous, and sis_zero decides each entry, exact
+    or float."""
+    residues = {}
+    for (i, j), table in space.products.items():
+        for (sid,), coef in omega.omega[i][j].terms.items():
+            rows = residues.setdefault(sid, [[0] * 8 for _ in spinors])
+            for row, psi in zip(rows, spinors):
+                for r, (c, s) in enumerate(table):
+                    row[r] += s * coef * psi[c]
+    return all(sis_zero(x) for rows in residues.values() for row in rows for x in row)

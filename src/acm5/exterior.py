@@ -334,10 +334,6 @@ def coframe(d_table_by_name, auxiliary=(), orientation=None, trig_rules=None):
     return CoframeData(tuple(syms), table, orient, trig_rules)
 
 
-def abelian_coframe():
-    return coframe({})
-
-
 def ext_d(a, c):
     """Exterior derivative from the generator table, by linearity and Leibniz."""
     nsym = c.n_symbols

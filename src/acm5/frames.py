@@ -85,15 +85,6 @@ class PointwiseFrameData:
         }
 
 
-def pointwise_from_upper(upper):
-    """Fill a full antisymmetric cube from {(i, j, k): value}, 1-based, i < j."""
-    cube = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
-    for (i, j, k), v in upper.items():
-        cube[i - 1][j - 1][k - 1] = Fraction(v)
-        cube[j - 1][i - 1][k - 1] = -Fraction(v)
-    return PointwiseFrameData(tuple(tuple(tuple(r) for r in m) for m in cube))
-
-
 def connection_from_structure(c: CoframeData) -> ConnectionForms:
     """Levi-Civita connection forms: the antisymmetric solution of the first structure equation.
 

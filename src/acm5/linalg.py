@@ -1,11 +1,11 @@
 """Small dense linear algebra on plain lists of lists.
 
 One elimination routine, :func:`rref`, serves every scalar type the library
-uses: exact ``Fraction`` (and ``int``), binary64 ``float`` in check mode,
-and the Gaussian rationals of the spinor module.  :func:`rank`,
-:func:`solve_unique` and :func:`nullspace` are built on it.  Pivoting is by
-magnitude for floats and first-nonzero for exact scalars; zero decisions go
-through ``scalars.sis_zero`` so the float tolerance is honored uniformly.
+uses: exact ``Fraction`` (and ``int``) and binary64 ``float`` in check mode.
+:func:`rank`, :func:`solve_unique` and :func:`nullspace` are built on it.
+Pivoting is by magnitude for floats and first-nonzero for exact scalars;
+zero decisions go through ``scalars.sis_zero`` so the float tolerance is
+honored uniformly.
 """
 
 from __future__ import annotations

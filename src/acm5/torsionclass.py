@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from . import linalg
 from .acms import (
     COMPLEMENT_FRAME,
     LAMBDA2_BASES,
@@ -33,7 +32,7 @@ from .acms import (
     vartheta,
 )
 from .errors import ACM5Error, SymbolicResidueError
-from .exterior import grid_form, zero_form
+from .exterior import grid_form
 from .scalars import sis_zero
 
 _U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
@@ -79,16 +78,6 @@ class IntrinsicTorsion:
         return (self - other).is_zero()
 
 
-def torsion_from_coords(coords) -> IntrinsicTorsion:
-    comps = []
-    for k in range(5):
-        f = zero_form(2)
-        for (b, _), c in zip(COMPLEMENT_FRAME, coords[6 * k : 6 * k + 6]):
-            f = f + b.scale(c)
-        comps.append(f)
-    return IntrinsicTorsion(tuple(comps))
-
-
 def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
     acc = Fraction(0)
     for a, b in zip(u.components, v.components):
@@ -131,18 +120,6 @@ def w_subspaces() -> Mapping[str, tuple]:
         name: tuple(tensor_to_w(emb(b)) for b in LAMBDA2_BASES[part])
         for name, emb, part in (*embedded, ("W7", vartheta, 2))
     }
-
-
-@lru_cache(maxsize=1)
-def residual_basis() -> tuple:
-    """Orthogonal complement of W3 + ... + W7 inside the torsion space: the
-    coordinates x with sum_j x_j <v, b_j> = 0 for every spanning vector v."""
-    rows = [
-        [inner_form(f, b) for f in v.components for b, _ in COMPLEMENT_FRAME]
-        for vecs in w_subspaces().values()
-        for v in vecs
-    ]
-    return tuple(torsion_from_coords(x) for x in linalg.nullspace(rows))
 
 
 @lru_cache(maxsize=1)

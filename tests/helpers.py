@@ -6,7 +6,12 @@ linear Levi-Civita solves) so the library is checked against a second path.
 The tensor-kernel oracles keep the full sums over PHI_MAT that the
 signed-permutation kernels of ``acms`` replaced, and the coordinate-map
 oracles keep the general type projections and the Gram-matrix solve that
-``project_u2_complement`` and ``torsionclass.classify`` replaced.
+``project_u2_complement`` and ``torsionclass.classify`` replaced.  The
+spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
+and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
+Definitions that only tests use (``abelian_coframe``, ``project_u2``,
+``d_form_via_connection``, ``pointwise_from_upper``, ``torsion_from_coords``,
+``residual_basis``) live here rather than in the library.
 """
 
 import contextlib
@@ -20,12 +25,31 @@ from fractions import Fraction
 from pathlib import Path
 
 from acm5 import linalg
-from acm5.acms import PHI_MAT, XI, lambda2_project, project_u2_complement
-from acm5.errors import RankError
-from acm5.exterior import CoframeData, Form, TrigRules, coframe, e, form, grid_form, wedge
-from acm5.frames import connection_forms
-from acm5.scalars import COS_F
-from acm5.torsionclass import MODULE_NAMES, inner_w, w_subspaces
+from acm5.acms import (
+    COMPLEMENT_FRAME,
+    PHI_MAT,
+    XI,
+    _channel_kills_form,
+    covariant_derivative_form,
+    inner_form,
+    lambda2_project,
+    project_u2_complement,
+)
+from acm5.errors import RankError, SymbolicResidueError
+from acm5.exterior import (
+    CoframeData,
+    Form,
+    TrigRules,
+    coframe,
+    e,
+    form,
+    grid_form,
+    wedge,
+    zero_form,
+)
+from acm5.frames import ConnectionForms, PointwiseFrameData, connection_forms
+from acm5.scalars import COS_F, sis_zero
+from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
@@ -34,6 +58,59 @@ GOLDEN_FAMILY_POINTS = [
     for case in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
     if case["argv"][0] == "family" and "--verify" in case["argv"]
 ]
+
+
+def abelian_coframe():
+    return coframe({})
+
+
+def project_u2(beta: Form) -> Form:
+    return lambda2_project(beta, 1) + lambda2_project(beta, 3)
+
+
+def d_form_via_connection(fc, alpha: Form) -> Form:
+    """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
+    for sid, mat in fc.channels:
+        if not _channel_kills_form(mat, alpha):
+            raise SymbolicResidueError(
+                f"auxiliary symbol id {sid} leaves a residue in the differential"
+            )
+    out = zero_form(alpha.degree + 1)
+    for i in range(5):
+        na = covariant_derivative_form(fc, alpha, i)
+        out = out + wedge(form(1, {(i,): 1.0 if na.mode == "float" else 1}), na)
+    return out
+
+
+def pointwise_from_upper(upper):
+    """Fill a full antisymmetric cube from {(i, j, k): value}, 1-based, i < j."""
+    cube = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for (i, j, k), v in upper.items():
+        cube[i - 1][j - 1][k - 1] = Fraction(v)
+        cube[j - 1][i - 1][k - 1] = -Fraction(v)
+    return PointwiseFrameData(tuple(tuple(tuple(r) for r in m) for m in cube))
+
+
+def torsion_from_coords(coords) -> IntrinsicTorsion:
+    comps = []
+    for k in range(5):
+        f = zero_form(2)
+        for (b, _), c in zip(COMPLEMENT_FRAME, coords[6 * k : 6 * k + 6]):
+            f = f + b.scale(c)
+        comps.append(f)
+    return IntrinsicTorsion(tuple(comps))
+
+
+@functools.cache
+def residual_basis() -> tuple:
+    """Orthogonal complement of W3 + ... + W7 inside the torsion space: the
+    coordinates x with sum_j x_j <v, b_j> = 0 for every spanning vector v."""
+    rows = [
+        [inner_form(f, b) for f in v.components for b, _ in COMPLEMENT_FRAME]
+        for vecs in w_subspaces().values()
+        for v in vecs
+    ]
+    return tuple(torsion_from_coords(x) for x in linalg.nullspace(rows))
 
 
 def random_fraction(rng, span=4, den=3):
@@ -258,8 +335,6 @@ def bits(v):
 
 
 def random_pointwise(rng):
-    from acm5.frames import pointwise_from_upper
-
     upper = {}
     for i in range(1, 6):
         for j in range(i + 1, 6):
@@ -350,6 +425,184 @@ def scaled(c: CoframeData, lam):
     """
     table = {sid: f.scale(lam) for sid, f in c.d_table.items()}
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
+
+
+# -- the Gaussian-rational spinor oracle ------------------------------------------
+
+
+class GaussianRational:
+    """Complex numbers with exact rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        other = _gr(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-_gr(other))
+
+    def __rsub__(self, other):
+        return _gr(other) + (-self)
+
+    def __mul__(self, other):
+        other = _gr(other)
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _gr(other)
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return self * GaussianRational(other.re / n, -other.im / n)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def conj(self):
+        return GaussianRational(self.re, -self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re}, {self.im})"
+
+
+def _gr(x):
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
+GR0 = GaussianRational(0)
+GRI = GaussianRational(0, 1)
+
+
+def _mat(rows):
+    return tuple(tuple(_gr(x) for x in row) for row in rows)
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), GR0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(s, a):
+    return tuple(tuple(_gr(s) * x for x in row) for row in a)
+
+
+def _kron(a, b):
+    n, m = len(a), len(b)
+    return tuple(
+        tuple(a[i // m][j // m] * b[i % m][j % m] for j in range(n * m))
+        for i in range(n * m)
+    )
+
+
+_S1 = _mat([[0, 1], [1, 0]])
+_S2 = _mat([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]])
+_S3 = _mat([[1, 0], [0, -1]])
+_ID2 = _mat([[1, 0], [0, 1]])
+ID4 = _kron(_ID2, _ID2)
+GAUSSIAN_GENERATORS = (
+    mat_scale(GRI, _kron(_S1, _ID2)),
+    mat_scale(GRI, _kron(_S2, _ID2)),
+    mat_scale(GRI, _kron(_S3, _S1)),
+    mat_scale(GRI, _kron(_S3, _S2)),
+    mat_scale(GRI, _kron(_S3, _S3)),
+)
+
+
+@functools.cache
+def gaussian_products():
+    """The products g_i g_j (i < j) of the 4x4 generators."""
+    g = GAUSSIAN_GENERATORS
+    return {(i, j): mat_mul(g[i], g[j]) for i in range(5) for j in range(i + 1, 5)}
+
+
+def gaussian_action(beta: Form):
+    """Clifford action sum_{i<j} beta_ij g_i g_j on C^4."""
+    acc = mat_scale(0, ID4)
+    for ij, coef in beta.terms.items():
+        acc = mat_add(acc, mat_scale(coef, gaussian_products()[ij]))
+    return acc
+
+
+def gaussian_kernel(beta: Form):
+    """A complex basis of the kernel of the Clifford action of beta."""
+    return linalg.nullspace(gaussian_action(beta))
+
+
+def gaussian_spin_lift(omega: ConnectionForms):
+    """Per-symbol matrices of (1/2) sum_{i<j} w[i][j] g_i g_j."""
+    out = {}
+    half = Fraction(1, 2)
+    for (i, j), gij in gaussian_products().items():
+        for (sid,), coef in omega.omega[i][j].terms.items():
+            m = out.setdefault(sid, mat_scale(0, ID4))
+            out[sid] = mat_add(m, mat_scale(half * coef, gij))
+    return out
+
+
+def apply_matrix(m, v):
+    return tuple(sum((m[i][k] * v[k] for k in range(len(v))), GR0) for i in range(len(v)))
+
+
+def gaussian_parallel(omega: ConnectionForms, spinors):
+    """True when the exact spin lift annihilates every complex spinor; for
+    float connection values each exact residue part is decided as a float."""
+    floating = any(f.mode == "float" for row in omega.omega for f in row)
+    vanishes = (lambda x: sis_zero(float(x))) if floating else (lambda x: x == 0)
+    for m in gaussian_spin_lift(omega).values():
+        for psi in spinors:
+            if not all(vanishes(v.re) and vanishes(v.im) for v in apply_matrix(m, psi)):
+                return False
+    return True
+
+
+def realify(m):
+    """A monomial 4x4 matrix over {0, +-1, +-i} as an R^8 table: row r is
+    (c, s) when it reads s * x_c, with z_k = x_{2k} + i x_{2k+1}."""
+    rows = []
+    for r in range(4):
+        ((c, z),) = [(c, z) for c, z in enumerate(m[r]) if z]
+        if z.im == 0:
+            rows += [(2 * c, int(z.re)), (2 * c + 1, int(z.re))]
+        else:
+            rows += [(2 * c + 1, -int(z.im)), (2 * c, int(z.im))]
+    return tuple(rows)
+
+
+def table_matrix(table):
+    """The dense 8x8 matrix of a signed-permutation table."""
+    return [[s if col == c else 0 for col in range(len(table))] for c, s in table]
 
 
 @contextlib.contextmanager

@@ -42,12 +42,11 @@ from acm5.torsionclass import (
     classify,
     inner_w,
     intrinsic_torsion,
-    residual_basis,
     w_subspaces,
 )
 from acm5 import linalg
 
-from helpers import random_fraction, random_form, random_pointwise
+from helpers import random_fraction, random_form, random_pointwise, residual_basis
 from test_torsionclass import random_in_span, random_tensor3, torsion_to_pointwise
 
 REPLAY_SET = [

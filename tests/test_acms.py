@@ -29,7 +29,6 @@ from acm5.acms import (
     phi_invariance_type,
     pr_w,
     predicates,
-    project_u2,
     project_u2_complement,
     theta,
     vartheta,
@@ -40,11 +39,18 @@ from acm5.errors import (
     NotGeneralizedQuasiSasakiError,
     SymbolicResidueError,
 )
-from acm5.exterior import abelian_coframe, e, form, hodge, wedge
+from acm5.exterior import e, form, hodge, wedge
 from acm5.family import build
 from acm5.frames import connection_from_structure
 
-from helpers import GOLDEN, random_form, random_pointwise
+from helpers import (
+    GOLDEN,
+    abelian_coframe,
+    d_form_via_connection,
+    project_u2,
+    random_form,
+    random_pointwise,
+)
 
 ABELIAN_OMEGA = connection_from_structure(abelian_coframe())
 
@@ -315,7 +321,6 @@ def test_dphi_tensor_alternation_matches_ext_d():
 
 
 def test_d_via_connection_matches_ext_d_for_valid_coframes():
-    from acm5.acms import d_form_via_connection
     from acm5.exterior import coframe, ext_d
 
     cf = coframe(
@@ -337,7 +342,6 @@ def test_d_via_connection_matches_ext_d_for_valid_coframes():
 
 
 def test_d_via_connection_in_float_mode():
-    from acm5.acms import d_form_via_connection
     from acm5.cli import _to_float_coframe, load_coframe
     from acm5.exterior import ext_d
 

@@ -2,30 +2,54 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acm5.acms import F, LAMBDA2_BASES, theta, vartheta
+from acm5 import connection
+from acm5.acms import (
+    F,
+    LAMBDA2_BASES,
+    PHI,
+    Y1,
+    Y2,
+    Z1,
+    Z2,
+    frame_connection,
+    predicates,
+    theta,
+    vartheta,
+)
+from acm5.cli import _to_float_coframe, load_coframe
 from acm5.linalg import nullspace
 from acm5.connection import (
-    GaussianRational,
+    J,
+    SpinorSpace,
     characteristic_connection,
     compatibility_report,
     connection_plus_tensor,
     curvature,
     parallel_spinor_check,
-    spin_lift_matrices,
     spinor_kernel,
     spinor_space,
     torsion_type,
     _bracket_closure,
-    _mat_mul,
-    apply_matrix,
 )
-from acm5.errors import NotGeneralizedQuasiSasakiError
-from acm5.exterior import abelian_coframe, coframe, e, ext_d, form, wedge
+from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
+from acm5.exterior import coframe, e, ext_d, form, wedge
 from acm5.family import build
-from acm5.frames import connection_from_structure
+from acm5.frames import connection_forms, connection_from_structure
 
-from helpers import random_fraction
+from helpers import (
+    GAUSSIAN_GENERATORS,
+    GOLDEN_INPUTS,
+    GaussianRational,
+    abelian_coframe,
+    gaussian_kernel,
+    gaussian_parallel,
+    random_fraction,
+    realify,
+    table_matrix,
+)
 
 ABELIAN = abelian_coframe()
 ABELIAN_OMEGA = connection_from_structure(ABELIAN)
@@ -196,60 +220,47 @@ def test_gaussian_rational_arithmetic():
     assert (z / z) == GaussianRational(1)
 
 
-def test_broken_generators_rejected():
-    from acm5.connection import ID4, SpinorSpace, _mat_scale
-    from acm5.errors import ACM5Error
+def test_tables_are_the_realified_gaussian_generators():
+    assert tuple(realify(g) for g in GAUSSIAN_GENERATORS) == connection.GENERATORS
+    i = tuple(tuple(GaussianRational(0, int(r == c)) for c in range(4)) for r in range(4))
+    assert realify(i) == J
 
+
+def test_broken_generators_rejected():
     good = spinor_space().generators
+    assert SpinorSpace(good).products == spinor_space().products
     bad = (good[0],) * 5  # g_i g_j + g_j g_i = -2 only on the diagonal
     with pytest.raises(ACM5Error):
         SpinorSpace(bad)
     with pytest.raises(ACM5Error):
-        SpinorSpace(tuple(_mat_scale(2, g) for g in good))
-    assert _mat_scale(0, ID4) is not None
+        SpinorSpace(tuple(tuple((c, 2 * s) for c, s in g) for g in good))
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_clifford_relations_hold():
-    space = spinor_space()
+    gens = [table_matrix(g) for g in spinor_space().generators]
     for i in range(5):
         for j in range(5):
-            anti = [
-                [
-                    sum(
-                        (
-                            space.generators[i][r][k] * space.generators[j][k][c]
-                            + space.generators[j][r][k] * space.generators[i][k][c]
-                            for k in range(4)
-                        ),
-                        GaussianRational(0),
-                    )
-                    for c in range(4)
-                ]
-                for r in range(4)
-            ]
-            for r in range(4):
-                for c in range(4):
-                    expected = GaussianRational(-2 if (i == j and r == c) else 0)
-                    assert anti[r][c] == expected
+            gij, gji = _matmul(gens[i], gens[j]), _matmul(gens[j], gens[i])
+            for r in range(8):
+                for c in range(8):
+                    expected = -2 if (i == j and r == c) else 0
+                    assert gij[r][c] + gji[r][c] == expected
 
 
 def test_spinor_kernel_dimension_and_spectrum():
     space = spinor_space()
     m = space.action_of_2form(F)
-    ker = nullspace(m)
-    assert len(ker) == 2
-    # spectrum {0, 0, 2i, -2i}: m (m - 2i)(m + 2i) = 0 and the rank pattern
-    two_i = GaussianRational(0, 2)
-    id4 = [[GaussianRational(1 if r == c else 0) for c in range(4)] for r in range(4)]
-
-    def shift(mat, lam):
-        return [[mat[r][c] - (lam if r == c else GaussianRational(0)) for c in range(4)] for r in range(4)]
-
-    assert len(nullspace(shift(m, two_i))) == 1
-    assert len(nullspace(shift(m, -two_i))) == 1
-    m2 = _mat_mul(tuple(tuple(r) for r in m), tuple(tuple(r) for r in m))
-    plus4 = [[m2[r][c] + GaussianRational(4 if r == c else 0) for c in range(4)] for r in range(4)]
-    assert len(nullspace(plus4)) == 2
+    assert len(nullspace(m)) == 4 and spinor_kernel(space, F).dimension == 2
+    # spectrum {0, 0, 2i, -2i} on C^4: m (m^2 + 4) = 0 on R^8, with real
+    # nullities 4 for m and 4 for m^2 + 4
+    m2 = _matmul(m, m)
+    plus4 = [[m2[r][c] + (4 if r == c else 0) for c in range(8)] for r in range(8)]
+    assert all(v == 0 for row in _matmul(m, plus4) for v in row)
+    assert len(nullspace(plus4)) == 4
 
 
 def test_spin_lift_annihilates_kernel_and_only_it():
@@ -260,15 +271,12 @@ def test_spin_lift_annihilates_kernel_and_only_it():
     assert ker.dimension == 2
     assert parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
     # a spinor outside the kernel picks up a nonzero A2 component
-    non_kernel = None
-    for idx in range(4):
-        cand = tuple(GaussianRational(1 if i == idx else 0) for i in range(4))
-        if any(apply_matrix(space.action_of_2form(F), cand)):
-            non_kernel = cand
-            break
-    assert non_kernel is not None
-    lifts = spin_lift_matrices(space, cc.omega_c)
-    assert any(any(apply_matrix(m, non_kernel)) for m in lifts.values())
+    m = space.action_of_2form(F)
+    non_kernel = next(
+        v for v in ([Fraction(int(r == idx)) for r in range(8)] for idx in range(8))
+        if any(sum(a * b for a, b in zip(row, v)) for row in m)
+    )
+    assert not parallel_spinor_check(space, cc.omega_c, [non_kernel])
 
 
 def test_parallel_spinors_across_parameters():
@@ -280,3 +288,118 @@ def test_parallel_spinors_across_parameters():
         inst = build(a1, a2, t * a1, t * a2)
         cc = characteristic_connection(inst.coframe, inst.omega_g)
         assert parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
+
+
+def test_kernel_off_the_complex_structure_is_rejected(monkeypatch):
+    """Conjugating every generator by the swap of x_0 and x_2 keeps the
+    Clifford relations but not complex linearity, so the kernel of F is no
+    longer stable under J."""
+    swap = tuple((c, 1) for c in (2, 1, 0, 3, 4, 5, 6, 7))
+    swapped = tuple(
+        connection._compose(connection._compose(swap, g), swap) for g in connection.GENERATORS
+    )
+    spinor_space.cache_clear()
+    monkeypatch.setattr(connection, "GENERATORS", swapped)
+    try:
+        space = spinor_space()
+        assert space.generators == swapped
+        with pytest.raises(ACM5Error, match="internal consistency"):
+            spinor_kernel(space, F)
+    finally:
+        spinor_space.cache_clear()
+
+
+def _oracle_agrees(omega, beta=F):
+    """The library and the Gaussian-rational oracle on the kernel of beta and
+    the verdict of the spin lift of omega on it; returns the verdict."""
+    space = spinor_space()
+    ker = spinor_kernel(space, beta)
+    gker = gaussian_kernel(beta)
+    assert ker.dimension == len(gker)
+    verdict = parallel_spinor_check(space, omega, ker.kernel_basis)
+    assert verdict == gaussian_parallel(omega, gker)
+    return verdict
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_spinors_match_oracle_on_golden_inputs(path, mode):
+    c = load_coframe(str(path))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    omega = connection_from_structure(c)
+    _oracle_agrees(omega)
+    fc = frame_connection(omega)
+    if predicates(fc).generalized_quasi_sasaki:
+        cc = characteristic_connection(c, fc)
+        verdict = _oracle_agrees(cc.omega_c)
+        assert verdict is (path.stem != "ch2_x_R")
+        if mode == "exact":
+            cur = curvature(c, cc.omega_c)
+            for beta in (*cur.holonomy_basis, *(f for row in cur.curvature for f in row)):
+                if not beta.is_zero():
+                    _oracle_agrees(cc.omega_c, beta)
+
+
+def _connection(parts):
+    """The connection forms sum_k beta_k (x) alpha_k for (2-form, 1-form) pairs."""
+    entries = {}
+    for beta, alpha in parts:
+        for (i, j), coef in beta.terms.items():
+            entries[i + 1, j + 1] = entries.get((i + 1, j + 1), form(1, {})) + alpha.scale(coef)
+    return connection_forms(entries)
+
+
+@pytest.mark.parametrize(
+    "beta, parallel",
+    [
+        (F, True),
+        (Y1, True),
+        (Y2, True),
+        (PHI, False),
+        (Z1, False),
+        (Z2, False),
+        (form(2, {(0, 4): 1}), False),
+    ],
+    ids=["F", "Y1", "Y2", "PHI", "Z1", "Z2", "e15"],
+)
+def test_spin_lift_verdict_per_so5_direction(beta, parallel):
+    """ker F is the half-spinor space that the su(2) spanned by F, Y1, Y2
+    kills; every other direction moves it."""
+    assert _oracle_agrees(_connection([(beta, form(1, {(0,): 1, (4,): 2}))])) is parallel
+
+
+def _one_forms(coefficients):
+    return st.lists(coefficients, min_size=6, max_size=6).map(
+        lambda cs: form(1, {(k,): v for k, v in enumerate(cs) if v})
+    )
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+dyadic_floats = st.integers(-12, 12).map(lambda n: n / 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_one_forms(rationals))
+def test_u1_connection_along_f_matches_oracle(alpha):
+    assert _oracle_agrees(_connection([(F, alpha)])) is True
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([rationals, dyadic_floats]).flatmap(
+        lambda coefficients: st.lists(
+            st.one_of(st.just(form(1, {})), _one_forms(coefficients)), min_size=6, max_size=6
+        )
+    )
+)
+def test_connection_with_su2_parts_matches_oracle(alphas):
+    _oracle_agrees(_connection(list(zip((F, Y1, Y2, PHI, Z1, Z2), alphas))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=10, max_size=10))
+def test_kernel_dimension_matches_oracle_on_random_2forms(coefs):
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    beta = form(2, {p: Fraction(c) for p, c in zip(pairs, coefs) if c})
+    _oracle_agrees(connection_forms({}), beta)

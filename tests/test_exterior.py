@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from acm5.errors import MissingDerivationError, ModeMismatchError, UnsupportedSymbolError
 from acm5.exterior import (
     Form,
-    abelian_coframe,
     coframe,
     d_squared_zero,
     e,
@@ -22,7 +21,7 @@ from acm5.exterior import (
 from acm5.family import build
 from acm5.scalars import COS_F, SIN_F
 
-from helpers import hodge_oracle, random_form, wedge_eval_oracle
+from helpers import abelian_coframe, hodge_oracle, random_form, wedge_eval_oracle
 
 PHI = form(2, {(0, 1): 1, (2, 3): 1})
 Z1 = form(2, {(0, 2): 1, (1, 3): -1})

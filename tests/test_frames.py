@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from acm5.cli import _to_float_coframe, emit_coframe, load_coframe, main
 from acm5.errors import RankError
 from acm5.exterior import (
-    abelian_coframe,
     coframe,
     d_squared_zero,
     e,
@@ -30,7 +29,9 @@ from helpers import (
     GOLDEN,
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
+    abelian_coframe,
     koszul_oracle,
+    pointwise_from_upper,
     random_fraction,
     structure_solve_oracle,
 )
@@ -131,8 +132,6 @@ def test_koszul_output_is_unique_solution():
 
 
 def test_pointwise_values_induce_the_source_structure_table():
-    from acm5.frames import pointwise_from_upper
-
     cf = su2_block_coframe()
     om = connection_from_structure(cf)
     upper = {}

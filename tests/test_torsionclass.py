@@ -25,7 +25,7 @@ from acm5.acms import (
 from acm5.errors import ACM5Error
 from acm5.exterior import form
 from acm5.family import build
-from acm5.frames import connection_from_structure, pointwise_from_upper
+from acm5.frames import connection_from_structure
 from acm5.torsionclass import (
     MODULE_NAMES,
     IntrinsicTorsion,
@@ -34,14 +34,17 @@ from acm5.torsionclass import (
     inner_w,
     intrinsic_torsion,
     module_frames,
-    residual_basis,
     tensor_to_w,
-    torsion_from_coords,
     w_subspaces,
 )
-from acm5.exterior import abelian_coframe
 
-from helpers import random_fraction
+from helpers import (
+    abelian_coframe,
+    pointwise_from_upper,
+    random_fraction,
+    residual_basis,
+    torsion_from_coords,
+)
 
 
 def torsion_to_pointwise(gamma: IntrinsicTorsion, rng=None, junk=True):
