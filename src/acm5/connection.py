@@ -323,7 +323,8 @@ class SpinorSpace:
         object.__setattr__(self, "products", {k: t for k, t in prod.items() if k[0] < k[1]})
 
     def action_of_2form(self, beta: Form):
-        """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix."""
+        """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix; its
+        zeros are Fractions because linalg.rref divides, and int / int is a float."""
         m = [[Fraction(0)] * 8 for _ in range(8)]
         for (i, j), coef in beta.terms.items():
             if j > 4:

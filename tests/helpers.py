@@ -494,27 +494,27 @@ def _gr(x):
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
-GR0 = GaussianRational(0)
-GRI = GaussianRational(0, 1)
+_GR0 = GaussianRational(0)
+_GRI = GaussianRational(0, 1)
 
 
 def _mat(rows):
     return tuple(tuple(_gr(x) for x in row) for row in rows)
 
 
-def mat_mul(a, b):
+def _mat_mul(a, b):
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), GR0) for j in range(n))
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), _GR0) for j in range(n))
         for i in range(n)
     )
 
 
-def mat_add(a, b):
+def _mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(s, a):
+def _mat_scale(s, a):
     return tuple(tuple(_gr(s) * x for x in row) for row in a)
 
 
@@ -530,13 +530,13 @@ _S1 = _mat([[0, 1], [1, 0]])
 _S2 = _mat([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]])
 _S3 = _mat([[1, 0], [0, -1]])
 _ID2 = _mat([[1, 0], [0, 1]])
-ID4 = _kron(_ID2, _ID2)
+_ID4 = _kron(_ID2, _ID2)
 GAUSSIAN_GENERATORS = (
-    mat_scale(GRI, _kron(_S1, _ID2)),
-    mat_scale(GRI, _kron(_S2, _ID2)),
-    mat_scale(GRI, _kron(_S3, _S1)),
-    mat_scale(GRI, _kron(_S3, _S2)),
-    mat_scale(GRI, _kron(_S3, _S3)),
+    _mat_scale(_GRI, _kron(_S1, _ID2)),
+    _mat_scale(_GRI, _kron(_S2, _ID2)),
+    _mat_scale(_GRI, _kron(_S3, _S1)),
+    _mat_scale(_GRI, _kron(_S3, _S2)),
+    _mat_scale(_GRI, _kron(_S3, _S3)),
 )
 
 
@@ -544,14 +544,14 @@ GAUSSIAN_GENERATORS = (
 def gaussian_products():
     """The products g_i g_j (i < j) of the 4x4 generators."""
     g = GAUSSIAN_GENERATORS
-    return {(i, j): mat_mul(g[i], g[j]) for i in range(5) for j in range(i + 1, 5)}
+    return {(i, j): _mat_mul(g[i], g[j]) for i in range(5) for j in range(i + 1, 5)}
 
 
 def gaussian_action(beta: Form):
     """Clifford action sum_{i<j} beta_ij g_i g_j on C^4."""
-    acc = mat_scale(0, ID4)
+    acc = _mat_scale(0, _ID4)
     for ij, coef in beta.terms.items():
-        acc = mat_add(acc, mat_scale(coef, gaussian_products()[ij]))
+        acc = _mat_add(acc, _mat_scale(coef, gaussian_products()[ij]))
     return acc
 
 
@@ -566,13 +566,13 @@ def gaussian_spin_lift(omega: ConnectionForms):
     half = Fraction(1, 2)
     for (i, j), gij in gaussian_products().items():
         for (sid,), coef in omega.omega[i][j].terms.items():
-            m = out.setdefault(sid, mat_scale(0, ID4))
-            out[sid] = mat_add(m, mat_scale(half * coef, gij))
+            m = out.setdefault(sid, _mat_scale(0, _ID4))
+            out[sid] = _mat_add(m, _mat_scale(half * coef, gij))
     return out
 
 
-def apply_matrix(m, v):
-    return tuple(sum((m[i][k] * v[k] for k in range(len(v))), GR0) for i in range(len(v)))
+def _apply_matrix(m, v):
+    return tuple(sum((m[i][k] * v[k] for k in range(len(v))), _GR0) for i in range(len(v)))
 
 
 def gaussian_parallel(omega: ConnectionForms, spinors):
@@ -582,7 +582,7 @@ def gaussian_parallel(omega: ConnectionForms, spinors):
     vanishes = (lambda x: sis_zero(float(x))) if floating else (lambda x: x == 0)
     for m in gaussian_spin_lift(omega).values():
         for psi in spinors:
-            if not all(vanishes(v.re) and vanishes(v.im) for v in apply_matrix(m, psi)):
+            if not all(vanishes(v.re) and vanishes(v.im) for v in _apply_matrix(m, psi)):
                 return False
     return True
 
@@ -598,6 +598,11 @@ def realify(m):
         else:
             rows += [(2 * c + 1, -int(z.im)), (2 * c, int(z.im))]
     return tuple(rows)
+
+
+def complexify(v):
+    """The C^4 spinor of an R^8 vector, z_k = x_{2k} + i x_{2k+1}."""
+    return tuple(GaussianRational(v[2 * k], v[2 * k + 1]) for k in range(4))
 
 
 def table_matrix(table):

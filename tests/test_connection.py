@@ -44,8 +44,10 @@ from helpers import (
     GOLDEN_INPUTS,
     GaussianRational,
     abelian_coframe,
+    complexify,
     gaussian_kernel,
     gaussian_parallel,
+    matmul,
     random_fraction,
     realify,
     table_matrix,
@@ -236,15 +238,11 @@ def test_broken_generators_rejected():
         SpinorSpace(tuple(tuple((c, 2 * s) for c, s in g) for g in good))
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def test_clifford_relations_hold():
     gens = [table_matrix(g) for g in spinor_space().generators]
     for i in range(5):
         for j in range(5):
-            gij, gji = _matmul(gens[i], gens[j]), _matmul(gens[j], gens[i])
+            gij, gji = matmul(gens[i], gens[j]), matmul(gens[j], gens[i])
             for r in range(8):
                 for c in range(8):
                     expected = -2 if (i == j and r == c) else 0
@@ -257,9 +255,9 @@ def test_spinor_kernel_dimension_and_spectrum():
     assert len(nullspace(m)) == 4 and spinor_kernel(space, F).dimension == 2
     # spectrum {0, 0, 2i, -2i} on C^4: m (m^2 + 4) = 0 on R^8, with real
     # nullities 4 for m and 4 for m^2 + 4
-    m2 = _matmul(m, m)
+    m2 = matmul(m, m)
     plus4 = [[m2[r][c] + (4 if r == c else 0) for c in range(8)] for r in range(8)]
-    assert all(v == 0 for row in _matmul(m, plus4) for v in row)
+    assert all(v == 0 for row in matmul(m, plus4) for v in row)
     assert len(nullspace(plus4)) == 4
 
 
@@ -311,13 +309,16 @@ def test_kernel_off_the_complex_structure_is_rejected(monkeypatch):
 
 def _oracle_agrees(omega, beta=F):
     """The library and the Gaussian-rational oracle on the kernel of beta and
-    the verdict of the spin lift of omega on it; returns the verdict."""
+    the verdict of the spin lift of omega on it, on the whole kernel and on
+    each real basis vector alone; returns the verdict on the kernel."""
     space = spinor_space()
     ker = spinor_kernel(space, beta)
     gker = gaussian_kernel(beta)
     assert ker.dimension == len(gker)
     verdict = parallel_spinor_check(space, omega, ker.kernel_basis)
     assert verdict == gaussian_parallel(omega, gker)
+    for v in ker.kernel_basis:
+        assert parallel_spinor_check(space, omega, [v]) == gaussian_parallel(omega, [complexify(v)])
     return verdict
 
 
