@@ -334,7 +334,7 @@ def test_spinors_match_oracle_on_golden_inputs(path, mode):
     if predicates(fc).generalized_quasi_sasaki:
         cc = characteristic_connection(c, fc)
         verdict = _oracle_agrees(cc.omega_c)
-        assert verdict is (path.stem != "ch2_x_R")
+        assert verdict is (path.stem not in ("ch2_x_R", "heis5_sasakian"))
         if mode == "exact":
             cur = curvature(c, cc.omega_c)
             for beta in (*cur.holonomy_basis, *(f for row in cur.curvature for f in row)):

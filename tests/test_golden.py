@@ -6,7 +6,10 @@ stdout of case ``id`` is ``golden/expected/<id>.out``.  Inputs live in
 nearly- and quasi-cosymplectic), an su(2)-block coframe that is not
 generalized quasi-Sasaki, the abelian coframe, and the Iwasawa group of
 complex hyperbolic space times R (``ch2_x_R.json``): cosymplectic, with
-zero torsion, 4-dimensional holonomy and no parallel spinors.  The expected
+zero torsion, 4-dimensional holonomy and no parallel spinors; and a
+Sasakian coframe on the 5-dimensional Heisenberg group
+(``heis5_sasakian.json``, de5 = 2 e1^e2 + 2 e3^e4): class W3, d eta twice
+the fundamental form, skew torsion, 1-dimensional holonomy.  The expected
 files were produced before any refactoring of the library and are never
 regenerated by the tests: a change that alters them changes the program's
 output.

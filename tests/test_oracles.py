@@ -88,7 +88,7 @@ def test_friedrich_ivanov_on_golden_inputs():
         c = load_coframe(str(path))
         verdicts[path.name] = _skew_torsion_iff_friedrich_ivanov(c, connection_from_structure(c))
     assert verdicts.pop("su2_block.json") is None
-    assert verdicts == dict.fromkeys(verdicts, True) and len(verdicts) == 8
+    assert verdicts == dict.fromkeys(verdicts, True) and len(verdicts) == 9
 
 
 @pytest.mark.parametrize(
