@@ -13,11 +13,13 @@ that a read through it adds nothing; both are read from PHI_MAT once.  The
 tensor kernels add or subtract these signed reads and never multiply by a
 zero or a unit.  A kernel entry starts from the int 0 (a float keeps its
 bits) and adds its terms in the order of the full sum, from ``0.0`` where
-the full sum would have multiplied a float by one of phi's zeros.  Integral
-Fraction inputs are narrowed to ints, so at the integer scale of
-``cli.classification_report`` each exact entry is an int (an exact rational;
-both paths of each cross-check still run independently).  A sum that reaches
-a division starts from ``Fraction(0)``, since int / int is a float.
+the full sum would have multiplied a float by one of phi's zeros.  Forms
+store integral coefficients as ints (the storage rule of ``scalars``, which
+``project_u2_complement`` applies to the terms it builds), so at the
+integer scale of ``cli.classification_report`` each exact entry is an int
+(an exact rational; both paths of each cross-check still run
+independently).  A sum that reaches a division starts from ``Fraction(0)``,
+since int / int is a float.
 
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
@@ -55,7 +57,7 @@ from .exterior import (
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
-from .scalars import TrigScalar, is_exact_zero, sis_zero
+from .scalars import TrigScalar, is_exact_zero, narrow, sis_zero
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -86,11 +88,6 @@ PHI_COL = tuple(
 def _signed_add(acc, s, v):
     """acc + s v for s in (-1, 0, 1), without the product."""
     return acc + v if s > 0 else acc - v if s < 0 else acc
-
-
-def _narrow(v):
-    """An integral Fraction as the int of the same value; any other scalar as it is."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
@@ -150,15 +147,16 @@ COMPLEMENT_FRAME = tuple((b, inner_form(b, b)) for b in LAMBDA2_BASES[2] + LAMBD
 def project_u2_complement(beta: Form) -> Form:
     """lambda2_project(beta, 2) + lambda2_project(beta, 4) as a coordinate map:
     (beta_02 - beta_13)/2 on Z1, (beta_03 + beta_12)/2 on Z2, each Reeb leg
-    beta_i4.  Each entry is ``Fraction(0)`` plus the product the general
-    projection adds, so float entries keep their bits (0.0 + -0.0 is 0.0)."""
+    beta_i4.  Each entry is 0 plus the product the general projection adds,
+    under the storage rule, so float entries keep their bits (0.0 + -0.0 is
+    0.0) and integral ones are ints."""
     _require_metric_2form(beta)
     out = {}
     for b, norm in COMPLEMENT_FRAME:
         coef = inner_form(beta, b) / norm
         if not is_exact_zero(coef):
             for idx, s in b.terms.items():
-                out[idx] = Fraction(0) + s * coef
+                out[idx] = narrow(0 + s * coef)
     return Form(2, out)
 
 
@@ -284,7 +282,7 @@ def vartheta(beta: Form) -> Tensor3:
     _require_metric_2form(beta)
     star = hodge(beta)
     return t3_from_func(
-        lambda i, j, k: (Fraction(3) if i == XI else Fraction(0)) * beta.evaluate(j, k)
+        lambda i, j, k: (3 if i == XI else 0) * beta.evaluate(j, k)
         - star.evaluate(i, j, k)
     )
 
@@ -333,11 +331,9 @@ def frame_connection(source) -> FrameConnection:
                     if isinstance(coef, TrigScalar):
                         raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
                     if sid in METRIC_IDS:
-                        for k in range(5):
-                            if sid == k:
-                                cube[i][j][k] = _narrow(coef)
+                        cube[i][j][sid] = coef
                     else:
-                        chans.setdefault(sid, [[Fraction(0)] * 5 for _ in range(5)])
+                        chans.setdefault(sid, [[0] * 5 for _ in range(5)])
                         chans[sid][i][j] = coef
         base = tuple(tuple(tuple(r) for r in m) for m in cube)
         channels = tuple(
@@ -428,7 +424,7 @@ def np_gamma(gammas) -> Tensor3:
     """The same contraction on the projections gammas[k] of each w(e_k) to the
     complement of the stabilizer, each read once as a 5x5 grid."""
     return Tensor3(
-        tuple(_mu([[_narrow(g.evaluate(i, a)) for a in range(5)] for i in range(5)]) for g in gammas)
+        tuple(_mu([[g.evaluate(i, a) for a in range(5)] for i in range(5)]) for g in gammas)
     )
 
 

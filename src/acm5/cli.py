@@ -25,12 +25,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .acms import F, PHI, d_eta_form, derived, frame_connection, predicates
+from .acms import PHI, d_eta_form, derived, frame_connection, predicates
 from .connection import (
     characteristic_connection,
     curvature,
+    kernel_of_f,
     parallel_spinor_check,
-    spinor_kernel,
     spinor_space,
     torsion_type,
 )
@@ -52,7 +52,7 @@ from .exterior import (
 )
 from .family import build, identify_group, verify_identities
 from .frames import connection_from_structure
-from .scalars import fmt_scalar
+from .scalars import fmt_scalar, is_rational
 from .torsionclass import MODULE_NAMES, classify, intrinsic_torsion
 
 _RAT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -195,7 +195,7 @@ def coframe_document(c: CoframeData):
 
 def _with_coefficients(c: CoframeData, fn) -> CoframeData:
     table = {
-        sid: Form(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
+        sid: form(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
         for sid, f in c.d_table.items()
     }
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
@@ -225,7 +225,7 @@ def _working_scale(c: CoframeData):
         e = math.frexp(_largest_coefficient(c))[1]
         return (_with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c), Fraction(2) ** e
     values = [v for f in c.d_table.values() for v in f.terms.values()]
-    if not all(isinstance(v, Fraction) for v in values):
+    if not all(map(is_rational, values)):
         return c, Fraction(1)
     lam = 4 * math.lcm(*(v.denominator for v in values))
     return _with_coefficients(c, lambda v: v * lam), Fraction(1, lam)
@@ -278,9 +278,8 @@ def classification_report(c: CoframeData):
     cc = characteristic_connection(c, fc)
     parts, tag = torsion_type(cc)
     cur = curvature(c, cc.omega_c)
-    space = spinor_space()
-    ker = spinor_kernel(space, F)
-    parallel = parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
+    ker = kernel_of_f()
+    parallel = parallel_spinor_check(spinor_space(), cc.omega_c, ker.kernel_basis)
     names = [s.name for s in c.symbols]
     report["characteristic_connection"] = {
         "connection_forms": {

@@ -23,6 +23,7 @@ from functools import lru_cache
 from . import linalg
 from .acms import (
     ETA,
+    F,
     Tensor3,
     d_eta_form,
     derived,
@@ -201,7 +202,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     for a in range(5):
         rrow = []
         for b in range(5):
-            acc = Fraction(0)
+            acc = 0
             for i in range(5):
                 acc += grid[i][b].evaluate(a, i)
             rrow.append(acc)
@@ -247,7 +248,7 @@ def _commutator(a, b):
 
 
 def sum_products(row, col):
-    acc = Fraction(0)
+    acc = 0
     for x, y in zip(row, col):
         acc += x * y
     return acc
@@ -323,9 +324,8 @@ class SpinorSpace:
         object.__setattr__(self, "products", {k: t for k, t in prod.items() if k[0] < k[1]})
 
     def action_of_2form(self, beta: Form):
-        """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix; its
-        zeros are Fractions because linalg.rref divides, and int / int is a float."""
-        m = [[Fraction(0)] * 8 for _ in range(8)]
+        """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix."""
+        m = [[0] * 8 for _ in range(8)]
         for (i, j), coef in beta.terms.items():
             if j > 4:
                 raise SymbolicResidueError("spinor action needs a metric 2-form")
@@ -356,6 +356,13 @@ def spinor_kernel(space: SpinorSpace, f2: Form) -> SpinorKernelReport:
         if not all(sis_zero(sum(x * turned[c] for c, x in row)) for row in rows):
             raise ACM5Error("internal consistency: spinor kernel is not stable under J")
     return SpinorKernelReport(tuple(basis), len(basis) // 2)
+
+
+@lru_cache(maxsize=1)
+def kernel_of_f() -> SpinorKernelReport:
+    """``spinor_kernel(spinor_space(), F)``, with its J-stability check, once
+    per process: F = e12 - e34 and the generators are constants."""
+    return spinor_kernel(spinor_space(), F)
 
 
 def parallel_spinor_check(space: SpinorSpace, omega: ConnectionForms, spinors):

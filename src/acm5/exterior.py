@@ -20,6 +20,13 @@ Conventions, fixed once and used everywhere:
   would add the same products, a rational table as integers over the lcm
   of its denominators.  Any other table (trig coefficients, mixed exact and
   float values) goes through ext_d twice.
+
+Coefficients follow the storage rule of ``scalars``: :func:`form`, the
+operators and ``Form.scale`` store an integral rational as an ``int``, so a
+coframe with integer structure constants computes on ints; signs are ints.
+``Form(...)`` validates its terms; the operators here build theirs through
+``_trusted``, which skips that check, because they only ever combine valid
+terms.
 """
 
 from __future__ import annotations
@@ -36,16 +43,22 @@ from .errors import (
     SchemaError,
     UnsupportedSymbolError,
 )
-from .scalars import TrigScalar, fmt_scalar, is_exact_zero, sis_zero
+from .scalars import (
+    TrigScalar,
+    div,
+    fmt_scalar,
+    is_exact_zero,
+    is_rational,
+    narrow,
+    sis_zero,
+)
 
 METRIC_IDS = (0, 1, 2, 3, 4)
 
 
 def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, float, TrigScalar)):
-        return c
+    if isinstance(c, (int, Fraction, float, TrigScalar)):
+        return narrow(c)
     raise TypeError(f"bad coefficient: {c!r}")
 
 
@@ -73,7 +86,7 @@ class Form:
         return all(sis_zero(c) for c in self.terms.values())
 
     def coefficient(self, idx):
-        return self.terms.get(tuple(idx), Fraction(0))
+        return self.terms.get(tuple(idx), 0)
 
     def symbols_used(self):
         out = set()
@@ -88,11 +101,18 @@ class Form:
         key = tuple(sorted(ids))
         c = self.terms.get(key)  # repeated ids never match a stored monomial
         if c is None:
-            return Fraction(0)
+            return 0
         return c if key == ids else c * perm_sign(ids)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other for sign = 1 or -1."""
         if not isinstance(other, Form):
             return NotImplemented
         if self.degree != other.degree and self.terms and other.terms:
@@ -100,25 +120,24 @@ class Form:
         _check_modes(self, other)
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            _accumulate(terms, idx, c)
-        return Form(max(self.degree, other.degree), terms)
-
-    def __sub__(self, other):
-        return self + (-other)
+            _accumulate(terms, idx, c if sign > 0 else -c)
+        # a zero summand takes the other's degree
+        degree = len(next(iter(terms))) if terms else max(self.degree, other.degree)
+        return _trusted(degree, terms)
 
     def __neg__(self):
-        return Form(self.degree, {i: -c for i, c in self.terms.items()})
+        return _trusted(self.degree, {i: -c for i, c in self.terms.items()})
 
     def scale(self, s):
         s = _coerce(s)
         if is_exact_zero(s):
-            return Form(self.degree, {})
+            return _trusted(self.degree, {})
         out = {}
         for idx, c in self.terms.items():
-            v = s * c
+            v = narrow(s * c)
             if not is_exact_zero(v):
                 out[idx] = v
-        return Form(self.degree, out)
+        return _trusted(self.degree, out)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -132,8 +151,15 @@ class Form:
         return f"Form({render_form(self)!r})"
 
 
+def _trusted(degree, terms):
+    """A Form of terms that this module's operators built, stored without re-validation."""
+    f = object.__new__(Form)
+    f.__dict__.update(degree=degree, terms=terms)
+    return f
+
+
 def form(degree, terms=None):
-    """Normalizing Form constructor; accepts int coefficients and drops zeros."""
+    """Normalizing Form constructor: narrows integral coefficients to ints and drops exact zeros."""
     out = {}
     for idx, c in (terms or {}).items():
         c = _coerce(c)
@@ -153,8 +179,9 @@ def grid_form(entry):
 
 
 def _accumulate(terms, idx, v):
-    """Add v to terms[idx], a new entry from the int 0; drop it when it cancels exactly."""
-    acc = terms.get(idx, 0) + v
+    """Add v to terms[idx], a new entry from the int 0, under the storage rule:
+    narrow an integral sum, drop one that cancels exactly."""
+    acc = narrow(terms.get(idx, 0) + v)
     if is_exact_zero(acc):
         terms.pop(idx, None)
     else:
@@ -169,7 +196,7 @@ def e(i):
     """Metric coframe leg, 1-based: e(1) .. e(5)."""
     if not 1 <= i <= 5:
         raise ValueError("metric index out of range")
-    return Form(1, {(i - 1,): Fraction(1)})
+    return Form(1, {(i - 1,): 1})
 
 
 def perm_sign(ids):
@@ -180,7 +207,7 @@ def perm_sign(ids):
         for j in range(i + 1, len(ids)):
             if ids[i] > ids[j]:
                 sign = -sign
-    return Fraction(sign)
+    return sign
 
 
 @functools.cache
@@ -207,7 +234,7 @@ def wedge(a, b):
                 continue
             idx, sign = _merge(i1, i2)
             _accumulate(out, idx, c1 * c2 * sign)
-    return Form(deg, out)
+    return _trusted(deg, out)
 
 
 def wedge_all(forms):
@@ -220,7 +247,7 @@ def wedge_all(forms):
 
 def hodge(a, coframe=None):
     """Hodge star on metric-symbol forms, relative to the declared orientation."""
-    vol_sign = Fraction(1)
+    vol_sign = 1
     if coframe is not None:
         vol_sign = perm_sign(coframe.orientation)
     out = {}
@@ -230,7 +257,7 @@ def hodge(a, coframe=None):
         comp = tuple(i for i in METRIC_IDS if i not in idx)
         sign = perm_sign(idx + comp) * vol_sign
         _accumulate(out, comp, c * sign)
-    return Form(5 - a.degree, out)
+    return _trusted(5 - a.degree, out)
 
 
 def interior(i, a):
@@ -246,8 +273,8 @@ def interior(i, a):
             continue
         pos = idx.index(sym)
         rest = idx[:pos] + idx[pos + 1 :]
-        _accumulate(out, rest, c * Fraction((-1) ** pos))
-    return Form(a.degree - 1, out)
+        _accumulate(out, rest, -c if pos % 2 else c)
+    return _trusted(a.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +366,7 @@ def ext_d(a, c):
     nsym = c.n_symbols
     if any(i >= nsym for i in a.symbols_used()):
         raise UnsupportedSymbolError("form uses symbols outside the coframe")
-    unit = 1.0 if (a.mode == "float" or c.mode() == "float") else Fraction(1)
+    unit = 1.0 if (a.mode == "float" or c.mode() == "float") else 1
     result = zero_form(a.degree + 1)
     for idx, coef in a.terms.items():
         # d(coefficient) ^ monomial for non-constant (trig) coefficients
@@ -366,7 +393,7 @@ def ext_d(a, c):
                 continue
             before = idx[:pos]
             after = idx[pos + 1 :]
-            sign = Fraction((-1) ** pos)
+            sign = -1 if pos % 2 else 1
             piece = wedge(
                 Form(len(before), {before: unit}) if before else Form(0, {(): unit}),
                 wedge(dsym, Form(len(after), {after: unit}) if after else Form(0, {(): unit})),
@@ -387,11 +414,11 @@ class DSquaredReport:
 
 def d_squared_zero(c):
     """d(d(symbol)) for every generator; integrable iff all vanish."""
-    kinds = {type(v) for f in c.d_table.values() for v in f.terms.values()}
-    if kinds <= {Fraction} or kinds == {float}:
+    values = [v for f in c.d_table.values() for v in f.terms.values()]
+    if all(map(is_rational, values)) or {type(v) for v in values} == {float}:
         dd = _d_squared_constant(c)
     else:
-        dd = [ext_d(ext_d(Form(1, {(sid,): Fraction(1)}), c), c) for sid in range(c.n_symbols)]
+        dd = [ext_d(ext_d(Form(1, {(sid,): 1}), c), c) for sid in range(c.n_symbols)]
     residuals = {c.name_of(sid): r for sid, r in enumerate(dd)}
     return DSquaredReport(residuals, all(r.is_zero() for r in dd))
 
@@ -405,7 +432,7 @@ def _d_squared_constant(c):
     term is divided by L^2 once; a float table runs on its own values.
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
-    exact = all(isinstance(v, Fraction) for t in live.values() for v in t.values())
+    exact = all(is_rational(v) for t in live.values() for v in t.values())
     den = math.lcm(*(v.denominator for t in live.values() for v in t.values())) if exact else 1
     num = (lambda v: v.numerator * (den // v.denominator)) if exact else (lambda v: v)
     live = {sid: {idx: num(v) for idx, v in t.items()} for sid, t in live.items()}
@@ -421,8 +448,8 @@ def _d_squared_constant(c):
                 if j not in idx:
                     mono, sign = _merge((j,), idx)
                     _accumulate(terms, mono, -(a * b) if sign > 0 else a * b)
-        if exact:
-            terms = {mono: Fraction(v, den * den) for mono, v in terms.items()}
+        if den > 1:
+            terms = {mono: narrow(Fraction(v, den * den)) for mono, v in terms.items()}
         out.append(Form(3, terms))
     return out
 
@@ -430,9 +457,9 @@ def _d_squared_constant(c):
 def proportionality(f1, f2):
     """The constant c with f1 = c f2, or None when there is none."""
     if f1.is_zero():
-        return Fraction(0)
+        return 0
     for idx, c in f2.terms.items():
-        ratio = f1.coefficient(idx) / c
+        ratio = div(f1.coefficient(idx), c)
         return ratio if (f1 - f2.scale(ratio)).is_zero() else None
     return None
 

@@ -42,8 +42,8 @@ from .acms import (
 from .connection import (
     characteristic_connection,
     curvature,
+    kernel_of_f,
     parallel_spinor_check,
-    spinor_kernel,
     spinor_space,
     torsion_type,
 )
@@ -70,7 +70,7 @@ from .frames import (
     frame_change_verify,
     verify_first_structure,
 )
-from .scalars import COS_F, COS_G, SIN_F, SIN_G, rat
+from .scalars import COS_F, COS_G, SIN_F, SIN_G, narrow, rat
 from .torsionclass import classify, intrinsic_torsion
 
 A2 = form(1, {(5,): 1})
@@ -106,7 +106,8 @@ class FamilyInstance:
 
 
 def family_params(a1, a2, a3, a4) -> FamilyParams:
-    return FamilyParams(rat(a1), rat(a2), rat(a3), rat(a4))
+    """The parameters as exact rationals, an integral one as an int."""
+    return FamilyParams(*(narrow(rat(a)) for a in (a1, a2, a3, a4)))
 
 
 def build(a1, a2, a3, a4) -> FamilyInstance:
@@ -368,12 +369,11 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     else:
         check("holonomy algebra is trivial (flat case)", len(cur.holonomy_basis) == 0)
 
-    space = spinor_space()
-    ker = spinor_kernel(space, F)
+    ker = kernel_of_f()
     check("spinor kernel of F has dimension 2", ker.dimension == 2)
     check(
         "spin lift annihilates the kernel",
-        parallel_spinor_check(space, cc.omega_c, ker.kernel_basis),
+        parallel_spinor_check(spinor_space(), cc.omega_c, ker.kernel_basis),
     )
 
     report = classify(torsion)

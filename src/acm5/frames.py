@@ -41,8 +41,9 @@ class ConnectionForms:
 
     def __post_init__(self):
         for i in range(5):
-            for j in range(5):
-                if not (self.omega[i][j] + self.omega[j][i]).is_zero():
+            for j in range(i, 5):
+                a, b = self.omega[i][j].terms, self.omega[j][i].terms
+                if not all(sis_zero(a.get(k, 0) + b.get(k, 0)) for k in a.keys() | b.keys()):
                     raise ValueError("connection forms must be antisymmetric")
 
     def entry(self, i, j):
@@ -51,11 +52,13 @@ class ConnectionForms:
 
 
 def connection_forms(entries):
-    """Build ConnectionForms from a {(i, j): Form} dict, 1-based upper pairs."""
-    grid = [[zero_form(1) for _ in range(5)] for _ in range(5)]
+    """Build ConnectionForms from a {(i, j): Form} dict, 1-based upper pairs:
+    f goes to (i, j) and -f to (j, i); every other entry is zero."""
+    zero = zero_form(1)
+    grid = [[zero] * 5 for _ in range(5)]
     for (i, j), f in entries.items():
-        grid[i - 1][j - 1] = grid[i - 1][j - 1] + f
-        grid[j - 1][i - 1] = grid[j - 1][i - 1] - f
+        grid[i - 1][j - 1] = f
+        grid[j - 1][i - 1] = -f
     return ConnectionForms(tuple(tuple(row) for row in grid))
 
 

@@ -5,14 +5,16 @@ uses: exact ``Fraction`` (and ``int``) and binary64 ``float`` in check mode.
 :func:`rank`, :func:`solve_unique` and :func:`nullspace` are built on it.
 Pivoting is by magnitude for floats and first-nonzero for exact scalars;
 zero decisions go through ``scalars.sis_zero`` so the float tolerance is
-honored uniformly.
+honored uniformly.  A pivot row divides through ``scalars.div``, so an exact
+row stays exact (int / int is a Fraction there) and a float row divides as
+floats do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import sis_zero
+from .scalars import div, sis_zero
 
 
 def rref(matrix):
@@ -39,7 +41,7 @@ def rref(matrix):
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        rows[r] = [div(x, piv) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not sis_zero(rows[i][c]):
                 f = rows[i][c]

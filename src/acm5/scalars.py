@@ -22,9 +22,13 @@ of the trig ring live on :class:`TrigScalar`'s own operators:
 * a trig scalar divides only by a rational; division by a non-constant
   trig scalar raises :class:`~acm5.errors.ExtensionOverflowError`.
 
-The storage rule for coefficients lives in :func:`is_exact_zero`: an exact
-zero is never stored, while every float is kept, even ``0.0``, so a float
-result shows each term that the exact computation produced.
+The storage rule for coefficients lives here, in :func:`narrow` and
+:func:`is_exact_zero`: an integral rational is stored as an ``int`` and any
+other value as it is, an exact zero is never stored, and every float is
+kept, even ``0.0``, so a float result shows each term that the exact
+computation produced.  :func:`is_rational` is the one test for the exact
+rational kind (``int`` or ``Fraction``).  Since ``int / int`` is a float,
+a division whose operands may both be ints goes through :func:`div`.
 """
 
 from __future__ import annotations
@@ -211,6 +215,21 @@ def sis_zero(x):
 def is_exact_zero(x):
     """True for an exact zero, false for every float: the coefficient storage rule."""
     return not isinstance(x, float) and sis_zero(x)
+
+
+def narrow(x):
+    """An integral Fraction as the int of the same value; any other scalar as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def is_rational(x):
+    """True for an exact rational, an int or a Fraction."""
+    return isinstance(x, (int, Fraction))
+
+
+def div(a, b):
+    """a / b, exact when both are exact: int / int is a Fraction here, not a float."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
 
 
 def rat(x):
