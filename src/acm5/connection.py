@@ -68,6 +68,8 @@ def characteristic_connection(c: CoframeData, omega_g):
     componentwise that it parallelizes xi, eta and phi.  omega_g is the
     Levi-Civita ConnectionForms or the memoizing FrameConnection of them."""
     fc = frame_connection(omega_g)
+    if fc.forms is None:
+        raise TypeError("characteristic_connection needs connection forms, not pointwise values")
     if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError(
             "no compatible connection: structure is not generalized quasi-Sasaki"
@@ -75,8 +77,7 @@ def characteristic_connection(c: CoframeData, omega_g):
     nij = derived(fc, nijenhuis)
     deta = derived(fc, d_eta_form)
     gamma = derived(fc, gamma_form)
-    eta = ETA if (deta - gamma).mode == "exact" else Form(1, {(4,): 1.0})
-    corr3 = wedge(deta - gamma, eta)
+    corr3 = wedge(deta - gamma, ETA)
     half = Fraction(1, 2)
     nv = nij.values
     a_c = t3_from_func(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nv[x][y][z]))
@@ -214,10 +215,9 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
 
 
 def _chop(f: Form):
-    """Drop float coefficients below the verification tolerance."""
-    if f.mode != "float":
-        return f
-    return Form(f.degree, {idx: v for idx, v in f.terms.items() if not sis_zero(v)})
+    """Drop float coefficients below the verification tolerance; an exact form stores no zero."""
+    kept = {idx: v for idx, v in f.terms.items() if not sis_zero(v)}
+    return f if len(kept) == len(f.terms) else Form(f.degree, kept)
 
 
 def _endomorphism_values(grid):

@@ -17,9 +17,13 @@ Conventions, fixed once and used everywhere:
 * The d^2-gate contracts a table of constant (all rational or all float)
   structure constants directly: d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k),
   accumulated into one term dictionary in the order ext_d(ext_d(e_i))
-  would add the same products, a rational table as integers over the lcm
-  of its denominators.  Any other table (trig coefficients, mixed exact and
-  float values) goes through ext_d twice.
+  would add the same products.  Any other table (trig coefficients, mixed
+  exact and float values) goes through ext_d twice.
+* Mode rule: a product may take an exact factor (every term of exact x
+  float is a float, and an exact +-1 multiplies a float without rounding);
+  a sum may not mix exact and float forms, because an exact term of one
+  side could survive into a float result, so ``+`` and ``-`` raise
+  ``ModeMismatchError``.
 
 Coefficients follow the storage rule of ``scalars``: :func:`form`, the
 operators and ``Form.scale`` store an integral rational as an ``int``, so a
@@ -32,7 +36,6 @@ terms.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -212,7 +215,7 @@ def perm_sign(ids):
 
 @functools.cache
 def _merge(i1, i2):
-    """Concatenate-sort two disjoint sorted index tuples; returns (tuple, sign).  Memoized."""
+    """Sort the concatenation of two disjoint index tuples; returns (tuple, sign).  Memoized."""
     return tuple(sorted(i1 + i2)), perm_sign(i1 + i2)
 
 
@@ -223,7 +226,6 @@ def _check_modes(a, b):
 
 def wedge(a, b):
     """Exterior product; graded-anticommutative, zero above degree 6."""
-    _check_modes(a, b)
     deg = a.degree + b.degree
     if deg > 6:
         return zero_form(deg)
@@ -362,44 +364,47 @@ def coframe(d_table_by_name, auxiliary=(), orientation=None, trig_rules=None):
 
 
 def ext_d(a, c):
-    """Exterior derivative from the generator table, by linearity and Leibniz."""
+    """Exterior derivative from the generator table, by linearity and Leibniz,
+    accumulated into one term dictionary in the order that wedging each
+    piece out of unit monomials would add it."""
     nsym = c.n_symbols
     if any(i >= nsym for i in a.symbols_used()):
         raise UnsupportedSymbolError("form uses symbols outside the coframe")
-    unit = 1.0 if (a.mode == "float" or c.mode() == "float") else 1
-    result = zero_form(a.degree + 1)
+    deg = a.degree + 1
+    live = deg <= 6  # wedge's rule: a product above degree 6 is zero
+    out = {}
     for idx, coef in a.terms.items():
         # d(coefficient) ^ monomial for non-constant (trig) coefficients
         if isinstance(coef, TrigScalar) and not coef.is_constant():
             rules = c.trig_rules
             if rules is None:
                 raise MissingDerivationError("trig coefficient without df/dg rules")
-            mono = Form(len(idx), {idx: unit})
             for factor, m, n in coef.deriv_terms():
-                phase = zero_form(1)
-                if m:
-                    if rules.df is None:
-                        raise MissingDerivationError("df rule required")
-                    phase = phase + rules.df.scale(m)
-                if n:
-                    if rules.dg is None:
-                        raise MissingDerivationError("dg rule required")
-                    phase = phase + rules.dg.scale(n)
-                result = result + wedge(phase, mono).scale(factor)
+                phase = {}  # m df + n dg
+                for k, rule, name in ((m, rules.df, "df"), (n, rules.dg, "dg")):
+                    if k:
+                        if rule is None:
+                            raise MissingDerivationError(f"{name} rule required")
+                        for pidx, v in rule.terms.items():
+                            _accumulate(phase, pidx, k * v)
+                for pidx, pc in phase.items() if live else ():
+                    if not any(i in idx for i in pidx):
+                        mono, sign = _merge(pidx, idx)
+                        _accumulate(out, mono, factor * (pc * sign))
+        if not live:
+            continue
         # Leibniz over the monomial
         for pos, sym in enumerate(idx):
             dsym = c.d_table[sym]
             if dsym.is_zero():
                 continue
-            before = idx[:pos]
-            after = idx[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            piece = wedge(
-                Form(len(before), {before: unit}) if before else Form(0, {(): unit}),
-                wedge(dsym, Form(len(after), {after: unit}) if after else Form(0, {(): unit})),
-            )
-            result = result + piece.scale(coef * sign)
-    return result
+            before, after = idx[:pos], idx[pos + 1 :]
+            cs = coef * (-1 if pos % 2 else 1)
+            for didx, dc in dsym.terms.items():
+                if not any(i in before or i in after for i in didx):
+                    mono, sign = _merge(before, didx + after)
+                    _accumulate(out, mono, cs * dc if sign > 0 else -(cs * dc))
+    return _trusted(deg, out)
 
 
 @dataclass(frozen=True)
@@ -427,15 +432,9 @@ def _d_squared_constant(c):
     """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
 
     ext_d skips a generator whose derivative is zero at the default
-    tolerance, and so does this contraction.  A rational table runs on
-    integer numerators over L, the lcm of its denominators, and each residual
-    term is divided by L^2 once; a float table runs on its own values.
+    tolerance, and so does this contraction.
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
-    exact = all(is_rational(v) for t in live.values() for v in t.values())
-    den = math.lcm(*(v.denominator for t in live.values() for v in t.values())) if exact else 1
-    num = (lambda v: v.numerator * (den // v.denominator)) if exact else (lambda v: v)
-    live = {sid: {idx: num(v) for idx, v in t.items()} for sid, t in live.items()}
     out = []
     for sid in range(c.n_symbols):
         terms = {}
@@ -448,9 +447,7 @@ def _d_squared_constant(c):
                 if j not in idx:
                     mono, sign = _merge((j,), idx)
                     _accumulate(terms, mono, -(a * b) if sign > 0 else a * b)
-        if den > 1:
-            terms = {mono: narrow(Fraction(v, den * den)) for mono, v in terms.items()}
-        out.append(Form(3, terms))
+        out.append(_trusted(3, terms))
     return out
 
 

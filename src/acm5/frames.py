@@ -138,13 +138,12 @@ class FirstStructureReport:
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):
     """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator."""
-    one = 1.0 if c.mode() == "float" else 1
     residuals = {}
     ok = True
     for i in range(5):
         acc = c.d_table[i]
         for j in range(5):
-            acc = acc - wedge(omega.omega[i][j], form(1, {(j,): one}))
+            acc = acc - wedge(omega.omega[i][j], form(1, {(j,): 1}))
         residuals[c.name_of(i)] = acc
         if not acc.is_zero():
             ok = False

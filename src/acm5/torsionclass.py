@@ -51,7 +51,7 @@ class IntrinsicTorsion:
         for f in self.components:
             if any(i > 4 for i in f.symbols_used()):
                 raise SymbolicResidueError("torsion components must be numeric 2-forms")
-            if f.mode == "exact" and not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
+            if not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
                 raise ValueError("torsion components must avoid the stabilizer algebra")
 
     def as_coords(self):

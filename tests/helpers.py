@@ -9,6 +9,8 @@ oracles keep the general type projections and the Gram-matrix solve that
 ``project_u2_complement`` and ``torsionclass.classify`` replaced.  The
 spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
 and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
+The wedge-based exterior derivative (``ext_d_oracle``) is the one that
+``exterior.ext_d``'s direct Leibniz accumulation replaced.
 Definitions that only tests use (``abelian_coframe``, ``project_u2``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``torsion_from_coords``,
 ``residual_basis``) live here rather than in the library.
@@ -35,7 +37,12 @@ from acm5.acms import (
     lambda2_project,
     project_u2_complement,
 )
-from acm5.errors import RankError, SymbolicResidueError
+from acm5.errors import (
+    MissingDerivationError,
+    RankError,
+    SymbolicResidueError,
+    UnsupportedSymbolError,
+)
 from acm5.exterior import (
     CoframeData,
     Form,
@@ -48,7 +55,7 @@ from acm5.exterior import (
     zero_form,
 )
 from acm5.frames import ConnectionForms, PointwiseFrameData, connection_forms
-from acm5.scalars import COS_F, sis_zero
+from acm5.scalars import COS_F, TrigScalar, sis_zero
 from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,8 +85,51 @@ def d_form_via_connection(fc, alpha: Form) -> Form:
     out = zero_form(alpha.degree + 1)
     for i in range(5):
         na = covariant_derivative_form(fc, alpha, i)
-        out = out + wedge(form(1, {(i,): 1.0 if na.mode == "float" else 1}), na)
+        out = out + wedge(form(1, {(i,): 1}), na)
     return out
+
+
+def ext_d_oracle(a: Form, c: CoframeData) -> Form:
+    """The wedge-based exterior derivative that ``exterior.ext_d`` replaced.
+
+    Each Leibniz piece is the product of unit monomials with the generator
+    derivative, scaled by the signed coefficient and added to the result;
+    the units are the float 1.0 when the form or the table is float.
+    """
+    if any(i >= c.n_symbols for i in a.symbols_used()):
+        raise UnsupportedSymbolError("form uses symbols outside the coframe")
+    unit = 1.0 if (a.mode == "float" or c.mode() == "float") else 1
+    result = zero_form(a.degree + 1)
+    for idx, coef in a.terms.items():
+        if isinstance(coef, TrigScalar) and not coef.is_constant():
+            rules = c.trig_rules
+            if rules is None:
+                raise MissingDerivationError("trig coefficient without df/dg rules")
+            mono = Form(len(idx), {idx: unit})
+            for factor, m, n in coef.deriv_terms():
+                phase = zero_form(1)
+                if m:
+                    if rules.df is None:
+                        raise MissingDerivationError("df rule required")
+                    phase = phase + rules.df.scale(m)
+                if n:
+                    if rules.dg is None:
+                        raise MissingDerivationError("dg rule required")
+                    phase = phase + rules.dg.scale(n)
+                result = result + wedge(phase, mono).scale(factor)
+        for pos, sym in enumerate(idx):
+            dsym = c.d_table[sym]
+            if dsym.is_zero():
+                continue
+            before = idx[:pos]
+            after = idx[pos + 1 :]
+            sign = -1 if pos % 2 else 1
+            piece = wedge(
+                Form(len(before), {before: unit}) if before else Form(0, {(): unit}),
+                wedge(dsym, Form(len(after), {after: unit}) if after else Form(0, {(): unit})),
+            )
+            result = result + piece.scale(coef * sign)
+    return result
 
 
 def pointwise_from_upper(upper):

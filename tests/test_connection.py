@@ -37,7 +37,7 @@ from acm5.connection import (
 from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
 from acm5.exterior import coframe, e, ext_d, form, wedge
 from acm5.family import build
-from acm5.frames import connection_forms, connection_from_structure
+from acm5.frames import PointwiseFrameData, connection_forms, connection_from_structure
 
 from helpers import (
     GAUSSIAN_GENERATORS,
@@ -67,6 +67,13 @@ def test_characteristic_connection_family_table():
         for j in range(i + 1, 5):
             if (i, j) not in ((0, 1), (2, 3)):
                 assert cc.omega_c.omega[i][j].is_zero()
+
+
+def test_characteristic_connection_needs_connection_forms():
+    inst = build(1, 0, 0, 0)
+    pointwise = PointwiseFrameData(frame_connection(inst.omega_g).base)
+    with pytest.raises(TypeError, match="connection forms"):
+        characteristic_connection(inst.coframe, pointwise)
 
 
 def test_characteristic_connection_abelian_is_levi_civita():

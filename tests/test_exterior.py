@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acm5.cli import _to_float_coframe
 from acm5.errors import MissingDerivationError, ModeMismatchError, UnsupportedSymbolError
 from acm5.exterior import (
     Form,
+    TrigRules,
     coframe,
     d_squared_zero,
     e,
@@ -19,9 +21,16 @@ from acm5.exterior import (
     wedge,
 )
 from acm5.family import build
-from acm5.scalars import COS_F, SIN_F
+from acm5.scalars import COS_F, SIN_F, SIN_G, TrigScalar
 
-from helpers import abelian_coframe, hodge_oracle, random_form, wedge_eval_oracle
+from helpers import (
+    abelian_coframe,
+    bits,
+    ext_d_oracle,
+    hodge_oracle,
+    random_form,
+    wedge_eval_oracle,
+)
 
 PHI = form(2, {(0, 1): 1, (2, 3): 1})
 Z1 = form(2, {(0, 2): 1, (1, 3): -1})
@@ -83,6 +92,35 @@ def test_ext_d_trig_without_rules_errors():
         ext_d(SIN_F * e(1), inst.coframe)
 
 
+def test_ext_d_df_rule_required():
+    cf = build(1, 0, 1, 0).coframe.with_trig_rules(dg=e(5))
+    with pytest.raises(MissingDerivationError, match="df rule required"):
+        ext_d(SIN_F * e(1), cf)
+    assert ext_d(SIN_G * e(1), cf) == ext_d_oracle(SIN_G * e(1), cf)
+
+
+def test_ext_d_dg_rule_required():
+    cf = build(1, 0, 1, 0).coframe.with_trig_rules(df=e(5))
+    with pytest.raises(MissingDerivationError, match="dg rule required"):
+        ext_d(SIN_G * e(1), cf)
+    assert ext_d(SIN_F * e(1), cf) == ext_d_oracle(SIN_F * e(1), cf)
+
+
+def test_ext_d_is_zero_above_degree_six_after_checking_rules():
+    # seven symbols: d(e1) = e1^B leaves a degree-7 Leibniz piece, which wedge makes zero
+    cf = coframe(
+        {"e1": form(2, {(0, 6): 1}), "A": form(2, {(0, 1): 1})},
+        auxiliary=("A", "B"),
+        trig_rules=TrigRules(df=form(1, {(6,): 1})),
+    )
+    top = form(6, {(0, 1, 2, 3, 4, 5): COS_F})
+    d = ext_d(top, cf)
+    assert d.degree == 7 and d.terms == {}
+    assert _entries(d) == _entries(ext_d_oracle(top, cf))
+    with pytest.raises(MissingDerivationError, match="dg rule required"):
+        ext_d(form(6, {(0, 1, 2, 3, 4, 5): SIN_G}), cf)
+
+
 def test_d_squared_reports():
     assert d_squared_zero(abelian_coframe()).ok
     assert d_squared_zero(build(1, 1, 1, 1).coframe).ok
@@ -111,11 +149,22 @@ def test_hodge_rejects_auxiliary_symbols():
         ext_d(form(1, {(6,): 1}), inst.coframe)
 
 
-def test_mode_mismatch_on_wedge():
-    exact = e(1)
+def _entries(f):
+    """Terms in storage order, each value with its type and float bits."""
+    return [(idx, bits(v)) for idx, v in f.terms.items()]
+
+
+def test_mode_rule_sums_reject_mixed_kinds_products_take_exact_factors():
     floaty = Form(1, {(1,): 0.5})
+    # a sum may not mix the kinds: an exact term could survive into a float result
     with pytest.raises(ModeMismatchError):
-        wedge(exact, floaty)
+        e(1) + floaty
+    with pytest.raises(ModeMismatchError):
+        e(1) - floaty
+    # a product may take an exact factor, which multiplies without rounding
+    unit = Form(1, {(0,): 1.0})
+    assert _entries(wedge(e(1), floaty)) == _entries(wedge(unit, floaty)) == [((0, 1), bits(0.5))]
+    assert _entries(wedge(floaty, e(1))) == _entries(wedge(floaty, unit)) == [((0, 1), bits(-0.5))]
 
 
 def test_hodge_respects_declared_orientation():
@@ -210,3 +259,63 @@ def test_random_form_sanity():
     rng = random.Random(7)
     f = random_form(rng, 2)
     assert f.degree == 2
+
+
+# -- ext_d against the wedge-based oracle --------------------------------------
+
+# df and dg both use the auxiliary symbol A2 (id 5)
+RULES = TrigRules(df=form(1, {(5,): 1, (4,): 3}), dg=form(1, {(0,): Fraction(1, 2), (5,): -2}))
+# a1 a4 = a2 a3, so the family coframe is integrable
+RULED_FAMILY = build(Fraction(1, 3), Fraction(-2, 5), Fraction(5, 7), Fraction(-6, 7)).coframe.with_trig_rules(
+    RULES.df, RULES.dg
+)
+# de1 and dA2 contain e1 and A2 themselves: a Leibniz piece may keep the differentiated symbol
+RULED_SOLVABLE = coframe(
+    {
+        "e1": form(2, {(0, 4): 1, (1, 5): Fraction(-3, 2)}),
+        "e2": form(2, {(1, 4): 2, (0, 2): 1}),
+        "A2": form(2, {(0, 5): 1, (2, 3): Fraction(1, 3)}),
+    },
+    auxiliary=("A2",),
+    trig_rules=RULES,
+)
+EXACT_COFRAMES = st.sampled_from([RULED_FAMILY, RULED_SOLVABLE])
+FLOAT_COFRAMES = st.sampled_from([_to_float_coframe(RULED_FAMILY), _to_float_coframe(RULED_SOLVABLE)])
+
+rationals = st.fractions(-4, 4, max_denominator=7).filter(bool)
+floats = st.floats(-1e3, 1e3, allow_nan=False)
+trigs = st.builds(
+    lambda q0, q1, kind, m, n: q0 + q1 * TrigScalar.atom(kind, m, n),
+    st.fractions(-2, 2, max_denominator=3),
+    rationals,
+    st.sampled_from("cs"),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def one_kind_forms(draw, kinds):
+    """A form of degree 0-5 on six symbols whose coefficients are all of one kind."""
+    deg = draw(st.integers(0, 5))
+    monos = list(itertools.combinations(range(6), deg))
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=5, unique=True))
+    coef = draw(st.sampled_from(kinds))
+    return form(deg, {idx: draw(coef) for idx in chosen})
+
+
+def _check_against_oracle(a, c):
+    d, want = ext_d(a, c), ext_d_oracle(a, c)
+    assert d.degree == want.degree and _entries(d) == _entries(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_kind_forms([rationals, floats, trigs]), EXACT_COFRAMES)
+def test_ext_d_matches_wedge_oracle_on_exact_coframes(a, c):
+    _check_against_oracle(a, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_kind_forms([rationals, floats]), FLOAT_COFRAMES)
+def test_ext_d_matches_wedge_oracle_on_float_coframes(a, c):
+    _check_against_oracle(a, c)

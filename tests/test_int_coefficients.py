@@ -183,3 +183,17 @@ def test_no_new_float_branches_outside_scalars():
         if re.search(r"isinstance\(.*\bfloat\b", line)
     ]
     assert len(lines) <= FLOAT_BRANCHES_OUTSIDE_SCALARS, lines
+
+
+def test_form_mode_read_only_in_exterior_and_cli():
+    """The mode rule lives in ``exterior`` (a sum may not mix exact and float
+    forms, a product may take an exact factor), and ``cli`` picks the
+    working scale by a coframe's mode; no other module reads ``.mode``."""
+    reads = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("exterior.py", "cli.py")
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\.mode\b", line)
+    ]
+    assert reads == [], reads
