@@ -94,11 +94,9 @@ def _signed_add(acc, s, v):
 class AdaptedStructure:
     Phi: Form
     eta: Form
-    phi_matrix: tuple
-    xi: int  # frame index of the Reeb vector, 1-based
 
 
-ADAPTED = AdaptedStructure(PHI, ETA, PHI_MAT, 5)
+ADAPTED = AdaptedStructure(PHI, ETA)
 
 LAMBDA2_BASES = {
     1: (PHI,),

@@ -16,6 +16,10 @@ also replays the family's catalog of identities from first principles and
 identifies the ambient 6-dimensional Lie group whenever a parameter
 vanishes, emitting a verifiable frame-change certificate when the needed
 radicals are rational.
+
+The replay states each identity once, as a comparison of whole objects
+through the library's own exact ``==``: connection forms entry by entry,
+trilinear tensors over all 125 entries, tuples of forms element-wise.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .acms import (
     nijenhuis,
     phi_pullback,
     predicates,
+    t3_from_form3,
+    t3_from_func,
 )
 from .connection import (
     characteristic_connection,
@@ -50,7 +56,6 @@ from .connection import (
 from .errors import DegenerateInputError, IntegrabilityError
 from .exterior import (
     CoframeData,
-    Form,
     coframe,
     d_squared_zero,
     e,
@@ -74,14 +79,19 @@ from .scalars import COS_F, COS_G, SIN_F, SIN_G, narrow, rat
 from .torsionclass import classify, intrinsic_torsion
 
 A2 = form(1, {(5,): 1})
+# the metric legs, and the same legs with the 34-plane rotated, which implements
+# the parameter swap (a1, a2, a3, a4) -> (a2, a1, a4, a3) on the structure equations
+STD_BASIS = (e(1), e(2), e(3), e(4), e(5))
+TILDE_BASIS = (e(1), e(2), e(4), -1 * e(3), e(5))
+QUADRATIC_NOTE = "requires quadratic extension - certificate not emitted"
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
+    a1: int | Fraction  # an int when integral, by the storage rule of scalars.narrow
+    a2: int | Fraction
+    a3: int | Fraction
+    a4: int | Fraction
 
     def __post_init__(self):
         if self.a1 * self.a4 != self.a2 * self.a3:
@@ -98,10 +108,7 @@ class FamilyParams:
 class FamilyInstance:
     params: FamilyParams
     coframe: CoframeData
-    alpha: Fraction
-    fundamental_flip: Form  # e12 - e34, the derivative direction of A2
-    z1: Form
-    z2: Form
+    alpha: int | Fraction  # dA2 = alpha F; an int when integral
     omega_g: ConnectionForms
 
 
@@ -146,7 +153,7 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
     fs = verify_first_structure(cf, omega_g)
     if not fs.ok:
         raise IntegrabilityError(f"first structure equation fails on {fs.failing}")
-    return FamilyInstance(params, cf, alpha, F, Z1, Z2, omega_g)
+    return FamilyInstance(params, cf, alpha, omega_g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +188,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         items.append((name, bool(ok), detail))
 
     solved = connection_from_structure(cf)
-    check(
-        "levi-civita solve matches the tabulated connection",
-        all(
-            (solved.omega[i][j] - inst.omega_g.omega[i][j]).is_zero()
-            for i in range(5)
-            for j in range(5)
-        ),
-    )
+    check("levi-civita solve matches the tabulated connection", solved == inst.omega_g)
     fc = frame_connection(solved)
 
     deta = derived(fc, d_eta_form)
@@ -222,49 +222,17 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     check("N totally skew iff a3 = a4 = 0", n_skew == skew_expected or nij.is_zero())
     check("N traceless cyclic iff a1 = a2 = 0", n_cyclic == cyclic_expected or nij.is_zero())
     if skew_expected:
-        two_deta_eta = 2 * wedge(deta, ETA)
-        check(
-            "skew case: N = 2 (d eta ^ eta)",
-            all(
-                nv[x][y][z] == two_deta_eta.evaluate(x, y, z)
-                for x in range(5)
-                for y in range(5)
-                for z in range(5)
-            ),
-        )
-        gamma_eta = wedge(gamma, ETA)
-        check(
-            "skew case: N + gamma ^ eta = 0",
-            all(
-                nv[x][y][z] + gamma_eta.evaluate(x, y, z) == 0
-                for x in range(5)
-                for y in range(5)
-                for z in range(5)
-            ),
-        )
+        check("skew case: N = 2 (d eta ^ eta)", nij == t3_from_form3(2 * wedge(deta, ETA)))
+        check("skew case: N + gamma ^ eta = 0", (nij + t3_from_form3(wedge(gamma, ETA))).is_zero())
     if cyclic_expected:
         check("cyclic case: gamma = d eta", gamma == deta)
-        dv = deta
-
-        def cyc_expected(x, y, z):
-            acc = Fraction(0)
-            if x == XI:
-                acc += 2 * dv.evaluate(y, z)
-            if y == XI:
-                acc += dv.evaluate(x, z)
-            if z == XI:
-                acc -= dv.evaluate(x, y)
-            return acc
-
-        check(
-            "cyclic case: N = 2 eta (x) d eta + eta-weighted tail",
-            all(
-                nv[x][y][z] == cyc_expected(x, y, z)
-                for x in range(5)
-                for y in range(5)
-                for z in range(5)
-            ),
+        eta = ETA.evaluate
+        cyc_expected = t3_from_func(
+            lambda x, y, z: 2 * eta(x) * deta.evaluate(y, z)
+            + eta(y) * deta.evaluate(x, z)
+            - eta(z) * deta.evaluate(x, y)
         )
+        check("cyclic case: N = 2 eta (x) d eta + eta-weighted tail", nij == cyc_expected)
 
     check("d F = 0", ext_d(F, cf).is_zero())
     check("d eta is phi-anti-invariant", phi_pullback(deta) == -1 * deta)
@@ -317,14 +285,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
 
     cc = characteristic_connection(cf, fc)
     expected_c = connection_forms({(1, 2): A2, (3, 4): -1 * A2})
-    check(
-        "A2 determines the compatible connection",
-        all(
-            (cc.omega_c.omega[i][j] - expected_c.omega[i][j]).is_zero()
-            for i in range(5)
-            for j in range(5)
-        ),
-    )
+    check("A2 determines the compatible connection", cc.omega_c == expected_c)
     check("compatible connection parallelizes xi, eta, phi", cc.compatibility.ok)
 
     _, tag = torsion_type(cc)
@@ -338,28 +299,15 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     )
 
     cur = curvature(cf, cc.omega_c)
-    ok_curv = True
-    for i in range(5):
-        for j in range(5):
-            expected = zero_form(2)
-            if (i, j) == (0, 1):
-                expected = inst.alpha * F
-            elif (i, j) == (1, 0):
-                expected = -inst.alpha * F
-            elif (i, j) == (2, 3):
-                expected = -inst.alpha * F
-            elif (i, j) == (3, 2):
-                expected = inst.alpha * F
-            if not (cur.curvature[i][j] - expected).is_zero():
-                ok_curv = False
-    check("curvature = alpha F (x) F", ok_curv)
-    ric_expected = [[Fraction(0)] * 5 for _ in range(5)]
-    for i in range(4):
-        ric_expected[i][i] = -inst.alpha
-    check(
-        "Ricci = -alpha diag(1,1,1,1,0)",
-        all(cur.ricci[i][j] == ric_expected[i][j] for i in range(5) for j in range(5)),
+    alpha_f = inst.alpha * F
+    r_expected = [[zero_form(2)] * 5 for _ in range(5)]
+    r_expected[0][1] = r_expected[3][2] = alpha_f
+    r_expected[1][0] = r_expected[2][3] = -alpha_f
+    check("curvature = alpha F (x) F", cur.curvature == tuple(map(tuple, r_expected)))
+    ric_expected = tuple(
+        tuple(-inst.alpha if i == j < 4 else 0 for j in range(5)) for i in range(5)
     )
+    check("Ricci = -alpha diag(1,1,1,1,0)", cur.ricci == ric_expected)
     if inst.alpha != 0:
         check(
             "holonomy algebra is the line through e12 - e34",
@@ -417,71 +365,38 @@ def rational_sqrt(q: Fraction):
     return None
 
 
-def _std_basis():
-    return (e(1), e(2), e(3), e(4), e(5)), A2
-
-
-def _tilde_basis():
-    """Rotation of the 34-plane implementing the parameter swap
-    (a1, a2, a3, a4) -> (a2, a1, a4, a3) on the structure equations."""
-    return (e(1), e(2), e(4), -1 * e(3), e(5)), A2
-
-
-def _block_cert_sphere(a, b, c, basis, baux):
+def _pair_cert(k, a, b, c, p, basis, baux):
+    """The frames k(x +- c b4), k(y +- c b3), baux +- p b5 with x = a b1 + b b2,
+    y = -b b1 + a b2: the block frames and the diagonal frames of the simple cases."""
     b1, b2, b3, b4, b5 = basis
-    u1 = 2 * (a * b1 + b * b2 + c * b4)
-    u2 = 2 * (-b * b1 + a * b2 + c * b3)
-    u3 = baux + (2 * c) * b5
-    v1 = 2 * (a * b1 + b * b2 - c * b4)
-    v2 = 2 * (-b * b1 + a * b2 - c * b3)
-    v3 = baux - (2 * c) * b5
-    return FrameChange((u1, u2, u3, v1, v2, v3))
+    x = a * b1 + b * b2
+    y = -b * b1 + a * b2
+    return FrameChange(
+        (k * (x + c * b4), k * (y + c * b3), baux + p * b5,
+         k * (x - c * b4), k * (y - c * b3), baux - p * b5)
+    )
 
 
-def _block_cert_hyperbolic(a, b, c, basis, baux):
-    b1, b2, b3, b4, b5 = basis
-    u1 = a * b1 + b * b2 + c * b4
-    u2 = -b * b1 + a * b2 + c * b3
-    u3 = baux + c * b5
-    v1 = a * b1 + b * b2 - c * b4
-    v2 = -b * b1 + a * b2 - c * b3
-    v3 = baux - c * b5
-    return FrameChange((u1, u2, u3, v1, v2, v3))
-
-
-def _diag_cert_scaled(scale, p, basis, baux):
-    b1, b2, b3, b4, b5 = basis
-    u1 = scale * (b1 + b4)
-    u2 = scale * (b2 + b3)
-    u3 = baux + p * b5
-    v1 = scale * (b1 - b4)
-    v2 = scale * (b2 - b3)
-    v3 = baux - p * b5
-    return FrameChange((u1, u2, u3, v1, v2, v3))
+def _phase_pair(cos, sin, u, v):
+    """(u, v) rotated by the phase with cosine cos and sine sin."""
+    return cos * u + (-sin) * v, sin * u + cos * v
 
 
 def _trig_abelian_cert(x1, basis, baux):
     b1, b2, b3, b4, b5 = basis
-    u1 = COS_F * (b1 + b4) + (-SIN_F) * (b2 + b3)
-    u2 = SIN_F * (b1 + b4) + COS_F * (b2 + b3)
-    u3 = COS_G * (b1 - b4) + (-SIN_G) * (b2 - b3)
-    u4 = SIN_G * (b1 - b4) + COS_G * (b2 - b3)
-    u5 = baux + (3 * x1) * b5
-    u6 = baux - (3 * x1) * b5
-    rules = {"df": baux + (3 * x1) * b5, "dg": baux - (3 * x1) * b5}
-    return FrameChange((u1, u2, u3, u4, u5, u6)), rules
+    u1, u2 = _phase_pair(COS_F, SIN_F, b1 + b4, b2 + b3)
+    u3, u4 = _phase_pair(COS_G, SIN_G, b1 - b4, b2 - b3)
+    df = baux + (3 * x1) * b5
+    dg = baux - (3 * x1) * b5
+    return FrameChange((u1, u2, u3, u4, df, dg)), {"df": df, "dg": dg}
 
 
 def _trig_heis_cert(x1, basis, baux):
     b1, b2, b3, b4, b5 = basis
-    u1 = COS_F * (b1 + b4) + (-SIN_F) * (b2 + b3)
-    u2 = SIN_F * (b1 + b4) + COS_F * (b2 + b3)
-    u3 = SIN_F * (b1 - b4) + COS_F * (b2 - b3)
-    u4 = COS_F * (b1 - b4) + (-SIN_F) * (b2 - b3)
+    u1, u2 = _phase_pair(COS_F, SIN_F, b1 + b4, b2 + b3)
+    u4, u3 = _phase_pair(COS_F, SIN_F, b1 - b4, b2 - b3)
     u5 = Fraction(-2, 1) / (3 * x1) * b5
-    u6 = baux
-    rules = {"df": baux}
-    return FrameChange((u1, u2, u3, u4, u5, u6)), rules
+    return FrameChange((u1, u2, u3, u4, u5, baux)), {"df": baux}
 
 
 def identify_group(params_or_tuple) -> GroupIdentification:
@@ -506,56 +421,48 @@ def identify_group(params_or_tuple) -> GroupIdentification:
             "identification requires at least one vanishing parameter",
         )
     inst = build(a1, a2, a3, a4)
-    basis_std, baux = _std_basis()
 
-    def finish(tag, fc_rules, basis_note, reconstructed):
-        fc, rules = fc_rules
-        cf = inst.coframe
-        if rules:
-            cf = cf.with_trig_rules(df=rules.get("df"), dg=rules.get("dg"))
+    def finish(tag, fc, note, reconstructed, rules=None):
+        cf = inst.coframe if rules is None else inst.coframe.with_trig_rules(**rules)
         ok = frame_change_verify(cf, fc, canonical_algebra(tag))
-        return GroupIdentification(tag, fc, cf, ok, reconstructed, basis_note)
+        return GroupIdentification(tag, fc, cf, ok, reconstructed, note)
 
-    def no_cert(tag, note, reconstructed=False):
-        return GroupIdentification(tag, None, inst.coframe, False, reconstructed, note)
+    def no_cert(tag, reconstructed=False):
+        return GroupIdentification(tag, None, inst.coframe, False, reconstructed, QUADRATIC_NOTE)
 
     if a3 == 0 and a4 == 0:
         c = rational_sqrt(a1 * a1 + a2 * a2)
         if c is None:
-            return no_cert("su2+su2", "requires quadratic extension - certificate not emitted")
-        return finish("su2+su2", (_block_cert_sphere(a1, a2, c, basis_std, baux), None),
+            return no_cert("su2+su2")
+        return finish("su2+su2", _pair_cert(2, a1, a2, c, 2 * c, STD_BASIS, A2),
                       "compact block frames", False)
     if a1 == 0 and a2 == 0:
         c = rational_sqrt(a3 * a3 + a4 * a4)
         if c is None:
-            return no_cert("sl2+sl2", "requires quadratic extension - certificate not emitted")
-        return finish("sl2+sl2", (_block_cert_hyperbolic(a3, a4, c, basis_std, baux), None),
+            return no_cert("sl2+sl2")
+        return finish("sl2+sl2", _pair_cert(1, a3, a4, c, c, STD_BASIS, A2),
                       "hyperbolic block frames", False)
 
     def diagonal_case(x1, x3, basis, reconstructed):
-        p = 2 * x1 + x3
         if x1 == x3:
-            return finish("abelian6", _trig_abelian_cert(x1, basis, baux),
-                          "phase-rotated flat frame", reconstructed)
+            fc, rules = _trig_abelian_cert(x1, basis, A2)
+            return finish("abelian6", fc, "phase-rotated flat frame", reconstructed, rules)
         if x3 == -2 * x1:
-            return finish("heis5+R", _trig_heis_cert(x1, basis, baux),
-                          "phase-rotated Heisenberg frame", reconstructed)
+            fc, rules = _trig_heis_cert(x1, basis, A2)
+            return finish("heis5+R", fc, "phase-rotated Heisenberg frame", reconstructed, rules)
+        p = 2 * x1 + x3
         disc = (x1 - x3) * p
         if disc > 0:
-            k = rational_sqrt(2 * disc)
-            if k is None:
-                return no_cert("su2+su2", "requires quadratic extension - certificate not emitted",
-                               reconstructed)
-            return finish("su2+su2", (_diag_cert_scaled(k, p, basis, baux), None),
-                          "diagonal frames scaled by sqrt(2(a1-a3)(2a1+a3))", reconstructed)
-        lam = rational_sqrt(-disc)
-        if lam is None:
-            return no_cert("sl2+sl2", "requires quadratic extension - certificate not emitted",
-                           reconstructed)
-        return finish("sl2+sl2", (_diag_cert_scaled(lam, p, basis, baux), None),
-                      "diagonal frames scaled by sqrt(-(a1-a3)(2a1+a3))", reconstructed)
+            tag, k = "su2+su2", rational_sqrt(2 * disc)
+            note = "diagonal frames scaled by sqrt(2(a1-a3)(2a1+a3))"
+        else:
+            tag, k = "sl2+sl2", rational_sqrt(-disc)
+            note = "diagonal frames scaled by sqrt(-(a1-a3)(2a1+a3))"
+        if k is None:
+            return no_cert(tag, reconstructed)
+        return finish(tag, _pair_cert(k, 1, 0, 1, p, basis, A2), note, reconstructed)
 
     if a2 == 0 and a4 == 0:
-        return diagonal_case(a1, a3, basis_std, False)
+        return diagonal_case(a1, a3, STD_BASIS, False)
     # remaining case: a1 == 0 and a3 == 0, parameters carried by (a2, a4)
-    return diagonal_case(a2, a4, _tilde_basis()[0], True)
+    return diagonal_case(a2, a4, TILDE_BASIS, True)

@@ -35,7 +35,7 @@ from acm5.connection import (
     _bracket_closure,
 )
 from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
-from acm5.exterior import coframe, e, ext_d, form, wedge
+from acm5.exterior import CoframeData, coframe, d_squared_zero, e, ext_d, form, wedge
 from acm5.family import build
 from acm5.frames import PointwiseFrameData, connection_forms, connection_from_structure
 
@@ -208,6 +208,15 @@ def test_levi_civita_curvature_of_family_keeps_residue():
     inst = build(1, 0, 0, 0)
     with pytest.raises(SymbolicResidueError):
         curvature(inst.coframe, inst.omega_g)
+
+
+def test_curvature_refuses_a_non_integrable_coframe():
+    inst = build(1, 0, 0, 0)
+    cf = inst.coframe
+    doubled = CoframeData(cf.symbols, {**cf.d_table, 5: 2 * cf.d_table[5]}, cf.orientation)
+    assert not d_squared_zero(doubled).ok
+    with pytest.raises(ACM5Error, match=r"curvature needs an integrable coframe \(d\^2 = 0\)"):
+        curvature(doubled, inst.omega_g)
 
 
 def test_bracket_closure_grows_so3():

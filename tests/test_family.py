@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from acm5.acms import Z1
+from acm5 import family
+from acm5.acms import Z1, nijenhuis, t3_from_func
 from acm5.errors import DegenerateInputError, IntegrabilityError
 from acm5.exterior import e, form, wedge
 from acm5.family import (
@@ -13,6 +15,7 @@ from acm5.family import (
     rational_sqrt,
     verify_identities,
 )
+from acm5.frames import ConnectionForms
 from acm5.torsionclass import classify, intrinsic_torsion
 
 from helpers import random_fraction
@@ -78,6 +81,102 @@ def test_random_parameter_identity_replay():
     for _ in range(6):
         rep = verify_identities(build(*random_valid_params(rng)))
         assert rep.ok, rep.failing
+
+
+def _failing(inst):
+    return set(verify_identities(inst).failing)
+
+
+def _perturb_pair(omega, i, j, f):
+    """The connection forms with f added at (i, j) and subtracted at (j, i), 0-based."""
+    grid = [list(row) for row in omega.omega]
+    grid[i][j] = grid[i][j] + f
+    grid[j][i] = grid[j][i] - f
+    return ConnectionForms(tuple(map(tuple, grid)))
+
+
+def _bump(t, entry):
+    """The trilinear tensor t with 1 added at one 0-based entry."""
+    return t + t3_from_func(lambda *ids: 1 if ids == entry else 0)
+
+
+# each replay check fails when one entry it compares is perturbed, in the
+# upper triangle and, where the object has one, outside it
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (4, 2)])
+def test_replay_fails_on_a_perturbed_levi_civita_entry(pair):
+    inst = build(1, 0, 2, 0)
+    bad = replace(inst, omega_g=_perturb_pair(inst.omega_g, *pair, e(3)))
+    assert _failing(bad) == {"levi-civita solve matches the tabulated connection"}
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (3, 0)])
+def test_replay_fails_on_a_perturbed_compatible_connection_entry(monkeypatch, pair):
+    inst = build(1, 0, 2, 0)
+    real = family.connection_forms  # builds the expected compatible connection
+    monkeypatch.setattr(
+        family, "connection_forms", lambda entries: _perturb_pair(real(entries), *pair, e(2))
+    )
+    assert _failing(inst) == {"A2 determines the compatible connection"}
+
+
+def _bump_nijenhuis(monkeypatch, entry):
+    real = family.derived
+    monkeypatch.setattr(
+        family,
+        "derived",
+        lambda fc, fn: _bump(real(fc, fn), entry) if fn is nijenhuis else real(fc, fn),
+    )
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 3), (0, 3, 1), (2, 3, 0)])
+def test_replay_fails_on_a_perturbed_skew_nijenhuis_entry(monkeypatch, entry):
+    inst = build(3, 4, 0, 0)
+    _bump_nijenhuis(monkeypatch, entry)
+    failing = _failing(inst)
+    assert "skew case: N = 2 (d eta ^ eta)" in failing
+    assert "skew case: N + gamma ^ eta = 0" in failing
+
+
+@pytest.mark.parametrize("entry", [(0, 2, 4), (2, 4, 0), (4, 3, 1)])
+def test_replay_fails_on_a_perturbed_cyclic_nijenhuis_entry(monkeypatch, entry):
+    inst = build(0, 0, 1, 2)
+    _bump_nijenhuis(monkeypatch, entry)
+    assert "cyclic case: N = 2 eta (x) d eta + eta-weighted tail" in _failing(inst)
+
+
+@pytest.mark.parametrize("params", [(1, 0, 0, 0), (1, 0, 1, 0)])
+@pytest.mark.parametrize("entry", [(0, 1), (3, 1), (4, 2)])
+def test_replay_fails_on_a_perturbed_curvature_entry(monkeypatch, params, entry):
+    inst = build(*params)
+    real = family.curvature
+
+    def perturbed(cf, omega):
+        cur = real(cf, omega)
+        grid = [list(row) for row in cur.curvature]
+        i, j = entry
+        grid[i][j] = grid[i][j] + Z1
+        return replace(cur, curvature=tuple(map(tuple, grid)))
+
+    monkeypatch.setattr(family, "curvature", perturbed)
+    assert _failing(inst) == {"curvature = alpha F (x) F"}
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (4, 4), (4, 2)])
+def test_replay_fails_on_a_perturbed_ricci_entry(monkeypatch, entry):
+    inst = build(1, 0, 0, 0)
+    real = family.curvature
+
+    def perturbed(cf, omega):
+        cur = real(cf, omega)
+        ricci = [list(row) for row in cur.ricci]
+        i, j = entry
+        ricci[i][j] += 1
+        return replace(cur, ricci=tuple(map(tuple, ricci)))
+
+    monkeypatch.setattr(family, "curvature", perturbed)
+    assert _failing(inst) == {"Ricci = -alpha diag(1,1,1,1,0)"}
 
 
 def test_identify_group_catalog():

@@ -1,11 +1,15 @@
-"""Every top-level definition in the library has a user in the program.
+"""Every top-level definition and every dataclass field in the library has a reader.
 
 A function, class or constant defined at module level in ``src/acm5`` must
 be referenced by name somewhere in ``src/`` or ``bench/``: as a name, an
 attribute, or an imported name (so the re-exports in ``__init__`` count),
 or as a function name that ``bench/tracing.LAYERS`` wraps by name.  A
-definition only tests use belongs in ``tests/helpers.py``.  Only the
-standard library ``ast`` module is used.
+definition only tests use belongs in ``tests/helpers.py``.
+
+A field of a dataclass in ``src/acm5`` must be read as an attribute
+somewhere in ``src/``, ``bench/`` or ``tests/``.  A class that serializes
+itself with ``asdict(self)`` reads all of its fields.  Both checks match
+by name only.  Only the standard library ``ast`` module is used.
 """
 
 import ast
@@ -65,3 +69,57 @@ def test_every_top_level_definition_is_referenced():
             defined.extend((path.stem, name) for name in _definitions(tree))
     unused = sorted(f"{module}.{name}" for module, name in defined if not refs[name])
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _is_dataclass(node):
+    """True when the class is decorated with @dataclass or @dataclass(...)."""
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _serializes_itself(node):
+    """True when the class body calls asdict(self)."""
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "asdict"
+        and n.args
+        and isinstance(n.args[0], ast.Name)
+        and n.args[0].id == "self"
+        for n in ast.walk(node)
+    )
+
+
+def _fields(node):
+    return [
+        s.target.id
+        for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    reads = Counter()
+    for top in ("src", "bench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            reads.update(
+                n.attr
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            )
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            if _serializes_itself(node):
+                continue
+            unread.extend(
+                f"{path.stem}.{node.name}.{name}" for name in _fields(node) if not reads[name]
+            )
+    assert not unread, f"dataclass fields never read: {sorted(unread)}"
