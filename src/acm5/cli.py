@@ -45,7 +45,6 @@ from .exterior import (
     Form,
     Symbol,
     TrigRules,
-    d_squared_zero,
     form,
     proportionality,
     render_form,
@@ -246,7 +245,7 @@ def classification_report(c: CoframeData):
     (its square alone can exceed binary64).
     """
     c, unit = _working_scale(c)  # unit is exact, so an exact zero still prints "0"
-    gate = d_squared_zero(c)
+    gate = c.d_squared_gate
     report = {
         "symbols": [s.name for s in c.symbols],
         "validation": {"d_squared_zero": gate.ok, "failing_generators": gate.failing},
@@ -370,7 +369,7 @@ def cmd_validate(args):
     c, code = _load_or_exit_code(args.path)
     if c is None:
         return code
-    gate = d_squared_zero(c)
+    gate = c.d_squared_gate
     if gate.ok:
         print("ok: schema valid and d^2 = 0 on all generators")
         return 0

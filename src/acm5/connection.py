@@ -7,6 +7,9 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
     A(X, Y, Z) = 1/2 { ((d eta - gamma) ^ eta)(X, Y, Z) - N(X, Y, Z) },
 
 and the torsion is the antisymmetrization of A in the first two slots.
+A is stored by the storage rule of ``scalars``: the 1/2 goes through
+``div_const``, so an integral entry is an ``int`` and the torsion and its
+Cartan parts add ints.
 Curvature uses the second structure equation; the holonomy algebra is
 computed as the bracket closure of the curvature endomorphisms.  Spinors
 live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
@@ -17,7 +20,6 @@ permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -44,14 +46,13 @@ from .exterior import (
     METRIC_IDS,
     CoframeData,
     Form,
-    d_squared_zero,
     ext_d,
     form,
     grid_form,
     wedge,
 )
 from .frames import ConnectionForms
-from .scalars import sis_zero
+from .scalars import div_const, sis_zero
 from .torsionclass import CartanParts, cartan_decompose
 
 
@@ -78,9 +79,8 @@ def characteristic_connection(c: CoframeData, omega_g):
     deta = derived(fc, d_eta_form)
     gamma = derived(fc, gamma_form)
     corr3 = wedge(deta - gamma, ETA)
-    half = Fraction(1, 2)
     nv = nij.values
-    a_c = t3_from_func(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nv[x][y][z]))
+    a_c = t3_from_func(lambda x, y, z: div_const(corr3.evaluate(x, y, z) - nv[x][y][z], 2))
     omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c)
     if not report.ok:
@@ -179,7 +179,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     Ricci convention Ric(X, Y) = sum_i R[i][Y](X, e_i) is fixed by the
     worked family of examples.
     """
-    if not d_squared_zero(c).ok:
+    if not c.d_squared_gate.ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
     grid = []
     for i in range(5):

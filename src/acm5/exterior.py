@@ -332,6 +332,11 @@ class CoframeData:
     def with_trig_rules(self, df=None, dg=None):
         return CoframeData(self.symbols, self.d_table, self.orientation, TrigRules(df, dg))
 
+    @functools.cached_property
+    def d_squared_gate(self):
+        """The d^2-gate report, ``d_squared_zero(self)``, computed once per coframe."""
+        return d_squared_zero(self)
+
     def mode(self):
         for f in self.d_table.values():
             if f.mode == "float":

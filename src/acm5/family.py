@@ -57,7 +57,6 @@ from .errors import DegenerateInputError, IntegrabilityError
 from .exterior import (
     CoframeData,
     coframe,
-    d_squared_zero,
     e,
     ext_d,
     form,
@@ -133,7 +132,7 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
         "A2": alpha * F,
     }
     cf = coframe(d_table, auxiliary=("A2",))
-    report = d_squared_zero(cf)
+    report = cf.d_squared_gate
     if not report.ok:
         raise IntegrabilityError(f"d^2 != 0 on {report.failing}")
     omega_g = connection_forms(

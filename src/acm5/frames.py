@@ -30,7 +30,7 @@ from .exterior import (
     wedge_all,
     zero_form,
 )
-from .scalars import sis_zero
+from .scalars import div_const, sis_zero
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,11 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
                     raise RankError(
                         f"no Levi-Civita solution: d{n(i)}, d{n(j)} disagree on the {n(a)} channel"
                     )
-    half = Fraction(1, 2)
     entries = {}
     for b in range(5):
         for cc in range(b + 1, 5):
             values = [
-                (d[a].evaluate(b, cc) + d[b].evaluate(a, cc) - d[cc].evaluate(a, b)) * half
+                div_const(d[a].evaluate(b, cc) + d[b].evaluate(a, cc) - d[cc].evaluate(a, b), 2)
                 for a in range(5)
             ] + [d[b].evaluate(a, cc) for a in aux]
             entries[(b + 1, cc + 1)] = form(1, {(a,): v for a, v in enumerate(values) if v})

@@ -28,7 +28,9 @@ other value as it is, an exact zero is never stored, and every float is
 kept, even ``0.0``, so a float result shows each term that the exact
 computation produced.  :func:`is_rational` is the one test for the exact
 rational kind (``int`` or ``Fraction``).  Since ``int / int`` is a float,
-a division whose operands may both be ints goes through :func:`div`.
+a division whose operands may both be ints goes through :func:`div`, and a
+division by a small int constant (a 1/2, 1/3 or 1/4 of a formula) through
+:func:`div_const`, which keeps an int that the constant divides an int.
 """
 
 from __future__ import annotations
@@ -230,6 +232,15 @@ def is_rational(x):
 def div(a, b):
     """a / b, exact when both are exact: int / int is a Fraction here, not a float."""
     return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
+def div_const(a, n):
+    """a / n for an int constant n > 0, as ``Fraction(1, n) * a`` narrowed: an int
+    that n divides gives ``a // n`` with no Fraction built, and a float keeps the
+    bits of its product with float(1/n)."""
+    if type(a) is int and not a % n:
+        return a // n
+    return narrow(a * Fraction(1, n))
 
 
 def rat(x):

@@ -33,7 +33,7 @@ from .acms import (
 )
 from .errors import ACM5Error, SymbolicResidueError
 from .exterior import grid_form
-from .scalars import sis_zero
+from .scalars import div_const, sis_zero
 
 _U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
 
@@ -186,16 +186,10 @@ def cartan_decompose(a: Tensor3) -> CartanParts:
     if not a.is_antisymmetric_last_two():
         raise ValueError("Cartan decomposition needs antisymmetry in the last two slots")
     v = a.values
-    quarter = Fraction(1, 4)
-    vec = []
-    for z in range(5):
-        acc = Fraction(0)
-        for i in range(5):
-            acc += v[i][i][z]
-        vec.append(quarter * acc)
+    vec = [div_const(sum(v[i][i][z] for i in range(5)), 4) for z in range(5)]
 
     def vec_part(x, y, z):
-        out = Fraction(0)
+        out = 0
         if x == y:
             out += vec[z]
         if x == z:
@@ -203,7 +197,6 @@ def cartan_decompose(a: Tensor3) -> CartanParts:
         return out
 
     vectorial = t3_from_func(vec_part)
-    third = Fraction(1, 3)
-    skew = t3_from_func(lambda x, y, z: third * (v[x][y][z] + v[y][z][x] + v[z][x][y]))
+    skew = t3_from_func(lambda x, y, z: div_const(v[x][y][z] + v[y][z][x] + v[z][x][y], 3))
     cyclic = a - vectorial - skew
     return CartanParts(vectorial, tuple(vec), skew, cyclic)

@@ -10,7 +10,10 @@ oracles keep the general type projections and the Gram-matrix solve that
 spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
 and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
 The wedge-based exterior derivative (``ext_d_oracle``) is the one that
-``exterior.ext_d``'s direct Leibniz accumulation replaced.
+``exterior.ext_d``'s direct Leibniz accumulation replaced.  The difference
+tensor and Cartan oracles (``difference_tensor_oracle``,
+``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
+``scalars.div_const`` replaced, so a float entry keeps its bits.
 Definitions that only tests use (``abelian_coframe``, ``project_u2``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``torsion_from_coords``,
 ``residual_basis``) live here rather than in the library.
@@ -342,6 +345,41 @@ def nijenhuis_oracle(np, deta):
         return acc
 
     return {"n_via_np": _cube(n_via_np), "cov": _cube(cov)}
+
+
+def difference_tensor_oracle(deta: Form, gamma: Form, nij) -> tuple:
+    """A(X, Y, Z) = 1/2 {((d eta - gamma) ^ eta)(X, Y, Z) - N(X, Y, Z)}, as a
+    5x5x5 cube, times ``Fraction(1, 2)``."""
+    corr3 = wedge(deta - gamma, e(5))
+    half = Fraction(1, 2)
+    return _cube(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nij[x][y][z]))
+
+
+def cartan_decompose_oracle(v) -> dict:
+    """The vectorial, skew and cyclic parts and the vector of a cube that is
+    antisymmetric in its last two slots, through ``Fraction(1, 4)`` and
+    ``Fraction(1, 3)`` from ``Fraction(0)`` accumulators."""
+    quarter = Fraction(1, 4)
+    vec = []
+    for z in range(5):
+        acc = Fraction(0)
+        for i in range(5):
+            acc += v[i][i][z]
+        vec.append(quarter * acc)
+
+    def vec_part(x, y, z):
+        out = Fraction(0)
+        if x == y:
+            out += vec[z]
+        if x == z:
+            out -= vec[y]
+        return out
+
+    vectorial = _cube(vec_part)
+    third = Fraction(1, 3)
+    skew = _cube(lambda x, y, z: third * (v[x][y][z] + v[y][z][x] + v[z][x][y]))
+    cyclic = _cube(lambda x, y, z: v[x][y][z] - vectorial[x][y][z] - skew[x][y][z])
+    return {"vectorial": vectorial, "vector": vec, "skew": skew, "cyclic": cyclic}
 
 
 def project_u2_complement_oracle(beta: Form) -> Form:

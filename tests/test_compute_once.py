@@ -9,7 +9,9 @@ w(e_k) to the complement of the stabilizer are computed once per
 structure and shared by the intrinsic torsion and nabla Phi, and the module
 norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
-ext_d.
+ext_d and runs once per coframe: ``CoframeData.d_squared_gate`` keeps its
+report, so curvature does not gate again a coframe that ``family.build`` or
+the classify report has gated.
 """
 
 from pathlib import Path
@@ -68,6 +70,31 @@ def test_classification_report_projects_each_connection_form_once(name, structur
     aux = c.n_symbols - 5
     assert calls["acms.project_u2_complement"] == 5 * structures + aux
     assert calls["linalg.solve_unique"] == 0
+
+
+def test_identity_replay_gates_the_coframe_once():
+    with count_calls("exterior.d_squared_zero", "connection.curvature") as calls:
+        assert verify_identities(build(1, 0, 2, 0)).ok
+    assert calls == {"exterior.d_squared_zero": 1, "connection.curvature": 1}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_classification_report_gates_the_coframe_once(mode):
+    c = load_coframe(str(INPUT))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    with count_calls("exterior.d_squared_zero", "connection.curvature") as calls:
+        report, code = classification_report(c)
+    assert code == 0 and report["characteristic_connection"] is not None
+    assert calls == {"exterior.d_squared_zero": 1, "connection.curvature": 1}
+
+
+def test_gate_report_is_kept_per_coframe():
+    c = load_coframe(str(INPUT))
+    with count_calls("exterior.d_squared_zero") as calls:
+        assert c.d_squared_gate is c.d_squared_gate
+        assert c.with_trig_rules().d_squared_gate.ok  # a new coframe gates again
+    assert calls["exterior.d_squared_zero"] == 2
 
 
 def test_memo_computes_once_and_direct_calls_always_compute():

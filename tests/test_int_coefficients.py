@@ -6,24 +6,65 @@ constants computes on ints.  Since int / int is a float in Python, each
 division must still give a Fraction on exact operands: these tests pin that
 ``linalg`` eliminates int rows exactly, that no float reaches any value an
 exact report or replay stores, and that the type tests which route a table
-to its fast path accept ints.
+to its fast path accept ints.  The 1/2 of the difference tensor and the 1/4
+and 1/3 of the Cartan split go through ``div_const``: on the family they
+leave ints, off it they give the Fractions of the ``Fraction(1, n)``
+oracles, and on floats they keep the oracles' bits.
 """
 
 import dataclasses
+import importlib.util
+import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acm5 import cli, family, linalg
-from acm5.cli import _working_scale, classification_report, load_coframe
-from acm5.errors import DegenerateInputError
+from acm5.acms import (
+    Tensor3,
+    d_eta_form,
+    derived,
+    frame_connection,
+    gamma_form,
+    nijenhuis,
+    predicates,
+)
+from acm5.cli import _to_float_coframe, _working_scale, classification_report, load_coframe
+from acm5.connection import characteristic_connection, torsion_type
+from acm5.errors import DegenerateInputError, NotGeneralizedQuasiSasakiError
 from acm5.exterior import Form, coframe, d_squared_zero, e, proportionality, wedge
-from acm5.scalars import TrigScalar, div, narrow
-from helpers import GOLDEN_FAMILY_POINTS, GOLDEN_INPUTS, count_calls
+from acm5.frames import connection_from_structure
+from acm5.scalars import TrigScalar, div, div_const, narrow
+from acm5.torsionclass import cartan_decompose
+from helpers import (
+    GOLDEN_FAMILY_POINTS,
+    GOLDEN_INPUTS,
+    cartan_decompose_oracle,
+    count_calls,
+    difference_tensor_oracle,
+    rotate,
+    u2_rotation,
+)
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acm5"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "acm5"
+
+
+def _replay_points(seed):
+    """The family points of the benchmark's replay corpus at this seed."""
+    spec = importlib.util.spec_from_file_location("acm5_bench_corpus", ROOT / "bench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    return [params for _, params in corpus.replay_params(random.Random(f"replay:{seed}"))]
 
 
 # -- the storage rule and exact division -------------------------------------------
@@ -34,6 +75,15 @@ def test_narrow_and_div():
     assert narrow(Fraction(1, 2)) == Fraction(1, 2) and narrow(0.5) == 0.5
     assert div(1, 2) == Fraction(1, 2) and type(div(1, 2)) is Fraction
     assert type(div(1.0, 2.0)) is float and type(div(Fraction(1), 2)) is Fraction
+
+
+def test_div_const_keeps_ints_and_the_fraction_product():
+    assert type(div_const(-6, 3)) is int and div_const(-6, 3) == -2
+    assert div_const(-7, 4) == Fraction(-7, 4) and div_const(Fraction(8, 3), 4) == Fraction(2, 3)
+    assert type(div_const(Fraction(9, 3), 3)) is int
+    x = 5 / 7
+    assert div_const(x, 3).hex() == (Fraction(1, 3) * x).hex() != (x / 3).hex()
+    assert div_const(TrigScalar.atom("c", 1, 0, 2), 2) == TrigScalar.atom("c", 1, 0)
 
 
 def test_rref_divides_int_rows_exactly():
@@ -151,6 +201,112 @@ def test_exact_replay_stores_no_float(point, monkeypatch):
     if not certified:
         del seen["frame_change_verify"]
     _assert_exact(seen)
+
+
+# -- the difference tensor and the Cartan split --------------------------------------
+
+
+def _entry(v):
+    """An exact entry by its value, a float entry by its bits."""
+    return ("float", v.hex()) if isinstance(v, float) else ("exact", v)
+
+
+def _same_cubes(lib, oracle):
+    return [_entry(x) for m in lib for r in m for x in r] == [
+        _entry(x) for m in oracle for r in m for x in r
+    ]
+
+
+def _tensor(cube):
+    return Tensor3(tuple(tuple(map(tuple, m)) for m in cube))
+
+
+def _same_parts(parts, oracle):
+    return all(_same_cubes(t.values, oracle[name]) for name, t in parts.parts().items()) and [
+        _entry(x) for x in parts.vector
+    ] == [_entry(x) for x in oracle["vector"]]
+
+
+# A U(2)x1 rotation keeps the structure; its denominators make the float
+# cyclic sums non-dyadic, where x / 3 and x * float(1/3) can differ.
+ROTATION = u2_rotation(1, Fraction(1, 2), -1, 2)
+
+
+@pytest.mark.parametrize("frame", ["given", "rotated"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mode, frame):
+    """Exact at integer scale by value, ``--float`` at unit scale by bits."""
+    c = load_coframe(str(path))
+    if frame == "rotated":
+        c = rotate(c, ROTATION)
+    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    fc = frame_connection(connection_from_structure(c))
+    if not predicates(fc).generalized_quasi_sasaki:
+        with pytest.raises(NotGeneralizedQuasiSasakiError):
+            characteristic_connection(c, fc)
+        return
+    cc = characteristic_connection(c, fc)
+    a = difference_tensor_oracle(
+        derived(fc, d_eta_form), derived(fc, gamma_form), derived(fc, nijenhuis).values
+    )
+    assert _same_cubes(cc.a_c.values, a)
+    torsion = [[[a[x][y][z] - a[y][x][z] for z in range(5)] for y in range(5)] for x in range(5)]
+    assert _same_cubes(cc.torsion.values, torsion)
+    as_a = [[[torsion[y][z][x] for z in range(5)] for y in range(5)] for x in range(5)]
+    for cube in (a, as_a):
+        assert _same_parts(cartan_decompose(_tensor(cube)), cartan_decompose_oracle(cube))
+
+
+def _parts_entries(point):
+    """Every entry of A, the torsion and its three Cartan parts at a family point."""
+    inst = family.build(*point)
+    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    parts, _ = torsion_type(cc)
+    tensors = (cc.a_c, cc.torsion, *parts.parts().values())
+    return [v for t in tensors for m in t.values for r in m for v in r] + list(parts.vector)
+
+
+@pytest.mark.parametrize(
+    "point",
+    GOLDEN_FAMILY_POINTS + _replay_points(1),
+    ids=lambda p: "_".join(map(str, p)),
+)
+def test_difference_tensor_and_cartan_parts_are_ints_on_the_family(point):
+    assert {type(v) for v in _parts_entries(point)} == {int}
+
+
+def _antisymmetric_cube(draw, entry):
+    upper = {(i, j, k): draw(entry) for i in range(5) for j in range(5) for k in range(j + 1, 5)}
+    return [
+        [[upper.get((i, j, k), 0) - upper.get((i, k, j), 0) for k in range(5)] for j in range(5)]
+        for i in range(5)
+    ]
+
+
+@st.composite
+def off_lattice_cubes(draw):
+    """Last-two-antisymmetric cubes of ints or Fractions."""
+    ints = st.integers(-9, 9)
+    entry = draw(st.sampled_from([ints, st.fractions(-4, 4, max_denominator=6)]))
+    return _antisymmetric_cube(draw, entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(off_lattice_cubes())
+def test_cartan_split_off_the_lattice_matches_the_oracle(cube):
+    """A trace that 4 does not divide and a cyclic sum that 3 does not divide
+    give non-integral Fractions; the parts still sum back to the tensor."""
+    oracle = cartan_decompose_oracle(cube)
+    assume(any(x.denominator > 1 for x in oracle["vector"]))
+    assume(any(x.denominator > 1 for m in oracle["skew"] for r in m for x in r))
+    a = _tensor(cube)
+    parts = cartan_decompose(a)
+    assert _same_parts(parts, oracle)
+    for x in (*parts.vector, *(v for m in parts.skew.values for r in m for v in r)):
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+    total = parts.vectorial + parts.skew + parts.cyclic
+    assert total.values == a.values
 
 
 # -- type tests that route an all-int table ---------------------------------------
