@@ -27,7 +27,6 @@ from .acms import (
     nabla_phi,
     nijenhuis,
     phi_invariance_type,
-    pr_w,
     predicates,
     theta,
     vartheta,
@@ -126,7 +125,6 @@ __all__ = [
     "nijenhuis",
     "parallel_spinor_check",
     "phi_invariance_type",
-    "pr_w",
     "predicates",
     "spinor_kernel",
     "spinor_space",

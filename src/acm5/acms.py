@@ -11,15 +11,11 @@ nonzero entries PHI_MAT[u][b] = s as (u, b, s) by ascending u, and
 ``PHI_COL[b]`` is the (u, s) of column b, with s = 0 for the Reeb column so
 that a read through it adds nothing; both are read from PHI_MAT once.  The
 tensor kernels add or subtract these signed reads and never multiply by a
-zero or a unit.  A kernel entry starts from the int 0 (a float keeps its
-bits) and adds its terms in the order of the full sum, from ``0.0`` where
-the full sum would have multiplied a float by one of phi's zeros.  Forms
-store integral coefficients as ints (the storage rule of ``scalars``, which
-``project_u2_complement`` applies to the terms it builds), so at the
-integer scale of ``cli.classification_report`` each exact entry is an int
-(an exact rational; both paths of each cross-check still run
-independently).  A sum that reaches a division starts from ``Fraction(0)``,
-since int / int is a float.
+zero or a unit.  A kernel entry adds its terms in the order of the full
+sum, from ``0.0`` where the full sum would have multiplied a float by one of
+phi's zeros and from the int 0 elsewhere; inner products start from the int
+0 and divide through ``scalars.div`` or ``div_const``.  So at the integer
+scale of ``cli.classification_report`` every exact entry is an int.
 
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 from .errors import (
     ACM5Error,
@@ -57,7 +52,7 @@ from .exterior import (
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
-from .scalars import TrigScalar, is_exact_zero, narrow, sis_zero
+from .scalars import ZERO, TrigScalar, div_const, is_exact_zero, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -108,7 +103,7 @@ LAMBDA2_BASES = {
 
 def inner_form(a: Form, b: Form):
     """Monomial inner product: the wedge monomials are orthonormal."""
-    acc = Fraction(0)
+    acc = 0
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     for idx, c in small.items():
         d = large.get(idx)
@@ -133,7 +128,7 @@ def lambda2_project(beta: Form, part: int) -> Form:
         raise ValueError("part must be 1..4")
     out = zero_form(2)
     for b in LAMBDA2_BASES[part]:
-        coef = inner_form(beta, b) * (Fraction(1) / inner_form(b, b))
+        coef = div_const(inner_form(beta, b), inner_form(b, b))
         out = out + b.scale(coef)
     return out
 
@@ -151,11 +146,10 @@ def project_u2_complement(beta: Form) -> Form:
     _require_metric_2form(beta)
     out = {}
     for b, norm in COMPLEMENT_FRAME:
-        coef = inner_form(beta, b) / norm
-        if not is_exact_zero(coef):
-            for idx, s in b.terms.items():
-                out[idx] = narrow(0 + s * coef)
-    return Form(2, out)
+        coef = div_const(inner_form(beta, b), norm)
+        for idx, s in b.terms.items():
+            out[idx] = 0 + s * coef
+    return form(2, out)
 
 
 def phi_pullback(beta: Form) -> Form:
@@ -223,7 +217,7 @@ class Tensor3:
         return (self - other).is_zero()
 
     def inner(self, other):
-        acc = Fraction(0)
+        acc = 0
         for ma, mb in zip(self.values, other.values):
             for ra, rb in zip(ma, mb):
                 for a, b in zip(ra, rb):
@@ -285,12 +279,6 @@ def vartheta(beta: Form) -> Tensor3:
     )
 
 
-def pr_w(a: Tensor3) -> Tensor3:
-    """Project each first-slot 2-form onto the complement of the stabilizer algebra."""
-    comps = [project_u2_complement(a.component_form(i)) for i in range(1, 6)]
-    return t3_from_func(lambda i, j, k: comps[i].evaluate(j, k))
-
-
 # ---------------------------------------------------------------------------
 # connection values with auxiliary channels
 
@@ -345,16 +333,16 @@ def _mu(matrix):
     """Action of a so(5) element on the fundamental form:
     mu(C)(a, b) = sum_i C[i][a] Phi(i, b) - C[i][b] Phi(i, a).
 
-    At most two signed reads per entry; the entry starts from 0.0 when
-    column a or b of C holds a float (the full sum's products with phi's
-    zeros are floats there).
+    At most two signed reads per entry; the entry starts from the zero of
+    columns a and b of C together, 0.0 when either holds a float (the full
+    sum's products with phi's zeros are floats there).
     """
-    floaty = [any(isinstance(matrix[i][a], float) for i in range(5)) for a in range(5)]
+    zeros = [ZERO[table_kind(row[a] for row in matrix)] for a in range(5)]
     out = []
     for a in range(5):
         row = []
         for b in range(5):
-            acc = 0.0 if floaty[a] or floaty[b] else 0
+            acc = zeros[a] + zeros[b]
             (ua, sa), (ub, sb) = PHI_COL[a], PHI_COL[b]
             row.append(_signed_add(_signed_add(acc, sb, matrix[ub][a]), -sa, matrix[ua][b]))
         out.append(tuple(row))

@@ -18,6 +18,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -458,7 +459,9 @@ def cmd_family(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="acm5",
         description="exact computations with almost contact metric 5-coframes",
@@ -484,8 +487,11 @@ def main(argv=None):
     action.add_argument("--verify", action="store_true")
     action.add_argument("--identify", action="store_true")
     p_fam.set_defaults(func=cmd_family)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

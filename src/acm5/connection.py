@@ -7,9 +7,8 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
     A(X, Y, Z) = 1/2 { ((d eta - gamma) ^ eta)(X, Y, Z) - N(X, Y, Z) },
 
 and the torsion is the antisymmetrization of A in the first two slots.
-A is stored by the storage rule of ``scalars``: the 1/2 goes through
-``div_const``, so an integral entry is an ``int`` and the torsion and its
-Cartan parts add ints.
+The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
+``int`` and the torsion and its Cartan parts add ints.
 Curvature uses the second structure equation; the holonomy algebra is
 computed as the bracket closure of the curvature endomorphisms.  Spinors
 live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed

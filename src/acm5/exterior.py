@@ -14,30 +14,21 @@ Conventions, fixed once and used everywhere:
 * The exterior derivative extends the generator table by linearity and the
   graded Leibniz rule; trig coefficients differentiate through declared
   df/dg rules.
-* The d^2-gate contracts a table of constant (all rational or all float)
-  structure constants directly: d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k),
-  accumulated into one term dictionary in the order ext_d(ext_d(e_i))
-  would add the same products.  Any other table (trig coefficients, mixed
-  exact and float values) goes through ext_d twice.
-* Mode rule: a product may take an exact factor (every term of exact x
-  float is a float, and an exact +-1 multiplies a float without rounding);
-  a sum may not mix exact and float forms, because an exact term of one
-  side could survive into a float result, so ``+`` and ``-`` raise
-  ``ModeMismatchError``.
+* The d^2-gate contracts a constant table of one kind directly:
+  d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k), accumulated in the order
+  ext_d(ext_d(e_i)) would add the same products; any other table goes
+  through ext_d twice.
 
-Coefficients follow the storage rule of ``scalars``: :func:`form`, the
-operators and ``Form.scale`` store an integral rational as an ``int``, so a
-coframe with integer structure constants computes on ints; signs are ints.
-``Form(...)`` validates its terms; the operators here build theirs through
-``_trusted``, which skips that check, because they only ever combine valid
-terms.
+Forms follow the kind rule and the storage rule of ``scalars``.
+``Form(...)`` validates its terms and takes its kind from them; the
+operators here build theirs through ``_trusted`` with the kind that the
+rule gives, skipping that check, because they only combine valid terms.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import (
@@ -47,46 +38,44 @@ from .errors import (
     UnsupportedSymbolError,
 )
 from .scalars import (
+    EXACT,
+    FLOAT,
+    IS_ZERO,
     TrigScalar,
+    coerce,
     div,
     fmt_scalar,
     is_exact_zero,
+    is_float,
     is_rational,
     narrow,
-    sis_zero,
 )
 
 METRIC_IDS = (0, 1, 2, 3, 4)
-
-
-def _coerce(c):
-    if isinstance(c, (int, Fraction, float, TrigScalar)):
-        return narrow(c)
-    raise TypeError(f"bad coefficient: {c!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Form:
     degree: int
     terms: Mapping[tuple, object]
+    mode: str = field(init=False)  # EXACT or FLOAT, set once here or by _trusted
 
     def __post_init__(self):
+        mode = EXACT
         for idx, c in self.terms.items():
             if len(idx) != self.degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad multi-index {idx} for degree {self.degree}")
-            if is_exact_zero(c):
+            if is_float(c):
+                mode = FLOAT
+            elif not c:
                 raise ValueError("zero coefficient stored")
+        object.__setattr__(self, "mode", mode)
 
     # -- queries --------------------------------------------------------
-    @property
-    def mode(self):
-        for c in self.terms.values():
-            if isinstance(c, float):
-                return "float"
-        return "exact"
-
     def is_zero(self):
-        return all(sis_zero(c) for c in self.terms.values())
+        if self.mode == EXACT:
+            return not self.terms  # the storage rule never stores an exact zero
+        return all(map(IS_ZERO[FLOAT], self.terms.values()))
 
     def coefficient(self, idx):
         return self.terms.get(tuple(idx), 0)
@@ -121,26 +110,28 @@ class Form:
         if self.degree != other.degree and self.terms and other.terms:
             raise ValueError("degree mismatch")
         _check_modes(self, other)
+        mode = self.mode if self.terms else other.mode
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            _accumulate(terms, idx, c if sign > 0 else -c)
+            _accumulate(terms, idx, c if sign > 0 else -c, mode)
         # a zero summand takes the other's degree
         degree = len(next(iter(terms))) if terms else max(self.degree, other.degree)
-        return _trusted(degree, terms)
+        return _trusted(degree, terms, mode)
 
     def __neg__(self):
-        return _trusted(self.degree, {i: -c for i, c in self.terms.items()})
+        return _trusted(self.degree, {i: -c for i, c in self.terms.items()}, self.mode)
 
     def scale(self, s):
-        s = _coerce(s)
+        s = coerce(s)
         if is_exact_zero(s):
-            return _trusted(self.degree, {})
+            return _trusted(self.degree, {}, self.mode)
+        mode = FLOAT if is_float(s) else self.mode
         out = {}
         for idx, c in self.terms.items():
             v = narrow(s * c)
-            if not is_exact_zero(v):
+            if v or mode == FLOAT:
                 out[idx] = v
-        return _trusted(self.degree, out)
+        return _trusted(self.degree, out, mode)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -154,22 +145,24 @@ class Form:
         return f"Form({render_form(self)!r})"
 
 
-def _trusted(degree, terms):
-    """A Form of terms that this module's operators built, stored without re-validation."""
+def _trusted(degree, terms, mode):
+    """A Form that this module's operators built, of the given kind, without re-validation."""
     f = object.__new__(Form)
-    f.__dict__.update(degree=degree, terms=terms)
+    f.__dict__.update(degree=degree, terms=terms, mode=mode)
     return f
+
+
+def _product_mode(*modes):
+    return FLOAT if FLOAT in modes else EXACT
 
 
 def form(degree, terms=None):
     """Normalizing Form constructor: narrows integral coefficients to ints and drops exact zeros."""
     out = {}
     for idx, c in (terms or {}).items():
-        c = _coerce(c)
-        if is_exact_zero(c):
-            continue
-        idx = tuple(idx)
-        out[idx] = c
+        c = coerce(c)
+        if not is_exact_zero(c):
+            out[tuple(idx)] = c
     return Form(degree, out)
 
 
@@ -181,14 +174,14 @@ def grid_form(entry):
     return form(2, {(i, j): entry(i, j) for i in range(5) for j in range(i + 1, 5)})
 
 
-def _accumulate(terms, idx, v):
+def _accumulate(terms, idx, v, mode):
     """Add v to terms[idx], a new entry from the int 0, under the storage rule:
-    narrow an integral sum, drop one that cancels exactly."""
+    narrow an integral sum; in an exact form, drop one that cancels."""
     acc = narrow(terms.get(idx, 0) + v)
-    if is_exact_zero(acc):
-        terms.pop(idx, None)
-    else:
+    if acc or mode == FLOAT:
         terms[idx] = acc
+    else:
+        terms.pop(idx, None)
 
 
 def zero_form(degree=0):
@@ -229,14 +222,15 @@ def wedge(a, b):
     deg = a.degree + b.degree
     if deg > 6:
         return zero_form(deg)
+    mode = _product_mode(a.mode, b.mode)
     out = {}
     for i1, c1 in a.terms.items():
         for i2, c2 in b.terms.items():
             if set(i1) & set(i2):
                 continue
             idx, sign = _merge(i1, i2)
-            _accumulate(out, idx, c1 * c2 * sign)
-    return _trusted(deg, out)
+            _accumulate(out, idx, c1 * c2 * sign, mode)
+    return _trusted(deg, out, mode)
 
 
 def wedge_all(forms):
@@ -244,7 +238,6 @@ def wedge_all(forms):
     for f in forms:
         acc = f if acc is None else wedge(acc, f)
     return acc if acc is not None else form(0, {(): 1})
-
 
 
 def hodge(a, coframe=None):
@@ -258,8 +251,8 @@ def hodge(a, coframe=None):
             raise UnsupportedSymbolError("star is defined on metric symbols only")
         comp = tuple(i for i in METRIC_IDS if i not in idx)
         sign = perm_sign(idx + comp) * vol_sign
-        _accumulate(out, comp, c * sign)
-    return _trusted(5 - a.degree, out)
+        _accumulate(out, comp, c * sign, a.mode)
+    return _trusted(5 - a.degree, out, a.mode)
 
 
 def interior(i, a):
@@ -275,8 +268,8 @@ def interior(i, a):
             continue
         pos = idx.index(sym)
         rest = idx[:pos] + idx[pos + 1 :]
-        _accumulate(out, rest, -c if pos % 2 else c)
-    return _trusted(a.degree - 1, out)
+        _accumulate(out, rest, -c if pos % 2 else c, a.mode)
+    return _trusted(a.degree - 1, out, a.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +331,7 @@ class CoframeData:
         return d_squared_zero(self)
 
     def mode(self):
-        for f in self.d_table.values():
-            if f.mode == "float":
-                return "float"
-        return "exact"
+        return _product_mode(*(f.mode for f in self.d_table.values() if f.terms))
 
 
 def standard_symbols(auxiliary=()):
@@ -377,6 +367,7 @@ def ext_d(a, c):
         raise UnsupportedSymbolError("form uses symbols outside the coframe")
     deg = a.degree + 1
     live = deg <= 6  # wedge's rule: a product above degree 6 is zero
+    mode = a.mode
     out = {}
     for idx, coef in a.terms.items():
         # d(coefficient) ^ monomial for non-constant (trig) coefficients
@@ -391,11 +382,11 @@ def ext_d(a, c):
                         if rule is None:
                             raise MissingDerivationError(f"{name} rule required")
                         for pidx, v in rule.terms.items():
-                            _accumulate(phase, pidx, k * v)
+                            _accumulate(phase, pidx, k * v, rule.mode)
                 for pidx, pc in phase.items() if live else ():
                     if not any(i in idx for i in pidx):
                         mono, sign = _merge(pidx, idx)
-                        _accumulate(out, mono, factor * (pc * sign))
+                        _accumulate(out, mono, factor * (pc * sign), EXACT)
         if not live:
             continue
         # Leibniz over the monomial
@@ -403,34 +394,42 @@ def ext_d(a, c):
             dsym = c.d_table[sym]
             if dsym.is_zero():
                 continue
+            if dsym.mode == FLOAT:
+                mode = FLOAT
             before, after = idx[:pos], idx[pos + 1 :]
             cs = coef * (-1 if pos % 2 else 1)
             for didx, dc in dsym.terms.items():
                 if not any(i in before or i in after for i in didx):
                     mono, sign = _merge(before, didx + after)
-                    _accumulate(out, mono, cs * dc if sign > 0 else -(cs * dc))
-    return _trusted(deg, out)
+                    _accumulate(out, mono, cs * dc if sign > 0 else -(cs * dc), mode)
+    return _trusted(deg, out, mode)
 
 
 @dataclass(frozen=True)
-class DSquaredReport:
+class ResidualReport:
+    """Named residual forms of an identity, which holds when every one vanishes."""
+
     residuals: Mapping[str, Form]
-    ok: bool
 
     @property
     def failing(self):
         return [name for name, f in self.residuals.items() if not f.is_zero()]
 
+    @property
+    def ok(self):
+        return not self.failing
+
 
 def d_squared_zero(c):
     """d(d(symbol)) for every generator; integrable iff all vanish."""
-    values = [v for f in c.d_table.values() for v in f.terms.values()]
-    if all(map(is_rational, values)) or {type(v) for v in values} == {float}:
+    forms = [f for f in c.d_table.values() if f.terms]
+    if all(f.mode == FLOAT for f in forms) or all(
+        is_rational(v) for f in forms for v in f.terms.values()
+    ):
         dd = _d_squared_constant(c)
     else:
         dd = [ext_d(ext_d(Form(1, {(sid,): 1}), c), c) for sid in range(c.n_symbols)]
-    residuals = {c.name_of(sid): r for sid, r in enumerate(dd)}
-    return DSquaredReport(residuals, all(r.is_zero() for r in dd))
+    return ResidualReport({c.name_of(sid): r for sid, r in enumerate(dd)})
 
 
 def _d_squared_constant(c):
@@ -440,6 +439,7 @@ def _d_squared_constant(c):
     tolerance, and so does this contraction.
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
+    mode = c.mode()
     out = []
     for sid in range(c.n_symbols):
         terms = {}
@@ -447,12 +447,12 @@ def _d_squared_constant(c):
             for idx, b in live.get(j, {}).items():
                 if k not in idx:
                     mono, sign = _merge(idx, (k,))
-                    _accumulate(terms, mono, a * b if sign > 0 else -(a * b))
+                    _accumulate(terms, mono, a * b if sign > 0 else -(a * b), mode)
             for idx, b in live.get(k, {}).items():
                 if j not in idx:
                     mono, sign = _merge((j,), idx)
-                    _accumulate(terms, mono, -(a * b) if sign > 0 else a * b)
-        out.append(_trusted(3, terms))
+                    _accumulate(terms, mono, -(a * b) if sign > 0 else a * b, mode)
+        out.append(_trusted(3, terms, mode))
     return out
 
 

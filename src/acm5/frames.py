@@ -22,7 +22,7 @@ from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
     METRIC_IDS,
     CoframeData,
-    Form,
+    ResidualReport,
     ext_d,
     form,
     grid_form,
@@ -125,28 +125,15 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
     return connection_forms(entries)
 
 
-@dataclass(frozen=True)
-class FirstStructureReport:
-    residuals: Mapping[str, Form]
-    ok: bool
-
-    @property
-    def failing(self):
-        return [n for n, f in self.residuals.items() if not f.is_zero()]
-
-
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):
     """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator."""
     residuals = {}
-    ok = True
     for i in range(5):
         acc = c.d_table[i]
         for j in range(5):
             acc = acc - wedge(omega.omega[i][j], form(1, {(j,): 1}))
         residuals[c.name_of(i)] = acc
-        if not acc.is_zero():
-            ok = False
-    return FirstStructureReport(residuals, ok)
+    return ResidualReport(residuals)
 
 
 # ---------------------------------------------------------------------------

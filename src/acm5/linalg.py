@@ -3,18 +3,17 @@
 One elimination routine, :func:`rref`, serves every scalar type the library
 uses: exact ``Fraction`` (and ``int``) and binary64 ``float`` in check mode.
 :func:`rank`, :func:`solve_unique` and :func:`nullspace` are built on it.
-Pivoting is by magnitude for floats and first-nonzero for exact scalars;
-zero decisions go through ``scalars.sis_zero`` so the float tolerance is
-honored uniformly.  A pivot row divides through ``scalars.div``, so an exact
-row stays exact (int / int is a Fraction there) and a float row divides as
-floats do.
+Each routine asks ``scalars.table_kind`` for the kind of its matrix once,
+and pivots and tests zeros by the kind rule of ``scalars``.  A pivot row
+divides through ``scalars.div``, so an exact row stays exact (int / int is a
+Fraction there) and a float row divides as floats do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import div, sis_zero
+from .scalars import FLOAT, IS_ZERO, div, table_kind
 
 
 def rref(matrix):
@@ -22,6 +21,8 @@ def rref(matrix):
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
+    kind = table_kind(x for row in rows for x in row)
+    is_zero, by_magnitude = IS_ZERO[kind], kind == FLOAT
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -31,11 +32,11 @@ def rref(matrix):
         best = None
         for i in range(r, len(rows)):
             x = rows[i][c]
-            if sis_zero(x):
+            if is_zero(x):
                 continue
             if best is None or abs(x) > abs(rows[best][c]):
                 best = i
-            if not isinstance(x, float):
+            if not by_magnitude:
                 break
         if best is None:
             continue
@@ -43,7 +44,7 @@ def rref(matrix):
         piv = rows[r][c]
         rows[r] = [div(x, piv) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not sis_zero(rows[i][c]):
+            if i != r and not is_zero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -64,10 +65,7 @@ def solve_unique(A, b):
         raise ValueError("inconsistent linear system")
     if len(pivots) < n:
         raise ValueError("underdetermined linear system")
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
+    return [row[n] for row in rows[:n]]  # pivots are the columns 0..n-1
 
 
 def nullspace(matrix):
@@ -78,7 +76,7 @@ def nullspace(matrix):
     rows, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    one = 1.0 if any(isinstance(x, float) for row in matrix for x in row) else Fraction(1)
+    one = 1.0 if table_kind(x for row in matrix for x in row) == FLOAT else Fraction(1)
     zero = one * 0
     for fc in free:
         v = [zero] * ncols

@@ -1,45 +1,56 @@
 """Scalar tower for exact coframe computations.
 
-Three kinds of coefficients appear throughout the library:
+Coefficients are exact rationals (``Fraction``, or ``int`` when integral),
+elements of a trigonometric ring (rational combinations of sin/cos of
+integer-frequency combinations of two abstract phases ``f`` and ``g``), or
+binary64 floats, used only to cross-check exact results.  Float mode runs
+at unit scale (``cli.classification_report`` scales the coframe so that its
+largest coefficient lies in [1/2, 1)), so one tolerance, ``FLOAT_RTOL`` =
+1e-9, decides every float zero.  All combine with plain ``+ - * /``; the
+trig ring's rules live on :class:`TrigScalar`'s operators: a constant
+result collapses back to a ``Fraction`` (``SIN_F * SIN_F + COS_F * COS_F``
+is ``Fraction(1)``), a float on either side raises ModeMismatchError, and
+division by a non-constant trig scalar raises ExtensionOverflowError.
 
-* exact rationals (``fractions.Fraction``), the default;
-* elements of a trigonometric ring: rational combinations of sin/cos of
-  integer-frequency combinations of two abstract phases ``f`` and ``g``,
-  with products reduced exactly by the product-to-sum identities;
-* binary64 floats, used only for cross-checking exact results.  Float
-  mode runs at unit scale (``cli.classification_report`` scales the
-  coframe so that its largest coefficient lies in [1/2, 1)), so one fixed
-  tolerance, ``FLOAT_RTOL`` = 1e-9, decides every float zero.
+Kind rule.  A float is of the ``FLOAT`` kind and every other scalar of the
+``EXACT`` kind.  Only this module tells them apart value by value
+(:func:`is_float`, :func:`sis_zero`); everything else decides a kind once
+per object and reads it after that:
 
-All three are combined with the plain operators ``+ - * /``; the rules
-of the trig ring live on :class:`TrigScalar`'s own operators:
+* a ``Form`` when it is built (its ``mode``): a product (wedge, scale,
+  ext_d, the d^2-contraction) is float if any factor is, since exact x
+  float is a float and an exact +-1 multiplies without rounding; a sum has
+  its operands' kind, and ``+``/``-`` of two non-empty forms of different
+  kinds raise ModeMismatchError, because an exact term could survive into
+  a float result; an empty operand takes either kind; negation, star and
+  contraction keep the kind;
+* a matrix or table through :func:`table_kind`: ``linalg`` pivots a float
+  matrix by magnitude and an exact one at its first nonzero entry.
 
-* rationals embed as the frequency-zero cosine component, and every
-  operator result that is constant collapses back to a ``Fraction``, so
-  ``SIN_F * SIN_F + COS_F * COS_F`` is ``Fraction(1)`` on the nose;
-* floats never mix with the trig ring: a ``float`` on either side raises
-  :class:`~acm5.errors.ModeMismatchError`;
-* a trig scalar divides only by a rational; division by a non-constant
-  trig scalar raises :class:`~acm5.errors.ExtensionOverflowError`.
+``IS_ZERO[kind]`` is the zero test of a kind: ``not x`` for exact scalars
+(an ``int``, a ``Fraction`` and a ``TrigScalar`` are each falsy exactly at
+zero), |x| <= FLOAT_RTOL for floats.  ``ZERO[kind]`` starts a sum.
 
-The storage rule for coefficients lives here, in :func:`narrow` and
-:func:`is_exact_zero`: an integral rational is stored as an ``int`` and any
-other value as it is, an exact zero is never stored, and every float is
+Storage rule (:func:`narrow`, :func:`is_exact_zero`): an integral rational
+is stored as an ``int``, an exact zero is never stored, and every float is
 kept, even ``0.0``, so a float result shows each term that the exact
-computation produced.  :func:`is_rational` is the one test for the exact
-rational kind (``int`` or ``Fraction``).  Since ``int / int`` is a float,
-a division whose operands may both be ints goes through :func:`div`, and a
-division by a small int constant (a 1/2, 1/3 or 1/4 of a formula) through
+computation produced.  Since ``int / int`` is a float, a division whose
+operands may both be ints goes through :func:`div`, and a division by a
+small int constant (the 1/2, 1/3 or 1/4 of a formula) through
 :func:`div_const`, which keeps an int that the constant divides an int.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import ExtensionOverflowError, ModeMismatchError
 
 FLOAT_RTOL = 1e-9
+EXACT, FLOAT = "exact", "float"
+ZERO = {EXACT: 0, FLOAT: 0.0}
+IS_ZERO = {EXACT: operator.not_, FLOAT: lambda x: abs(x) <= FLOAT_RTOL}
 
 # Trig atoms are keyed ("c"|"s", m, n) for cos/sin of m*f + n*g, normalized
 # so that the first nonzero frequency is positive and sin(0) never appears.
@@ -90,9 +101,6 @@ class TrigScalar:
         return TrigScalar({(kind, m, n): Fraction(coef)})
 
     # -- predicates ---------------------------------------------------
-    def is_zero(self):
-        return not self.coeffs
-
     def is_constant(self):
         return all(k == ("c", 0, 0) for k in self.coeffs)
 
@@ -194,7 +202,7 @@ def _lift(x):
         return x
     if isinstance(x, (int, Fraction)):
         return TrigScalar.const(x)
-    if isinstance(x, float):
+    if is_float(x):
         raise ModeMismatchError("cannot mix float scalars with the trig ring")
     return NotImplemented
 
@@ -206,17 +214,31 @@ def collapse(coeffs):
     return out.constant_part() if out.is_constant() else out
 
 
+def is_float(x):
+    """The kind test of one value: true for a binary64 float."""
+    return type(x) is float
+
+
+def table_kind(values):
+    """The kind of a matrix or table, asked once for all of its values."""
+    return FLOAT if any(map(is_float, values)) else EXACT
+
+
 def sis_zero(x):
-    if isinstance(x, float):
-        return abs(x) <= FLOAT_RTOL
-    if isinstance(x, TrigScalar):
-        return x.is_zero()
-    return x == 0
+    """The zero test of one value of either kind, for tables with no kind of their own."""
+    return abs(x) <= FLOAT_RTOL if type(x) is float else not x
 
 
 def is_exact_zero(x):
     """True for an exact zero, false for every float: the coefficient storage rule."""
-    return not isinstance(x, float) and sis_zero(x)
+    return not x and not is_float(x)
+
+
+def coerce(c):
+    """A library scalar under the storage rule (:func:`narrow`); TypeError for anything else."""
+    if isinstance(c, (int, Fraction, float, TrigScalar)):
+        return narrow(c)
+    raise TypeError(f"bad coefficient: {c!r}")
 
 
 def narrow(x):
@@ -266,7 +288,7 @@ def _fmt_freq(m, n):
 
 def fmt_scalar(x):
     """Human/serialization-friendly rendering; rationals as 'p/q'."""
-    if isinstance(x, float):
+    if is_float(x):
         return repr(x)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)

@@ -14,7 +14,6 @@ sum c_i^2 g_ii with c_i = <b_i, gamma>/g_ii, and solves no linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -33,7 +32,7 @@ from .acms import (
 )
 from .errors import ACM5Error, SymbolicResidueError
 from .exterior import grid_form
-from .scalars import div_const, sis_zero
+from .scalars import div, div_const, narrow, sis_zero
 
 _U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
 
@@ -55,7 +54,9 @@ class IntrinsicTorsion:
                 raise ValueError("torsion components must avoid the stabilizer algebra")
 
     def as_coords(self):
-        return [inner_form(f, b) / nb for f in self.components for b, nb in COMPLEMENT_FRAME]
+        return [
+            div_const(inner_form(f, b), nb) for f in self.components for b, nb in COMPLEMENT_FRAME
+        ]
 
     def norm_sq(self):
         return inner_w(self, self)
@@ -79,7 +80,7 @@ class IntrinsicTorsion:
 
 
 def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
-    acc = Fraction(0)
+    acc = 0
     for a, b in zip(u.components, v.components):
         acc += inner_form(a, b)
     return acc
@@ -130,7 +131,7 @@ def module_frames() -> Mapping[str, tuple]:
     for name, basis in w_subspaces().items():
         if any(inner_w(bi, bj) != 0 for i, bi in enumerate(basis) for bj in basis[:i]):
             raise ACM5Error(f"internal consistency: the {name} basis is not orthogonal")
-        out[name] = tuple((b, inner_w(b, b)) for b in basis)
+        out[name] = tuple((b, narrow(inner_w(b, b))) for b in basis)
     return out
 
 
@@ -149,16 +150,16 @@ def classify(gamma: IntrinsicTorsion) -> ClassReport:
     """Orthogonal projection norms per submodule plus residual."""
     frames = module_frames()
     norms = {}
-    total = inner_w(gamma, gamma)
-    accounted = Fraction(0)
+    total = narrow(inner_w(gamma, gamma))
+    accounted = 0
     for name in MODULE_NAMES:
-        n = Fraction(0)
+        n = 0
         for b, g in frames[name]:
-            c = inner_w(b, gamma) / g
+            c = div(inner_w(b, gamma), g)
             n += c * c * g
-        norms[name] = n
+        norms[name] = narrow(n)
         accounted += n
-    norms["residual"] = total - accounted
+    norms["residual"] = narrow(total - accounted)
     tags = tuple(name for name in (*MODULE_NAMES, "residual") if not sis_zero(norms[name]))
     return ClassReport(norms, tags, total)
 

@@ -15,15 +15,18 @@ tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
 Definitions that only tests use (``abelian_coframe``, ``project_u2``,
-``d_form_via_connection``, ``pointwise_from_upper``, ``torsion_from_coords``,
-``residual_basis``) live here rather than in the library.
+``d_form_via_connection``, ``pointwise_from_upper``, ``pr_w``,
+``torsion_from_coords``, ``residual_basis``) live here rather than in the
+library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
 """
 
 import contextlib
 import functools
 import importlib
+import importlib.util
 import itertools
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -34,11 +37,13 @@ from acm5.acms import (
     COMPLEMENT_FRAME,
     PHI_MAT,
     XI,
+    Tensor3,
     _channel_kills_form,
     covariant_derivative_form,
     inner_form,
     lambda2_project,
     project_u2_complement,
+    t3_from_func,
 )
 from acm5.errors import (
     MissingDerivationError,
@@ -61,6 +66,7 @@ from acm5.frames import ConnectionForms, PointwiseFrameData, connection_forms
 from acm5.scalars import COS_F, TrigScalar, sis_zero
 from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted((GOLDEN / "inputs").glob("*.json"))
 GOLDEN_FAMILY_POINTS = [
@@ -70,8 +76,26 @@ GOLDEN_FAMILY_POINTS = [
 ]
 
 
+def replay_points(seed):
+    """The family points of the benchmark's replay corpus at this seed."""
+    spec = importlib.util.spec_from_file_location("acm5_bench_corpus", ROOT / "bench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    return [params for _, params in corpus.replay_params(random.Random(f"replay:{seed}"))]
+
+
 def abelian_coframe():
     return coframe({})
+
+
+def pr_w(a: Tensor3) -> Tensor3:
+    """Project each first-slot 2-form onto the complement of the stabilizer algebra."""
+    comps = [project_u2_complement(a.component_form(i)) for i in range(1, 6)]
+    return t3_from_func(lambda i, j, k: comps[i].evaluate(j, k))
 
 
 def project_u2(beta: Form) -> Form:

@@ -304,7 +304,8 @@ def test_criterion_10_projector_algebra():
         for v in subs["W7"]:
             ok = ok and inner_w(u, v) == 0
 
-    from acm5.acms import LAMBDA2_BASES, pr_w, theta, vartheta
+    from acm5.acms import LAMBDA2_BASES, theta, vartheta
+    from helpers import pr_w
     from acm5.torsionclass import tensor_to_w
 
     images = []

@@ -27,7 +27,6 @@ from acm5.acms import (
     nabla_xi_matrix,
     nijenhuis,
     phi_invariance_type,
-    pr_w,
     predicates,
     project_u2_complement,
     theta,
@@ -47,6 +46,7 @@ from helpers import (
     GOLDEN,
     abelian_coframe,
     d_form_via_connection,
+    pr_w,
     project_u2,
     random_form,
     random_pointwise,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acm5.cli import _parser as cli_parser
 from acm5.cli import (
     _to_float_coframe,
     classification_report,
@@ -303,3 +304,29 @@ def test_emit_rejects_a_coefficient_load_cannot_read(tmp_path):
     with pytest.raises(SchemaError):
         emit_coframe(c, str(path))
     assert not path.exists()
+
+
+def _exit_code_and_stdout(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and usage errors exit from the parser
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """``main`` builds its parser once; repeating a call prints the same bytes
+    with the same exit code, also after a usage error in between."""
+    calls = (
+        ["--help"],
+        ["classify", str(GOLDEN_INPUTS[0]), "--json"],
+        [*FAMILY_1000, "--verify"],
+    )
+    usage_errors = (["classify"], [*FAMILY_1000, "--verify", "--identify"])
+    for argv in calls:
+        first = _exit_code_and_stdout(capsys, argv)
+        for bad in usage_errors:
+            assert _exit_code_and_stdout(capsys, bad) == (2, "")
+            assert _exit_code_and_stdout(capsys, argv) == first
+    assert _exit_code_and_stdout(capsys, ["--help"])[0] == 0
+    assert cli_parser() is cli_parser()

@@ -13,10 +13,7 @@ oracles, and on floats they keep the oracles' bits.
 """
 
 import dataclasses
-import importlib.util
-import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +23,7 @@ from hypothesis import strategies as st
 
 from acm5 import cli, family, linalg
 from acm5.acms import (
+    COMPLEMENT_FRAME,
     Tensor3,
     d_eta_form,
     derived,
@@ -40,31 +38,20 @@ from acm5.errors import DegenerateInputError, NotGeneralizedQuasiSasakiError
 from acm5.exterior import Form, coframe, d_squared_zero, e, proportionality, wedge
 from acm5.frames import connection_from_structure
 from acm5.scalars import TrigScalar, div, div_const, narrow
-from acm5.torsionclass import cartan_decompose
+from acm5.torsionclass import cartan_decompose, classify, intrinsic_torsion, module_frames
 from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     cartan_decompose_oracle,
     count_calls,
     difference_tensor_oracle,
+    replay_points,
     rotate,
     u2_rotation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "acm5"
-
-
-def _replay_points(seed):
-    """The family points of the benchmark's replay corpus at this seed."""
-    spec = importlib.util.spec_from_file_location("acm5_bench_corpus", ROOT / "bench" / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(corpus)
-    finally:
-        del sys.modules[spec.name]
-    return [params for _, params in corpus.replay_params(random.Random(f"replay:{seed}"))]
 
 
 # -- the storage rule and exact division -------------------------------------------
@@ -269,7 +256,7 @@ def _parts_entries(point):
 
 @pytest.mark.parametrize(
     "point",
-    GOLDEN_FAMILY_POINTS + _replay_points(1),
+    GOLDEN_FAMILY_POINTS + replay_points(1),
     ids=lambda p: "_".join(map(str, p)),
 )
 def test_difference_tensor_and_cartan_parts_are_ints_on_the_family(point):
@@ -309,6 +296,25 @@ def test_cartan_split_off_the_lattice_matches_the_oracle(cube):
     assert total.values == a.values
 
 
+# -- the torsion projection and the module norms ---------------------------------
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_torsion_projection_and_module_norms_are_ints_at_integer_scale(path):
+    """Inner products start from the int 0 and divide through ``scalars.div``
+    or ``div_const``, and an integral result is stored as an int: the Gram values of the
+    complement frame and the module frames, the complement coordinates of
+    the intrinsic torsion and its module norms."""
+    assert {type(g) for _, g in COMPLEMENT_FRAME} == {int}
+    assert {type(g) for pairs in module_frames().values() for _, g in pairs} == {int}
+    c, _ = _working_scale(load_coframe(str(path)))
+    gamma = intrinsic_torsion(frame_connection(connection_from_structure(c)))
+    assert {type(x) for x in gamma.as_coords()} == {int}
+    report = classify(gamma)
+    assert {type(v) for v in report.norms.values()} == {int}
+    assert type(report.total_norm_sq) is int
+
+
 # -- type tests that route an all-int table ---------------------------------------
 
 
@@ -325,20 +331,38 @@ def test_integer_coframe_takes_the_constant_paths():
 
 # -- ratchet on float branches ------------------------------------------------------
 
-FLOAT_BRANCHES_OUTSIDE_SCALARS = 5
+FLOAT_BRANCHES_OUTSIDE_SCALARS = 0
+FLOAT_BRANCHES_IN_SCALARS = 4
+# a per-value float test: isinstance(..., float), type(...) is [not] float, or a {float} type set
+FLOAT_BRANCH = re.compile(r"isinstance\(.*\bfloat\b|type\(.*\) is (not )?float\b|\{float\}")
+
+
+def _float_branches(inside_scalars):
+    return [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (path.name == "scalars.py") == inside_scalars
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if FLOAT_BRANCH.search(line)
+    ]
 
 
 def test_no_new_float_branches_outside_scalars():
-    """The int path adds no ``isinstance(..., float)`` test; the ones left are
-    to move behind a scalar-kind query in ``scalars``, not to grow."""
-    lines = [
-        f"{path.name}:{n}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "scalars.py"
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(r"isinstance\(.*\bfloat\b", line)
-    ]
+    """Only ``scalars`` tells the kinds apart value by value; every other
+    module reads a form's kind or asks ``scalars`` once per table."""
+    lines = _float_branches(inside_scalars=False)
     assert len(lines) <= FLOAT_BRANCHES_OUTSIDE_SCALARS, lines
+
+
+def test_float_branches_in_scalars_stay_few():
+    lines = _float_branches(inside_scalars=True)
+    assert len(lines) <= FLOAT_BRANCHES_IN_SCALARS, lines
+
+
+def test_float_branch_pattern_matches_every_spelling():
+    for line in ("isinstance(x, float)", "type(x) is float", "type(v) is not float", "{float}"):
+        assert FLOAT_BRANCH.search(line), line
+    assert not FLOAT_BRANCH.search("_with_coefficients(c, float)")
 
 
 def test_form_mode_read_only_in_exterior_and_cli():

@@ -123,3 +123,11 @@ def test_every_dataclass_field_is_read():
                 f"{path.stem}.{node.name}.{name}" for name in _fields(node) if not reads[name]
             )
     assert not unread, f"dataclass fields never read: {sorted(unread)}"
+
+
+SRC_LINE_BUDGET = 3673  # the line budget of src/acm5 that the design aims set
+
+
+def test_src_line_budget():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, f"src/acm5 has {lines} lines, over the budget of {SRC_LINE_BUDGET}"

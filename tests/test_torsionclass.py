@@ -181,7 +181,8 @@ def test_module_frames_reject_a_basis_that_is_not_orthogonal(monkeypatch):
 
 
 def test_projection_restricted_to_embeddings_has_rank_12():
-    from acm5.acms import LAMBDA2_BASES, pr_w
+    from acm5.acms import LAMBDA2_BASES
+    from helpers import pr_w
 
     images = []
     for part in (1, 2, 3, 4):
