@@ -44,6 +44,8 @@ from .errors import (
 from .exterior import (
     METRIC_IDS,
     Form,
+    dense2,
+    dense3,
     perm_sign,
     form,
     grid_form,
@@ -66,9 +68,7 @@ Y2 = form(2, {(0, 3): 1, (1, 2): -1})
 L24 = tuple(form(2, {(i, 4): 1}) for i in range(4))
 
 # phi matrix: PHI_MAT[i][j] = Phi(e_i, e_j); phi(v)_i = sum_j PHI_MAT[i][j] v_j
-PHI_MAT = tuple(
-    tuple(PHI.evaluate(i, j) for j in range(5)) for i in range(5)
-)
+PHI_MAT = tuple(map(tuple, dense2(PHI)))
 PHI_ENTRIES = tuple(
     (u, b, 1 if PHI_MAT[u][b] > 0 else -1)
     for u in range(5)
@@ -155,10 +155,11 @@ def project_u2_complement(beta: Form) -> Form:
 def phi_pullback(beta: Form) -> Form:
     """The 2-form (X, Y) -> beta(phi X, phi Y)."""
     _require_metric_2form(beta)
+    m = dense2(beta)
 
     def entry(a, b):
         (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
-        return _signed_add(0, s * t, beta.evaluate(u, w))
+        return _signed_add(0, s * t, m[u][w])
 
     return grid_form(entry)
 
@@ -260,7 +261,7 @@ def t3_from_func(fn):
 
 
 def t3_from_form3(rho: Form) -> Tensor3:
-    return t3_from_func(lambda i, j, k: rho.evaluate(i, j, k))
+    return Tensor3(tuple(tuple(map(tuple, plane)) for plane in dense3(rho)))
 
 
 def theta(beta: Form) -> Tensor3:
@@ -272,11 +273,8 @@ def theta(beta: Form) -> Tensor3:
 def vartheta(beta: Form) -> Tensor3:
     """3 eta (x) beta minus the star of beta, as a trilinear tensor."""
     _require_metric_2form(beta)
-    star = hodge(beta)
-    return t3_from_func(
-        lambda i, j, k: (3 if i == XI else 0) * beta.evaluate(j, k)
-        - star.evaluate(i, j, k)
-    )
+    b, star = dense2(beta), dense3(hodge(beta))
+    return t3_from_func(lambda i, j, k: (3 if i == XI else 0) * b[j][k] - star[i][j][k])
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +406,8 @@ def complement_forms(fc: FrameConnection) -> tuple:
 
 def np_gamma(gammas) -> Tensor3:
     """The same contraction on the projections gammas[k] of each w(e_k) to the
-    complement of the stabilizer, each read once as a 5x5 grid."""
-    return Tensor3(
-        tuple(_mu([[g.evaluate(i, a) for a in range(5)] for i in range(5)]) for g in gammas)
-    )
+    complement of the stabilizer, each read once as a dense 5x5 table."""
+    return Tensor3(tuple(_mu(dense2(g)) for g in gammas))
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
@@ -457,6 +453,7 @@ def n_via_np(np) -> Tensor3:
 def n_cov(np, deta: Form) -> Tensor3:
     """N as g(X, [phi, phi](Y, Z)) + eta(X) d eta(Y, Z), where component c of
     (nabla_{e_a} phi)(e_b) is np[a][c][b]."""
+    de = dense2(deta)
 
     def entry(x, y, z):
         acc = 0
@@ -469,7 +466,7 @@ def n_cov(np, deta: Form) -> Tensor3:
         u, s = PHI_COL[x]
         acc = _signed_add(acc, -s, np[z][u][y] - np[y][u][z])
         if x == XI:
-            acc += deta.evaluate(y, z)
+            acc += de[y][z]
         return acc
 
     return t3_from_func(entry)

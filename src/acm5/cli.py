@@ -46,24 +46,32 @@ from .exterior import (
     Form,
     Symbol,
     TrigRules,
-    form,
+    _trusted,
     proportionality,
     render_form,
 )
 from .family import build, identify_group, verify_identities
 from .frames import connection_from_structure
-from .scalars import fmt_scalar, is_rational
+from .scalars import EXACT, FLOAT, fmt_scalar, is_rational, narrow
 from .torsionclass import MODULE_NAMES, classify, intrinsic_torsion
 
-_RAT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RAT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def _parse_rational(s, where):
+    """A coefficient under the storage rule: a JSON integer or a 'p/q' string,
+    integral values as ints; SchemaError for anything else, and for a
+    numerator or denominator over the interpreter's digit limit."""
     if type(s) is int:  # JSON true/false are bools, not coefficients
-        return Fraction(s)
-    if not isinstance(s, str) or not _RAT.match(s.strip()):
+        return s
+    m = _RAT.match(s.strip()) if isinstance(s, str) else None
+    if m is None:
         raise SchemaError(f"{where}: not a rational 'p/q' string: {s!r}")
-    return Fraction(s)
+    p, q = m.groups()
+    try:
+        return int(p) if q is None else narrow(Fraction(int(p), int(q)))
+    except ValueError as exc:  # more digits than int() may read
+        raise SchemaError(f"{where}: coefficient over the integer digit limit") from exc
 
 
 def _is_name_list(x):
@@ -81,6 +89,10 @@ def load_coframe(path: str) -> CoframeData:
             ) from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        except ValueError as exc:  # an integer literal over the digit limit
+            raise SchemaError("parse error: integer literal over the digit limit") from exc
+        except RecursionError as exc:
+            raise SchemaError("parse error: nesting too deep") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     for key in ("symbols", "d", "orientation"):
@@ -134,7 +146,7 @@ def load_coframe(path: str) -> CoframeData:
                 raise SchemaError(f"{where}: duplicate monomial {names}")
             if coef:
                 out[idx] = coef
-        return form(degree, out)
+        return _trusted(degree, out, EXACT)
 
     if set(doc["d"].keys()) - set(ids):
         raise SchemaError(f"d-table names unknown symbols: {sorted(set(doc['d']) - set(ids))}")
@@ -142,7 +154,7 @@ def load_coframe(path: str) -> CoframeData:
     for name, terms in doc["d"].items():
         d_table[ids[name]] = parse_form(terms, 2, f"d[{name}]")
     for name, sid in ids.items():
-        d_table.setdefault(sid, form(2, {}))
+        d_table.setdefault(sid, _trusted(2, {}, EXACT))
     orientation = doc["orientation"]
     if not _is_name_list(orientation) or sorted(orientation) != sorted(s.name for s in metric):
         raise SchemaError("orientation must list the five metric symbols")
@@ -193,9 +205,11 @@ def coframe_document(c: CoframeData):
     return doc
 
 
-def _with_coefficients(c: CoframeData, fn) -> CoframeData:
+def _with_coefficients(c: CoframeData, fn, kind) -> CoframeData:
+    """c with every coefficient v replaced by fn(v), of the given kind; fn keeps an
+    exact value nonzero, so every value is one the storage rule stores."""
     table = {
-        sid: form(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
+        sid: _trusted(f.degree, {idx: fn(v) for idx, v in f.terms.items()}, kind)
         for sid, f in c.d_table.items()
     }
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
@@ -207,7 +221,7 @@ def _largest_coefficient(c: CoframeData):
 
 def _to_float_coframe(c: CoframeData) -> CoframeData:
     """The binary64 coframe; OverflowError when max|c|^2 is not finite."""
-    out = _with_coefficients(c, float)
+    out = _with_coefficients(c, float, FLOAT)
     m = _largest_coefficient(out)
     if not math.isfinite(m * m):
         raise OverflowError("max|c|^2 is not finite")
@@ -221,14 +235,15 @@ def _to_float_coframe(c: CoframeData) -> CoframeData:
 def _working_scale(c: CoframeData):
     """(c at its working scale, unit): the coframe that the report computes on
     and the exact factor that takes its degree-1 values back to c."""
-    if c.mode() == "float":
+    if c.mode() == FLOAT:
         e = math.frexp(_largest_coefficient(c))[1]
-        return (_with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c), Fraction(2) ** e
+        scaled = _with_coefficients(c, lambda v: math.ldexp(v, -e), FLOAT) if e else c
+        return scaled, Fraction(2) ** e
     values = [v for f in c.d_table.values() for v in f.terms.values()]
     if not all(map(is_rational, values)):
         return c, Fraction(1)
     lam = 4 * math.lcm(*(v.denominator for v in values))
-    return _with_coefficients(c, lambda v: v * lam), Fraction(1, lam)
+    return _with_coefficients(c, lambda v: narrow(v * lam), EXACT), Fraction(1, lam)
 
 
 def classification_report(c: CoframeData):

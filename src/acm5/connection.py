@@ -45,13 +45,15 @@ from .exterior import (
     METRIC_IDS,
     CoframeData,
     Form,
+    dense2,
+    dense3,
     ext_d,
     form,
     grid_form,
     wedge,
 )
 from .frames import ConnectionForms
-from .scalars import div_const, sis_zero
+from .scalars import div_const, narrow, sis_zero
 from .torsionclass import CartanParts, cartan_decompose
 
 
@@ -77,9 +79,9 @@ def characteristic_connection(c: CoframeData, omega_g):
     nij = derived(fc, nijenhuis)
     deta = derived(fc, d_eta_form)
     gamma = derived(fc, gamma_form)
-    corr3 = wedge(deta - gamma, ETA)
+    corr3 = dense3(wedge(deta - gamma, ETA))
     nv = nij.values
-    a_c = t3_from_func(lambda x, y, z: div_const(corr3.evaluate(x, y, z) - nv[x][y][z], 2))
+    a_c = t3_from_func(lambda x, y, z: div_const(corr3[x][y][z] - nv[x][y][z], 2))
     omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c)
     if not report.ok:
@@ -198,16 +200,17 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
                 )
             if not (grid[i][j] + grid[j][i]).is_zero():
                 raise ACM5Error("curvature matrix is not antisymmetric")
+    tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
     ricci = []
     for a in range(5):
         rrow = []
         for b in range(5):
             acc = 0
             for i in range(5):
-                acc += grid[i][b].evaluate(a, i)
+                acc += tables[i][b][a][i]
             rrow.append(acc)
         ricci.append(tuple(rrow))
-    holonomy = _bracket_closure(_endomorphism_values(grid))
+    holonomy = _bracket_closure(_endomorphism_values(tables))
     return CurvatureData(
         tuple(tuple(r) for r in grid), tuple(ricci), tuple(holonomy)
     )
@@ -219,20 +222,16 @@ def _chop(f: Form):
     return f if len(kept) == len(f.terms) else Form(f.degree, kept)
 
 
-def _endomorphism_values(grid):
+def _endomorphism_values(tables):
     """Curvature endomorphisms R(e_a, e_b) as 2-forms via the so(5)-form
-    correspondence."""
+    correspondence, from the dense tables of the curvature entries."""
     out = []
     for a in range(5):
         for b in range(a + 1, 5):
-            f = grid_form(lambda i, j: grid[i][j].evaluate(a, b))
+            f = grid_form(lambda i, j: tables[i][j][a][b])
             if not f.is_zero():
                 out.append(f)
     return out
-
-
-def _form_to_matrix(beta: Form):
-    return [[beta.evaluate(i, j) for j in range(5)] for i in range(5)]
 
 
 def _commutator(a, b):
@@ -276,7 +275,7 @@ def _bracket_closure(elements):
         snapshot = list(basis)
         for x in snapshot:
             for y in snapshot:
-                m = _commutator(_form_to_matrix(x), _form_to_matrix(y))
+                m = _commutator(dense2(x), dense2(y))
                 f = grid_form(lambda i, j: m[i][j])
                 if not f.is_zero() and try_add(f):
                     changed = True
@@ -346,9 +345,11 @@ class SpinorKernelReport:
 
 def spinor_kernel(space: SpinorSpace, f2: Form) -> SpinorKernelReport:
     """Kernel of the Clifford action of a 2-form.  The action is complex
-    linear, so the real kernel must be stable under J; that is checked."""
+    linear, so the real kernel must be stable under J; that is checked.
+    Each basis entry is stored narrowed, so an integral one is an int and
+    the residues of ``parallel_spinor_check`` add ints on int connections."""
     m = space.action_of_2form(f2)
-    basis = linalg.nullspace(m)
+    basis = [tuple(map(narrow, v)) for v in linalg.nullspace(m)]
     rows = [[(c, x) for c, x in enumerate(row) if x] for row in m]
     for v in basis:
         turned = [s * v[c] for c, s in J]

@@ -16,8 +16,15 @@ Conventions, fixed once and used everywhere:
   df/dg rules.
 * The d^2-gate contracts a constant table of one kind directly:
   d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k), accumulated in the order
-  ext_d(ext_d(e_i)) would add the same products; any other table goes
-  through ext_d twice.
+  ext_d(ext_d(e_i)) would add the same products.  Each product looks up
+  its monomial and sign in a wedge table of (pair, k) built once per
+  symbol count; an exact sum is narrowed and its zeros dropped once at the
+  end.  Any other table goes through ext_d twice.
+* A full read of a 2-form or a 3-form on frame directions is one dense
+  table (:func:`dense2`, :func:`dense3`) filled from its terms: each
+  stored c goes to its sorted slot and -c to every odd permutation of it,
+  the int 0 everywhere else, which is entry by entry what ``evaluate``
+  returns (the value, its type and, for floats, its bits).
 
 Forms follow the kind rule and the storage rule of ``scalars``.
 ``Form(...)`` validates its terms and takes its kind from them; the
@@ -204,6 +211,26 @@ def perm_sign(ids):
             if ids[i] > ids[j]:
                 sign = -sign
     return sign
+
+
+def dense2(f, n=5):
+    """The n x n table m[i][j] = f.evaluate(i, j) of a 2-form, filled from its terms."""
+    m = [[0] * n for _ in range(n)]
+    for (i, j), c in f.terms.items():
+        if j < n:
+            m[i][j] = c
+            m[j][i] = -c
+    return m
+
+
+def dense3(f, n=5):
+    """The n x n x n table t[i][j][k] = f.evaluate(i, j, k) of a 3-form, filled from its terms."""
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in f.terms.items():
+        if k < n:
+            t[i][j][k] = t[j][k][i] = t[k][i][j] = c
+            t[j][i][k] = t[i][k][j] = t[k][j][i] = -c
+    return t
 
 
 @functools.cache
@@ -432,6 +459,21 @@ def d_squared_zero(c):
     return ResidualReport({c.name_of(sid): r for sid, r in enumerate(dd)})
 
 
+@functools.cache
+def _wedge_table(n):
+    """For each id k < n, {(p, q): (monomial, sign)} over the pairs p < q < n
+    that miss k, with e_p^e_q^e_k = sign * monomial (also e_k^e_p^e_q)."""
+    return [
+        {
+            (p, q): (tuple(sorted((p, q, k))), perm_sign((p, q, k)))
+            for p in range(n)
+            for q in range(p + 1, n)
+            if k not in (p, q)
+        }
+        for k in range(n)
+    ]
+
+
 def _d_squared_constant(c):
     """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
 
@@ -440,18 +482,19 @@ def _d_squared_constant(c):
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
     mode = c.mode()
+    table = _wedge_table(c.n_symbols)
     out = []
     for sid in range(c.n_symbols):
         terms = {}
         for (j, k), a in live.get(sid, {}).items():
-            for idx, b in live.get(j, {}).items():
-                if k not in idx:
-                    mono, sign = _merge(idx, (k,))
-                    _accumulate(terms, mono, a * b if sign > 0 else -(a * b), mode)
-            for idx, b in live.get(k, {}).items():
-                if j not in idx:
-                    mono, sign = _merge((j,), idx)
-                    _accumulate(terms, mono, -(a * b) if sign > 0 else a * b, mode)
+            for tail, rows, s in ((table[k], live.get(j, {}), 1), (table[j], live.get(k, {}), -1)):
+                for idx, b in rows.items():
+                    hit = tail.get(idx)
+                    if hit:
+                        mono, sign = hit
+                        terms[mono] = terms.get(mono, 0) + (a * b if sign == s else -(a * b))
+        if mode == EXACT:
+            terms = {mono: narrow(v) for mono, v in terms.items() if v}
         out.append(_trusted(3, terms, mode))
     return out
 

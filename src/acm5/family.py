@@ -57,6 +57,7 @@ from .errors import DegenerateInputError, IntegrabilityError
 from .exterior import (
     CoframeData,
     coframe,
+    dense2,
     e,
     ext_d,
     form,
@@ -225,11 +226,9 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         check("skew case: N + gamma ^ eta = 0", (nij + t3_from_form3(wedge(gamma, ETA))).is_zero())
     if cyclic_expected:
         check("cyclic case: gamma = d eta", gamma == deta)
-        eta = ETA.evaluate
+        eta, de = [ETA.coefficient((x,)) for x in range(5)], dense2(deta)
         cyc_expected = t3_from_func(
-            lambda x, y, z: 2 * eta(x) * deta.evaluate(y, z)
-            + eta(y) * deta.evaluate(x, z)
-            - eta(z) * deta.evaluate(x, y)
+            lambda x, y, z: 2 * eta[x] * de[y][z] + eta[y] * de[x][z] - eta[z] * de[x][y]
         )
         check("cyclic case: N = 2 eta (x) d eta + eta-weighted tail", nij == cyc_expected)
 
@@ -254,20 +253,20 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
 
     np = derived(fc, nabla_phi)
     npv = np.values
-    disp1 = (-2 * a2 - 4 * a4) * Z1 + (2 * a1 + 4 * a3) * Z2
+    disp1 = dense2((-2 * a2 - 4 * a4) * Z1 + (2 * a1 + 4 * a3) * Z2)
     check(
         "display: nabla_xi phi",
         all(
-            npv[XI][b][a] == disp1.evaluate(a, b)
+            npv[XI][b][a] == disp1[a][b]
             for a in range(5)
             for b in range(5)
         ),
     )
-    disp2 = (a2 - a4) * Z1 + (-(a1 - a3)) * Z2
+    disp2 = dense2((a2 - a4) * Z1 + (-(a1 - a3)) * Z2)
     check(
         "display: nabla phi of xi",
         all(
-            npv[a][b][XI] == disp2.evaluate(a, b)
+            npv[a][b][XI] == disp2[a][b]
             for a in range(5)
             for b in range(5)
         ),

@@ -23,6 +23,7 @@ from .exterior import (
     METRIC_IDS,
     CoframeData,
     ResidualReport,
+    dense2,
     ext_d,
     form,
     grid_form,
@@ -100,17 +101,17 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
     auxiliary ^ auxiliary term and de_i(A, e_j) is antisymmetric in (i, j);
     otherwise RankError.
     """
-    d = [c.d_table[i] for i in range(5)]
-    aux = range(5, c.n_symbols)
     n = c.name_of
     for i in range(5):
-        for (s, t), v in d[i].terms.items():
+        for (s, t), v in c.d_table[i].terms.items():
             if s not in METRIC_IDS and not sis_zero(v):
                 raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
+    d = [dense2(c.d_table[i], c.n_symbols) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b)
+    aux = range(5, c.n_symbols)
     for a in aux:
         for i in range(5):
             for j in range(i, 5):
-                if not sis_zero(d[i].evaluate(a, j) + d[j].evaluate(a, i)):
+                if not sis_zero(d[i][a][j] + d[j][a][i]):
                     raise RankError(
                         f"no Levi-Civita solution: d{n(i)}, d{n(j)} disagree on the {n(a)} channel"
                     )
@@ -118,9 +119,8 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
     for b in range(5):
         for cc in range(b + 1, 5):
             values = [
-                div_const(d[a].evaluate(b, cc) + d[b].evaluate(a, cc) - d[cc].evaluate(a, b), 2)
-                for a in range(5)
-            ] + [d[b].evaluate(a, cc) for a in aux]
+                div_const(d[a][b][cc] + d[b][a][cc] - d[cc][a][b], 2) for a in range(5)
+            ] + [d[b][a][cc] for a in aux]
             entries[(b + 1, cc + 1)] = form(1, {(a,): v for a, v in enumerate(values) if v})
     return connection_forms(entries)
 

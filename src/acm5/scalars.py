@@ -43,6 +43,7 @@ small int constant (the 1/2, 1/3 or 1/4 of a formula) through
 from __future__ import annotations
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ExtensionOverflowError, ModeMismatchError
@@ -258,10 +259,12 @@ def div(a, b):
 
 def div_const(a, n):
     """a / n for an int constant n > 0, as ``Fraction(1, n) * a`` narrowed: an int
-    that n divides gives ``a // n`` with no Fraction built, and a float keeps the
-    bits of its product with float(1/n)."""
+    that n divides gives ``a // n``, and a float ``a * (1 / n)``, the bits of its
+    product with ``Fraction(1, n)``; neither builds a Fraction."""
     if type(a) is int and not a % n:
         return a // n
+    if is_float(a):
+        return a * (1 / n)
     return narrow(a * Fraction(1, n))
 
 
@@ -292,7 +295,8 @@ def fmt_scalar(x):
         return repr(x)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        num = Decimal(x.numerator)  # Decimal prints an int past str's digit limit
+        return str(num) if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
     parts = []
     for (kind, m, n), coef in sorted(x.coeffs.items()):
         if (kind, m, n) == ("c", 0, 0):

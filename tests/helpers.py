@@ -27,6 +27,7 @@ import importlib.util
 import itertools
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -63,7 +64,7 @@ from acm5.exterior import (
     zero_form,
 )
 from acm5.frames import ConnectionForms, PointwiseFrameData, connection_forms
-from acm5.scalars import COS_F, TrigScalar, sis_zero
+from acm5.scalars import COS_F, TrigScalar, narrow, sis_zero
 from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -439,6 +440,19 @@ def trig_coframe():
     d(de1) = -sin(f) e2^e3^e5, so e1 fails the d^2-gate.
     """
     return coframe({"e1": COS_F * wedge(e(2), e(3))}, trig_rules=TrigRules(df=e(5)))
+
+
+_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def parse_rational_oracle(s):
+    """The loader's coefficient rule as the pattern plus ``Fraction(s)`` read
+    it, narrowed; None for a rejected value."""
+    if type(s) is int:  # bools are rejected
+        return narrow(Fraction(s))
+    if not isinstance(s, str) or not _RATIONAL_TEXT.match(s.strip()):
+        return None
+    return narrow(Fraction(s))
 
 
 def bits(v):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acm5.cli import _parser as cli_parser
+from acm5.acms import frame_connection
 from acm5.cli import (
+    _parse_rational,
     _to_float_coframe,
+    _working_scale,
     classification_report,
     coframe_document,
     emit_coframe,
     load_coframe,
     main,
 )
+from acm5.connection import characteristic_connection, curvature
 from acm5.errors import SchemaError
 from acm5.family import build, identify_group
-from helpers import GOLDEN_INPUTS, rotate, scaled, trig_coframe, u2_rotation
+from acm5.frames import connection_from_structure
+from acm5.torsionclass import classify, intrinsic_torsion
+from helpers import (
+    GOLDEN_INPUTS,
+    parse_rational_oracle,
+    rotate,
+    scaled,
+    trig_coframe,
+    u2_rotation,
+)
 
 FAMILY_1000 = ["family", "--params", "1", "0", "0", "0"]
 
@@ -330,3 +344,127 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
             assert _exit_code_and_stdout(capsys, argv) == first
     assert _exit_code_and_stdout(capsys, ["--help"])[0] == 0
     assert cli_parser() is cli_parser()
+
+
+# -- oversized input and oversized output --------------------------------------
+
+DIGITS = 5000  # over the interpreter's default limit of 4300 digits for int <-> str
+
+
+def _heisenberg_text(coeff):
+    """The text of a coframe document with de5 = coeff e1^e2 + coeff e3^e4, the
+    coefficient inserted as raw JSON (a string literal or an integer literal)."""
+    doc = {
+        "symbols": [{"name": f"e{i}", "kind": "metric", "index": i} for i in range(1, 6)],
+        "d": {"e5": [{"coeff": "@", "wedge": ["e1", "e2"]}, {"coeff": "@", "wedge": ["e3", "e4"]}]},
+        "orientation": ["e1", "e2", "e3", "e4", "e5"],
+    }
+    return json.dumps(doc).replace('"@"', coeff)
+
+
+OVERSIZED = {
+    "numerator-string": _heisenberg_text(f'"{"7" * DIGITS}"'),
+    "denominator-string": _heisenberg_text(f'"1/{"7" * DIGITS}"'),
+    "integer-literal": _heisenberg_text("7" * DIGITS),
+    "deep-nesting": _heisenberg_text("[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["classify", "--json"], ["classify", "--json", "--float"]],
+    ids=["validate", "classify", "classify-float"],
+)
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_input_is_a_schema_error(tmp_path, capsys, name, argv):
+    path = tmp_path / "big.json"
+    path.write_text(OVERSIZED[name])
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 1 and out == ""
+    assert err.startswith("schema error: ") and err.count("\n") == 1
+
+
+class _unlimited_int_digits:
+    """Lift the interpreter's int <-> str digit limit inside a with block."""
+
+    def __enter__(self):
+        self.saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.saved)
+
+
+def test_large_exact_values_print_and_parse_back(tmp_path, capsys):
+    """2500-digit coefficients give norms and Ricci entries of about 5000
+    digits, over the digit limit of ``str``; each printed value parses back
+    to the value that the report's pipeline computes in process."""
+    path = tmp_path / "big.json"
+    path.write_text(_heisenberg_text(f'"{"7" * 2500}/3"'))
+    code, out, err = run(capsys, ["classify", str(path), "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    c, unit = _working_scale(load_coframe(str(path)))
+    fc = frame_connection(connection_from_structure(c))
+    norms = classify(intrinsic_torsion(fc)).norms
+    ricci = curvature(c, characteristic_connection(c, fc).omega_c).ricci
+    printed = report["classification"]["norms"]
+    with _unlimited_int_digits():
+        assert max(len(str(v)) for v in norms.values()) > DIGITS
+        assert {k: Fraction(s) for k, s in printed.items()} == {
+            k: v * unit * unit for k, v in norms.items()
+        }
+        assert [Fraction(s) for s in report["characteristic_connection"]["ricci_diagonal"]] == [
+            ricci[i][i] * unit * unit for i in range(5)
+        ]
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+def test_validate_prints_large_residues(tmp_path, capsys):
+    """de1 = n e2^e3 and de2 = n e1^e4 give d(de1) = -n^2 e1^e3^e4, whose
+    coefficient of about 5000 digits is printed in full."""
+    n = 7 * (10**2500 - 1) // 9
+    doc = json.loads(_heisenberg_text('"0"'))
+    doc["d"] = {"e1": [{"coeff": str(n), "wedge": ["e2", "e3"]}],
+                "e2": [{"coeff": str(n), "wedge": ["e1", "e4"]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("d^2 e1 = ")
+    with _unlimited_int_digits():
+        assert lines[0] == f"d^2 e1 = {-n * n}*e1^e3^e4 != 0"
+
+
+# Unicode digits (Arabic-Indic, Devanagari, fullwidth) and spaces (no-break,
+# em, ideographic) next to the ASCII ones, which both readers treat alike.
+COEFFICIENT_TEXTS = st.one_of(
+    st.builds(
+        lambda lead, sign, num, den, trail: f"{lead}{sign}{num}{den}{trail}",
+        st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u2003"]),
+        st.sampled_from(["", "+", "-", "--", "+-"]),
+        st.text("0123456789\u0660\u0661\u0969\uff17", max_size=5),
+        st.one_of(st.just(""), st.text("0123456789\u0661/", max_size=5).map(lambda d: "/" + d)),
+        st.sampled_from(["", " ", "\n", " \n", "\u3000", "x"]),
+    ),
+    st.text("0123456789/+-._eE \u0663", max_size=8),
+    st.sampled_from(["0/7", "1/0", "-0", "007/008", "1/00", "1_000", "1/2/3", ""]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(COEFFICIENT_TEXTS)
+def test_parse_rational_accepts_what_the_pattern_and_fraction_accepted(s):
+    """The one-pass coefficient reader keeps the old rule: the same strings
+    and ints are accepted, with the same narrowed value and type."""
+    try:
+        got = _parse_rational(s, "d[e5]")
+    except SchemaError:
+        got = None
+    want = parse_rational_oracle(s)
+    assert (type(got), got) == (type(want), want)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from acm5.exterior import (
     TrigRules,
     coframe,
     d_squared_zero,
+    dense2,
+    dense3,
     e,
     ext_d,
     form,
@@ -319,3 +322,57 @@ def test_ext_d_matches_wedge_oracle_on_exact_coframes(a, c):
 @given(one_kind_forms([rationals, floats]), FLOAT_COFRAMES)
 def test_ext_d_matches_wedge_oracle_on_float_coframes(a, c):
     _check_against_oracle(a, c)
+
+
+# -- dense reads and the d^2-gate table ---------------------------------------
+
+
+@st.composite
+def dense_read_forms(draw):
+    """A 2-form or 3-form on six symbols, coefficients of one kind; float
+    coefficients include both zeros and a subnormal."""
+    deg = draw(st.sampled_from([2, 3]))
+    monos = list(itertools.combinations(range(6), deg))
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -1e300])
+    coef = draw(st.sampled_from([rationals, floats | edge_floats, trigs]))
+    return form(deg, {idx: draw(coef) for idx in chosen})
+
+
+@settings(max_examples=120, deadline=None)
+@given(dense_read_forms(), st.sampled_from([5, 6]))
+def test_dense_reads_equal_evaluate_entry_by_entry(f, n):
+    """Value, type and float bits; terms on ids >= n are outside the table,
+    as evaluate never reads them there."""
+    table = (dense2 if f.degree == 2 else dense3)(f, n)
+    for ids in itertools.product(range(n), repeat=f.degree):
+        got = functools.reduce(lambda t, i: t[i], ids, table)
+        assert bits(got) == bits(f.evaluate(*ids)), ids
+
+
+@st.composite
+def constant_tables(draw):
+    """A constant generator table of one kind on 5 to 12 symbols, integrable or not."""
+    nsym = draw(st.integers(5, 12))
+    coef = draw(st.sampled_from([rationals, floats]))
+    pairs = list(itertools.combinations(range(nsym), 2))
+    table = {}
+    for sid in range(nsym):
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+        table[sid] = form(2, {idx: draw(coef) for idx in chosen})
+    names = [f"e{i}" for i in range(1, 6)] + [f"a{i}" for i in range(6, nsym + 1)]
+    return coframe({names[sid]: f for sid, f in table.items()}, auxiliary=names[5:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_tables())
+def test_d_squared_gate_table_matches_ext_d_twice(c):
+    """Every residual of the tabled contraction is d(d(symbol)) through
+    ext_d, term by term with float bits, at every symbol count."""
+    rep = d_squared_zero(c)
+    for sid in range(c.n_symbols):
+        want = ext_d(ext_d(form(1, {(sid,): 1}), c), c)
+        got = rep.residuals[c.name_of(sid)]
+        assert {i: bits(v) for i, v in got.terms.items()} == {
+            i: bits(v) for i, v in want.terms.items()
+        }

@@ -18,12 +18,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acm5 import cli, family, linalg
 from acm5.acms import (
     COMPLEMENT_FRAME,
+    F,
     Tensor3,
     d_eta_form,
     derived,
@@ -33,7 +34,13 @@ from acm5.acms import (
     predicates,
 )
 from acm5.cli import _to_float_coframe, _working_scale, classification_report, load_coframe
-from acm5.connection import characteristic_connection, torsion_type
+from acm5.connection import (
+    characteristic_connection,
+    kernel_of_f,
+    parallel_spinor_check,
+    spinor_space,
+    torsion_type,
+)
 from acm5.errors import DegenerateInputError, NotGeneralizedQuasiSasakiError
 from acm5.exterior import Form, coframe, d_squared_zero, e, proportionality, wedge
 from acm5.frames import connection_from_structure
@@ -71,6 +78,21 @@ def test_div_const_keeps_ints_and_the_fraction_product():
     x = 5 / 7
     assert div_const(x, 3).hex() == (Fraction(1, 3) * x).hex() != (x / 3).hex()
     assert div_const(TrigScalar.atom("c", 1, 0, 2), 2) == TrigScalar.atom("c", 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False), st.sampled_from([2, 3, 4]))
+@example(0.0, 2)
+@example(-0.0, 3)
+@example(5e-324, 3)
+@example(-2.2250738585072014e-308, 3)
+@example(1.7976931348623157e308, 3)
+@example(-1e-320, 4)
+def test_div_const_of_a_float_keeps_the_fraction_product_bits(x, n):
+    """``a * (1 / n)`` and ``a * Fraction(1, n)`` round alike, signed zeros,
+    subnormals and the largest floats included."""
+    got = div_const(x, n)
+    assert type(got) is float and got.hex() == (x * Fraction(1, n)).hex()
 
 
 def test_rref_divides_int_rows_exactly():
@@ -327,6 +349,50 @@ def test_integer_coframe_takes_the_constant_paths():
     scaled, unit = _working_scale(c)
     assert unit == Fraction(1, 4)
     assert {type(v) for f in scaled.d_table.values() for v in f.terms.values()} == {int}
+
+
+# -- spinor kernels on ints -----------------------------------------------------------
+
+
+def test_spinor_kernel_basis_is_stored_as_ints():
+    """``linalg.nullspace`` returns Fractions; ``spinor_kernel`` narrows them."""
+    assert {type(x) for v in kernel_of_f().kernel_basis for x in v} == {int}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_parallel_spinor_verdicts_keep_the_fraction_basis_verdicts(path, mode):
+    c = load_coframe(str(path))
+    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    fc = frame_connection(connection_from_structure(c))
+    if not predicates(fc).generalized_quasi_sasaki:
+        return
+    omega = characteristic_connection(c, fc).omega_c
+    space = spinor_space()
+    fractions = linalg.nullspace(space.action_of_2form(F))
+    assert {type(x) for v in fractions for x in v} == {Fraction}
+    assert parallel_spinor_check(space, omega, kernel_of_f().kernel_basis) is parallel_spinor_check(
+        space, omega, fractions
+    )
+
+
+# -- ratchet on Form.evaluate reads ---------------------------------------------------
+
+EVALUATE_READS_OUTSIDE_EXTERIOR = 0
+EVALUATE_READ = re.compile(r"\.evaluate\b")
+
+
+def test_no_evaluate_reads_outside_exterior():
+    """A full read of a form goes through ``exterior.dense2``/``dense3``, one
+    table per form, not one ``Form.evaluate`` call per entry."""
+    reads = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "exterior.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if EVALUATE_READ.search(line)
+    ]
+    assert len(reads) <= EVALUATE_READS_OUTSIDE_EXTERIOR, reads
 
 
 # -- ratchet on float branches ------------------------------------------------------
