@@ -16,10 +16,10 @@ Conventions, fixed once and used everywhere:
   df/dg rules.
 * The d^2-gate contracts a constant table of one kind directly:
   d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k), accumulated in the order
-  ext_d(ext_d(e_i)) would add the same products.  Each product looks up
-  its monomial and sign in a wedge table of (pair, k) built once per
-  symbol count; an exact sum is narrowed and its zeros dropped once at the
-  end.  Any other table goes through ext_d twice.
+  ext_d(ext_d(e_i)) would add the same products.  Each product takes its
+  monomial and sign from the memoized :func:`_tail` of (pair, k), so the
+  work follows the stored terms; an exact sum is narrowed and its zeros
+  dropped once at the end.  Any other table goes through ext_d twice.
 * A full read of a 2-form or a 3-form on frame directions is one dense
   table (:func:`dense2`, :func:`dense3`) filled from its terms: each
   stored c goes to its sorted slot and -c to every odd permutation of it,
@@ -213,13 +213,17 @@ def perm_sign(ids):
     return sign
 
 
-def dense2(f, n=5):
-    """The n x n table m[i][j] = f.evaluate(i, j) of a 2-form, filled from its terms."""
-    m = [[0] * n for _ in range(n)]
+def dense2(f, n=5, cols=None):
+    """The n x cols table m[i][j] = f.evaluate(i, j) of a 2-form (cols <= n,
+    default n), filled from its terms."""
+    cols = n if cols is None else cols
+    m = [[0] * cols for _ in range(n)]
     for (i, j), c in f.terms.items():
         if j < n:
-            m[i][j] = c
-            m[j][i] = -c
+            if j < cols:
+                m[i][j] = c
+            if i < cols:
+                m[j][i] = -c
     return m
 
 
@@ -237,6 +241,12 @@ def dense3(f, n=5):
 def _merge(i1, i2):
     """Sort the concatenation of two disjoint index tuples; returns (tuple, sign).  Memoized."""
     return tuple(sorted(i1 + i2)), perm_sign(i1 + i2)
+
+
+@functools.cache
+def _tail(idx, k):
+    """(monomial, sign) with e_idx ^ e_k = sign * monomial, or None when k is in idx.  Memoized."""
+    return None if k in idx else _merge(idx, (k,))
 
 
 def _check_modes(a, b):
@@ -459,21 +469,6 @@ def d_squared_zero(c):
     return ResidualReport({c.name_of(sid): r for sid, r in enumerate(dd)})
 
 
-@functools.cache
-def _wedge_table(n):
-    """For each id k < n, {(p, q): (monomial, sign)} over the pairs p < q < n
-    that miss k, with e_p^e_q^e_k = sign * monomial (also e_k^e_p^e_q)."""
-    return [
-        {
-            (p, q): (tuple(sorted((p, q, k))), perm_sign((p, q, k)))
-            for p in range(n)
-            for q in range(p + 1, n)
-            if k not in (p, q)
-        }
-        for k in range(n)
-    ]
-
-
 def _d_squared_constant(c):
     """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
 
@@ -482,14 +477,13 @@ def _d_squared_constant(c):
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
     mode = c.mode()
-    table = _wedge_table(c.n_symbols)
     out = []
     for sid in range(c.n_symbols):
         terms = {}
         for (j, k), a in live.get(sid, {}).items():
-            for tail, rows, s in ((table[k], live.get(j, {}), 1), (table[j], live.get(k, {}), -1)):
+            for t, rows, s in ((k, live.get(j, {}), 1), (j, live.get(k, {}), -1)):
                 for idx, b in rows.items():
-                    hit = tail.get(idx)
+                    hit = _tail(idx, t)
                     if hit:
                         mono, sign = hit
                         terms[mono] = terms.get(mono, 0) + (a * b if sign == s else -(a * b))

@@ -106,7 +106,7 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
         for (s, t), v in c.d_table[i].terms.items():
             if s not in METRIC_IDS and not sis_zero(v):
                 raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
-    d = [dense2(c.d_table[i], c.n_symbols) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b)
+    d = [dense2(c.d_table[i], c.n_symbols, 5) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b), b < 5
     aux = range(5, c.n_symbols)
     for a in aux:
         for i in range(5):

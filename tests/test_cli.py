@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,30 @@ def test_oversized_input_is_a_schema_error(tmp_path, capsys, name, argv):
     assert err.startswith("schema error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["classify", "--json"], ["classify", "--json", "--float"]],
+    ids=["validate", "classify", "classify-float"],
+)
+def test_many_auxiliary_symbols_cost_what_their_terms_cost(tmp_path, capsys, argv):
+    """400 auxiliary symbols with zero derivatives and one nonzero de5: the
+    d^2-gate and the Levi-Civita solve stay within a few MB of traced
+    memory, where a table over every symbol pair or every (aux, aux) pair
+    would take far more."""
+    doc = json.loads(_heisenberg_text('"2"'))
+    doc["symbols"] += [{"name": f"A{i}", "kind": "auxiliary"} for i in range(400)]
+    path = tmp_path / "aux.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert peak < 4_000_000
+
+
 class _unlimited_int_digits:
     """Lift the interpreter's int <-> str digit limit inside a with block."""
 
@@ -399,6 +424,7 @@ def test_large_exact_values_print_and_parse_back(tmp_path, capsys):
     """2500-digit coefficients give norms and Ricci entries of about 5000
     digits, over the digit limit of ``str``; each printed value parses back
     to the value that the report's pipeline computes in process."""
+    limit = sys.get_int_max_str_digits()
     path = tmp_path / "big.json"
     path.write_text(_heisenberg_text(f'"{"7" * 2500}/3"'))
     code, out, err = run(capsys, ["classify", str(path), "--json"])
@@ -417,7 +443,7 @@ def test_large_exact_values_print_and_parse_back(tmp_path, capsys):
         assert [Fraction(s) for s in report["characteristic_connection"]["ricci_diagonal"]] == [
             ricci[i][i] * unit * unit for i in range(5)
         ]
-    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_validate_prints_large_residues(tmp_path, capsys):

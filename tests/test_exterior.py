@@ -324,7 +324,7 @@ def test_ext_d_matches_wedge_oracle_on_float_coframes(a, c):
     _check_against_oracle(a, c)
 
 
-# -- dense reads and the d^2-gate table ---------------------------------------
+# -- dense reads and the d^2-gate ---------------------------------------------
 
 
 @st.composite
@@ -340,12 +340,17 @@ def dense_read_forms(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(dense_read_forms(), st.sampled_from([5, 6]))
-def test_dense_reads_equal_evaluate_entry_by_entry(f, n):
-    """Value, type and float bits; terms on ids >= n are outside the table,
-    as evaluate never reads them there."""
-    table = (dense2 if f.degree == 2 else dense3)(f, n)
-    for ids in itertools.product(range(n), repeat=f.degree):
+@given(dense_read_forms(), st.sampled_from([5, 6]), st.integers(1, 6))
+def test_dense_reads_equal_evaluate_entry_by_entry(f, n, cols):
+    """Value, type and float bits; terms on ids >= n (or second ids >= cols
+    for a 2-form) are outside the table, as evaluate never reads them there."""
+    cols = min(cols, n)
+    if f.degree == 2:
+        table, shape = dense2(f, n, cols), (range(n), range(cols))
+    else:
+        table, shape = dense3(f, n), (range(n),) * 3
+    assert [len(table)] + [len(table[0])] == [len(shape[0]), len(shape[1])]
+    for ids in itertools.product(*shape):
         got = functools.reduce(lambda t, i: t[i], ids, table)
         assert bits(got) == bits(f.evaluate(*ids)), ids
 
@@ -366,8 +371,8 @@ def constant_tables(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(constant_tables())
-def test_d_squared_gate_table_matches_ext_d_twice(c):
-    """Every residual of the tabled contraction is d(d(symbol)) through
+def test_d_squared_gate_matches_ext_d_twice(c):
+    """Every residual of the direct contraction is d(d(symbol)) through
     ext_d, term by term with float bits, at every symbol count."""
     rep = d_squared_zero(c)
     for sid in range(c.n_symbols):
