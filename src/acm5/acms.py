@@ -51,6 +51,7 @@ from .exterior import (
     grid_form,
     hodge,
     interior,
+    stored,
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
@@ -149,7 +150,7 @@ def project_u2_complement(beta: Form) -> Form:
         coef = div_const(inner_form(beta, b), norm)
         for idx, s in b.terms.items():
             out[idx] = 0 + s * coef
-    return form(2, out)
+    return stored(2, out)
 
 
 def phi_pullback(beta: Form) -> Form:
@@ -499,7 +500,7 @@ def gamma_form(source) -> Form:
 def _derivation(alpha: Form, entry) -> Form:
     """The so(5) element with entries entry(s, j) acting on a metric-symbol
     form as a derivation: each monomial slot s becomes sum_j entry(s, j) e_j."""
-    out = zero_form(alpha.degree)
+    out = {}
     for idx, coef in alpha.terms.items():
         for pos, sym in enumerate(idx):
             for j in range(5):
@@ -509,8 +510,8 @@ def _derivation(alpha: Form, entry) -> Form:
                 new = list(idx)
                 new[pos] = j
                 mono = tuple(sorted(new))
-                out = out + Form(alpha.degree, {mono: coef * (perm_sign(new) * v)})
-    return out
+                out[mono] = out.get(mono, 0) + coef * (perm_sign(new) * v)
+    return stored(alpha.degree, out)
 
 
 def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:

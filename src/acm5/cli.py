@@ -46,13 +46,14 @@ from .exterior import (
     Form,
     Symbol,
     TrigRules,
-    _trusted,
     proportionality,
     render_form,
+    stored,
+    zero_form,
 )
 from .family import build, identify_group, verify_identities
 from .frames import connection_from_structure
-from .scalars import EXACT, FLOAT, fmt_scalar, is_rational, narrow
+from .scalars import FLOAT, fmt_scalar, is_rational, narrow
 from .torsionclass import MODULE_NAMES, classify, intrinsic_torsion
 
 _RAT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
@@ -102,23 +103,23 @@ def load_coframe(path: str) -> CoframeData:
         raise SchemaError("'symbols' must be a list")
     if not isinstance(doc["d"], dict):
         raise SchemaError("'d' must be an object mapping symbol names to term lists")
-    symbols = []
+    symbols = {}  # by name
     for i, entry in enumerate(doc["symbols"]):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"symbols[{i}]: need objects with 'name' and 'kind'")
         sym = Symbol(entry["name"], entry["kind"], entry.get("index"))
         if not isinstance(sym.name, str):
             raise SchemaError(f"symbols[{i}]: 'name' must be a string")
-        if any(s.name == sym.name for s in symbols):
+        if sym.name in symbols:
             raise SchemaError(f"symbols[{i}]: duplicate symbol name {sym.name!r}")
         if sym.kind == "metric" and type(sym.index) is not int:
             raise SchemaError(f"symbols[{i}]: a metric symbol needs an integer 'index'")
-        symbols.append(sym)
-    metric = [s for s in symbols if s.kind == "metric"]
-    auxiliary = [s for s in symbols if s.kind == "auxiliary"]
+        symbols[sym.name] = sym
+    metric = [s for s in symbols.values() if s.kind == "metric"]
+    auxiliary = [s for s in symbols.values() if s.kind == "auxiliary"]
     if len(metric) != 5 or sorted(s.index for s in metric) != [1, 2, 3, 4, 5]:
         raise SchemaError("need exactly five metric symbols with indices 1..5")
-    if any(s.kind not in ("metric", "auxiliary") for s in symbols):
+    if any(s.kind not in ("metric", "auxiliary") for s in symbols.values()):
         raise SchemaError("symbol kind must be 'metric' or 'auxiliary'")
     ordered = sorted(metric, key=lambda s: s.index) + auxiliary
     ids = {s.name: i for i, s in enumerate(ordered)}
@@ -144,9 +145,8 @@ def load_coframe(path: str) -> CoframeData:
             coef = _parse_rational(t["coeff"], where)
             if idx in out:
                 raise SchemaError(f"{where}: duplicate monomial {names}")
-            if coef:
-                out[idx] = coef
-        return _trusted(degree, out, EXACT)
+            out[idx] = coef
+        return stored(degree, out)
 
     if set(doc["d"].keys()) - set(ids):
         raise SchemaError(f"d-table names unknown symbols: {sorted(set(doc['d']) - set(ids))}")
@@ -154,7 +154,7 @@ def load_coframe(path: str) -> CoframeData:
     for name, terms in doc["d"].items():
         d_table[ids[name]] = parse_form(terms, 2, f"d[{name}]")
     for name, sid in ids.items():
-        d_table.setdefault(sid, _trusted(2, {}, EXACT))
+        d_table.setdefault(sid, zero_form(2))
     orientation = doc["orientation"]
     if not _is_name_list(orientation) or sorted(orientation) != sorted(s.name for s in metric):
         raise SchemaError("orientation must list the five metric symbols")
@@ -205,11 +205,10 @@ def coframe_document(c: CoframeData):
     return doc
 
 
-def _with_coefficients(c: CoframeData, fn, kind) -> CoframeData:
-    """c with every coefficient v replaced by fn(v), of the given kind; fn keeps an
-    exact value nonzero, so every value is one the storage rule stores."""
+def _with_coefficients(c: CoframeData, fn) -> CoframeData:
+    """c with every coefficient v replaced by fn(v), under the storage rule."""
     table = {
-        sid: _trusted(f.degree, {idx: fn(v) for idx, v in f.terms.items()}, kind)
+        sid: stored(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
         for sid, f in c.d_table.items()
     }
     return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
@@ -221,7 +220,7 @@ def _largest_coefficient(c: CoframeData):
 
 def _to_float_coframe(c: CoframeData) -> CoframeData:
     """The binary64 coframe; OverflowError when max|c|^2 is not finite."""
-    out = _with_coefficients(c, float, FLOAT)
+    out = _with_coefficients(c, float)
     m = _largest_coefficient(out)
     if not math.isfinite(m * m):
         raise OverflowError("max|c|^2 is not finite")
@@ -237,13 +236,13 @@ def _working_scale(c: CoframeData):
     and the exact factor that takes its degree-1 values back to c."""
     if c.mode() == FLOAT:
         e = math.frexp(_largest_coefficient(c))[1]
-        scaled = _with_coefficients(c, lambda v: math.ldexp(v, -e), FLOAT) if e else c
+        scaled = _with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c
         return scaled, Fraction(2) ** e
     values = [v for f in c.d_table.values() for v in f.terms.values()]
     if not all(map(is_rational, values)):
         return c, Fraction(1)
     lam = 4 * math.lcm(*(v.denominator for v in values))
-    return _with_coefficients(c, lambda v: narrow(v * lam), EXACT), Fraction(1, lam)
+    return _with_coefficients(c, lambda v: v * lam), Fraction(1, lam)
 
 
 def classification_report(c: CoframeData):

@@ -48,8 +48,8 @@ from .exterior import (
     dense2,
     dense3,
     ext_d,
-    form,
     grid_form,
+    stored,
     wedge,
 )
 from .frames import ConnectionForms
@@ -98,7 +98,7 @@ def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForm
     for i in range(5):
         row = []
         for j in range(5):
-            extra = form(1, {(k,): av[k][i][j] for k in range(5)})
+            extra = stored(1, {(k,): av[k][i][j] for k in range(5)})
             row.append(omega.omega[i][j] + extra)
         grid.append(tuple(row))
     return ConnectionForms(tuple(grid))
@@ -219,7 +219,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
 def _chop(f: Form):
     """Drop float coefficients below the verification tolerance; an exact form stores no zero."""
     kept = {idx: v for idx, v in f.terms.items() if not sis_zero(v)}
-    return f if len(kept) == len(f.terms) else Form(f.degree, kept)
+    return f if len(kept) == len(f.terms) else stored(f.degree, kept)
 
 
 def _endomorphism_values(tables):

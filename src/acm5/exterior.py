@@ -26,10 +26,11 @@ Conventions, fixed once and used everywhere:
   the int 0 everywhere else, which is entry by entry what ``evaluate``
   returns (the value, its type and, for floats, its bits).
 
-Forms follow the kind rule and the storage rule of ``scalars``.
-``Form(...)`` validates its terms and takes its kind from them; the
-operators here build theirs through ``_trusted`` with the kind that the
-rule gives, skipping that check, because they only combine valid terms.
+Forms follow the kind rule and the storage rule of ``scalars``.  Two
+constructors build them: :func:`form` (or ``Form(...)``) validates terms
+from outside the library, and :func:`stored` takes the library's computed
+terms, applies the storage rule and reads the kind from the kept values.
+The operators here build through ``_trusted`` with the kind the rule gives.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .scalars import (
     is_float,
     is_rational,
     narrow,
+    table_kind,
 )
 
 METRIC_IDS = (0, 1, 2, 3, 4)
@@ -164,7 +166,7 @@ def _product_mode(*modes):
 
 
 def form(degree, terms=None):
-    """Normalizing Form constructor: narrows integral coefficients to ints and drops exact zeros."""
+    """Validating Form constructor for terms from outside the library, under the storage rule."""
     out = {}
     for idx, c in (terms or {}).items():
         c = coerce(c)
@@ -173,12 +175,16 @@ def form(degree, terms=None):
     return Form(degree, out)
 
 
-def grid_form(entry):
-    """The metric 2-form whose coefficient on the monomial (i, j), i < j, is entry(i, j).
+def stored(degree, terms):
+    """The Form of library-computed terms under the storage rule, of the kind of its kept values."""
+    out = {idx: c for idx, c in zip(terms, map(narrow, terms.values())) if not is_exact_zero(c)}
+    return _trusted(degree, out, table_kind(out.values()))
 
-    Ids are 0-based; the storage rule of :func:`form` decides which terms are kept.
-    """
-    return form(2, {(i, j): entry(i, j) for i in range(5) for j in range(i + 1, 5)})
+
+def grid_form(entry):
+    """The metric 2-form with coefficient entry(i, j) on the monomial (i, j), i < j
+    (0-based ids), built by :func:`stored` from the library's own values."""
+    return stored(2, {(i, j): entry(i, j) for i in range(5) for j in range(i + 1, 5)})
 
 
 def _accumulate(terms, idx, v, mode):
@@ -192,14 +198,14 @@ def _accumulate(terms, idx, v, mode):
 
 
 def zero_form(degree=0):
-    return Form(degree, {})
+    return _trusted(degree, {}, EXACT)
 
 
 def e(i):
     """Metric coframe leg, 1-based: e(1) .. e(5)."""
     if not 1 <= i <= 5:
         raise ValueError("metric index out of range")
-    return Form(1, {(i - 1,): 1})
+    return _trusted(1, {(i - 1,): 1}, EXACT)
 
 
 def perm_sign(ids):
@@ -274,7 +280,7 @@ def wedge_all(forms):
     acc = None
     for f in forms:
         acc = f if acc is None else wedge(acc, f)
-    return acc if acc is not None else form(0, {(): 1})
+    return acc if acc is not None else _trusted(0, {(): 1}, EXACT)
 
 
 def hodge(a, coframe=None):
@@ -465,7 +471,7 @@ def d_squared_zero(c):
     ):
         dd = _d_squared_constant(c)
     else:
-        dd = [ext_d(ext_d(Form(1, {(sid,): 1}), c), c) for sid in range(c.n_symbols)]
+        dd = [ext_d(ext_d(_trusted(1, {(sid,): 1}, EXACT), c), c) for sid in range(c.n_symbols)]
     return ResidualReport({c.name_of(sid): r for sid, r in enumerate(dd)})
 
 
@@ -476,7 +482,6 @@ def _d_squared_constant(c):
     tolerance, and so does this contraction.
     """
     live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
-    mode = c.mode()
     out = []
     for sid in range(c.n_symbols):
         terms = {}
@@ -487,9 +492,7 @@ def _d_squared_constant(c):
                     if hit:
                         mono, sign = hit
                         terms[mono] = terms.get(mono, 0) + (a * b if sign == s else -(a * b))
-        if mode == EXACT:
-            terms = {mono: narrow(v) for mono, v in terms.items() if v}
-        out.append(_trusted(3, terms, mode))
+        out.append(stored(3, terms))
     return out
 
 

@@ -24,9 +24,10 @@ from .exterior import (
     CoframeData,
     ResidualReport,
     dense2,
+    e,
     ext_d,
-    form,
     grid_form,
+    stored,
     wedge,
     wedge_all,
     zero_form,
@@ -121,7 +122,8 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
             values = [
                 div_const(d[a][b][cc] + d[b][a][cc] - d[cc][a][b], 2) for a in range(5)
             ] + [d[b][a][cc] for a in aux]
-            entries[(b + 1, cc + 1)] = form(1, {(a,): v for a, v in enumerate(values) if v})
+            # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
+            entries[(b + 1, cc + 1)] = stored(1, {(a,): v for a, v in enumerate(values) if v})
     return connection_forms(entries)
 
 
@@ -131,7 +133,7 @@ def verify_first_structure(c: CoframeData, omega: ConnectionForms):
     for i in range(5):
         acc = c.d_table[i]
         for j in range(5):
-            acc = acc - wedge(omega.omega[i][j], form(1, {(j,): 1}))
+            acc = acc - wedge(omega.omega[i][j], e(j + 1))
         residuals[c.name_of(i)] = acc
     return ResidualReport(residuals)
 

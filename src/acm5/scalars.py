@@ -34,10 +34,10 @@ zero), |x| <= FLOAT_RTOL for floats.  ``ZERO[kind]`` starts a sum.
 Storage rule (:func:`narrow`, :func:`is_exact_zero`): an integral rational
 is stored as an ``int``, an exact zero is never stored, and every float is
 kept, even ``0.0``, so a float result shows each term that the exact
-computation produced.  Since ``int / int`` is a float, a division whose
-operands may both be ints goes through :func:`div`, and a division by a
-small int constant (the 1/2, 1/3 or 1/4 of a formula) through
-:func:`div_const`, which keeps an int that the constant divides an int.
+computation produced; only the Levi-Civita solve drops a ``0.0`` (the golden
+``--float`` outputs pin it).  As ``int / int`` is a float, a division of two
+possible ints goes through :func:`div`, and one by a small int constant n
+(1/2, 1/3 or 1/4) through :func:`div_const`, an int when n divides an int.
 """
 
 from __future__ import annotations

@@ -171,6 +171,24 @@ def test_text_numbers_all_appear_in_json(tmp_path, capsys):
         assert token.lstrip("-") in js or token in js
 
 
+ANSI = re.compile(r"\x1b\[[0-9;]*m")
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "{path}", "--text"], [*FAMILY_1000, "--verify"]], ids=["classify", "verify"]
+)
+def test_color_adds_only_ansi_codes(tmp_path, capsys, monkeypatch, argv):
+    """ACM5_COLOR=1 colours the text output and changes nothing else in it."""
+    path = emit(tmp_path, capsys, ("1", "0", "2", "0"))
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    monkeypatch.delenv("ACM5_COLOR", raising=False)
+    plain = run(capsys, argv)
+    monkeypatch.setenv("ACM5_COLOR", "1")
+    code, out, err = run(capsys, argv)
+    assert ANSI.search(out)
+    assert (code, ANSI.sub("", out), err) == plain
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, ["validate", "/nonexistent/x.json"])
     assert code == 2 and "no such file" in err
@@ -270,6 +288,11 @@ def test_classify_without_compatible_connection(tmp_path, capsys):
     assert report["classification"]["strict_class"] == ["W6"]
 
 
+def _repeat_monomial(*coeffs):
+    """A mutation that makes de1 the monomial e1^e2 once per coefficient."""
+    return lambda doc: doc["d"].update(e1=[{"coeff": c, "wedge": ["e1", "e2"]} for c in coeffs])
+
+
 MALFORMED = [
     ("d-not-object", lambda doc: doc.update(d=[]), "'d' must be an object"),
     ("string-index", lambda doc: doc["symbols"][0].update(index="1"), "integer 'index'"),
@@ -278,6 +301,8 @@ MALFORMED = [
     ("boolean-coeff", lambda doc: doc["d"]["e1"][0].update(coeff=True), "not a rational"),
     ("trig-list", lambda doc: doc.update(trig=[]), "trig"),
     ("duplicate-name", lambda doc: doc["symbols"][5].update(name="e1"), "duplicate symbol name"),
+    ("duplicate-monomial-zero-first", _repeat_monomial(0, 3), "duplicate monomial"),
+    ("duplicate-monomial-zero-last", _repeat_monomial(3, 0), "duplicate monomial"),
 ]
 
 

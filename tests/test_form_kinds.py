@@ -1,17 +1,22 @@
 """A form's kind is decided once, when it is built, and agrees with its terms.
 
-``Form.__post_init__`` takes the kind from the terms it validates, and the
-operators of ``exterior`` build their results through ``_trusted`` with the
-kind that the kind rule of ``scalars`` gives them; nothing scans a form for
-its kind after that.  The first tests record every form built while the CLI
-classifies each golden input (exact and ``--float``) and replays each point
-of the benchmark's seed-1 replay corpus, and compare each non-empty form's
-stored kind with a scan of its terms.  The property tests pin the rule
-itself on exact, float and trig forms.
+``Form.__post_init__`` takes the kind from the terms it validates,
+``exterior.stored`` reads it from the library-computed terms it keeps, and
+the operators of ``exterior`` build their results through ``_trusted`` with
+the kind that the kind rule of ``scalars`` gives them; nothing scans a form
+for its kind after that.  The first tests record every form built while the
+CLI classifies each golden input (exact and ``--float``) and replays each
+point of the benchmark's seed-1 replay corpus, and compare each non-empty
+form's stored kind with a scan of its terms.  The property tests pin the
+rule itself on exact, float and trig forms, and ``stored`` against the
+validating ``form``.  A ratchet keeps ``_trusted`` and the validating
+constructors out of every other module's functions.
 """
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +24,9 @@ from hypothesis import strategies as st
 
 from acm5 import cli, exterior
 from acm5.errors import ModeMismatchError
-from acm5.exterior import Form, form, wedge
+from acm5.exterior import Form, form, stored, wedge
 from acm5.scalars import TrigScalar
-from helpers import GOLDEN_INPUTS, replay_points
+from helpers import GOLDEN_INPUTS, bits, replay_points
 
 
 def _scanned_kind(terms):
@@ -169,3 +174,64 @@ def test_an_empty_operand_takes_either_kind():
     assert (exact - exact).mode == "exact" and not (exact - exact).terms
     with pytest.raises(ModeMismatchError):
         exact + floaty
+
+
+# -- the storage-rule builder ----------------------------------------------------
+
+stored_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-4, 4, max_denominator=3),  # zero and integral Fractions included
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, Fraction(0), Fraction(2), TrigScalar({})]),
+    trigs,
+)
+
+
+def _fingerprint(f):
+    """A form's kind and its terms in order, each value with its type and, for floats, its bits."""
+    return f.mode, [(idx, bits(v)) for idx, v in f.terms.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), degrees)
+def test_stored_keeps_what_the_validating_constructor_keeps(data, degree):
+    monos = list(itertools.combinations(range(5), degree))
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), stored_values, max_size=5))
+    assert _fingerprint(stored(degree, terms)) == _fingerprint(form(degree, terms))
+
+
+# -- ratchet on form construction outside exterior ---------------------------------
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acm5"
+VALIDATING = {"form", "Form"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _in_function_bodies(tree):
+    """Every node inside a function or lambda of the module."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return {n for fn in ast.walk(tree) if isinstance(fn, scopes) for n in ast.walk(fn)}
+
+
+def test_no_trusted_or_validating_constructor_calls_outside_exterior():
+    """Outside ``exterior``, no module references ``_trusted``, and ``form(``/``Form(``
+    are called only in module-level constants: every computed form is built
+    by ``exterior.stored`` or an ``exterior`` operator."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exterior.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for n in ast.walk(tree):
+            imported = [a.name for a in n.names] if isinstance(n, ast.ImportFrom) else []
+            if _name(n) == "_trusted" or "_trusted" in imported:
+                found.append(f"{path.name}:{n.lineno} _trusted")
+        found += sorted(
+            f"{path.name}:{n.lineno} {_name(n.func)}("
+            for n in _in_function_bodies(tree)
+            if isinstance(n, ast.Call) and _name(n.func) in VALIDATING
+        )
+    assert found == []
