@@ -8,14 +8,19 @@ Phi(X, Y) = g(X, phi(Y)).
 phi is a signed permutation of e1..e4 and zero on e5, so every sum over
 PHI_MAT has at most one nonzero term per slot.  ``PHI_ENTRIES`` lists the
 nonzero entries PHI_MAT[u][b] = s as (u, b, s) by ascending u, and
-``PHI_COL[b]`` is the (u, s) of column b, with s = 0 for the Reeb column so
-that a read through it adds nothing; both are read from PHI_MAT once.  The
-tensor kernels add or subtract these signed reads and never multiply by a
-zero or a unit.  A kernel entry adds its terms in the order of the full
-sum, from ``0.0`` where the full sum would have multiplied a float by one of
-phi's zeros and from the int 0 elsewhere; inner products start from the int
-0 and divide through ``scalars.div`` or ``div_const``.  So at the integer
-scale of ``cli.classification_report`` every exact entry is an int.
+``PHI_COL[b]`` is the (u, s) of column b, with s = 0 for the Reeb column;
+both are read from PHI_MAT once.  Each fixed-shape kernel is an index plan,
+built once at import by the loops of its formula: per output entry, a start
+slot and a short tuple of terms, each a sign and one slot of a flat view
+(the operands' values in row-major order, ``Tensor3.flat``) or two for a
+difference.  One routine, ``contract``, runs every plan, so a kernel never
+multiplies by a zero or a unit of phi.  An entry starts where its formula
+starts, because ``0 + -0.0`` is ``0.0``: from an int 0 slot, from its first
+read, or, in ``_mu``, from the zero of its two columns, ``0.0`` where the
+full sum would have multiplied a float by one of phi's zeros.  Inner
+products start from the int 0 and divide through ``scalars.div`` or
+``div_const``.  So at the integer scale of ``cli.classification_report``
+every exact entry is an int.
 
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import chain, product
 
 from .errors import (
     ACM5Error,
@@ -55,7 +62,7 @@ from .exterior import (
     zero_form,
 )
 from .frames import ConnectionForms, PointwiseFrameData
-from .scalars import ZERO, TrigScalar, div_const, is_exact_zero, sis_zero, table_kind
+from .scalars import EXACT, ZERO, TrigScalar, div_const, is_exact_zero, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -81,9 +88,32 @@ PHI_COL = tuple(
 )
 
 
-def _signed_add(acc, s, v):
-    """acc + s v for s in (-1, 0, 1), without the product."""
-    return acc + v if s > 0 else acc - v if s < 0 else acc
+def at(i, j, k):
+    """The slot of entry [i][j][k] of a 5x5x5 cube in its flat view."""
+    return 25 * i + 5 * j + k
+
+
+PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))  # the monomials of a 2-form
+
+
+def plan(entry, rank=3):
+    """The index plan of a kernel: entry(*p) for each position p of a rank-``rank``
+    grid over range(5), row-major.  An entry is (start slot, terms); a term is
+    (sign, slot, None) for a signed read or (sign, slot, slot2) for a signed
+    difference of two reads."""
+    return tuple(entry(*p) for p in product(range(5), repeat=rank))
+
+
+def contract(plan, view):
+    """Run an index plan over a flat view, yielding its entries in order: each
+    starts from the value at its start slot and adds or subtracts its terms in
+    order.  A zero test over the entries stops at the first that fails."""
+    for start, terms in plan:
+        acc = view[start]
+        for s, i, j in terms:
+            v = view[i] if j is None else view[i] - view[j]
+            acc = acc + v if s > 0 else acc - v
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -156,13 +186,16 @@ def project_u2_complement(beta: Form) -> Form:
 def phi_pullback(beta: Form) -> Form:
     """The 2-form (X, Y) -> beta(phi X, phi Y)."""
     _require_metric_2form(beta)
-    m = dense2(beta)
+    return stored(2, dict(zip(PAIRS, contract(PULLBACK, (*chain(*dense2(beta)), 0)))))
 
-    def entry(a, b):
-        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
-        return _signed_add(0, s * t, m[u][w])
 
-    return grid_form(entry)
+def _pullback_entry(a, b):
+    """beta(phi e_a, phi e_b) from the int 0 in slot 25 after beta's 5x5 table."""
+    (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+    return 25, ((s * t, 5 * u + w, None),) * (s * t != 0)
+
+
+PULLBACK = tuple(_pullback_entry(a, b) for a, b in PAIRS)
 
 
 def phi_invariance_type(beta: Form):
@@ -183,22 +216,27 @@ def phi_invariance_type(beta: Form):
 
 @dataclass(frozen=True, eq=False)
 class Tensor3:
-    values: tuple  # 5x5x5 nested tuples
+    flat: tuple  # the 125 values by slot at(i, j, k): the view that index plans read
+
+    def __post_init__(self):
+        if len(self.flat) != 125:
+            raise ValueError("a Tensor3 holds its 125 values in slot order")
+
+    @cached_property
+    def values(self):
+        """The values nested as [i][j][k]."""
+        rows = [self.flat[r : r + 5] for r in range(0, 125, 5)]
+        return tuple(tuple(rows[p : p + 5]) for p in range(0, 25, 5))
 
     def get(self, i, j, k):
         """1-based access."""
-        return self.values[i - 1][j - 1][k - 1]
+        return self.flat[at(i - 1, j - 1, k - 1)]
 
     def is_zero(self):
-        return all(sis_zero(v) for m in self.values for r in m for v in r)
+        return all(map(sis_zero, self.flat))
 
     def _zip(self, other, op):
-        return Tensor3(
-            tuple(
-                tuple(tuple(map(op, ra, rb)) for ra, rb in zip(ma, mb))
-                for ma, mb in zip(self.values, other.values)
-            )
-        )
+        return Tensor3(tuple(map(op, self.flat, other.flat)))
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -207,11 +245,7 @@ class Tensor3:
         return self._zip(other, operator.sub)
 
     def scale(self, s):
-        return Tensor3(
-            tuple(
-                tuple(tuple(s * v for v in r) for r in m) for m in self.values
-            )
-        )
+        return Tensor3(tuple(s * v for v in self.flat))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
@@ -220,49 +254,28 @@ class Tensor3:
 
     def inner(self, other):
         acc = 0
-        for ma, mb in zip(self.values, other.values):
-            for ra, rb in zip(ma, mb):
-                for a, b in zip(ra, rb):
-                    acc += a * b
+        for a, b in zip(self.flat, other.flat):
+            acc += a * b
         return acc
 
-    def norm_sq(self):
-        return self.inner(self)
-
     def is_antisymmetric_last_two(self):
-        v = self.values
-        return all(
-            sis_zero(v[i][j][k] + v[i][k][j])
-            for i in range(5)
-            for j in range(5)
-            for k in range(5)
-        )
+        return all(map(sis_zero, contract(SYM_23, self.flat)))
 
     def is_totally_skew(self):
-        v = self.values
-        return self.is_antisymmetric_last_two() and all(
-            sis_zero(v[i][j][k] + v[j][i][k])
-            for i in range(5)
-            for j in range(5)
-            for k in range(5)
-        )
+        return self.is_antisymmetric_last_two() and all(map(sis_zero, contract(SYM_12, self.flat)))
 
     def component_form(self, i):
         """The 2-form of the (1-based) first-slot direction i."""
-        return grid_form(lambda a, b: self.values[i - 1][a][b])
+        return grid_form(lambda a, b: self.flat[at(i - 1, a, b)])
 
 
-def t3_from_func(fn):
-    return Tensor3(
-        tuple(
-            tuple(tuple(fn(i, j, k) for k in range(5)) for j in range(5))
-            for i in range(5)
-        )
-    )
+# v[i][j][k] + v[i][k][j] and v[i][j][k] + v[j][i][k]: zero where v is antisymmetric in those slots
+SYM_23 = plan(lambda i, j, k: (at(i, j, k), ((1, at(i, k, j), None),)))
+SYM_12 = plan(lambda i, j, k: (at(i, j, k), ((1, at(j, i, k), None),)))
 
 
 def t3_from_form3(rho: Form) -> Tensor3:
-    return Tensor3(tuple(tuple(map(tuple, plane)) for plane in dense3(rho)))
+    return Tensor3(tuple(chain.from_iterable(chain.from_iterable(dense3(rho)))))
 
 
 def theta(beta: Form) -> Tensor3:
@@ -274,8 +287,8 @@ def theta(beta: Form) -> Tensor3:
 def vartheta(beta: Form) -> Tensor3:
     """3 eta (x) beta minus the star of beta, as a trilinear tensor."""
     _require_metric_2form(beta)
-    b, star = dense2(beta), dense3(hodge(beta))
-    return t3_from_func(lambda i, j, k: (3 if i == XI else 0) * b[j][k] - star[i][j][k])
+    eta_beta = [0] * 100 + [3 * v for r in dense2(beta) for v in r]  # the first slot is XI = 4
+    return Tensor3(tuple(eta_beta)) - theta(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +341,31 @@ def frame_connection(source) -> FrameConnection:
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 
-def _mu(matrix):
-    """Action of a so(5) element on the fundamental form:
-    mu(C)(a, b) = sum_i C[i][a] Phi(i, b) - C[i][b] Phi(i, a).
+def _mu_entry(k, a, b):
+    """Entry (a, b) of mu(C_k); block k of the view is C_k by rows, then its column zeros."""
+    o = 30 * k
+    (ua, sa), (ub, sb) = PHI_COL[a], PHI_COL[b]
+    terms = ((1, o + 25 + b, None),) + ((sb, o + 5 * ub + a, None),) * (sb != 0)
+    return o + 25 + a, terms + ((-sa, o + 5 * ua + b, None),) * (sa != 0)
+
+
+MU = plan(_mu_entry)
+
+
+def _mu(mats):
+    """Action of so(5) elements on the fundamental form, 25 values for each 5x5
+    matrix C given by rows: mu(C)(a, b) = sum_i C[i][a] Phi(i, b) - C[i][b] Phi(i, a).
 
     At most two signed reads per entry; the entry starts from the zero of
     columns a and b of C together, 0.0 when either holds a float (the full
-    sum's products with phi's zeros are floats there).
-    """
-    zeros = [ZERO[table_kind(row[a] for row in matrix)] for a in range(5)]
-    out = []
-    for a in range(5):
-        row = []
-        for b in range(5):
-            acc = zeros[a] + zeros[b]
-            (ua, sa), (ub, sb) = PHI_COL[a], PHI_COL[b]
-            row.append(_signed_add(_signed_add(acc, sb, matrix[ub][a]), -sa, matrix[ua][b]))
-        out.append(tuple(row))
-    return tuple(out)
+    sum's products with phi's zeros are floats there).  The kind is asked
+    once for all matrices, and per column only when they hold a float."""
+    exact = table_kind(chain.from_iterable(mats)) == EXACT
+    view = []
+    for m in mats:
+        view += m
+        view += [0] * 5 if exact else [ZERO[table_kind(m[a::5])] for a in range(5)]
+    return contract(MU[: 25 * len(mats)], view)
 
 
 def _require_channels_vanish(fc: FrameConnection, what, residue):
@@ -384,7 +404,7 @@ def nabla_phi(source) -> Tensor3:
     agree by equivariance and are asserted equal.
     """
     fc = frame_connection(source)
-    _require_channels_vanish(fc, "nabla Phi", lambda mat: (v for r in _mu(mat) for v in r))
+    _require_channels_vanish(fc, "nabla Phi", lambda mat: _mu([[v for r in mat for v in r]]))
     full = np_full(fc.base)
     if not (full - np_gamma(derived(fc, complement_forms))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
@@ -393,9 +413,8 @@ def nabla_phi(source) -> Tensor3:
 
 def np_full(w) -> Tensor3:
     """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the base values w[i][j][k]."""
-    return Tensor3(
-        tuple(_mu([[w[i][a][k] for a in range(5)] for i in range(5)]) for k in range(5))
-    )
+    flat = [v for m in w for r in m for v in r]
+    return Tensor3(tuple(_mu([flat[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a][k]
 
 
 def complement_forms(fc: FrameConnection) -> tuple:
@@ -408,19 +427,21 @@ def complement_forms(fc: FrameConnection) -> tuple:
 def np_gamma(gammas) -> Tensor3:
     """The same contraction on the projections gammas[k] of each w(e_k) to the
     complement of the stabilizer, each read once as a dense 5x5 table."""
-    return Tensor3(tuple(_mu(dense2(g)) for g in gammas))
+    return Tensor3(tuple(_mu([[v for r in dense2(g) for v in r] for g in gammas])))
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
-    v = np.values
-    return t3_from_func(lambda a, b, c: v[a][b][c] - v[b][a][c] + v[c][a][b])
+    return Tensor3(tuple(contract(D_PHI, np.flat)))
+
+
+D_PHI = plan(lambda a, b, c: (at(a, b, c), ((-1, at(b, a, c), None), (1, at(c, a, b), None))))
 
 
 def nijenhuis(source) -> Tensor3:
     """Nijenhuis tensor, computed through the derivative of the fundamental
     form and cross-checked against the covariant commutator expression."""
     fc = frame_connection(source)
-    np = derived(fc, nabla_phi).values
+    np = derived(fc, nabla_phi)
     first = n_via_np(np)
     second = n_cov(np, derived(fc, d_eta_form))
     if not (first - second).is_zero():
@@ -428,49 +449,42 @@ def nijenhuis(source) -> Tensor3:
     return first
 
 
-def n_via_np(np) -> Tensor3:
-    """N from nabla Phi, np[k][a][b] = (nabla_{e_k} Phi)(e_a, e_b), terms by ascending u."""
-
-    def entry(x, y, z):
-        acc = 0
-        for u, c, s in PHI_ENTRIES:
-            if c == y:
-                acc = _signed_add(acc, s, np[u][x][z])
-            if c == z:
-                acc = _signed_add(acc, -s, np[u][x][y])
-            if c == x:
-                acc = _signed_add(acc, s, np[y][u][z] - np[z][u][y])
-        if x == XI:
-            for u, c, s in PHI_ENTRIES:
-                if c == z:
-                    acc = _signed_add(acc, s, np[y][XI][u])
-                if c == y:
-                    acc = _signed_add(acc, -s, np[z][XI][u])
-        return acc
-
-    return t3_from_func(entry)
-
-
-def n_cov(np, deta: Form) -> Tensor3:
-    """N as g(X, [phi, phi](Y, Z)) + eta(X) d eta(Y, Z), where component c of
-    (nabla_{e_a} phi)(e_b) is np[a][c][b]."""
-    de = dense2(deta)
-
-    def entry(x, y, z):
-        acc = 0
-        for u, c, s in PHI_ENTRIES:
-            if c == y:
-                acc = _signed_add(acc, s, np[u][x][z])
-            if c == z:
-                acc = _signed_add(acc, -s, np[u][x][y])
+def _n_entry(x, y, z, cov):
+    """Entry (x, y, z) of n_cov if cov, else of n_via_np; both read phi e_y, phi e_z first."""
+    terms = []
+    for u, c, s in PHI_ENTRIES:
+        if c == y:
+            terms.append((s, at(u, x, z), None))
+        if c == z:
+            terms.append((-s, at(u, x, y), None))
+        if c == x and not cov:
+            terms.append((s, at(y, u, z), at(z, u, y)))
+    if cov:
         # + g(x, phi((nabla_Z phi)(Y) - (nabla_Y phi)(Z))), with PHI_MAT[x][u] = -PHI_MAT[u][x]
         u, s = PHI_COL[x]
-        acc = _signed_add(acc, -s, np[z][u][y] - np[y][u][z])
-        if x == XI:
-            acc += de[y][z]
-        return acc
+        terms += [(-s, at(z, u, y), at(y, u, z))] * (s != 0)
+        terms += [(1, 125 + 5 * y + z, None)] * (x == XI)  # d eta(y, z) follows np in the view
+        return 150, tuple(terms)
+    for u, c, s in PHI_ENTRIES if x == XI else ():
+        if c == z:
+            terms.append((s, at(y, XI, u), None))
+        if c == y:
+            terms.append((-s, at(z, XI, u), None))
+    return 125, tuple(terms)  # slot 125 holds the int 0
 
-    return t3_from_func(entry)
+
+N_VIA_NP, N_COV = (plan(lambda x, y, z: _n_entry(x, y, z, cov)) for cov in (False, True))
+
+
+def n_via_np(np: Tensor3) -> Tensor3:
+    """N from nabla Phi, np[k][a][b] = (nabla_{e_k} Phi)(e_a, e_b), terms by ascending u."""
+    return Tensor3(tuple(contract(N_VIA_NP, np.flat + (0,))))
+
+
+def n_cov(np: Tensor3, deta: Form) -> Tensor3:
+    """N as g(X, [phi, phi](Y, Z)) + eta(X) d eta(Y, Z), where component c of
+    (nabla_{e_a} phi)(e_b) is np[a][c][b]."""
+    return Tensor3(tuple(contract(N_COV, np.flat + tuple(chain(*dense2(deta))) + (0,))))
 
 
 def gamma_form(source) -> Form:
@@ -482,19 +496,21 @@ def gamma_form(source) -> Form:
     fc = frame_connection(source)
     if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError("structure is not generalized quasi-Sasaki")
-    np = derived(fc, nabla_phi)
-    dphi = d_phi_tensor(np).values
-    nij = derived(fc, nijenhuis).values
+    dphi = d_phi_tensor(derived(fc, nabla_phi))
+    vals = tuple(contract(GAMMA, dphi.flat + derived(fc, nijenhuis).flat + (0,)))
+    if not all(map(sis_zero, map(operator.sub, vals[:10], vals[10:]))):
+        raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
+    return stored(2, dict(zip(PAIRS, vals)))
 
-    def entry(x, y):
-        (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
-        v1 = _signed_add(0, s, dphi[XI][u][y])
-        v2 = _signed_add(0, s * t, nij[u][w][XI])
-        if not sis_zero(v1 - v2):
-            raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
-        return v1
 
-    return grid_form(entry)
+def _gamma_entry(x, y, via_d_phi):
+    """dPhi(xi, phi x, y), or N(phi x, phi y, xi), from the int 0 after dPhi and N in the view."""
+    (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
+    term = (s, at(XI, u, y), None) if via_d_phi else (s * t, 125 + at(u, w, XI), None)
+    return 250, (term,) * (term[0] != 0)
+
+
+GAMMA = tuple(_gamma_entry(x, y, via) for via in (True, False) for x, y in PAIRS)
 
 
 def _derivation(alpha: Form, entry) -> Form:
@@ -561,64 +577,42 @@ class Predicates:
         return asdict(self)
 
 
+def _quasi_cos_entry(a, b, c):
+    """g((nabla_a phi) e_b, e_c) + g((nabla_{phi a} phi)(phi e_b), e_c), minus g(phi e_a,
+    nabla_c xi) when e_b is the Reeb vector (nabla xi follows np in the view); zero-tested only."""
+    (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+    terms = ((s * t, at(u, c, w), None),) * (s * t != 0)
+    return at(a, c, b), terms + ((-s, 125 + 5 * u + c, None),) * (b == XI and s != 0)
+
+
+NEARLY = plan(lambda a, b, c: (at(a, c, b), ((1, at(b, c, a), None),)))
+QUASI_COS = plan(_quasi_cos_entry)
+DELTA_PHI = plan(lambda b: (125, tuple((-1, at(i, i, b), None) for i in range(5))), rank=1)
+HORIZONTAL = tuple((at(x, y, z), ()) for x, y, z in product(range(4), repeat=3))
+
+
 def predicates(source) -> Predicates:
     """All named structure predicates, each from its defining tensor equation."""
     fc = frame_connection(source)
     np = derived(fc, nabla_phi)
-    npv = np.values
     nij = derived(fc, nijenhuis)
-    nijv = nij.values
     dphi = d_phi_tensor(np)
-    dphiv = dphi.values
     deta = derived(fc, d_eta_form)
     killing = derived(fc, xi_is_killing)
     nx = derived(fc, nabla_xi_matrix)
+
+    def vanishes(plan, view):
+        return all(map(sis_zero, contract(plan, view)))
 
     normal = nij.is_zero()
     delta_eta = 0
     for i in range(5):
         delta_eta -= nx[i][i]
-    delta_phi = [0] * 5
-    for b in range(5):
-        acc = 0
-        for i in range(5):
-            acc -= npv[i][i][b]
-        delta_phi[b] = acc
-    semi = sis_zero(delta_eta) and all(sis_zero(v) for v in delta_phi)
+    semi = sis_zero(delta_eta) and vanishes(DELTA_PHI, np.flat + (0,))
     almost = dphi.is_zero() and deta.is_zero()
-    nearly = all(
-        sis_zero(npv[a][c][b] + npv[b][c][a])
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-    )
-
-    def quasi_cos_lhs(a, b, c):
-        # g((nabla_a phi) e_b, e_c) + g((nabla_{phi a} phi)(phi e_b), e_c)
-        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
-        return _signed_add(npv[a][c][b], s * t, npv[u][c][w])
-
-    def quasi_cos_rhs(a, b, c):
-        u, s = PHI_COL[a]
-        return _signed_add(0, s, nx[u][c]) if b == XI else 0
-
-    quasi_cos = all(
-        sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c))
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-    )
-
-    horiz = range(4)
-    gqs = (
-        killing
-        and all(
-            sis_zero(nijv[x][y][z]) and sis_zero(dphiv[x][y][z])
-            for x in horiz
-            for y in horiz
-            for z in horiz
-        )
-    )
+    nearly = vanishes(NEARLY, np.flat)
+    quasi_cos = vanishes(QUASI_COS, np.flat + tuple(chain(*nx)))
+    gqs = killing and vanishes(HORIZONTAL, nij.flat) and vanishes(HORIZONTAL, dphi.flat)
     almost_and_normal = normal and almost
     quasi = normal and dphi.is_zero()
     return Predicates(

@@ -26,6 +26,8 @@ from .acms import (
     ETA,
     F,
     Tensor3,
+    at,
+    contract,
     d_eta_form,
     derived,
     frame_connection,
@@ -33,8 +35,9 @@ from .acms import (
     nabla_phi,
     nabla_xi_matrix,
     nijenhuis,
+    plan,
     predicates,
-    t3_from_func,
+    t3_from_form3,
 )
 from .errors import (
     ACM5Error,
@@ -46,7 +49,6 @@ from .exterior import (
     CoframeData,
     Form,
     dense2,
-    dense3,
     ext_d,
     grid_form,
     stored,
@@ -79,26 +81,27 @@ def characteristic_connection(c: CoframeData, omega_g):
     nij = derived(fc, nijenhuis)
     deta = derived(fc, d_eta_form)
     gamma = derived(fc, gamma_form)
-    corr3 = dense3(wedge(deta - gamma, ETA))
-    nv = nij.values
-    a_c = t3_from_func(lambda x, y, z: div_const(corr3[x][y][z] - nv[x][y][z], 2))
+    corr = t3_from_form3(wedge(deta - gamma, ETA)) - nij
+    a_c = Tensor3(tuple(div_const(v, 2) for v in corr.flat))
     omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c)
     if not report.ok:
         raise ACM5Error("internal consistency: compatible connection fails its defining property")
-    av = a_c.values
-    torsion = t3_from_func(lambda x, y, z: av[x][y][z] - av[y][x][z])
+    torsion = Tensor3(tuple(contract(TORSION, a_c.flat)))
     return CharacteristicConnection(omega_c, a_c, torsion, report)
+
+
+# T(x, y, z) = A(x, y, z) - A(y, x, z)
+TORSION = plan(lambda x, y, z: (at(x, y, z), ((-1, at(y, x, z), None),)))
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
     """Entrywise w[i][j] + (the 1-form X -> a(X, e_i, e_j))."""
-    av = a.values
     grid = []
     for i in range(5):
         row = []
         for j in range(5):
-            extra = stored(1, {(k,): av[k][i][j] for k in range(5)})
+            extra = stored(1, {(k,): a.flat[at(k, i, j)] for k in range(5)})
             row.append(omega.omega[i][j] + extra)
         grid.append(tuple(row))
     return ConnectionForms(tuple(grid))
@@ -133,14 +136,11 @@ def compatibility_report(omega: ConnectionForms) -> CompatibilityReport:
 
 def torsion_type(cc: CharacteristicConnection):
     """Cartan decomposition of the torsion plus a type tag."""
-    tv = cc.torsion.values
-    # re-slot to last-two antisymmetry for the decomposition
-    as_a = t3_from_func(lambda x, y, z: tv[y][z][x])
-    parts_a = cartan_decompose(as_a)
+    # re-slot to last-two antisymmetry for the decomposition, and back
+    parts_a = cartan_decompose(Tensor3(tuple(contract(TO_LAST_TWO, cc.torsion.flat))))
 
     def back(t: Tensor3):
-        v = t.values
-        return t3_from_func(lambda x, y, z: v[z][x][y])
+        return Tensor3(tuple(contract(FROM_LAST_TWO, t.flat)))
 
     parts = CartanParts(
         back(parts_a.vectorial), parts_a.vector, back(parts_a.skew), back(parts_a.cyclic)
@@ -157,6 +157,10 @@ def torsion_type(cc: CharacteristicConnection):
     else:
         tag = "mixed"
     return parts, tag
+
+
+TO_LAST_TWO = plan(lambda x, y, z: (at(y, z, x), ()))
+FROM_LAST_TWO = plan(lambda x, y, z: (at(z, x, y), ()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .acms import (
     ETA,
@@ -34,6 +35,7 @@ from .acms import (
     XI,
     Z1,
     Z2,
+    Tensor3,
     d_eta_form,
     derived,
     frame_connection,
@@ -43,7 +45,6 @@ from .acms import (
     phi_pullback,
     predicates,
     t3_from_form3,
-    t3_from_func,
 )
 from .connection import (
     characteristic_connection,
@@ -227,8 +228,11 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     if cyclic_expected:
         check("cyclic case: gamma = d eta", gamma == deta)
         eta, de = [ETA.coefficient((x,)) for x in range(5)], dense2(deta)
-        cyc_expected = t3_from_func(
-            lambda x, y, z: 2 * eta[x] * de[y][z] + eta[y] * de[x][z] - eta[z] * de[x][y]
+        cyc_expected = Tensor3(
+            tuple(
+                2 * eta[x] * de[y][z] + eta[y] * de[x][z] - eta[z] * de[x][y]
+                for x, y, z in product(range(5), repeat=3)
+            )
         )
         check("cyclic case: N = 2 eta (x) d eta + eta-weighted tail", nij == cyc_expected)
 

@@ -21,12 +21,14 @@ from .acms import (
     COMPLEMENT_FRAME,
     LAMBDA2_BASES,
     Tensor3,
+    at,
     complement_forms,
+    contract,
     derived,
     frame_connection,
     inner_form,
+    plan,
     project_u2_complement,
-    t3_from_func,
     theta,
     vartheta,
 )
@@ -186,18 +188,14 @@ def cartan_decompose(a: Tensor3) -> CartanParts:
     """
     if not a.is_antisymmetric_last_two():
         raise ValueError("Cartan decomposition needs antisymmetry in the last two slots")
-    v = a.values
-    vec = [div_const(sum(v[i][i][z] for i in range(5)), 4) for z in range(5)]
-
-    def vec_part(x, y, z):
-        out = 0
-        if x == y:
-            out += vec[z]
-        if x == z:
-            out -= vec[y]
-        return out
-
-    vectorial = t3_from_func(vec_part)
-    skew = t3_from_func(lambda x, y, z: div_const(v[x][y][z] + v[y][z][x] + v[z][x][y], 3))
+    vec = [div_const(v, 4) for v in contract(VEC, a.flat + (0,))]
+    vectorial = Tensor3(tuple(contract(VECTORIAL, (*vec, 0))))
+    skew = Tensor3(tuple(div_const(v, 3) for v in contract(SKEW, a.flat)))
     cyclic = a - vectorial - skew
     return CartanParts(vectorial, tuple(vec), skew, cyclic)
+
+
+VEC = plan(lambda z: (125, tuple((1, at(i, i, z), None) for i in range(5))), rank=1)  # the traces
+# vec[z] where x = y, minus vec[y] where x = z, from the int 0 in slot 5 after the vector
+VECTORIAL = plan(lambda x, y, z: (5, ((1, z, None),) * (x == y) + ((-1, y, None),) * (x == z)))
+SKEW = plan(lambda x, y, z: (at(x, y, z), ((1, at(y, z, x), None), (1, at(z, x, y), None))))

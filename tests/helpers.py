@@ -36,6 +36,7 @@ from pathlib import Path
 from acm5 import linalg
 from acm5.acms import (
     COMPLEMENT_FRAME,
+    PHI_COL,
     PHI_MAT,
     XI,
     Tensor3,
@@ -44,7 +45,6 @@ from acm5.acms import (
     inner_form,
     lambda2_project,
     project_u2_complement,
-    t3_from_func,
 )
 from acm5.errors import (
     MissingDerivationError,
@@ -91,6 +91,11 @@ def replay_points(seed):
 
 def abelian_coframe():
     return coframe({})
+
+
+def t3_from_func(fn):
+    """The Tensor3 with entry fn(i, j, k), 0-based."""
+    return Tensor3(tuple(fn(i, j, k) for i, j, k in itertools.product(range(5), repeat=3)))
 
 
 def pr_w(a: Tensor3) -> Tensor3:
@@ -370,6 +375,80 @@ def nijenhuis_oracle(np, deta):
         return acc
 
     return {"n_via_np": _cube(n_via_np), "cov": _cube(cov)}
+
+
+def _signed_add(acc, s, v):
+    """acc + s v for s in (-1, 0, 1), without the product."""
+    return acc + v if s > 0 else acc - v if s < 0 else acc
+
+
+def d_phi_oracle(np):
+    """dPhi(a, b, c) = np[a][b][c] - np[b][a][c] + np[c][a][b], entry by entry."""
+    return _cube(lambda a, b, c: np[a][b][c] - np[b][a][c] + np[c][a][b])
+
+
+def phi_pullback_oracle(beta: Form) -> Form:
+    """beta(phi e_a, phi e_b) through the signed column reads of PHI_COL, from the int 0."""
+    m = [[beta.evaluate(i, j) for j in range(5)] for i in range(5)]
+
+    def entry(a, b):
+        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+        return _signed_add(0, s * t, m[u][w])
+
+    return grid_form(entry)
+
+
+def vartheta_oracle(beta: Form):
+    """3 eta (x) beta minus the star of beta, entry by entry."""
+    star = hodge_oracle(beta)
+    return _cube(
+        lambda i, j, k: (3 if i == XI else 0) * beta.evaluate(j, k) - star.evaluate(i, j, k)
+    )
+
+
+def gamma_oracle(dphi, nij):
+    """Both gamma expressions entry by entry over the monomials (x, y), x < y,
+    each from the int 0: dPhi(xi, phi x, y) and N(phi x, phi y, xi)."""
+    first, second = {}, {}
+    for x, y in itertools.combinations(range(5), 2):
+        (u, s), (w, t) = PHI_COL[x], PHI_COL[y]
+        first[x, y] = _signed_add(0, s, dphi[XI][u][y])
+        second[x, y] = _signed_add(0, s * t, nij[u][w][XI])
+    return first, second
+
+
+def predicates_oracle(np, nij, dphi, nx, killing):
+    """The nearly cosymplectic, quasi-cosymplectic and generalized
+    quasi-Sasaki verdicts, entry by entry over every slot."""
+    cube = list(itertools.product(range(5), repeat=3))
+
+    def quasi_cos_lhs(a, b, c):
+        # g((nabla_a phi) e_b, e_c) + g((nabla_{phi a} phi)(phi e_b), e_c)
+        (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
+        return _signed_add(np[a][c][b], s * t, np[u][c][w])
+
+    def quasi_cos_rhs(a, b, c):
+        u, s = PHI_COL[a]
+        return _signed_add(0, s, nx[u][c]) if b == XI else 0
+
+    horiz = itertools.product(range(4), repeat=3)
+    return {
+        "nearly_cosymplectic": all(sis_zero(np[a][c][b] + np[b][c][a]) for a, b, c in cube),
+        "quasi_cosymplectic": all(
+            sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c)) for a, b, c in cube
+        ),
+        "generalized_quasi_sasaki": killing
+        and all(sis_zero(nij[x][y][z]) and sis_zero(dphi[x][y][z]) for x, y, z in horiz),
+    }
+
+
+def torsion_type_oracle(torsion):
+    """The Cartan parts of a torsion cube: re-slotted to last-two antisymmetry,
+    split by ``cartan_decompose_oracle`` and re-slotted back."""
+    parts = cartan_decompose_oracle(_cube(lambda x, y, z: torsion[y][z][x]))
+    names = ("vectorial", "skew", "cyclic")
+    back = {name: _cube(lambda x, y, z: parts[name][z][x][y]) for name in names}
+    return {**back, "vector": parts["vector"]}
 
 
 def difference_tensor_oracle(deta: Form, gamma: Form, nij) -> tuple:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from acm5 import family
-from acm5.acms import Z1, nijenhuis, t3_from_func
+from acm5.acms import Z1, nijenhuis
 from acm5.errors import DegenerateInputError, IntegrabilityError
 from acm5.exterior import e, form, wedge
 from acm5.family import (
@@ -18,7 +18,7 @@ from acm5.family import (
 from acm5.frames import ConnectionForms
 from acm5.torsionclass import classify, intrinsic_torsion
 
-from helpers import random_fraction
+from helpers import random_fraction, t3_from_func
 
 
 def random_valid_params(rng):

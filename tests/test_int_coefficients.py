@@ -227,7 +227,7 @@ def _same_cubes(lib, oracle):
 
 
 def _tensor(cube):
-    return Tensor3(tuple(tuple(map(tuple, m)) for m in cube))
+    return Tensor3(tuple(v for m in cube for r in m for v in r))
 
 
 def _same_parts(parts, oracle):

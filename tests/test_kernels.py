@@ -1,18 +1,26 @@
 """The exact tensor kernels and coordinate maps against the general code they replace.
 
-``acms`` reads phi as a signed permutation and projects 2-forms by a fixed
-coordinate map, ``torsionclass.classify`` reads module norms off an
-orthogonal frame, and the d^2-gate contracts a constant table directly.
-The oracles are the 5-term sums over PHI_MAT (``helpers.nabla_phi_oracle``,
-``helpers.nijenhuis_oracle``), the general type projections
-(``helpers.project_u2_complement_oracle``), the Gram-matrix solve
-(``helpers.classify_norms_oracle``) and ext_d applied twice.  Entries are
-compared with their Python type and floats bit for bit, so the float zeros
-that the general code produces are pinned too.
+``acms`` reads phi as a signed permutation and runs every fixed-shape
+kernel as an index plan, projects 2-forms by a fixed coordinate map,
+``torsionclass.classify`` reads module norms off an orthogonal frame, and
+the d^2-gate contracts a constant table directly.  The oracles are the
+5-term sums over PHI_MAT (``helpers.nabla_phi_oracle``,
+``helpers.nijenhuis_oracle``, also on nabla Phi cubes that hold -0.0), the
+per-entry formulas that the plans of dPhi, gamma, phi_pullback, vartheta,
+the predicates, the characteristic connection, ``torsion_type`` and
+``cartan_decompose`` replaced (``helpers.d_phi_oracle`` and the others
+below, on random cubes and on random family points), the general type
+projections (``helpers.project_u2_complement_oracle``), the Gram-matrix
+solve (``helpers.classify_norms_oracle``) and ext_d applied twice.  Entries
+are compared with their Python type and floats bit for bit, so the float
+zeros that the general code produces are pinned too.
 """
 
+import ast
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +28,8 @@ from hypothesis import strategies as st
 
 from acm5 import acms
 from acm5.cli import _to_float_coframe, _working_scale, load_coframe
+from acm5.connection import CharacteristicConnection, characteristic_connection, torsion_type
+from acm5.errors import NotGeneralizedQuasiSasakiError
 from acm5.exterior import (
     CoframeData,
     Form,
@@ -31,31 +41,43 @@ from acm5.exterior import (
 )
 from acm5.family import build
 from acm5.frames import connection_from_structure
-from acm5.scalars import narrow
-from acm5.torsionclass import IntrinsicTorsion, classify, intrinsic_torsion
+from acm5.scalars import narrow, sis_zero
+from acm5.torsionclass import IntrinsicTorsion, cartan_decompose, classify, intrinsic_torsion
 from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     bits,
+    cartan_decompose_oracle,
     cayley,
     classify_norms_oracle,
+    d_phi_oracle,
+    difference_tensor_oracle,
+    gamma_oracle,
     nabla_phi_oracle,
     nijenhuis_oracle,
+    phi_pullback_oracle,
+    predicates_oracle,
     project_u2_complement_oracle,
     rotate,
+    torsion_type_oracle,
     trig_coframe,
+    u2_rotation,
+    vartheta_oracle,
 )
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acm5"
+
+
+def _key(v):
+    """Floats with their type and bits, exact values by value (a kernel entry
+    may be an int, which is an exact rational too)."""
+    return bits(v) if isinstance(v, float) else Fraction(v)
 
 
 def _same(tensor, cube):
-    """Entry by entry: floats with their type and bits, exact entries by value
-    (a kernel entry may be an int, which is an exact rational too)."""
-
-    def key(v):
-        return bits(v) if isinstance(v, float) else Fraction(v)
-
-    assert [key(v) for m in tensor.values for r in m for v in r] == [
-        key(v) for m in cube for r in m for v in r
+    """Entry by entry, by ``_key``."""
+    assert [_key(v) for m in tensor.values for r in m for v in r] == [
+        _key(v) for m in cube for r in m for v in r
     ]
 
 
@@ -65,11 +87,16 @@ def _check_kernels(w):
     full = acms.np_full(w)
     _same(full, oracle["np_full"])
     _same(acms.np_gamma(acms.complement_forms(fc)), oracle["np_gamma"])
-    np = full.values
     deta = acms.d_eta_form(fc)
-    oracle = nijenhuis_oracle(np, deta)
-    _same(acms.n_via_np(np), oracle["n_via_np"])
-    _same(acms.n_cov(np, deta), oracle["cov"])
+    oracle = nijenhuis_oracle(full.values, deta)
+    nij = acms.n_via_np(full)
+    _same(nij, oracle["n_via_np"])
+    _same(acms.n_cov(full, deta), oracle["cov"])
+    dphi = acms.d_phi_tensor(full)
+    _same(dphi, d_phi_oracle(full.values))
+    nx = acms.nabla_xi_matrix(fc)
+    verdicts = predicates_oracle(full.values, nij.values, dphi.values, nx, acms.xi_is_killing(fc))
+    assert {k: getattr(acms.predicates(fc), k) for k in verdicts} == verdicts
 
 
 def _antisymmetric_cube(values):
@@ -112,7 +139,9 @@ def test_kernels_match_oracles_on_golden_family_points(point):
 
 rationals = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
 floats_and_zeros = st.one_of(
-    st.just(Fraction(0)), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    st.just(Fraction(0)),
+    st.just(-0.0),  # 0 + -0.0 is 0.0: an entry that starts from the wrong zero shows
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
 
 
@@ -277,3 +306,221 @@ def test_d_squared_with_trig_coefficients_uses_ext_d():
     c = trig_coframe()
     _check_d_squared(c)
     assert d_squared_zero(c).failing == ["e1"]
+
+
+# -- the planned kernels on random cubes and structures -------------------------
+
+
+def _nest(values):
+    """125 values in slot order as a nested [i][j][k] list."""
+    return [[list(values[p + r : p + r + 5]) for r in range(0, 25, 5)] for p in range(0, 125, 25)]
+
+
+def _flat(cube):
+    return tuple(v for m in cube for r in m for v in r)
+
+
+def _entry(rnd, floating):
+    """Fraction(0), -0.0 or a float, a third each; or Fraction(0) or a
+    rational, as ``rationals`` and ``floats_and_zeros`` draw them."""
+    if floating:
+        return rnd.choice([Fraction(0), -0.0, rnd.uniform(-1e3, 1e3)])
+    return rnd.choice([Fraction(0), Fraction(rnd.randint(-3, 3), rnd.randint(1, 4))])
+
+
+@st.composite
+def cubes(draw, n=1):
+    """n random 5x5x5 cubes, all of rational entries or all of floats and
+    zeros, from one drawn seed (drawing 125 values one by one is slow)."""
+    rnd, floating = random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.booleans())
+    return [_nest([_entry(rnd, floating) for _ in range(125)]) for _ in range(n)]
+
+
+# slot swaps: the last two, the first two, the outer two
+LAST_TWO, FIRST_TWO, OUTER = (0, 2, 1), (1, 0, 2), (2, 1, 0)
+
+
+def _antisymmetrized(v, swap):
+    """v minus v with two of its slots swapped: antisymmetric in those slots."""
+    out = [[[None] * 5 for _ in range(5)] for _ in range(5)]
+    for idx in itertools.product(range(5), repeat=3):
+        i, j, k = idx
+        s, t, u = (idx[n] for n in swap)
+        out[i][j][k] = v[i][j][k] - v[s][t][u]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubes())
+def test_d_phi_matches_oracle_on_random_cubes(cube):
+    (np,) = cube
+    _same(acms.d_phi_tensor(acms.Tensor3(_flat(np))), d_phi_oracle(np))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubes(), st.one_of(float_forms, rational_forms))
+def test_nijenhuis_matches_oracle_on_random_cubes(cube, deta):
+    """Both N kernels on nabla Phi cubes that hold -0.0, which np_full never
+    yields: each entry must start from the int 0."""
+    np = acms.Tensor3(_flat(cube[0]))
+    oracle = nijenhuis_oracle(cube[0], deta)
+    _same(acms.n_via_np(np), oracle["n_via_np"])
+    _same(acms.n_cov(np, deta), oracle["cov"])
+
+
+def _memoized(**invariants):
+    """A frame connection whose memo already holds the given invariants, as
+    ``derived`` stores them, so a kernel reads random tensors."""
+    fc = acms.FrameConnection(tuple(tuple((0,) * 5 for _ in range(5)) for _ in range(5)), ())
+    fc._memo.update(invariants)
+    return fc
+
+
+@st.composite
+def predicate_inputs(draw):
+    """nabla Phi, N, nabla xi and the Killing verdict; drawn nearly
+    cosymplectic (np[a][c][b] = -np[b][c][a]) or with a vanishing horizontal
+    part (generalized quasi-Sasaki when Killing) on demand."""
+    np, nij, nx = draw(cubes(3))
+    nx = nx[0]
+    if draw(st.booleans()):
+        np = _antisymmetrized(np, OUTER)
+    if draw(st.booleans()):
+        for x, y, z in itertools.product(range(4), repeat=3):
+            np[x][y][z] = nij[x][y][z] = 0
+    return np, nij, nx, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(predicate_inputs())
+def test_predicates_match_oracle_on_random_cubes(inputs):
+    np, nij, nx, killing = inputs
+    np_t, nij_t = acms.Tensor3(_flat(np)), acms.Tensor3(_flat(nij))
+    fc = _memoized(
+        nabla_phi=np_t,
+        nijenhuis=nij_t,
+        d_eta_form=form(2, {}),
+        xi_is_killing=killing,
+        nabla_xi_matrix=nx,
+    )
+    verdicts = predicates_oracle(np, nij, d_phi_oracle(np), nx, killing)
+    assert {k: getattr(acms.predicates(fc), k) for k in verdicts} == verdicts
+
+
+@st.composite
+def gamma_inputs(draw):
+    """nabla Phi antisymmetric in its last two slots (so dPhi(xi, ., xi) = 0),
+    on demand with signed zeros where the first gamma expression reads it,
+    and N agreeing with it on every entry that the second expression reads,
+    or, when broken, off by one on one of them."""
+    np, nij = draw(cubes(2))
+    np = _antisymmetrized(np, LAST_TWO)
+    if draw(st.booleans()):  # dPhi(xi, e1, e_y) = -0.0 - 0.0 + -0.0 = -0.0 for y = 3, 4
+        for y in (2, 3):
+            np[acms.XI][0][y], np[0][acms.XI][y], np[y][acms.XI][0] = -0.0, 0.0, -0.0
+    first, _ = gamma_oracle(d_phi_oracle(np), nij)
+    for (x, y), v in first.items():
+        (u, s), (w, t) = acms.PHI_COL[x], acms.PHI_COL[y]
+        if s * t:
+            nij[u][w][acms.XI] = v if s * t > 0 else -v
+    broken = draw(st.booleans())
+    if broken:  # N(phi e1, phi e2, xi), read for the monomial (0, 1)
+        nij[acms.PHI_COL[0][0]][acms.PHI_COL[1][0]][acms.XI] += 1
+    return np, nij, broken
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma_inputs())
+def test_gamma_form_matches_oracle_on_random_cubes(inputs):
+    np, nij, broken = inputs
+    gqs = acms.Predicates(*[True] * 9)
+    fc = _memoized(
+        predicates=gqs, nabla_phi=acms.Tensor3(_flat(np)), nijenhuis=acms.Tensor3(_flat(nij))
+    )
+    first, second = gamma_oracle(d_phi_oracle(np), nij)
+    if broken:
+        assert not all(sis_zero(first[k] - second[k]) for k in first)
+        with pytest.raises(NotGeneralizedQuasiSasakiError):
+            acms.gamma_form(fc)
+        return
+    assert _terms(acms.gamma_form(fc)) == _terms(grid_form(lambda x, y: first[x, y]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubes())
+def test_cartan_decompose_matches_oracle_on_random_cubes(cube):
+    a = _antisymmetrized(cube[0], LAST_TWO)
+    parts = cartan_decompose(acms.Tensor3(_flat(a)))
+    oracle = cartan_decompose_oracle(a)
+    for name, t in parts.parts().items():
+        _same(t, oracle[name])
+    assert list(map(_key, parts.vector)) == list(map(_key, oracle["vector"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubes())
+def test_torsion_type_matches_oracle_on_random_cubes(cube):
+    torsion = _antisymmetrized(cube[0], FIRST_TWO)
+    cc = CharacteristicConnection(None, None, acms.Tensor3(_flat(torsion)), None)
+    parts, _ = torsion_type(cc)
+    oracle = torsion_type_oracle(torsion)
+    for name, t in parts.parts().items():
+        _same(t, oracle[name])
+    assert list(map(_key, parts.vector)) == list(map(_key, oracle["vector"]))
+
+
+family_points = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3).map(
+    lambda p: (p[0], p[1], p[2] * p[0], p[2] * p[1])  # a1 a4 = a2 a3
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family_points, st.sampled_from(["exact", "float"]), st.booleans())
+def test_characteristic_connection_matches_oracles_on_random_family_points(point, mode, turn):
+    """A and the torsion against the Fraction(1, 2) formula and its
+    antisymmetrization, and the torsion's Cartan parts against the re-slotted
+    oracle split; a U(2)x1 rotation makes the float entries non-dyadic."""
+    c = build(*point).coframe
+    if turn:
+        c = rotate(c, u2_rotation(1, Fraction(1, 2), -1, 2))
+    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    fc = acms.frame_connection(connection_from_structure(c))
+    cc = characteristic_connection(c, fc)
+    nij = acms.derived(fc, acms.nijenhuis).values
+    a = difference_tensor_oracle(
+        acms.derived(fc, acms.d_eta_form), acms.derived(fc, acms.gamma_form), nij
+    )
+    _same(cc.a_c, a)
+    torsion = [[[a[x][y][z] - a[y][x][z] for z in range(5)] for y in range(5)] for x in range(5)]
+    _same(cc.torsion, torsion)
+    parts, _ = torsion_type(cc)
+    oracle = torsion_type_oracle(torsion)
+    for name, t in parts.parts().items():
+        _same(t, oracle[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(float_forms, rational_forms))
+def test_phi_pullback_and_vartheta_match_oracles_on_random_2forms(beta):
+    assert _terms(acms.phi_pullback(beta)) == _terms(phi_pullback_oracle(beta))
+    if beta.mode == "exact":
+        _same(acms.vartheta(beta), vartheta_oracle(beta))
+
+
+def test_tensor3_holds_its_values_in_slot_order():
+    t = acms.Tensor3(tuple(range(125)))
+    assert t.values[1][2][3] == t.get(2, 3, 4) == acms.at(1, 2, 3) == 38
+    with pytest.raises(ValueError):
+        acms.Tensor3(t.values)
+
+
+def test_no_per_entry_closures_left_in_src():
+    """Every fixed-shape kernel is an index plan: no module of ``src/acm5``
+    builds a Tensor3 by calling a closure per entry."""
+    users = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "t3_from_func"
+    ]
+    assert not users, users

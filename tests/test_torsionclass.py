@@ -17,7 +17,6 @@ from acm5.acms import (
     nabla_phi,
     nijenhuis,
     predicates,
-    t3_from_func,
     theta,
     vartheta,
     xi_is_killing,
@@ -43,6 +42,7 @@ from helpers import (
     pointwise_from_upper,
     random_fraction,
     residual_basis,
+    t3_from_func,
     torsion_from_coords,
 )
 
