@@ -66,7 +66,6 @@ from .frames import (
     CanonicalAlgebra,
     ConnectionForms,
     FrameChange,
-    PointwiseFrameData,
     canonical_algebra,
     connection_from_structure,
     frame_change_verify,
@@ -97,7 +96,6 @@ __all__ = [
     "Form",
     "FrameChange",
     "IntrinsicTorsion",
-    "PointwiseFrameData",
     "SpinorSpace",
     "Symbol",
     "Tensor3",

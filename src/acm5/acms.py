@@ -29,9 +29,9 @@ numbers verify that every channel cancels and raise SymbolicResidueError
 otherwise.
 
 Memo rule: read the invariants of one structure (the projections of the
-w(e_k), nabla Phi, N, d eta, gamma, the predicates) through ``derived``, so
-each, with its cross-check, is computed once per frame connection; a direct
-call always computes.
+w(e_k), nabla Phi, N, dPhi, d eta, gamma, the predicates) through
+``derived``, so each, with its cross-check, is computed once per frame
+connection; a direct call always computes.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .exterior import (
     stored,
     zero_form,
 )
-from .frames import ConnectionForms, PointwiseFrameData
+from .frames import ConnectionForms
 from .scalars import EXACT, ZERO, TrigScalar, div_const, is_exact_zero, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
@@ -211,7 +211,9 @@ def phi_invariance_type(beta: Form):
 
 
 # ---------------------------------------------------------------------------
-# trilinear tensors, antisymmetric in the last two slots
+# trilinear tensors on the frame, 125 values by slot at(i, j, k): the derivative
+# tensors (antisymmetric in the last two slots), the torsion (in the first two)
+# and the connection values w[i][j](e_k) (in the first two)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +300,12 @@ def vartheta(beta: Form) -> Tensor3:
 @dataclass(frozen=True)
 class FrameConnection:
     """Pointwise connection values w[i][j](e_k), plus one constant matrix per
-    auxiliary symbol tracking its (unknown) frame values linearly."""
+    auxiliary symbol tracking its (unknown) frame values linearly.
 
-    base: tuple  # 5x5x5
+    ``base`` holds w[i][j](e_k) at slot at(i, j, k); each channel matrix is
+    indexed [i][j]."""
+
+    base: Tensor3
     channels: tuple  # ((aux_id, 5x5 matrix), ...)
     forms: ConnectionForms | None = field(default=None, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -315,12 +320,17 @@ def derived(fc: FrameConnection, fn):
 
 
 def frame_connection(source) -> FrameConnection:
+    """The frame connection of ConnectionForms, or of free pointwise values
+    w[i][j](e_k) given as a Tensor3 (no integrability is implied)."""
     if isinstance(source, FrameConnection):
         return source
-    if isinstance(source, PointwiseFrameData):
-        return FrameConnection(source.values, ())
+    if isinstance(source, Tensor3):
+        v = source.flat
+        if any(v[at(i, j, k)] != -v[at(j, i, k)] for i, j, k in product(range(5), repeat=3)):
+            raise ValueError("pointwise data must be antisymmetric in (i, j)")
+        return FrameConnection(source, ())
     if isinstance(source, ConnectionForms):
-        cube = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+        base = [0] * 125
         chans = {}
         for i in range(5):
             for j in range(5):
@@ -329,15 +339,14 @@ def frame_connection(source) -> FrameConnection:
                     if isinstance(coef, TrigScalar):
                         raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
                     if sid in METRIC_IDS:
-                        cube[i][j][sid] = coef
+                        base[at(i, j, sid)] = coef
                     else:
                         chans.setdefault(sid, [[0] * 5 for _ in range(5)])
                         chans[sid][i][j] = coef
-        base = tuple(tuple(tuple(r) for r in m) for m in cube)
         channels = tuple(
             (sid, tuple(tuple(r) for r in mat)) for sid, mat in sorted(chans.items())
         )
-        return FrameConnection(base, channels, source)
+        return FrameConnection(Tensor3(tuple(base)), channels, source)
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 
@@ -381,8 +390,7 @@ def _require_channels_vanish(fc: FrameConnection, what, residue):
 def nabla_xi_matrix(fc: FrameConnection):
     """NX[k][a] = g(nabla_{e_k} xi, e_a)."""
     _require_channels_vanish(fc, "nabla xi", lambda mat: mat[XI])
-    w = fc.base
-    return tuple(tuple(w[XI][a][k] for a in range(5)) for k in range(5))
+    return tuple(fc.base.flat[at(XI, 0, k) :: 5] for k in range(5))
 
 
 def d_eta_form(fc: FrameConnection) -> Form:
@@ -411,17 +419,16 @@ def nabla_phi(source) -> Tensor3:
     return full
 
 
-def np_full(w) -> Tensor3:
-    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the base values w[i][j][k]."""
-    flat = [v for m in w for r in m for v in r]
-    return Tensor3(tuple(_mu([flat[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a][k]
+def np_full(w: Tensor3) -> Tensor3:
+    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the base values w[i][j](e_k)."""
+    return Tensor3(tuple(_mu([w.flat[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a](e_k)
 
 
 def complement_forms(fc: FrameConnection) -> tuple:
     """The projections of the five 2-forms w(e_k) to the complement of the
     stabilizer: the intrinsic torsion, and the second path of nabla Phi."""
-    w = fc.base
-    return tuple(project_u2_complement(grid_form(lambda i, j: w[i][j][k])) for k in range(5))
+    w = fc.base.flat
+    return tuple(project_u2_complement(grid_form(lambda i, j: w[at(i, j, k)])) for k in range(5))
 
 
 def np_gamma(gammas) -> Tensor3:
@@ -432,6 +439,11 @@ def np_gamma(gammas) -> Tensor3:
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
     return Tensor3(tuple(contract(D_PHI, np.flat)))
+
+
+def d_phi(fc: FrameConnection) -> Tensor3:
+    """dPhi of the structure, from its nabla Phi."""
+    return d_phi_tensor(derived(fc, nabla_phi))
 
 
 D_PHI = plan(lambda a, b, c: (at(a, b, c), ((-1, at(b, a, c), None), (1, at(c, a, b), None))))
@@ -496,7 +508,7 @@ def gamma_form(source) -> Form:
     fc = frame_connection(source)
     if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError("structure is not generalized quasi-Sasaki")
-    dphi = d_phi_tensor(derived(fc, nabla_phi))
+    dphi = derived(fc, d_phi)
     vals = tuple(contract(GAMMA, dphi.flat + derived(fc, nijenhuis).flat + (0,)))
     if not all(map(sis_zero, map(operator.sub, vals[:10], vals[10:]))):
         raise NotGeneralizedQuasiSasakiError("gamma expressions disagree")
@@ -533,8 +545,8 @@ def _derivation(alpha: Form, entry) -> Form:
 def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
     """(nabla_{e_k} alpha) for a metric-symbol form, from the base values:
     the derivation with entries w[s][j](e_k)."""
-    w = fc.base
-    return _derivation(alpha, lambda s, j: w[s][j][k])
+    w = fc.base.flat
+    return _derivation(alpha, lambda s, j: w[at(s, j, k)])
 
 
 def codifferential(alpha: Form, source) -> Form:
@@ -596,7 +608,7 @@ def predicates(source) -> Predicates:
     fc = frame_connection(source)
     np = derived(fc, nabla_phi)
     nij = derived(fc, nijenhuis)
-    dphi = d_phi_tensor(np)
+    dphi = derived(fc, d_phi)
     deta = derived(fc, d_eta_form)
     killing = derived(fc, xi_is_killing)
     nx = derived(fc, nabla_xi_matrix)

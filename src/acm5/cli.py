@@ -289,7 +289,7 @@ def classification_report(c: CoframeData):
             "generalized quasi-Sasaki"
         )
         return report, 0
-    cc = characteristic_connection(c, fc)
+    cc = characteristic_connection(fc)
     parts, tag = torsion_type(cc)
     cur = curvature(c, cc.omega_c)
     ker = kernel_of_f()

@@ -67,7 +67,7 @@ class CharacteristicConnection:
     compatibility: CompatibilityReport  # its defining check, run once on construction
 
 
-def characteristic_connection(c: CoframeData, omega_g):
+def characteristic_connection(omega_g):
     """Construct the unique compatible metric connection and verify
     componentwise that it parallelizes xi, eta and phi.  omega_g is the
     Levi-Civita ConnectionForms or the memoizing FrameConnection of them."""

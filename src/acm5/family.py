@@ -27,15 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .acms import (
     ETA,
     F,
+    HORIZONTAL,
     XI,
     Z1,
     Z2,
     Tensor3,
+    at,
+    contract,
     d_eta_form,
     derived,
     frame_connection,
@@ -62,7 +65,6 @@ from .exterior import (
     e,
     ext_d,
     form,
-    grid_form,
     proportionality,
     wedge,
     zero_form,
@@ -77,7 +79,7 @@ from .frames import (
     verify_first_structure,
 )
 from .scalars import COS_F, COS_G, SIN_F, SIN_G, narrow, rat
-from .torsionclass import classify, intrinsic_torsion
+from .torsionclass import SKEW, VEC, classify, intrinsic_torsion
 
 A2 = form(1, {(5,): 1})
 # the metric legs, and the same legs with the 34-plane rotated, which implements
@@ -203,21 +205,15 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     )
 
     nij = derived(fc, nijenhuis)
-    reeb_slice = grid_form(lambda y, z: nij.values[XI][y][z])
-    check("N(xi, ., .) = 2 d eta", reeb_slice == 2 * deta)
+    check("N(xi, ., .) = 2 d eta", nij.component_form(XI + 1) == 2 * deta)
 
     skew_expected = a3 == 0 and a4 == 0
     cyclic_expected = a1 == 0 and a2 == 0
-    nv = nij.values
+    nv = nij.flat
     n_skew = nij.is_totally_skew()
-    cyc_sum_zero = all(
-        nv[x][y][z] + nv[y][z][x] + nv[z][x][y] == 0
-        for x in range(5)
-        for y in range(5)
-        for z in range(5)
-    )
-    traces_zero = all(sum(nv[i][i][x] for i in range(5)) == 0 for x in range(5)) and all(
-        sum(nv[x][i][i] for i in range(5)) == 0 for x in range(5)
+    cyc_sum_zero = all(v == 0 for v in contract(SKEW, nv))  # N(x, y, z) + N(y, z, x) + N(z, x, y)
+    traces_zero = all(v == 0 for v in contract(VEC, nv + (0,))) and all(
+        sum(nv[at(x, i, i)] for i in range(5)) == 0 for x in range(5)
     )
     n_cyclic = cyc_sum_zero and traces_zero
     check("N totally skew iff a3 = a4 = 0", n_skew == skew_expected or nij.is_zero())
@@ -255,37 +251,18 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
         preds.quasi_cosymplectic == (a1 == -2 * a3 and a2 == -2 * a4),
     )
 
-    np = derived(fc, nabla_phi)
-    npv = np.values
+    npv = derived(fc, nabla_phi).flat
+    # (nabla_xi Phi)(e_b, e_a) in slot at(XI, b, a) against entry [a][b] of the display
     disp1 = dense2((-2 * a2 - 4 * a4) * Z1 + (2 * a1 + 4 * a3) * Z2)
-    check(
-        "display: nabla_xi phi",
-        all(
-            npv[XI][b][a] == disp1[a][b]
-            for a in range(5)
-            for b in range(5)
-        ),
-    )
+    check("display: nabla_xi phi", npv[at(XI, 0, 0) :] == tuple(chain(*zip(*disp1))))
     disp2 = dense2((a2 - a4) * Z1 + (-(a1 - a3)) * Z2)
-    check(
-        "display: nabla phi of xi",
-        all(
-            npv[a][b][XI] == disp2[a][b]
-            for a in range(5)
-            for b in range(5)
-        ),
-    )
+    check("display: nabla phi of xi", npv[at(0, 0, XI) :: 5] == tuple(chain(*disp2)))
     check(
         "display: horizontal phi-twisted derivative vanishes",
-        all(
-            npv[u][v][w] == 0
-            for u in range(4)
-            for v in range(4)
-            for w in range(4)
-        ),
+        all(v == 0 for v in contract(HORIZONTAL, npv)),
     )
 
-    cc = characteristic_connection(cf, fc)
+    cc = characteristic_connection(fc)
     expected_c = connection_forms({(1, 2): A2, (3, 4): -1 * A2})
     check("A2 determines the compatible connection", cc.omega_c == expected_c)
     check("compatible connection parallelizes xi, eta, phi", cc.compatibility.ok)

@@ -26,7 +26,6 @@ from .exterior import (
     dense2,
     e,
     ext_d,
-    grid_form,
     stored,
     wedge,
     wedge_all,
@@ -62,32 +61,6 @@ def connection_forms(entries):
         grid[i - 1][j - 1] = f
         grid[j - 1][i - 1] = -f
     return ConnectionForms(tuple(tuple(row) for row in grid))
-
-
-@dataclass(frozen=True)
-class PointwiseFrameData:
-    """Free pointwise values w[i][j](e_k) of an antisymmetric connection.
-
-    Purely algebraic input for randomized identity tests; no integrability
-    is implied or required.
-    """
-
-    values: tuple  # 5x5x5, values[i][j][k] = w(i,j) evaluated on e_k
-
-    def __post_init__(self):
-        v = self.values
-        for i in range(5):
-            for j in range(5):
-                for k in range(5):
-                    if v[i][j][k] != -v[j][i][k]:
-                        raise ValueError("pointwise data must be antisymmetric in (i, j)")
-
-    def induced_d_table(self):
-        """Generator 2-forms from the first structure equation."""
-        v = self.values
-        return {
-            f"e{i + 1}": grid_form(lambda a, b: v[i][b][a] - v[i][a][b]) for i in range(5)
-        }
 
 
 def connection_from_structure(c: CoframeData) -> ConnectionForms:

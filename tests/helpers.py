@@ -15,9 +15,9 @@ tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
 Definitions that only tests use (``abelian_coframe``, ``project_u2``,
-``d_form_via_connection``, ``pointwise_from_upper``, ``pr_w``,
-``torsion_from_coords``, ``residual_basis``) live here rather than in the
-library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
+``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
+``pr_w``, ``torsion_from_coords``, ``residual_basis``) live here rather
+than in the library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
 """
 
 import contextlib
@@ -41,6 +41,7 @@ from acm5.acms import (
     XI,
     Tensor3,
     _channel_kills_form,
+    at,
     covariant_derivative_form,
     inner_form,
     lambda2_project,
@@ -63,7 +64,7 @@ from acm5.exterior import (
     wedge,
     zero_form,
 )
-from acm5.frames import ConnectionForms, PointwiseFrameData, connection_forms
+from acm5.frames import ConnectionForms, connection_forms
 from acm5.scalars import COS_F, TrigScalar, narrow, sis_zero
 from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
 
@@ -166,12 +167,22 @@ def ext_d_oracle(a: Form, c: CoframeData) -> Form:
 
 
 def pointwise_from_upper(upper):
-    """Fill a full antisymmetric cube from {(i, j, k): value}, 1-based, i < j."""
-    cube = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    """The free pointwise values w[i][j](e_k) of an antisymmetric connection, as a
+    Tensor3, from {(i, j, k): value}, 1-based, i < j."""
+    flat = [Fraction(0)] * 125
     for (i, j, k), v in upper.items():
-        cube[i - 1][j - 1][k - 1] = Fraction(v)
-        cube[j - 1][i - 1][k - 1] = -Fraction(v)
-    return PointwiseFrameData(tuple(tuple(tuple(r) for r in m) for m in cube))
+        flat[at(i - 1, j - 1, k - 1)] = Fraction(v)
+        flat[at(j - 1, i - 1, k - 1)] = -Fraction(v)
+    return Tensor3(tuple(flat))
+
+
+def induced_d_table(w: Tensor3):
+    """Generator 2-forms from the first structure equation, de_i(e_a, e_b) =
+    w[i][b](e_a) - w[i][a](e_b), for pointwise values w."""
+    v = w.flat
+    return {
+        f"e{i + 1}": grid_form(lambda a, b: v[at(i, b, a)] - v[at(i, a, b)]) for i in range(5)
+    }
 
 
 def torsion_from_coords(coords) -> IntrinsicTorsion:

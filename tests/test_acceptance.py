@@ -83,7 +83,7 @@ def random_valid_params(rng):
 
 def test_criterion_1_family_curvature():
     inst = build(1, 0, 0, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     cur = curvature(inst.coframe, cc.omega_c)
     ok = inst.alpha == -4
     ok = ok and cur.entry(1, 2) == -4 * F and cur.entry(3, 4) == 4 * F
@@ -112,7 +112,7 @@ def test_criterion_2_spinor_kernel():
     for _ in range(10):
         params = random_valid_params(rng)
         inst = build(*params)
-        cc = characteristic_connection(inst.coframe, inst.omega_g)
+        cc = characteristic_connection(inst.omega_g)
         ok = ok and parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
     _line(2, "Clifford kernel of F is 2-dim and the spin lift kills it (10 runs)", ok)
 
@@ -236,7 +236,7 @@ def test_criterion_8_characteristic_connection():
     for params in REPLAY_SET:
         a1, a2, a3, a4 = (Fraction(v) for v in params)
         inst = build(*params)
-        cc = characteristic_connection(inst.coframe, inst.omega_g)
+        cc = characteristic_connection(inst.omega_g)
         ok = ok and compatibility_report(cc.omega_c).ok
         _, tag = torsion_type(cc)
         ok = ok and (tag in ("skew", "zero")) == (a3 == 0 and a4 == 0)

@@ -16,6 +16,8 @@ from acm5.acms import (
     Y2,
     Z1,
     Z2,
+    Tensor3,
+    at,
     codifferential,
     d_eta_form,
     d_phi_tensor,
@@ -185,6 +187,15 @@ def test_theta_vartheta_images_are_orthogonal_on_primitive_forms():
 
 def test_nabla_phi_abelian_vanishes():
     assert nabla_phi(ABELIAN_OMEGA).is_zero()
+
+
+@pytest.mark.parametrize("slot", [(0, 1, 2), (4, 3, 0), (2, 2, 4)])
+def test_frame_connection_rejects_values_not_antisymmetric_in_i_j(slot):
+    flat = list(random_pointwise(random.Random(19)).flat)
+    assert frame_connection(Tensor3(tuple(flat))).base.flat == tuple(flat)
+    flat[at(*slot)] += 1
+    with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
+        frame_connection(Tensor3(tuple(flat)))
 
 
 def test_nabla_phi_two_paths_agree_on_random_values():

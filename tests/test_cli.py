@@ -458,7 +458,7 @@ def test_large_exact_values_print_and_parse_back(tmp_path, capsys):
     c, unit = _working_scale(load_coframe(str(path)))
     fc = frame_connection(connection_from_structure(c))
     norms = classify(intrinsic_torsion(fc)).norms
-    ricci = curvature(c, characteristic_connection(c, fc).omega_c).ricci
+    ricci = curvature(c, characteristic_connection(fc).omega_c).ricci
     printed = report["classification"]["norms"]
     with _unlimited_int_digits():
         assert max(len(str(v)) for v in norms.values()) > DIGITS

@@ -6,7 +6,8 @@ per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
 it runs once, when the connection is built.  The five projections of the
 w(e_k) to the complement of the stabilizer are computed once per
-structure and shared by the intrinsic torsion and nabla Phi, and the module
+structure and shared by the intrinsic torsion and nabla Phi, dPhi is
+computed once and shared by the predicates and gamma, and the module
 norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
 ext_d and runs once per coframe: ``CoframeData.d_squared_gate`` keeps its
@@ -25,7 +26,9 @@ from acm5.family import build, verify_identities
 from acm5.torsionclass import w_subspaces
 from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
 
-ONCE = ("acms.nijenhuis", "acms.predicates", "acms.gamma_form", "acms.d_eta_form")
+ONCE = (
+    "acms.nijenhuis", "acms.d_phi_tensor", "acms.predicates", "acms.gamma_form", "acms.d_eta_form"
+)
 INPUT = Path(__file__).parent / "golden" / "inputs" / "family_1_0_2_0.json"
 
 

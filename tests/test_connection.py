@@ -37,7 +37,7 @@ from acm5.connection import (
 from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
 from acm5.exterior import CoframeData, coframe, d_squared_zero, e, ext_d, form, wedge
 from acm5.family import build
-from acm5.frames import PointwiseFrameData, connection_forms, connection_from_structure
+from acm5.frames import connection_forms, connection_from_structure
 
 from helpers import (
     GAUSSIAN_GENERATORS,
@@ -59,7 +59,7 @@ ABELIAN_OMEGA = connection_from_structure(ABELIAN)
 
 def test_characteristic_connection_family_table():
     inst = build(1, 2, 3, 6)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     a2 = form(1, {(5,): 1})
     assert cc.omega_c.entry(1, 2) == a2
     assert cc.omega_c.entry(3, 4) == -1 * a2
@@ -71,20 +71,20 @@ def test_characteristic_connection_family_table():
 
 def test_characteristic_connection_needs_connection_forms():
     inst = build(1, 0, 0, 0)
-    pointwise = PointwiseFrameData(frame_connection(inst.omega_g).base)
+    pointwise = frame_connection(inst.omega_g).base
     with pytest.raises(TypeError, match="connection forms"):
-        characteristic_connection(inst.coframe, pointwise)
+        characteristic_connection(pointwise)
 
 
 def test_characteristic_connection_abelian_is_levi_civita():
-    cc = characteristic_connection(ABELIAN, ABELIAN_OMEGA)
+    cc = characteristic_connection(ABELIAN_OMEGA)
     assert all(cc.omega_c.omega[i][j].is_zero() for i in range(5) for j in range(5))
     assert cc.a_c.is_zero() and cc.torsion.is_zero()
 
 
 def test_compatibility_triple_vanishes():
     inst = build(1, 0, 2, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     rep = compatibility_report(cc.omega_c)
     assert rep.nabla_xi_zero and rep.nabla_eta_zero and rep.nabla_phi_zero
 
@@ -96,12 +96,12 @@ def test_not_generalized_quasi_sasaki_rejected():
 
     assert not predicates(om).generalized_quasi_sasaki
     with pytest.raises(NotGeneralizedQuasiSasakiError):
-        characteristic_connection(cf, om)
+        characteristic_connection(om)
 
 
 def test_uniqueness_any_embedding_perturbation_breaks_compatibility():
     inst = build(1, 0, 0, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     perturbations = [theta(b) for part in (1, 2, 3, 4) for b in LAMBDA2_BASES[part]]
     perturbations += [vartheta(b) for b in LAMBDA2_BASES[2]]
     assert len(perturbations) == 12
@@ -111,22 +111,22 @@ def test_uniqueness_any_embedding_perturbation_breaks_compatibility():
 
 
 def test_torsion_types_across_family():
-    _, tag = torsion_type(characteristic_connection(build(1, 0, 0, 0).coframe, build(1, 0, 0, 0).omega_g))
+    _, tag = torsion_type(characteristic_connection(build(1, 0, 0, 0).omega_g))
     assert tag == "skew"
     inst = build(0, 0, 1, 0)
-    _, tag = torsion_type(characteristic_connection(inst.coframe, inst.omega_g))
+    _, tag = torsion_type(characteristic_connection(inst.omega_g))
     assert tag == "traceless-cyclic"
     inst = build(1, 0, 2, 0)
-    _, tag = torsion_type(characteristic_connection(inst.coframe, inst.omega_g))
+    _, tag = torsion_type(characteristic_connection(inst.omega_g))
     assert tag == "mixed"
-    cc = characteristic_connection(ABELIAN, ABELIAN_OMEGA)
+    cc = characteristic_connection(ABELIAN_OMEGA)
     _, tag = torsion_type(cc)
     assert tag == "zero"
 
 
 def test_torsion_two_computation_paths():
     inst = build(2, 1, 4, 2)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     for i in range(5):
         residual = ext_d(e(i + 1), inst.coframe)
         for j in range(5):
@@ -138,19 +138,19 @@ def test_torsion_two_computation_paths():
 
 def test_cartan_parts_of_torsion_sum_back():
     inst = build(1, 0, 2, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
     assert parts.vectorial + parts.skew + parts.cyclic == cc.torsion
 
 
 def test_cartan_parts_of_pure_type_torsions():
     inst = build(1, 0, 0, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
     assert parts.skew == cc.torsion
     assert parts.vectorial.is_zero() and parts.cyclic.is_zero()
     inst = build(0, 0, 1, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
     assert parts.cyclic == cc.torsion
     assert parts.vectorial.is_zero() and parts.skew.is_zero()
@@ -161,7 +161,7 @@ def test_cartan_parts_of_pure_type_torsions():
 
 def test_family_curvature_exact_values():
     inst = build(1, 0, 0, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     cur = curvature(inst.coframe, cc.omega_c)
     assert inst.alpha == -4
     assert cur.entry(1, 2) == -4 * F
@@ -183,7 +183,7 @@ def test_family_curvature_exact_values():
 def test_curvature_degenerate_and_flat_cases():
     inst = build(1, 0, 1, 0)
     assert inst.alpha == 0
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     cur = curvature(inst.coframe, cc.omega_c)
     assert all(cur.curvature[i][j].is_zero() for i in range(5) for j in range(5))
     assert len(cur.holonomy_basis) == 0
@@ -193,7 +193,7 @@ def test_curvature_degenerate_and_flat_cases():
 
 def test_family_ricci_symmetric():
     inst = build(2, 3, 4, 6)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     cur = curvature(inst.coframe, cc.omega_c)
     for i in range(5):
         for j in range(5):
@@ -279,7 +279,7 @@ def test_spinor_kernel_dimension_and_spectrum():
 
 def test_spin_lift_annihilates_kernel_and_only_it():
     inst = build(1, 0, 0, 0)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     space = spinor_space()
     ker = spinor_kernel(space, F)
     assert ker.dimension == 2
@@ -300,7 +300,7 @@ def test_parallel_spinors_across_parameters():
     for _ in range(4):
         a1, a2, t = (random_fraction(rng) for _ in range(3))
         inst = build(a1, a2, t * a1, t * a2)
-        cc = characteristic_connection(inst.coframe, inst.omega_g)
+        cc = characteristic_connection(inst.omega_g)
         assert parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
 
 
@@ -348,7 +348,7 @@ def test_spinors_match_oracle_on_golden_inputs(path, mode):
     _oracle_agrees(omega)
     fc = frame_connection(omega)
     if predicates(fc).generalized_quasi_sasaki:
-        cc = characteristic_connection(c, fc)
+        cc = characteristic_connection(fc)
         verdict = _oracle_agrees(cc.omega_c)
         assert verdict is (path.stem not in ("ch2_x_R", "heis5_sasakian"))
         if mode == "exact":

@@ -30,6 +30,7 @@ from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     abelian_coframe,
+    induced_d_table,
     koszul_oracle,
     pointwise_from_upper,
     random_fraction,
@@ -141,8 +142,7 @@ def test_pointwise_values_induce_the_source_structure_table():
                 v = om.entry(i, j).coefficient((k - 1,))
                 if v:
                     upper[(i, j, k)] = v
-    pw = pointwise_from_upper(upper)
-    induced = pw.induced_d_table()
+    induced = induced_d_table(pointwise_from_upper(upper))
     for i in range(5):
         assert induced[f"e{i + 1}"] == cf.d_table[i]
 

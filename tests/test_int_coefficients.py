@@ -253,9 +253,9 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
     fc = frame_connection(connection_from_structure(c))
     if not predicates(fc).generalized_quasi_sasaki:
         with pytest.raises(NotGeneralizedQuasiSasakiError):
-            characteristic_connection(c, fc)
+            characteristic_connection(fc)
         return
-    cc = characteristic_connection(c, fc)
+    cc = characteristic_connection(fc)
     a = difference_tensor_oracle(
         derived(fc, d_eta_form), derived(fc, gamma_form), derived(fc, nijenhuis).values
     )
@@ -270,7 +270,7 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
 def _parts_entries(point):
     """Every entry of A, the torsion and its three Cartan parts at a family point."""
     inst = family.build(*point)
-    cc = characteristic_connection(inst.coframe, inst.omega_g)
+    cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
     tensors = (cc.a_c, cc.torsion, *parts.parts().values())
     return [v for t in tensors for m in t.values for r in m for v in r] + list(parts.vector)
@@ -367,7 +367,7 @@ def test_parallel_spinor_verdicts_keep_the_fraction_basis_verdicts(path, mode):
     fc = frame_connection(connection_from_structure(c))
     if not predicates(fc).generalized_quasi_sasaki:
         return
-    omega = characteristic_connection(c, fc).omega_c
+    omega = characteristic_connection(fc).omega_c
     space = spinor_space()
     fractions = linalg.nullspace(space.action_of_2form(F))
     assert {type(x) for v in fractions for x in v} == {Fraction}

@@ -19,6 +19,7 @@ zeros that the general code produces are pinned too.
 import ast
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,7 +83,7 @@ def _same(tensor, cube):
 
 
 def _check_kernels(w):
-    oracle = nabla_phi_oracle(w)
+    oracle = nabla_phi_oracle(w.values)
     fc = acms.FrameConnection(w, ())
     full = acms.np_full(w)
     _same(full, oracle["np_full"])
@@ -100,14 +101,14 @@ def _check_kernels(w):
 
 
 def _antisymmetric_cube(values):
-    """w[i][j][k] = -w[j][i][k] from 50 values, one per (i < j, k)."""
-    w = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
+    """w[i][j](e_k) = -w[j][i](e_k) from 50 values, one per (i < j, k), as a Tensor3."""
+    w = [Fraction(0)] * 125
     it = iter(values)
     for i, j in itertools.combinations(range(5), 2):
         for k in range(5):
             v = next(it)
-            w[i][j][k], w[j][i][k] = v, -v
-    return w
+            w[acms.at(i, j, k)], w[acms.at(j, i, k)] = v, -v
+    return acms.Tensor3(tuple(w))
 
 
 def test_phi_map_reads_phi_mat():
@@ -180,7 +181,7 @@ def _check_classify(gamma):
 
 def _check_coordinate_maps(fc):
     for k in range(5):
-        _check_projection(grid_form(lambda i, j: fc.base[i][j][k]))
+        _check_projection(grid_form(lambda i, j: fc.base.get(i + 1, j + 1, k + 1)))
     _check_classify(intrinsic_torsion(fc))
 
 
@@ -371,7 +372,7 @@ def test_nijenhuis_matches_oracle_on_random_cubes(cube, deta):
 def _memoized(**invariants):
     """A frame connection whose memo already holds the given invariants, as
     ``derived`` stores them, so a kernel reads random tensors."""
-    fc = acms.FrameConnection(tuple(tuple((0,) * 5 for _ in range(5)) for _ in range(5)), ())
+    fc = acms.FrameConnection(acms.Tensor3((0,) * 125), ())
     fc._memo.update(invariants)
     return fc
 
@@ -485,7 +486,7 @@ def test_characteristic_connection_matches_oracles_on_random_family_points(point
         c = rotate(c, u2_rotation(1, Fraction(1, 2), -1, 2))
     c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
     fc = acms.frame_connection(connection_from_structure(c))
-    cc = characteristic_connection(c, fc)
+    cc = characteristic_connection(fc)
     nij = acms.derived(fc, acms.nijenhuis).values
     a = difference_tensor_oracle(
         acms.derived(fc, acms.d_eta_form), acms.derived(fc, acms.gamma_form), nij
@@ -522,5 +523,18 @@ def test_no_per_entry_closures_left_in_src():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Name) and node.id == "t3_from_func"
+    ]
+    assert not users, users
+
+
+def test_no_nested_cube_reads_left_in_src():
+    """The 5x5x5 layout is known only to ``Tensor3`` and ``at``: no line of
+    ``src/acm5`` reads a nested ``.values`` view or names PointwiseFrameData."""
+    nested = re.compile(r"\.values\b(?!\()|PointwiseFrameData")
+    users = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if nested.search(line)
     ]
     assert not users, users

@@ -73,11 +73,11 @@ def test_u2_rotation_preserves_the_invariants(name, rotation):
     assert _invariants(rotated) == _invariants(c)
 
 
-def _skew_torsion_iff_friedrich_ivanov(c, omega):
+def _skew_torsion_iff_friedrich_ivanov(omega):
     fc = frame_connection(omega)
     if not predicates(fc).generalized_quasi_sasaki:
         return None
-    _, tag = torsion_type(characteristic_connection(c, fc))
+    _, tag = torsion_type(characteristic_connection(fc))
     conditions = nijenhuis(fc).is_totally_skew() and xi_is_killing(fc)
     return (tag in ("skew", "zero")) == conditions
 
@@ -86,7 +86,7 @@ def test_friedrich_ivanov_on_golden_inputs():
     verdicts = {}
     for path in GOLDEN_INPUTS:
         c = load_coframe(str(path))
-        verdicts[path.name] = _skew_torsion_iff_friedrich_ivanov(c, connection_from_structure(c))
+        verdicts[path.name] = _skew_torsion_iff_friedrich_ivanov(connection_from_structure(c))
     assert verdicts.pop("su2_block.json") is None
     assert verdicts == dict.fromkeys(verdicts, True) and len(verdicts) == 9
 
@@ -96,7 +96,7 @@ def test_friedrich_ivanov_on_golden_inputs():
 )
 def test_friedrich_ivanov_on_golden_family_points(params):
     inst = build(*params)
-    assert _skew_torsion_iff_friedrich_ivanov(inst.coframe, inst.omega_g) is True
+    assert _skew_torsion_iff_friedrich_ivanov(inst.omega_g) is True
 
 
 # every golden input, and a Sasakian coframe for a nonzero d eta ratio
