@@ -276,6 +276,12 @@ def classification_report(c: CoframeData):
         "integrable": cls.integrable,
     }
     preds = derived(fc, predicates)
+    # the paper's characterization: generalized quasi-Sasaki iff the class lies in W3+W4+W5+W7
+    if preds.generalized_quasi_sasaki != (set(cls.class_tags) <= {"W3", "W4", "W5", "W7"}):
+        raise ACM5Error(
+            f"internal consistency: generalized_quasi_sasaki is {preds.generalized_quasi_sasaki}"
+            f" but the class is {list(cls.class_tags)}, norms {report['classification']['norms']}"
+        )
     report["predicates"] = preds.as_dict()
     deta = derived(fc, d_eta_form)
     prop = proportionality(deta, PHI)

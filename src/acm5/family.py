@@ -78,7 +78,7 @@ from .frames import (
     frame_change_verify,
     verify_first_structure,
 )
-from .scalars import COS_F, COS_G, SIN_F, SIN_G, narrow, rat
+from .scalars import COS_F, COS_G, SIN_F, SIN_G, div, narrow, rat
 from .torsionclass import SKEW, VEC, classify, intrinsic_torsion
 
 A2 = form(1, {(5,): 1})
@@ -212,9 +212,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     nv = nij.flat
     n_skew = nij.is_totally_skew()
     cyc_sum_zero = all(v == 0 for v in contract(SKEW, nv))  # N(x, y, z) + N(y, z, x) + N(z, x, y)
-    traces_zero = all(v == 0 for v in contract(VEC, nv + (0,))) and all(
-        sum(nv[at(x, i, i)] for i in range(5)) == 0 for x in range(5)
-    )
+    traces_zero = all(v == 0 for v in contract(VEC, nv + (0,)))
     n_cyclic = cyc_sum_zero and traces_zero
     check("N totally skew iff a3 = a4 = 0", n_skew == skew_expected or nij.is_zero())
     check("N traceless cyclic iff a1 = a2 = 0", n_cyclic == cyclic_expected or nij.is_zero())
@@ -331,16 +329,15 @@ class GroupIdentification:
 
 
 def rational_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
+    """Exact square root of a nonnegative rational, narrowed (an int when
+    integral), or None."""
     q = Fraction(q)
     if q < 0:
         return None
-    if q == 0:
-        return Fraction(0)
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return narrow(Fraction(rn, rd))
     return None
 
 
@@ -374,7 +371,7 @@ def _trig_heis_cert(x1, basis, baux):
     b1, b2, b3, b4, b5 = basis
     u1, u2 = _phase_pair(COS_F, SIN_F, b1 + b4, b2 + b3)
     u4, u3 = _phase_pair(COS_F, SIN_F, b1 - b4, b2 - b3)
-    u5 = Fraction(-2, 1) / (3 * x1) * b5
+    u5 = div(-2, 3 * x1) * b5
     return FrameChange((u1, u2, u3, u4, u5, baux)), {"df": baux}
 
 

@@ -38,6 +38,11 @@ computation produced; only the Levi-Civita solve drops a ``0.0`` (the golden
 ``--float`` outputs pin it).  As ``int / int`` is a float, a division of two
 possible ints goes through :func:`div`, and one by a small int constant n
 (1/2, 1/3 or 1/4) through :func:`div_const`, an int when n divides an int.
+A ``TrigScalar`` stores its coefficients under the same rule.  Its product
+scales each coefficient when the other factor is rational; of two trig
+scalars it sums twice the product term by term on the ``_PRODUCT`` table,
+which gives the kind and the two signs of each product-to-sum pair, and
+halves each sum once, through ``div_const``.
 """
 
 from __future__ import annotations
@@ -55,28 +60,27 @@ IS_ZERO = {EXACT: operator.not_, FLOAT: lambda x: abs(x) <= FLOAT_RTOL}
 
 # Trig atoms are keyed ("c"|"s", m, n) for cos/sin of m*f + n*g, normalized
 # so that the first nonzero frequency is positive and sin(0) never appears.
+# Twice the product of atoms at a and b is two atoms at a + b and a - b:
+# (kind1, kind2) -> (their kind, sign at a + b, sign at a - b), from
+# 2 cos cos = cos(a-b) + cos(a+b), 2 sin sin = cos(a-b) - cos(a+b),
+# 2 sin cos = sin(a+b) + sin(a-b) and 2 cos sin = sin(a+b) - sin(a-b).
+_PRODUCT = {("c", "c"): ("c", 1, 1), ("s", "s"): ("c", -1, 1),
+            ("s", "c"): ("s", 1, 1), ("c", "s"): ("s", 1, -1)}
 
 
-def _norm_atom(kind, m, n, coef):
-    if m == 0 and n == 0:
-        if kind == "s":
-            return None, None
-        return ("c", 0, 0), coef
+def _accumulate_atom(coeffs, kind, m, n, coef):
+    """Add coef times the atom in place: normalise it, add, narrow the sum and
+    drop it when it cancels."""
     if m < 0 or (m == 0 and n < 0):
         m, n = -m, -n
         if kind == "s":
             coef = -coef
-    return (kind, m, n), coef
-
-
-def _accumulate_atom(coeffs, kind, m, n, coef):
-    """Add coef times the atom in place: normalise it, add, and drop it when it cancels."""
-    key, coef = _norm_atom(kind, m, n, coef)
-    if key is None:
+    elif kind == "s" and m == 0 and n == 0:
         return
-    acc = coeffs.get(key, Fraction(0)) + coef
+    key = (kind, m, n)
+    acc = coeffs.get(key, 0) + coef
     if acc:
-        coeffs[key] = acc
+        coeffs[key] = narrow(acc)
     else:
         coeffs.pop(key, None)
 
@@ -89,24 +93,24 @@ class TrigScalar:
     def __init__(self, coeffs):
         clean = {}
         for (kind, m, n), coef in coeffs.items():
-            _accumulate_atom(clean, kind, m, n, Fraction(coef))
+            _accumulate_atom(clean, kind, m, n, coef if is_rational(coef) else Fraction(coef))
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(q):
-        return TrigScalar({("c", 0, 0): Fraction(q)})
+        return TrigScalar({("c", 0, 0): q})
 
     @staticmethod
     def atom(kind, m, n, coef=1):
-        return TrigScalar({(kind, m, n): Fraction(coef)})
+        return TrigScalar({(kind, m, n): coef})
 
     # -- predicates ---------------------------------------------------
     def is_constant(self):
         return all(k == ("c", 0, 0) for k in self.coeffs)
 
     def constant_part(self):
-        return self.coeffs.get(("c", 0, 0), Fraction(0))
+        return self.coeffs.get(("c", 0, 0), 0)
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -132,29 +136,21 @@ class TrigScalar:
         return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
+        if is_rational(other):
+            if not other:
+                return Fraction(0)
+            return collapse({key: narrow(v * other) for key, v in self.coeffs.items()})
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        half = Fraction(1, 2)
+        twice = {}  # 2 x the product: the halving waits until every term is in
         for (k1, m1, n1), c1 in self.coeffs.items():
             for (k2, m2, n2), c2 in other.coeffs.items():
-                c = c1 * c2 * half
-                sm, sn = m1 + m2, n1 + n2
-                dm, dn = m1 - m2, n1 - n2
-                if k1 == "c" and k2 == "c":
-                    _accumulate_atom(out, "c", dm, dn, c)
-                    _accumulate_atom(out, "c", sm, sn, c)
-                elif k1 == "s" and k2 == "s":
-                    _accumulate_atom(out, "c", dm, dn, c)
-                    _accumulate_atom(out, "c", sm, sn, -c)
-                elif k1 == "s" and k2 == "c":
-                    _accumulate_atom(out, "s", sm, sn, c)
-                    _accumulate_atom(out, "s", dm, dn, c)
-                else:  # cos * sin
-                    _accumulate_atom(out, "s", sm, sn, c)
-                    _accumulate_atom(out, "s", dm, dn, -c)
-        return collapse(out)
+                kind, at_sum, at_diff = _PRODUCT[k1, k2]
+                c = c1 * c2
+                _accumulate_atom(twice, kind, m1 - m2, n1 - n2, c if at_diff > 0 else -c)
+                _accumulate_atom(twice, kind, m1 + m2, n1 + n2, c if at_sum > 0 else -c)
+        return collapse({key: div_const(v, 2) for key, v in twice.items()})
 
     __rmul__ = __mul__
 
@@ -164,7 +160,7 @@ class TrigScalar:
             return NotImplemented
         if not other.is_constant():
             raise ExtensionOverflowError("division by a non-constant trig scalar")
-        return self * (1 / other.constant_part())
+        return self * div(1, other.constant_part())
 
     def __rtruediv__(self, other):
         other = _lift(other)
@@ -212,7 +208,7 @@ def collapse(coeffs):
     """The ring element with these normalised coefficients: a Fraction when it is constant."""
     out = TrigScalar.__new__(TrigScalar)
     out.coeffs = coeffs
-    return out.constant_part() if out.is_constant() else out
+    return Fraction(out.constant_part()) if out.is_constant() else out
 
 
 def is_float(x):

@@ -14,6 +14,9 @@ The wedge-based exterior derivative (``ext_d_oracle``) is the one that
 tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
+``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
+its four-way case split and its ``Fraction(1, 2)`` per term, that the int
+coefficients and the product table of ``scalars.TrigScalar`` replaced.
 Definitions that only tests use (``abelian_coframe``, ``project_u2``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
 ``pr_w``, ``torsion_from_coords``, ``residual_basis``) live here rather
@@ -530,6 +533,58 @@ def trig_coframe():
     d(de1) = -sin(f) e2^e3^e5, so e1 fails the d^2-gate.
     """
     return coframe({"e1": COS_F * wedge(e(2), e(3))}, trig_rules=TrigRules(df=e(5)))
+
+
+def _norm_atom_oracle(kind, m, n, coef):
+    if m == 0 and n == 0:
+        if kind == "s":
+            return None, None
+        return ("c", 0, 0), coef
+    if m < 0 or (m == 0 and n < 0):
+        m, n = -m, -n
+        if kind == "s":
+            coef = -coef
+    return (kind, m, n), coef
+
+
+def _accumulate_atom_oracle(coeffs, kind, m, n, coef):
+    key, coef = _norm_atom_oracle(kind, m, n, coef)
+    if key is None:
+        return
+    acc = coeffs.get(key, Fraction(0)) + coef
+    if acc:
+        coeffs[key] = acc
+    else:
+        coeffs.pop(key, None)
+
+
+def trig_mul_oracle(x, y):
+    """The coefficients of x * y for trig scalars or rationals x, y, as the
+    Fraction ring computed them: a rational lifted to a one-term sum, each
+    term pair times Fraction(1, 2) through the four product-to-sum cases."""
+    lift = (
+        lambda t: t.coeffs if isinstance(t, TrigScalar) else ({("c", 0, 0): Fraction(t)} if t else {})
+    )
+    out = {}
+    half = Fraction(1, 2)
+    for (k1, m1, n1), c1 in lift(x).items():
+        for (k2, m2, n2), c2 in lift(y).items():
+            c = c1 * c2 * half
+            sm, sn = m1 + m2, n1 + n2
+            dm, dn = m1 - m2, n1 - n2
+            if k1 == "c" and k2 == "c":
+                _accumulate_atom_oracle(out, "c", dm, dn, c)
+                _accumulate_atom_oracle(out, "c", sm, sn, c)
+            elif k1 == "s" and k2 == "s":
+                _accumulate_atom_oracle(out, "c", dm, dn, c)
+                _accumulate_atom_oracle(out, "c", sm, sn, -c)
+            elif k1 == "s" and k2 == "c":
+                _accumulate_atom_oracle(out, "s", sm, sn, c)
+                _accumulate_atom_oracle(out, "s", dm, dn, c)
+            else:  # cos * sin
+                _accumulate_atom_oracle(out, "s", sm, sn, c)
+                _accumulate_atom_oracle(out, "s", dm, dn, -c)
+    return out
 
 
 _RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

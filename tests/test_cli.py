@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acm5 import cli
 from acm5.cli import _parser as cli_parser
 from acm5.acms import frame_connection
 from acm5.cli import (
@@ -26,6 +28,7 @@ from acm5.family import build, identify_group
 from acm5.frames import connection_from_structure
 from acm5.torsionclass import classify, intrinsic_torsion
 from helpers import (
+    GOLDEN,
     GOLDEN_INPUTS,
     parse_rational_oracle,
     rotate,
@@ -41,6 +44,26 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "name, field, value, verdicts",
+    [
+        ("classify", "class_tags", ("W6",), ("generalized_quasi_sasaki is True", "['W6']")),
+        ("predicates", "generalized_quasi_sasaki", False,
+         ("generalized_quasi_sasaki is False", "['W4', 'W7']")),
+    ],
+)
+def test_report_checks_the_gqs_characterization(capsys, monkeypatch, name, field, value, verdicts):
+    """Generalized quasi-Sasaki iff the class lies in W3+W4+W5+W7: a report
+    whose two sides disagree stops with both verdicts and the norms."""
+    path = str(GOLDEN / "inputs" / "family_1_0_2_0.json")
+    real = getattr(cli, name)  # one side of the comparison, with one field replaced
+    monkeypatch.setattr(cli, name, lambda arg: dataclasses.replace(real(arg), **{field: value}))
+    code, out, err = run(capsys, ["classify", path, "--json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ACM5Error: internal consistency: ")
+    assert all(v in err for v in verdicts) and "norms {'W3': '0'" in err
 
 
 def emit(tmp_path, capsys, params=("1", "0", "0", "0")):

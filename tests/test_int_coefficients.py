@@ -13,6 +13,7 @@ oracles, and on floats they keep the oracles' bits.
 """
 
 import dataclasses
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -54,8 +55,10 @@ from helpers import (
     difference_tensor_oracle,
     replay_points,
     rotate,
+    trig_mul_oracle,
     u2_rotation,
 )
+from test_scalars import _coefs, operands, trig_scalars
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "acm5"
@@ -210,6 +213,73 @@ def test_exact_replay_stores_no_float(point, monkeypatch):
     if not certified:
         del seen["frame_change_verify"]
     _assert_exact(seen)
+
+
+# -- the trig ring on ints ---------------------------------------------------------
+
+
+def _wide(values):
+    """The integral Fractions among values: what the storage rule narrows to ints."""
+    return [v for v in values if type(v) is Fraction and v.denominator == 1]
+
+
+@pytest.mark.parametrize("point, tag", [((2, 0, 2, 0), "abelian6"), ((2, 0, -4, 0), "heis5+R")])
+def test_trig_certificates_store_int_coefficients(point, tag):
+    ident = family.identify_group(point)
+    assert ident.tag == tag
+    fc = ident.frame_change
+    trig = [c for f in fc.new_forms for c in f.terms.values() if isinstance(c, TrigScalar)]
+    assert trig, "the certificate has no trig coefficient"
+    coefficients = [v for v, _ in _leaves(fc)]
+    assert not _wide(coefficients), _wide(coefficients)[:3]
+    assert any(type(v) is int for c in trig for v in c.coeffs.values())
+
+
+@given(trig_scalars, operands)
+def test_trig_ring_results_store_narrowed_coefficients(x, y):
+    for r in (x + y, y + x, x - y, y - x, x * y, y * x, -x):
+        if isinstance(r, TrigScalar):  # a constant result is a Fraction and stores nothing
+            assert not _wide(r.coeffs.values()), r
+
+
+ring_operands = st.one_of(trig_scalars, st.integers(-3, 3), _coefs, st.sampled_from([0, Fraction(0)]))
+
+
+def _as_coeffs(r):
+    """A ring result as a coefficient dict, a constant under the key of cos(0)."""
+    if isinstance(r, TrigScalar):
+        return r.coeffs
+    return {("c", 0, 0): r} if r else {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(trig_scalars, ring_operands)
+def test_trig_product_matches_the_fraction_oracle(x, y):
+    for a, b in ((x, y), (y, x)):
+        got, want = _as_coeffs(a * b), trig_mul_oracle(a, b)
+        assert got.keys() == want.keys()
+        assert all(got[k] == v for k, v in want.items())
+
+
+PHASES = ((0.3, 1.1), (-2.0, 0.7), (1.9, -0.4))
+
+
+def _at(x, f, g):
+    """The float value of a ring element at the phases (f, g)."""
+    if not isinstance(x, TrigScalar):
+        return float(x)
+    wave = {"c": math.cos, "s": math.sin}
+    return sum(float(c) * wave[kind](m * f + n * g) for (kind, m, n), c in x.coeffs.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(trig_scalars, ring_operands)
+def test_trig_product_evaluates_to_the_product_of_values(x, y):
+    """A check that reads no representation: cos and sin of the phases themselves."""
+    for f, g in PHASES:
+        for r in (x * y, y * x):
+            want = _at(x, f, g) * _at(y, f, g)
+            assert math.isclose(_at(r, f, g), want, rel_tol=1e-9, abs_tol=1e-9)
 
 
 # -- the difference tensor and the Cartan split --------------------------------------

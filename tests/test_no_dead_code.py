@@ -125,7 +125,7 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields never read: {sorted(unread)}"
 
 
-SRC_LINE_BUDGET = 3496  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3495  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():
