@@ -17,70 +17,6 @@ The public surface groups as follows:
 * :mod:`acm5.cli` -- the ``acm5`` command line tool.
 """
 
-from .acms import (
-    ADAPTED,
-    AdaptedStructure,
-    Tensor3,
-    codifferential,
-    gamma_form,
-    lambda2_project,
-    nabla_phi,
-    nijenhuis,
-    phi_invariance_type,
-    predicates,
-    theta,
-    vartheta,
-)
-from .connection import (
-    CharacteristicConnection,
-    CurvatureData,
-    SpinorSpace,
-    characteristic_connection,
-    curvature,
-    parallel_spinor_check,
-    spinor_kernel,
-    spinor_space,
-    torsion_type,
-)
-from .exterior import (
-    CoframeData,
-    Form,
-    Symbol,
-    coframe,
-    d_squared_zero,
-    e,
-    ext_d,
-    form,
-    hodge,
-    interior,
-    wedge,
-)
-from .family import (
-    FamilyInstance,
-    FamilyParams,
-    build,
-    identify_group,
-    verify_identities,
-)
-from .frames import (
-    CanonicalAlgebra,
-    ConnectionForms,
-    FrameChange,
-    canonical_algebra,
-    connection_from_structure,
-    frame_change_verify,
-    verify_first_structure,
-)
-from .torsionclass import (
-    CartanParts,
-    ClassReport,
-    IntrinsicTorsion,
-    cartan_decompose,
-    classify,
-    intrinsic_torsion,
-    w_subspaces,
-)
-
 __all__ = [
     "ADAPTED",
     "AdaptedStructure",
@@ -136,3 +72,75 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """PEP 562: bind the public surface on the first read of one of its names."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .acms import (
+        ADAPTED,
+        AdaptedStructure,
+        Tensor3,
+        codifferential,
+        gamma_form,
+        lambda2_project,
+        nabla_phi,
+        nijenhuis,
+        phi_invariance_type,
+        predicates,
+        theta,
+        vartheta,
+    )
+    from .connection import (
+        CharacteristicConnection,
+        CurvatureData,
+        SpinorSpace,
+        characteristic_connection,
+        curvature,
+        parallel_spinor_check,
+        spinor_kernel,
+        spinor_space,
+        torsion_type,
+    )
+    from .exterior import (
+        CoframeData,
+        Form,
+        Symbol,
+        coframe,
+        d_squared_zero,
+        e,
+        ext_d,
+        form,
+        hodge,
+        interior,
+        wedge,
+    )
+    from .family import (
+        FamilyInstance,
+        FamilyParams,
+        build,
+        identify_group,
+        verify_identities,
+    )
+    from .frames import (
+        CanonicalAlgebra,
+        ConnectionForms,
+        FrameChange,
+        canonical_algebra,
+        connection_from_structure,
+        frame_change_verify,
+        verify_first_structure,
+    )
+    from .torsionclass import (
+        CartanParts,
+        ClassReport,
+        IntrinsicTorsion,
+        cartan_decompose,
+        classify,
+        intrinsic_torsion,
+        w_subspaces,
+    )
+    surface = locals()
+    globals().update((n, surface[n]) for n in __all__)
+    return surface[name]

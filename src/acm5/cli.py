@@ -27,14 +27,6 @@ import sys
 from fractions import Fraction
 
 from .acms import PHI, d_eta_form, derived, frame_connection, predicates
-from .connection import (
-    characteristic_connection,
-    curvature,
-    kernel_of_f,
-    parallel_spinor_check,
-    spinor_space,
-    torsion_type,
-)
 from .errors import (
     ACM5Error,
     DegenerateInputError,
@@ -51,7 +43,6 @@ from .exterior import (
     stored,
     zero_form,
 )
-from .family import build, identify_group, verify_identities
 from .frames import connection_from_structure
 from .scalars import FLOAT, fmt_scalar, is_rational, narrow
 from .torsionclass import MODULE_NAMES, classify, intrinsic_torsion
@@ -295,11 +286,12 @@ def classification_report(c: CoframeData):
             "generalized quasi-Sasaki"
         )
         return report, 0
-    cc = characteristic_connection(fc)
-    parts, tag = torsion_type(cc)
-    cur = curvature(c, cc.omega_c)
-    ker = kernel_of_f()
-    parallel = parallel_spinor_check(spinor_space(), cc.omega_c, ker.kernel_basis)
+    from . import connection  # imported only for a generalized quasi-Sasaki structure
+    cc = connection.characteristic_connection(fc)
+    parts, tag = connection.torsion_type(cc)
+    cur = connection.curvature(c, cc.omega_c)
+    ker, spinors = connection.kernel_of_f(), connection.spinor_space()
+    parallel = connection.parallel_spinor_check(spinors, cc.omega_c, ker.kernel_basis)
     names = [s.name for s in c.symbols]
     report["characteristic_connection"] = {
         "connection_forms": {
@@ -432,6 +424,7 @@ def _family_params(args):
 
 
 def cmd_family(args):
+    from .family import build, identify_group, verify_identities
     try:
         params = _family_params(args)
     except SchemaError as exc:

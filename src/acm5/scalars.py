@@ -7,9 +7,9 @@ binary64 floats, used only to cross-check exact results.  Float mode runs
 at unit scale (``cli.classification_report`` scales the coframe so that its
 largest coefficient lies in [1/2, 1)), so one tolerance, ``FLOAT_RTOL`` =
 1e-9, decides every float zero.  All combine with plain ``+ - * /``; the
-trig ring's rules live on :class:`TrigScalar`'s operators: a constant
-result collapses back to a ``Fraction`` (``SIN_F * SIN_F + COS_F * COS_F``
-is ``Fraction(1)``), a float on either side raises ModeMismatchError, and
+trig ring's rules live on :class:`TrigScalar`: a constant result collapses
+back to a rational under the storage rule (``SIN_F * SIN_F + COS_F * COS_F``
+is the int 1), a float coefficient or operand raises ModeMismatchError, and
 division by a non-constant trig scalar raises ExtensionOverflowError.
 
 Kind rule.  A float is of the ``FLOAT`` kind and every other scalar of the
@@ -93,6 +93,8 @@ class TrigScalar:
     def __init__(self, coeffs):
         clean = {}
         for (kind, m, n), coef in coeffs.items():
+            if is_float(coef):
+                raise ModeMismatchError("cannot mix float scalars with the trig ring")
             _accumulate_atom(clean, kind, m, n, coef if is_rational(coef) else Fraction(coef))
         self.coeffs = clean
 
@@ -138,7 +140,7 @@ class TrigScalar:
     def __mul__(self, other):
         if is_rational(other):
             if not other:
-                return Fraction(0)
+                return 0
             return collapse({key: narrow(v * other) for key, v in self.coeffs.items()})
         other = _lift(other)
         if other is NotImplemented:
@@ -205,10 +207,10 @@ def _lift(x):
 
 
 def collapse(coeffs):
-    """The ring element with these normalised coefficients: a Fraction when it is constant."""
+    """The ring element with these normalised coefficients; its narrowed constant if constant."""
     out = TrigScalar.__new__(TrigScalar)
     out.coeffs = coeffs
-    return Fraction(out.constant_part()) if out.is_constant() else out
+    return out.constant_part() if out.is_constant() else out
 
 
 def is_float(x):
@@ -266,11 +268,7 @@ def div_const(a, n):
 
 def rat(x):
     """Coerce to Fraction, accepting 'p/q' strings."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"not rational: {x!r}")
 

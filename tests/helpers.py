@@ -887,11 +887,12 @@ def count_calls(*names):
 
     As ``bench/tracing.py`` does, each function is replaced in every
     ``acm5.*`` namespace that binds it (modules import each other's
-    functions by name) and restored on exit.  Yields a Counter by name.
+    functions by name) and restored on exit.  The namespaces are listed
+    after the named modules are imported, so a layer that ``cli`` imports
+    only when a command needs it is patched too.  Yields a Counter by name.
     """
     counts = Counter()
     patches = []
-    namespaces = [m for n, m in sys.modules.items() if n == "acm5" or n.startswith("acm5.")]
 
     def counted(name, fn):
         @functools.wraps(fn)
@@ -901,9 +902,12 @@ def count_calls(*names):
 
         return wrapper
 
+    originals = {}
     for name in names:
         module, fname = name.split(".")
-        original = getattr(importlib.import_module(f"acm5.{module}"), fname)
+        originals[name] = getattr(importlib.import_module(f"acm5.{module}"), fname)
+    namespaces = [m for n, m in sys.modules.items() if n == "acm5" or n.startswith("acm5.")]
+    for name, original in originals.items():
         wrapper = counted(name, original)
         for ns in namespaces:
             for attr, value in list(vars(ns).items()):

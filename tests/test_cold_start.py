@@ -1,0 +1,155 @@
+"""What a fresh interpreter imports, and what it prints.
+
+``import acm5`` loads no layer: the package binds its public surface on the
+first read of one of its names (PEP 562).  A ``classify`` spawn imports the
+layers of the report up to the generalized quasi-Sasaki gate, adds
+``connection`` (and its ``linalg``) only for a structure that passes it, and
+never imports ``family``.  Each check runs ``python -m acm5.cli`` in a new
+interpreter, through ``runpy``, with ``src`` on ``PYTHONPATH``, and compares
+stdout with the golden file of the same command.  The ``--help`` texts are
+pinned byte for byte at 80 columns in ``golden/help``.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from acm5.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+CASES = {c["id"]: c for c in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))}
+REPORT_LAYERS = {"acms", "errors", "exterior", "frames", "scalars", "torsionclass"}
+
+# Runs the command line as ``python -m acm5.cli`` does; stderr ends with a
+# JSON line: the exit code and every acm5 module loaded.
+SPAWN = """
+import json, runpy, sys
+sys.argv[1:] = json.loads(sys.argv.pop(1))
+try:
+    runpy.run_module("acm5.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+loaded = sorted(n for n in sys.modules if n.partition(".")[0] == "acm5")
+print(json.dumps({"exit": code, "modules": loaded}), file=sys.stderr)
+"""
+
+
+def run_python(code, *args):
+    env = {k: v for k, v in os.environ.items() if k != "ACM5_COLOR"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, env=env, cwd=ROOT, timeout=120, check=False,
+    )
+
+
+def spawn_case(case_id):
+    """(stdout bytes, exit code, acm5 layers loaded) of one golden case in a fresh interpreter."""
+    case = CASES[case_id]
+    argv = [str(GOLDEN / "inputs" / case["input"]) if a == "{input}" else a for a in case["argv"]]
+    proc = run_python(SPAWN, json.dumps(argv))
+    status = json.loads(proc.stderr.decode("utf-8").splitlines()[-1])
+    layers = {n.removeprefix("acm5.") for n in status["modules"] if n != "acm5"}
+    return proc.stdout, status["exit"], layers
+
+
+@pytest.mark.parametrize(
+    "case_id, extra",
+    [
+        ("classify_json_su2_block", set()),  # not generalized quasi-Sasaki
+        ("classify_json_heis5_sasakian", {"connection", "linalg"}),
+        ("family_verify_1_0_2_0", {"connection", "family", "linalg"}),
+        ("family_identify_1_0_2_0", {"connection", "family", "linalg"}),
+    ],
+)
+def test_spawn_imports_only_the_layers_it_runs(case_id, extra):
+    out, code, layers = spawn_case(case_id)
+    assert code == CASES[case_id]["exit"]
+    assert out == (GOLDEN / "expected" / f"{case_id}.out").read_bytes()
+    assert layers == REPORT_LAYERS | extra
+
+
+def test_import_acm5_loads_no_layer():
+    proc = run_python(
+        "import sys, acm5\n"
+        "print(sorted(n for n in sys.modules if n.startswith('acm5.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def _home_modules():
+    """Each re-exported name with the module that its import statement in ``__init__`` names."""
+    tree = ast.parse((ROOT / "src" / "acm5" / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+# Binds the surface by ``from acm5 import *``, reads an unknown name before
+# and after that, and prints what each step found.
+SURFACE = """
+import importlib, json, sys
+import acm5
+
+
+def unknown():
+    try:
+        acm5.nope
+    except AttributeError as exc:
+        return str(exc)
+
+
+homes = json.loads(sys.argv[1])
+before = unknown()
+namespace = {}
+exec("from acm5 import *", namespace)
+wrong = [n for n in acm5.__all__
+         if getattr(acm5, n) is not getattr(importlib.import_module("acm5." + homes[n]), n)]
+print(json.dumps({"star": sorted(set(namespace) - {"__builtins__"}), "all": sorted(acm5.__all__),
+                  "wrong": wrong, "unknown": [before, unknown()]}))
+"""
+
+
+def test_package_surface_binds_on_first_read():
+    homes = _home_modules()
+    proc = run_python(SURFACE, json.dumps(homes))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["star"] == result["all"] == sorted(homes)
+    assert result["wrong"] == []
+    assert result["unknown"] == ["module 'acm5' has no attribute 'nope'"] * 2
+
+
+def test_count_calls_sees_a_lazily_imported_layer():
+    """count_calls patches ``family`` even when ``cli`` has not imported it yet."""
+    proc = run_python(
+        "import contextlib, io, json\n"
+        "from acm5 import cli\n"
+        "from helpers import count_calls\n"
+        "with count_calls('family.build') as calls, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['family', '--params', '1', '0', '2', '0', '--verify'])\n"
+        "print(json.dumps([code, calls['family.build']]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 1]
+
+
+@pytest.mark.parametrize("command", ["acm5", "validate", "classify", "family"])
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command == "acm5" else [command, "--help"])
+    assert exc.value.code == 0
+    expected = (GOLDEN / "help" / f"{command}.out").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected

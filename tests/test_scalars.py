@@ -19,7 +19,7 @@ from acm5.scalars import (
 
 def test_pythagoras_collapses_to_rational():
     x = SIN_F * SIN_F + COS_F * COS_F
-    assert isinstance(x, Fraction) and x == 1
+    assert type(x) is int and x == 1
 
 
 def test_product_to_sum_identities():
@@ -43,8 +43,10 @@ def test_rational_embedding_and_collapse():
     two = Fraction(2) * COS_F
     assert isinstance(two, TrigScalar)
     back = two + Fraction(-2) * COS_F
-    assert back == 0 and isinstance(back, Fraction)
+    assert back == 0 and type(back) is int
     assert TrigScalar.const(3) * TrigScalar.const(Fraction(1, 3)) == 1
+    assert type(SIN_F * 0) is int and type(SIN_F * Fraction(0)) is int
+    assert TrigScalar.const(Fraction(1, 2)) * 2 == 1 and type(-TrigScalar.const(3)) is int
 
 
 def test_derivative_terms():
@@ -58,6 +60,22 @@ def test_derivative_terms():
 def test_float_never_mixes_with_trig():
     with pytest.raises(ModeMismatchError):
         SIN_F * 0.5
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrigScalar.atom("c", 1, 0, 0.1),
+        lambda: TrigScalar.const(0.5),
+        lambda: TrigScalar({("s", 0, 1): 2, ("c", 1, 0): -0.25}),
+    ],
+    ids=["atom", "const", "init"],
+)
+def test_constructors_refuse_a_float_coefficient(build):
+    """A float coefficient raises as a float operand does; it is never stored
+    as the Fraction of its binary64 value."""
+    with pytest.raises(ModeMismatchError):
+        build()
 
 
 def test_division_by_trig_rejected():
@@ -85,10 +103,11 @@ operands = st.one_of(trig_scalars, st.integers(-3, 3), _coefs)
 
 
 def _collapsed(r):
-    """A result is a TrigScalar exactly when it is non-constant, else a Fraction."""
+    """A result is a TrigScalar exactly when it is non-constant, else a rational
+    under the storage rule: an int when integral, else a Fraction."""
     if isinstance(r, TrigScalar):
         return not r.is_constant()
-    return isinstance(r, Fraction)
+    return type(r) is int or (type(r) is Fraction and r.denominator != 1)
 
 
 @given(trig_scalars, operands, operands)
@@ -100,7 +119,7 @@ def test_operators_form_a_ring_and_collapse_constants(x, y, z):
     for r in (x + y, y + x, x * y, y * x, x - y, y - x, -x, x + z * y):
         assert _collapsed(r)
     diff = x - x
-    assert diff == 0 and isinstance(diff, Fraction)
+    assert diff == 0 and type(diff) is int
 
 
 @given(trig_scalars, st.floats(allow_nan=False, allow_infinity=False))
