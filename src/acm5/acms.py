@@ -37,9 +37,9 @@ connection; a direct call always computes.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, product
+from typing import NamedTuple
 
 from .errors import (
     ACM5Error,
@@ -51,6 +51,7 @@ from .errors import (
 from .exterior import (
     METRIC_IDS,
     Form,
+    Frozen,
     dense2,
     dense3,
     perm_sign,
@@ -116,8 +117,7 @@ def contract(plan, view):
         yield acc
 
 
-@dataclass(frozen=True)
-class AdaptedStructure:
+class AdaptedStructure(NamedTuple):
     Phi: Form
     eta: Form
 
@@ -216,13 +216,14 @@ def phi_invariance_type(beta: Form):
 # and the connection values w[i][j](e_k) (in the first two)
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor3:
+class Tensor3(Frozen):
     flat: tuple  # the 125 values by slot at(i, j, k): the view that index plans read
+    _compared = ("flat",)
 
-    def __post_init__(self):
-        if len(self.flat) != 125:
+    def __init__(self, flat):
+        if len(flat) != 125:
             raise ValueError("a Tensor3 holds its 125 values in slot order")
+        self.__dict__["flat"] = flat
 
     @cached_property
     def values(self):
@@ -297,8 +298,7 @@ def vartheta(beta: Form) -> Tensor3:
 # connection values with auxiliary channels
 
 
-@dataclass(frozen=True)
-class FrameConnection:
+class FrameConnection(Frozen):
     """Pointwise connection values w[i][j](e_k), plus one constant matrix per
     auxiliary symbol tracking its (unknown) frame values linearly.
 
@@ -307,8 +307,12 @@ class FrameConnection:
 
     base: Tensor3
     channels: tuple  # ((aux_id, 5x5 matrix), ...)
-    forms: ConnectionForms | None = field(default=None, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    forms: ConnectionForms | None  # the forms it was read from, if any
+    _memo: dict  # fn name -> fn(self), filled by ``derived``
+    _compared = ("base", "channels")
+
+    def __init__(self, base, channels, forms=None):
+        self.__dict__.update(base=base, channels=channels, forms=forms, _memo={})
 
 
 def derived(fc: FrameConnection, fn):
@@ -573,8 +577,7 @@ def _channel_kills_form(mat, alpha: Form):
     return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
 
 
-@dataclass(frozen=True)
-class Predicates:
+class Predicates(NamedTuple):
     normal: bool
     semi_cosymplectic: bool
     almost_cosymplectic: bool
@@ -586,7 +589,7 @@ class Predicates:
     xi_killing: bool
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _quasi_cos_entry(a, b, c):

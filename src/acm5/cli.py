@@ -155,9 +155,8 @@ def load_coframe(path: str) -> CoframeData:
         tr = doc["trig"]
         if not isinstance(tr, dict) or set(tr) - {"df", "dg"}:
             raise SchemaError("trig: expected an object with optional 'df' and 'dg' term lists")
-        df = parse_form(tr["df"], 1, "trig.df") if "df" in tr else None
-        dg = parse_form(tr["dg"], 1, "trig.dg") if "dg" in tr else None
-        trig_rules = TrigRules(df, dg)
+        rules = {k: parse_form(tr[k], 1, f"trig.{k}") for k in ("df", "dg") if k in tr}
+        trig_rules = TrigRules(**rules)
     return CoframeData(tuple(ordered), d_table, orient_ids, trig_rules)
 
 
@@ -191,8 +190,7 @@ def coframe_document(c: CoframeData):
         "orientation": [c.name_of(i) for i in c.orientation],
     }
     if c.trig_rules is not None:
-        rules = {"df": c.trig_rules.df, "dg": c.trig_rules.dg}
-        doc["trig"] = {k: term_list(f) for k, f in rules.items() if f is not None}
+        doc["trig"] = {k: term_list(f) for k, f in c.trig_rules._asdict().items() if f is not None}
     return doc
 
 

@@ -18,8 +18,8 @@ permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .acms import (
@@ -48,6 +48,7 @@ from .exterior import (
     METRIC_IDS,
     CoframeData,
     Form,
+    Frozen,
     dense2,
     ext_d,
     grid_form,
@@ -59,8 +60,7 @@ from .scalars import div_const, narrow, sis_zero
 from .torsionclass import CartanParts, cartan_decompose
 
 
-@dataclass(frozen=True)
-class CharacteristicConnection:
+class CharacteristicConnection(NamedTuple):
     omega_c: ConnectionForms
     a_c: Tensor3  # difference tensor, antisymmetric in the last two slots
     torsion: Tensor3  # T(X, Y, Z), antisymmetric in the first two slots
@@ -107,8 +107,7 @@ def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForm
     return ConnectionForms(tuple(grid))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     nabla_xi_zero: bool
     nabla_eta_zero: bool
     nabla_phi_zero: bool
@@ -167,8 +166,7 @@ FROM_LAST_TWO = plan(lambda x, y, z: (at(z, x, y), ()))
 # curvature
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     curvature: tuple  # 5x5 matrix of 2-forms R[i][j]
     ricci: tuple  # 5x5 scalars
     holonomy_basis: tuple  # 2-forms spanning the bracket closure
@@ -215,9 +213,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
             rrow.append(acc)
         ricci.append(tuple(rrow))
     holonomy = _bracket_closure(_endomorphism_values(tables))
-    return CurvatureData(
-        tuple(tuple(r) for r in grid), tuple(ricci), tuple(holonomy)
-    )
+    return CurvatureData(tuple(tuple(r) for r in grid), tuple(ricci), tuple(holonomy))
 
 
 def _chop(f: Form):
@@ -309,21 +305,21 @@ def _compose(g, h):
     return tuple((h[c][0], s * h[c][1]) for c, s in g)
 
 
-@dataclass(frozen=True)
-class SpinorSpace:
+class SpinorSpace(Frozen):
     """Five signed-permutation tables with g_i g_j + g_j g_i = -2 delta_ij,
     and the products g_i g_j for i < j, composed once for that check."""
 
     generators: tuple
-    products: dict = field(init=False, repr=False, compare=False)  # (i, j) -> g_i g_j
+    products: dict  # (i, j) -> g_i g_j
+    _compared = ("generators",)
 
-    def __post_init__(self):
-        g = self.generators
+    def __init__(self, generators):
+        g = generators
         prod = {(i, j): _compose(g[i], g[j]) for i in range(5) for j in range(5)}
         for (i, j), gij in prod.items():
             if gij != (MINUS_ONE if i == j else tuple((c, -s) for c, s in prod[j, i])):
                 raise ACM5Error("Clifford relations fail")
-        object.__setattr__(self, "products", {k: t for k, t in prod.items() if k[0] < k[1]})
+        self.__dict__.update(generators=g, products={k: t for k, t in prod.items() if k[0] < k[1]})
 
     def action_of_2form(self, beta: Form):
         """Clifford action sum_{i<j} beta_ij g_i g_j as an 8x8 matrix."""
@@ -341,8 +337,7 @@ def spinor_space() -> SpinorSpace:
     return SpinorSpace(GENERATORS)
 
 
-@dataclass(frozen=True)
-class SpinorKernelReport:
+class SpinorKernelReport(NamedTuple):
     kernel_basis: tuple
     dimension: int  # complex dimension: half the real one
 

@@ -36,8 +36,7 @@ The operators here build through ``_trusted`` with the kind the rule gives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     MissingDerivationError,
@@ -63,22 +62,44 @@ from .scalars import (
 METRIC_IDS = (0, 1, 2, 3, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class Form:
+class Frozen:
+    """Base of the validating value classes: ``__init__`` (or ``_trusted``) sets each field once,
+    through ``__dict__``.  ``==``, the hash and the repr read the fields named in ``_compared``."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, n) for n in self._compared)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._compared, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Form(Frozen):
     degree: int
     terms: Mapping[tuple, object]
-    mode: str = field(init=False)  # EXACT or FLOAT, set once here or by _trusted
+    mode: str  # EXACT or FLOAT, set once here or by _trusted
 
-    def __post_init__(self):
+    def __init__(self, degree, terms):
         mode = EXACT
-        for idx, c in self.terms.items():
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad multi-index {idx} for degree {self.degree}")
+        for idx, c in terms.items():
+            if len(idx) != degree or list(idx) != sorted(set(idx)):
+                raise ValueError(f"bad multi-index {idx} for degree {degree}")
             if is_float(c):
                 mode = FLOAT
             elif not c:
                 raise ValueError("zero coefficient stored")
-        object.__setattr__(self, "mode", mode)
+        self.__dict__.update(degree=degree, terms=terms, mode=mode)
 
     # -- queries --------------------------------------------------------
     def is_zero(self):
@@ -319,44 +340,43 @@ def interior(i, a):
 # coframe data
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     kind: str  # "metric" | "auxiliary"
     index: int | None = None  # 1..5 for metric symbols
 
 
-@dataclass(frozen=True)
-class TrigRules:
+class TrigRules(NamedTuple):
     df: Form | None = None
     dg: Form | None = None
 
 
-@dataclass(frozen=True)
-class CoframeData:
+class CoframeData(Frozen):
     """Symbols, generator derivatives, orientation, optional phase rules."""
 
     symbols: tuple
     d_table: Mapping[int, Form]
-    orientation: tuple = METRIC_IDS
-    trig_rules: TrigRules | None = None
+    orientation: tuple
+    trig_rules: TrigRules | None
+    _compared = ("symbols", "d_table", "orientation", "trig_rules")
 
-    def __post_init__(self):
-        metric = [s for s in self.symbols if s.kind == "metric"]
-        if len(metric) != 5 or [s.index for s in self.symbols[:5]] != [1, 2, 3, 4, 5]:
+    def __init__(self, symbols, d_table, orientation=METRIC_IDS, trig_rules=None):
+        metric = [s for s in symbols if s.kind == "metric"]
+        if len(metric) != 5 or [s.index for s in symbols[:5]] != [1, 2, 3, 4, 5]:
             raise SchemaError("need exactly five metric symbols e1..e5 first")
-        names = [s.name for s in self.symbols]
+        names = [s.name for s in symbols]
         if len(set(names)) != len(names):
             raise SchemaError("symbol names must be unique")
-        nsym = len(self.symbols)
-        if sorted(self.orientation) != list(METRIC_IDS):
+        nsym = len(symbols)
+        if sorted(orientation) != list(METRIC_IDS):
             raise SchemaError("orientation must permute the metric symbols")
         for sid in range(nsym):
-            if sid not in self.d_table:
+            if sid not in d_table:
                 raise SchemaError(f"d-table misses symbol {names[sid]}")
-            val = self.d_table[sid]
+            val = d_table[sid]
             if any(i >= nsym for i in val.symbols_used()):
                 raise SchemaError("d-table uses undeclared symbols")
+        self.__dict__.update(zip(self._compared, (symbols, d_table, orientation, trig_rules)))
 
     @property
     def n_symbols(self):
@@ -448,8 +468,7 @@ def ext_d(a, c):
     return _trusted(deg, out, mode)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Named residual forms of an identity, which holds when every one vanishes."""
 
     residuals: Mapping[str, Form]

@@ -25,9 +25,9 @@ trilinear tensors over all 125 entries, tuples of forms element-wise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from typing import NamedTuple
 
 from .acms import (
     ETA,
@@ -60,6 +60,7 @@ from .connection import (
 from .errors import DegenerateInputError, IntegrabilityError
 from .exterior import (
     CoframeData,
+    Frozen,
     coframe,
     dense2,
     e,
@@ -89,26 +90,26 @@ TILDE_BASIS = (e(1), e(2), e(4), -1 * e(3), e(5))
 QUADRATIC_NOTE = "requires quadratic extension - certificate not emitted"
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Frozen):
     a1: int | Fraction  # an int when integral, by the storage rule of scalars.narrow
     a2: int | Fraction
     a3: int | Fraction
     a4: int | Fraction
+    _compared = ("a1", "a2", "a3", "a4")
 
-    def __post_init__(self):
-        if self.a1 * self.a4 != self.a2 * self.a3:
+    def __init__(self, a1, a2, a3, a4):
+        if a1 * a4 != a2 * a3:
             raise IntegrabilityError(
                 "structure equations are integrable only when a1*a4 == a2*a3 "
                 "(otherwise d(d e5) != 0)"
             )
+        self.__dict__.update(a1=a1, a2=a2, a3=a3, a4=a4)
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3, self.a4)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     params: FamilyParams
     coframe: CoframeData
     alpha: int | Fraction  # dA2 = alpha F; an int when integral
@@ -163,8 +164,7 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
 # identity replay
 
 
-@dataclass(frozen=True)
-class IdentityReplayReport:
+class IdentityReplayReport(NamedTuple):
     items: tuple  # (name, ok, detail)
 
     @property
@@ -266,10 +266,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     check("compatible connection parallelizes xi, eta, phi", cc.compatibility.ok)
 
     _, tag = torsion_type(cc)
-    check(
-        "torsion skew iff a3 = a4 = 0",
-        (tag in ("skew", "zero")) == skew_expected,
-    )
+    check("torsion skew iff a3 = a4 = 0", (tag in ("skew", "zero")) == skew_expected)
     check(
         "torsion traceless cyclic iff a1 = a2 = 0",
         (tag in ("traceless-cyclic", "zero")) == cyclic_expected,
@@ -318,8 +315,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
 # group identification
 
 
-@dataclass(frozen=True)
-class GroupIdentification:
+class GroupIdentification(NamedTuple):
     tag: str
     frame_change: FrameChange | None
     coframe: CoframeData | None
@@ -384,10 +380,9 @@ def identify_group(params_or_tuple) -> GroupIdentification:
     frames through a rotation of the 34-plane and are flagged as
     reconstructed.
     """
-    if isinstance(params_or_tuple, FamilyParams):
-        params = params_or_tuple
-    else:
-        params = family_params(*params_or_tuple)
+    params = params_or_tuple
+    if not isinstance(params, FamilyParams):
+        params = family_params(*params)
     a1, a2, a3, a4 = params.as_tuple()
     if a1 == a2 == a3 == a4 == 0:
         raise DegenerateInputError("all parameters vanish; the coframe is abelian")

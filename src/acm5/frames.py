@@ -14,14 +14,14 @@ unique whenever it exists, and its existence is two checks on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
     METRIC_IDS,
     CoframeData,
+    Frozen,
     ResidualReport,
     dense2,
     e,
@@ -34,18 +34,19 @@ from .exterior import (
 from .scalars import div_const, sis_zero
 
 
-@dataclass(frozen=True)
-class ConnectionForms:
+class ConnectionForms(Frozen):
     """Antisymmetric 5x5 matrix of connection 1-forms."""
 
     omega: tuple  # 5x5 tuple of degree-1 Forms
+    _compared = ("omega",)
 
-    def __post_init__(self):
+    def __init__(self, omega):
         for i in range(5):
             for j in range(i, 5):
-                a, b = self.omega[i][j].terms, self.omega[j][i].terms
+                a, b = omega[i][j].terms, omega[j][i].terms
                 if not all(sis_zero(a.get(k, 0) + b.get(k, 0)) for k in a.keys() | b.keys()):
                     raise ValueError("connection forms must be antisymmetric")
+        self.__dict__["omega"] = omega
 
     def entry(self, i, j):
         """1-based access: entry(1, 2) is the form paired with (e1, e2)."""
@@ -115,8 +116,7 @@ def verify_first_structure(c: CoframeData, omega: ConnectionForms):
 # canonical 6-dimensional algebras and frame-change certificates
 
 
-@dataclass(frozen=True)
-class CanonicalAlgebra:
+class CanonicalAlgebra(NamedTuple):
     """A 6-generator Lie coframe given by its structure table dg_i = sum c^i_(jk) g_j ^ g_k."""
 
     tag: str
@@ -154,8 +154,7 @@ def canonical_algebra(tag: str) -> CanonicalAlgebra:
     return CanonicalAlgebra(tag, table)
 
 
-@dataclass(frozen=True)
-class FrameChange:
+class FrameChange(NamedTuple):
     """Six new 1-forms, ordered to match the target algebra's generators."""
 
     new_forms: tuple  # 6 Forms over the source coframe symbols

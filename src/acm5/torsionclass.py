@@ -13,9 +13,8 @@ sum c_i^2 g_ii with c_i = <b_i, gamma>/g_ii, and solves no linear system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .acms import (
     COMPLEMENT_FRAME,
@@ -33,7 +32,7 @@ from .acms import (
     vartheta,
 )
 from .errors import ACM5Error, SymbolicResidueError
-from .exterior import grid_form
+from .exterior import Frozen, grid_form
 from .scalars import div, div_const, narrow, sis_zero
 
 _U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
@@ -41,19 +40,20 @@ _U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
 MODULE_NAMES = ("W3", "W4", "W5", "W6", "W7")
 
 
-@dataclass(frozen=True, eq=False)
-class IntrinsicTorsion:
+class IntrinsicTorsion(Frozen):
     """Five 2-forms, one per frame direction, each valued in the
     complement of the stabilizer algebra."""
 
     components: tuple  # 5 Forms of degree 2
+    _compared = ("components",)
 
-    def __post_init__(self):
-        for f in self.components:
+    def __init__(self, components):
+        for f in components:
             if any(i > 4 for i in f.symbols_used()):
                 raise SymbolicResidueError("torsion components must be numeric 2-forms")
             if not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
                 raise ValueError("torsion components must avoid the stabilizer algebra")
+        self.__dict__["components"] = components
 
     def as_coords(self):
         return [
@@ -75,11 +75,6 @@ class IntrinsicTorsion:
     def is_zero(self):
         return all(f.is_zero() for f in self.components)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntrinsicTorsion):
-            return NotImplemented
-        return (self - other).is_zero()
-
 
 def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
     acc = 0
@@ -91,9 +86,7 @@ def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
 def tensor_to_w(a: Tensor3) -> IntrinsicTorsion:
     """Read a last-two-antisymmetric tensor as a torsion-space element,
     projecting each first-slot 2-form."""
-    return IntrinsicTorsion(
-        tuple(project_u2_complement(a.component_form(i)) for i in range(1, 6))
-    )
+    return IntrinsicTorsion(tuple(project_u2_complement(a.component_form(i)) for i in range(1, 6)))
 
 
 def intrinsic_torsion(source) -> IntrinsicTorsion:
@@ -137,8 +130,7 @@ def module_frames() -> Mapping[str, tuple]:
     return out
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     norms: Mapping[str, object]  # W3..W7 plus "residual" -> squared norms
     class_tags: tuple
     total_norm_sq: object
@@ -170,8 +162,7 @@ def classify(gamma: IntrinsicTorsion) -> ClassReport:
 # Cartan decomposition of trilinear tensors antisymmetric in the last slots
 
 
-@dataclass(frozen=True)
-class CartanParts:
+class CartanParts(NamedTuple):
     vectorial: Tensor3
     vector: tuple  # the defining vector of the vectorial part
     skew: Tensor3

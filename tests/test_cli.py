@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import sys
@@ -59,7 +58,7 @@ def test_report_checks_the_gqs_characterization(capsys, monkeypatch, name, field
     whose two sides disagree stops with both verdicts and the norms."""
     path = str(GOLDEN / "inputs" / "family_1_0_2_0.json")
     real = getattr(cli, name)  # one side of the comparison, with one field replaced
-    monkeypatch.setattr(cli, name, lambda arg: dataclasses.replace(real(arg), **{field: value}))
+    monkeypatch.setattr(cli, name, lambda arg: real(arg)._replace(**{field: value}))
     code, out, err = run(capsys, ["classify", path, "--json"])
     assert code == 1 and out == ""
     assert err.startswith("error: ACM5Error: internal consistency: ")

@@ -4,9 +4,10 @@
 first read of one of its names (PEP 562).  A ``classify`` spawn imports the
 layers of the report up to the generalized quasi-Sasaki gate, adds
 ``connection`` (and its ``linalg``) only for a structure that passes it, and
-never imports ``family``.  Each check runs ``python -m acm5.cli`` in a new
-interpreter, through ``runpy``, with ``src`` on ``PYTHONPATH``, and compares
-stdout with the golden file of the same command.  The ``--help`` texts are
+never imports ``family``; no spawn imports ``dataclasses`` or ``inspect``,
+whose import alone costs a spawn about 11 ms.  Each check runs ``python -m
+acm5.cli`` in a new interpreter, through ``runpy``, with ``src`` on
+``PYTHONPATH``, and compares stdout with the golden file of the same command.  The ``--help`` texts are
 pinned byte for byte at 80 columns in ``golden/help``.
 """
 
@@ -27,7 +28,8 @@ CASES = {c["id"]: c for c in json.loads((GOLDEN / "cases.json").read_text(encodi
 REPORT_LAYERS = {"acms", "errors", "exterior", "frames", "scalars", "torsionclass"}
 
 # Runs the command line as ``python -m acm5.cli`` does; stderr ends with a
-# JSON line: the exit code and every acm5 module loaded.
+# JSON line: the exit code, every acm5 module loaded and which of
+# ``dataclasses`` and ``inspect`` were loaded.
 SPAWN = """
 import json, runpy, sys
 sys.argv[1:] = json.loads(sys.argv.pop(1))
@@ -37,7 +39,8 @@ except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
 loaded = sorted(n for n in sys.modules if n.partition(".")[0] == "acm5")
-print(json.dumps({"exit": code, "modules": loaded}), file=sys.stderr)
+heavy = [n for n in ("dataclasses", "inspect") if n in sys.modules]
+print(json.dumps({"exit": code, "modules": loaded, "heavy": heavy}), file=sys.stderr)
 """
 
 
@@ -51,13 +54,14 @@ def run_python(code, *args):
 
 
 def spawn_case(case_id):
-    """(stdout bytes, exit code, acm5 layers loaded) of one golden case in a fresh interpreter."""
+    """(stdout bytes, exit code, acm5 layers loaded, heavy standard library
+    modules loaded) of one golden case in a fresh interpreter."""
     case = CASES[case_id]
     argv = [str(GOLDEN / "inputs" / case["input"]) if a == "{input}" else a for a in case["argv"]]
     proc = run_python(SPAWN, json.dumps(argv))
     status = json.loads(proc.stderr.decode("utf-8").splitlines()[-1])
     layers = {n.removeprefix("acm5.") for n in status["modules"] if n != "acm5"}
-    return proc.stdout, status["exit"], layers
+    return proc.stdout, status["exit"], layers, status["heavy"]
 
 
 @pytest.mark.parametrize(
@@ -70,10 +74,11 @@ def spawn_case(case_id):
     ],
 )
 def test_spawn_imports_only_the_layers_it_runs(case_id, extra):
-    out, code, layers = spawn_case(case_id)
+    out, code, layers, heavy = spawn_case(case_id)
     assert code == CASES[case_id]["exit"]
     assert out == (GOLDEN / "expected" / f"{case_id}.out").read_bytes()
     assert layers == REPORT_LAYERS | extra
+    assert heavy == []
 
 
 def test_import_acm5_loads_no_layer():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,7 +106,7 @@ def _bump(t, entry):
 @pytest.mark.parametrize("pair", [(0, 1), (4, 2)])
 def test_replay_fails_on_a_perturbed_levi_civita_entry(pair):
     inst = build(1, 0, 2, 0)
-    bad = replace(inst, omega_g=_perturb_pair(inst.omega_g, *pair, e(3)))
+    bad = inst._replace(omega_g=_perturb_pair(inst.omega_g, *pair, e(3)))
     assert _failing(bad) == {"levi-civita solve matches the tabulated connection"}
 
 
@@ -157,7 +156,7 @@ def test_replay_fails_on_a_perturbed_curvature_entry(monkeypatch, params, entry)
         grid = [list(row) for row in cur.curvature]
         i, j = entry
         grid[i][j] = grid[i][j] + Z1
-        return replace(cur, curvature=tuple(map(tuple, grid)))
+        return cur._replace(curvature=tuple(map(tuple, grid)))
 
     monkeypatch.setattr(family, "curvature", perturbed)
     assert _failing(inst) == {"curvature = alpha F (x) F"}
@@ -173,7 +172,7 @@ def test_replay_fails_on_a_perturbed_ricci_entry(monkeypatch, entry):
         ricci = [list(row) for row in cur.ricci]
         i, j = entry
         ricci[i][j] += 1
-        return replace(cur, ricci=tuple(map(tuple, ricci)))
+        return cur._replace(ricci=tuple(map(tuple, ricci)))
 
     monkeypatch.setattr(family, "curvature", perturbed)
     assert _failing(inst) == {"Ricci = -alpha diag(1,1,1,1,0)"}

@@ -1,6 +1,6 @@
 """A form's kind is decided once, when it is built, and agrees with its terms.
 
-``Form.__post_init__`` takes the kind from the terms it validates,
+``Form.__init__`` takes the kind from the terms it validates,
 ``exterior.stored`` reads it from the library-computed terms it keeps, and
 the operators of ``exterior`` build their results through ``_trusted`` with
 the kind that the kind rule of ``scalars`` gives them; nothing scans a form
@@ -46,19 +46,19 @@ def built_forms(monkeypatch):
         else:
             seen[f.mode] += 1
 
-    trusted, post_init = exterior._trusted, Form.__post_init__
+    trusted, init = exterior._trusted, Form.__init__
 
     def recording_trusted(degree, terms, mode):
         f = trusted(degree, terms, mode)
         check(f)
         return f
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_init(self, degree, terms):
+        init(self, degree, terms)
         check(self)
 
     monkeypatch.setattr(exterior, "_trusted", recording_trusted)
-    monkeypatch.setattr(Form, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Form, "__init__", recording_init)
     return seen
 
 

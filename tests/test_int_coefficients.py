@@ -12,7 +12,6 @@ leave ints, off it they give the Fractions of the ``Fraction(1, n)``
 oracles, and on floats they keep the oracles' bits.
 """
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -43,7 +42,7 @@ from acm5.connection import (
     torsion_type,
 )
 from acm5.errors import DegenerateInputError, NotGeneralizedQuasiSasakiError
-from acm5.exterior import Form, coframe, d_squared_zero, e, proportionality, wedge
+from acm5.exterior import Form, Frozen, coframe, d_squared_zero, e, proportionality, wedge
 from acm5.frames import connection_from_structure
 from acm5.scalars import TrigScalar, div, div_const, narrow
 from acm5.torsionclass import cartan_decompose, classify, intrinsic_torsion, module_frames
@@ -128,8 +127,10 @@ def test_operators_store_integral_coefficients_as_ints():
 
 def _leaves(obj, in_form=False):
     """(value, stored in a Form) for every scalar in obj: Form terms, trig
-    coefficients, tensors, tuples, dicts and dataclass fields."""
-    if isinstance(obj, bool) or isinstance(obj, str):
+    coefficients, tuples (the NamedTuple records among them), lists, dicts
+    and the annotated fields of the ``Frozen`` value classes.  Any other
+    object but None is refused, so that no value is skipped unseen."""
+    if obj is None or isinstance(obj, (bool, str)):
         return
     if isinstance(obj, (int, Fraction, float)):
         yield obj, in_form
@@ -145,9 +146,11 @@ def _leaves(obj, in_form=False):
     elif isinstance(obj, (tuple, list)):
         for v in obj:
             yield from _leaves(v, in_form)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _leaves(getattr(obj, f.name), in_form)
+    elif isinstance(obj, Frozen):
+        for name in type(obj).__annotations__:
+            yield from _leaves(getattr(obj, name), in_form)
+    else:
+        raise TypeError(f"no leaves known for a {type(obj).__name__}")
 
 
 def _recording(monkeypatch, module, names):
