@@ -12,8 +12,9 @@ The public surface groups as follows:
   classification, Cartan decomposition;
 * :mod:`acm5.connection` -- the compatible metric connection, curvature,
   holonomy and spinor kernels;
-* :mod:`acm5.family` -- the four-parameter example family and its
-  verification and group identification;
+* :mod:`acm5.groups` -- the four-parameter example family, its coframes
+  and the certificates of its groups;
+* :mod:`acm5.family` -- the identity replay of the family;
 * :mod:`acm5.cli` -- the ``acm5`` command line tool.
 """
 
@@ -116,13 +117,7 @@ def __getattr__(name):
         interior,
         wedge,
     )
-    from .family import (
-        FamilyInstance,
-        FamilyParams,
-        build,
-        identify_group,
-        verify_identities,
-    )
+    from .family import verify_identities
     from .frames import (
         CanonicalAlgebra,
         ConnectionForms,
@@ -132,6 +127,7 @@ def __getattr__(name):
         frame_change_verify,
         verify_first_structure,
     )
+    from .groups import FamilyInstance, FamilyParams, build, identify_group
     from .torsionclass import (
         CartanParts,
         ClassReport,

@@ -50,6 +50,9 @@ from .errors import (
 )
 from .exterior import (
     METRIC_IDS,
+    F,
+    Z1,
+    Z2,
     Form,
     Frozen,
     dense2,
@@ -69,9 +72,6 @@ XI = 4  # 0-based id of the Reeb direction e5
 
 PHI = form(2, {(0, 1): 1, (2, 3): 1})
 ETA = form(1, {(4,): 1})
-F = form(2, {(0, 1): 1, (2, 3): -1})
-Z1 = form(2, {(0, 2): 1, (1, 3): -1})
-Z2 = form(2, {(0, 3): 1, (1, 2): 1})
 Y1 = form(2, {(0, 2): 1, (1, 3): 1})
 Y2 = form(2, {(0, 3): 1, (1, 2): -1})
 L24 = tuple(form(2, {(i, 4): 1}) for i in range(4))

@@ -26,7 +26,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .acms import PHI, d_eta_form, derived, frame_connection, predicates
 from .errors import (
     ACM5Error,
     DegenerateInputError,
@@ -43,9 +42,7 @@ from .exterior import (
     stored,
     zero_form,
 )
-from .frames import connection_from_structure
 from .scalars import FLOAT, fmt_scalar, is_rational, narrow
-from .torsionclass import MODULE_NAMES, classify, intrinsic_torsion
 
 _RAT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
@@ -256,15 +253,15 @@ def classification_report(c: CoframeData):
     }
     if not gate.ok:
         return report, 1
-    fc = frame_connection(connection_from_structure(c))
-    gamma = intrinsic_torsion(fc)
-    cls = classify(gamma)
+    from . import acms, frames, torsionclass  # the classify pipeline, imported on its first run
+    fc = acms.frame_connection(frames.connection_from_structure(c))
+    cls = torsionclass.classify(torsionclass.intrinsic_torsion(fc))
     report["classification"] = {
         "norms": {k: fmt_scalar(v * unit * unit) for k, v in cls.norms.items()},
         "strict_class": list(cls.class_tags),
         "integrable": cls.integrable,
     }
-    preds = derived(fc, predicates)
+    preds = acms.derived(fc, acms.predicates)
     # the paper's characterization: generalized quasi-Sasaki iff the class lies in W3+W4+W5+W7
     if preds.generalized_quasi_sasaki != (set(cls.class_tags) <= {"W3", "W4", "W5", "W7"}):
         raise ACM5Error(
@@ -272,8 +269,8 @@ def classification_report(c: CoframeData):
             f" but the class is {list(cls.class_tags)}, norms {report['classification']['norms']}"
         )
     report["predicates"] = preds.as_dict()
-    deta = derived(fc, d_eta_form)
-    prop = proportionality(deta, PHI)
+    deta = acms.derived(fc, acms.d_eta_form)
+    prop = proportionality(deta, acms.PHI)
     report["predicates"]["d_eta_vs_fundamental"] = (
         fmt_scalar(prop * unit) if (preds.quasi_sasaki and prop is not None) else None
     )
@@ -331,9 +328,7 @@ def render_text(report, color=False):
         lines.append("class: cosymplectic (integrable); torsion vanishes")
     else:
         lines.append("strict class: " + (" + ".join(cls["strict_class"]) or "none"))
-    lines.append(
-        "norms: " + "  ".join(f"{k}={cls['norms'][k]}" for k in (*MODULE_NAMES, "residual"))
-    )
+    lines.append("norms: " + "  ".join(f"{k}={v}" for k, v in cls["norms"].items()))
     lines.append("predicates:")
     for k, val in report["predicates"].items():
         if k == "d_eta_vs_fundamental":
@@ -422,7 +417,7 @@ def _family_params(args):
 
 
 def cmd_family(args):
-    from .family import build, identify_group, verify_identities
+    from .groups import build, identify_group  # only --verify loads the replay and its layers
     try:
         params = _family_params(args)
     except SchemaError as exc:
@@ -443,6 +438,7 @@ def cmd_family(args):
         print(f"wrote {args.emit}")
         return 0
     if args.verify:
+        from .family import verify_identities
         rep = verify_identities(inst)
         color = bool(os.environ.get("ACM5_COLOR"))
         for name, ok, detail in rep.items:

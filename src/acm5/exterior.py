@@ -169,7 +169,8 @@ class Form(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (self - other).is_zero()
+        mixed = self.mode != other.mode and self.terms and other.terms  # never equal, as + refuses
+        return not mixed and (self - other).is_zero()
 
     def __repr__(self):
         return f"Form({render_form(self)!r})"
@@ -227,6 +228,12 @@ def e(i):
     if not 1 <= i <= 5:
         raise ValueError("metric index out of range")
     return _trusted(1, {(i - 1,): 1}, EXACT)
+
+
+# the horizontal 2-forms e12 - e34, e13 - e24 and e14 + e23 (re-exported by acms)
+F = form(2, {(0, 1): 1, (2, 3): -1})
+Z1 = form(2, {(0, 2): 1, (1, 3): -1})
+Z2 = form(2, {(0, 3): 1, (1, 2): 1})
 
 
 def perm_sign(ids):

@@ -35,8 +35,9 @@ from acm5.connection import (
 )
 from acm5.errors import IntegrabilityError
 from acm5.exterior import d_squared_zero, form
-from acm5.family import build, identify_group, verify_identities
+from acm5.family import verify_identities
 from acm5.frames import canonical_algebra, frame_change_verify
+from acm5.groups import build, identify_group
 from acm5.torsionclass import (
     cartan_decompose,
     classify,

@@ -41,8 +41,8 @@ from acm5.errors import (
     SymbolicResidueError,
 )
 from acm5.exterior import e, form, hodge, wedge
-from acm5.family import build
 from acm5.frames import connection_from_structure
+from acm5.groups import build
 
 from helpers import (
     GOLDEN,

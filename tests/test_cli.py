@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acm5 import cli
+from acm5 import acms, cli, torsionclass
 from acm5.cli import _parser as cli_parser
 from acm5.acms import frame_connection
 from acm5.cli import (
@@ -23,8 +23,8 @@ from acm5.cli import (
 )
 from acm5.connection import characteristic_connection, curvature
 from acm5.errors import SchemaError
-from acm5.family import build, identify_group
 from acm5.frames import connection_from_structure
+from acm5.groups import build, identify_group
 from acm5.torsionclass import classify, intrinsic_torsion
 from helpers import (
     GOLDEN,
@@ -57,8 +57,9 @@ def test_report_checks_the_gqs_characterization(capsys, monkeypatch, name, field
     """Generalized quasi-Sasaki iff the class lies in W3+W4+W5+W7: a report
     whose two sides disagree stops with both verdicts and the norms."""
     path = str(GOLDEN / "inputs" / "family_1_0_2_0.json")
-    real = getattr(cli, name)  # one side of the comparison, with one field replaced
-    monkeypatch.setattr(cli, name, lambda arg: real(arg)._replace(**{field: value}))
+    module = {"classify": torsionclass, "predicates": acms}[name]  # cli reads each from its layer
+    real = getattr(module, name)  # one side of the comparison, with one field replaced
+    monkeypatch.setattr(module, name, lambda arg: real(arg)._replace(**{field: value}))
     code, out, err = run(capsys, ["classify", path, "--json"])
     assert code == 1 and out == ""
     assert err.startswith("error: ACM5Error: internal consistency: ")

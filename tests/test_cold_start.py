@@ -1,14 +1,19 @@
 """What a fresh interpreter imports, and what it prints.
 
 ``import acm5`` loads no layer: the package binds its public surface on the
-first read of one of its names (PEP 562).  A ``classify`` spawn imports the
-layers of the report up to the generalized quasi-Sasaki gate, adds
-``connection`` (and its ``linalg``) only for a structure that passes it, and
-never imports ``family``; no spawn imports ``dataclasses`` or ``inspect``,
-whose import alone costs a spawn about 11 ms.  Each check runs ``python -m
-acm5.cli`` in a new interpreter, through ``runpy``, with ``src`` on
-``PYTHONPATH``, and compares stdout with the golden file of the same command.  The ``--help`` texts are
-pinned byte for byte at 80 columns in ``golden/help``.
+first read of one of its names (PEP 562).  Each command imports only the
+layers it runs.  ``validate`` loads the exterior algebra and its scalars.
+A ``classify`` spawn imports the layers of the report up to the generalized
+quasi-Sasaki gate and adds ``connection`` (and its ``linalg``) only for a
+structure that passes it.  ``family --emit`` and ``--identify`` add the
+frame layer and ``groups``, the family's coframes and certificates; only
+``--verify`` imports the replay, ``family``, with every layer it runs.  No
+spawn imports ``dataclasses`` or ``inspect``, whose import alone costs a
+spawn about 11 ms.  Each check runs ``python -m acm5.cli`` in a new
+interpreter, through ``runpy``, with ``src`` on ``PYTHONPATH``, and compares
+stdout with the golden file of the same command, or with the output the
+same command gives in process.  The ``--help`` texts are pinned byte for
+byte at 80 columns in ``golden/help``.
 """
 
 import ast
@@ -20,12 +25,14 @@ from pathlib import Path
 
 import pytest
 
-from acm5.cli import main
+from acm5.cli import emit_coframe, main
+from acm5.groups import build
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CASES = {c["id"]: c for c in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))}
 REPORT_LAYERS = {"acms", "errors", "exterior", "frames", "scalars", "torsionclass"}
+GROUP_LAYERS = {"errors", "exterior", "frames", "groups", "scalars"}
 
 # Runs the command line as ``python -m acm5.cli`` does; stderr ends with a
 # JSON line: the exit code, every acm5 module loaded and which of
@@ -53,32 +60,55 @@ def run_python(code, *args):
     )
 
 
-def spawn_case(case_id):
+def spawn(argv):
     """(stdout bytes, exit code, acm5 layers loaded, heavy standard library
-    modules loaded) of one golden case in a fresh interpreter."""
-    case = CASES[case_id]
-    argv = [str(GOLDEN / "inputs" / case["input"]) if a == "{input}" else a for a in case["argv"]]
+    modules loaded) of one command line in a fresh interpreter."""
     proc = run_python(SPAWN, json.dumps(argv))
     status = json.loads(proc.stderr.decode("utf-8").splitlines()[-1])
     layers = {n.removeprefix("acm5.") for n in status["modules"] if n != "acm5"}
     return proc.stdout, status["exit"], layers, status["heavy"]
 
 
+def spawn_case(case_id):
+    """``spawn`` of one golden case."""
+    case = CASES[case_id]
+    argv = [str(GOLDEN / "inputs" / case["input"]) if a == "{input}" else a for a in case["argv"]]
+    return spawn(argv)
+
+
 @pytest.mark.parametrize(
-    "case_id, extra",
+    "case_id, layers",
     [
-        ("classify_json_su2_block", set()),  # not generalized quasi-Sasaki
-        ("classify_json_heis5_sasakian", {"connection", "linalg"}),
-        ("family_verify_1_0_2_0", {"connection", "family", "linalg"}),
-        ("family_identify_1_0_2_0", {"connection", "family", "linalg"}),
+        ("classify_json_su2_block", REPORT_LAYERS),  # not generalized quasi-Sasaki
+        ("classify_json_heis5_sasakian", REPORT_LAYERS | {"connection", "linalg"}),
+        ("family_verify_1_0_2_0", REPORT_LAYERS | {"connection", "family", "groups", "linalg"}),
+        ("family_identify_1_0_2_0", GROUP_LAYERS),
     ],
 )
-def test_spawn_imports_only_the_layers_it_runs(case_id, extra):
-    out, code, layers, heavy = spawn_case(case_id)
+def test_spawn_imports_only_the_layers_it_runs(case_id, layers):
+    out, code, loaded, heavy = spawn_case(case_id)
     assert code == CASES[case_id]["exit"]
     assert out == (GOLDEN / "expected" / f"{case_id}.out").read_bytes()
-    assert layers == REPORT_LAYERS | extra
+    assert loaded == layers
     assert heavy == []
+
+
+def test_validate_spawn_imports_only_the_exterior_algebra():
+    out, code, loaded, heavy = spawn(["validate", str(GOLDEN / "inputs" / "heis5_sasakian.json")])
+    assert (code, out) == (0, b"ok: schema valid and d^2 = 0 on all generators\n")
+    assert loaded == {"errors", "exterior", "scalars"}
+    assert heavy == []
+
+
+def test_emit_spawn_imports_only_the_group_layers(tmp_path):
+    path = tmp_path / "spawned.json"
+    argv = ["family", "--params", "1", "0", "0", "0", "--emit", str(path)]
+    out, code, loaded, heavy = spawn(argv)
+    assert (code, out) == (0, f"wrote {path}\n".encode())
+    assert loaded == GROUP_LAYERS
+    assert heavy == []
+    emit_coframe(build(1, 0, 0, 0).coframe, tmp_path / "in_process.json")
+    assert path.read_bytes() == (tmp_path / "in_process.json").read_bytes()
 
 
 def test_import_acm5_loads_no_layer():

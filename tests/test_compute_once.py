@@ -22,7 +22,8 @@ import pytest
 from acm5 import acms, frames
 from acm5.cli import _to_float_coframe, classification_report, load_coframe
 from acm5.exterior import d_squared_zero
-from acm5.family import build, verify_identities
+from acm5.family import verify_identities
+from acm5.groups import build
 from acm5.torsionclass import w_subspaces
 from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
 

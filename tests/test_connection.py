@@ -36,8 +36,8 @@ from acm5.connection import (
 )
 from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
 from acm5.exterior import CoframeData, coframe, d_squared_zero, e, ext_d, form, wedge
-from acm5.family import build
 from acm5.frames import connection_forms, connection_from_structure
+from acm5.groups import build
 
 from helpers import (
     GAUSSIAN_GENERATORS,

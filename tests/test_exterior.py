@@ -23,7 +23,7 @@ from acm5.exterior import (
     interior,
     wedge,
 )
-from acm5.family import build
+from acm5.groups import build
 from acm5.scalars import COS_F, SIN_F, SIN_G, TrigScalar
 
 from helpers import (

@@ -7,14 +7,9 @@ from acm5 import family
 from acm5.acms import Z1, nijenhuis
 from acm5.errors import DegenerateInputError, IntegrabilityError
 from acm5.exterior import e, form, wedge
-from acm5.family import (
-    build,
-    family_params,
-    identify_group,
-    rational_sqrt,
-    verify_identities,
-)
+from acm5.family import verify_identities
 from acm5.frames import ConnectionForms
+from acm5.groups import build, family_params, identify_group, rational_sqrt
 from acm5.torsionclass import classify, intrinsic_torsion
 
 from helpers import random_fraction, t3_from_func

@@ -9,7 +9,8 @@ CLI classifies each golden input (exact and ``--float``) and replays each
 point of the benchmark's seed-1 replay corpus, and compare each non-empty
 form's stored kind with a scan of its terms.  The property tests pin the
 rule itself on exact, float and trig forms, and ``stored`` against the
-validating ``form``.  A ratchet keeps ``_trusted`` and the validating
+validating ``form``; forms of two kinds that both hold terms are never
+``==``.  A ratchet keeps ``_trusted`` and the validating
 constructors out of every other module's functions.
 """
 
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 from acm5 import cli, exterior
 from acm5.errors import ModeMismatchError
 from acm5.exterior import Form, form, stored, wedge
+from acm5.frames import connection_forms
 from acm5.scalars import TrigScalar
-from helpers import GOLDEN_INPUTS, bits, replay_points
+from helpers import GOLDEN, GOLDEN_INPUTS, bits, replay_points
 
 
 def _scanned_kind(terms):
@@ -174,6 +176,23 @@ def test_an_empty_operand_takes_either_kind():
     assert (exact - exact).mode == "exact" and not (exact - exact).terms
     with pytest.raises(ModeMismatchError):
         exact + floaty
+
+
+def test_forms_of_two_kinds_with_terms_are_never_equal():
+    """``==`` between an exact and a float form that both hold terms is False,
+    where ``+`` and ``-`` raise, so the records that hold forms compare too.
+    While ``Form.__eq__`` subtracted without comparing kinds, each ``==``
+    here raised ModeMismatchError."""
+    exact, floaty = form(1, {(0,): 1}), form(1, {(0,): 1.0})
+    assert (exact == floaty, floaty == exact, exact != floaty) == (False, False, True)
+    assert exact == form(1, {(0,): Fraction(1)}) and wedge(floaty, floaty) == form(1, {})
+    path = str(GOLDEN / "inputs" / "heis5_sasakian.json")
+    c = cli.load_coframe(path)
+    assert c == cli.load_coframe(path) and c != cli._to_float_coframe(c)
+    assert (cli._to_float_coframe(c) == c) is False
+    omega = connection_forms({(1, 2): exact, (3, 4): exact})
+    assert omega == connection_forms({(1, 2): exact, (3, 4): exact})
+    assert (omega == connection_forms({(1, 2): exact, (3, 4): floaty})) is False
 
 
 # -- the storage-rule builder ----------------------------------------------------

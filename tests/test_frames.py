@@ -15,7 +15,6 @@ from acm5.exterior import (
     wedge,
     zero_form,
 )
-from acm5.family import build, identify_group, rational_sqrt
 from acm5.frames import (
     FrameChange,
     canonical_algebra,
@@ -24,6 +23,7 @@ from acm5.frames import (
     frame_change_verify,
     verify_first_structure,
 )
+from acm5.groups import build, identify_group, rational_sqrt
 
 from helpers import (
     GOLDEN,

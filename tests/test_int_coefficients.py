@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from acm5 import cli, connection, family, linalg
+from acm5 import connection, family, frames, groups, linalg, torsionclass
 from acm5.acms import (
     COMPLEMENT_FRAME,
     F,
@@ -195,8 +195,9 @@ REPORT_STAGES = (
 
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
 def test_exact_report_stores_no_float(path, monkeypatch):
-    seen = {  # cli imports the connection layer only for a generalized quasi-Sasaki structure
-        **_recording(monkeypatch, cli, REPORT_STAGES[:3]),
+    seen = {  # cli reads each stage from its layer, connection only for a gqS structure
+        **_recording(monkeypatch, frames, REPORT_STAGES[:1]),
+        **_recording(monkeypatch, torsionclass, REPORT_STAGES[1:3]),
         **_recording(monkeypatch, connection, REPORT_STAGES[3:]),
     }
     report, code = classification_report(load_coframe(str(path)))
@@ -208,13 +209,16 @@ def test_exact_report_stores_no_float(path, monkeypatch):
 
 @pytest.mark.parametrize("point", GOLDEN_FAMILY_POINTS, ids=lambda p: "_".join(map(str, p)))
 def test_exact_replay_stores_no_float(point, monkeypatch):
-    seen = _recording(monkeypatch, family, (*REPORT_STAGES, "build", "frame_change_verify"))
-    assert family.verify_identities(family.build(*point)).ok
+    seen = {  # the replay's stages, then the family and its certificates
+        **_recording(monkeypatch, family, REPORT_STAGES),
+        **_recording(monkeypatch, groups, ("build", "frame_change_verify")),
+    }
+    assert family.verify_identities(groups.build(*point)).ok
     if any(point):
-        certified = family.identify_group(point).frame_change is not None
+        certified = groups.identify_group(point).frame_change is not None
     else:
         with pytest.raises(DegenerateInputError):
-            family.identify_group(point)
+            groups.identify_group(point)
         certified = False
     if not certified:
         del seen["frame_change_verify"]
@@ -231,7 +235,7 @@ def _wide(values):
 
 @pytest.mark.parametrize("point, tag", [((2, 0, 2, 0), "abelian6"), ((2, 0, -4, 0), "heis5+R")])
 def test_trig_certificates_store_int_coefficients(point, tag):
-    ident = family.identify_group(point)
+    ident = groups.identify_group(point)
     assert ident.tag == tag
     fc = ident.frame_change
     trig = [c for f in fc.new_forms for c in f.terms.values() if isinstance(c, TrigScalar)]
@@ -345,7 +349,7 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
 
 def _parts_entries(point):
     """Every entry of A, the torsion and its three Cartan parts at a family point."""
-    inst = family.build(*point)
+    inst = groups.build(*point)
     cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
     tensors = (cc.a_c, cc.torsion, *parts.parts().values())

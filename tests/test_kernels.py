@@ -40,8 +40,8 @@ from acm5.exterior import (
     grid_form,
     standard_symbols,
 )
-from acm5.family import build
 from acm5.frames import connection_from_structure
+from acm5.groups import build
 from acm5.scalars import narrow, sis_zero
 from acm5.torsionclass import IntrinsicTorsion, cartan_decompose, classify, intrinsic_torsion
 from helpers import (

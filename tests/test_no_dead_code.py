@@ -119,7 +119,7 @@ def test_every_value_class_field_is_read():
     assert not unread, f"value class fields never read: {sorted(unread)}"
 
 
-SRC_LINE_BUDGET = 3494  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3491  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

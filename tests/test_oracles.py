@@ -29,8 +29,8 @@ from acm5.cli import classification_report, load_coframe
 from acm5.connection import characteristic_connection, torsion_type
 from acm5.errors import IntegrabilityError
 from acm5.exterior import coframe, e, wedge
-from acm5.family import build
 from acm5.frames import connection_from_structure
+from acm5.groups import build
 from helpers import (
     GOLDEN,
     GOLDEN_FAMILY_POINTS,

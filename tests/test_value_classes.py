@@ -10,7 +10,7 @@ The validation errors are pinned by the tests of each module.
 
 import pytest
 
-from acm5 import acms, connection, exterior, family, frames, torsionclass
+from acm5 import acms, connection, exterior, family, frames, groups, torsionclass
 from acm5.acms import Z1, Z2, AdaptedStructure, FrameConnection, Predicates, Tensor3, theta
 from acm5.connection import (
     GENERATORS,
@@ -32,13 +32,7 @@ from acm5.exterior import (
     wedge,
     zero_form,
 )
-from acm5.family import (
-    FamilyInstance,
-    FamilyParams,
-    GroupIdentification,
-    IdentityReplayReport,
-    build,
-)
+from acm5.family import IdentityReplayReport
 from acm5.frames import (
     CanonicalAlgebra,
     ConnectionForms,
@@ -46,6 +40,7 @@ from acm5.frames import (
     canonical_algebra,
     connection_forms,
 )
+from acm5.groups import FamilyInstance, FamilyParams, GroupIdentification, build
 from acm5.torsionclass import CartanParts, ClassReport, IntrinsicTorsion, tensor_to_w
 
 
@@ -139,7 +134,7 @@ def test_every_value_class_is_covered():
     """CASES holds every Frozen class and every NamedTuple that the layers define."""
     defined = {
         v
-        for m in (acms, connection, exterior, family, frames, torsionclass)
+        for m in (acms, connection, exterior, family, frames, groups, torsionclass)
         for v in vars(m).values()
         if isinstance(v, type) and v.__module__ == m.__name__
         and (issubclass(v, Frozen) and v is not Frozen or issubclass(v, tuple))

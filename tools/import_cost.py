@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Import cost of a cold ``acm5`` spawn, module by module.
 
-Spawns the four golden cases that ``tests/test_cold_start.py`` spawns
-(classify of a structure that is not generalized quasi-Sasaki, classify of
-one that is, ``family --verify`` and ``family --identify``) as
+Spawns the six commands that ``tests/test_cold_start.py`` spawns (classify
+of a structure that is not generalized quasi-Sasaki, classify of one that
+is, ``family --verify``, ``family --identify``, ``validate`` of a golden
+input and ``family --emit`` to a temporary file) as
 ``python -X importtime -m acm5.cli ...``, SPAWNS times each, with ``src`` on
 ``PYTHONPATH`` and ``PYTHONDONTWRITEBYTECODE=1``.  For each case it prints
 the median wall time of a spawn and each imported module's median self and
@@ -22,6 +23,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -63,26 +65,37 @@ def main():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     if any((ROOT / "src").rglob("__pycache__")):
         print("note: src holds a __pycache__, so acm5 modules load from bytecode")
-    for case_id in CASE_IDS:
-        argv = argv_of(cases[case_id])
-        runs = [spawn(argv, env) for _ in range(SPAWNS)]
-        modules = {name for _, times in runs for name in times}
-        rows = []
-        for name in modules:
-            samples = [times[name] for _, times in runs if name in times]
-            rows.append((
-                statistics.median(c for _, c in samples) / 1000,
-                statistics.median(s for s, _ in samples) / 1000,
-                name,
-                len(samples),
-            ))
-        wall = statistics.median(w for w, _ in runs) * 1000
-        print(f"\n{case_id}: acm5 {' '.join(cases[case_id]['argv'])}")
-        print(f"median wall {wall:.1f} ms over {SPAWNS} spawns")
-        print(f"{'module':40} {'self ms':>9} {'cumul ms':>9}")
-        for cumulative, own, name, seen in sorted(rows, reverse=True):
-            mark = "" if seen == SPAWNS else f"  (in {seen} of {SPAWNS} spawns)"
-            print(f"{name:40} {own:9.2f} {cumulative:9.2f}{mark}")
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = [(case_id, argv_of(cases[case_id])) for case_id in CASE_IDS]
+        commands.append(("validate_heis5_sasakian",
+                         ["validate", str(GOLDEN / "inputs" / "heis5_sasakian.json")]))
+        commands.append(("family_emit_1_0_0_0",
+                         ["family", "--params", "1", "0", "0", "0", "--emit", f"{tmp}/w4.json"]))
+        for label, argv in commands:
+            report(label, argv, env)
+
+
+def report(label, argv, env):
+    """Print the median wall time and the per-module import times of one command."""
+    runs = [spawn(argv, env) for _ in range(SPAWNS)]
+    modules = {name for _, times in runs for name in times}
+    rows = []
+    for name in modules:
+        samples = [times[name] for _, times in runs if name in times]
+        rows.append((
+            statistics.median(c for _, c in samples) / 1000,
+            statistics.median(s for s, _ in samples) / 1000,
+            name,
+            len(samples),
+        ))
+    wall = statistics.median(w for w, _ in runs) * 1000
+    shown = [Path(a).name if os.sep in a else a for a in argv]
+    print(f"\n{label}: acm5 {' '.join(shown)}")
+    print(f"median wall {wall:.1f} ms over {SPAWNS} spawns")
+    print(f"{'module':40} {'self ms':>9} {'cumul ms':>9}")
+    for cumulative, own, name, seen in sorted(rows, reverse=True):
+        mark = "" if seen == SPAWNS else f"  (in {seen} of {SPAWNS} spawns)"
+        print(f"{name:40} {own:9.2f} {cumulative:9.2f}{mark}")
 
 
 if __name__ == "__main__":
