@@ -167,14 +167,13 @@ def emit_coframe(c: CoframeData, path: str):
 def coframe_document(c: CoframeData):
     """The JSON document of a coframe; SchemaError on a coefficient load cannot read."""
 
-    def coeff(v):
-        if not _RAT.match(s := fmt_scalar(v)):
-            raise SchemaError(f"cannot emit a non-rational coefficient: {s}")
+    def coeff(v, where):
+        _parse_rational(s := fmt_scalar(v), where)  # refuses what load_coframe refuses
         return s
 
-    def term_list(f: Form):
+    def term_list(f: Form, where):
         return [
-            {"coeff": coeff(f.terms[idx]), "wedge": [c.name_of(i) for i in idx]}
+            {"coeff": coeff(f.terms[idx], where), "wedge": [c.name_of(i) for i in idx]}
             for idx in sorted(f.terms)
         ]
 
@@ -183,11 +182,16 @@ def coframe_document(c: CoframeData):
             {"name": s.name, "kind": s.kind, **({"index": s.index} if s.index else {})}
             for s in c.symbols
         ],
-        "d": {c.name_of(sid): term_list(c.d_table[sid]) for sid in range(c.n_symbols)},
+        "d": {
+            c.name_of(sid): term_list(c.d_table[sid], f"d[{c.name_of(sid)}]")
+            for sid in range(c.n_symbols)
+        },
         "orientation": [c.name_of(i) for i in c.orientation],
     }
     if c.trig_rules is not None:
-        doc["trig"] = {k: term_list(f) for k, f in c.trig_rules._asdict().items() if f is not None}
+        doc["trig"] = {
+            k: term_list(f, f"trig.{k}") for k, f in c.trig_rules._asdict().items() if f is not None
+        }
     return doc
 
 
@@ -409,7 +413,29 @@ def cmd_classify(args):
     return code
 
 
+def _written_digits(text):
+    """The digits that a Fraction text writes in its numerator and in its
+    denominator, its exponent included: (10, 1) for '1e9'; (0, 0) when the
+    exponent is not an integer, which Fraction then refuses."""
+    mantissa, _, exp = text.lower().partition("e")
+    num, _, den = mantissa.partition("/")
+    whole, _, frac = num.partition(".")
+    try:
+        exp = int(exp or 0)
+    except ValueError:
+        return 0, 0
+    numerator = sum(ch.isdecimal() for ch in whole + frac) + max(exp, 0)
+    return numerator, (sum(ch.isdecimal() for ch in den) or len(frac) + 1) + max(-exp, 0)
+
+
 def _family_params(args):
+    """The parameters as Fractions; SchemaError for a text that Fraction does
+    not read, and, before its value is built, for one that writes a numerator
+    or a denominator over the interpreter's int <-> str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    for p in args.params:
+        if limit and max(_written_digits(p)) > limit:
+            raise SchemaError(f"parameter {p!r} has more than {limit} digits")
     try:
         return [Fraction(p) for p in args.params]
     except (ValueError, ZeroDivisionError) as exc:
@@ -434,6 +460,9 @@ def cmd_family(args):
             emit_coframe(inst.coframe, args.emit)
         except OSError as exc:
             print(f"error: cannot write {args.emit}: {exc.strerror}", file=sys.stderr)
+            return 2
+        except SchemaError as exc:
+            print(f"error: cannot emit {args.emit}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.emit}")
         return 0

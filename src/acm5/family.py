@@ -41,10 +41,8 @@ from .connection import (
 )
 from .exterior import dense2, e, ext_d, proportionality, wedge, zero_form
 from .frames import connection_forms, connection_from_structure
-from .groups import (  # the family and its certificates, re-exported
-    A2, FamilyInstance, FamilyParams, GroupIdentification, build, family_params, identify_group,
-    rational_sqrt,
-)
+# build and identify_group stay bound here: bench/tracing.LAYERS traces them as family.*
+from .groups import A2, FamilyInstance, build, identify_group
 from .torsionclass import SKEW, VEC, classify, intrinsic_torsion
 
 

@@ -433,6 +433,30 @@ def test_oversized_input_is_a_schema_error(tmp_path, capsys, name, argv):
     assert err.startswith("schema error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a1", ["1e10000000", "1e-10000000"])
+def test_oversized_parameter_is_a_usage_error(capsys, a1):
+    """A parameter is refused from its text, before Fraction builds a value
+    of ten million digits."""
+    code, out, err = run(capsys, ["family", "--params", a1, "0", "0", "0", "--identify"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a1, exit_code", [("1e2000", 0), ("1e2500", 2), ("1e4299", 2)])
+def test_emit_writes_only_what_validate_accepts(tmp_path, capsys, a1, exit_code):
+    """dA2 has about twice the digits of a1: emit refuses a coefficient that
+    load refuses, and writes no file."""
+    path = tmp_path / "big.json"
+    code, out, err = run(capsys, ["family", "--params", a1, "0", "0", "0", "--emit", str(path)])
+    assert code == exit_code
+    if code == 0:
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert (code, out) == (0, "ok: schema valid and d^2 = 0 on all generators\n")
+    else:
+        assert out == "" and not path.exists()
+        assert err.startswith("error: cannot emit ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["validate"], ["classify", "--json"], ["classify", "--json", "--float"]],

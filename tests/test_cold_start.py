@@ -1,22 +1,21 @@
 """What a fresh interpreter imports, and what it prints.
 
-``import acm5`` loads no layer: the package binds its public surface on the
-first read of one of its names (PEP 562).  Each command imports only the
-layers it runs.  ``validate`` loads the exterior algebra and its scalars.
-A ``classify`` spawn imports the layers of the report up to the generalized
-quasi-Sasaki gate and adds ``connection`` (and its ``linalg``) only for a
-structure that passes it.  ``family --emit`` and ``--identify`` add the
-frame layer and ``groups``, the family's coframes and certificates; only
-``--verify`` imports the replay, ``family``, with every layer it runs.  No
-spawn imports ``dataclasses`` or ``inspect``, whose import alone costs a
-spawn about 11 ms.  Each check runs ``python -m acm5.cli`` in a new
-interpreter, through ``runpy``, with ``src`` on ``PYTHONPATH``, and compares
-stdout with the golden file of the same command, or with the output the
-same command gives in process.  The ``--help`` texts are pinned byte for
-byte at 80 columns in ``golden/help``.
+``import acm5`` loads no layer: the first read of a public name imports only
+its home module, and what that module imports, and binds the name (PEP 562).
+Each command imports only the layers it runs.  ``validate`` loads the
+exterior algebra and its scalars.  A ``classify`` spawn imports the layers
+of the report up to the generalized quasi-Sasaki gate and adds
+``connection`` (and its ``linalg``) only for a structure that passes it.
+``family --emit`` and ``--identify`` add the frame layer and ``groups``, the
+family's coframes and certificates; only ``--verify`` imports the replay,
+``family``, with every layer it runs.  No spawn imports ``dataclasses`` or
+``inspect``, whose import alone costs a spawn about 11 ms.  Each check runs
+``python -m acm5.cli`` in a new interpreter, through ``runpy``, with ``src``
+on ``PYTHONPATH``, and compares stdout with the golden file of the same
+command, or with the output the same command gives in process.  The
+``--help`` texts are pinned byte for byte at 80 columns in ``golden/help``.
 """
 
-import ast
 import json
 import os
 import subprocess
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import acm5
 from acm5.cli import emit_coframe, main
 from acm5.groups import build
 
@@ -120,15 +120,25 @@ def test_import_acm5_loads_no_layer():
     assert proc.stdout.decode().strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "statement, layers",
+    [
+        ("import acm5; acm5.Form", {"errors", "exterior", "scalars"}),
+        ("from acm5 import build", GROUP_LAYERS),
+    ],
+)
+def test_first_read_of_a_name_imports_only_its_home_module(statement, layers):
+    proc = run_python(
+        f"import json, sys\n{statement}\n"
+        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('acm5.'))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {n.removeprefix("acm5.") for n in json.loads(proc.stdout)} == layers
+
+
 def _home_modules():
-    """Each re-exported name with the module that its import statement in ``__init__`` names."""
-    tree = ast.parse((ROOT / "src" / "acm5" / "__init__.py").read_text(encoding="utf-8"))
-    return {
-        alias.name: node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """Each public name with its home module, from the surface table of ``__init__``."""
+    return {name: module for module, names in acm5._SURFACE.items() for name in names}
 
 
 # Binds the surface by ``from acm5 import *``, reads an unknown name before

@@ -2,9 +2,10 @@
 
 A function, class or constant defined at module level in ``src/acm5`` must
 be referenced by name somewhere in ``src/`` or ``bench/``: as a name, an
-attribute, or an imported name (so the re-exports in ``__init__`` count),
-or as a function name that ``bench/tracing.LAYERS`` wraps by name.  A
-definition only tests use belongs in ``tests/helpers.py``.
+attribute, an imported name, a public name in the surface table
+``_SURFACE`` of ``__init__``, or a function name that
+``bench/tracing.LAYERS`` wraps by name.  A definition only tests use belongs
+in ``tests/helpers.py``.
 
 A value class in ``src/acm5`` is a class that declares annotated fields in
 its body: the ``NamedTuple`` records and the ``exterior.Frozen`` classes.
@@ -48,21 +49,22 @@ def _references(tree):
     return refs
 
 
-def _traced_names():
-    """The function names listed in ``LAYERS`` of ``bench/tracing.py``."""
-    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
-    layers = next(
+def _names_by_module(path, table):
+    """The names of the literal table ``table`` (module -> names) at the top level of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    value = next(
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == table for t in node.targets)
     )
-    return Counter(name for names in ast.literal_eval(layers).values() for name in names)
+    return Counter(name for names in ast.literal_eval(value).values() for name in names)
 
 
 def test_every_top_level_definition_is_referenced():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
-    refs = _traced_names()
+    refs = _names_by_module(ROOT / "bench" / "tracing.py", "LAYERS")
+    refs.update(_names_by_module(PACKAGE / "__init__.py", "_SURFACE"))
     defined = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -119,7 +121,7 @@ def test_every_value_class_field_is_read():
     assert not unread, f"value class fields never read: {sorted(unread)}"
 
 
-SRC_LINE_BUDGET = 3491  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3431  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():
