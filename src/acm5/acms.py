@@ -20,7 +20,11 @@ read, or, in ``_mu``, from the zero of its two columns, ``0.0`` where the
 full sum would have multiplied a float by one of phi's zeros.  Inner
 products start from the int 0 and divide through ``scalars.div`` or
 ``div_const``.  So at the integer scale of ``cli.classification_report``
-every exact entry is an int.
+every exact entry is an int.  The complement projection is a plan too; its
+result is a flat torsion view (``complement_view``): per direction, the 8
+values on COMPLEMENT_MONOMIALS (0,2), (1,3), (0,3), (1,2), (0,4), (1,4),
+(2,4), (3,4), each summed as the projection of the 2-form sums it, so a
+float keeps its bits (``torsionclass`` states the order rule).
 
 Everything here is pointwise multilinear algebra driven by connection
 values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
@@ -28,7 +32,7 @@ tracked as independent linear channels; operations that must produce
 numbers verify that every channel cancels and raise SymbolicResidueError
 otherwise.
 
-Memo rule: read the invariants of one structure (the projections of the
+Memo rule: read the invariants of one structure (the torsion view of the
 w(e_k), nabla Phi, N, dPhi, d eta, gamma, the predicates) through
 ``derived``, so each, with its cross-check, is computed once per frame
 connection; a direct call always computes.
@@ -37,7 +41,6 @@ connection; a direct call always computes.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
 
@@ -57,16 +60,13 @@ from .exterior import (
     Frozen,
     dense2,
     dense3,
-    perm_sign,
     form,
     grid_form,
     hodge,
-    interior,
     stored,
-    zero_form,
 )
 from .frames import ConnectionForms
-from .scalars import EXACT, ZERO, TrigScalar, div_const, is_exact_zero, sis_zero, table_kind
+from .scalars import EXACT, ZERO, TrigScalar, div_const, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -124,6 +124,8 @@ class AdaptedStructure(NamedTuple):
 
 ADAPTED = AdaptedStructure(PHI, ETA)
 
+# orthogonal bases of the four 2-form types: 1 the span of the fundamental form, 2 the primitive
+# phi-anti-invariant forms, 3 the rest of the stabilizer algebra, 4 the forms with a Reeb leg
 LAMBDA2_BASES = {
     1: (PHI,),
     2: (Z1, Z2),
@@ -150,37 +152,38 @@ def _require_metric_2form(beta: Form):
         raise UnsupportedSymbolError("auxiliary symbols have no type decomposition")
 
 
-def lambda2_project(beta: Form, part: int) -> Form:
-    """Orthogonal projection onto the four 2-form types (1: span of the
-    fundamental form, 2: primitive phi-anti-invariant, 3: the rest of the
-    stabilizer algebra, 4: forms containing the Reeb leg)."""
-    _require_metric_2form(beta)
-    if part not in LAMBDA2_BASES:
-        raise ValueError("part must be 1..4")
-    out = zero_form(2)
-    for b in LAMBDA2_BASES[part]:
-        coef = div_const(inner_form(beta, b), inner_form(b, b))
-        out = out + b.scale(coef)
-    return out
-
-
 # the complement of the stabilizer: each basis 2-form (Z1, Z2, the Reeb legs) with its squared norm
 COMPLEMENT_FRAME = tuple((b, inner_form(b, b)) for b in LAMBDA2_BASES[2] + LAMBDA2_BASES[4])
+COMPLEMENT_MONOMIALS = tuple(idx for b, _ in COMPLEMENT_FRAME for idx in b.terms)  # view slot order
 
 
-def project_u2_complement(beta: Form) -> Form:
-    """lambda2_project(beta, 2) + lambda2_project(beta, 4) as a coordinate map:
-    (beta_02 - beta_13)/2 on Z1, (beta_03 + beta_12)/2 on Z2, each Reeb leg
-    beta_i4.  Each entry is 0 plus the product the general projection adds,
-    under the storage rule, so float entries keep their bits (0.0 + -0.0 is
-    0.0) and integral ones are ints."""
-    _require_metric_2form(beta)
-    out = {}
-    for b, norm in COMPLEMENT_FRAME:
-        coef = div_const(inner_form(beta, b), norm)
-        for idx, s in b.terms.items():
-            out[idx] = 0 + s * coef
-    return stored(2, out)
+def complement_plan(slot):
+    """Per direction k, the inner product of the 2-form with beta(e_i, e_j) at
+    slot(k, i, j) with each basis form of COMPLEMENT_FRAME, from the int 0 in slot 125."""
+    return tuple(
+        (125, tuple((s, slot(k, i, j), None) for (i, j), s in b.terms.items()))
+        for k in range(5)
+        for b, _ in COMPLEMENT_FRAME
+    )
+
+
+W_COMPLEMENT = complement_plan(lambda k, i, j: at(i, j, k))  # the 2-forms w(e_k) of a connection
+T_COMPLEMENT = complement_plan(at)  # the first-slot 2-forms of a Tensor3
+
+
+def complement_view(plan, flat):
+    """The flat torsion view (8 values per direction on COMPLEMENT_MONOMIALS) of
+    the projection to the complement of the stabilizer of the five 2-forms that
+    ``plan`` reads off the 125 values ``flat``: the projections onto the types 2
+    and 4 as a coordinate map, (beta_02 - beta_13)/2 on Z1,
+    (beta_03 + beta_12)/2 on Z2, each Reeb leg beta_i4.  Each value is 0 plus
+    the product the general projection adds, so a float keeps its bits (0.0 +
+    -0.0 is 0.0), an integral value is an int and an exact zero the int 0."""
+    view = []
+    for total, (b, norm) in zip(contract(plan, flat + (0,)), COMPLEMENT_FRAME * 5):
+        coef = div_const(total, norm)
+        view += [0 + s * coef for s in b.terms.values()]
+    return tuple(view)
 
 
 def phi_pullback(beta: Form) -> Form:
@@ -225,12 +228,6 @@ class Tensor3(Frozen):
             raise ValueError("a Tensor3 holds its 125 values in slot order")
         self.__dict__["flat"] = flat
 
-    @cached_property
-    def values(self):
-        """The values nested as [i][j][k]."""
-        rows = [self.flat[r : r + 5] for r in range(0, 125, 5)]
-        return tuple(tuple(rows[p : p + 5]) for p in range(0, 25, 5))
-
     def get(self, i, j, k):
         """1-based access."""
         return self.flat[at(i - 1, j - 1, k - 1)]
@@ -254,12 +251,6 @@ class Tensor3(Frozen):
         if not isinstance(other, Tensor3):
             return NotImplemented
         return (self - other).is_zero()
-
-    def inner(self, other):
-        acc = 0
-        for a, b in zip(self.flat, other.flat):
-            acc += a * b
-        return acc
 
     def is_antisymmetric_last_two(self):
         return all(map(sis_zero, contract(SYM_23, self.flat)))
@@ -418,7 +409,7 @@ def nabla_phi(source) -> Tensor3:
     fc = frame_connection(source)
     _require_channels_vanish(fc, "nabla Phi", lambda mat: _mu([[v for r in mat for v in r]]))
     full = np_full(fc.base)
-    if not (full - np_gamma(derived(fc, complement_forms))).is_zero():
+    if not (full - np_gamma(derived(fc, torsion_view))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
 
@@ -428,17 +419,21 @@ def np_full(w: Tensor3) -> Tensor3:
     return Tensor3(tuple(_mu([w.flat[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a](e_k)
 
 
-def complement_forms(fc: FrameConnection) -> tuple:
-    """The projections of the five 2-forms w(e_k) to the complement of the
-    stabilizer: the intrinsic torsion, and the second path of nabla Phi."""
-    w = fc.base.flat
-    return tuple(project_u2_complement(grid_form(lambda i, j: w[at(i, j, k)])) for k in range(5))
+def torsion_view(fc: FrameConnection) -> tuple:
+    """The torsion view of the projections of the five 2-forms w(e_k) to the
+    complement of the stabilizer: the intrinsic torsion, and the second path of
+    nabla Phi."""
+    return complement_view(W_COMPLEMENT, fc.base.flat)
 
 
-def np_gamma(gammas) -> Tensor3:
-    """The same contraction on the projections gammas[k] of each w(e_k) to the
-    complement of the stabilizer, each read once as a dense 5x5 table."""
-    return Tensor3(tuple(_mu([[v for r in dense2(g) for v in r] for g in gammas])))
+def np_gamma(view) -> Tensor3:
+    """The same contraction on a torsion view, each direction read as the 5x5
+    table that ``dense2`` fills from its 2-form: c at (i, j), -c at (j, i)."""
+    mats = [[0] * 25 for _ in range(5)]
+    for k, m in enumerate(mats):
+        for (i, j), v in zip(COMPLEMENT_MONOMIALS, view[8 * k : 8 * k + 8]):
+            m[5 * i + j], m[5 * j + i] = v, -v
+    return Tensor3(tuple(_mu(mats)))
 
 
 def d_phi_tensor(np: Tensor3) -> Tensor3:
@@ -527,54 +522,6 @@ def _gamma_entry(x, y, via_d_phi):
 
 
 GAMMA = tuple(_gamma_entry(x, y, via) for via in (True, False) for x, y in PAIRS)
-
-
-def _derivation(alpha: Form, entry) -> Form:
-    """The so(5) element with entries entry(s, j) acting on a metric-symbol
-    form as a derivation: each monomial slot s becomes sum_j entry(s, j) e_j."""
-    out = {}
-    for idx, coef in alpha.terms.items():
-        for pos, sym in enumerate(idx):
-            for j in range(5):
-                v = entry(sym, j)
-                if is_exact_zero(v) or (j != sym and j in idx):
-                    continue
-                new = list(idx)
-                new[pos] = j
-                mono = tuple(sorted(new))
-                out[mono] = out.get(mono, 0) + coef * (perm_sign(new) * v)
-    return stored(alpha.degree, out)
-
-
-def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
-    """(nabla_{e_k} alpha) for a metric-symbol form, from the base values:
-    the derivation with entries w[s][j](e_k)."""
-    w = fc.base.flat
-    return _derivation(alpha, lambda s, j: w[at(s, j, k)])
-
-
-def codifferential(alpha: Form, source) -> Form:
-    """delta alpha = - sum_i e_i . nabla_{e_i} alpha."""
-    if any(i not in METRIC_IDS for i in alpha.symbols_used()):
-        raise UnsupportedSymbolError("codifferential needs a metric-symbol form")
-    if alpha.degree == 0:
-        return zero_form(0)
-    fc = frame_connection(source)
-    for sid, mat in fc.channels:
-        if not _channel_kills_form(mat, alpha):
-            raise SymbolicResidueError(
-                f"auxiliary symbol id {sid} leaves a residue in the codifferential"
-            )
-    out = zero_form(alpha.degree - 1)
-    for i in range(5):
-        na = covariant_derivative_form(fc, alpha, i)
-        out = out - interior(i + 1, na)
-    return out
-
-
-def _channel_kills_form(mat, alpha: Form):
-    """True when the constant so(5) channel acts trivially on the form."""
-    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
 
 
 class Predicates(NamedTuple):

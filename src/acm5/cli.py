@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import os
 import re
@@ -42,15 +42,16 @@ from .exterior import (
     stored,
     zero_form,
 )
-from .scalars import FLOAT, fmt_scalar, is_rational, narrow
+from .scalars import FLOAT, fmt_scalar, is_rational, sis_zero
 
 _RAT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def _parse_rational(s, where):
-    """A coefficient under the storage rule: a JSON integer or a 'p/q' string,
-    integral values as ints; SchemaError for anything else, and for a
-    numerator or denominator over the interpreter's digit limit."""
+    """A coefficient: a JSON integer or a 'p/q' string, read as an int or a
+    Fraction (``exterior.stored`` applies the storage rule); SchemaError for
+    anything else, and for a numerator or denominator over the interpreter's
+    digit limit."""
     if type(s) is int:  # JSON true/false are bools, not coefficients
         return s
     m = _RAT.match(s.strip()) if isinstance(s, str) else None
@@ -58,7 +59,7 @@ def _parse_rational(s, where):
         raise SchemaError(f"{where}: not a rational 'p/q' string: {s!r}")
     p, q = m.groups()
     try:
-        return int(p) if q is None else narrow(Fraction(int(p), int(q)))
+        return int(p) if q is None else Fraction(int(p), int(q))
     except ValueError as exc:  # more digits than int() may read
         raise SchemaError(f"{where}: coefficient over the integer digit limit") from exc
 
@@ -69,6 +70,8 @@ def _is_name_list(x):
 
 def load_coframe(path: str) -> CoframeData:
     """Parse and schema-check a coframe document."""
+    import json  # only the commands that read or write a document load it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -158,6 +161,8 @@ def load_coframe(path: str) -> CoframeData:
 
 
 def emit_coframe(c: CoframeData, path: str):
+    import json
+
     doc = coframe_document(c)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -232,7 +237,7 @@ def _working_scale(c: CoframeData):
     if not all(map(is_rational, values)):
         return c, Fraction(1)
     lam = 4 * math.lcm(*(v.denominator for v in values))
-    return _with_coefficients(c, lambda v: v * lam), Fraction(1, lam)
+    return _with_coefficients(c, lambda v: v.numerator * (lam // v.denominator)), Fraction(1, lam)
 
 
 def classification_report(c: CoframeData):
@@ -288,6 +293,13 @@ def classification_report(c: CoframeData):
     from . import connection  # imported only for a generalized quasi-Sasaki structure
     cc = connection.characteristic_connection(fc)
     parts, tag = connection.torsion_type(cc)
+    nij = acms.derived(fc, acms.nijenhuis)  # Friedrich-Ivanov: skew torsion iff N is totally skew
+    if (tag in ("skew", "zero")) != nij.is_totally_skew():
+        sums = acms.contract(acms.SYM_12, nij.flat)
+        failing = [f"N{x, y, z} + N{y, x, z} = {fmt_scalar(v * unit)}" for (x, y, z), v in
+                   zip(itertools.product(range(1, 6), repeat=3), sums) if x <= y and not sis_zero(v)]
+        why = f"not totally skew: {', '.join(failing)}" if failing else "totally skew"
+        raise ACM5Error(f"internal consistency: the torsion type is {tag}, but N is {why}")
     cur = connection.curvature(c, cc.omega_c)
     ker, spinors = connection.kernel_of_f(), connection.spinor_space()
     parallel = connection.parallel_spinor_check(spinors, cc.omega_c, ker.kernel_basis)
@@ -406,6 +418,8 @@ def cmd_classify(args):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
+
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         color = bool(os.environ.get("ACM5_COLOR"))

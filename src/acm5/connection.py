@@ -171,9 +171,6 @@ class CurvatureData(NamedTuple):
     ricci: tuple  # 5x5 scalars
     holonomy_basis: tuple  # 2-forms spanning the bracket closure
 
-    def entry(self, i, j):
-        return self.curvature[i - 1][j - 1]
-
 
 def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     """Second structure equation R[i][j] = d w[i][j] + sum_k w[i][k] ^ w[k][j].

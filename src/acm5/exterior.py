@@ -23,8 +23,9 @@ Conventions, fixed once and used everywhere:
 * A full read of a 2-form or a 3-form on frame directions is one dense
   table (:func:`dense2`, :func:`dense3`) filled from its terms: each
   stored c goes to its sorted slot and -c to every odd permutation of it,
-  the int 0 everywhere else, which is entry by entry what ``evaluate``
-  returns (the value, its type and, for floats, its bits).
+  the int 0 everywhere else, which is entry by entry what the evaluation
+  by the permutation determinant gives (the value, its type and, for
+  floats, its bits; ``evaluate`` of ``tests/helpers.py``).
 
 Forms follow the kind rule and the storage rule of ``scalars``.  Two
 constructors build them: :func:`form` (or ``Form(...)``) validates terms
@@ -115,16 +116,6 @@ class Form(Frozen):
         for idx in self.terms:
             out.update(idx)
         return out
-
-    def evaluate(self, *ids):
-        """Value on frame directions given by 0-based symbol ids."""
-        if len(ids) != self.degree:
-            raise ValueError("wrong number of arguments")
-        key = tuple(sorted(ids))
-        c = self.terms.get(key)  # repeated ids never match a stored monomial
-        if c is None:
-            return 0
-        return c if key == ids else c * perm_sign(ids)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -248,8 +239,9 @@ def perm_sign(ids):
 
 
 def dense2(f, n=5, cols=None):
-    """The n x cols table m[i][j] = f.evaluate(i, j) of a 2-form (cols <= n,
-    default n), filled from its terms."""
+    """The n x cols table m[i][j] = f(e_i, e_j) of a 2-form (cols <= n,
+    default n), filled from its terms, as ``evaluate`` of ``tests/helpers.py``
+    reads it."""
     cols = n if cols is None else cols
     m = [[0] * cols for _ in range(n)]
     for (i, j), c in f.terms.items():
@@ -262,7 +254,8 @@ def dense2(f, n=5, cols=None):
 
 
 def dense3(f, n=5):
-    """The n x n x n table t[i][j][k] = f.evaluate(i, j, k) of a 3-form, filled from its terms."""
+    """The n x n x n table t[i][j][k] = f(e_i, e_j, e_k) of a 3-form, filled from its
+    terms, as ``evaluate`` of ``tests/helpers.py`` reads it."""
     t = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in f.terms.items():
         if k < n:

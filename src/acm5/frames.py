@@ -48,10 +48,6 @@ class ConnectionForms(Frozen):
                     raise ValueError("connection forms must be antisymmetric")
         self.__dict__["omega"] = omega
 
-    def entry(self, i, j):
-        """1-based access: entry(1, 2) is the form paired with (e1, e2)."""
-        return self.omega[i - 1][j - 1]
-
 
 def connection_forms(entries):
     """Build ConnectionForms from a {(i, j): Form} dict, 1-based upper pairs:

@@ -17,10 +17,18 @@ tensor and Cartan oracles (``difference_tensor_oracle``,
 ``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
 its four-way case split and its ``Fraction(1, 2)`` per term, that the int
 coefficients and the product table of ``scalars.TrigScalar`` replaced.
-Definitions that only tests use (``abelian_coframe``, ``project_u2``,
+Definitions that only tests use (``abelian_coframe``, ``lambda2_project``,
+``project_u2``, ``codifferential`` with ``covariant_derivative_form``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
 ``pr_w``, ``torsion_from_coords``, ``residual_basis``) live here rather
 than in the library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
+So do the readers of the value classes that only tests use: ``nested``
+(a Tensor3's values as [i][j][k]), ``inner`` (of two Tensor3s),
+``evaluate`` (a Form on frame directions), ``entry`` (of ConnectionForms
+and CurvatureData), ``cartan_parts``, ``as_coords``, ``norm_sq``,
+``inner_w`` and ``lin_comb`` (of IntrinsicTorsions, through their
+2-forms), and ``project_u2_complement`` (the library's complement
+projection of one 2-form, as a Form).
 """
 
 import contextlib
@@ -39,16 +47,18 @@ from pathlib import Path
 from acm5 import linalg
 from acm5.acms import (
     COMPLEMENT_FRAME,
+    COMPLEMENT_MONOMIALS,
+    LAMBDA2_BASES,
     PHI_COL,
     PHI_MAT,
+    T_COMPLEMENT,
     XI,
+    FrameConnection,
     Tensor3,
-    _channel_kills_form,
     at,
-    covariant_derivative_form,
+    complement_view,
+    frame_connection,
     inner_form,
-    lambda2_project,
-    project_u2_complement,
 )
 from acm5.errors import (
     MissingDerivationError,
@@ -57,19 +67,23 @@ from acm5.errors import (
     UnsupportedSymbolError,
 )
 from acm5.exterior import (
+    METRIC_IDS,
     CoframeData,
     Form,
     TrigRules,
     coframe,
+    dense2,
     e,
     form,
     grid_form,
+    interior,
+    stored,
     wedge,
     zero_form,
 )
 from acm5.frames import ConnectionForms, connection_forms
-from acm5.scalars import COS_F, TrigScalar, narrow, sis_zero
-from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, inner_w, w_subspaces
+from acm5.scalars import COS_F, TrigScalar, div_const, is_exact_zero, narrow, sis_zero
+from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, w_subspaces
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,6 +111,76 @@ def abelian_coframe():
     return coframe({})
 
 
+def nested(t: Tensor3):
+    """The values of a Tensor3 nested as [i][j][k]."""
+    rows = [t.flat[r : r + 5] for r in range(0, 125, 5)]
+    return tuple(tuple(rows[p : p + 5]) for p in range(0, 25, 5))
+
+
+def inner(a: Tensor3, b: Tensor3):
+    """The sum of the products of two Tensor3s entry by entry, from the int 0."""
+    acc = 0
+    for x, y in zip(a.flat, b.flat):
+        acc += x * y
+    return acc
+
+
+def evaluate(f: Form, *ids):
+    """The value of a form on frame directions given by 0-based symbol ids."""
+    if len(ids) != f.degree:
+        raise ValueError("wrong number of arguments")
+    key = tuple(sorted(ids))
+    c = f.terms.get(key)  # repeated ids never match a stored monomial
+    if c is None:
+        return 0
+    return c if key == ids else c * perm_sign(ids)
+
+
+def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
+    """The inner product of two torsions, summed over their 2-forms by ``inner_form``."""
+    acc = 0
+    for a, b in zip(u.components, v.components):
+        acc += inner_form(a, b)
+    return acc
+
+
+def entry(table, i, j):
+    """1-based access to ConnectionForms or CurvatureData: entry(om, 1, 2) is
+    the form paired with (e1, e2)."""
+    rows = table.omega if isinstance(table, ConnectionForms) else table.curvature
+    return rows[i - 1][j - 1]
+
+
+def cartan_parts(parts):
+    """The three parts of a CartanParts by name."""
+    return {"vectorial": parts.vectorial, "skew": parts.skew, "cyclic": parts.cyclic}
+
+
+def lin_comb(*pairs) -> IntrinsicTorsion:
+    """sum s * t over the (s, t) pairs, scalars and IntrinsicTorsions, through their 2-forms."""
+    forms = (zero_form(2),) * 5
+    for s, t in pairs:
+        forms = tuple(a + f.scale(s) for a, f in zip(forms, t.components))
+    return IntrinsicTorsion(forms)
+
+
+def norm_sq(t: IntrinsicTorsion):
+    return inner_w(t, t)
+
+
+def as_coords(t: IntrinsicTorsion):
+    """The 30 coordinates of a torsion on COMPLEMENT_FRAME, direction by direction."""
+    return [div_const(inner_form(f, b), nb) for f in t.components for b, nb in COMPLEMENT_FRAME]
+
+
+def project_u2_complement(beta: Form) -> Form:
+    """The library's projection of a metric 2-form to the complement of the
+    stabilizer: the first direction of ``acms.complement_view`` read off the
+    form's table, as a Form under the storage rule."""
+    flat = tuple(itertools.chain(*dense2(beta))) + (0,) * 100
+    return stored(2, dict(zip(COMPLEMENT_MONOMIALS, complement_view(T_COMPLEMENT, flat))))
+
+
 def t3_from_func(fn):
     """The Tensor3 with entry fn(i, j, k), 0-based."""
     return Tensor3(tuple(fn(i, j, k) for i, j, k in itertools.product(range(5), repeat=3)))
@@ -105,11 +189,76 @@ def t3_from_func(fn):
 def pr_w(a: Tensor3) -> Tensor3:
     """Project each first-slot 2-form onto the complement of the stabilizer algebra."""
     comps = [project_u2_complement(a.component_form(i)) for i in range(1, 6)]
-    return t3_from_func(lambda i, j, k: comps[i].evaluate(j, k))
+    return t3_from_func(lambda i, j, k: evaluate(comps[i], j, k))
+
+
+def lambda2_project(beta: Form, part: int) -> Form:
+    """Orthogonal projection onto the four 2-form types (1: span of the
+    fundamental form, 2: primitive phi-anti-invariant, 3: the rest of the
+    stabilizer algebra, 4: forms containing the Reeb leg)."""
+    if beta.degree != 2:
+        raise ValueError("need a 2-form")
+    if any(i not in METRIC_IDS for i in beta.symbols_used()):
+        raise UnsupportedSymbolError("auxiliary symbols have no type decomposition")
+    if part not in LAMBDA2_BASES:
+        raise ValueError("part must be 1..4")
+    out = zero_form(2)
+    for b in LAMBDA2_BASES[part]:
+        coef = div_const(inner_form(beta, b), inner_form(b, b))
+        out = out + b.scale(coef)
+    return out
 
 
 def project_u2(beta: Form) -> Form:
     return lambda2_project(beta, 1) + lambda2_project(beta, 3)
+
+
+def _derivation(alpha: Form, entry) -> Form:
+    """The so(5) element with entries entry(s, j) acting on a metric-symbol
+    form as a derivation: each monomial slot s becomes sum_j entry(s, j) e_j."""
+    out = {}
+    for idx, coef in alpha.terms.items():
+        for pos, sym in enumerate(idx):
+            for j in range(5):
+                v = entry(sym, j)
+                if is_exact_zero(v) or (j != sym and j in idx):
+                    continue
+                new = list(idx)
+                new[pos] = j
+                mono = tuple(sorted(new))
+                out[mono] = out.get(mono, 0) + coef * (perm_sign(new) * v)
+    return stored(alpha.degree, out)
+
+
+def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
+    """(nabla_{e_k} alpha) for a metric-symbol form, from the base values:
+    the derivation with entries w[s][j](e_k)."""
+    w = fc.base.flat
+    return _derivation(alpha, lambda s, j: w[at(s, j, k)])
+
+
+def codifferential(alpha: Form, source) -> Form:
+    """delta alpha = - sum_i e_i . nabla_{e_i} alpha."""
+    if any(i not in METRIC_IDS for i in alpha.symbols_used()):
+        raise UnsupportedSymbolError("codifferential needs a metric-symbol form")
+    if alpha.degree == 0:
+        return zero_form(0)
+    fc = frame_connection(source)
+    for sid, mat in fc.channels:
+        if not _channel_kills_form(mat, alpha):
+            raise SymbolicResidueError(
+                f"auxiliary symbol id {sid} leaves a residue in the codifferential"
+            )
+    out = zero_form(alpha.degree - 1)
+    for i in range(5):
+        na = covariant_derivative_form(fc, alpha, i)
+        out = out - interior(i + 1, na)
+    return out
+
+
+def _channel_kills_form(mat, alpha: Form):
+    """True when the constant so(5) channel acts trivially on the form."""
+    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
 
 
 def d_form_via_connection(fc, alpha: Form) -> Form:
@@ -275,7 +424,7 @@ def koszul_oracle(d_forms):
     c_ijk = -de_k(e_i, e_j); then
     2 g(nabla_a e_b, e_c) = c_abc - c_acb - c_bca.
     """
-    c = [[[-d_forms[k].evaluate(i, j) for k in range(5)] for j in range(5)] for i in range(5)]
+    c = [[[-evaluate(d_forms[k], i, j) for k in range(5)] for j in range(5)] for i in range(5)]
     half = Fraction(1, 2)
     w = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
     for a in range(5):
@@ -343,8 +492,8 @@ def nabla_phi_oracle(w):
     def np_gamma(k, a, b):
         acc = Fraction(0)
         for i in range(5):
-            acc += gammas[k].evaluate(i, a) * P[i][b]
-            acc -= gammas[k].evaluate(i, b) * P[i][a]
+            acc += evaluate(gammas[k], i, a) * P[i][b]
+            acc -= evaluate(gammas[k], i, b) * P[i][a]
         return acc
 
     return {"np_full": _cube(np_full), "np_gamma": _cube(np_gamma)}
@@ -385,7 +534,7 @@ def nijenhuis_oracle(np, deta):
                 continue
             acc += P[x][u] * (np[z][u][y] - np[y][u][z])
         if x == XI:
-            acc += deta.evaluate(y, z)
+            acc += evaluate(deta, y, z)
         return acc
 
     return {"n_via_np": _cube(n_via_np), "cov": _cube(cov)}
@@ -403,7 +552,7 @@ def d_phi_oracle(np):
 
 def phi_pullback_oracle(beta: Form) -> Form:
     """beta(phi e_a, phi e_b) through the signed column reads of PHI_COL, from the int 0."""
-    m = [[beta.evaluate(i, j) for j in range(5)] for i in range(5)]
+    m = [[evaluate(beta, i, j) for j in range(5)] for i in range(5)]
 
     def entry(a, b):
         (u, s), (w, t) = PHI_COL[a], PHI_COL[b]
@@ -416,7 +565,7 @@ def vartheta_oracle(beta: Form):
     """3 eta (x) beta minus the star of beta, entry by entry."""
     star = hodge_oracle(beta)
     return _cube(
-        lambda i, j, k: (3 if i == XI else 0) * beta.evaluate(j, k) - star.evaluate(i, j, k)
+        lambda i, j, k: (3 if i == XI else 0) * evaluate(beta, j, k) - evaluate(star, i, j, k)
     )
 
 
@@ -470,7 +619,7 @@ def difference_tensor_oracle(deta: Form, gamma: Form, nij) -> tuple:
     5x5x5 cube, times ``Fraction(1, 2)``."""
     corr3 = wedge(deta - gamma, e(5))
     half = Fraction(1, 2)
-    return _cube(lambda x, y, z: half * (corr3.evaluate(x, y, z) - nij[x][y][z]))
+    return _cube(lambda x, y, z: half * (evaluate(corr3, x, y, z) - nij[x][y][z]))
 
 
 def cartan_decompose_oracle(v) -> dict:

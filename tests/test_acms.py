@@ -18,19 +18,16 @@ from acm5.acms import (
     Z2,
     Tensor3,
     at,
-    codifferential,
     d_eta_form,
     d_phi_tensor,
     frame_connection,
     gamma_form,
     inner_form,
-    lambda2_project,
     nabla_phi,
     nabla_xi_matrix,
     nijenhuis,
     phi_invariance_type,
     predicates,
-    project_u2_complement,
     theta,
     vartheta,
     xi_is_killing,
@@ -47,9 +44,15 @@ from acm5.groups import build
 from helpers import (
     GOLDEN,
     abelian_coframe,
+    codifferential,
     d_form_via_connection,
+    evaluate,
+    inner,
+    lambda2_project,
+    nested,
     pr_w,
     project_u2,
+    project_u2_complement,
     random_form,
     random_pointwise,
 )
@@ -82,7 +85,7 @@ def test_phi_kills_reeb_and_metric_compatibility():
 def test_fundamental_form_compatibility():
     # Phi(e_i, e_j) = g(e_i, phi e_j) holds by construction of the matrix
     assert ADAPTED.Phi == PHI and ADAPTED.eta == ETA
-    assert PHI.evaluate(0, 1) == 1 and PHI.evaluate(2, 3) == 1
+    assert evaluate(PHI, 0, 1) == 1 and evaluate(PHI, 2, 3) == 1
 
 
 # -- 2-form type decomposition -------------------------------------------------
@@ -179,7 +182,7 @@ def test_pr_w_fixes_image_of_primitive_but_not_fundamental():
 def test_theta_vartheta_images_are_orthogonal_on_primitive_forms():
     for a in (Z1, Z2):
         for b in (Z1, Z2):
-            assert theta(a).inner(vartheta(b)) == 0
+            assert inner(theta(a), vartheta(b)) == 0
 
 
 # -- derivative tensors ---------------------------------------------------------
@@ -209,8 +212,8 @@ def test_nabla_phi_against_commutator_oracle():
     P = PHI_MAT
     for _ in range(5):
         pw = random_pointwise(rng)
-        w = pw.values
-        np = nabla_phi(pw).values
+        w = nested(pw)
+        np = nested(nabla_phi(pw))
         for k in range(5):
             for b in range(5):
                 for c in range(5):
@@ -227,7 +230,7 @@ def test_system_identities_on_random_values():
     for _ in range(10):
         pw = random_pointwise(rng)
         fc = frame_connection(pw)
-        np = nabla_phi(fc).values
+        np = nested(nabla_phi(fc))
         nx = nabla_xi_matrix(fc)
         for x in range(5):
             for y in range(5):
@@ -241,17 +244,19 @@ def test_nijenhuis_family_values():
     n = nijenhuis(inst.omega_g)
     # totally skew alternation of 2 d eta ^ eta
     expected = form(3, {(0, 2, 4): -4, (1, 3, 4): 4})
+    values = nested(n)
     for x in range(5):
         for y in range(5):
             for z in range(5):
-                assert n.values[x][y][z] == expected.evaluate(x, y, z)
+                assert values[x][y][z] == evaluate(expected, x, y, z)
     assert n.is_totally_skew()
 
     inst2 = build(0, 0, 1, 0)
     n2 = nijenhuis(inst2.omega_g)
     assert n2.get(5, 1, 3) == 4
+    v2 = nested(n2)
     cyc = all(
-        n2.values[x][y][z] + n2.values[y][z][x] + n2.values[z][x][y] == 0
+        v2[x][y][z] + v2[y][z][x] + v2[z][x][y] == 0
         for x in range(5)
         for y in range(5)
         for z in range(5)
@@ -325,10 +330,11 @@ def test_dphi_tensor_alternation_matches_ext_d():
     fc = frame_connection(inst.omega_g)
     dphi = d_phi_tensor(nabla_phi(fc))
     via_d = ext_d(PHI, inst.coframe)
+    values = nested(dphi)
     for x in range(5):
         for y in range(5):
             for z in range(5):
-                assert dphi.values[x][y][z] == via_d.evaluate(x, y, z)
+                assert values[x][y][z] == evaluate(via_d, x, y, z)
 
 
 def test_d_via_connection_matches_ext_d_for_valid_coframes():

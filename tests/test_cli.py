@@ -23,6 +23,7 @@ from acm5.cli import (
 )
 from acm5.connection import characteristic_connection, curvature
 from acm5.errors import SchemaError
+from acm5.exterior import stored
 from acm5.frames import connection_from_structure
 from acm5.groups import build, identify_group
 from acm5.torsionclass import classify, intrinsic_torsion
@@ -64,6 +65,32 @@ def test_report_checks_the_gqs_characterization(capsys, monkeypatch, name, field
     assert code == 1 and out == ""
     assert err.startswith("error: ACM5Error: internal consistency: ")
     assert all(v in err for v in verdicts) and "norms {'W3': '0'" in err
+
+
+@pytest.mark.parametrize(
+    "name, tag, verdict",
+    [
+        ("family_1_0_2_0.json", "skew", "the torsion type is skew, but N is not totally skew: "
+         "N(1, 5, 3) + N(5, 1, 3) = 12, N(2, 5, 4) + N(5, 2, 4) = -12, "
+         "N(3, 5, 1) + N(5, 3, 1) = -12, N(4, 5, 2) + N(5, 4, 2) = 12"),
+        ("heis5_sasakian.json", "mixed",
+         "the torsion type is mixed, but N is totally skew"),
+    ],
+)
+def test_report_checks_the_friedrich_ivanov_criterion(capsys, monkeypatch, name, tag, verdict):
+    """On a generalized quasi-Sasaki structure the compatible connection has
+    totally skew torsion iff N is totally skew (Friedrich-Ivanov): a report
+    whose torsion tag disagrees with N stops with exit 1 and renders the
+    nonzero symmetrizations N(x, y, z) + N(y, x, z), x <= y, at the input's
+    scale, when there are any (the family point (1, 0, 2, 0) has traceless
+    cyclic torsion, the Sasakian heis5 none)."""
+    from acm5 import connection
+
+    real = connection.torsion_type
+    monkeypatch.setattr(connection, "torsion_type", lambda cc: (real(cc)[0], tag))
+    code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / name), "--json"])
+    assert (code, out) == (1, "")
+    assert err == f"error: ACM5Error: internal consistency: {verdict}\n"
 
 
 def emit(tmp_path, capsys, params=("1", "0", "0", "0")):
@@ -559,9 +586,11 @@ COEFFICIENT_TEXTS = st.one_of(
 @given(COEFFICIENT_TEXTS)
 def test_parse_rational_accepts_what_the_pattern_and_fraction_accepted(s):
     """The one-pass coefficient reader keeps the old rule: the same strings
-    and ints are accepted, with the same narrowed value and type."""
+    and ints are accepted, with the same narrowed value and type once
+    ``exterior.stored`` applies the storage rule, as the loader does (an
+    exact zero is not stored, and reads back as the int 0)."""
     try:
-        got = _parse_rational(s, "d[e5]")
+        got = stored(1, {(0,): _parse_rational(s, "d[e5]")}).coefficient((0,))
     except SchemaError:
         got = None
     want = parse_rational_oracle(s)

@@ -51,11 +51,11 @@ print(json.dumps({"exit": code, "modules": loaded, "heavy": heavy}), file=sys.st
 """
 
 
-def run_python(code, *args):
+def run_python(code, *args, flags=()):
     env = {k: v for k, v in os.environ.items() if k != "ACM5_COLOR"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, env=env, cwd=ROOT, timeout=120, check=False,
     )
 
@@ -109,6 +109,26 @@ def test_emit_spawn_imports_only_the_group_layers(tmp_path):
     assert heavy == []
     emit_coframe(build(1, 0, 0, 0).coframe, tmp_path / "in_process.json")
     assert path.read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+
+@pytest.mark.parametrize("case_id", ["family_verify_1_0_2_0", "family_identify_1_0_2_0"])
+def test_family_spawns_import_no_json(case_id):
+    """``family --verify`` and ``--identify`` read and write no document, so
+    they do not import ``json``.  ``SPAWN`` imports it itself, so this spawn
+    runs the command line under ``python -X importtime`` and reads the
+    imported module names off its stderr."""
+    argv = CASES[case_id]["argv"]
+    code = "import runpy; runpy.run_module('acm5.cli', run_name='__main__')"
+    proc = run_python(code, *argv, flags=("-X", "importtime"))
+    assert proc.returncode == CASES[case_id]["exit"]
+    assert proc.stdout == (GOLDEN / "expected" / f"{case_id}.out").read_bytes()
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.decode("utf-8").splitlines()
+        if line.startswith("import time:")
+    }
+    assert "acm5.groups" in imported  # the command ran its layers
+    assert not {name for name in imported if name.partition(".")[0] == "json"}
 
 
 def test_import_acm5_loads_no_layer():

@@ -4,9 +4,9 @@
 classify report or an identity replay runs each two-path cross-check once
 per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
-it runs once, when the connection is built.  The five projections of the
-w(e_k) to the complement of the stabilizer are computed once per
-structure and shared by the intrinsic torsion and nabla Phi, dPhi is
+it runs once, when the connection is built.  The projections of the five
+w(e_k) to the complement of the stabilizer are read as one torsion view
+per structure, shared by the intrinsic torsion and nabla Phi, dPhi is
 computed once and shared by the predicates and gamma, and the module
 norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
@@ -59,7 +59,7 @@ def test_classification_report_computes_each_invariant_once(mode):
     "name,structures", [("family_1_0_2_0.json", 2), ("su2_block.json", 1)]
 )
 def test_classification_report_projects_each_connection_form_once(name, structures, mode):
-    """Five projections per structure: the Levi-Civita connection, and on a
+    """One torsion view per structure: the Levi-Civita connection, and on a
     generalized quasi-Sasaki input the characteristic connection too; plus
     one per auxiliary symbol, whose channel must project to zero.  The
     submodule bases are built once per process, before counting."""
@@ -67,12 +67,12 @@ def test_classification_report_projects_each_connection_form_once(name, structur
     if mode == "float":
         c = _to_float_coframe(c)
     w_subspaces()
-    with count_calls("acms.project_u2_complement", "linalg.solve_unique") as calls:
+    with count_calls("acms.complement_view", "linalg.solve_unique") as calls:
         report, code = classification_report(c)
     assert code == 0
     assert (report["characteristic_connection"] is not None) == (structures == 2)
     aux = c.n_symbols - 5
-    assert calls["acms.project_u2_complement"] == 5 * structures + aux
+    assert calls["acms.complement_view"] == structures + aux
     assert calls["linalg.solve_unique"] == 0
 
 

@@ -30,6 +30,7 @@ from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     abelian_coframe,
+    entry,
     induced_d_table,
     koszul_oracle,
     pointwise_from_upper,
@@ -57,9 +58,9 @@ def test_koszul_abelian_is_zero():
 def test_koszul_su2_block_values():
     om = connection_from_structure(su2_block_coframe())
     # bi-invariant metric: nabla_X Y = [X, Y] / 2
-    assert om.entry(1, 2) == form(1, {(2,): Fraction(1, 2)})
-    assert om.entry(2, 3) == form(1, {(0,): Fraction(1, 2)})
-    assert om.entry(3, 1) == form(1, {(1,): Fraction(1, 2)})
+    assert entry(om, 1, 2) == form(1, {(2,): Fraction(1, 2)})
+    assert entry(om, 2, 3) == form(1, {(0,): Fraction(1, 2)})
+    assert entry(om, 3, 1) == form(1, {(1,): Fraction(1, 2)})
     assert verify_first_structure(su2_block_coframe(), om).ok
 
 
@@ -139,7 +140,7 @@ def test_pointwise_values_induce_the_source_structure_table():
     for i in range(1, 6):
         for j in range(i + 1, 6):
             for k in range(1, 6):
-                v = om.entry(i, j).coefficient((k - 1,))
+                v = entry(om, i, j).coefficient((k - 1,))
                 if v:
                     upper[(i, j, k)] = v
     induced = induced_d_table(pointwise_from_upper(upper))

@@ -49,9 +49,12 @@ from acm5.torsionclass import cartan_decompose, classify, intrinsic_torsion, mod
 from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
+    as_coords,
     cartan_decompose_oracle,
+    cartan_parts,
     count_calls,
     difference_tensor_oracle,
+    nested,
     replay_points,
     rotate,
     trig_mul_oracle,
@@ -311,7 +314,7 @@ def _tensor(cube):
 
 
 def _same_parts(parts, oracle):
-    return all(_same_cubes(t.values, oracle[name]) for name, t in parts.parts().items()) and [
+    return all(_same_cubes(nested(t), oracle[name]) for name, t in cartan_parts(parts).items()) and [
         _entry(x) for x in parts.vector
     ] == [_entry(x) for x in oracle["vector"]]
 
@@ -337,11 +340,11 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
         return
     cc = characteristic_connection(fc)
     a = difference_tensor_oracle(
-        derived(fc, d_eta_form), derived(fc, gamma_form), derived(fc, nijenhuis).values
+        derived(fc, d_eta_form), derived(fc, gamma_form), nested(derived(fc, nijenhuis))
     )
-    assert _same_cubes(cc.a_c.values, a)
+    assert _same_cubes(nested(cc.a_c), a)
     torsion = [[[a[x][y][z] - a[y][x][z] for z in range(5)] for y in range(5)] for x in range(5)]
-    assert _same_cubes(cc.torsion.values, torsion)
+    assert _same_cubes(nested(cc.torsion), torsion)
     as_a = [[[torsion[y][z][x] for z in range(5)] for y in range(5)] for x in range(5)]
     for cube in (a, as_a):
         assert _same_parts(cartan_decompose(_tensor(cube)), cartan_decompose_oracle(cube))
@@ -352,8 +355,8 @@ def _parts_entries(point):
     inst = groups.build(*point)
     cc = characteristic_connection(inst.omega_g)
     parts, _ = torsion_type(cc)
-    tensors = (cc.a_c, cc.torsion, *parts.parts().values())
-    return [v for t in tensors for m in t.values for r in m for v in r] + list(parts.vector)
+    tensors = (cc.a_c, cc.torsion, *cartan_parts(parts).values())
+    return [v for t in tensors for m in nested(t) for r in m for v in r] + list(parts.vector)
 
 
 @pytest.mark.parametrize(
@@ -392,10 +395,10 @@ def test_cartan_split_off_the_lattice_matches_the_oracle(cube):
     a = _tensor(cube)
     parts = cartan_decompose(a)
     assert _same_parts(parts, oracle)
-    for x in (*parts.vector, *(v for m in parts.skew.values for r in m for v in r)):
+    for x in (*parts.vector, *(v for m in nested(parts.skew) for r in m for v in r)):
         assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
     total = parts.vectorial + parts.skew + parts.cyclic
-    assert total.values == a.values
+    assert nested(total) == nested(a)
 
 
 # -- the torsion projection and the module norms ---------------------------------
@@ -411,7 +414,7 @@ def test_torsion_projection_and_module_norms_are_ints_at_integer_scale(path):
     assert {type(g) for pairs in module_frames().values() for _, g in pairs} == {int}
     c, _ = _working_scale(load_coframe(str(path)))
     gamma = intrinsic_torsion(frame_connection(connection_from_structure(c)))
-    assert {type(x) for x in gamma.as_coords()} == {int}
+    assert {type(x) for x in as_coords(gamma)} == {int}
     report = classify(gamma)
     assert {type(v) for v in report.norms.values()} == {int}
     assert type(report.total_norm_sq) is int

@@ -19,7 +19,14 @@ from acm5 import acms, cli
 from acm5.cli import classification_report, load_coframe
 from acm5.errors import ACM5Error
 from acm5.exterior import coframe, e, form, wedge
-from helpers import GOLDEN_INPUTS, rotate, scaled, trig_coframe, u2_rotation
+from helpers import (
+    GOLDEN_INPUTS,
+    nested,
+    rotate,
+    scaled,
+    trig_coframe,
+    u2_rotation,
+)
 
 
 def _report_bytes(c):
@@ -94,5 +101,5 @@ def test_report_kernels_hold_ints(path, monkeypatch):
     classification_report(load_coframe(str(path)))
     (fc,) = built
     for name in ("nabla_phi", "nijenhuis"):
-        values = fc._memo[name].values
+        values = nested(fc._memo[name])
         assert {type(v) for m in values for r in m for v in r} == {int}, name

@@ -25,12 +25,12 @@ from acm5.errors import ACM5Error
 from acm5.exterior import form
 from acm5.family import build
 from acm5.frames import connection_from_structure
+from acm5.scalars import COS_F, SIN_F
 from acm5.torsionclass import (
     MODULE_NAMES,
     IntrinsicTorsion,
     cartan_decompose,
     classify,
-    inner_w,
     intrinsic_torsion,
     module_frames,
     tensor_to_w,
@@ -39,6 +39,14 @@ from acm5.torsionclass import (
 
 from helpers import (
     abelian_coframe,
+    as_coords,
+    cartan_parts,
+    evaluate,
+    inner,
+    inner_w,
+    lin_comb,
+    nested,
+    norm_sq,
     pointwise_from_upper,
     random_fraction,
     residual_basis,
@@ -59,18 +67,14 @@ def torsion_to_pointwise(gamma: IntrinsicTorsion, rng=None, junk=True):
                 total = total + b.scale(random_fraction(rng, span=2, den=2))
         for i in range(5):
             for j in range(i + 1, 5):
-                v = total.evaluate(i, j)
+                v = evaluate(total, i, j)
                 if v:
                     upper[(i + 1, j + 1, k + 1)] = v
     return pointwise_from_upper(upper)
 
 
 def random_in_span(rng, vectors):
-    acc = None
-    for v in vectors:
-        piece = v.scale(random_fraction(rng, span=3, den=2))
-        acc = piece if acc is None else acc + piece
-    return acc
+    return lin_comb(*((random_fraction(rng, span=3, den=2), v) for v in vectors))
 
 
 # -- intrinsic torsion extraction ----------------------------------------------
@@ -113,11 +117,11 @@ def test_family_torsion_is_theta_vartheta_combination():
     a1, a2, a3, a4 = Fraction(1), Fraction(2), Fraction(2), Fraction(4)
     inst = build(a1, a2, a3, a4)
     gamma = intrinsic_torsion(inst.omega_g)
-    expected = (
-        tensor_to_w(theta(Z1)).scale(a1)
-        + tensor_to_w(theta(Z2)).scale(a2)
-        + tensor_to_w(vartheta(Z1)).scale(a3)
-        + tensor_to_w(vartheta(Z2)).scale(a4)
+    expected = lin_comb(
+        (a1, tensor_to_w(theta(Z1))),
+        (a2, tensor_to_w(theta(Z2))),
+        (a3, tensor_to_w(vartheta(Z1))),
+        (a4, tensor_to_w(vartheta(Z2))),
     )
     assert gamma == expected
 
@@ -129,7 +133,7 @@ def test_submodule_dimensions():
     subs = w_subspaces()
     dims = {}
     for name, vecs in subs.items():
-        rows = [v.as_coords() for v in vecs]
+        rows = [as_coords(v) for v in vecs]
         dims[name] = linalg.rank(rows)
     assert dims == {"W3": 1, "W4": 2, "W5": 3, "W6": 4, "W7": 2}
     assert sum(dims.values()) == 12
@@ -170,7 +174,7 @@ def test_module_frames_hold_each_basis_with_its_gram_diagonal():
 def test_module_frames_reject_a_basis_that_is_not_orthogonal(monkeypatch):
     subs = dict(w_subspaces())
     b0, b1 = subs["W4"]
-    subs["W4"] = (b0, b0 + b1)
+    subs["W4"] = (b0, lin_comb((1, b0), (1, b1)))
     monkeypatch.setattr(torsionclass, "w_subspaces", lambda: subs)
     module_frames.cache_clear()
     try:
@@ -187,9 +191,9 @@ def test_projection_restricted_to_embeddings_has_rank_12():
     images = []
     for part in (1, 2, 3, 4):
         for b in LAMBDA2_BASES[part]:
-            images.append(tensor_to_w(pr_w(theta(b))).as_coords())
+            images.append(as_coords(tensor_to_w(pr_w(theta(b)))))
     for b in LAMBDA2_BASES[2]:
-        images.append(tensor_to_w(pr_w(vartheta(b))).as_coords())
+        images.append(as_coords(tensor_to_w(pr_w(vartheta(b)))))
     assert len(images) == 12 and linalg.rank(images) == 12
 
 
@@ -215,7 +219,19 @@ def test_classify_norms_sum_to_total():
         for v in r.norms.values():
             assert v >= 0
             total += v
-        assert total == gamma.norm_sq() == r.total_norm_sq
+        assert total == norm_sq(gamma) == r.total_norm_sq
+
+
+def test_classify_reads_trig_norms():
+    """A caller-built torsion with trig coefficients (the library's own path
+    refuses trig connection values): each module norm is the square of its
+    basis element's coefficient times that element's Gram diagonal."""
+    subs = w_subspaces()
+    gamma = lin_comb((COS_F, subs["W4"][0]), (SIN_F, subs["W7"][1]), (COS_F, subs["W6"][2]))
+    r = classify(gamma)
+    cos2, sin2 = COS_F * COS_F, SIN_F * SIN_F
+    assert r.norms == {"W3": 0, "W4": cos2 * 6, "W5": 0, "W6": cos2, "W7": sin2 * 12, "residual": 0}
+    assert r.class_tags == ("W4", "W6", "W7") and r.total_norm_sq == norm_sq(gamma)
 
 
 def test_classify_integrable_flag():
@@ -239,7 +255,7 @@ def test_cartan_vectorial_example():
 
 def test_cartan_skew_example():
     tri = form(3, {(0, 1, 2): 1})
-    a = t3_from_func(lambda x, y, z: tri.evaluate(x, y, z))
+    a = t3_from_func(lambda x, y, z: evaluate(tri, x, y, z))
     parts = cartan_decompose(a)
     assert parts.skew == a and parts.vectorial.is_zero() and parts.cyclic.is_zero()
 
@@ -262,19 +278,19 @@ def test_cartan_projector_algebra():
         parts = cartan_decompose(a)
         assert parts.vectorial + parts.skew + parts.cyclic == a
         # idempotence and mutual annihilation
-        for name, p in parts.parts().items():
+        for name, p in cartan_parts(parts).items():
             again = cartan_decompose(p)
-            for other, q in again.parts().items():
+            for other, q in cartan_parts(again).items():
                 if other == name:
                     assert q == p
                 else:
                     assert q.is_zero()
         # orthogonality
-        assert parts.vectorial.inner(parts.skew) == 0
-        assert parts.vectorial.inner(parts.cyclic) == 0
-        assert parts.skew.inner(parts.cyclic) == 0
+        assert inner(parts.vectorial, parts.skew) == 0
+        assert inner(parts.vectorial, parts.cyclic) == 0
+        assert inner(parts.skew, parts.cyclic) == 0
         # defining conditions
-        v = parts.cyclic.values
+        v = nested(parts.cyclic)
         assert all(
             v[x][y][z] + v[y][z][x] + v[z][x][y] == 0
             for x in range(5)
@@ -289,7 +305,8 @@ def test_cartan_dimensions_by_rank():
     samples = [random_tensor3(rng) for _ in range(60)]
 
     def coords(t):
-        return [t.values[x][y][z] for x in range(5) for y in range(5) for z in range(y + 1, 5)]
+        t = nested(t)
+        return [t[x][y][z] for x in range(5) for y in range(5) for z in range(y + 1, 5)]
 
     for attr, dim in (("vectorial", 5), ("skew", 10), ("cyclic", 35)):
         rows = [coords(getattr(cartan_decompose(a), attr)) for a in samples]
@@ -302,11 +319,11 @@ def test_cartan_dimensions_by_rank():
 def _conditions(pw):
     fc = frame_connection(pw)
     nij = nijenhuis(fc)
-    dphi = d_phi_tensor(nabla_phi(fc))
+    dphi = nested(d_phi_tensor(nabla_phi(fc)))
     killing = xi_is_killing(fc)
     n_skew = nij.is_totally_skew()
     xi_dphi_zero = all(
-        dphi.values[XI][y][z] == 0 for y in range(5) for z in range(5)
+        dphi[XI][y][z] == 0 for y in range(5) for z in range(5)
     )
     gqs = predicates(fc).generalized_quasi_sasaki
     return n_skew, killing, xi_dphi_zero, gqs
@@ -345,7 +362,7 @@ def test_membership_equivalences_outside():
         base = random_in_span(rng, subs["W3"] + subs["W5"])
         for pool, which in ((outside_a, 0), (outside_b, 1), (outside_c, 2)):
             bad = rng.choice(pool)
-            gamma = base + bad.scale(random_fraction(rng, span=2, den=1) or Fraction(1))
+            gamma = lin_comb((1, base), (random_fraction(rng, span=2, den=1) or Fraction(1), bad))
             pw = torsion_to_pointwise(gamma, rng)
             n_skew, killing, xi_dphi_zero, gqs = _conditions(pw)
             if which == 0:
