@@ -252,11 +252,8 @@ class Tensor3(Frozen):
             return NotImplemented
         return (self - other).is_zero()
 
-    def is_antisymmetric_last_two(self):
-        return all(map(sis_zero, contract(SYM_23, self.flat)))
-
     def is_totally_skew(self):
-        return self.is_antisymmetric_last_two() and all(map(sis_zero, contract(SYM_12, self.flat)))
+        return all(map(sis_zero, chain(contract(SYM_23, self.flat), contract(SYM_12, self.flat))))
 
     def component_form(self, i):
         """The 2-form of the (1-based) first-slot direction i."""

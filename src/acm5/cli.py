@@ -463,12 +463,19 @@ def cmd_family(args):
     except SchemaError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.emit or args.verify:
-        try:
-            inst = build(*params)
-        except IntegrabilityError as exc:
-            print(f"constraint error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        inst = build(*params) if args.emit or args.verify else None
+        if args.verify:
+            from .family import verify_identities
+            rep = verify_identities(inst)
+        elif args.identify:
+            g = identify_group(tuple(params))
+    except (DegenerateInputError, IntegrabilityError) as exc:
+        print(f"constraint error: {exc}", file=sys.stderr)
+        return 2
+    except ACM5Error as exc:  # a failed internal check: one line, as classify prints it
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if args.emit:
         try:
             emit_coframe(inst.coframe, args.emit)
@@ -481,20 +488,12 @@ def cmd_family(args):
         print(f"wrote {args.emit}")
         return 0
     if args.verify:
-        from .family import verify_identities
-        rep = verify_identities(inst)
         color = bool(os.environ.get("ACM5_COLOR"))
         for name, ok, detail in rep.items:
             mark = _color("PASS", "32", color) if ok else _color("FAIL", "31", color)
             print(f"{mark} {name}" + (f" ({detail})" if detail else ""))
         print("all identities hold" if rep.ok else "verification failed")
         return 0 if rep.ok else 1
-    # --identify
-    try:
-        g = identify_group(tuple(params))
-    except (DegenerateInputError, IntegrabilityError) as exc:
-        print(f"constraint error: {exc}", file=sys.stderr)
-        return 2
     a1, a2, a3, a4 = params
     flavor = ""
     if g.tag == "su2+su2" and a3 == 0 and a4 == 0:

@@ -9,8 +9,12 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
 and the torsion is the antisymmetrization of A in the first two slots.
 The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
 ``int`` and the torsion and its Cartan parts add ints.
-Curvature uses the second structure equation; the holonomy algebra is
-computed as the bracket closure of the curvature endomorphisms.  Spinors
+Curvature uses the second structure equation, each entry R[i][j] built as
+one ``exterior.wedge_sum``; the Ricci values and the curvature endomorphisms
+are read from the entries' term tables, and the holonomy algebra is computed
+as the bracket closure of the endomorphisms.  The compatible connection adds
+the difference tensor onto each Levi-Civita entry in one table, and the
+torsion's Cartan parts are read in its own slot order.  Spinors
 live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
 permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 (column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi.
@@ -19,11 +23,13 @@ permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, product
 from typing import NamedTuple
 
 from . import linalg
 from .acms import (
     ETA,
+    PAIRS,
     F,
     Tensor3,
     at,
@@ -39,11 +45,7 @@ from .acms import (
     predicates,
     t3_from_form3,
 )
-from .errors import (
-    ACM5Error,
-    NotGeneralizedQuasiSasakiError,
-    SymbolicResidueError,
-)
+from .errors import ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError
 from .exterior import (
     METRIC_IDS,
     CoframeData,
@@ -54,10 +56,11 @@ from .exterior import (
     grid_form,
     stored,
     wedge,
+    wedge_sum,
 )
 from .frames import ConnectionForms
 from .scalars import div_const, narrow, sis_zero
-from .torsionclass import CartanParts, cartan_decompose
+from .torsionclass import cartan_decompose
 
 
 class CharacteristicConnection(NamedTuple):
@@ -86,7 +89,8 @@ def characteristic_connection(omega_g):
     omega_c = connection_plus_tensor(fc.forms, a_c)
     report = compatibility_report(omega_c)
     if not report.ok:
-        raise ACM5Error("internal consistency: compatible connection fails its defining property")
+        failed = "; ".join(report.failures)
+        raise ACM5Error(f"internal consistency: the compatible connection fails {failed}")
     torsion = Tensor3(tuple(contract(TORSION, a_c.flat)))
     return CharacteristicConnection(omega_c, a_c, torsion, report)
 
@@ -96,21 +100,18 @@ TORSION = plan(lambda x, y, z: (at(x, y, z), ((-1, at(y, x, z), None),)))
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
-    """Entrywise w[i][j] + (the 1-form X -> a(X, e_i, e_j))."""
-    grid = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            extra = stored(1, {(k,): a.flat[at(k, i, j)] for k in range(5)})
-            row.append(omega.omega[i][j] + extra)
-        grid.append(tuple(row))
-    return ConnectionForms(tuple(grid))
+    """Entrywise w[i][j] + (the 1-form X -> a(X, e_i, e_j)), each entry built in one table."""
+    w = omega.omega  # a(e_k, e_i, e_j) is at slot at(k, i, j) = 25 k + 5 i + j
+    return ConnectionForms(tuple(tuple(
+        stored(1, {(k,): v for k, v in enumerate(a.flat[5 * i + j :: 25])}, w[i][j])
+        for j in range(5)) for i in range(5)))
 
 
 class CompatibilityReport(NamedTuple):
     nabla_xi_zero: bool
     nabla_eta_zero: bool
     nabla_phi_zero: bool
+    failures: tuple = ()  # each failed condition, named with its nonzero slots
 
     @property
     def ok(self):
@@ -118,48 +119,36 @@ class CompatibilityReport(NamedTuple):
 
 
 def compatibility_report(omega: ConnectionForms) -> CompatibilityReport:
-    """Componentwise check of nabla xi = nabla eta = nabla phi = 0."""
+    """Componentwise check of nabla xi = nabla eta (the same frame values) = nabla phi = 0;
+    a failed condition is named with its nonzero slots, 1-based, or its residue."""
     fc = frame_connection(omega)
+    xi = _failure("nabla xi = 0", "g(nabla_ek xi, ea)", lambda: chain(*nabla_xi_matrix(fc)), 2)
+    phi = _failure("nabla Phi = 0", "(nabla_ek Phi)(ea, eb)", lambda: nabla_phi(fc).flat, 3)
+    return CompatibilityReport(not xi, not xi, not phi, tuple(f for f in (xi, phi) if f))
+
+
+def _failure(name, entry, values, rank):
+    """None when every value that values() yields is zero; else the condition
+    named with the 1-based slots of its nonzero values, or with its residue."""
     try:
-        nx = nabla_xi_matrix(fc)
-        xi_zero = all(sis_zero(v) for row in nx for v in row)
-        eta_zero = xi_zero  # eta is the metric dual of xi; same frame values
-    except SymbolicResidueError:
-        xi_zero = eta_zero = False
-    try:
-        phi_zero = nabla_phi(fc).is_zero()
-    except SymbolicResidueError:
-        phi_zero = False
-    return CompatibilityReport(xi_zero, eta_zero, phi_zero)
+        values = tuple(values())
+    except SymbolicResidueError as exc:
+        return f"{name}: {exc}"
+    if not all(map(sis_zero, values)):
+        bad = [p for p, v in zip(product(range(1, 6), repeat=rank), values) if not sis_zero(v)]
+        return f"{name}: {entry} is nonzero at {', '.join(map(str, bad))}"
 
 
 def torsion_type(cc: CharacteristicConnection):
-    """Cartan decomposition of the torsion plus a type tag."""
-    # re-slot to last-two antisymmetry for the decomposition, and back
-    parts_a = cartan_decompose(Tensor3(tuple(contract(TO_LAST_TWO, cc.torsion.flat))))
-
-    def back(t: Tensor3):
-        return Tensor3(tuple(contract(FROM_LAST_TWO, t.flat)))
-
-    parts = CartanParts(
-        back(parts_a.vectorial), parts_a.vector, back(parts_a.skew), back(parts_a.cyclic)
-    )
-    vec0 = parts.vectorial.is_zero()
-    skew0 = parts.skew.is_zero()
-    cyc0 = parts.cyclic.is_zero()
-    if vec0 and skew0 and cyc0:
-        tag = "zero"
-    elif vec0 and cyc0:
-        tag = "skew"
-    elif vec0 and skew0:
-        tag = "traceless-cyclic"
-    else:
-        tag = "mixed"
-    return parts, tag
+    """Cartan decomposition of the torsion, read in its own slot order, plus a type tag."""
+    parts = cartan_decompose(cc.torsion, first_two=True)
+    zero = parts.vectorial.is_zero(), parts.skew.is_zero(), parts.cyclic.is_zero()
+    return parts, TORSION_TAGS.get(zero, "mixed")
 
 
-TO_LAST_TWO = plan(lambda x, y, z: (at(y, z, x), ()))
-FROM_LAST_TWO = plan(lambda x, y, z: (at(z, x, y), ()))
+# the type of a torsion by which of its vectorial, skew and cyclic parts vanish
+TORSION_TAGS = {(True, True, True): "zero", (True, False, True): "skew",
+                (True, True, False): "traceless-cyclic"}
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +170,39 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     """
     if not c.d_squared_gate.ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
-    grid = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            r = ext_d(omega.omega[i][j], c)
-            for k in range(5):
-                r = r + wedge(omega.omega[i][k], omega.omega[k][j])
-            row.append(_chop(r))
-        grid.append(row)
-    for i in range(5):
-        for j in range(5):
-            bad = [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]
-            if bad:
-                raise SymbolicResidueError(
-                    f"curvature entry ({i + 1},{j + 1}) keeps auxiliary symbols {bad}"
-                )
-            if not (grid[i][j] + grid[j][i]).is_zero():
-                raise ACM5Error("curvature matrix is not antisymmetric")
-    tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
+    w = omega.omega
+    grid = tuple(
+        tuple(_chop(wedge_sum(ext_d(w[i][j], c), ((w[i][k], w[k][j]) for k in range(5))))
+              for j in range(5))
+        for i in range(5)
+    )
+    for i, j in product(range(5), repeat=2):
+        bad = [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]
+        if bad:
+            raise SymbolicResidueError(
+                f"curvature entry ({i + 1},{j + 1}) keeps auxiliary symbols {bad}"
+            )
+        # IEEE + commutes, so the sum at (j, i) has the verdict of the sum at (i, j)
+        if i <= j and not (total := grid[i][j] + grid[j][i]).is_zero():
+            bad = ["^".join(map(c.name_of, m)) for m, v in total.terms.items() if not sis_zero(v)]
+            raise ACM5Error(
+                "internal consistency: curvature matrix is not antisymmetric: "
+                f"R({i + 1},{j + 1}) + R({j + 1},{i + 1}) is nonzero on {', '.join(bad)}"
+            )
+    # R[i][j](e_a, e_b) as dense2 reads it off the entry's terms: c, -c or the int 0
     ricci = []
     for a in range(5):
         rrow = []
         for b in range(5):
             acc = 0
             for i in range(5):
-                acc += tables[i][b][a][i]
+                t = grid[i][b].terms
+                acc += t.get((a, i), 0) if a < i else -t.get((i, a), 0)
             rrow.append(acc)
         ricci.append(tuple(rrow))
-    holonomy = _bracket_closure(_endomorphism_values(tables))
-    return CurvatureData(tuple(tuple(r) for r in grid), tuple(ricci), tuple(holonomy))
+    endomorphisms = [grid_form(lambda i, j: grid[i][j].terms.get(p, 0)) for p in PAIRS]
+    holonomy = _bracket_closure([f for f in endomorphisms if not f.is_zero()])
+    return CurvatureData(grid, tuple(ricci), tuple(holonomy))
 
 
 def _chop(f: Form):
@@ -219,33 +211,15 @@ def _chop(f: Form):
     return f if len(kept) == len(f.terms) else stored(f.degree, kept)
 
 
-def _endomorphism_values(tables):
-    """Curvature endomorphisms R(e_a, e_b) as 2-forms via the so(5)-form
-    correspondence, from the dense tables of the curvature entries."""
-    out = []
-    for a in range(5):
-        for b in range(a + 1, 5):
-            f = grid_form(lambda i, j: tables[i][j][a][b])
-            if not f.is_zero():
-                out.append(f)
-    return out
-
-
 def _commutator(a, b):
-    return [
-        [
-            sum_products(a[i], [b[k][j] for k in range(5)])
-            - sum_products(b[i], [a[k][j] for k in range(5)])
-            for j in range(5)
-        ]
-        for i in range(5)
-    ]
+    """ab - ba of two 5x5 tables, each entry of a product summed in order from the int 0."""
+    return [[_dot(a[i], b, j) - _dot(b[i], a, j) for j in range(5)] for i in range(5)]
 
 
-def sum_products(row, col):
+def _dot(row, m, j):
     acc = 0
-    for x, y in zip(row, col):
-        acc += x * y
+    for k in range(5):
+        acc += row[k] * m[k][j]
     return acc
 
 
@@ -270,8 +244,8 @@ def _bracket_closure(elements):
     while changed:
         changed = False
         snapshot = list(basis)
-        for x in snapshot:
-            for y in snapshot:
+        for n, x in enumerate(snapshot):  # [x, x] = 0, and [y, x] = -[x, y] is tried with [x, y]
+            for y in snapshot[n + 1 :]:
                 m = _commutator(dense2(x), dense2(y))
                 f = grid_form(lambda i, j: m[i][j])
                 if not f.is_zero() and try_add(f):

@@ -20,6 +20,10 @@ Conventions, fixed once and used everywhere:
   monomial and sign from the memoized :func:`_tail` of (pair, k), so the
   work follows the stored terms; an exact sum is narrowed and its zeros
   dropped once at the end.  Any other table goes through ext_d twice.
+* :func:`wedge_sum` builds first + a1^b1 + a2^b2 + ... as one Form: each
+  product is summed in its own table, then added term by term to the running
+  table under the kind and degree rules of ``+``, so each key, key order and
+  value (float bits included) is the chain's; :func:`wedge` is one product.
 * A full read of a 2-form or a 3-form on frame directions is one dense
   table (:func:`dense2`, :func:`dense3`) filled from its terms: each
   stored c goes to its sorted slot and -c to every odd permutation of it,
@@ -128,16 +132,8 @@ class Form(Frozen):
         """self + sign * other for sign = 1 or -1."""
         if not isinstance(other, Form):
             return NotImplemented
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("degree mismatch")
-        _check_modes(self, other)
-        mode = self.mode if self.terms else other.mode
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            _accumulate(terms, idx, c if sign > 0 else -c, mode)
-        # a zero summand takes the other's degree
-        degree = len(next(iter(terms))) if terms else max(self.degree, other.degree)
-        return _trusted(degree, terms, mode)
+        mine = self.degree, dict(self.terms), self.mode
+        return _trusted(*_add_into(*mine, other.degree, other.terms, other.mode, sign))
 
     def __neg__(self):
         return _trusted(self.degree, {i: -c for i, c in self.terms.items()}, self.mode)
@@ -188,16 +184,35 @@ def form(degree, terms=None):
     return Form(degree, out)
 
 
-def stored(degree, terms):
-    """The Form of library-computed terms under the storage rule, of the kind of its kept values."""
+def stored(degree, terms, onto=None):
+    """The Form of library-computed terms under the storage rule, of the kind of its kept values;
+    with a Form ``onto``, ``onto + stored(degree, terms)`` built in one table."""
     out = {idx: c for idx, c in zip(terms, map(narrow, terms.values())) if not is_exact_zero(c)}
-    return _trusted(degree, out, table_kind(out.values()))
+    if onto is None:
+        return _trusted(degree, out, table_kind(out.values()))
+    base = onto.degree, dict(onto.terms), onto.mode
+    return _trusted(*_add_into(*base, degree, out, table_kind(out.values())))
 
 
 def grid_form(entry):
     """The metric 2-form with coefficient entry(i, j) on the monomial (i, j), i < j
     (0-based ids), built by :func:`stored` from the library's own values."""
     return stored(2, {(i, j): entry(i, j) for i in range(5) for j in range(i + 1, 5)})
+
+
+def _add_into(degree, terms, mode, deg, other, omode, sign=1):
+    """Add sign * other, the table of a form of degree deg and kind omode, into terms, the
+    table of a form of the given degree and kind, as + adds it: the sum's (degree, terms, kind)."""
+    if terms and other:
+        if degree != deg:
+            raise ValueError("degree mismatch")
+        if mode != omode:
+            raise ModeMismatchError("mixed exact and float forms")
+    mode = mode if terms else omode
+    for idx, c in other.items():
+        _accumulate(terms, idx, c if sign > 0 else -c, mode)
+    # a zero summand takes the other's degree
+    return (len(next(iter(terms))) if terms else max(degree, deg)), terms, mode
 
 
 def _accumulate(terms, idx, v, mode):
@@ -265,36 +280,41 @@ def dense3(f, n=5):
 
 
 @functools.cache
-def _merge(i1, i2):
-    """Sort the concatenation of two disjoint index tuples; returns (tuple, sign).  Memoized."""
-    return tuple(sorted(i1 + i2)), perm_sign(i1 + i2)
+def _join(i1, i2):
+    """(monomial, sign) with e_i1 ^ e_i2 = sign * monomial, or None on a repeated id.  Memoized."""
+    ids = i1 + i2
+    return None if len(set(ids)) < len(ids) else (tuple(sorted(ids)), perm_sign(ids))
 
 
 @functools.cache
 def _tail(idx, k):
     """(monomial, sign) with e_idx ^ e_k = sign * monomial, or None when k is in idx.  Memoized."""
-    return None if k in idx else _merge(idx, (k,))
-
-
-def _check_modes(a, b):
-    if a.mode != b.mode and a.terms and b.terms:
-        raise ModeMismatchError("mixed exact and float forms")
+    return None if k in idx else _join(idx, (k,))
 
 
 def wedge(a, b):
     """Exterior product; graded-anticommutative, zero above degree 6."""
-    deg = a.degree + b.degree
-    if deg > 6:
-        return zero_form(deg)
-    mode = _product_mode(a.mode, b.mode)
-    out = {}
-    for i1, c1 in a.terms.items():
-        for i2, c2 in b.terms.items():
-            if set(i1) & set(i2):
-                continue
-            idx, sign = _merge(i1, i2)
-            _accumulate(out, idx, c1 * c2 * sign, mode)
-    return _trusted(deg, out, mode)
+    return wedge_sum(zero_form(a.degree + b.degree), ((a, b),))
+
+
+def wedge_sum(first, pairs):
+    """first + a1 ^ b1 + a2 ^ b2 + ... for pairs (a_k, b_k), as one Form (module docstring)."""
+    degree, terms, mode = first.degree, dict(first.terms), first.mode
+    for a, b in pairs:
+        deg = a.degree + b.degree
+        live = deg <= 6  # a product above degree 6 is the exact zero
+        pmode = FLOAT if live and FLOAT in (a.mode, b.mode) else EXACT
+        out = {}
+        for i1, c1 in a.terms.items() if live else ():
+            for i2, c2 in b.terms.items():
+                hit = _join(i1, i2)
+                if hit:
+                    _accumulate(out, hit[0], c1 * c2 * hit[1], pmode)
+        if terms:
+            degree, terms, mode = _add_into(degree, terms, mode, deg, out, pmode)
+        else:  # the empty sum takes the product's table, which + would copy term by term
+            degree, terms, mode = len(next(iter(out))) if out else max(degree, deg), out, pmode
+    return _trusted(degree, terms, mode)
 
 
 def wedge_all(forms):
@@ -447,9 +467,9 @@ def ext_d(a, c):
                         for pidx, v in rule.terms.items():
                             _accumulate(phase, pidx, k * v, rule.mode)
                 for pidx, pc in phase.items() if live else ():
-                    if not any(i in idx for i in pidx):
-                        mono, sign = _merge(pidx, idx)
-                        _accumulate(out, mono, factor * (pc * sign), EXACT)
+                    hit = _join(pidx, idx)
+                    if hit:
+                        _accumulate(out, hit[0], factor * (pc * hit[1]), EXACT)
         if not live:
             continue
         # Leibniz over the monomial
@@ -462,9 +482,9 @@ def ext_d(a, c):
             before, after = idx[:pos], idx[pos + 1 :]
             cs = coef * (-1 if pos % 2 else 1)
             for didx, dc in dsym.terms.items():
-                if not any(i in before or i in after for i in didx):
-                    mono, sign = _merge(before, didx + after)
-                    _accumulate(out, mono, cs * dc if sign > 0 else -(cs * dc), mode)
+                hit = _join(before, didx + after)
+                if hit:
+                    _accumulate(out, hit[0], cs * dc if hit[1] > 0 else -(cs * dc), mode)
     return _trusted(deg, out, mode)
 
 

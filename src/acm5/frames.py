@@ -29,6 +29,7 @@ from .exterior import (
     stored,
     wedge,
     wedge_all,
+    wedge_sum,
     zero_form,
 )
 from .scalars import div_const, sis_zero
@@ -98,14 +99,10 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
 
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):
-    """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator."""
-    residuals = {}
-    for i in range(5):
-        acc = c.d_table[i]
-        for j in range(5):
-            acc = acc - wedge(omega.omega[i][j], e(j + 1))
-        residuals[c.name_of(i)] = acc
-    return ResidualReport(residuals)
+    """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator, each one
+    ``wedge_sum`` of the products e_j ^ w[i][j] = -w[i][j] ^ e_j."""
+    w, legs = omega.omega, [e(j + 1) for j in range(5)]
+    return ResidualReport({c.name_of(i): wedge_sum(c.d_table[i], zip(legs, w[i])) for i in range(5)})
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from typing import Mapping, NamedTuple
 from .acms import (
     COMPLEMENT_MONOMIALS,
     LAMBDA2_BASES,
+    SYM_12,
+    SYM_23,
     T_COMPLEMENT,
     Tensor3,
     at,
@@ -218,15 +220,18 @@ class CartanParts(NamedTuple):
     cyclic: Tensor3
 
 
-def cartan_decompose(a: Tensor3) -> CartanParts:
+def cartan_decompose(a: Tensor3, first_two=False) -> CartanParts:
     """Split into vectorial, totally skew-symmetric and traceless cyclic parts.
 
     The three pieces are orthogonal projections of dimensions (5, 10, 35).
+    With first_two, a is a torsion T, antisymmetric in its first two slots:
+    the parts of T(y, z, x), read in T's slot order by plans that compose it.
     """
-    if not a.is_antisymmetric_last_two():
-        raise ValueError("Cartan decomposition needs antisymmetry in the last two slots")
-    vec = [div_const(v, 4) for v in contract(VEC, a.flat + (0,))]
-    vectorial = Tensor3(tuple(contract(VECTORIAL, (*vec, 0))))
+    slots, sym, vec_plan, vectorial_plan = CARTAN_PLANS[first_two]
+    if not all(map(sis_zero, contract(sym, a.flat))):
+        raise ValueError(f"Cartan decomposition needs antisymmetry in the {slots} two slots")
+    vec = [div_const(v, 4) for v in contract(vec_plan, a.flat + (0,))]
+    vectorial = Tensor3(tuple(contract(vectorial_plan, (*vec, 0))))
     skew = Tensor3(tuple(div_const(v, 3) for v in contract(SKEW, a.flat)))
     cyclic = a - vectorial - skew
     return CartanParts(vectorial, tuple(vec), skew, cyclic)
@@ -235,4 +240,11 @@ def cartan_decompose(a: Tensor3) -> CartanParts:
 VEC = plan(lambda z: (125, tuple((1, at(i, i, z), None) for i in range(5))), rank=1)  # the traces
 # vec[z] where x = y, minus vec[y] where x = z, from the int 0 in slot 5 after the vector
 VECTORIAL = plan(lambda x, y, z: (5, ((1, z, None),) * (x == y) + ((-1, y, None),) * (x == z)))
+# the same two plans on T with T(y, z, x) in the last-two convention: the traces T(i, z, i), and
+# VECTORIAL at (z, x, y); SKEW's cyclic sum is the same in both conventions
+VEC_12 = plan(lambda z: (125, tuple((1, at(i, z, i), None) for i in range(5))), rank=1)
+VECTORIAL_12 = plan(lambda x, y, z: (5, ((1, y, None),) * (z == x) + ((-1, x, None),) * (z == y)))
+# by convention: the paired slots, their antisymmetry test, the trace and the vectorial plan
+CARTAN_PLANS = {False: ("last", SYM_23, VEC, VECTORIAL),
+                True: ("first", SYM_12, VEC_12, VECTORIAL_12)}
 SKEW = plan(lambda x, y, z: (at(x, y, z), ((1, at(y, z, x), None), (1, at(z, x, y), None))))

@@ -10,7 +10,10 @@ oracles keep the general type projections and the Gram-matrix solve that
 spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
 and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
 The wedge-based exterior derivative (``ext_d_oracle``) is the one that
-``exterior.ext_d``'s direct Leibniz accumulation replaced.  The difference
+``exterior.ext_d``'s direct Leibniz accumulation replaced.  The Form chains
+of ``curvature_grid_oracle``, ``connection_plus_tensor_oracle`` and
+``first_structure_oracle`` are the ones that one term table per entry
+(``exterior.wedge_sum``, ``exterior.stored`` onto a form) replaced.  The difference
 tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
@@ -49,6 +52,7 @@ from acm5.acms import (
     COMPLEMENT_FRAME,
     COMPLEMENT_MONOMIALS,
     LAMBDA2_BASES,
+    PAIRS,
     PHI_COL,
     PHI_MAT,
     T_COMPLEMENT,
@@ -74,6 +78,7 @@ from acm5.exterior import (
     coframe,
     dense2,
     e,
+    ext_d,
     form,
     grid_form,
     interior,
@@ -316,6 +321,95 @@ def ext_d_oracle(a: Form, c: CoframeData) -> Form:
             )
             result = result + piece.scale(coef * sign)
     return result
+
+
+def curvature_grid_oracle(c: CoframeData, omega: ConnectionForms):
+    """The entries d w[i][j] + sum_k w[i][k] ^ w[k][j], before the float chop,
+    as the chain of ``+`` and ``wedge`` that ``exterior.wedge_sum`` replaced in
+    ``connection.curvature``."""
+    grid = []
+    for i in range(5):
+        row = []
+        for j in range(5):
+            r = ext_d(omega.omega[i][j], c)
+            for k in range(5):
+                r = r + wedge(omega.omega[i][k], omega.omega[k][j])
+            row.append(r)
+        grid.append(row)
+    return grid
+
+
+def connection_plus_tensor_oracle(omega: ConnectionForms, a: Tensor3):
+    """w[i][j] + (the 1-form X -> a(X, e_i, e_j)) as the ``stored`` Form and the
+    Form sum that ``connection.connection_plus_tensor`` replaced."""
+    grid = []
+    for i in range(5):
+        row = []
+        for j in range(5):
+            extra = stored(1, {(k,): a.flat[at(k, i, j)] for k in range(5)})
+            row.append(omega.omega[i][j] + extra)
+        grid.append(row)
+    return grid
+
+
+def first_structure_oracle(c: CoframeData, omega: ConnectionForms) -> dict:
+    """The residuals de_i - sum_j w[i][j] ^ e_j by generator name, as the chain
+    of ``-`` and ``wedge`` that ``frames.verify_first_structure`` replaced."""
+    residuals = {}
+    for i in range(5):
+        acc = c.d_table[i]
+        for j in range(5):
+            acc = acc - wedge(omega.omega[i][j], e(j + 1))
+        residuals[c.name_of(i)] = acc
+    return residuals
+
+
+def curvature_readings_oracle(grid):
+    """The Ricci matrix and the holonomy basis of curvature entries as the 25
+    ``dense2`` tables, the endomorphisms read off them and the bracket closure
+    over every ordered pair gave them before they were read from term tables."""
+    from acm5.connection import _commutator
+
+    tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
+    ricci = []
+    for a in range(5):
+        rrow = []
+        for b in range(5):
+            acc = 0
+            for i in range(5):
+                acc += tables[i][b][a][i]
+            rrow.append(acc)
+        ricci.append(tuple(rrow))
+    basis = []
+
+    def try_add(f):
+        rows = [[g.coefficient(p) for p in PAIRS] for g in basis + [f]]
+        if linalg.rank(rows) > len(basis):
+            basis.append(f)
+            return True
+        return False
+
+    for a, b in PAIRS:
+        f = grid_form(lambda i, j: tables[i][j][a][b])
+        if not f.is_zero():
+            try_add(f)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(basis)
+        for x in snapshot:
+            for y in snapshot:
+                m = _commutator(dense2(x), dense2(y))
+                f = grid_form(lambda i, j: m[i][j])
+                if not f.is_zero() and try_add(f):
+                    changed = True
+    return tuple(ricci), tuple(basis)
+
+
+def form_items(f: Form):
+    """A Form item by item: its degree and kind, and each term in key order with
+    its value's type and repr (a float's repr fixes its bits)."""
+    return f.degree, f.mode, [(idx, type(v), repr(v)) for idx, v in f.terms.items()]
 
 
 def pointwise_from_upper(upper):

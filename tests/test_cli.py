@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import sys
@@ -22,7 +23,7 @@ from acm5.cli import (
     main,
 )
 from acm5.connection import characteristic_connection, curvature
-from acm5.errors import SchemaError
+from acm5.errors import ACM5Error, SchemaError
 from acm5.exterior import stored
 from acm5.frames import connection_from_structure
 from acm5.groups import build, identify_group
@@ -91,6 +92,77 @@ def test_report_checks_the_friedrich_ivanov_criterion(capsys, monkeypatch, name,
     code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / name), "--json"])
     assert (code, out) == (1, "")
     assert err == f"error: ACM5Error: internal consistency: {verdict}\n"
+
+
+def _nonzero_at(slot, rank):
+    """A table of zeros, with a 1 at one 0-based slot: a 5x5 matrix or a Tensor3."""
+    flat = [int(p == slot) for p in itertools.product(range(5), repeat=rank)]
+    return acms.Tensor3(tuple(flat)) if rank == 3 else tuple(zip(*[iter(flat)] * 5))
+
+
+@pytest.mark.parametrize(
+    "name, rank, slot, verdict",
+    [
+        ("nabla_xi_matrix", 2, (0, 1), "nabla xi = 0: g(nabla_ek xi, ea) is nonzero at (1, 2)"),
+        ("nabla_phi", 3, (1, 0, 2),
+         "nabla Phi = 0: (nabla_ek Phi)(ea, eb) is nonzero at (2, 1, 3)"),
+    ],
+)
+def test_compatible_connection_failure_names_the_condition(
+    capsys, monkeypatch, name, rank, slot, verdict
+):
+    """A compatible connection that fails nabla xi = 0 or nabla Phi = 0 stops
+    classify with exit 1, naming the condition and its nonzero slots."""
+    from acm5 import connection
+
+    monkeypatch.setattr(connection, name, lambda fc: _nonzero_at(slot, rank))
+    code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / "heis5_sasakian.json")])
+    assert (code, out) == (1, "")
+    prefix = "error: ACM5Error: internal consistency: the compatible connection fails"
+    assert err == f"{prefix} {verdict}\n"
+
+
+def test_curvature_antisymmetry_failure_names_the_pair_and_monomials(capsys, monkeypatch):
+    """A curvature matrix with R(1,2) + R(2,1) = e1^e3 stops classify with exit 1,
+    naming the first failing pair and the monomials of the sum."""
+    from acm5 import connection
+
+    real, built = connection.wedge_sum, []
+
+    def skewed(first, pairs):  # R(1,2), the second entry, gains e1^e3
+        built.append(real(first, pairs))
+        return built[-1] + stored(2, {(0, 2): 1}) if len(built) == 2 else built[-1]
+
+    monkeypatch.setattr(connection, "wedge_sum", skewed)
+    code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / "family_1_0_2_0.json")])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ACM5Error: internal consistency: curvature matrix is not antisymmetric: "
+        "R(1,2) + R(2,1) is nonzero on e1^e3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "action, module, name",
+    [
+        ("--verify", "connection", "compatibility_report"),
+        ("--identify", "groups", "frame_change_verify"),
+    ],
+)
+def test_family_reports_a_failed_internal_check_in_one_line(
+    capsys, monkeypatch, action, module, name
+):
+    """An ACM5Error from the replay or the group identification ends as classify
+    ends one: exit 1, no output, one line on stderr."""
+    import importlib
+
+    def failing(*args):
+        raise ACM5Error(f"internal consistency: {name} failed")
+
+    monkeypatch.setattr(importlib.import_module(f"acm5.{module}"), name, failing)
+    code, out, err = run(capsys, ["family", "--params", "1", "0", "2", "0", action])
+    assert (code, out) == (1, "")
+    assert err == f"error: ACM5Error: internal consistency: {name} failed\n"
 
 
 def emit(tmp_path, capsys, params=("1", "0", "0", "0")):

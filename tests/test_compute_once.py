@@ -12,7 +12,10 @@ norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
 ext_d and runs once per coframe: ``CoframeData.d_squared_gate`` keeps its
 report, so curvature does not gate again a coframe that ``family.build`` or
-the classify report has gated.
+the classify report has gated.  The connection layer builds each entry in
+one term table: a curvature entry and a first-structure residual are one
+``exterior.wedge_sum`` each, so neither calls ``exterior.wedge``, and the
+Ricci values and the holonomy are read from the entries' terms.
 """
 
 from pathlib import Path
@@ -21,6 +24,7 @@ import pytest
 
 from acm5 import acms, frames
 from acm5.cli import _to_float_coframe, classification_report, load_coframe
+from acm5.connection import characteristic_connection, curvature
 from acm5.exterior import d_squared_zero
 from acm5.family import verify_identities
 from acm5.groups import build
@@ -138,3 +142,16 @@ def test_d_squared_gate_keeps_ext_d_for_trig_coefficients():
     with count_calls("exterior.ext_d") as calls:
         assert not d_squared_zero(c).ok
     assert calls["exterior.ext_d"] == 2 * c.n_symbols
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_curvature_and_first_structure_make_no_wedge_call(mode):
+    c = load_coframe(str(INPUT))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    omega = frames.connection_from_structure(c)
+    cc = characteristic_connection(omega)
+    with count_calls("exterior.wedge", "exterior.ext_d") as calls:
+        assert frames.verify_first_structure(c, omega).ok
+        curvature(c, cc.omega_c)
+    assert calls == {"exterior.ext_d": 25}

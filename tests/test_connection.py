@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from acm5.acms import (
     Y2,
     Z1,
     Z2,
+    Tensor3,
     frame_connection,
     predicates,
     theta,
@@ -35,8 +38,11 @@ from acm5.connection import (
     _bracket_closure,
 )
 from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
-from acm5.exterior import CoframeData, coframe, d_squared_zero, e, ext_d, form, wedge
-from acm5.frames import connection_forms, connection_from_structure
+from acm5.exterior import (
+    CoframeData, coframe, d_squared_zero, e, ext_d, form, stored, wedge, wedge_sum
+)
+from acm5.frames import connection_forms, connection_from_structure, verify_first_structure
+from acm5.scalars import sis_zero
 from acm5.groups import build
 
 from helpers import (
@@ -44,8 +50,14 @@ from helpers import (
     GOLDEN_INPUTS,
     GaussianRational,
     abelian_coframe,
+    bits,
     complexify,
+    connection_plus_tensor_oracle,
+    curvature_grid_oracle,
+    curvature_readings_oracle,
     entry,
+    first_structure_oracle,
+    form_items,
     evaluate,
     gaussian_kernel,
     gaussian_parallel,
@@ -424,3 +436,96 @@ def test_kernel_dimension_matches_oracle_on_random_2forms(coefs):
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     beta = form(2, {p: Fraction(c) for p, c in zip(pairs, coefs) if c})
     _oracle_agrees(connection_forms({}), beta)
+
+
+# -- one term table per entry, against the Form chains it replaced ---------------------------
+
+
+@functools.cache
+def _integrable_coframe(name, mode):
+    """A golden input, or the family coframe (1, 0, 2, 0) with its auxiliary symbol."""
+    c = build(1, 0, 2, 0).coframe if name == "family+A2" else load_coframe(str(name))
+    return _to_float_coframe(c) if mode == "float" else c
+
+
+SCALARS = {
+    "int": st.integers(-3, 3),
+    "fraction": st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    "float": st.one_of(st.just(0.0), st.floats(-3, 3, allow_nan=False)),
+}
+
+
+@st.composite
+def connection_cases(draw):
+    """An integrable coframe with 0 or 1 auxiliary channel, a random antisymmetric
+    connection on all of its symbols and a random tensor, of one kind of scalar."""
+    kind = draw(st.sampled_from(sorted(SCALARS)))
+    name = draw(st.sampled_from(["family+A2", *GOLDEN_INPUTS]))
+    c = _integrable_coframe(name, "float" if kind == "float" else "exact")
+    values = SCALARS[kind]
+    legs = st.lists(st.one_of(st.none(), values), min_size=c.n_symbols, max_size=c.n_symbols)
+    entries = {
+        (i, j): form(1, {(k,): v for k, v in enumerate(draw(legs)) if v is not None})
+        for i in range(1, 6)
+        for j in range(i + 1, 6)
+        if draw(st.booleans())
+    }
+    upper = iter(draw(st.lists(values, min_size=50, max_size=50)))
+    cube = [[[0] * 5 for _ in range(5)] for _ in range(5)]  # antisymmetric in its last two slots
+    for x, y, z in itertools.product(range(5), repeat=3):
+        if y < z:
+            cube[x][y][z] = next(upper)
+            cube[x][z][y] = -cube[x][y][z]
+    a = Tensor3(tuple(v for m in cube for r in m for v in r))
+    return c, connection_forms(entries), a
+
+
+def _grid_items(grid):
+    return [[form_items(f) for f in row] for row in grid]
+
+
+@settings(max_examples=40, deadline=None)
+@given(connection_cases())
+def test_one_table_per_entry_matches_the_form_chains(case):
+    """Each curvature entry as one wedge_sum, the compatible connection as one
+    table per entry and the first-structure residuals as one wedge_sum each give
+    the keys, the key order, the values and their types (floats by repr) that
+    the chains of Form operators gave."""
+    c, omega, a = case
+    w = omega.omega
+    fused = [
+        [wedge_sum(ext_d(w[i][j], c), ((w[i][k], w[k][j]) for k in range(5))) for j in range(5)]
+        for i in range(5)
+    ]
+    assert _grid_items(fused) == _grid_items(curvature_grid_oracle(c, omega))
+    plus = connection_plus_tensor(omega, a).omega
+    assert _grid_items(plus) == _grid_items(connection_plus_tensor_oracle(omega, a))
+    residuals = verify_first_structure(c, omega).residuals
+    oracle = first_structure_oracle(c, omega)
+    assert {n: form_items(f) for n, f in residuals.items()} == {
+        n: form_items(f) for n, f in oracle.items()
+    }
+
+
+def _chopped(f):
+    kept = {idx: v for idx, v in f.terms.items() if not sis_zero(v)}
+    return f if len(kept) == len(f.terms) else stored(f.degree, kept)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_curvature_matches_the_dense_table_oracles(path, mode):
+    """On each generalized quasi-Sasaki golden structure, exact and float, the
+    curvature entries, the Ricci matrix and the holonomy basis are those of the
+    Form chains, the 25 dense tables and the closure over every ordered pair."""
+    c = _integrable_coframe(path, mode)
+    fc = frame_connection(connection_from_structure(c))
+    if not predicates(fc).generalized_quasi_sasaki:
+        return
+    omega = characteristic_connection(fc).omega_c
+    cur = curvature(c, omega)
+    grid = [[_chopped(f) for f in row] for row in curvature_grid_oracle(c, omega)]
+    assert _grid_items(cur.curvature) == _grid_items(grid)
+    ricci, holonomy = curvature_readings_oracle(grid)
+    assert [list(map(bits, row)) for row in cur.ricci] == [list(map(bits, row)) for row in ricci]
+    assert [form_items(f) for f in cur.holonomy_basis] == [form_items(f) for f in holonomy]

@@ -23,6 +23,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from acm5.acms import PHI_MAT, frame_connection, nijenhuis, predicates, xi_is_killing
 from acm5.cli import classification_report, load_coframe
@@ -41,12 +43,6 @@ from helpers import (
     u2_rotation,
 )
 
-ROTATIONS = {
-    "dense": u2_rotation(1, Fraction(1, 2), -1, 2),
-    "mixing": u2_rotation(0, 1, Fraction(-1, 3), Fraction(1, 2)),
-}
-
-
 def _invariants(c):
     report, code = classification_report(c)
     assert code == 0
@@ -57,20 +53,56 @@ def _invariants(c):
         report["classification"]["strict_class"],
         report["predicates"],
         cc and {k: cc[k] for k in keys},
+        cc and sum(Fraction(cc["ricci"][i][i]) for i in range(5)),  # the scalar curvature
     )
 
 
-@pytest.mark.parametrize("rotation", ROTATIONS)
-@pytest.mark.parametrize("name", ["family_1_0_2_0.json", "su2_block.json"])
-def test_u2_rotation_preserves_the_invariants(name, rotation):
-    q = ROTATIONS[rotation]
+@functools.cache
+def _golden_invariants(name):
+    c = load_coframe(str(GOLDEN / "inputs" / name))
+    return c, _invariants(c)
+
+
+def _moves_the_tables(c, q):
+    rotated = rotate(c, q)
+    return rotated, any(rotated.d_table[i] != c.d_table[i] for i in range(5))
+
+
+ROTATED_INPUTS = ["family_1_0_2_0.json", "su2_block.json"]
+# the four parameters of helpers.u2_rotation: two fixed rotations, and draws small enough
+# to keep the rotated tables cheap
+FIXED_ROTATIONS = {
+    "dense": (1, Fraction(1, 2), -1, 2),
+    "mixing": (0, 1, Fraction(-1, 3), Fraction(1, 2)),
+}
+ROTATION_PARAMETERS = st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 4)
+
+
+@pytest.mark.parametrize("rotation", FIXED_ROTATIONS)
+@pytest.mark.parametrize("name", ROTATED_INPUTS)
+def test_the_fixed_rotations_move_the_structure_constants(name, rotation):
+    c, _ = _golden_invariants(name)
+    assert _moves_the_tables(c, u2_rotation(*FIXED_ROTATIONS[rotation]))[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(parameters=ROTATION_PARAMETERS)
+@example(parameters=FIXED_ROTATIONS["dense"])
+@example(parameters=FIXED_ROTATIONS["mixing"])
+@pytest.mark.parametrize("name", ROTATED_INPUTS)
+def test_u2_rotation_preserves_the_invariants(name, parameters):
+    """A U(2)x1 rotation of the coframe keeps the norms, the class, the
+    predicates, the torsion type, the holonomy and spinor dimensions and the
+    scalar curvature (the trace of the Ricci matrix).  A drawn rotation that
+    leaves every structure constant as it was tests nothing and is discarded."""
+    q = u2_rotation(*parameters)
     qt = [list(col) for col in zip(*q)]
     assert matmul(q, qt) == [[int(r == c) for c in range(5)] for r in range(5)]
     assert matmul(q, PHI_MAT) == matmul(PHI_MAT, q)
-    c = load_coframe(str(GOLDEN / "inputs" / name))
-    rotated = rotate(c, q)
-    assert any(rotated.d_table[i] != c.d_table[i] for i in range(5))
-    assert _invariants(rotated) == _invariants(c)
+    c, invariants = _golden_invariants(name)
+    rotated, moved = _moves_the_tables(c, q)
+    assume(moved)
+    assert _invariants(rotated) == invariants
 
 
 def _skew_torsion_iff_friedrich_ivanov(omega):

@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""In-process time of each pipeline stage, one stage at a time.
+
+Runs over a fixed list of family points, one per branch of
+``groups.identify_group``, and over the golden inputs whose structure is
+generalized quasi-Sasaki.  Each stage is timed on its own, RUNS times, on
+inputs that the earlier stages prepared once: ``build``,
+``verify_first_structure``, ``connection_from_structure``, the ``acms``
+invariants (nabla Phi, N, the predicates, gamma and d eta on a fresh frame
+connection), ``characteristic_connection`` (on a frame connection that
+already holds those invariants), ``torsion_type``, ``curvature`` (on a
+coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
+``identify_group``.  A golden input has no ``build`` or ``identify_group``
+stage.  ``identify_group`` refuses the degenerate point (0, 0, 0, 0) with
+DegenerateInputError; that refusal is what is timed there.
+
+It prints each stage's median in microseconds, one row per structure, then
+the column medians, then the same numbers as one JSON object.
+
+Run from the repository root:  python3 tools/layer_times.py
+"""
+
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from acm5 import acms, connection, frames, groups  # noqa: E402
+from acm5.cli import load_coframe  # noqa: E402
+from acm5.errors import DegenerateInputError  # noqa: E402
+
+RUNS = 101
+STAGES = (
+    "build", "verify_first_structure", "connection_from_structure", "acms_invariants",
+    "characteristic_connection", "torsion_type", "curvature", "parallel_spinor_check",
+    "identify_group",
+)
+INVARIANTS = (acms.nabla_phi, acms.nijenhuis, acms.predicates, acms.gamma_form, acms.d_eta_form)
+POINTS = {  # identify_group branch -> family point
+    "su2+su2 block": (6, 8, 0, 0),
+    "sl2+sl2 block": (0, 0, 8, 6),
+    "abelian6": (2, 0, 2, 0),
+    "heis5+R": (2, 0, -4, 0),
+    "su2+su2 diagonal": (2, 0, -2, 0),
+    "sl2+sl2 diagonal": (2, 0, 4, 0),
+    "reconstructed": (0, 2, 0, 2),
+    "no certificate": (2, 2, 0, 0),
+    "unclassified": (2, 4, 1, 2),
+    "degenerate": (0, 0, 0, 0),
+}
+
+
+def median_us(fn):
+    samples = []
+    for _ in range(RUNS):
+        start = time.perf_counter_ns()
+        fn()
+        samples.append(time.perf_counter_ns() - start)
+    return statistics.median(samples) / 1000
+
+
+def identify(point):
+    try:
+        groups.identify_group(point)
+    except DegenerateInputError:
+        pass
+
+
+def invariants(omega):
+    fc = acms.frame_connection(omega)
+    for fn in INVARIANTS:
+        acms.derived(fc, fn)
+    return fc
+
+
+def stage_times(c, omega, point=None):
+    """{stage: median us} of one structure."""
+    times = {}
+    if point is not None:
+        times["build"] = median_us(lambda: groups.build(*point))
+        times["identify_group"] = median_us(lambda: identify(point))
+    times["verify_first_structure"] = median_us(lambda: frames.verify_first_structure(c, omega))
+    times["connection_from_structure"] = median_us(lambda: frames.connection_from_structure(c))
+    times["acms_invariants"] = median_us(lambda: invariants(omega))
+    fc = invariants(omega)
+    if not acms.derived(fc, acms.predicates).generalized_quasi_sasaki:
+        return times
+    cc = connection.characteristic_connection(fc)
+    assert c.d_squared_gate.ok
+    space, ker = connection.spinor_space(), connection.kernel_of_f()
+    times["characteristic_connection"] = median_us(lambda: connection.characteristic_connection(fc))
+    times["torsion_type"] = median_us(lambda: connection.torsion_type(cc))
+    times["curvature"] = median_us(lambda: connection.curvature(c, cc.omega_c))
+    times["parallel_spinor_check"] = median_us(
+        lambda: connection.parallel_spinor_check(space, cc.omega_c, ker.kernel_basis)
+    )
+    return times
+
+
+def main():
+    rows = {}
+    for name, point in POINTS.items():
+        inst = groups.build(*point)
+        rows[f"family {name} {point}"] = stage_times(inst.coframe, inst.omega_g, point)
+    for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
+        c = load_coframe(str(path))
+        omega = frames.connection_from_structure(c)
+        if acms.predicates(acms.frame_connection(omega)).generalized_quasi_sasaki:
+            rows[f"golden {path.stem}"] = stage_times(c, omega)
+    width = max(map(len, rows))
+    print(f"median of {RUNS} runs per stage, in us")
+    print(f"{'structure':{width}}" + "".join(f" {s[:12]:>12}" for s in STAGES))
+    for name, times in rows.items():
+        print(f"{name:{width}}" + "".join(
+            f" {times[s]:12.1f}" if s in times else f" {'-':>12}" for s in STAGES))
+    medians = {s: statistics.median(t[s] for t in rows.values() if s in t) for s in STAGES}
+    print(f"{'median':{width}}" + "".join(f" {medians[s]:12.1f}" for s in STAGES))
+    print(json.dumps({"runs": RUNS, "median": medians, "structures": rows}))
+
+
+if __name__ == "__main__":
+    main()
