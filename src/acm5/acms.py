@@ -45,28 +45,14 @@ from itertools import chain, product
 from typing import NamedTuple
 
 from .errors import (
-    ACM5Error,
-    AmbiguityError,
-    NotGeneralizedQuasiSasakiError,
-    SymbolicResidueError,
+    ACM5Error, AmbiguityError, NotGeneralizedQuasiSasakiError, SymbolicResidueError,
     UnsupportedSymbolError,
 )
 from .exterior import (
-    METRIC_IDS,
-    F,
-    Z1,
-    Z2,
-    Form,
-    Frozen,
-    dense2,
-    dense3,
-    form,
-    grid_form,
-    hodge,
-    stored,
+    METRIC_IDS, F, Z1, Z2, Form, Frozen, dense2, dense3, form, grid_form, hodge, stored,
 )
 from .frames import ConnectionForms
-from .scalars import EXACT, ZERO, TrigScalar, div_const, sis_zero, table_kind
+from .scalars import EXACT, ZERO, div_const, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
 
@@ -312,8 +298,8 @@ def derived(fc: FrameConnection, fn):
 
 
 def frame_connection(source) -> FrameConnection:
-    """The frame connection of ConnectionForms, or of free pointwise values
-    w[i][j](e_k) given as a Tensor3 (no integrability is implied)."""
+    """The frame connection of ConnectionForms, taking their flat ``view`` as it is, or
+    of free pointwise values w[i][j](e_k) given as a Tensor3 (no integrability implied)."""
     if isinstance(source, FrameConnection):
         return source
     if isinstance(source, Tensor3):
@@ -322,23 +308,7 @@ def frame_connection(source) -> FrameConnection:
             raise ValueError("pointwise data must be antisymmetric in (i, j)")
         return FrameConnection(source, ())
     if isinstance(source, ConnectionForms):
-        base = [0] * 125
-        chans = {}
-        for i in range(5):
-            for j in range(5):
-                f = source.omega[i][j]
-                for (sid,), coef in f.terms.items():
-                    if isinstance(coef, TrigScalar):
-                        raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-                    if sid in METRIC_IDS:
-                        base[at(i, j, sid)] = coef
-                    else:
-                        chans.setdefault(sid, [[0] * 5 for _ in range(5)])
-                        chans[sid][i][j] = coef
-        channels = tuple(
-            (sid, tuple(tuple(r) for r in mat)) for sid, mat in sorted(chans.items())
-        )
-        return FrameConnection(Tensor3(tuple(base)), channels, source)
+        return FrameConnection(Tensor3(source.view[0]), source.view[1], source)
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 

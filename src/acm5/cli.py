@@ -255,12 +255,12 @@ def classification_report(c: CoframeData):
     (its square alone can exceed binary64).
     """
     c, unit = _working_scale(c)  # unit is exact, so an exact zero still prints "0"
-    gate = c.d_squared_gate
+    failing = c.d_squared_gate.failing  # read once: each read zero-tests every residual
     report = {
         "symbols": [s.name for s in c.symbols],
-        "validation": {"d_squared_zero": gate.ok, "failing_generators": gate.failing},
+        "validation": {"d_squared_zero": not failing, "failing_generators": failing},
     }
-    if not gate.ok:
+    if failing:
         return report, 1
     from . import acms, frames, torsionclass  # the classify pipeline, imported on its first run
     fc = acms.frame_connection(frames.connection_from_structure(c))

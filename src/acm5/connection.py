@@ -223,16 +223,12 @@ def _dot(row, m, j):
     return acc
 
 
-def _coords(beta: Form):
-    return [beta.coefficient((i, j)) for i in range(5) for j in range(i + 1, 5)]
-
-
 def _bracket_closure(elements):
     """Grow a list of so(5) elements (as 2-forms) until closed under bracket."""
     basis = []
 
     def try_add(f):
-        rows = [_coords(b) for b in basis] + [_coords(f)]
+        rows = [[b.coefficient(p) for p in PAIRS] for b in (*basis, f)]
         if linalg.rank(rows) > len(basis):
             basis.append(f)
             return True

@@ -16,10 +16,11 @@ Conventions, fixed once and used everywhere:
   df/dg rules.
 * The d^2-gate contracts a constant table of one kind directly:
   d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k), accumulated in the order
-  ext_d(ext_d(e_i)) would add the same products.  Each product takes its
-  monomial and sign from the memoized :func:`_tail` of (pair, k), so the
-  work follows the stored terms; an exact sum is narrowed and its zeros
-  dropped once at the end.  Any other table goes through ext_d twice.
+  ext_d(ext_d(e_i)) would add the same products.  Each product reads its
+  monomial (as a bit-mask code) and sign in the tail table of its leg k,
+  ``_tails(k)``: index combinatorics only, filled on first read; an exact
+  sum is narrowed and its zeros dropped once at the end.  Any other table
+  goes through ext_d twice.
 * :func:`wedge_sum` builds first + a1^b1 + a2^b2 + ... as one Form: each
   product is summed in its own table, then added term by term to the running
   table under the kind and degree rules of ``+``, so each key, key order and
@@ -41,27 +42,13 @@ The operators here build through ``_trusted`` with the kind the rule gives.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    MissingDerivationError,
-    ModeMismatchError,
-    SchemaError,
-    UnsupportedSymbolError,
-)
+from .errors import MissingDerivationError, ModeMismatchError, SchemaError, UnsupportedSymbolError
 from .scalars import (
-    EXACT,
-    FLOAT,
-    IS_ZERO,
-    TrigScalar,
-    coerce,
-    div,
-    fmt_scalar,
-    is_exact_zero,
-    is_float,
-    is_rational,
-    narrow,
-    table_kind,
+    EXACT, FLOAT, IS_ZERO, TrigScalar, coerce, div, fmt_scalar, is_exact_zero, is_float,
+    is_rational, narrow, table_kind,
 )
 
 METRIC_IDS = (0, 1, 2, 3, 4)
@@ -156,6 +143,8 @@ class Form(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
+        if self.mode == other.mode == EXACT and self.degree == other.degree:
+            return self.terms == other.terms  # the storage rule makes exact tables canonical
         mixed = self.mode != other.mode and self.terms and other.terms  # never equal, as + refuses
         return not mixed and (self - other).is_zero()
 
@@ -286,10 +275,23 @@ def _join(i1, i2):
     return None if len(set(ids)) < len(ids) else (tuple(sorted(ids)), perm_sign(ids))
 
 
-@functools.cache
-def _tail(idx, k):
-    """(monomial, sign) with e_idx ^ e_k = sign * monomial, or None when k is in idx.  Memoized."""
-    return None if k in idx else _join(idx, (k,))
+class _Tails(dict):
+    """Leg k's tail table, filled on first read: idx -> (code, sign) with e_idx ^ e_k =
+    sign * _MONOMIALS[code], the code its ids as a bit mask; None when k is in idx."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __missing__(self, idx):
+        if hit := _join(idx, (self.k,)):
+            _MONOMIALS[code := sum(1 << i for i in hit[0])] = hit[0]
+            hit = code, hit[1]
+        self[idx] = hit
+        return hit
+
+
+_tails = functools.cache(_Tails)  # leg k -> its tail table: index combinatorics, like _join's memo
+_MONOMIALS = {}  # bit mask -> the monomial of its ids
 
 
 def wedge(a, b):
@@ -505,9 +507,8 @@ class ResidualReport(NamedTuple):
 def d_squared_zero(c):
     """d(d(symbol)) for every generator; integrable iff all vanish."""
     forms = [f for f in c.d_table.values() if f.terms]
-    if all(f.mode == FLOAT for f in forms) or all(
-        is_rational(v) for f in forms for v in f.terms.values()
-    ):
+    values = chain(*(f.terms.values() for f in forms))
+    if all(f.mode == FLOAT for f in forms) or all(map(is_rational, values)):
         dd = _d_squared_constant(c)
     else:
         dd = [ext_d(ext_d(_trusted(1, {(sid,): 1}, EXACT), c), c) for sid in range(c.n_symbols)]
@@ -520,18 +521,18 @@ def _d_squared_constant(c):
     ext_d skips a generator whose derivative is zero at the default
     tolerance, and so does this contraction.
     """
-    live = {sid: f.terms for sid, f in c.d_table.items() if not f.is_zero()}
+    live = {sid: tuple(f.terms.items()) for sid, f in c.d_table.items() if not f.is_zero()}
     out = []
     for sid in range(c.n_symbols):
         terms = {}
-        for (j, k), a in live.get(sid, {}).items():
-            for t, rows, s in ((k, live.get(j, {}), 1), (j, live.get(k, {}), -1)):
-                for idx, b in rows.items():
-                    hit = _tail(idx, t)
-                    if hit:
-                        mono, sign = hit
-                        terms[mono] = terms.get(mono, 0) + (a * b if sign == s else -(a * b))
-        out.append(stored(3, terms))
+        for (j, k), a in live.get(sid, ()):
+            for t, rows, s in ((k, live.get(j, ()), 1), (j, live.get(k, ()), -1)):
+                tails = _tails(t)
+                for idx, b in rows:
+                    if hit := tails[idx]:
+                        code, sign = hit
+                        terms[code] = terms.get(code, 0) + (a * b if sign == s else -(a * b))
+        out.append(stored(3, {_MONOMIALS[code]: v for code, v in terms.items()}))
     return out
 
 

@@ -10,33 +10,28 @@ The Levi-Civita forms come from one closed form: the Koszul formula for a
 left-invariant metric on the metric channels, and a direct read of the
 structure table on each auxiliary channel.  The antisymmetric solution is
 unique whenever it exists, and its existence is two checks on the table.
+The solve writes the solution's flat view, w[i][j](e_k) and one matrix per
+auxiliary channel, straight from the table; its forms are built when first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, product
 from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
-    METRIC_IDS,
-    CoframeData,
-    Frozen,
-    ResidualReport,
-    dense2,
-    e,
-    ext_d,
-    stored,
-    wedge,
-    wedge_all,
-    wedge_sum,
-    zero_form,
+    METRIC_IDS, CoframeData, Frozen, ResidualReport, e, ext_d, stored, wedge, wedge_all,
+    wedge_sum, zero_form,
 )
-from .scalars import div_const, sis_zero
+from .scalars import TrigScalar, div_const, narrow, sis_zero
 
 
 class ConnectionForms(Frozen):
-    """Antisymmetric 5x5 matrix of connection 1-forms."""
+    """Antisymmetric 5x5 matrix of connection 1-forms, with its flat ``view``; the
+    Levi-Civita solve writes the view and builds ``omega`` from it when first read."""
 
     omega: tuple  # 5x5 tuple of degree-1 Forms
     _compared = ("omega",)
@@ -49,16 +44,45 @@ class ConnectionForms(Frozen):
                     raise ValueError("connection forms must be antisymmetric")
         self.__dict__["omega"] = omega
 
+    @cached_property
+    def view(self):
+        """The forms flattened: (w[i][j](e_k) at slot 25 i + 5 j + k, ((aux_id, 5x5 matrix), ...))."""
+        base, chans = [0] * 125, {}
+        for i, j in product(range(5), repeat=2):
+            for (sid,), coef in self.omega[i][j].terms.items():
+                if isinstance(coef, TrigScalar):
+                    raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
+                if sid in METRIC_IDS:
+                    base[25 * i + 5 * j + sid] = coef
+                else:
+                    chans.setdefault(sid, [[0] * 5 for _ in range(5)])[i][j] = coef
+        return tuple(base), tuple((sid, tuple(map(tuple, m))) for sid, m in sorted(chans.items()))
+
+    @cached_property
+    def omega(self):
+        """The forms of the view: w[i][j], i < j, keeps its truthy values, metric ids first."""
+        flat, channels = self.view
+        return _grid({(i, j): stored(1, {(k,): v for k, v in chain(
+            enumerate(flat[25 * i + 5 * j : 25 * i + 5 * j + 5]),
+            ((a, m[i][j]) for a, m in channels)) if v}) for i in range(5) for j in range(i + 1, 5)})
+
+
+def _grid(entries):
+    """The 5x5 forms with f at (i, j) and -f at (j, i) for each 0-based {(i, j): f}, else zero."""
+    grid = [[zero_form(1)] * 5 for _ in range(5)]
+    for (i, j), f in entries.items():
+        grid[i][j], grid[j][i] = f, -f
+    return tuple(map(tuple, grid))
+
 
 def connection_forms(entries):
-    """Build ConnectionForms from a {(i, j): Form} dict, 1-based upper pairs:
-    f goes to (i, j) and -f to (j, i); every other entry is zero."""
-    zero = zero_form(1)
-    grid = [[zero] * 5 for _ in range(5)]
-    for (i, j), f in entries.items():
-        grid[i - 1][j - 1] = f
-        grid[j - 1][i - 1] = -f
-    return ConnectionForms(tuple(tuple(row) for row in grid))
+    """Validated ConnectionForms of a {(i, j): Form} dict of 1-based upper pairs, by ``_grid``."""
+    return ConnectionForms(_grid({(i - 1, j - 1): f for (i, j), f in entries.items()}))
+
+
+# w[b][c](e_a), b < c: its slot, w[c][b](e_a)'s, and those of de_a(b, c), de_b(a, c), de_c(a, b)
+KOSZUL = tuple((25 * b + 5 * c + a, 25 * c + 5 * b + a, 25 * a + 5 * b + c, 25 * b + 5 * a + c,
+                25 * c + 5 * a + b) for b in range(5) for c in range(b + 1, 5) for a in range(5))
 
 
 def connection_from_structure(c: CoframeData) -> ConnectionForms:
@@ -71,31 +95,40 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
     and each auxiliary channel is read off directly, w[b][c](A) = de_b(A, e_c).
     A solution exists, and is then unique, exactly when no de_i has an
     auxiliary ^ auxiliary term and de_i(A, e_j) is antisymmetric in (i, j);
-    otherwise RankError.
+    otherwise RankError.  The solve writes the flat view from the table's
+    terms, and the forms are built from it when first read.
     """
     n = c.name_of
+    d = [0] * 125  # de_i(e_p, e_q) at slot 25 i + 5 p + q, metric p and q
+    aux = {a: [[0] * 5 for _ in range(5)] for a in range(5, c.n_symbols)}  # [i][j] = de_i(e_a, e_j)
     for i in range(5):
         for (s, t), v in c.d_table[i].terms.items():
-            if s not in METRIC_IDS and not sis_zero(v):
+            if t < 5:
+                d[25 * i + 5 * s + t], d[25 * i + 5 * t + s] = v, -v
+            elif s < 5:
+                aux[t][i][s] = -v
+            elif not sis_zero(v):
                 raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
-    d = [dense2(c.d_table[i], c.n_symbols, 5) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b), b < 5
-    aux = range(5, c.n_symbols)
-    for a in aux:
+    channels = []
+    for a, m in aux.items():  # checked, then rewritten as the channel: w[i][j](A), i < j, and -w
         for i in range(5):
             for j in range(i, 5):
-                if not sis_zero(d[i][a][j] + d[j][a][i]):
+                if not sis_zero(m[i][j] + m[j][i]):
                     raise RankError(
                         f"no Levi-Civita solution: d{n(i)}, d{n(j)} disagree on the {n(a)} channel"
                     )
-    entries = {}
-    for b in range(5):
-        for cc in range(b + 1, 5):
-            values = [
-                div_const(d[a][b][cc] + d[b][a][cc] - d[cc][a][b], 2) for a in range(5)
-            ] + [d[b][a][cc] for a in aux]
-            # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
-            entries[(b + 1, cc + 1)] = stored(1, {(a,): v for a, v in enumerate(values) if v})
-    return connection_forms(entries)
+                v = narrow(m[i][j]) if i < j else 0
+                m[i][j], m[j][i] = (v, -v) if v else (0, 0)
+        channels += [(a, tuple(map(tuple, m)))] if any(map(any, m)) else []
+    flat = [0] * 125
+    for up, low, x, y, z in KOSZUL:
+        # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
+        if v := div_const(d[x] + d[y] - d[z], 2):
+            flat[up], flat[low] = v, -v
+    out = object.__new__(ConnectionForms)
+    out.__dict__["view"] = tuple(flat), tuple(channels)
+    trig = TrigScalar in map(type, chain(*(c.d_table[i].terms.values() for i in range(5))))
+    return ConnectionForms(out.omega) if trig else out  # flattened again: a trig value is refused
 
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):

@@ -10,11 +10,11 @@ reported as a residual without further decomposition.
 An ``IntrinsicTorsion`` holds one flat torsion view: 8 values per direction
 on ``acms.COMPLEMENT_MONOMIALS``, read off 125 values by an index plan
 (``acms.complement_view``); its 2-forms are built from it when read.  Each
-basis is orthogonal (Gram diagonals W3: 4; W4: 6, 6; W5: 4, 4, 4; W6: 1,
-1, 1, 1; W7: 12, 12), so ``classify`` reads each module norm as sum c_i^2
-g_ii with c_i = <b_i, gamma>/g_ii, and solves no linear system; an exact
-view sums the same norm on ints.  <b_i, gamma> runs the dot plan of b_i,
-its nonzero slots with their values, built once per process.  Float order
+basis is orthogonal, so ``classify`` reads each module norm as sum c_i^2 g_ii
+with c_i = <b_i, gamma>/g_ii and solves no linear system.  <b_i, gamma> runs
+the dot plan of b_i, its nonzero slots with their values on ints: b_i times
+a power of two m (2 on W6, else 1), with g_ii times m^2 (diagonals W3: 4;
+W4: 6; W5: 4; W6: 4; W7: 12), so a float keeps its bits.  Float order
 rule: a product of two views sums as ``acms.inner_form`` on their 2-forms,
 per direction from the int 0 in slot order, then over the directions from
 the int 0; the exact zeros that a view holds and a 2-form does not add an
@@ -156,18 +156,18 @@ def module_frames() -> Mapping[str, tuple]:
 
 @lru_cache(maxsize=1)
 def norm_plans() -> tuple:
-    """Per module, in MODULE_NAMES order: each basis element's dot plan with its
-    Gram diagonal g; and, for an exact view, the lcm G of the diagonals on ints
-    with each plan on ints and its weight G/g."""
+    """Per module, in MODULE_NAMES order: the lcm G of its diagonals on ints, and each
+    basis element's dot plan on ints, times the lcm m of its denominators (a power
+    of two), with the diagonal m^2 g of the scaled element."""
     out = []
     for name in MODULE_NAMES:
-        frame = tuple((dot_plan(b), g) for b, g in module_frames()[name])
         ints = []
-        for p, g in frame:  # p times the lcm m of its denominators, with the diagonal m^2 g
+        for b, g in module_frames()[name]:
+            p = dot_plan(b)
             m = math.lcm(*(Fraction(c).denominator for grp in p for _, c in grp))
+            assert m & (m - 1) == 0, f"{name}: a scale m that is not a power of two"
             ints.append((tuple(tuple((s, narrow(c * m)) for s, c in grp) for grp in p), m * m * g))
-        big = math.lcm(*(g for _, g in ints))
-        out.append((name, frame, big, tuple((p, big // g) for p, g in ints)))
+        out.append((name, math.lcm(*(g for _, g in ints)), tuple(ints)))
     return tuple(out)
 
 
@@ -194,12 +194,12 @@ def classify(gamma: IntrinsicTorsion) -> ClassReport:
     total = narrow(total)
     norms = {}
     accounted = 0
-    for name, frame, lcm, on_ints in norm_plans():
-        if exact:  # sum c_i^2 g_i as sum w_i d_i^2 / G, on ints (d * d: TrigScalar has no **)
-            n = div(sum(w * (d := dot(p, view)) * d for p, w in on_ints), lcm)
-        else:
+    for name, lcm, plans in norm_plans():
+        if exact:  # sum c_i^2 g_i as sum (G/g_i) d_i^2 / G, on ints (d * d: TrigScalar has no **)
+            n = div(sum(lcm // g * (d := dot(p, view)) * d for p, g in plans), lcm)
+        else:  # the dot of a plan scaled by m, a power of two, and m^2 g keep c * c * g's bits
             n = 0
-            for p, g in frame:
+            for p, g in plans:
                 c = div(dot(p, view), g)
                 n += c * c * g
         norms[name] = narrow(n)

@@ -17,13 +17,18 @@ of ``curvature_grid_oracle``, ``connection_plus_tensor_oracle`` and
 tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
+``connection_from_structure_oracle`` is the Levi-Civita solve through ``dense2``
+tables, ``stored`` entries and ``connection_forms``, and ``flatten_oracle`` the
+read of its forms into a flat view, that the solve's own flat view replaced;
+``classify_float_oracle`` is the float norm loop over the dot plans with
+``Fraction(+-1, 2)`` values that the plans on ints replaced.
 ``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
 its four-way case split and its ``Fraction(1, 2)`` per term, that the int
 coefficients and the product table of ``scalars.TrigScalar`` replaced.
 Definitions that only tests use (``abelian_coframe``, ``lambda2_project``,
 ``project_u2``, ``codifferential`` with ``covariant_derivative_form``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
-``pr_w``, ``torsion_from_coords``, ``residual_basis``) live here rather
+``pr_w``, ``torsion_from_coords``, ``residual_basis``, ``fixed_so5_rotation``) live here rather
 than in the library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
 So do the readers of the value classes that only tests use: ``nested``
 (a Tensor3's values as [i][j][k]), ``inner`` (of two Tensor3s),
@@ -87,8 +92,15 @@ from acm5.exterior import (
     zero_form,
 )
 from acm5.frames import ConnectionForms, connection_forms
-from acm5.scalars import COS_F, TrigScalar, div_const, is_exact_zero, narrow, sis_zero
-from acm5.torsionclass import MODULE_NAMES, IntrinsicTorsion, w_subspaces
+from acm5.scalars import COS_F, TrigScalar, div, div_const, is_exact_zero, narrow, sis_zero
+from acm5.torsionclass import (
+    MODULE_NAMES,
+    IntrinsicTorsion,
+    dot,
+    dot_plan,
+    module_frames,
+    w_subspaces,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -563,6 +575,52 @@ def structure_solve_oracle(c: CoframeData):
     return connection_forms(entries)
 
 
+def connection_from_structure_oracle(c: CoframeData) -> ConnectionForms:
+    """The Levi-Civita forms as ``frames.connection_from_structure`` built them
+    before it wrote the flat view: one ``dense2`` table per generator, ten
+    ``stored`` upper entries and ``connection_forms`` (RankError as the solve)."""
+    n = c.name_of
+    for i in range(5):
+        for (s, t), v in c.d_table[i].terms.items():
+            if s not in METRIC_IDS and not sis_zero(v):
+                raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
+    d = [dense2(c.d_table[i], c.n_symbols, 5) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b), b < 5
+    aux = range(5, c.n_symbols)
+    for a in aux:
+        for i in range(5):
+            for j in range(i, 5):
+                if not sis_zero(d[i][a][j] + d[j][a][i]):
+                    raise RankError(
+                        f"no Levi-Civita solution: d{n(i)}, d{n(j)} disagree on the {n(a)} channel"
+                    )
+    entries = {}
+    for b in range(5):
+        for cc in range(b + 1, 5):
+            values = [
+                div_const(d[a][b][cc] + d[b][a][cc] - d[cc][a][b], 2) for a in range(5)
+            ] + [d[b][a][cc] for a in aux]
+            entries[(b + 1, cc + 1)] = stored(1, {(a,): v for a, v in enumerate(values) if v})
+    return connection_forms(entries)
+
+
+def flatten_oracle(omega: ConnectionForms):
+    """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of
+    the forms, as ``acms.frame_connection`` flattens forms that carry no view."""
+    base = [0] * 125
+    chans = {}
+    for i in range(5):
+        for j in range(5):
+            for (sid,), coef in omega.omega[i][j].terms.items():
+                if isinstance(coef, TrigScalar):
+                    raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
+                if sid in METRIC_IDS:
+                    base[at(i, j, sid)] = coef
+                else:
+                    chans.setdefault(sid, [[0] * 5 for _ in range(5)])
+                    chans[sid][i][j] = coef
+    return tuple(base), tuple((sid, tuple(tuple(r) for r in mat)) for sid, mat in sorted(chans.items()))
+
+
 def _cube(fn):
     return [[[fn(i, j, k) for k in range(5)] for j in range(5)] for i in range(5)]
 
@@ -770,6 +828,29 @@ def classify_norms_oracle(gamma):
     return norms
 
 
+def classify_float_oracle(view):
+    """The norms of a float torsion view as the float branch of
+    ``torsionclass.classify`` summed them before it read the plans on ints:
+    per basis element b of its own dot plan (W6's values are Fraction(+-1, 2)),
+    c = <b, gamma>/g and n += c * c * g; gamma.gamma and the residual as there."""
+    total = 0
+    for r in range(0, 40, 8):
+        part = 0
+        for v in view[r : r + 8]:
+            part += v * v
+        total += part
+    norms, accounted = {}, 0
+    for name in MODULE_NAMES:
+        n = 0
+        for b, g in module_frames()[name]:
+            c = div(dot(dot_plan(b), view), g)
+            n += c * c * g
+        norms[name] = narrow(n)
+        accounted += n
+    norms["residual"] = narrow(narrow(total) - accounted)
+    return norms
+
+
 def trig_coframe():
     """A d-table with a non-constant trig coefficient: de1 = cos(f) e2^e3, df = e5.
 
@@ -899,6 +980,16 @@ def u2_rotation(a, b, c, d):
         [0, 0, 0, 0, 0],
     ]
     return cayley([[Fraction(v) for v in row] for row in s])
+
+
+@functools.cache
+def fixed_so5_rotation():
+    """The Cayley rotation of the S with S[i][j] = (n - 4)/3 on the n-th pair i < j,
+    the SO(5) rotation with which ``test_kernels`` turns the golden inputs."""
+    s = [[Fraction(0)] * 5 for _ in range(5)]
+    for n, (i, j) in enumerate(itertools.combinations(range(5), 2)):
+        s[i][j], s[j][i] = Fraction(n - 4, 3), -Fraction(n - 4, 3)
+    return cayley(s)
 
 
 def rotate(c: CoframeData, q):

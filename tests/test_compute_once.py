@@ -15,7 +15,10 @@ report, so curvature does not gate again a coframe that ``family.build`` or
 the classify report has gated.  The connection layer builds each entry in
 one term table: a curvature entry and a first-structure residual are one
 ``exterior.wedge_sum`` each, so neither calls ``exterior.wedge``, and the
-Ricci values and the holonomy are read from the entries' terms.
+Ricci values and the holonomy are read from the entries' terms.  The
+Levi-Civita solve writes the flat view that the frame connection takes, so
+a classify report builds its connection forms only for the characteristic
+connection of a generalized quasi-Sasaki structure.
 """
 
 from pathlib import Path
@@ -29,7 +32,7 @@ from acm5.exterior import d_squared_zero
 from acm5.family import verify_identities
 from acm5.groups import build
 from acm5.torsionclass import w_subspaces
-from helpers import GOLDEN_INPUTS, count_calls, trig_coframe
+from helpers import GOLDEN_INPUTS, count_calls, fixed_so5_rotation, rotate, trig_coframe
 
 ONCE = (
     "acms.nijenhuis", "acms.d_phi_tensor", "acms.predicates", "acms.gamma_form", "acms.d_eta_form"
@@ -155,3 +158,34 @@ def test_curvature_and_first_structure_make_no_wedge_call(mode):
         assert frames.verify_first_structure(c, omega).ok
         curvature(c, cc.omega_c)
     assert calls == {"exterior.ext_d": 25}
+
+
+# each golden input, and each one without auxiliary symbols under a generic rotation, which
+# leaves most structures outside generalized quasi-Sasaki
+REPORTED = [(p, False) for p in GOLDEN_INPUTS] + [
+    (p, True) for p in GOLDEN_INPUTS if load_coframe(str(p)).n_symbols == 5
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "path, turn", REPORTED, ids=[p.stem + "-so5-rotated" * t for p, t in REPORTED]
+)
+def test_classification_report_builds_connection_forms_only_when_gqs(path, turn, mode, monkeypatch):
+    c = load_coframe(str(path))
+    if turn:
+        c = rotate(c, fixed_so5_rotation())
+    if mode == "float":
+        c = _to_float_coframe(c)
+    solved, solve = [], frames.connection_from_structure
+    monkeypatch.setattr(
+        frames, "connection_from_structure", lambda c: solved.append(solve(c)) or solved[-1]
+    )
+    with count_calls("frames._grid", "acms.frame_connection") as calls:
+        report, code = classification_report(c)
+    if not report["validation"]["d_squared_zero"]:
+        assert solved == [] and calls == {}
+        return
+    gqs = report["characteristic_connection"] is not None
+    assert len(solved) == 1 and ("omega" in vars(solved[0])) == gqs
+    assert calls["frames._grid"] == gqs  # the Levi-Civita forms, read by the compatible connection

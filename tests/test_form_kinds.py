@@ -195,6 +195,56 @@ def test_forms_of_two_kinds_with_terms_are_never_equal():
     assert (omega == connection_forms({(1, 2): exact, (3, 4): floaty})) is False
 
 
+exact_values = st.one_of(
+    st.integers(-2, 2).filter(bool),
+    rationals,
+    trigs,
+    st.builds(TrigScalar.const, rationals),  # a constant kept as a ring element
+)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact forms on e1..e4, often equal: the second one built from the
+    first through another path, changed in one term, or drawn on its own."""
+    da = draw(st.integers(1, 2))
+    monos = list(itertools.combinations(range(4), da))
+    terms = draw(st.dictionaries(st.sampled_from(monos), exact_values, max_size=4))
+    a = form(da, terms)
+    how = draw(st.integers(0, 3))
+    if how == 0:  # the same value through another path, and in another key order
+        b = form(da, dict(reversed(list(terms.items())))) + form(da, {}) - form(da, {})
+    elif how == 1:
+        extra = form(da, draw(st.dictionaries(st.sampled_from(monos), exact_values, max_size=2)))
+        b = (a + extra) - extra
+    elif how == 2 and terms:
+        idx = draw(st.sampled_from(sorted(terms)))
+        b = form(da, {**terms, idx: terms[idx] + draw(exact_values)})
+    else:
+        db = draw(st.integers(1, 2))
+        b = form(db, draw(st.dictionaries(
+            st.sampled_from(list(itertools.combinations(range(4), db))), exact_values, max_size=3)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_pairs())
+def test_exact_forms_are_equal_exactly_when_their_difference_is_zero(pair):
+    """``==`` of two exact forms compares their term tables; it holds exactly when
+    ``a - b`` has no term, a constant ring element equal to its rational, and a
+    degree mismatch between two forms with terms raises as ``-`` does."""
+    a, b = pair
+    try:
+        expected = (a - b).is_zero()
+    except ValueError as exc:
+        assert str(exc) == "degree mismatch"
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                x == y
+        return
+    assert (a == b) is (b == a) is expected and (a != b) is not expected
+
+
 # -- the storage-rule builder ----------------------------------------------------
 
 stored_values = st.one_of(

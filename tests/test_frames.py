@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acm5.acms import frame_connection
 from acm5.cli import _to_float_coframe, emit_coframe, load_coframe, main
-from acm5.errors import RankError
+from acm5.errors import RankError, UnsupportedSymbolError
 from acm5.exterior import (
+    CoframeData,
     coframe,
     d_squared_zero,
     e,
     form,
+    standard_symbols,
     wedge,
     zero_form,
 )
@@ -30,12 +33,17 @@ from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     abelian_coframe,
+    bits,
+    connection_from_structure_oracle,
     entry,
+    flatten_oracle,
+    form_items,
     induced_d_table,
     koszul_oracle,
     pointwise_from_upper,
     random_fraction,
     structure_solve_oracle,
+    trig_coframe,
 )
 
 
@@ -196,6 +204,114 @@ def test_structure_solver_round_trips_a_random_connection(values, n_aux):
     c = coframe(table, auxiliary=names)
     assert connection_from_structure(c) == w
     assert verify_first_structure(c, w).ok
+
+
+_EXACT = st.one_of(st.integers(-3, 3), _RATIONALS)
+_FLOATS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2, 2, allow_nan=False, width=64))
+
+
+@st.composite
+def solve_tables(draw):
+    """A constant table on 5 to 7 symbols, exact or float (signed zeros included):
+    random terms (with an auxiliary symbol it is rarely solvable), the table that a
+    random antisymmetric connection induces (always solvable), or an integrable
+    table whose derivatives are wedges of generators with zero derivative."""
+    nsym = 5 + draw(st.integers(0, 2))
+    values, shape = draw(st.sampled_from((_EXACT, _FLOATS))), draw(st.integers(0, 2))
+    monos = [(i, j) for i in range(nsym) for j in range(i + 1, nsym)]
+    table = {}
+    if shape == 1:
+        w = connection_forms({(i, j): form(1, draw(st.dictionaries(
+            st.sampled_from([(s,) for s in range(nsym)]), values, max_size=3)))
+            for i in range(1, 6) for j in range(i + 1, 6)})
+        for i in range(5):
+            de = zero_form(2)
+            for j in range(5):
+                de = de + wedge(w.omega[i][j], e(j + 1))
+            table[i] = de
+    else:
+        closed = set()  # the generators with zero derivative of an integrable table
+        if shape == 2:
+            closed = set(draw(st.lists(st.integers(0, nsym - 1), min_size=2, unique=True)))
+            monos = [m for m in monos if set(m) <= closed]
+        for sid in range(nsym):
+            terms = {} if sid in closed else draw(st.dictionaries(st.sampled_from(monos), values, max_size=6))
+            table[sid] = form(2, terms)
+    for sid in range(nsym):
+        table.setdefault(sid, zero_form(2))
+    return CoframeData(standard_symbols([f"A{k}" for k in range(nsym - 5)]), table)
+
+
+def _channel_bits(channels):
+    return [(sid, [[bits(v) for v in row] for row in m]) for sid, m in channels]
+
+
+def _check_solve(c):
+    """The solve against the forms and flatten it replaced: the same RankError, or the
+    same view (type and bits per slot), channels and forms (item by item), the
+    forms built only when first read and the view taken by frame_connection as it is."""
+    try:
+        ref = connection_from_structure_oracle(c)
+    except RankError as exc:
+        with pytest.raises(RankError) as info:
+            connection_from_structure(c)
+        assert str(info.value) == str(exc)
+        return
+    cf = connection_from_structure(c)
+    flat, channels = flatten_oracle(ref)
+    assert [bits(v) for v in cf.view[0]] == [bits(v) for v in flat]
+    assert _channel_bits(cf.view[1]) == _channel_bits(channels)
+    assert "omega" not in vars(cf)
+    fc = frame_connection(cf)
+    assert fc.base.flat is cf.view[0] and fc.channels is cf.view[1] and fc.forms is cf
+    assert "omega" not in vars(cf)
+    for i in range(5):
+        for j in range(5):
+            assert form_items(cf.omega[i][j]) == form_items(ref.omega[i][j])
+    assert cf == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_tables())
+def test_solve_writes_the_view_of_the_forms_it_replaced(c):
+    _check_solve(c)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=[p.name for p in GOLDEN_INPUTS])
+def test_solve_writes_the_view_of_the_forms_it_replaced_on_golden_inputs(path, mode):
+    c = load_coframe(str(path))
+    _check_solve(c if mode == "exact" else _to_float_coframe(c))
+
+
+@pytest.mark.parametrize(
+    "table, auxiliary, message",
+    [
+        ({"e5": form(2, {(5, 6): 1})}, ("A", "B"), "de5 has a term in A^B"),
+        ({"e1": wedge(e(2), form(1, {(5,): 1}))}, ("A",), "de1, de2 disagree on the A channel"),
+        ({"e3": wedge(e(3), form(1, {(5,): 1})), "e4": form(2, {(5, 6): 2})}, ("A", "B"),
+         "de4 has a term in A^B"),
+        ({"e2": wedge(e(4), form(1, {(6,): 1}))}, ("A", "B"), "de2, de4 disagree on the B channel"),
+    ],
+    ids=["aux-wedge-aux", "channels-disagree", "aux-wedge-aux-first", "second-channel"],
+)
+def test_solve_keeps_each_rank_error_message(table, auxiliary, message):
+    c = coframe(table, auxiliary=auxiliary)
+    with pytest.raises(RankError) as info:
+        connection_from_structure(c)
+    assert str(info.value) == f"no Levi-Civita solution: {message}"
+
+
+def test_trig_table_is_refused_at_frame_connection():
+    c = trig_coframe()
+    cf = connection_from_structure(c)
+    assert "view" not in vars(cf)  # the forms were built and validated, so they are flattened
+    assert [form_items(f) for row in cf.omega for f in row] == [
+        form_items(f) for row in connection_from_structure_oracle(c).omega for f in row
+    ]
+    with pytest.raises(UnsupportedSymbolError) as info:
+        frame_connection(cf)
+    assert str(info.value) == "trig-valued connection entries are out of scope"
 
 
 A_WEDGE = {"e1": wedge(e(2), form(1, {(5,): 1}))}

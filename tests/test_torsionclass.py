@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acm5 import linalg, torsionclass
 from acm5.acms import (
@@ -33,6 +35,7 @@ from acm5.torsionclass import (
     classify,
     intrinsic_torsion,
     module_frames,
+    norm_plans,
     tensor_to_w,
     w_subspaces,
 )
@@ -40,7 +43,9 @@ from acm5.torsionclass import (
 from helpers import (
     abelian_coframe,
     as_coords,
+    bits,
     cartan_parts,
+    classify_float_oracle,
     evaluate,
     inner,
     inner_w,
@@ -232,6 +237,40 @@ def test_classify_reads_trig_norms():
     cos2, sin2 = COS_F * COS_F, SIN_F * SIN_F
     assert r.norms == {"W3": 0, "W4": cos2 * 6, "W5": 0, "W6": cos2, "W7": sin2 * 12, "residual": 0}
     assert r.class_tags == ("W4", "W6", "W7") and r.total_norm_sq == norm_sq(gamma)
+
+
+def test_norm_plans_scale_each_basis_element_by_a_power_of_two():
+    """The plans on ints: each basis element's dot plan times a power of two m,
+    with its Gram diagonal times m^2; m = 2 on W6 only."""
+    for name, lcm, plans in norm_plans():
+        frame = module_frames()[name]
+        assert len(plans) == len(frame)
+        for (p, g), (b, gram) in zip(plans, frame):
+            m = 2 if name == "W6" else 1
+            assert g == m * m * gram and lcm % g == 0
+            expected = torsionclass.dot_plan(b)
+            assert p == tuple(tuple((s, v * m) for s, v in grp) for grp in expected)
+            assert all(type(v) is int for grp in p for _, v in grp)
+
+
+_VIEW_VALUES = st.one_of(
+    st.sampled_from((0, 0.0, -0.0)),
+    st.builds(lambda m, sign: sign * m, st.floats(1e-12, 1.0), st.sampled_from((1, -1))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VIEW_VALUES, min_size=40, max_size=40))
+def test_float_classify_on_int_plans_keeps_the_float_loops_bits(values):
+    """Powers of two scale binary64 exactly, so the norms read on the plans on
+    ints equal those of the loop over the plans with Fraction(+-1, 2) on W6,
+    value by value: type and bits, an exact zero an int 0."""
+    view = tuple(values)
+    assume(any(type(v) is float for v in view))
+    norms = classify(torsionclass._torsion(view)).norms
+    expected = classify_float_oracle(view)
+    assert list(norms) == list(expected)
+    assert [bits(v) for v in norms.values()] == [bits(v) for v in expected.values()]
 
 
 def test_classify_integrable_flag():

@@ -15,7 +15,13 @@ stage.  ``identify_group`` refuses the degenerate point (0, 0, 0, 0) with
 DegenerateInputError; that refusal is what is timed there.
 
 It prints each stage's median in microseconds, one row per structure, then
-the column medians, then the same numbers as one JSON object.
+the column medians.  Then it times the ingest of ``classify`` the same way:
+the d^2-gate (``exterior.d_squared_zero``), ``frames.connection_from_structure``
+and ``acms.frame_connection`` of the solved forms, on each golden input turned
+by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
+``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
+float, each at the working scale that ``classify`` computes on.  Last it
+prints all the numbers as one JSON object.
 
 Run from the repository root:  python3 tools/layer_times.py
 """
@@ -28,10 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
-from acm5 import acms, connection, frames, groups  # noqa: E402
-from acm5.cli import load_coframe  # noqa: E402
+from acm5 import acms, connection, exterior, frames, groups  # noqa: E402
+from acm5.cli import _to_float_coframe, _working_scale, load_coframe  # noqa: E402
 from acm5.errors import DegenerateInputError  # noqa: E402
+from helpers import fixed_so5_rotation, rotate  # noqa: E402
 
 RUNS = 101
 STAGES = (
@@ -39,6 +47,7 @@ STAGES = (
     "characteristic_connection", "torsion_type", "curvature", "parallel_spinor_check",
     "identify_group",
 )
+INGEST = ("d_squared_gate", "connection_from_structure", "frame_connection")
 INVARIANTS = (acms.nabla_phi, acms.nijenhuis, acms.predicates, acms.gamma_form, acms.d_eta_form)
 POINTS = {  # identify_group branch -> family point
     "su2+su2 block": (6, 8, 0, 0),
@@ -101,6 +110,30 @@ def stage_times(c, omega, point=None):
     return times
 
 
+def ingest_times(c):
+    """{stage: median us} of the ingest of one coframe at its working scale."""
+    c = _working_scale(c)[0]
+    solved = frames.connection_from_structure(c)
+    return {
+        "d_squared_gate": median_us(lambda: exterior.d_squared_zero(c)),
+        "connection_from_structure": median_us(lambda: frames.connection_from_structure(c)),
+        "frame_connection": median_us(lambda: acms.frame_connection(solved)),
+    }
+
+
+def print_table(rows, stages, title):
+    """Print one row per structure and the column medians; return the medians."""
+    width = max(map(len, rows))
+    print(title)
+    print(f"{'structure':{width}}" + "".join(f" {s[:12]:>12}" for s in stages))
+    for name, times in rows.items():
+        print(f"{name:{width}}" + "".join(
+            f" {times[s]:12.1f}" if s in times else f" {'-':>12}" for s in stages))
+    medians = {s: statistics.median(t[s] for t in rows.values() if s in t) for s in stages}
+    print(f"{'median':{width}}" + "".join(f" {medians[s]:12.1f}" for s in stages))
+    return medians
+
+
 def main():
     rows = {}
     for name, point in POINTS.items():
@@ -111,15 +144,15 @@ def main():
         omega = frames.connection_from_structure(c)
         if acms.predicates(acms.frame_connection(omega)).generalized_quasi_sasaki:
             rows[f"golden {path.stem}"] = stage_times(c, omega)
-    width = max(map(len, rows))
-    print(f"median of {RUNS} runs per stage, in us")
-    print(f"{'structure':{width}}" + "".join(f" {s[:12]:>12}" for s in STAGES))
-    for name, times in rows.items():
-        print(f"{name:{width}}" + "".join(
-            f" {times[s]:12.1f}" if s in times else f" {'-':>12}" for s in STAGES))
-    medians = {s: statistics.median(t[s] for t in rows.values() if s in t) for s in STAGES}
-    print(f"{'median':{width}}" + "".join(f" {medians[s]:12.1f}" for s in STAGES))
-    print(json.dumps({"runs": RUNS, "median": medians, "structures": rows}))
+    medians = print_table(rows, STAGES, f"median of {RUNS} runs per stage, in us")
+    ingest = {}
+    for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
+        turned = rotate(load_coframe(str(path)), fixed_so5_rotation())
+        ingest[f"{path.stem} exact"] = ingest_times(turned)
+        ingest[f"{path.stem} float"] = ingest_times(_to_float_coframe(turned))
+    ingest_medians = print_table(ingest, INGEST, "ingest of the SO(5)-rotated golden inputs, in us")
+    print(json.dumps({"runs": RUNS, "median": medians, "structures": rows,
+                      "ingest_median": ingest_medians, "ingest": ingest}))
 
 
 if __name__ == "__main__":
