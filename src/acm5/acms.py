@@ -34,8 +34,10 @@ otherwise.
 
 Memo rule: read the invariants of one structure (the torsion view of the
 w(e_k), nabla Phi, N, dPhi, d eta, gamma, the predicates) through
-``derived``, so each, with its cross-check, is computed once per frame
-connection; a direct call always computes.
+``derived``, so each, with its cross-check, is computed once per
+``frames.ConnectionForms``: the memo lives as long as that object, and every
+reader of it shares the memo.  A direct call always computes, and nothing is
+kept across objects.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from itertools import chain, product
 from typing import NamedTuple
 
 from .errors import (
-    ACM5Error, AmbiguityError, NotGeneralizedQuasiSasakiError, SymbolicResidueError,
-    UnsupportedSymbolError,
+    ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError, UnsupportedSymbolError,
 )
 from .exterior import (
     METRIC_IDS, F, Z1, Z2, Form, Frozen, dense2, dense3, form, grid_form, hodge, stored,
@@ -187,18 +188,6 @@ def _pullback_entry(a, b):
 PULLBACK = tuple(_pullback_entry(a, b) for a, b in PAIRS)
 
 
-def phi_invariance_type(beta: Form):
-    """+1, -1 or 0 according to beta(phi., phi.) = +beta, -beta or 0."""
-    t = phi_pullback(beta)
-    if t.is_zero():
-        return 0
-    if (t - beta).is_zero():
-        return 1
-    if (t + beta).is_zero():
-        return -1
-    raise AmbiguityError("2-form mixes invariance types")
-
-
 # ---------------------------------------------------------------------------
 # trilinear tensors on the frame, 125 values by slot at(i, j, k): the derivative
 # tensors (antisymmetric in the last two slots), the torsion (in the first two)
@@ -214,10 +203,6 @@ class Tensor3(Frozen):
             raise ValueError("a Tensor3 holds its 125 values in slot order")
         self.__dict__["flat"] = flat
 
-    def get(self, i, j, k):
-        """1-based access."""
-        return self.flat[at(i - 1, j - 1, k - 1)]
-
     def is_zero(self):
         return all(map(sis_zero, self.flat))
 
@@ -229,9 +214,6 @@ class Tensor3(Frozen):
 
     def __sub__(self, other):
         return self._zip(other, operator.sub)
-
-    def scale(self, s):
-        return Tensor3(tuple(s * v for v in self.flat))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
@@ -269,46 +251,30 @@ def vartheta(beta: Form) -> Tensor3:
 
 
 # ---------------------------------------------------------------------------
-# connection values with auxiliary channels
+# connections: the values w[i][j](e_k) at slot at(i, j, k) of a flat view, plus one constant
+# matrix [i][j] per auxiliary symbol tracking its (unknown) frame values linearly
 
 
-class FrameConnection(Frozen):
-    """Pointwise connection values w[i][j](e_k), plus one constant matrix per
-    auxiliary symbol tracking its (unknown) frame values linearly.
-
-    ``base`` holds w[i][j](e_k) at slot at(i, j, k); each channel matrix is
-    indexed [i][j]."""
-
-    base: Tensor3
-    channels: tuple  # ((aux_id, 5x5 matrix), ...)
-    forms: ConnectionForms | None  # the forms it was read from, if any
-    _memo: dict  # fn name -> fn(self), filled by ``derived``
-    _compared = ("base", "channels")
-
-    def __init__(self, base, channels, forms=None):
-        self.__dict__.update(base=base, channels=channels, forms=forms, _memo={})
-
-
-def derived(fc: FrameConnection, fn):
-    """fn(fc), computed once per frame connection."""
+def derived(fc: ConnectionForms, fn):
+    """fn(fc), computed once per connection object."""
     key = fn.__name__
     if key not in fc._memo:
         fc._memo[key] = fn(fc)
     return fc._memo[key]
 
 
-def frame_connection(source) -> FrameConnection:
-    """The frame connection of ConnectionForms, taking their flat ``view`` as it is, or
-    of free pointwise values w[i][j](e_k) given as a Tensor3 (no integrability implied)."""
-    if isinstance(source, FrameConnection):
+def frame_connection(source) -> ConnectionForms:
+    """ConnectionForms themselves, once their flat ``view`` is read (a trig value is refused
+    there), or the connection of free pointwise values w[i][j](e_k) given as a Tensor3 (no
+    integrability implied)."""
+    if isinstance(source, ConnectionForms):
+        source.view
         return source
     if isinstance(source, Tensor3):
         v = source.flat
         if any(v[at(i, j, k)] != -v[at(j, i, k)] for i, j, k in product(range(5), repeat=3)):
             raise ValueError("pointwise data must be antisymmetric in (i, j)")
-        return FrameConnection(source, ())
-    if isinstance(source, ConnectionForms):
-        return FrameConnection(Tensor3(source.view[0]), source.view[1], source)
+        return ConnectionForms._of_view(v, ())
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 
@@ -339,9 +305,9 @@ def _mu(mats):
     return contract(MU[: 25 * len(mats)], view)
 
 
-def _require_channels_vanish(fc: FrameConnection, what, residue):
+def _require_channels_vanish(fc: ConnectionForms, what, residue):
     """Raise unless residue(mat), an iterable of scalars, vanishes on every auxiliary channel."""
-    for sid, mat in fc.channels:
+    for sid, mat in fc.view[1]:
         if not all(sis_zero(v) for v in residue(mat)):
             raise SymbolicResidueError(f"auxiliary symbol id {sid} leaves a residue in {what}")
 
@@ -349,18 +315,18 @@ def _require_channels_vanish(fc: FrameConnection, what, residue):
 # -- base-path tensors -------------------------------------------------------
 
 
-def nabla_xi_matrix(fc: FrameConnection):
+def nabla_xi_matrix(fc: ConnectionForms):
     """NX[k][a] = g(nabla_{e_k} xi, e_a)."""
     _require_channels_vanish(fc, "nabla xi", lambda mat: mat[XI])
-    return tuple(fc.base.flat[at(XI, 0, k) :: 5] for k in range(5))
+    return tuple(fc.view[0][at(XI, 0, k) :: 5] for k in range(5))
 
 
-def d_eta_form(fc: FrameConnection) -> Form:
+def d_eta_form(fc: ConnectionForms) -> Form:
     nx = derived(fc, nabla_xi_matrix)
     return grid_form(lambda a, b: nx[a][b] - nx[b][a])
 
 
-def xi_is_killing(fc: FrameConnection):
+def xi_is_killing(fc: ConnectionForms):
     nx = derived(fc, nabla_xi_matrix)
     return all(sis_zero(nx[a][b] + nx[b][a]) for a in range(5) for b in range(5))
 
@@ -375,22 +341,22 @@ def nabla_phi(source) -> Tensor3:
     """
     fc = frame_connection(source)
     _require_channels_vanish(fc, "nabla Phi", lambda mat: _mu([[v for r in mat for v in r]]))
-    full = np_full(fc.base)
+    full = np_full(fc.view[0])
     if not (full - np_gamma(derived(fc, torsion_view))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
 
 
-def np_full(w: Tensor3) -> Tensor3:
-    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the base values w[i][j](e_k)."""
-    return Tensor3(tuple(_mu([w.flat[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a](e_k)
+def np_full(w) -> Tensor3:
+    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the 125 values w[i][j](e_k)."""
+    return Tensor3(tuple(_mu([w[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a](e_k)
 
 
-def torsion_view(fc: FrameConnection) -> tuple:
+def torsion_view(fc: ConnectionForms) -> tuple:
     """The torsion view of the projections of the five 2-forms w(e_k) to the
     complement of the stabilizer: the intrinsic torsion, and the second path of
     nabla Phi."""
-    return complement_view(W_COMPLEMENT, fc.base.flat)
+    return complement_view(W_COMPLEMENT, fc.view[0])
 
 
 def np_gamma(view) -> Tensor3:
@@ -407,7 +373,7 @@ def d_phi_tensor(np: Tensor3) -> Tensor3:
     return Tensor3(tuple(contract(D_PHI, np.flat)))
 
 
-def d_phi(fc: FrameConnection) -> Tensor3:
+def d_phi(fc: ConnectionForms) -> Tensor3:
     """dPhi of the structure, from its nabla Phi."""
     return d_phi_tensor(derived(fc, nabla_phi))
 

@@ -263,7 +263,7 @@ def classification_report(c: CoframeData):
     if failing:
         return report, 1
     from . import acms, frames, torsionclass  # the classify pipeline, imported on its first run
-    fc = acms.frame_connection(frames.connection_from_structure(c))
+    fc = frames.connection_from_structure(c)
     cls = torsionclass.classify(torsionclass.intrinsic_torsion(fc))
     report["classification"] = {
         "norms": {k: fmt_scalar(v * unit * unit) for k, v in cls.norms.items()},

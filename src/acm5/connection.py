@@ -73,10 +73,9 @@ class CharacteristicConnection(NamedTuple):
 def characteristic_connection(omega_g):
     """Construct the unique compatible metric connection and verify
     componentwise that it parallelizes xi, eta and phi.  omega_g is the
-    Levi-Civita ConnectionForms or the memoizing FrameConnection of them."""
+    Levi-Civita ConnectionForms, whose memo the invariants are read through,
+    or their pointwise values as a Tensor3."""
     fc = frame_connection(omega_g)
-    if fc.forms is None:
-        raise TypeError("characteristic_connection needs connection forms, not pointwise values")
     if not derived(fc, predicates).generalized_quasi_sasaki:
         raise NotGeneralizedQuasiSasakiError(
             "no compatible connection: structure is not generalized quasi-Sasaki"
@@ -86,7 +85,7 @@ def characteristic_connection(omega_g):
     gamma = derived(fc, gamma_form)
     corr = t3_from_form3(wedge(deta - gamma, ETA)) - nij
     a_c = Tensor3(tuple(div_const(v, 2) for v in corr.flat))
-    omega_c = connection_plus_tensor(fc.forms, a_c)
+    omega_c = connection_plus_tensor(fc, a_c)
     report = compatibility_report(omega_c)
     if not report.ok:
         failed = "; ".join(report.failures)

@@ -33,10 +33,6 @@ class NotGeneralizedQuasiSasakiError(ACM5Error):
     """The compatible connection exists only on generalized quasi-Sasaki structures."""
 
 
-class AmbiguityError(ACM5Error):
-    """Input mixes incompatible invariance types."""
-
-
 class RankError(ACM5Error):
     """A set of forms expected to be linearly independent is degenerate."""
 

@@ -25,8 +25,8 @@ Conventions, fixed once and used everywhere:
   product is summed in its own table, then added term by term to the running
   table under the kind and degree rules of ``+``, so each key, key order and
   value (float bits included) is the chain's; :func:`wedge` is one product.
-* A full read of a 2-form or a 3-form on frame directions is one dense
-  table (:func:`dense2`, :func:`dense3`) filled from its terms: each
+* A full read of a 2-form or a 3-form on the metric directions is one 5x5
+  (x5) table (:func:`dense2`, :func:`dense3`) filled from its terms: each
   stored c goes to its sorted slot and -c to every odd permutation of it,
   the int 0 everywhere else, which is entry by entry what the evaluation
   by the permutation determinant gives (the value, its type and, for
@@ -242,27 +242,22 @@ def perm_sign(ids):
     return sign
 
 
-def dense2(f, n=5, cols=None):
-    """The n x cols table m[i][j] = f(e_i, e_j) of a 2-form (cols <= n,
-    default n), filled from its terms, as ``evaluate`` of ``tests/helpers.py``
-    reads it."""
-    cols = n if cols is None else cols
-    m = [[0] * cols for _ in range(n)]
+def dense2(f):
+    """The 5x5 table m[i][j] = f(e_i, e_j) of a 2-form on the metric ids, filled
+    from its terms, as ``evaluate`` of ``tests/helpers.py`` reads it."""
+    m = [[0] * 5 for _ in range(5)]
     for (i, j), c in f.terms.items():
-        if j < n:
-            if j < cols:
-                m[i][j] = c
-            if i < cols:
-                m[j][i] = -c
+        if j < 5:
+            m[i][j], m[j][i] = c, -c
     return m
 
 
-def dense3(f, n=5):
-    """The n x n x n table t[i][j][k] = f(e_i, e_j, e_k) of a 3-form, filled from its
-    terms, as ``evaluate`` of ``tests/helpers.py`` reads it."""
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+def dense3(f):
+    """The 5x5x5 table t[i][j][k] = f(e_i, e_j, e_k) of a 3-form on the metric ids,
+    filled from its terms, as ``evaluate`` of ``tests/helpers.py`` reads it."""
+    t = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     for (i, j, k), c in f.terms.items():
-        if k < n:
+        if k < 5:
             t[i][j][k] = t[j][k][i] = t[k][i][j] = c
             t[j][i][k] = t[i][k][j] = t[k][j][i] = -c
     return t

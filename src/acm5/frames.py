@@ -12,6 +12,9 @@ structure table on each auxiliary channel.  The antisymmetric solution is
 unique whenever it exists, and its existence is two checks on the table.
 The solve writes the solution's flat view, w[i][j](e_k) and one matrix per
 auxiliary channel, straight from the table; its forms are built when first read.
+``ConnectionForms`` is the one connection object: it holds the flat view and
+the forms, each built from the other when first read, and the memo of the
+invariants that ``acms.derived`` fills, which lives as long as the object.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from .scalars import TrigScalar, div_const, narrow, sis_zero
 
 
 class ConnectionForms(Frozen):
-    """Antisymmetric 5x5 matrix of connection 1-forms, with its flat ``view``; the
-    Levi-Civita solve writes the view and builds ``omega`` from it when first read."""
+    """Antisymmetric 5x5 matrix of connection 1-forms, with its flat ``view`` and the
+    memo of its invariants; built from one of forms and view, it builds the other when
+    first read.  ``==``, the hash and the repr read ``omega`` alone."""
 
     omega: tuple  # 5x5 tuple of degree-1 Forms
+    _memo: dict  # fn name -> fn(self), filled by ``acms.derived``
     _compared = ("omega",)
 
     def __init__(self, omega):
@@ -42,7 +47,15 @@ class ConnectionForms(Frozen):
                 a, b = omega[i][j].terms, omega[j][i].terms
                 if not all(sis_zero(a.get(k, 0) + b.get(k, 0)) for k in a.keys() | b.keys()):
                     raise ValueError("connection forms must be antisymmetric")
-        self.__dict__["omega"] = omega
+        self.__dict__.update(omega=omega, _memo={})
+
+    @classmethod
+    def _of_view(cls, flat, channels):
+        """The connection of a flat view that the library computed or validated, without
+        re-validation; its forms are built when first read."""
+        out = object.__new__(cls)
+        out.__dict__.update(view=(flat, channels), _memo={})
+        return out
 
     @cached_property
     def view(self):
@@ -125,8 +138,7 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
         # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
         if v := div_const(d[x] + d[y] - d[z], 2):
             flat[up], flat[low] = v, -v
-    out = object.__new__(ConnectionForms)
-    out.__dict__["view"] = tuple(flat), tuple(channels)
+    out = ConnectionForms._of_view(tuple(flat), tuple(channels))
     trig = TrigScalar in map(type, chain(*(c.d_table[i].terms.values() for i in range(5))))
     return ConnectionForms(out.omega) if trig else out  # flattened again: a trig value is refused
 

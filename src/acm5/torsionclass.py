@@ -105,7 +105,7 @@ def intrinsic_torsion(source) -> IntrinsicTorsion:
     project to zero; otherwise the input is outside scope.
     """
     fc = frame_connection(source)
-    for sid, mat in fc.channels:  # the channel as the first-slot 2-form of a Tensor3
+    for sid, mat in fc.view[1]:  # the channel as the first-slot 2-form of a Tensor3
         if not all(map(sis_zero, complement_view(T_COMPLEMENT, (*chain(*mat), *(0,) * 100)))):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} contributes to the intrinsic torsion"

@@ -17,8 +17,8 @@ of ``curvature_grid_oracle``, ``connection_plus_tensor_oracle`` and
 tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
-``connection_from_structure_oracle`` is the Levi-Civita solve through ``dense2``
-tables, ``stored`` entries and ``connection_forms``, and ``flatten_oracle`` the
+``connection_from_structure_oracle`` is the Levi-Civita solve through tables
+of ``evaluate``, ``stored`` entries and ``connection_forms``, and ``flatten_oracle`` the
 read of its forms into a flat view, that the solve's own flat view replaced;
 ``classify_float_oracle`` is the float norm loop over the dot plans with
 ``Fraction(+-1, 2)`` values that the plans on ints replaced.
@@ -28,10 +28,12 @@ coefficients and the product table of ``scalars.TrigScalar`` replaced.
 Definitions that only tests use (``abelian_coframe``, ``lambda2_project``,
 ``project_u2``, ``codifferential`` with ``covariant_derivative_form``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
-``pr_w``, ``torsion_from_coords``, ``residual_basis``, ``fixed_so5_rotation``) live here rather
+``pr_w``, ``torsion_from_coords``, ``residual_basis``, ``fixed_so5_rotation``,
+``phi_invariance_type`` with ``AmbiguityError``, its only raiser) live here rather
 than in the library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
 So do the readers of the value classes that only tests use: ``nested``
-(a Tensor3's values as [i][j][k]), ``inner`` (of two Tensor3s),
+(a Tensor3's values as [i][j][k]), ``t3_get`` (one 1-based entry) and
+``t3_scale`` (every entry times a scalar) of a Tensor3, ``inner`` (of two Tensor3s),
 ``evaluate`` (a Form on frame directions), ``entry`` (of ConnectionForms
 and CurvatureData), ``cartan_parts``, ``as_coords``, ``norm_sq``,
 ``inner_w`` and ``lin_comb`` (of IntrinsicTorsions, through their
@@ -62,14 +64,15 @@ from acm5.acms import (
     PHI_MAT,
     T_COMPLEMENT,
     XI,
-    FrameConnection,
     Tensor3,
     at,
     complement_view,
     frame_connection,
     inner_form,
+    phi_pullback,
 )
 from acm5.errors import (
+    ACM5Error,
     MissingDerivationError,
     RankError,
     SymbolicResidueError,
@@ -132,6 +135,16 @@ def nested(t: Tensor3):
     """The values of a Tensor3 nested as [i][j][k]."""
     rows = [t.flat[r : r + 5] for r in range(0, 125, 5)]
     return tuple(tuple(rows[p : p + 5]) for p in range(0, 25, 5))
+
+
+def t3_get(t: Tensor3, i, j, k):
+    """The entry of a Tensor3 at 1-based (i, j, k)."""
+    return t.flat[at(i - 1, j - 1, k - 1)]
+
+
+def t3_scale(t: Tensor3, s):
+    """The Tensor3 with every entry times s."""
+    return Tensor3(tuple(s * v for v in t.flat))
 
 
 def inner(a: Tensor3, b: Tensor3):
@@ -209,6 +222,22 @@ def pr_w(a: Tensor3) -> Tensor3:
     return t3_from_func(lambda i, j, k: evaluate(comps[i], j, k))
 
 
+class AmbiguityError(ACM5Error):
+    """Input mixes incompatible invariance types."""
+
+
+def phi_invariance_type(beta: Form):
+    """+1, -1 or 0 according to beta(phi., phi.) = +beta, -beta or 0."""
+    t = phi_pullback(beta)
+    if t.is_zero():
+        return 0
+    if (t - beta).is_zero():
+        return 1
+    if (t + beta).is_zero():
+        return -1
+    raise AmbiguityError("2-form mixes invariance types")
+
+
 def lambda2_project(beta: Form, part: int) -> Form:
     """Orthogonal projection onto the four 2-form types (1: span of the
     fundamental form, 2: primitive phi-anti-invariant, 3: the rest of the
@@ -247,10 +276,10 @@ def _derivation(alpha: Form, entry) -> Form:
     return stored(alpha.degree, out)
 
 
-def covariant_derivative_form(fc: FrameConnection, alpha: Form, k: int) -> Form:
-    """(nabla_{e_k} alpha) for a metric-symbol form, from the base values:
-    the derivation with entries w[s][j](e_k)."""
-    w = fc.base.flat
+def covariant_derivative_form(fc: ConnectionForms, alpha: Form, k: int) -> Form:
+    """(nabla_{e_k} alpha) for a metric-symbol form, from the values w[s][j](e_k)
+    of the flat view: the derivation with those entries."""
+    w = fc.view[0]
     return _derivation(alpha, lambda s, j: w[at(s, j, k)])
 
 
@@ -261,7 +290,7 @@ def codifferential(alpha: Form, source) -> Form:
     if alpha.degree == 0:
         return zero_form(0)
     fc = frame_connection(source)
-    for sid, mat in fc.channels:
+    for sid, mat in fc.view[1]:
         if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the codifferential"
@@ -280,7 +309,7 @@ def _channel_kills_form(mat, alpha: Form):
 
 def d_form_via_connection(fc, alpha: Form) -> Form:
     """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
-    for sid, mat in fc.channels:
+    for sid, mat in fc.view[1]:
         if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the differential"
@@ -577,14 +606,15 @@ def structure_solve_oracle(c: CoframeData):
 
 def connection_from_structure_oracle(c: CoframeData) -> ConnectionForms:
     """The Levi-Civita forms as ``frames.connection_from_structure`` built them
-    before it wrote the flat view: one ``dense2`` table per generator, ten
-    ``stored`` upper entries and ``connection_forms`` (RankError as the solve)."""
+    before it wrote the flat view: one n x 5 table per generator (read by ``evaluate``),
+    ten ``stored`` upper entries and ``connection_forms`` (RankError as the solve)."""
     n = c.name_of
     for i in range(5):
         for (s, t), v in c.d_table[i].terms.items():
             if s not in METRIC_IDS and not sis_zero(v):
                 raise RankError(f"no Levi-Civita solution: d{n(i)} has a term in {n(s)}^{n(t)}")
-    d = [dense2(c.d_table[i], c.n_symbols, 5) for i in range(5)]  # d[i][a][b] = de_i(e_a, e_b), b < 5
+    syms = range(c.n_symbols)  # d[i][a][b] = de_i(e_a, e_b), b < 5
+    d = [[[evaluate(c.d_table[i], a, b) for b in range(5)] for a in syms] for i in range(5)]
     aux = range(5, c.n_symbols)
     for a in aux:
         for i in range(5):
@@ -605,7 +635,7 @@ def connection_from_structure_oracle(c: CoframeData) -> ConnectionForms:
 
 def flatten_oracle(omega: ConnectionForms):
     """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of
-    the forms, as ``acms.frame_connection`` flattens forms that carry no view."""
+    the forms, as ``ConnectionForms.view`` flattens forms that carry no view."""
     base = [0] * 125
     chans = {}
     for i in range(5):

@@ -1,8 +1,10 @@
 """Each invariant of one structure is computed once.
 
-``acms.derived`` memoizes the invariants on the frame connection, so a
-classify report or an identity replay runs each two-path cross-check once
-per structure.  The second nabla Phi call comes from the compatibility
+``acms.derived`` memoizes the invariants on the ``frames.ConnectionForms``
+object, the one object per connection: ``acms.frame_connection`` returns it
+as it is, so every reader of it shares the memo, and a classify report or an
+identity replay, which pass the solved forms themselves, runs each two-path
+cross-check once per structure.  The second nabla Phi call comes from the compatibility
 check of the characteristic connection, which is a different structure;
 it runs once, when the connection is built.  The projections of the five
 w(e_k) to the complement of the stabilizer are read as one torsion view
@@ -16,9 +18,9 @@ the classify report has gated.  The connection layer builds each entry in
 one term table: a curvature entry and a first-structure residual are one
 ``exterior.wedge_sum`` each, so neither calls ``exterior.wedge``, and the
 Ricci values and the holonomy are read from the entries' terms.  The
-Levi-Civita solve writes the flat view that the frame connection takes, so
-a classify report builds its connection forms only for the characteristic
-connection of a generalized quasi-Sasaki structure.
+Levi-Civita solve writes the flat view that the kernels read, so a classify
+report builds its connection forms only for the characteristic connection
+of a generalized quasi-Sasaki structure.
 """
 
 from pathlib import Path
@@ -116,6 +118,15 @@ def test_memo_computes_once_and_direct_calls_always_compute():
         assert acms.nabla_phi(fc) == first
     assert calls["acms.nabla_phi"] == 2
     assert fc == acms.frame_connection(build(1, 0, 2, 0).omega_g)
+
+
+def test_every_reader_of_one_connection_shares_its_memo():
+    cf = build(1, 0, 2, 0).omega_g
+    first, second = acms.frame_connection(cf), acms.frame_connection(cf)
+    assert first is cf and second is cf
+    with count_calls("acms.nabla_phi") as calls:
+        assert acms.derived(first, acms.nabla_phi) is acms.derived(second, acms.nabla_phi)
+    assert calls["acms.nabla_phi"] == 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

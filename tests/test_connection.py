@@ -65,6 +65,7 @@ from helpers import (
     nested,
     random_fraction,
     realify,
+    t3_scale,
     table_matrix,
 )
 
@@ -84,11 +85,22 @@ def test_characteristic_connection_family_table():
                 assert cc.omega_c.omega[i][j].is_zero()
 
 
-def test_characteristic_connection_needs_connection_forms():
-    inst = build(1, 0, 0, 0)
-    pointwise = frame_connection(inst.omega_g).base
-    with pytest.raises(TypeError, match="connection forms"):
-        characteristic_connection(pointwise)
+# the generalized quasi-Sasaki golden inputs without auxiliary symbols
+GQS_METRIC_INPUTS = [
+    p for p in GOLDEN_INPUTS if (c := load_coframe(str(p))).n_symbols == 5
+    and predicates(connection_from_structure(c)).generalized_quasi_sasaki
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("path", GQS_METRIC_INPUTS, ids=lambda p: p.stem)
+def test_characteristic_connection_of_pointwise_values_equals_that_of_the_forms(path, mode):
+    c = load_coframe(str(path))
+    if mode == "float":
+        c = _to_float_coframe(c)
+    solved = connection_from_structure(c)
+    pointwise = Tensor3(solved.view[0])
+    assert characteristic_connection(pointwise) == characteristic_connection(solved)
 
 
 def test_characteristic_connection_abelian_is_levi_civita():
@@ -121,7 +133,7 @@ def test_uniqueness_any_embedding_perturbation_breaks_compatibility():
     perturbations += [vartheta(b) for b in LAMBDA2_BASES[2]]
     assert len(perturbations) == 12
     for p in perturbations:
-        omega_bad = connection_plus_tensor(cc.omega_c, p.scale(Fraction(1, 2)))
+        omega_bad = connection_plus_tensor(cc.omega_c, t3_scale(p, Fraction(1, 2)))
         assert not compatibility_report(omega_bad).ok
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acm5 import acms, cli
+from acm5 import cli, frames
 from acm5.cli import classification_report, load_coframe
 from acm5.errors import ACM5Error
 from acm5.exterior import coframe, e, form, wedge
@@ -88,16 +88,11 @@ def test_integer_scale_keeps_rotated_rescaled_reports(path, rotation, num, den):
 
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
 def test_report_kernels_hold_ints(path, monkeypatch):
-    """The memoized nabla Phi and N of an exact report: every entry an int."""
-    built, real = [], acms.frame_connection
-
-    def recording(source):
-        fc = real(source)
-        if fc is not source:  # acms reads its own frame_connection too, on the fc it was given
-            built.append(fc)
-        return fc
-
-    monkeypatch.setattr(acms, "frame_connection", recording)
+    """The nabla Phi and N in the memo of an exact report's solved forms: every entry an int."""
+    built, solve = [], frames.connection_from_structure
+    monkeypatch.setattr(
+        frames, "connection_from_structure", lambda c: built.append(solve(c)) or built[-1]
+    )
     classification_report(load_coframe(str(path)))
     (fc,) = built
     for name in ("nabla_phi", "nijenhuis"):

@@ -16,12 +16,11 @@ defines, dunder methods aside (operators call them), must be read as an
 attribute in ``src/`` or ``bench/``, or named in a ``_compared`` tuple.
 
 Every check matches by name only, so it cannot see a method whose name
-another reader in ``src/`` shares.  Four methods that only tests reach
-pass that way: ``Tensor3.get`` (``dict.get``), ``Tensor3.scale``
-(``Form.scale``), ``IdentityReplayReport.failing``
-(``ResidualReport.failing``) and ``IntrinsicTorsion.components``, which
-``Frozen`` reads through ``_compared`` for ``==`` and the repr, and which
-the library keeps public for callers that want the 2-forms.  Only the
+another reader in ``src/`` shares.  Two methods that only tests reach
+pass that way: ``IdentityReplayReport.failing`` (``ResidualReport.failing``)
+and ``IntrinsicTorsion.components``, which ``Frozen`` reads through
+``_compared`` for ``==`` and the repr, and which the library keeps public
+for callers that want the 2-forms.  Only the
 standard library ``ast`` module is used.
 """
 
@@ -127,7 +126,7 @@ def test_every_value_class_field_is_read():
             unread.extend(
                 f"{path.stem}.{node.name}.{name}" for name in _fields(node) if not reads[name]
             )
-    assert len(inspected) >= 24, f"only {len(inspected)} value classes found: {inspected}"
+    assert len(inspected) >= 23, f"only {len(inspected)} value classes found: {inspected}"
     assert not unread, f"value class fields never read: {sorted(unread)}"
 
 
@@ -168,7 +167,7 @@ def test_every_value_class_method_is_reached_outside_tests():
     assert not unreached, f"value class methods that only tests reach: {sorted(unreached)}"
 
 
-SRC_LINE_BUDGET = 3422  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3388  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

@@ -1,6 +1,6 @@
-"""The contract of the library's 24 value classes.
+"""The contract of the library's 23 value classes.
 
-Sixteen plain records are ``typing.NamedTuple``s, and the eight classes that
+Sixteen plain records are ``typing.NamedTuple``s, and the seven classes that
 validate or cache when they are built derive from ``exterior.Frozen``.  For
 each class, an instance refuses assignment to every annotated field, two
 instances built from equal (not identical) arguments are ``==`` and hash
@@ -11,7 +11,7 @@ The validation errors are pinned by the tests of each module.
 import pytest
 
 from acm5 import acms, connection, exterior, family, frames, groups, torsionclass
-from acm5.acms import Z1, Z2, AdaptedStructure, FrameConnection, Predicates, Tensor3, theta
+from acm5.acms import Z1, Z2, AdaptedStructure, Predicates, Tensor3, theta
 from acm5.connection import (
     GENERATORS,
     CharacteristicConnection,
@@ -71,7 +71,6 @@ CASES = {
     ResidualReport: (lambda: ({"e1": e(1)},), 0, lambda: {"e1": e(2)}),
     AdaptedStructure: (lambda: (wedge(e(1), e(2)), e(5)), 1, lambda: e(4)),
     Tensor3: (lambda: (tuple(range(125)),), 0, lambda: tuple(range(1, 126))),
-    FrameConnection: (lambda: (_cube(), ()), 0, lambda: _cube(1)),
     Predicates: (lambda: (False,) * 9, 3, lambda: True),
     ConnectionForms: (
         lambda: (connection_forms({(1, 2): e(3)}).omega,),
@@ -139,7 +138,7 @@ def test_every_value_class_is_covered():
         if isinstance(v, type) and v.__module__ == m.__name__
         and (issubclass(v, Frozen) and v is not Frozen or issubclass(v, tuple))
     }
-    assert defined == set(CASES) and len(CASES) == 24
+    assert defined == set(CASES) and len(CASES) == 23
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)

@@ -6,9 +6,10 @@ Runs over a fixed list of family points, one per branch of
 generalized quasi-Sasaki.  Each stage is timed on its own, RUNS times, on
 inputs that the earlier stages prepared once: ``build``,
 ``verify_first_structure``, ``connection_from_structure``, the ``acms``
-invariants (nabla Phi, N, the predicates, gamma and d eta on a fresh frame
-connection), ``characteristic_connection`` (on a frame connection that
-already holds those invariants), ``torsion_type``, ``curvature`` (on a
+invariants (nabla Phi, N, the predicates, gamma and d eta, each run on a
+fresh connection: a new ``ConnectionForms`` of the same flat view, with an
+empty memo), ``characteristic_connection`` (on a connection that already
+holds those invariants), ``torsion_type``, ``curvature`` (on a
 coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
 ``identify_group``.  A golden input has no ``build`` or ``identify_group``
 stage.  ``identify_group`` refuses the degenerate point (0, 0, 0, 0) with
@@ -17,7 +18,8 @@ DegenerateInputError; that refusal is what is timed there.
 It prints each stage's median in microseconds, one row per structure, then
 the column medians.  Then it times the ingest of ``classify`` the same way:
 the d^2-gate (``exterior.d_squared_zero``), ``frames.connection_from_structure``
-and ``acms.frame_connection`` of the solved forms, on each golden input turned
+and ``acms.frame_connection`` of the solved forms (which returns them as they
+are, their view already written by the solve), on each golden input turned
 by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
 ``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
 float, each at the working scale that ``classify`` computes on.  Last it
@@ -94,7 +96,9 @@ def stage_times(c, omega, point=None):
         times["identify_group"] = median_us(lambda: identify(point))
     times["verify_first_structure"] = median_us(lambda: frames.verify_first_structure(c, omega))
     times["connection_from_structure"] = median_us(lambda: frames.connection_from_structure(c))
-    times["acms_invariants"] = median_us(lambda: invariants(omega))
+    times["acms_invariants"] = median_us(
+        lambda: invariants(frames.ConnectionForms._of_view(*omega.view))
+    )
     fc = invariants(omega)
     if not acms.derived(fc, acms.predicates).generalized_quasi_sasaki:
         return times
