@@ -23,8 +23,8 @@ and binds the name (PEP 562).
 """
 
 _SURFACE = {
-    "acms": ("ADAPTED", "AdaptedStructure", "Tensor3", "gamma_form", "nabla_phi", "nijenhuis",
-             "predicates", "theta", "vartheta"),
+    "acms": ("Tensor3", "gamma_form", "nabla_phi", "nijenhuis", "predicates", "theta",
+             "vartheta"),
     "connection": ("CharacteristicConnection", "CurvatureData", "SpinorSpace",
                    "characteristic_connection", "curvature", "parallel_spinor_check",
                    "spinor_kernel", "spinor_space", "torsion_type"),

@@ -104,13 +104,6 @@ def contract(plan, view):
         yield acc
 
 
-class AdaptedStructure(NamedTuple):
-    Phi: Form
-    eta: Form
-
-
-ADAPTED = AdaptedStructure(PHI, ETA)
-
 # orthogonal bases of the four 2-form types: 1 the span of the fundamental form, 2 the primitive
 # phi-anti-invariant forms, 3 the rest of the stabilizer algebra, 4 the forms with a Reeb leg
 LAMBDA2_BASES = {
@@ -480,7 +473,9 @@ def _quasi_cos_entry(a, b, c):
     return at(a, c, b), terms + ((-s, 125 + 5 * u + c, None),) * (b == XI and s != 0)
 
 
-NEARLY = plan(lambda a, b, c: (at(a, c, b), ((1, at(b, c, a), None),)))
+# (a, b, c) and (b, a, c) are the same sum, so each unordered pair is tested once
+NEARLY = tuple((at(a, c, b), ((1, at(b, c, a), None),))
+               for a, b, c in product(range(5), repeat=3) if a <= b)
 QUASI_COS = plan(_quasi_cos_entry)
 DELTA_PHI = plan(lambda b: (125, tuple((-1, at(i, i, b), None) for i in range(5))), rank=1)
 HORIZONTAL = tuple((at(x, y, z), ()) for x, y, z in product(range(4), repeat=3))

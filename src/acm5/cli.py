@@ -146,10 +146,9 @@ def load_coframe(path: str) -> CoframeData:
         d_table[ids[name]] = parse_form(terms, 2, f"d[{name}]")
     for name, sid in ids.items():
         d_table.setdefault(sid, zero_form(2))
-    orientation = doc["orientation"]
+    orientation = doc["orientation"]  # checked, then dropped: the structure fixes it
     if not _is_name_list(orientation) or sorted(orientation) != sorted(s.name for s in metric):
         raise SchemaError("orientation must list the five metric symbols")
-    orient_ids = tuple(ids[n] for n in orientation)
     trig_rules = None
     if "trig" in doc:
         tr = doc["trig"]
@@ -157,7 +156,7 @@ def load_coframe(path: str) -> CoframeData:
             raise SchemaError("trig: expected an object with optional 'df' and 'dg' term lists")
         rules = {k: parse_form(tr[k], 1, f"trig.{k}") for k in ("df", "dg") if k in tr}
         trig_rules = TrigRules(**rules)
-    return CoframeData(tuple(ordered), d_table, orient_ids, trig_rules)
+    return CoframeData(tuple(ordered), d_table, trig_rules)
 
 
 def emit_coframe(c: CoframeData, path: str):
@@ -191,7 +190,7 @@ def coframe_document(c: CoframeData):
             c.name_of(sid): term_list(c.d_table[sid], f"d[{c.name_of(sid)}]")
             for sid in range(c.n_symbols)
         },
-        "orientation": [c.name_of(i) for i in c.orientation],
+        "orientation": [s.name for s in c.symbols[:5]],
     }
     if c.trig_rules is not None:
         doc["trig"] = {
@@ -206,7 +205,7 @@ def _with_coefficients(c: CoframeData, fn) -> CoframeData:
         sid: stored(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
         for sid, f in c.d_table.items()
     }
-    return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
+    return CoframeData(c.symbols, table, c.trig_rules)
 
 
 def _largest_coefficient(c: CoframeData):

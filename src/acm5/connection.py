@@ -102,7 +102,7 @@ def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForm
     """Entrywise w[i][j] + (the 1-form X -> a(X, e_i, e_j)), each entry built in one table."""
     w = omega.omega  # a(e_k, e_i, e_j) is at slot at(k, i, j) = 25 k + 5 i + j
     return ConnectionForms(tuple(tuple(
-        stored(1, {(k,): v for k, v in enumerate(a.flat[5 * i + j :: 25])}, w[i][j])
+        w[i][j] + stored(1, {(k,): v for k, v in enumerate(a.flat[5 * i + j :: 25])})
         for j in range(5)) for i in range(5)))
 
 

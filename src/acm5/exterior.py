@@ -9,8 +9,10 @@ Conventions, fixed once and used everywhere:
 
 * (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X) for 1-forms; general evaluation of a
   monomial on frame vectors is the permutation determinant (no 1/k! weights).
-* The volume form is e1^e2^e3^e4^e5; the star of a monomial is the signed
-  complementary monomial with sign fixed by m ^ star(m) = volume.
+* The volume form is e1^e2^e3^e4^e5, the orientation that the almost contact
+  metric structure fixes (eta ^ Phi ^ Phi = 2 e1^e2^e3^e4^e5); the star of a
+  monomial is the signed complementary monomial with sign fixed by
+  m ^ star(m) = volume.
 * The exterior derivative extends the generator table by linearity and the
   graded Leibniz rule; trig coefficients differentiate through declared
   df/dg rules.
@@ -173,14 +175,10 @@ def form(degree, terms=None):
     return Form(degree, out)
 
 
-def stored(degree, terms, onto=None):
-    """The Form of library-computed terms under the storage rule, of the kind of its kept values;
-    with a Form ``onto``, ``onto + stored(degree, terms)`` built in one table."""
+def stored(degree, terms):
+    """The Form of library-computed terms under the storage rule, of the kind of its kept values."""
     out = {idx: c for idx, c in zip(terms, map(narrow, terms.values())) if not is_exact_zero(c)}
-    if onto is None:
-        return _trusted(degree, out, table_kind(out.values()))
-    base = onto.degree, dict(onto.terms), onto.mode
-    return _trusted(*_add_into(*base, degree, out, table_kind(out.values())))
+    return _trusted(degree, out, table_kind(out.values()))
 
 
 def grid_form(entry):
@@ -321,18 +319,14 @@ def wedge_all(forms):
     return acc if acc is not None else _trusted(0, {(): 1}, EXACT)
 
 
-def hodge(a, coframe=None):
-    """Hodge star on metric-symbol forms, relative to the declared orientation."""
-    vol_sign = 1
-    if coframe is not None:
-        vol_sign = perm_sign(coframe.orientation)
+def hodge(a):
+    """Hodge star on metric-symbol forms, for the structure's volume form e1^e2^e3^e4^e5."""
     out = {}
     for idx, c in a.terms.items():
         if any(i not in METRIC_IDS for i in idx):
             raise UnsupportedSymbolError("star is defined on metric symbols only")
         comp = tuple(i for i in METRIC_IDS if i not in idx)
-        sign = perm_sign(idx + comp) * vol_sign
-        _accumulate(out, comp, c * sign, a.mode)
+        _accumulate(out, comp, c * perm_sign(idx + comp), a.mode)
     return _trusted(5 - a.degree, out, a.mode)
 
 
@@ -369,15 +363,15 @@ class TrigRules(NamedTuple):
 
 
 class CoframeData(Frozen):
-    """Symbols, generator derivatives, orientation, optional phase rules."""
+    """Symbols, generator derivatives, optional phase rules.  The structure fixes the
+    orientation (see :func:`hodge`), so a coframe holds none."""
 
     symbols: tuple
     d_table: Mapping[int, Form]
-    orientation: tuple
     trig_rules: TrigRules | None
-    _compared = ("symbols", "d_table", "orientation", "trig_rules")
+    _compared = ("symbols", "d_table", "trig_rules")
 
-    def __init__(self, symbols, d_table, orientation=METRIC_IDS, trig_rules=None):
+    def __init__(self, symbols, d_table, trig_rules=None):
         metric = [s for s in symbols if s.kind == "metric"]
         if len(metric) != 5 or [s.index for s in symbols[:5]] != [1, 2, 3, 4, 5]:
             raise SchemaError("need exactly five metric symbols e1..e5 first")
@@ -385,15 +379,13 @@ class CoframeData(Frozen):
         if len(set(names)) != len(names):
             raise SchemaError("symbol names must be unique")
         nsym = len(symbols)
-        if sorted(orientation) != list(METRIC_IDS):
-            raise SchemaError("orientation must permute the metric symbols")
         for sid in range(nsym):
             if sid not in d_table:
                 raise SchemaError(f"d-table misses symbol {names[sid]}")
             val = d_table[sid]
             if any(i >= nsym for i in val.symbols_used()):
                 raise SchemaError("d-table uses undeclared symbols")
-        self.__dict__.update(zip(self._compared, (symbols, d_table, orientation, trig_rules)))
+        self.__dict__.update(zip(self._compared, (symbols, d_table, trig_rules)))
 
     @property
     def n_symbols(self):
@@ -403,7 +395,7 @@ class CoframeData(Frozen):
         return self.symbols[sid].name
 
     def with_trig_rules(self, df=None, dg=None):
-        return CoframeData(self.symbols, self.d_table, self.orientation, TrigRules(df, dg))
+        return CoframeData(self.symbols, self.d_table, TrigRules(df, dg))
 
     @functools.cached_property
     def d_squared_gate(self):
@@ -420,10 +412,11 @@ def standard_symbols(auxiliary=()):
     return tuple(syms)
 
 
-def coframe(d_table_by_name, auxiliary=(), orientation=None, trig_rules=None):
+def coframe(d_table_by_name, auxiliary=(), trig_rules=None):
     """Build CoframeData from a name-keyed generator table.
 
-    Symbols missing from the table get d = 0.
+    Symbols missing from the table get d = 0.  The orientation is the structure's
+    (see :func:`hodge`).
     """
     syms = standard_symbols(auxiliary)
     names = {s.name: i for i, s in enumerate(syms)}
@@ -434,8 +427,7 @@ def coframe(d_table_by_name, auxiliary=(), orientation=None, trig_rules=None):
         table[names[name]] = f
     for sid in range(len(syms)):
         table.setdefault(sid, zero_form(2))
-    orient = METRIC_IDS if orientation is None else tuple(names[n] for n in orientation)
-    return CoframeData(tuple(syms), table, orient, trig_rules)
+    return CoframeData(tuple(syms), table, trig_rules)
 
 
 def ext_d(a, c):

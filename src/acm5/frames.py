@@ -26,8 +26,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
-    METRIC_IDS, CoframeData, Frozen, ResidualReport, e, ext_d, stored, wedge, wedge_all,
-    wedge_sum, zero_form,
+    METRIC_IDS, CoframeData, Frozen, ResidualReport, e, ext_d, stored, wedge_all, wedge_sum,
+    zero_form,
 )
 from .scalars import TrigScalar, div_const, narrow, sis_zero
 
@@ -214,9 +214,9 @@ def frame_change_verify(c: CoframeData, fc: FrameChange, target: CanonicalAlgebr
         raise RankError("new forms are linearly dependent")
     for i in range(6):
         lhs = ext_d(fc.new_forms[i], c)
-        rhs = zero_form(2)
-        for (j, k), coef in target.d_coeffs.get(i, {}).items():
-            rhs = rhs + wedge(fc.new_forms[j], fc.new_forms[k]).scale(coef)
+        rhs = wedge_sum(zero_form(2), (
+            (fc.new_forms[j].scale(coef), fc.new_forms[k])
+            for (j, k), coef in target.d_coeffs.get(i, {}).items()))
         if not (lhs - rhs).is_zero():
             return False
     return True

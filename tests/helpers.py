@@ -762,6 +762,14 @@ def gamma_oracle(dphi, nij):
     return first, second
 
 
+def nearly_cosymplectic_oracle(np):
+    """(nabla_a Phi)(e_b, e_c) + (nabla_b Phi)(e_a, e_c) = 0, from np[k][a][b], over all 125
+    slots (a, b, c), each ordered pair a != b included twice."""
+    return all(
+        sis_zero(np[a][c][b] + np[b][c][a]) for a, b, c in itertools.product(range(5), repeat=3)
+    )
+
+
 def predicates_oracle(np, nij, dphi, nx, killing):
     """The nearly cosymplectic, quasi-cosymplectic and generalized
     quasi-Sasaki verdicts, entry by entry over every slot."""
@@ -778,7 +786,7 @@ def predicates_oracle(np, nij, dphi, nx, killing):
 
     horiz = itertools.product(range(4), repeat=3)
     return {
-        "nearly_cosymplectic": all(sis_zero(np[a][c][b] + np[b][c][a]) for a, b, c in cube),
+        "nearly_cosymplectic": nearly_cosymplectic_oracle(np),
         "quasi_cosymplectic": all(
             sis_zero(quasi_cos_lhs(a, b, c) - quasi_cos_rhs(a, b, c)) for a, b, c in cube
         ),
@@ -1050,7 +1058,7 @@ def rotate(c: CoframeData, q):
             for key, v in metric[i].items():
                 acc[key] = acc.get(key, Fraction(0)) + q[a][i] * v
         table[a] = form(2, acc)
-    return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
+    return CoframeData(c.symbols, table, c.trig_rules)
 
 
 def scaled(c: CoframeData, lam):
@@ -1059,7 +1067,7 @@ def scaled(c: CoframeData, lam):
     It is the orthonormal coframe of the homothetic metric g / lam^2.
     """
     table = {sid: f.scale(lam) for sid, f in c.d_table.items()}
-    return CoframeData(c.symbols, table, c.orientation, c.trig_rules)
+    return CoframeData(c.symbols, table, c.trig_rules)
 
 
 # -- the Gaussian-rational spinor oracle ------------------------------------------

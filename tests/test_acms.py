@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 
 from acm5 import linalg
 from acm5.acms import (
-    ADAPTED,
     ETA,
     F,
     L24,
+    NEARLY,
     PHI,
     PHI_MAT,
     XI,
@@ -18,6 +19,7 @@ from acm5.acms import (
     Z2,
     Tensor3,
     at,
+    contract,
     d_eta_form,
     d_phi_tensor,
     frame_connection,
@@ -38,6 +40,7 @@ from acm5.errors import (
 from acm5.exterior import e, form, hodge, wedge
 from acm5.frames import connection_from_structure
 from acm5.groups import build
+from acm5.scalars import sis_zero
 
 from helpers import (
     GOLDEN,
@@ -48,12 +51,14 @@ from helpers import (
     evaluate,
     inner,
     lambda2_project,
+    nearly_cosymplectic_oracle,
     nested,
     phi_invariance_type,
     pr_w,
     project_u2,
     project_u2_complement,
     random_form,
+    random_fraction,
     random_pointwise,
     t3_get,
 )
@@ -85,8 +90,9 @@ def test_phi_kills_reeb_and_metric_compatibility():
 
 def test_fundamental_form_compatibility():
     # Phi(e_i, e_j) = g(e_i, phi e_j) holds by construction of the matrix
-    assert ADAPTED.Phi == PHI and ADAPTED.eta == ETA
     assert evaluate(PHI, 0, 1) == 1 and evaluate(PHI, 2, 3) == 1
+    # the structure's orientation, the volume form of hodge: eta ^ Phi ^ Phi = 2 e1^...^e5
+    assert wedge(ETA, wedge(PHI, PHI)) == form(5, {(0, 1, 2, 3, 4): 2})
 
 
 # -- 2-form type decomposition -------------------------------------------------
@@ -314,6 +320,55 @@ def test_predicate_examples():
     assert predicates(build(-2, 0, 1, 0).omega_g).quasi_cosymplectic
     ab = predicates(ABELIAN_OMEGA)
     assert all(ab.as_dict().values())
+
+
+def _last_two_antisymmetric_cube(value, nearly):
+    """A nested 5x5x5 cube np[k][a][b] = -np[k][b][a] of values value(); totally
+    antisymmetric, so nearly cosymplectic, when ``nearly``."""
+    np = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    if nearly:
+        for k, a, b in itertools.combinations(range(5), 3):
+            v = value()
+            for x, y, z in ((k, a, b), (a, b, k), (b, k, a)):
+                np[x][y][z], np[x][z][y] = v, -v
+    else:
+        for k in range(5):
+            for a, b in itertools.combinations(range(5), 2):
+                v = value()
+                np[k][a][b], np[k][b][a] = v, -v
+    return np
+
+
+def _break_one_pair(np, rng, value):
+    """Add v != 0 to np[k][a][b] and -v to np[k][b][a] for distinct k, a, b: of the condition's
+    entries, only four with distinct first two slots change."""
+    k, a, b = rng.sample(range(5), 3)
+    v = value() or 1
+    np[k][a][b], np[k][b][a] = np[k][a][b] + v, np[k][b][a] - v
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_nearly_plan_tests_each_unordered_pair_once(kind):
+    """NEARLY holds the 75 entries a <= b of the 125 of the condition, and its zero verdict
+    is the verdict over all 125: on random cubes antisymmetric in their last two slots, on
+    nearly cosymplectic ones and on those broken at one pair of slots off the diagonal, and
+    on the nabla Phi of random pointwise connections."""
+    assert len(NEARLY) == 75
+    rng = random.Random(31)
+    value = (lambda: random_fraction(rng)) if kind == "exact" else (lambda: rng.uniform(-3, 3))
+    verdicts = []
+    for trial in range(60):
+        np = _last_two_antisymmetric_cube(value, nearly=trial % 3 != 0)
+        if trial % 3 == 2:
+            _break_one_pair(np, rng, value)
+        flat = tuple(v for plane in np for row in plane for v in row)
+        verdict = all(map(sis_zero, contract(NEARLY, flat)))
+        assert verdict == nearly_cosymplectic_oracle(np) == (trial % 3 == 1)
+        verdicts.append(verdict)
+    for _ in range(10):
+        pw = random_pointwise(rng)
+        expected = nearly_cosymplectic_oracle(nested(nabla_phi(pw)))
+        assert predicates(pw).nearly_cosymplectic == expected
 
 
 def test_killing_and_deta_on_family():

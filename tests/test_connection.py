@@ -241,7 +241,7 @@ def test_levi_civita_curvature_of_family_keeps_residue():
 def test_curvature_refuses_a_non_integrable_coframe():
     inst = build(1, 0, 0, 0)
     cf = inst.coframe
-    doubled = CoframeData(cf.symbols, {**cf.d_table, 5: 2 * cf.d_table[5]}, cf.orientation)
+    doubled = CoframeData(cf.symbols, {**cf.d_table, 5: 2 * cf.d_table[5]})
     assert not d_squared_zero(doubled).ok
     with pytest.raises(ACM5Error, match=r"curvature needs an integrable coframe \(d\^2 = 0\)"):
         curvature(doubled, inst.omega_g)

@@ -171,12 +171,6 @@ def test_mode_rule_sums_reject_mixed_kinds_products_take_exact_factors():
     assert _entries(wedge(floaty, e(1))) == _entries(wedge(floaty, unit)) == [((0, 1), bits(-0.5))]
 
 
-def test_hodge_respects_declared_orientation():
-    flipped = coframe({}, orientation=("e2", "e1", "e3", "e4", "e5"))
-    assert hodge(wedge(e(1), e(2)), flipped) == form(3, {(2, 3, 4): -1})
-    assert hodge(wedge(e(1), e(2))) == form(3, {(2, 3, 4): 1})
-
-
 # -- property-based checks ---------------------------------------------------
 
 

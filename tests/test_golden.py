@@ -13,6 +13,10 @@ the fundamental form, skew torsion, 1-dimensional holonomy.  The expected
 files were produced before any refactoring of the library and are never
 regenerated by the tests: a change that alters them changes the program's
 output.
+
+The declared ``"orientation"`` decides nothing: the structure fixes the
+orientation, so an input whose list is an odd permutation of its metric
+names prints the same bytes.
 """
 
 import json
@@ -36,3 +40,28 @@ def test_golden_output(case, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / "expected" / f"{case['id']}.out").read_bytes()
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted({c["input"] for c in CASES if "input" in c}))
+def test_declared_orientation_decides_nothing(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ACM5_COLOR", raising=False)
+    source = GOLDEN / "inputs" / name
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    first, second, *rest = doc["orientation"]
+    doc["orientation"] = [second, first, *rest]  # one transposition: the opposite orientation
+    flipped = tmp_path / name
+    flipped.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run(["validate", str(flipped)], capsys) == _run(["validate", str(source)], capsys)
+    cases = [c for c in CASES if c.get("input") == name and c["argv"][2:] in (
+        ["--json"], ["--json", "--float"])]
+    assert len(cases) == 2
+    for case in cases:
+        code, out, _ = _run(["classify", str(flipped), *case["argv"][2:]], capsys)
+        assert code == case["exit"]
+        assert out.encode("utf-8") == (GOLDEN / "expected" / f"{case['id']}.out").read_bytes()

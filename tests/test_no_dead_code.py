@@ -126,7 +126,7 @@ def test_every_value_class_field_is_read():
             unread.extend(
                 f"{path.stem}.{node.name}.{name}" for name in _fields(node) if not reads[name]
             )
-    assert len(inspected) >= 23, f"only {len(inspected)} value classes found: {inspected}"
+    assert len(inspected) >= 22, f"only {len(inspected)} value classes found: {inspected}"
     assert not unread, f"value class fields never read: {sorted(unread)}"
 
 
@@ -167,7 +167,7 @@ def test_every_value_class_method_is_reached_outside_tests():
     assert not unreached, f"value class methods that only tests reach: {sorted(unreached)}"
 
 
-SRC_LINE_BUDGET = 3388  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3374  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

@@ -15,15 +15,24 @@ coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
 stage.  ``identify_group`` refuses the degenerate point (0, 0, 0, 0) with
 DegenerateInputError; that refusal is what is timed there.
 
-It prints each stage's median in microseconds, one row per structure, then
-the column medians.  Then it times the ingest of ``classify`` the same way:
-the d^2-gate (``exterior.d_squared_zero``), ``frames.connection_from_structure``
+It prints each stage's median, one row per structure, then the column
+medians.  Then it times the ingest of ``classify`` the same way: the
+d^2-gate (``exterior.d_squared_zero``), ``frames.connection_from_structure``
 and ``acms.frame_connection`` of the solved forms (which returns them as they
 are, their view already written by the solve), on each golden input turned
 by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
 ``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
 float, each at the working scale that ``classify`` computes on.  Last it
-prints all the numbers as one JSON object.
+prints all the numbers as one JSON object: each time a [raw, normalised]
+pair, the column medians under "raw" and "normalised".
+
+Each median is given twice, as two tables: raw, in microseconds as measured,
+and normalised to the host's speed as the benchmark harness normalises
+(``normalised`` of ``bench/run.py``): the harness's reference task is timed
+right before and right after a stage's runs, and the raw median is scaled by
+REFERENCE_S over the mean of those two reference times.  Raw medians of the
+same code move with the host's speed from run to run; compare normalised
+columns between two trees.
 
 Run from the repository root:  python3 tools/layer_times.py
 """
@@ -37,11 +46,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
+sys.path.insert(2, str(ROOT / "bench"))
 
 from acm5 import acms, connection, exterior, frames, groups  # noqa: E402
 from acm5.cli import _to_float_coframe, _working_scale, load_coframe  # noqa: E402
 from acm5.errors import DegenerateInputError  # noqa: E402
 from helpers import fixed_so5_rotation, rotate  # noqa: E402
+from run import REFERENCE_S, normalised, timed_reference  # noqa: E402
 
 RUNS = 101
 STAGES = (
@@ -66,12 +77,16 @@ POINTS = {  # identify_group branch -> family point
 
 
 def median_us(fn):
+    """(raw, normalised) median of RUNS runs of fn, in us; see the module docstring."""
+    before = timed_reference()
     samples = []
     for _ in range(RUNS):
         start = time.perf_counter_ns()
         fn()
         samples.append(time.perf_counter_ns() - start)
-    return statistics.median(samples) / 1000
+    reference = (before + timed_reference()) / 2
+    raw = statistics.median(samples) / 1000
+    return raw, normalised((raw, reference))
 
 
 def identify(point):
@@ -126,16 +141,22 @@ def ingest_times(c):
 
 
 def print_table(rows, stages, title):
-    """Print one row per structure and the column medians; return the medians."""
+    """Print the raw and the normalised table, one row per structure and the column medians;
+    return {"raw": medians, "normalised": medians}."""
     width = max(map(len, rows))
-    print(title)
-    print(f"{'structure':{width}}" + "".join(f" {s[:12]:>12}" for s in stages))
-    for name, times in rows.items():
-        print(f"{name:{width}}" + "".join(
-            f" {times[s]:12.1f}" if s in times else f" {'-':>12}" for s in stages))
-    medians = {s: statistics.median(t[s] for t in rows.values() if s in t) for s in stages}
-    print(f"{'median':{width}}" + "".join(f" {medians[s]:12.1f}" for s in stages))
-    return medians
+    out = {}
+    for col, kind in enumerate(("raw", "normalised")):
+        print(f"{title}, {kind}")
+        print(f"{'structure':{width}}" + "".join(f" {s[:12]:>12}" for s in stages))
+        for name, times in rows.items():
+            print(f"{name:{width}}" + "".join(
+                f" {times[s][col]:12.1f}" if s in times else f" {'-':>12}" for s in stages))
+        medians = {
+            s: statistics.median(t[s][col] for t in rows.values() if s in t) for s in stages
+        }
+        print(f"{'median':{width}}" + "".join(f" {medians[s]:12.1f}" for s in stages))
+        out[kind] = medians
+    return out
 
 
 def main():
@@ -155,8 +176,8 @@ def main():
         ingest[f"{path.stem} exact"] = ingest_times(turned)
         ingest[f"{path.stem} float"] = ingest_times(_to_float_coframe(turned))
     ingest_medians = print_table(ingest, INGEST, "ingest of the SO(5)-rotated golden inputs, in us")
-    print(json.dumps({"runs": RUNS, "median": medians, "structures": rows,
-                      "ingest_median": ingest_medians, "ingest": ingest}))
+    print(json.dumps({"runs": RUNS, "reference_s": REFERENCE_S, "median": medians,
+                      "structures": rows, "ingest_median": ingest_medians, "ingest": ingest}))
 
 
 if __name__ == "__main__":
