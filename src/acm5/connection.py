@@ -8,22 +8,27 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
 
 and the torsion is the antisymmetrization of A in the first two slots.
 The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
-``int`` and the torsion and its Cartan parts add ints.
-Curvature uses the second structure equation, each entry R[i][j] built as
-one ``exterior.wedge_sum``; the Ricci values and the curvature endomorphisms
-are read from the entries' term tables, and the holonomy algebra is computed
-as the bracket closure of the endomorphisms.  The compatible connection adds
-the difference tensor onto each Levi-Civita entry in one table, and the
-torsion's Cartan parts are read in its own slot order.  Spinors
-live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
+``int`` and the torsion and its Cartan parts add ints.  The compatible
+connection adds the difference tensor onto each Levi-Civita entry in one
+table, and the torsion's Cartan parts are read in its own slot order.
+Curvature reads the matrices M_s[i][j] = w[i][j](E_s) of the connection's flat
+view, one per coframe symbol: R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
+for a < b, each entry summed from the int 0 over s in id order, then over k with
+M_a[i][k] M_b[k][j] - M_b[i][k] M_a[k][j] one step: the order of the Form chain
+d w[i][j] + sum_k w[i][k] ^ w[k][j], so a float keeps its bits.  Ricci and the
+holonomy read these tables; the holonomy algebra is their bracket closure, one
+reduced echelon basis of ``PAIRS`` values deciding whether a candidate is new.
+Spinors live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
 permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
-(column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi.
+(column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi; the spin
+lift reads the same matrices.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from . import linalg
@@ -45,18 +50,17 @@ from .acms import (
     predicates,
     t3_from_form3,
 )
-from .errors import ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError
+from .errors import (
+    ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError, UnsupportedSymbolError,
+)
 from .exterior import (
     METRIC_IDS,
     CoframeData,
     Form,
     Frozen,
-    dense2,
-    ext_d,
     grid_form,
     stored,
     wedge,
-    wedge_sum,
 )
 from .frames import ConnectionForms
 from .scalars import div_const, narrow, sis_zero
@@ -161,20 +165,13 @@ class CurvatureData(NamedTuple):
 
 
 def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
-    """Second structure equation R[i][j] = d w[i][j] + sum_k w[i][k] ^ w[k][j].
-
-    Auxiliary symbols must cancel after substituting their derivatives; the
-    Ricci convention Ric(X, Y) = sum_i R[i][Y](X, e_i) is fixed by the
-    worked family of examples.
-    """
+    """R[i][j] = d w[i][j] + sum_k w[i][k] ^ w[k][j], Ricci and holonomy from the matrices
+    R(E_a, E_b); auxiliary symbols must cancel.  Ric(X, Y) = sum_i R[i][Y](X, e_i)."""
     if not c.d_squared_gate.ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
-    w = omega.omega
-    grid = tuple(
-        tuple(_chop(wedge_sum(ext_d(w[i][j], c), ((w[i][k], w[k][j]) for k in range(5))))
-              for j in range(5))
-        for i in range(5)
-    )
+    tables = _curvature_tables(c, omega)
+    grid = tuple(tuple(stored(2, {p: t[i][j] for p, t in tables.items()}) for j in range(5))
+                 for i in range(5))
     for i, j in product(range(5), repeat=2):
         bad = [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]
         if bad:
@@ -188,26 +185,39 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
                 "internal consistency: curvature matrix is not antisymmetric: "
                 f"R({i + 1},{j + 1}) + R({j + 1},{i + 1}) is nonzero on {', '.join(bad)}"
             )
-    # R[i][j](e_a, e_b) as dense2 reads it off the entry's terms: c, -c or the int 0
+    zero = [[0] * 5] * 5
     ricci = []
-    for a in range(5):
-        rrow = []
-        for b in range(5):
-            acc = 0
-            for i in range(5):
-                t = grid[i][b].terms
-                acc += t.get((a, i), 0) if a < i else -t.get((i, a), 0)
-            rrow.append(acc)
-        ricci.append(tuple(rrow))
-    endomorphisms = [grid_form(lambda i, j: grid[i][j].terms.get(p, 0)) for p in PAIRS]
-    holonomy = _bracket_closure([f for f in endomorphisms if not f.is_zero()])
-    return CurvatureData(grid, tuple(ricci), tuple(holonomy))
+    for a in range(5):  # Ric(e_a, e_b) = sum_i R[i][b](e_a, e_i) = sum_i R(E_a, E_i)[i][b]
+        rows = [tables.get((a, i), zero)[i] if a < i else [-v for v in tables.get((i, a), zero)[i]]
+                for i in range(5)]
+        ricci.append(tuple(_dot((1,) * 5, rows, b) for b in range(5)))
+    holonomy = _bracket_closure([t for t in map(tables.get, PAIRS) if t])
+    return CurvatureData(grid, tuple(ricci), holonomy)
 
 
-def _chop(f: Form):
-    """Drop float coefficients below the verification tolerance; an exact form stores no zero."""
-    kept = {idx: v for idx, v in f.terms.items() if not sis_zero(v)}
-    return f if len(kept) == len(f.terms) else stored(f.degree, kept)
+def _symbol_matrices(omega: ConnectionForms):
+    """{s: M_s} for each symbol whose M_s[i][j] = w[i][j](E_s) has a truthy entry, id order."""
+    flat, channels = omega.view
+    mats = {s: [flat[25 * i + s : 25 * i + 25 : 5] for i in range(5)] for s in METRIC_IDS}
+    return {s: m for s, m in chain(mats.items(), channels) if any(map(any, m))}
+
+
+def _curvature_tables(c: CoframeData, omega: ConnectionForms):
+    """{(a, b): R(E_a, E_b)} as 5x5 tables for the pairs a < b with a term, a zero the int 0."""
+    mats = derived(omega, _symbol_matrices)
+    if any(s >= c.n_symbols for s in mats):
+        raise UnsupportedSymbolError("form uses symbols outside the coframe")
+    tables = defaultdict(lambda: [[0] * 5 for _ in range(5)])
+    for s, m in mats.items():  # s in id order; a de_s that is zero at the tolerance adds nothing
+        if not c.d_table[s].is_zero():
+            for (p, v), i, j in product(c.d_table[s].terms.items(), range(5), range(5)):
+                tables[p][i][j] += m[i][j] * v
+    for (a, ma), (b, mb) in combinations(mats.items(), 2):  # then + [M_a, M_b], k in order
+        for i, j, k in product(range(5), repeat=3):
+            if ma[i][k] and mb[k][j] or mb[i][k] and ma[k][j]:
+                tables[a, b][i][j] += ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j]
+    return {p: [[0 if sis_zero(x) else narrow(x) for x in row] for row in r]
+            for p, r in sorted(tables.items())}
 
 
 def _commutator(a, b):
@@ -223,29 +233,18 @@ def _dot(row, m, j):
 
 
 def _bracket_closure(elements):
-    """Grow a list of so(5) elements (as 2-forms) until closed under bracket."""
-    basis = []
-
-    def try_add(f):
-        rows = [[b.coefficient(p) for p in PAIRS] for b in (*basis, f)]
-        if linalg.rank(rows) > len(basis):
-            basis.append(f)
-            return True
-        return False
-
-    for f in elements:
-        try_add(f)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(basis)
-        for n, x in enumerate(snapshot):  # [x, x] = 0, and [y, x] = -[x, y] is tried with [x, y]
-            for y in snapshot[n + 1 :]:
-                m = _commutator(dense2(x), dense2(y))
-                f = grid_form(lambda i, j: m[i][j])
-                if not f.is_zero() and try_add(f):
-                    changed = True
-    return basis
+    """The 2-forms of a basis of the bracket closure of so(5) elements given as 5x5 tables: a
+    round tries the elements, then the commutators of the basis, until one adds none."""
+    basis, echelon, candidates, size = [], [], elements, -1
+    while len(basis) > size:  # the last round grew the basis
+        size = len(basis)
+        for m in candidates:
+            rows, pivots = linalg.rref([*echelon, [m[i][j] for i, j in PAIRS]])
+            if len(pivots) > len(echelon):
+                basis.append(m)
+                echelon = rows[: len(pivots)]
+        candidates = (_commutator(x, y) for x, y in combinations(basis, 2))
+    return tuple(grid_form(lambda i, j: m[i][j]) for m in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +330,16 @@ def kernel_of_f() -> SpinorKernelReport:
 
 
 def parallel_spinor_check(space: SpinorSpace, omega: ConnectionForms, spinors):
-    """True when the spin lift (1/2) sum_{i<j} w[i][j] g_i g_j of the
-    connection annihilates every spinor.  Per coframe symbol and spinor the
-    residue adds signed reads of the w[i][j] coefficients; the 1/2 is dropped
-    because the test is homogeneous, and sis_zero decides each entry, exact
-    or float."""
-    residues = {}
-    for (i, j), table in space.products.items():
-        for (sid,), coef in omega.omega[i][j].terms.items():
-            rows = residues.setdefault(sid, [[0] * 8 for _ in spinors])
-            for row, psi in zip(rows, spinors):
-                for r, (c, s) in enumerate(table):
-                    row[r] += s * coef * psi[c]
-    return all(sis_zero(x) for rows in residues.values() for row in rows for x in row)
+    """True when the spin lift (1/2) sum_{i<j} M_s[i][j] g_i g_j of each symbol matrix
+    M_s annihilates every spinor; the 1/2 is dropped because the test is homogeneous,
+    and sis_zero decides each entry of the residues, exact or float."""
+    for m in derived(omega, _symbol_matrices).values():
+        rows = [[0] * 8 for _ in spinors]
+        for (i, j), table in space.products.items():
+            if coef := m[i][j]:
+                for row, psi in zip(rows, spinors):
+                    for r, (c, s) in enumerate(table):
+                        row[r] += s * coef * psi[c]
+        if not all(sis_zero(x) for row in rows for x in row):
+            return False
+    return True

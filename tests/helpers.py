@@ -11,9 +11,15 @@ spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
 and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
 The wedge-based exterior derivative (``ext_d_oracle``) is the one that
 ``exterior.ext_d``'s direct Leibniz accumulation replaced.  The Form chains
-of ``curvature_grid_oracle``, ``connection_plus_tensor_oracle`` and
-``first_structure_oracle`` are the ones that one term table per entry
-(``exterior.wedge_sum``, ``exterior.stored`` onto a form) replaced.  The difference
+of ``connection_plus_tensor_oracle`` and ``first_structure_oracle`` are the
+ones that one term table per entry (``exterior.wedge_sum``, ``exterior.stored``
+onto a form) replaced.  ``curvature_grid_oracle`` (the Form chain
+d w[i][j] + sum_k w[i][k] ^ w[k][j] of ``ext_d``, ``wedge`` and ``+``) and
+``curvature_readings_oracle`` (the 25 ``dense2`` tables and the bracket closure
+over every ordered pair, by ``linalg.rank``) are the oracles of the matrix path
+of ``connection.curvature``, which reads the matrix
+R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b] off the connection's
+matrices M_s[i][j] = w[i][j](E_s).  The difference
 tensor and Cartan oracles (``difference_tensor_oracle``,
 ``cartan_decompose_oracle``) keep the ``Fraction(1, n)`` multipliers that
 ``scalars.div_const`` replaced, so a float entry keeps its bits.

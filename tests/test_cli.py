@@ -127,13 +127,14 @@ def test_curvature_antisymmetry_failure_names_the_pair_and_monomials(capsys, mon
     naming the first failing pair and the monomials of the sum."""
     from acm5 import connection
 
-    real, built = connection.wedge_sum, []
+    real = connection._curvature_tables
 
-    def skewed(first, pairs):  # R(1,2), the second entry, gains e1^e3
-        built.append(real(first, pairs))
-        return built[-1] + stored(2, {(0, 2): 1}) if len(built) == 2 else built[-1]
+    def skewed(c, omega):  # R(1,2) gains e1^e3: R(E_1, E_3) gains 1 at (1, 2)
+        tables = real(c, omega)
+        tables.setdefault((0, 2), [[0] * 5 for _ in range(5)])[0][1] += 1
+        return tables
 
-    monkeypatch.setattr(connection, "wedge_sum", skewed)
+    monkeypatch.setattr(connection, "_curvature_tables", skewed)
     code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / "family_1_0_2_0.json")])
     assert (code, out) == (1, "")
     assert err == (

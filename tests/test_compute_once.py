@@ -14,10 +14,11 @@ norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
 ext_d and runs once per coframe: ``CoframeData.d_squared_gate`` keeps its
 report, so curvature does not gate again a coframe that ``family.build`` or
-the classify report has gated.  The connection layer builds each entry in
-one term table: a curvature entry and a first-structure residual are one
-``exterior.wedge_sum`` each, so neither calls ``exterior.wedge``, and the
-Ricci values and the holonomy are read from the entries' terms.  The
+the classify report has gated.  A first-structure residual is one
+``exterior.wedge_sum``, so it calls no ``exterior.wedge``, and curvature
+reads the connection's matrices, so it calls neither ``exterior.wedge`` nor
+``exterior.ext_d``; the Ricci values and the holonomy are read from its
+R(E_a, E_b) tables.  The
 Levi-Civita solve writes the flat view that the kernels read, so a classify
 report builds its connection forms only for the characteristic connection
 of a generalized quasi-Sasaki structure.
@@ -168,7 +169,7 @@ def test_curvature_and_first_structure_make_no_wedge_call(mode):
     with count_calls("exterior.wedge", "exterior.ext_d") as calls:
         assert frames.verify_first_structure(c, omega).ok
         curvature(c, cc.omega_c)
-    assert calls == {"exterior.ext_d": 25}
+    assert calls == {}
 
 
 # each golden input, and each one without auxiliary symbols under a generic rotation, which

@@ -11,6 +11,7 @@ from acm5 import connection
 from acm5.acms import (
     F,
     LAMBDA2_BASES,
+    PAIRS,
     PHI,
     Y1,
     Y2,
@@ -23,7 +24,7 @@ from acm5.acms import (
     vartheta,
 )
 from acm5.cli import _to_float_coframe, load_coframe
-from acm5.linalg import nullspace
+from acm5.linalg import nullspace, rank
 from acm5.connection import (
     J,
     SpinorSpace,
@@ -37,9 +38,9 @@ from acm5.connection import (
     torsion_type,
     _bracket_closure,
 )
-from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError
+from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError
 from acm5.exterior import (
-    CoframeData, coframe, d_squared_zero, e, ext_d, form, stored, wedge, wedge_sum
+    CoframeData, coframe, d_squared_zero, dense2, e, ext_d, form, stored, wedge, wedge_sum
 )
 from acm5.frames import connection_forms, connection_from_structure, verify_first_structure
 from acm5.scalars import sis_zero
@@ -47,6 +48,7 @@ from acm5.groups import build
 
 from helpers import (
     GAUSSIAN_GENERATORS,
+    GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     GaussianRational,
     abelian_coframe,
@@ -65,8 +67,10 @@ from helpers import (
     nested,
     random_fraction,
     realify,
+    rotate,
     t3_scale,
     table_matrix,
+    u2_rotation,
 )
 
 ABELIAN = abelian_coframe()
@@ -250,7 +254,7 @@ def test_curvature_refuses_a_non_integrable_coframe():
 def test_bracket_closure_grows_so3():
     e12 = form(2, {(0, 1): 1})
     e13 = form(2, {(0, 2): 1})
-    closed = _bracket_closure([e12, e13])
+    closed = _bracket_closure([dense2(e12), dense2(e13)])
     assert len(closed) == 3
 
 
@@ -541,3 +545,58 @@ def test_curvature_matches_the_dense_table_oracles(path, mode):
     ricci, holonomy = curvature_readings_oracle(grid)
     assert [list(map(bits, row)) for row in cur.ricci] == [list(map(bits, row)) for row in ricci]
     assert [form_items(f) for f in cur.holonomy_basis] == [form_items(f) for f in holonomy]
+
+
+def _values(grid):
+    """Each entry of a 5x5 grid of Forms as {key: (type, repr)}: the key set, and each
+    value's type and bits, without the key order."""
+    return [[{k: (type(v), repr(v)) for k, v in f.terms.items()} for f in row] for row in grid]
+
+
+@settings(max_examples=25, deadline=None)
+@given(connection_cases())
+def test_matrix_curvature_matches_the_form_chain_on_random_connections(case):
+    """On random connections, of ints, fractions or floats, over coframes with and without
+    the auxiliary channel A2, the matrix path gives each entry's keys and each value's type
+    and bits of the chopped Form chain, its Ricci bits and its holonomy dimension, and it
+    refuses an auxiliary residue exactly when a chopped entry of the chain keeps one."""
+    c, omega, _ = case
+    grid = [[_chopped(f) for f in row] for row in curvature_grid_oracle(c, omega)]
+    if any(s > 4 for row in grid for f in row for s in f.symbols_used()):
+        with pytest.raises(SymbolicResidueError):
+            curvature(c, omega)
+        return
+    cur = curvature(c, omega)
+    assert _values(cur.curvature) == _values(grid)
+    ricci, holonomy = curvature_readings_oracle(grid)
+    assert [list(map(bits, row)) for row in cur.ricci] == [list(map(bits, row)) for row in ricci]
+    assert len(cur.holonomy_basis) == len(holonomy)
+
+
+def _invariance_cases():
+    """The generalized quasi-Sasaki golden inputs, exact, and the golden family points
+    turned by one U(2)x1 rotation, each with its compatible connection."""
+    coframes = {p.stem: load_coframe(str(p)) for p in GOLDEN_INPUTS}
+    turn = u2_rotation(1, Fraction(1, 2), -1, 2)
+    for point in GOLDEN_FAMILY_POINTS:
+        coframes["family_turned_" + "_".join(map(str, point))] = rotate(build(*point).coframe, turn)
+    for name, c in coframes.items():
+        fc = frame_connection(connection_from_structure(c))
+        if predicates(fc).generalized_quasi_sasaki:
+            yield pytest.param(c, characteristic_connection(fc).omega_c, id=name)
+
+
+@pytest.mark.parametrize("c, omega", _invariance_cases())
+def test_holonomy_is_closed_under_the_connection_matrices(c, omega):
+    """The holonomy algebra of an invariant connection is the smallest one that holds
+    every R(E_a, E_b) and is closed under [M_s, .] for each symbol matrix M_s[i][j] =
+    w[i][j](E_s) (Kobayashi-Nomizu II, Ch. X).  The bracket closure of the R(E_a, E_b)
+    already is, for every matrix of the compatible connection, metric and auxiliary."""
+    basis = curvature(c, omega).holonomy_basis
+    rows = [[f.coefficient(p) for p in PAIRS] for f in basis]
+    for s in range(c.n_symbols):
+        m = [[omega.omega[i][j].coefficient((s,)) for j in range(5)] for i in range(5)]
+        for h in map(dense2, basis):
+            mh, hm = matmul(m, h), matmul(h, m)
+            bracket = [mh[i][j] - hm[i][j] for i, j in PAIRS]
+            assert rank([*rows, bracket]) == len(basis), (s, h)

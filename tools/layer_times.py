@@ -3,36 +3,42 @@
 
 Runs over a fixed list of family points, one per branch of
 ``groups.identify_group``, and over the golden inputs whose structure is
-generalized quasi-Sasaki.  Each stage is timed on its own, RUNS times, on
-inputs that the earlier stages prepared once: ``build``,
+generalized quasi-Sasaki, exact and, in a second table, under ``--float`` at
+the working scale that ``classify`` computes on.  Each stage is timed on its
+own, RUNS times, on inputs that the earlier stages prepared once: ``build``,
 ``verify_first_structure``, ``connection_from_structure``, the ``acms``
 invariants (nabla Phi, N, the predicates, gamma and d eta, each run on a
 fresh connection: a new ``ConnectionForms`` of the same flat view, with an
 empty memo), ``characteristic_connection`` (on a connection that already
 holds those invariants), ``torsion_type``, ``curvature`` (on a
 coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
-``identify_group``.  A golden input has no ``build`` or ``identify_group``
-stage.  ``identify_group`` refuses the degenerate point (0, 0, 0, 0) with
-DegenerateInputError; that refusal is what is timed there.
+``identify_group``.  ``curvature`` and ``parallel_spinor_check`` read the
+connection's symbol matrices, which its memo keeps after the first read.  A
+golden input has no ``build`` or ``identify_group`` stage.  ``identify_group``
+refuses the degenerate point (0, 0, 0, 0) with DegenerateInputError; that
+refusal is what is timed there.
 
 It prints each stage's median, one row per structure, then the column
-medians.  Then it times the ingest of ``classify`` the same way: the
-d^2-gate (``exterior.d_squared_zero``), ``frames.connection_from_structure``
+medians, for the exact rows and for the float rows.  Then it times the
+ingest of ``classify`` the same way: the d^2-gate
+(``exterior.d_squared_zero``), ``frames.connection_from_structure``
 and ``acms.frame_connection`` of the solved forms (which returns them as they
 are, their view already written by the solve), on each golden input turned
 by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
 ``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
 float, each at the working scale that ``classify`` computes on.  Last it
 prints all the numbers as one JSON object: each time a [raw, normalised]
-pair, the column medians under "raw" and "normalised".
+pair, the column medians under "raw" and "normalised" (the float rows under
+"float_median" and "float_structures").
 
 Each median is given twice, as two tables: raw, in microseconds as measured,
 and normalised to the host's speed as the benchmark harness normalises
 (``normalised`` of ``bench/run.py``): the harness's reference task is timed
-right before and right after a stage's runs, and the raw median is scaled by
-REFERENCE_S over the mean of those two reference times.  Raw medians of the
-same code move with the host's speed from run to run; compare normalised
-columns between two trees.
+before a stage's runs and after each block of BLOCK of them, and the raw
+median is scaled by REFERENCE_S over the median of those reference times, so
+a slowdown of the host within a stage's runs moves the reference times with
+it.  Raw medians of the same code move with the host's speed from run to run;
+compare normalised columns between two trees.
 
 Run from the repository root:  python3 tools/layer_times.py
 """
@@ -55,6 +61,7 @@ from helpers import fixed_so5_rotation, rotate  # noqa: E402
 from run import REFERENCE_S, normalised, timed_reference  # noqa: E402
 
 RUNS = 101
+BLOCK = 10  # runs of a stage between two timings of the reference task
 STAGES = (
     "build", "verify_first_structure", "connection_from_structure", "acms_invariants",
     "characteristic_connection", "torsion_type", "curvature", "parallel_spinor_check",
@@ -78,15 +85,15 @@ POINTS = {  # identify_group branch -> family point
 
 def median_us(fn):
     """(raw, normalised) median of RUNS runs of fn, in us; see the module docstring."""
-    before = timed_reference()
-    samples = []
-    for _ in range(RUNS):
-        start = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - start)
-    reference = (before + timed_reference()) / 2
+    references, samples = [timed_reference()], []
+    for block in range(0, RUNS, BLOCK):
+        for _ in range(min(BLOCK, RUNS - block)):
+            start = time.perf_counter_ns()
+            fn()
+            samples.append(time.perf_counter_ns() - start)
+        references.append(timed_reference())
     raw = statistics.median(samples) / 1000
-    return raw, normalised((raw, reference))
+    return raw, normalised((raw, statistics.median(references)))
 
 
 def identify(point):
@@ -164,12 +171,17 @@ def main():
     for name, point in POINTS.items():
         inst = groups.build(*point)
         rows[f"family {name} {point}"] = stage_times(inst.coframe, inst.omega_g, point)
+    floats = {}
     for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
         c = load_coframe(str(path))
         omega = frames.connection_from_structure(c)
         if acms.predicates(acms.frame_connection(omega)).generalized_quasi_sasaki:
             rows[f"golden {path.stem}"] = stage_times(c, omega)
+            cf = _working_scale(_to_float_coframe(c))[0]
+            omega = frames.connection_from_structure(cf)
+            floats[f"golden {path.stem} float"] = stage_times(cf, omega)
     medians = print_table(rows, STAGES, f"median of {RUNS} runs per stage, in us")
+    float_medians = print_table(floats, STAGES[1:-1], "the same stages under --float, in us")
     ingest = {}
     for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
         turned = rotate(load_coframe(str(path)), fixed_so5_rotation())
@@ -177,7 +189,9 @@ def main():
         ingest[f"{path.stem} float"] = ingest_times(_to_float_coframe(turned))
     ingest_medians = print_table(ingest, INGEST, "ingest of the SO(5)-rotated golden inputs, in us")
     print(json.dumps({"runs": RUNS, "reference_s": REFERENCE_S, "median": medians,
-                      "structures": rows, "ingest_median": ingest_medians, "ingest": ingest}))
+                      "structures": rows, "float_median": float_medians,
+                      "float_structures": floats, "ingest_median": ingest_medians,
+                      "ingest": ingest}))
 
 
 if __name__ == "__main__":
