@@ -257,17 +257,12 @@ def derived(fc: ConnectionForms, fn):
 
 
 def frame_connection(source) -> ConnectionForms:
-    """ConnectionForms themselves, once their flat ``view`` is read (a trig value is refused
-    there), or the connection of free pointwise values w[i][j](e_k) given as a Tensor3 (no
-    integrability implied)."""
+    """ConnectionForms as they are, or the connection of free pointwise values w[i][j](e_k)
+    given as a Tensor3 (no integrability implied), which ``ConnectionForms`` checks."""
     if isinstance(source, ConnectionForms):
-        source.view
         return source
     if isinstance(source, Tensor3):
-        v = source.flat
-        if any(v[at(i, j, k)] != -v[at(j, i, k)] for i, j, k in product(range(5), repeat=3)):
-            raise ValueError("pointwise data must be antisymmetric in (i, j)")
-        return ConnectionForms._of_view(v, ())
+        return ConnectionForms(source.flat)
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 

@@ -9,8 +9,8 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
 and the torsion is the antisymmetrization of A in the first two slots.
 The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
 ``int`` and the torsion and its Cartan parts add ints.  The compatible
-connection adds the difference tensor onto each Levi-Civita entry in one
-table, and the torsion's Cartan parts are read in its own slot order.
+connection's view is the Levi-Civita view plus the difference tensor, slot by
+slot, and the torsion's Cartan parts are read in its own slot order.
 Curvature reads the matrices M_s[i][j] = w[i][j](E_s) of the connection's flat
 view, one per coframe symbol: R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
 for a < b, each entry summed from the int 0 over s in id order, then over k with
@@ -51,7 +51,8 @@ from .acms import (
     t3_from_form3,
 )
 from .errors import (
-    ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError, UnsupportedSymbolError,
+    ACM5Error, ModeMismatchError, NotGeneralizedQuasiSasakiError, SymbolicResidueError,
+    UnsupportedSymbolError,
 )
 from .exterior import (
     METRIC_IDS,
@@ -63,7 +64,7 @@ from .exterior import (
     wedge,
 )
 from .frames import ConnectionForms
-from .scalars import div_const, narrow, sis_zero
+from .scalars import div_const, narrow, sis_zero, table_kind
 from .torsionclass import cartan_decompose
 
 
@@ -103,11 +104,11 @@ TORSION = plan(lambda x, y, z: (at(x, y, z), ((-1, at(y, x, z), None),)))
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
-    """Entrywise w[i][j] + (the 1-form X -> a(X, e_i, e_j)), each entry built in one table."""
-    w = omega.omega  # a(e_k, e_i, e_j) is at slot at(k, i, j) = 25 k + 5 i + j
-    return ConnectionForms(tuple(tuple(
-        w[i][j] + stored(1, {(k,): v for k, v in enumerate(a.flat[5 * i + j :: 25])})
-        for j in range(5)) for i in range(5)))
+    """w[i][j] + (the 1-form X -> a(X, e_i, e_j)) as a checked view: w[i][j](e_k) at slot
+    s = 25 i + 5 j + k plus a(e_k, e_i, e_j) at 25 (s % 5) + s // 5, the same channels."""
+    flat, channels = omega.view
+    return ConnectionForms(
+        tuple(narrow(flat[s] + a.flat[25 * (s % 5) + s // 5]) for s in range(125)), channels)
 
 
 class CompatibilityReport(NamedTuple):
@@ -166,7 +167,8 @@ class CurvatureData(NamedTuple):
 
 def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     """R[i][j] = d w[i][j] + sum_k w[i][k] ^ w[k][j], Ricci and holonomy from the matrices
-    R(E_a, E_b); auxiliary symbols must cancel.  Ric(X, Y) = sum_i R[i][Y](X, e_i)."""
+    R(E_a, E_b); auxiliary symbols must cancel, and a coframe and a connection of two kinds
+    raise ModeMismatchError.  Ric(X, Y) = sum_i R[i][Y](X, e_i)."""
     if not c.d_squared_gate.ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
     tables = _curvature_tables(c, omega)
@@ -207,6 +209,10 @@ def _curvature_tables(c: CoframeData, omega: ConnectionForms):
     mats = derived(omega, _symbol_matrices)
     if any(s >= c.n_symbols for s in mats):
         raise UnsupportedSymbolError("form uses symbols outside the coframe")
+    terms = [v for f in c.d_table.values() for v in f.terms.values()]
+    kinds = table_kind(terms), table_kind(chain.from_iterable(chain.from_iterable(mats.values())))
+    if mats and terms and kinds[0] != kinds[1]:  # the kinds of the values that the sums read
+        raise ModeMismatchError("curvature mixes a %s coframe with a %s connection" % kinds)
     tables = defaultdict(lambda: [[0] * 5 for _ in range(5)])
     for s, m in mats.items():  # s in id order; a de_s that is zero at the tolerance adds nothing
         if not c.d_table[s].is_zero():

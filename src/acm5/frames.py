@@ -11,10 +11,10 @@ left-invariant metric on the metric channels, and a direct read of the
 structure table on each auxiliary channel.  The antisymmetric solution is
 unique whenever it exists, and its existence is two checks on the table.
 The solve writes the solution's flat view, w[i][j](e_k) and one matrix per
-auxiliary channel, straight from the table; its forms are built when first read.
-``ConnectionForms`` is the one connection object: it holds the flat view and
-the forms, each built from the other when first read, and the memo of the
-invariants that ``acms.derived`` fills, which lives as long as the object.
+auxiliary channel, straight from the table.  ``ConnectionForms`` is the one
+connection object: it stores that view, checked antisymmetric once when it is
+built, and the memo of the invariants that ``acms.derived`` fills, which lives
+as long as the object; its forms are a cache built from the view when first read.
 """
 
 from __future__ import annotations
@@ -33,51 +33,35 @@ from .scalars import TrigScalar, div_const, narrow, sis_zero
 
 
 class ConnectionForms(Frozen):
-    """Antisymmetric 5x5 matrix of connection 1-forms, with its flat ``view`` and the
-    memo of its invariants; built from one of forms and view, it builds the other when
-    first read.  ``==``, the hash and the repr read ``omega`` alone."""
+    """Antisymmetric connection by its flat ``view``: (w[i][j](e_k) at slot 25 i + 5 j + k,
+    ((aux_id, 5x5 matrix [i][j]), ...)), with the memo of its invariants; its forms are
+    built when first read.  ``==``, the hash and the repr read ``omega`` alone."""
 
-    omega: tuple  # 5x5 tuple of degree-1 Forms
+    view: tuple
     _memo: dict  # fn name -> fn(self), filled by ``acms.derived``
     _compared = ("omega",)
 
-    def __init__(self, omega):
-        for i in range(5):
-            for j in range(i, 5):
-                a, b = omega[i][j].terms, omega[j][i].terms
-                if not all(sis_zero(a.get(k, 0) + b.get(k, 0)) for k in a.keys() | b.keys()):
-                    raise ValueError("connection forms must be antisymmetric")
-        self.__dict__.update(omega=omega, _memo={})
+    def __init__(self, flat, channels=()):
+        mats = [[flat[25 * i + k : 25 * i + 25 : 5] for i in range(5)] for k in METRIC_IDS]
+        if not all(sis_zero(m[i][j] + m[j][i]) for m in chain(mats, (m for _, m in channels))
+                   for i in range(5) for j in range(i, 5)):  # each M_s[i][j] = w[i][j](E_s)
+            raise ValueError("pointwise data must be antisymmetric in (i, j)")
+        self.__dict__.update(view=(flat, channels), _memo={})
 
     @classmethod
     def _of_view(cls, flat, channels):
-        """The connection of a flat view that the library computed or validated, without
-        re-validation; its forms are built when first read."""
+        """The connection of a view that the solve wrote antisymmetric, without the check."""
         out = object.__new__(cls)
         out.__dict__.update(view=(flat, channels), _memo={})
         return out
 
     @cached_property
-    def view(self):
-        """The forms flattened: (w[i][j](e_k) at slot 25 i + 5 j + k, ((aux_id, 5x5 matrix), ...))."""
-        base, chans = [0] * 125, {}
-        for i, j in product(range(5), repeat=2):
-            for (sid,), coef in self.omega[i][j].terms.items():
-                if isinstance(coef, TrigScalar):
-                    raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-                if sid in METRIC_IDS:
-                    base[25 * i + 5 * j + sid] = coef
-                else:
-                    chans.setdefault(sid, [[0] * 5 for _ in range(5)])[i][j] = coef
-        return tuple(base), tuple((sid, tuple(map(tuple, m))) for sid, m in sorted(chans.items()))
-
-    @cached_property
     def omega(self):
-        """The forms of the view: w[i][j], i < j, keeps its truthy values, metric ids first."""
+        """The forms of the view by ``_grid``: w[i][j], i < j, under the storage rule."""
         flat, channels = self.view
         return _grid({(i, j): stored(1, {(k,): v for k, v in chain(
             enumerate(flat[25 * i + 5 * j : 25 * i + 5 * j + 5]),
-            ((a, m[i][j]) for a, m in channels)) if v}) for i in range(5) for j in range(i + 1, 5)})
+            ((a, m[i][j]) for a, m in channels))}) for i in range(5) for j in range(i + 1, 5)})
 
 
 def _grid(entries):
@@ -89,8 +73,22 @@ def _grid(entries):
 
 
 def connection_forms(entries):
-    """Validated ConnectionForms of a {(i, j): Form} dict of 1-based upper pairs, by ``_grid``."""
-    return ConnectionForms(_grid({(i - 1, j - 1): f for (i, j), f in entries.items()}))
+    """The ConnectionForms of a {(i, j): Form} dict of 1-based upper pairs, -f at (j, i): the
+    forms flattened and checked, a trig value refused, and kept as its ``omega``."""
+    grid = _grid({(i - 1, j - 1): f for (i, j), f in entries.items()})
+    flat, chans = [0] * 125, {}
+    for i, j in product(range(5), repeat=2):
+        for (sid,), coef in grid[i][j].terms.items():
+            if isinstance(coef, TrigScalar):
+                raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
+            if sid in METRIC_IDS:
+                flat[25 * i + 5 * j + sid] = coef
+            else:
+                chans.setdefault(sid, [[0] * 5 for _ in range(5)])[i][j] = coef
+    out = ConnectionForms(
+        tuple(flat), tuple((sid, tuple(map(tuple, m))) for sid, m in sorted(chans.items())))
+    out.__dict__["omega"] = grid
+    return out
 
 
 # w[b][c](e_a), b < c: its slot, w[c][b](e_a)'s, and those of de_a(b, c), de_b(a, c), de_c(a, b)
@@ -108,8 +106,8 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
     and each auxiliary channel is read off directly, w[b][c](A) = de_b(A, e_c).
     A solution exists, and is then unique, exactly when no de_i has an
     auxiliary ^ auxiliary term and de_i(A, e_j) is antisymmetric in (i, j);
-    otherwise RankError.  The solve writes the flat view from the table's
-    terms, and the forms are built from it when first read.
+    otherwise RankError; a trig-valued table is refused after those checks.
+    The solve writes the flat view from the table's terms.
     """
     n = c.name_of
     d = [0] * 125  # de_i(e_p, e_q) at slot 25 i + 5 p + q, metric p and q
@@ -133,14 +131,14 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
                 v = narrow(m[i][j]) if i < j else 0
                 m[i][j], m[j][i] = (v, -v) if v else (0, 0)
         channels += [(a, tuple(map(tuple, m)))] if any(map(any, m)) else []
+    if TrigScalar in map(type, chain(*(c.d_table[i].terms.values() for i in range(5)))):
+        raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
     flat = [0] * 125
     for up, low, x, y, z in KOSZUL:
         # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
         if v := div_const(d[x] + d[y] - d[z], 2):
             flat[up], flat[low] = v, -v
-    out = ConnectionForms._of_view(tuple(flat), tuple(channels))
-    trig = TrigScalar in map(type, chain(*(c.d_table[i].terms.values() for i in range(5))))
-    return ConnectionForms(out.omega) if trig else out  # flattened again: a trig value is refused
+    return ConnectionForms._of_view(tuple(flat), tuple(channels))
 
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):

@@ -10,13 +10,14 @@ oracles keep the general type projections and the Gram-matrix solve that
 spinor oracle keeps the Gaussian-rational 4x4 Clifford generators, spin lift
 and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
 The wedge-based exterior derivative (``ext_d_oracle``) is the one that
-``exterior.ext_d``'s direct Leibniz accumulation replaced.  The Form chains
-of ``connection_plus_tensor_oracle`` and ``first_structure_oracle`` are the
-ones that one term table per entry (``exterior.wedge_sum``, ``exterior.stored``
-onto a form) replaced.  ``curvature_grid_oracle`` (the Form chain
+``exterior.ext_d``'s direct Leibniz accumulation replaced.  The Form chain
+of ``first_structure_oracle`` is the one that one ``exterior.wedge_sum`` per
+entry replaced, and that of ``connection_plus_tensor_oracle`` (an
+``exterior.stored`` form added onto each entry) the one that the compatible
+connection's view, written slot by slot, replaced.  ``curvature_grid_oracle`` (the Form chain
 d w[i][j] + sum_k w[i][k] ^ w[k][j] of ``ext_d``, ``wedge`` and ``+``) and
 ``curvature_readings_oracle`` (the 25 ``dense2`` tables and the bracket closure
-over every ordered pair, by ``linalg.rank``) are the oracles of the matrix path
+over every ordered pair, by its own row elimination) are the oracles of the matrix path
 of ``connection.curvature``, which reads the matrix
 R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b] off the connection's
 matrices M_s[i][j] = w[i][j](E_s).  The difference
@@ -25,7 +26,8 @@ tensor and Cartan oracles (``difference_tensor_oracle``,
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
 ``connection_from_structure_oracle`` is the Levi-Civita solve through tables
 of ``evaluate``, ``stored`` entries and ``connection_forms``, and ``flatten_oracle`` the
-read of its forms into a flat view, that the solve's own flat view replaced;
+read of a grid of forms into a flat view, that the solve's own flat view replaced
+(``connection_forms`` still flattens its forms that way);
 ``classify_float_oracle`` is the float norm loop over the dot plans with
 ``Fraction(+-1, 2)`` values that the plans on ints replaced.
 ``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
@@ -414,9 +416,12 @@ def first_structure_oracle(c: CoframeData, omega: ConnectionForms) -> dict:
 def curvature_readings_oracle(grid):
     """The Ricci matrix and the holonomy basis of curvature entries as the 25
     ``dense2`` tables, the endomorphisms read off them and the bracket closure
-    over every ordered pair gave them before they were read from term tables."""
-    from acm5.connection import _commutator
-
+    over every ordered pair gave them before they were read from term tables.
+    A candidate joins the basis when its ``PAIRS`` coefficients keep a nonzero
+    entry after one pass of elimination against the rows of the basis so far,
+    each reduced once, when its element joined, and scaled to 1 at its largest
+    entry: the rank test of ``linalg.rank`` over all rows, one row at a time,
+    and none once the basis spans so(5)."""
     tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
     ricci = []
     for a in range(5):
@@ -427,14 +432,22 @@ def curvature_readings_oracle(grid):
                 acc += tables[i][b][a][i]
             rrow.append(acc)
         ricci.append(tuple(rrow))
-    basis = []
+    basis, dense, echelon = [], [], []  # the elements, their dense2 tables, (pivot, row)
 
     def try_add(f):
-        rows = [[g.coefficient(p) for p in PAIRS] for g in basis + [f]]
-        if linalg.rank(rows) > len(basis):
-            basis.append(f)
-            return True
-        return False
+        if len(basis) == len(PAIRS):  # the basis spans so(5): nothing is new
+            return False
+        v = [f.coefficient(p) for p in PAIRS]
+        for pivot, row in echelon:
+            if not sis_zero(x := v[pivot]):
+                v = [y - x * r for y, r in zip(v, row)]
+        pivot = max(range(len(v)), key=lambda q: abs(v[q]))
+        if sis_zero(v[pivot]):
+            return False
+        echelon.append((pivot, [div(y, v[pivot]) for y in v]))
+        basis.append(f)
+        dense.append(dense2(f))
+        return True
 
     for a, b in PAIRS:
         f = grid_form(lambda i, j: tables[i][j][a][b])
@@ -443,14 +456,18 @@ def curvature_readings_oracle(grid):
     changed = True
     while changed:
         changed = False
-        snapshot = list(basis)
+        snapshot = list(dense)
         for x in snapshot:
             for y in snapshot:
-                m = _commutator(dense2(x), dense2(y))
-                f = grid_form(lambda i, j: m[i][j])
+                f = grid_form(lambda i, j: _bracket(x, y, i, j))
                 if not f.is_zero() and try_add(f):
                     changed = True
     return tuple(ricci), tuple(basis)
+
+
+def _bracket(x, y, i, j):
+    """Entry (i, j) of xy - yx for two 5x5 tables, each product summed in order from the int 0."""
+    return sum(x[i][k] * y[k][j] for k in range(5)) - sum(y[i][k] * x[k][j] for k in range(5))
 
 
 def form_items(f: Form):
@@ -639,14 +656,14 @@ def connection_from_structure_oracle(c: CoframeData) -> ConnectionForms:
     return connection_forms(entries)
 
 
-def flatten_oracle(omega: ConnectionForms):
-    """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of
-    the forms, as ``ConnectionForms.view`` flattens forms that carry no view."""
+def flatten_oracle(grid):
+    """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of a 5x5
+    grid of connection forms, as ``connection_forms`` flattens its forms."""
     base = [0] * 125
     chans = {}
     for i in range(5):
         for j in range(5):
-            for (sid,), coef in omega.omega[i][j].terms.items():
+            for (sid,), coef in grid[i][j].terms.items():
                 if isinstance(coef, TrigScalar):
                     raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
                 if sid in METRIC_IDS:

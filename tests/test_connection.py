@@ -38,7 +38,9 @@ from acm5.connection import (
     torsion_type,
     _bracket_closure,
 )
-from acm5.errors import ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError
+from acm5.errors import (
+    ACM5Error, ModeMismatchError, NotGeneralizedQuasiSasakiError, SymbolicResidueError
+)
 from acm5.exterior import (
     CoframeData, coframe, d_squared_zero, dense2, e, ext_d, form, stored, wedge, wedge_sum
 )
@@ -48,6 +50,7 @@ from acm5.groups import build
 
 from helpers import (
     GAUSSIAN_GENERATORS,
+    GOLDEN,
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
     GaussianRational,
@@ -59,6 +62,7 @@ from helpers import (
     curvature_readings_oracle,
     entry,
     first_structure_oracle,
+    flatten_oracle,
     form_items,
     evaluate,
     gaussian_kernel,
@@ -503,10 +507,11 @@ def _grid_items(grid):
 @settings(max_examples=40, deadline=None)
 @given(connection_cases())
 def test_one_table_per_entry_matches_the_form_chains(case):
-    """Each curvature entry as one wedge_sum, the compatible connection as one
-    table per entry and the first-structure residuals as one wedge_sum each give
-    the keys, the key order, the values and their types (floats by repr) that
-    the chains of Form operators gave."""
+    """Each curvature entry as one wedge_sum and the first-structure residuals as one
+    wedge_sum each give the keys, the key order, the values and their types (floats by
+    repr) that the chains of Form operators gave.  The compatible connection's view,
+    written slot by slot, is the flattened Form chain, type and bits per slot, channels
+    included, and each of its forms w[i][j], i < j, has the chain's keys and values."""
     c, omega, a = case
     w = omega.omega
     fused = [
@@ -514,13 +519,36 @@ def test_one_table_per_entry_matches_the_form_chains(case):
         for i in range(5)
     ]
     assert _grid_items(fused) == _grid_items(curvature_grid_oracle(c, omega))
-    plus = connection_plus_tensor(omega, a).omega
-    assert _grid_items(plus) == _grid_items(connection_plus_tensor_oracle(omega, a))
+    plus, chain = connection_plus_tensor(omega, a), connection_plus_tensor_oracle(omega, a)
+    flat, channels = flatten_oracle(chain)
+    assert [bits(v) for v in plus.view[0]] == [bits(v) for v in flat]
+    assert [(s, [list(map(bits, row)) for row in m]) for s, m in plus.view[1]] == [
+        (s, [list(map(bits, row)) for row in m]) for s, m in channels
+    ]
+    upper = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert _values([[plus.omega[i][j] for i, j in upper]]) == _values(
+        [[chain[i][j] for i, j in upper]]
+    )
     residuals = verify_first_structure(c, omega).residuals
     oracle = first_structure_oracle(c, omega)
     assert {n: form_items(f) for n, f in residuals.items()} == {
         n: form_items(f) for n, f in oracle.items()
     }
+
+
+@pytest.mark.parametrize("coframe_mode, connection_mode", [("float", "exact"), ("exact", "float")])
+def test_curvature_refuses_a_coframe_and_a_connection_of_two_kinds(coframe_mode, connection_mode):
+    """On heis5_sasakian, a float coframe with the exact Levi-Civita connection, and the
+    exact coframe with the float one, raise ModeMismatchError instead of a mixed grid."""
+    path = GOLDEN / "inputs" / "heis5_sasakian.json"
+    omega = connection_from_structure(_integrable_coframe(path, connection_mode))
+    c = _integrable_coframe(path, coframe_mode)
+    curvature(_integrable_coframe(path, connection_mode), omega)  # one kind: computed
+    with pytest.raises(ModeMismatchError) as info:
+        curvature(c, omega)
+    assert str(info.value) == (
+        f"curvature mixes a {coframe_mode} coframe with a {connection_mode} connection"
+    )
 
 
 def _chopped(f):

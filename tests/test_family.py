@@ -82,11 +82,13 @@ def _failing(inst):
 
 
 def _perturb_pair(omega, i, j, f):
-    """The connection forms with f added at (i, j) and subtracted at (j, i), 0-based."""
-    grid = [list(row) for row in omega.omega]
-    grid[i][j] = grid[i][j] + f
-    grid[j][i] = grid[j][i] - f
-    return ConnectionForms(tuple(map(tuple, grid)))
+    """The connection with the metric 1-form f added at (i, j) and subtracted at (j, i),
+    0-based, written into its view."""
+    flat = list(omega.view[0])
+    for (k,), v in f.terms.items():
+        flat[25 * i + 5 * j + k] += v
+        flat[25 * j + 5 * i + k] -= v
+    return ConnectionForms(tuple(flat), omega.view[1])
 
 
 def _bump(t, entry):

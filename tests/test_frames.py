@@ -19,6 +19,7 @@ from acm5.exterior import (
     zero_form,
 )
 from acm5.frames import (
+    ConnectionForms,
     FrameChange,
     canonical_algebra,
     connection_forms,
@@ -27,6 +28,7 @@ from acm5.frames import (
     verify_first_structure,
 )
 from acm5.groups import build, identify_group, rational_sqrt
+from acm5.scalars import COS_F
 
 from helpers import (
     GOLDEN,
@@ -258,7 +260,7 @@ def _check_solve(c):
         assert str(info.value) == str(exc)
         return
     cf = connection_from_structure(c)
-    flat, channels = flatten_oracle(ref)
+    flat, channels = flatten_oracle(ref.omega)
     assert [bits(v) for v in cf.view[0]] == [bits(v) for v in flat]
     assert _channel_bits(cf.view[1]) == _channel_bits(channels)
     assert "omega" not in vars(cf)
@@ -301,16 +303,26 @@ def test_solve_keeps_each_rank_error_message(table, auxiliary, message):
     assert str(info.value) == f"no Levi-Civita solution: {message}"
 
 
-def test_trig_table_is_refused_at_frame_connection():
-    c = trig_coframe()
-    cf = connection_from_structure(c)
-    assert "view" not in vars(cf)  # the forms were built and validated, so they are flattened
-    assert [form_items(f) for row in cf.omega for f in row] == [
-        form_items(f) for row in connection_from_structure_oracle(c).omega for f in row
-    ]
+@pytest.mark.parametrize("make", [
+    lambda: connection_from_structure(trig_coframe()),  # de1 = cos(f) e2^e3
+    lambda: connection_forms({(1, 2): form(1, {(2,): COS_F})}),
+], ids=["solve", "connection_forms"])
+def test_trig_value_is_refused_when_the_connection_is_built(make):
     with pytest.raises(UnsupportedSymbolError) as info:
-        frame_connection(cf)
+        make()
     assert str(info.value) == "trig-valued connection entries are out of scope"
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 3), (4, 2)])
+def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(i, j):
+    """The one check of ConnectionForms reads the channel matrices as well as the 125 slots."""
+    flat, channels = connection_forms({(1, 2): form(1, {(0,): 2, (5,): 1})}).view
+    assert channels == ((5, ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0)) + ((0,) * 5,) * 3),)
+    assert ConnectionForms(flat, channels).view == (flat, channels)
+    bad = [list(row) for row in channels[0][1]]
+    bad[i][j] += 1
+    with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
+        ConnectionForms(flat, ((5, tuple(map(tuple, bad))),))
 
 
 A_WEDGE = {"e1": wedge(e(2), form(1, {(5,): 1}))}

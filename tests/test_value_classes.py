@@ -72,9 +72,9 @@ CASES = {
     Tensor3: (lambda: (tuple(range(125)),), 0, lambda: tuple(range(1, 126))),
     Predicates: (lambda: (False,) * 9, 3, lambda: True),
     ConnectionForms: (
-        lambda: (connection_forms({(1, 2): e(3)}).omega,),
+        lambda: connection_forms({(1, 2): e(3)}).view,
         0,
-        lambda: connection_forms({(1, 2): e(4)}).omega,
+        lambda: connection_forms({(1, 2): e(4)}).view[0],
     ),
     CanonicalAlgebra: (
         lambda: ("abelian6", {i: {} for i in range(6)}),

@@ -8,10 +8,10 @@ the working scale that ``classify`` computes on.  Each stage is timed on its
 own, RUNS times, on inputs that the earlier stages prepared once: ``build``,
 ``verify_first_structure``, ``connection_from_structure``, the ``acms``
 invariants (nabla Phi, N, the predicates, gamma and d eta, each run on a
-fresh connection: a new ``ConnectionForms`` of the same flat view, with an
-empty memo), ``characteristic_connection`` (on a connection that already
-holds those invariants), ``torsion_type``, ``curvature`` (on a
-coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
+fresh connection: a new ``ConnectionForms`` of the solve's view, unchecked
+as the solve's own, with an empty memo), ``characteristic_connection`` (on a
+connection that already holds those invariants), ``torsion_type``,
+``curvature`` (on a coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
 ``identify_group``.  ``curvature`` and ``parallel_spinor_check`` read the
 connection's symbol matrices, which its memo keeps after the first read.  A
 golden input has no ``build`` or ``identify_group`` stage.  ``identify_group``
@@ -22,9 +22,9 @@ It prints each stage's median, one row per structure, then the column
 medians, for the exact rows and for the float rows.  Then it times the
 ingest of ``classify`` the same way: the d^2-gate
 (``exterior.d_squared_zero``), ``frames.connection_from_structure``
-and ``acms.frame_connection`` of the solved forms (which returns them as they
-are, their view already written by the solve), on each golden input turned
-by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
+and ``acms.frame_connection`` of the solved connection (which returns it as
+it is: the solve wrote its view, and its forms are never built), on each
+golden input turned by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
 ``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
 float, each at the working scale that ``classify`` computes on.  Last it
 prints all the numbers as one JSON object: each time a [raw, normalised]
