@@ -16,8 +16,7 @@ view, one per coframe symbol: R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b
 for a < b, each entry summed from the int 0 over s in id order, then over k with
 M_a[i][k] M_b[k][j] - M_b[i][k] M_a[k][j] one step: the order of the Form chain
 d w[i][j] + sum_k w[i][k] ^ w[k][j], so a float keeps its bits.  Ricci and the
-holonomy read these tables; the holonomy algebra is their bracket closure, one
-reduced echelon basis of ``PAIRS`` values deciding whether a candidate is new.
+holonomy algebra, their bracket closure, are read from these tables.
 Spinors live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
 permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 (column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi; the spin
@@ -64,7 +63,7 @@ from .exterior import (
     wedge,
 )
 from .frames import ConnectionForms
-from .scalars import div_const, narrow, sis_zero, table_kind
+from .scalars import div, div_const, narrow, sis_zero, table_kind
 from .torsionclass import cartan_decompose
 
 
@@ -175,8 +174,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     grid = tuple(tuple(stored(2, {p: t[i][j] for p, t in tables.items()}) for j in range(5))
                  for i in range(5))
     for i, j in product(range(5), repeat=2):
-        bad = [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]
-        if bad:
+        if bad := [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]:
             raise SymbolicResidueError(
                 f"curvature entry ({i + 1},{j + 1}) keeps auxiliary symbols {bad}"
             )
@@ -241,16 +239,18 @@ def _dot(row, m, j):
 def _bracket_closure(elements):
     """The 2-forms of a basis of the bracket closure of so(5) elements given as 5x5 tables: a
     round tries the elements, then the commutators of the basis, until one adds none."""
-    basis, echelon, candidates, size = [], [], elements, -1
-    while len(basis) > size:  # the last round grew the basis
-        size = len(basis)
-        for m in candidates:
-            rows, pivots = linalg.rref([*echelon, [m[i][j] for i, j in PAIRS]])
-            if len(pivots) > len(echelon):
-                basis.append(m)
-                echelon = rows[: len(pivots)]
-        candidates = (_commutator(x, y) for x, y in combinations(basis, 2))
-    return tuple(grid_form(lambda i, j: m[i][j]) for m in basis)
+    rows, candidates, size = [], elements, -1  # (pivot, reduced PAIRS values, table) per element
+    while len(rows) > size:  # the last round grew the basis
+        size = len(rows)
+        for m in candidates:  # one pass against the stored rows, which are never reduced again
+            v = [m[i][j] for i, j in PAIRS]
+            for p, row, _ in rows:
+                v = v if sis_zero(v[p]) else [y - v[p] * r for y, r in zip(v, row)]
+            p = max(range(len(v)), key=lambda q: abs(v[q]))
+            if len(rows) < len(PAIRS) and not sis_zero(v[p]):  # new: stored scaled to 1 at p
+                rows.append((p, [div(y, v[p]) for y in v], m))
+        candidates = (_commutator(x, y) for (_, _, x), (_, _, y) in combinations(rows, 2))
+    return tuple(grid_form(lambda i, j: m[i][j]) for _, _, m in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,17 @@ left-invariant metric on the metric channels, and a direct read of the
 structure table on each auxiliary channel.  The antisymmetric solution is
 unique whenever it exists, and its existence is two checks on the table.
 The solve writes the solution's flat view, w[i][j](e_k) and one matrix per
-auxiliary channel, straight from the table.  ``ConnectionForms`` is the one
-connection object: it stores that view, checked antisymmetric once when it is
-built, and the memo of the invariants that ``acms.derived`` fills, which lives
-as long as the object; its forms are a cache built from the view when first read.
+auxiliary channel, straight from the table.  ``ConnectionForms(flat, channels)``
+builds every connection of the library from such a view, checked once (its shape,
+no trig value, antisymmetry), and compares connections by their views; it keeps the
+memo that ``acms.derived`` fills, and its forms are a cache built when first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
@@ -32,28 +32,48 @@ from .exterior import (
 from .scalars import TrigScalar, div_const, narrow, sis_zero
 
 
+# (w[i][j](e_k), w[j][i](e_k)) slots for i <= j, and the entry pairs i <= j of a channel matrix
+PAIR_SLOTS = tuple((25 * i + 5 * j + k, 25 * j + 5 * i + k)
+                   for i in range(5) for j in range(i, 5) for k in METRIC_IDS)
+UPPER = tuple((i, j) for i in range(5) for j in range(i, 5))
+ZERO_MATRIX = ((0,) * 5,) * 5
+
+
 class ConnectionForms(Frozen):
     """Antisymmetric connection by its flat ``view``: (w[i][j](e_k) at slot 25 i + 5 j + k,
-    ((aux_id, 5x5 matrix [i][j]), ...)), with the memo of its invariants; its forms are
-    built when first read.  ``==``, the hash and the repr read ``omega`` alone."""
+    ((aux_id, 5x5 matrix [i][j]), ...) in increasing id order), with the memo of its
+    invariants; its forms are built when first read.  ``==`` compares the views slot by slot
+    by ``sis_zero(a - b)``, a channel that one side lacks reading as zeros, and the repr
+    reads the view; the hash reads the 125 slots, so equal exact connections hash alike."""
 
     view: tuple
     _memo: dict  # fn name -> fn(self), filled by ``acms.derived``
-    _compared = ("omega",)
+    _compared = ("view",)
 
     def __init__(self, flat, channels=()):
-        mats = [[flat[25 * i + k : 25 * i + 25 : 5] for i in range(5)] for k in METRIC_IDS]
-        if not all(sis_zero(m[i][j] + m[j][i]) for m in chain(mats, (m for _, m in channels))
-                   for i in range(5) for j in range(i, 5)):  # each M_s[i][j] = w[i][j](E_s)
+        ids = [a for a, _ in channels]
+        if len(flat) != 125 or ids != sorted(set(ids)) or any(a < 5 for a in ids):
+            raise ValueError("a connection view is 125 values and its channels by increasing "
+                             "auxiliary id")
+        mats = [m for _, m in channels]
+        if TrigScalar in map(type, chain(flat, *chain.from_iterable(mats))):
+            raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
+        if not (all(sis_zero(flat[a] + flat[b]) for a, b in PAIR_SLOTS)
+                and all(sis_zero(m[i][j] + m[j][i]) for m in mats for i, j in UPPER)):
             raise ValueError("pointwise data must be antisymmetric in (i, j)")
         self.__dict__.update(view=(flat, channels), _memo={})
 
-    @classmethod
-    def _of_view(cls, flat, channels):
-        """The connection of a view that the solve wrote antisymmetric, without the check."""
-        out = object.__new__(cls)
-        out.__dict__.update(view=(flat, channels), _memo={})
-        return out
+    def __eq__(self, other):
+        if type(other) is not ConnectionForms:
+            return NotImplemented
+        (f, cs), (g, ds) = self.view, other.view
+        cs, ds = dict(cs), dict(ds)
+        return all(sis_zero(a - b) for a, b in chain(zip(f, g), *(
+            zip(chain(*cs.get(s, ZERO_MATRIX)), chain(*ds.get(s, ZERO_MATRIX)))
+            for s in cs.keys() | ds.keys())))
+
+    def __hash__(self):
+        return hash(self.view[0])
 
     @cached_property
     def omega(self):
@@ -70,25 +90,6 @@ def _grid(entries):
     for (i, j), f in entries.items():
         grid[i][j], grid[j][i] = f, -f
     return tuple(map(tuple, grid))
-
-
-def connection_forms(entries):
-    """The ConnectionForms of a {(i, j): Form} dict of 1-based upper pairs, -f at (j, i): the
-    forms flattened and checked, a trig value refused, and kept as its ``omega``."""
-    grid = _grid({(i - 1, j - 1): f for (i, j), f in entries.items()})
-    flat, chans = [0] * 125, {}
-    for i, j in product(range(5), repeat=2):
-        for (sid,), coef in grid[i][j].terms.items():
-            if isinstance(coef, TrigScalar):
-                raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-            if sid in METRIC_IDS:
-                flat[25 * i + 5 * j + sid] = coef
-            else:
-                chans.setdefault(sid, [[0] * 5 for _ in range(5)])[i][j] = coef
-    out = ConnectionForms(
-        tuple(flat), tuple((sid, tuple(map(tuple, m))) for sid, m in sorted(chans.items())))
-    out.__dict__["omega"] = grid
-    return out
 
 
 # w[b][c](e_a), b < c: its slot, w[c][b](e_a)'s, and those of de_a(b, c), de_b(a, c), de_c(a, b)
@@ -138,7 +139,7 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
         # unlike the storage rule, `if v` drops a float 0.0: the golden --float outputs pin it
         if v := div_const(d[x] + d[y] - d[z], 2):
             flat[up], flat[low] = v, -v
-    return ConnectionForms._of_view(tuple(flat), tuple(channels))
+    return ConnectionForms(tuple(flat), tuple(channels))
 
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):

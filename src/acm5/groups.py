@@ -30,13 +30,14 @@ from .frames import (
     ConnectionForms,
     FrameChange,
     canonical_algebra,
-    connection_forms,
     frame_change_verify,
     verify_first_structure,
 )
 from .scalars import COS_F, COS_G, SIN_F, SIN_G, div, narrow, rat
 
 A2 = form(1, {(5,): 1})
+# the A2 channel of the tabulated connection: w[1][2](A2) = 1, w[3][4](A2) = -1 (1-based)
+A2_CHANNEL = (5, ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, -1, 0), (0, 0, 1, 0, 0), (0,) * 5))
 # the metric legs, and the same legs with the 34-plane rotated, which implements
 # the parameter swap (a1, a2, a3, a4) -> (a2, a1, a4, a3) on the structure equations
 STD_BASIS = (e(1), e(2), e(3), e(4), e(5))
@@ -94,20 +95,15 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
     report = cf.d_squared_gate
     if not report.ok:
         raise IntegrabilityError(f"d^2 != 0 on {report.failing}")
-    omega_g = connection_forms(
-        {
-            (1, 2): A2,
-            (3, 4): -1 * A2,
-            (1, 3): (a1 + 2 * a3) * e(5),
-            (1, 4): (a2 + 2 * a4) * e(5),
-            (2, 3): (a2 + 2 * a4) * e(5),
-            (2, 4): (-(a1 + 2 * a3)) * e(5),
-            (1, 5): (-(a1 - a3)) * e(3) - (a2 - a4) * e(4),
-            (2, 5): (-(a2 - a4)) * e(3) + (a1 - a3) * e(4),
-            (3, 5): (a1 - a3) * e(1) + (a2 - a4) * e(2),
-            (4, 5): (a2 - a4) * e(1) - (a1 - a3) * e(2),
-        }
-    )
+    b, c = a1 - a3, a2 - a4
+    flat = [0] * 125
+    for (i, j, k), v in {  # w[i][j](e_k), 0-based, i < j; the A2 legs are A2_CHANNEL
+        (0, 2, 4): a1 + 2 * a3, (0, 3, 4): a2 + 2 * a4, (1, 2, 4): a2 + 2 * a4,
+        (1, 3, 4): -(a1 + 2 * a3), (0, 4, 2): -b, (0, 4, 3): -c, (1, 4, 2): -c, (1, 4, 3): b,
+        (2, 4, 0): b, (2, 4, 1): c, (3, 4, 0): c, (3, 4, 1): -b,
+    }.items():
+        flat[25 * i + 5 * j + k], flat[25 * j + 5 * i + k] = narrow(v), narrow(-v)
+    omega_g = ConnectionForms(tuple(flat), (A2_CHANNEL,))
     fs = verify_first_structure(cf, omega_g)
     if not fs.ok:
         raise IntegrabilityError(f"first structure equation fails on {fs.failing}")

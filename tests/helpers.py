@@ -26,8 +26,9 @@ tensor and Cartan oracles (``difference_tensor_oracle``,
 ``scalars.div_const`` replaced, so a float entry keeps its bits.
 ``connection_from_structure_oracle`` is the Levi-Civita solve through tables
 of ``evaluate``, ``stored`` entries and ``connection_forms``, and ``flatten_oracle`` the
-read of a grid of forms into a flat view, that the solve's own flat view replaced
-(``connection_forms`` still flattens its forms that way);
+read of a grid of forms into a flat view, that the solve's own flat view replaced;
+``connection_forms`` builds a connection from forms, which the library never does: a
+``ConnectionForms`` of the flattened grid that keeps the given forms as its ``omega``;
 ``classify_float_oracle`` is the float norm loop over the dot plans with
 ``Fraction(+-1, 2)`` values that the plans on ints replaced.
 ``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
@@ -102,7 +103,7 @@ from acm5.exterior import (
     wedge,
     zero_form,
 )
-from acm5.frames import ConnectionForms, connection_forms
+from acm5.frames import ConnectionForms
 from acm5.scalars import COS_F, TrigScalar, div, div_const, is_exact_zero, narrow, sis_zero
 from acm5.torsionclass import (
     MODULE_NAMES,
@@ -420,8 +421,8 @@ def curvature_readings_oracle(grid):
     A candidate joins the basis when its ``PAIRS`` coefficients keep a nonzero
     entry after one pass of elimination against the rows of the basis so far,
     each reduced once, when its element joined, and scaled to 1 at its largest
-    entry: the rank test of ``linalg.rank`` over all rows, one row at a time,
-    and none once the basis spans so(5)."""
+    entry, the rule of ``connection._bracket_closure``, and none once the basis
+    spans so(5)."""
     tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
     ricci = []
     for a in range(5):
@@ -656,9 +657,22 @@ def connection_from_structure_oracle(c: CoframeData) -> ConnectionForms:
     return connection_forms(entries)
 
 
+def connection_forms(entries):
+    """The ConnectionForms of a {(i, j): Form} dict of 1-based upper pairs, -f at (j, i): the
+    grid flattened by ``flatten_oracle`` (a trig value refused), checked by the constructor
+    and kept as its ``omega``."""
+    grid = [[zero_form(1)] * 5 for _ in range(5)]
+    for (i, j), f in entries.items():
+        grid[i - 1][j - 1], grid[j - 1][i - 1] = f, -f
+    grid = tuple(map(tuple, grid))
+    out = ConnectionForms(*flatten_oracle(grid))
+    out.__dict__["omega"] = grid
+    return out
+
+
 def flatten_oracle(grid):
     """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of a 5x5
-    grid of connection forms, as ``connection_forms`` flattens its forms."""
+    grid of connection forms."""
     base = [0] * 125
     chans = {}
     for i in range(5):

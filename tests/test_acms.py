@@ -47,6 +47,7 @@ from helpers import (
     AmbiguityError,
     abelian_coframe,
     codifferential,
+    connection_forms,
     d_form_via_connection,
     evaluate,
     inner,
@@ -432,7 +433,6 @@ def test_d_via_connection_in_float_mode():
 
 
 def test_nabla_phi_rejects_auxiliary_outside_stabilizer():
-    from acm5.frames import connection_forms
     from acm5.exterior import form as mkform
 
     bad = connection_forms({(1, 3): mkform(1, {(5,): 1})})

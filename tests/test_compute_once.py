@@ -22,7 +22,8 @@ R(E_a, E_b) tables.  The
 Levi-Civita solve writes the flat view that the kernels read, and the
 compatible connection is written as a view too, so a classify report never
 builds the Levi-Civita forms and builds the characteristic connection's
-forms, for a generalized quasi-Sasaki structure, only to print them.
+forms, for a generalized quasi-Sasaki structure, only to print them; the
+identity replay compares connections by their views and builds none.
 """
 
 from pathlib import Path
@@ -51,6 +52,16 @@ def test_identity_replay_computes_each_invariant_once():
     assert calls["acms.nabla_phi"] <= 2
     assert calls["connection.compatibility_report"] == 1
     assert {name: calls[name] for name in ONCE} == dict.fromkeys(ONCE, 1)
+
+
+def test_identity_replay_builds_no_connection_form():
+    """The replay compares the solve with the tabulated connection, and the compatible
+    connection with the expected one, by their views; curvature and the spin lift read
+    the matrices.  Only ``build``'s first-structure check reads the forms."""
+    inst = build(1, 0, 2, 0)
+    with count_calls("frames._grid") as calls:
+        assert verify_identities(inst).ok
+    assert calls["frames._grid"] == 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

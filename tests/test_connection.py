@@ -44,7 +44,7 @@ from acm5.errors import (
 from acm5.exterior import (
     CoframeData, coframe, d_squared_zero, dense2, e, ext_d, form, stored, wedge, wedge_sum
 )
-from acm5.frames import connection_forms, connection_from_structure, verify_first_structure
+from acm5.frames import connection_from_structure, verify_first_structure
 from acm5.scalars import sis_zero
 from acm5.groups import build
 
@@ -57,6 +57,7 @@ from helpers import (
     abelian_coframe,
     bits,
     complexify,
+    connection_forms,
     connection_plus_tensor_oracle,
     curvature_grid_oracle,
     curvature_readings_oracle,
@@ -536,6 +537,50 @@ def test_one_table_per_entry_matches_the_form_chains(case):
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(connection_cases(), st.data())
+def test_view_equality_gives_the_verdict_of_the_forms(case, data):
+    """For two connections of one kind, == on the views gives the verdict of Form ==
+    on all 25 entries: the drawn connection against itself with one upper entry
+    dropped, or changed by one term of the same kind (a zero or, for floats, one
+    within FLOAT_RTOL or just above it), or with every auxiliary leg dropped, so that
+    a channel that one side lacks reads as zeros."""
+    c, omega, a = case
+    floats = any(type(v) is float for v in a.flat)
+    tiny = st.sampled_from([1e-10, -1e-10, 2e-9])
+    values = st.one_of(SCALARS["float"], tiny) if floats else SCALARS["fraction"]
+    upper = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    entries = {(i + 1, j + 1): omega.omega[i][j] for i, j in upper}
+    i, j = data.draw(st.sampled_from(upper))
+    change = data.draw(st.sampled_from(["drop", "add", "metric legs only"]))
+    if change == "drop":
+        entries[i + 1, j + 1] = form(1, {})
+    elif change == "add":
+        k, v = data.draw(st.integers(0, c.n_symbols - 1)), data.draw(values)
+        entries[i + 1, j + 1] = entries[i + 1, j + 1] + form(1, {(k,): v})
+    else:  # every channel goes
+        entries = {p: form(1, {k: v for k, v in f.terms.items() if k[0] < 5})
+                   for p, f in entries.items()}
+    other = connection_forms(entries)
+    verdict = all(omega.omega[p][q] == other.omega[p][q] for p in range(5) for q in range(5))
+    assert (omega == other, other == omega, omega != other) == (verdict, verdict, not verdict)
+
+
+def test_view_equality_on_a_float_near_an_exact_value_and_on_a_missing_channel():
+    """The one deliberate difference from Form ==, which never equates an exact and a
+    float form that both hold terms: the views compare slot by slot by sis_zero(a - b).
+    A channel that one side lacks reads as zeros."""
+    exact = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1})})
+    near = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 1e-12})})
+    assert exact.omega[2][3] != near.omega[2][3]
+    assert exact == near and near == exact
+    far = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 2e-9})})
+    assert exact != far and far != exact
+    zeros = connection_forms({(1, 2): form(1, {(0,): 1.0, (5,): 0.0})})
+    assert zeros.view[1] and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
+    assert connection_forms({}) != connection_forms({(1, 2): form(1, {(5,): 1})})
+
+
 @pytest.mark.parametrize("coframe_mode, connection_mode", [("float", "exact"), ("exact", "float")])
 def test_curvature_refuses_a_coframe_and_a_connection_of_two_kinds(coframe_mode, connection_mode):
     """On heis5_sasakian, a float coframe with the exact Levi-Civita connection, and the
@@ -599,6 +644,19 @@ def test_matrix_curvature_matches_the_form_chain_on_random_connections(case):
     ricci, holonomy = curvature_readings_oracle(grid)
     assert [list(map(bits, row)) for row in cur.ricci] == [list(map(bits, row)) for row in ricci]
     assert len(cur.holonomy_basis) == len(holonomy)
+
+
+def test_holonomy_takes_no_candidate_twice_when_a_stored_row_has_a_residue():
+    """On the float ch2_x_R coframe, a connection with entries 1.0 and 2**-24 gives a stored
+    holonomy row whose entry 2**-48 is zero at the tolerance but reads 2**-24 once the row is
+    scaled: the closure must not count that entry again, so a candidate that equals a basis
+    element is not new, and the dimension is the oracle's 3."""
+    c = _integrable_coframe(next(p for p in GOLDEN_INPUTS if p.stem == "ch2_x_R"), "float")
+    omega = connection_forms({(2, 3): form(1, {(4,): 1.0}), (2, 5): form(1, {(1,): 2.0**-24}),
+                              (4, 5): form(1, {(1,): 1.0})})
+    cur = curvature(c, omega)
+    grid = [[_chopped(f) for f in row] for row in curvature_grid_oracle(c, omega)]
+    assert len(cur.holonomy_basis) == len(curvature_readings_oracle(grid)[1]) == 3
 
 
 def _invariance_cases():

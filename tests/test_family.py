@@ -110,9 +110,8 @@ def test_replay_fails_on_a_perturbed_levi_civita_entry(pair):
 @pytest.mark.parametrize("pair", [(0, 1), (3, 0)])
 def test_replay_fails_on_a_perturbed_compatible_connection_entry(monkeypatch, pair):
     inst = build(1, 0, 2, 0)
-    real = family.connection_forms  # builds the expected compatible connection
-    monkeypatch.setattr(
-        family, "connection_forms", lambda entries: _perturb_pair(real(entries), *pair, e(2))
+    monkeypatch.setattr(  # the replay builds one connection: the expected compatible one
+        family, "ConnectionForms", lambda *view: _perturb_pair(ConnectionForms(*view), *pair, e(2))
     )
     assert _failing(inst) == {"A2 determines the compatible connection"}
 

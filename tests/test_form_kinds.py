@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from acm5 import cli, exterior
 from acm5.errors import ModeMismatchError
 from acm5.exterior import Form, form, stored, wedge
-from acm5.frames import connection_forms
 from acm5.scalars import TrigScalar
 from helpers import GOLDEN, GOLDEN_INPUTS, bits, replay_points
 
@@ -190,9 +189,6 @@ def test_forms_of_two_kinds_with_terms_are_never_equal():
     c = cli.load_coframe(path)
     assert c == cli.load_coframe(path) and c != cli._to_float_coframe(c)
     assert (cli._to_float_coframe(c) == c) is False
-    omega = connection_forms({(1, 2): exact, (3, 4): exact})
-    assert omega == connection_forms({(1, 2): exact, (3, 4): exact})
-    assert (omega == connection_forms({(1, 2): exact, (3, 4): floaty})) is False
 
 
 exact_values = st.one_of(

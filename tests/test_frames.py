@@ -22,7 +22,6 @@ from acm5.frames import (
     ConnectionForms,
     FrameChange,
     canonical_algebra,
-    connection_forms,
     connection_from_structure,
     frame_change_verify,
     verify_first_structure,
@@ -36,6 +35,7 @@ from helpers import (
     GOLDEN_INPUTS,
     abelian_coframe,
     bits,
+    connection_forms,
     connection_from_structure_oracle,
     entry,
     flatten_oracle,
@@ -305,8 +305,9 @@ def test_solve_keeps_each_rank_error_message(table, auxiliary, message):
 
 @pytest.mark.parametrize("make", [
     lambda: connection_from_structure(trig_coframe()),  # de1 = cos(f) e2^e3
-    lambda: connection_forms({(1, 2): form(1, {(2,): COS_F})}),
-], ids=["solve", "connection_forms"])
+    # cos(f) at slot (0, 1, 2) and -cos(f) at (1, 0, 2): antisymmetric, but trig-valued
+    lambda: ConnectionForms(tuple({7: COS_F, 27: -COS_F}.get(s, 0) for s in range(125))),
+], ids=["solve", "ConnectionForms"])
 def test_trig_value_is_refused_when_the_connection_is_built(make):
     with pytest.raises(UnsupportedSymbolError) as info:
         make()
@@ -323,6 +324,27 @@ def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(
     bad[i][j] += 1
     with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
         ConnectionForms(flat, ((5, tuple(map(tuple, bad))),))
+
+
+HEIS5 = GOLDEN / "inputs" / "heis5_sasakian.json"
+SKEW01 = ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0)) + ((0,) * 5,) * 3  # M[0][1] = 1, M[1][0] = -1
+
+
+@pytest.mark.parametrize("flat, channels", [
+    ((0,) * 124, ()),
+    ((0,) * 126, ()),
+    ("heis5", ((2, SKEW01),)),
+    ((0,) * 125, ((6, SKEW01), (5, SKEW01))),
+    ((0,) * 125, ((5, SKEW01), (5, SKEW01))),
+], ids=["short", "long", "heis5-metric-id", "decreasing-ids", "repeated-id"])
+def test_malformed_view_is_refused(flat, channels):
+    """A view is 125 values and channels of distinct auxiliary ids (>= 5) in increasing
+    order.  A channel on a metric id would be read as M_s of that metric symbol, so on
+    heis5 omega[0][1] would read e3 + e5 and the curvature would be silently wrong."""
+    if flat == "heis5":
+        flat = connection_from_structure(load_coframe(str(HEIS5))).view[0]
+    with pytest.raises(ValueError, match=r"^a connection view is 125 values and its channels"):
+        ConnectionForms(flat, channels)
 
 
 A_WEDGE = {"e1": wedge(e(2), form(1, {(5,): 1}))}

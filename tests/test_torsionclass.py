@@ -46,6 +46,7 @@ from helpers import (
     bits,
     cartan_parts,
     classify_float_oracle,
+    connection_forms,
     evaluate,
     inner,
     inner_w,
@@ -104,7 +105,6 @@ def test_intrinsic_torsion_rejects_auxiliary_outside_stabilizer():
     import pytest
 
     from acm5.errors import SymbolicResidueError
-    from acm5.frames import connection_forms
 
     bad = connection_forms({(1, 3): form(1, {(5,): 1})})
     with pytest.raises(SymbolicResidueError):

@@ -38,7 +38,6 @@ from acm5.frames import (
     ConnectionForms,
     FrameChange,
     canonical_algebra,
-    connection_forms,
 )
 from acm5.groups import FamilyInstance, FamilyParams, GroupIdentification, build
 from acm5.torsionclass import CartanParts, ClassReport, IntrinsicTorsion, tensor_to_w
@@ -58,6 +57,11 @@ def _instance_args():
     return inst.params, inst.coframe, inst.alpha, inst.omega_g
 
 
+def _view(k):
+    """The view of w[0][1] = e_k, 0-based: 1 at slot (0, 1, k) and -1 at slot (1, 0, k)."""
+    return tuple(1 if s == 5 + k else -1 if s == 25 + k else 0 for s in range(125))
+
+
 def _negated_generators():
     return tuple(tuple((c, -s) for c, s in g) for g in GENERATORS)
 
@@ -71,11 +75,7 @@ CASES = {
     ResidualReport: (lambda: ({"e1": e(1)},), 0, lambda: {"e1": e(2)}),
     Tensor3: (lambda: (tuple(range(125)),), 0, lambda: tuple(range(1, 126))),
     Predicates: (lambda: (False,) * 9, 3, lambda: True),
-    ConnectionForms: (
-        lambda: connection_forms({(1, 2): e(3)}).view,
-        0,
-        lambda: connection_forms({(1, 2): e(4)}).view[0],
-    ),
+    ConnectionForms: (lambda: (_view(2), ()), 0, lambda: _view(3)),
     CanonicalAlgebra: (
         lambda: ("abelian6", {i: {} for i in range(6)}),
         1,
@@ -90,7 +90,7 @@ CASES = {
     ClassReport: (lambda: ({"W3": 1}, ("W3",), 1), 2, lambda: 2),
     CartanParts: (lambda: (_cube(), (0,) * 5, _cube(), _cube()), 1, lambda: (1, 0, 0, 0, 0)),
     CharacteristicConnection: (
-        lambda: (connection_forms({(1, 2): e(3)}), _cube(), _cube(), CompatibilityReport(1, 1, 1)),
+        lambda: (ConnectionForms(_view(2)), _cube(), _cube(), CompatibilityReport(1, 1, 1)),
         3,
         lambda: CompatibilityReport(0, 1, 1),
     ),
@@ -112,6 +112,7 @@ CASES = {
 HASHABLE = {
     Symbol,
     Predicates,
+    ConnectionForms,
     CompatibilityReport,
     SpinorKernelReport,
     SpinorSpace,

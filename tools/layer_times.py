@@ -8,7 +8,7 @@ the working scale that ``classify`` computes on.  Each stage is timed on its
 own, RUNS times, on inputs that the earlier stages prepared once: ``build``,
 ``verify_first_structure``, ``connection_from_structure``, the ``acms``
 invariants (nabla Phi, N, the predicates, gamma and d eta, each run on a
-fresh connection: a new ``ConnectionForms`` of the solve's view, unchecked
+fresh connection: a new ``ConnectionForms`` of the solve's view, checked
 as the solve's own, with an empty memo), ``characteristic_connection`` (on a
 connection that already holds those invariants), ``torsion_type``,
 ``curvature`` (on a coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
@@ -119,7 +119,7 @@ def stage_times(c, omega, point=None):
     times["verify_first_structure"] = median_us(lambda: frames.verify_first_structure(c, omega))
     times["connection_from_structure"] = median_us(lambda: frames.connection_from_structure(c))
     times["acms_invariants"] = median_us(
-        lambda: invariants(frames.ConnectionForms._of_view(*omega.view))
+        lambda: invariants(frames.ConnectionForms(*omega.view))
     )
     fc = invariants(omega)
     if not acms.derived(fc, acms.predicates).generalized_quasi_sasaki:
