@@ -15,8 +15,9 @@ Curvature reads the matrices M_s[i][j] = w[i][j](E_s) of the connection's flat
 view, one per coframe symbol: R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
 for a < b, each entry summed from the int 0 over s in id order, then over k with
 M_a[i][k] M_b[k][j] - M_b[i][k] M_a[k][j] one step: the order of the Form chain
-d w[i][j] + sum_k w[i][k] ^ w[k][j], so a float keeps its bits.  Ricci and the
-holonomy algebra, their bracket closure, are read from these tables.
+d w[i][j] + sum_k w[i][k] ^ w[k][j], so a float keeps its bits.  Ricci, the
+holonomy algebra (their bracket closure) and the checks that the auxiliary symbols
+cancel and that R[j][i] = -R[i][j] read these tables; the 25 forms R[i][j] are printed.
 Spinors live on C^4 = R^8, where every Clifford generator of Cl(5) is a signed
 permutation (Spin(5) = Sp(2) acts on H^2 = R^8), stored as a table of one
 (column, sign) pair per row the way ``acms.PHI_ENTRIES`` stores phi; the spin
@@ -32,36 +33,14 @@ from typing import NamedTuple
 
 from . import linalg
 from .acms import (
-    ETA,
-    PAIRS,
-    F,
-    Tensor3,
-    at,
-    contract,
-    d_eta_form,
-    derived,
-    frame_connection,
-    gamma_form,
-    nabla_phi,
-    nabla_xi_matrix,
-    nijenhuis,
-    plan,
-    predicates,
-    t3_from_form3,
+    ETA, PAIRS, F, Tensor3, at, contract, d_eta_form, derived, frame_connection, gamma_form,
+    nabla_phi, nabla_xi_matrix, nijenhuis, plan, predicates, t3_from_form3,
 )
 from .errors import (
     ACM5Error, ModeMismatchError, NotGeneralizedQuasiSasakiError, SymbolicResidueError,
     UnsupportedSymbolError,
 )
-from .exterior import (
-    METRIC_IDS,
-    CoframeData,
-    Form,
-    Frozen,
-    grid_form,
-    stored,
-    wedge,
-)
+from .exterior import METRIC_IDS, CoframeData, Form, Frozen, grid_form, stored, wedge
 from .frames import ConnectionForms
 from .scalars import div, div_const, narrow, sis_zero, table_kind
 from .torsionclass import cartan_decompose
@@ -171,20 +150,20 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
     if not c.d_squared_gate.ok:
         raise ACM5Error("curvature needs an integrable coframe (d^2 = 0)")
     tables = _curvature_tables(c, omega)
+    aux = [p for p in tables if p[1] not in METRIC_IDS]
+    for i, j in product(range(5), repeat=2):  # the checks of R[i][j], read off the tables
+        if any(tables[p][i][j] for p in aux):  # the symbols in R[i][j].symbols_used()'s order
+            used = set(chain.from_iterable(p for p, t in tables.items() if t[i][j]))
+            raise SymbolicResidueError(f"curvature entry ({i + 1},{j + 1}) keeps auxiliary "
+                                       f"symbols {[s for s in used if s not in METRIC_IDS]}")
+        # IEEE + commutes, so the sum at (j, i) has the verdict of the sum at (i, j)
+        if i <= j and (bad := [p for p, t in tables.items() if not sis_zero(t[i][j] + t[j][i])]):
+            bad.sort(key=lambda p: not tables[p][i][j])  # R[i][j]'s monomials first, as in +
+            raise ACM5Error("internal consistency: curvature matrix is not antisymmetric: "
+                            f"R({i + 1},{j + 1}) + R({j + 1},{i + 1}) is nonzero on "
+                            + ", ".join("^".join(map(c.name_of, p)) for p in bad))
     grid = tuple(tuple(stored(2, {p: t[i][j] for p, t in tables.items()}) for j in range(5))
                  for i in range(5))
-    for i, j in product(range(5), repeat=2):
-        if bad := [s for s in grid[i][j].symbols_used() if s not in METRIC_IDS]:
-            raise SymbolicResidueError(
-                f"curvature entry ({i + 1},{j + 1}) keeps auxiliary symbols {bad}"
-            )
-        # IEEE + commutes, so the sum at (j, i) has the verdict of the sum at (i, j)
-        if i <= j and not (total := grid[i][j] + grid[j][i]).is_zero():
-            bad = ["^".join(map(c.name_of, m)) for m, v in total.terms.items() if not sis_zero(v)]
-            raise ACM5Error(
-                "internal consistency: curvature matrix is not antisymmetric: "
-                f"R({i + 1},{j + 1}) + R({j + 1},{i + 1}) is nonzero on {', '.join(bad)}"
-            )
     zero = [[0] * 5] * 5
     ricci = []
     for a in range(5):  # Ric(e_a, e_b) = sum_i R[i][b](e_a, e_i) = sum_i R(E_a, E_i)[i][b]

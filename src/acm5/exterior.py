@@ -24,9 +24,10 @@ Conventions, fixed once and used everywhere:
   sum is narrowed and its zeros dropped once at the end.  Any other table
   goes through ext_d twice.
 * :func:`wedge_sum` builds first + a1^b1 + a2^b2 + ... as one Form: each
-  product is summed in its own table, then added term by term to the running
-  table under the kind and degree rules of ``+``, so each key, key order and
-  value (float bits included) is the chain's; :func:`wedge` is one product.
+  product is summed in its own table, then :func:`sum_tables` adds it term by
+  term to the running table under the kind and degree rules of ``+``, so each
+  key, key order and value (float bits included) is the chain's; :func:`wedge`
+  is one product.  ``frames`` hands ``sum_tables`` tables read off a view.
 * A full read of a 2-form or a 3-form on the metric directions is one 5x5
   (x5) table (:func:`dense2`, :func:`dense3`) filled from its terms: each
   stored c goes to its sorted slot and -c to every odd permutation of it,
@@ -44,7 +45,7 @@ The operators here build through ``_trusted`` with the kind the rule gives.
 from __future__ import annotations
 
 import functools
-from itertools import chain
+from itertools import chain, starmap
 from typing import Mapping, NamedTuple
 
 from .errors import MissingDerivationError, ModeMismatchError, SchemaError, UnsupportedSymbolError
@@ -294,21 +295,31 @@ def wedge(a, b):
 
 def wedge_sum(first, pairs):
     """first + a1 ^ b1 + a2 ^ b2 + ... for pairs (a_k, b_k), as one Form (module docstring)."""
+    return sum_tables(first, starmap(_product, pairs))
+
+
+def _product(a, b):
+    """(degree, terms, kind) of a ^ b, each product accumulated under the storage rule."""
+    deg = a.degree + b.degree
+    live = deg <= 6  # a product above degree 6 is the exact zero
+    pmode = FLOAT if live and FLOAT in (a.mode, b.mode) else EXACT
+    out = {}
+    for i1, c1 in a.terms.items() if live else ():
+        for i2, c2 in b.terms.items():
+            if hit := _join(i1, i2):
+                _accumulate(out, hit[0], c1 * c2 * hit[1], pmode)
+    return deg, out, pmode
+
+
+def sum_tables(first, tables):
+    """first + t1 + t2 + ... for (degree, terms, kind) tables, each added term by term as +
+    adds a form of that table: the accumulation of :func:`wedge_sum`, as one Form."""
     degree, terms, mode = first.degree, dict(first.terms), first.mode
-    for a, b in pairs:
-        deg = a.degree + b.degree
-        live = deg <= 6  # a product above degree 6 is the exact zero
-        pmode = FLOAT if live and FLOAT in (a.mode, b.mode) else EXACT
-        out = {}
-        for i1, c1 in a.terms.items() if live else ():
-            for i2, c2 in b.terms.items():
-                hit = _join(i1, i2)
-                if hit:
-                    _accumulate(out, hit[0], c1 * c2 * hit[1], pmode)
-        if terms:
-            degree, terms, mode = _add_into(degree, terms, mode, deg, out, pmode)
-        else:  # the empty sum takes the product's table, which + would copy term by term
+    for deg, out, pmode in tables:
+        if not terms:  # the empty sum takes the table, which + would copy term by term
             degree, terms, mode = len(next(iter(out))) if out else max(degree, deg), out, pmode
+        elif out:  # + of an empty table leaves a nonempty sum as it is
+            degree, terms, mode = _add_into(degree, terms, mode, deg, out, pmode)
     return _trusted(degree, terms, mode)
 
 

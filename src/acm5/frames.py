@@ -15,6 +15,7 @@ auxiliary channel, straight from the table.  ``ConnectionForms(flat, channels)``
 builds every connection of the library from such a view, checked once (its shape,
 no trig value, antisymmetry), and compares connections by their views; it keeps the
 memo that ``acms.derived`` fills, and its forms are a cache built when first read.
+``verify_first_structure`` reads its residuals off the view too, and builds no form.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
-    METRIC_IDS, CoframeData, Frozen, ResidualReport, e, ext_d, stored, wedge_all, wedge_sum,
-    zero_form,
+    METRIC_IDS, CoframeData, Frozen, ResidualReport, ext_d, stored, sum_tables, wedge_all,
+    wedge_sum, zero_form,
 )
-from .scalars import TrigScalar, div_const, narrow, sis_zero
+from .scalars import EXACT, TrigScalar, div_const, is_float, narrow, sis_zero, table_kind
 
 
 # (w[i][j](e_k), w[j][i](e_k)) slots for i <= j, and the entry pairs i <= j of a channel matrix
@@ -44,7 +45,7 @@ class ConnectionForms(Frozen):
     ((aux_id, 5x5 matrix [i][j]), ...) in increasing id order), with the memo of its
     invariants; its forms are built when first read.  ``==`` compares the views slot by slot
     by ``sis_zero(a - b)``, a channel that one side lacks reading as zeros, and the repr
-    reads the view; the hash reads the 125 slots, so equal exact connections hash alike."""
+    reads the view; the hash is the class's, so connections that are == hash alike."""
 
     view: tuple
     _memo: dict  # fn name -> fn(self), filled by ``acms.derived``
@@ -58,8 +59,9 @@ class ConnectionForms(Frozen):
         mats = [m for _, m in channels]
         if TrigScalar in map(type, chain(flat, *chain.from_iterable(mats))):
             raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-        if not (all(sis_zero(flat[a] + flat[b]) for a, b in PAIR_SLOTS)
-                and all(sis_zero(m[i][j] + m[j][i]) for m in mats for i, j in UPPER)):
+        if not (all(flat[a] == -flat[b] or sis_zero(flat[a] + flat[b]) for a, b in PAIR_SLOTS)
+                and all(m[i][j] == -m[j][i] or sis_zero(m[i][j] + m[j][i])
+                        for m in mats for i, j in UPPER)):
             raise ValueError("pointwise data must be antisymmetric in (i, j)")
         self.__dict__.update(view=(flat, channels), _memo={})
 
@@ -72,8 +74,8 @@ class ConnectionForms(Frozen):
             zip(chain(*cs.get(s, ZERO_MATRIX)), chain(*ds.get(s, ZERO_MATRIX)))
             for s in cs.keys() | ds.keys())))
 
-    def __hash__(self):
-        return hash(self.view[0])
+    def __hash__(self):  # == reads no slot exactly, so every == pair shares only the class
+        return hash(ConnectionForms)
 
     @cached_property
     def omega(self):
@@ -143,10 +145,23 @@ def connection_from_structure(c: CoframeData) -> ConnectionForms:
 
 
 def verify_first_structure(c: CoframeData, omega: ConnectionForms):
-    """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator, each one
-    ``wedge_sum`` of the products e_j ^ w[i][j] = -w[i][j] ^ e_j."""
-    w, legs = omega.omega, [e(j + 1) for j in range(5)]
-    return ResidualReport({c.name_of(i): wedge_sum(c.d_table[i], zip(legs, w[i])) for i in range(5)})
+    """Residuals de_i - sum_j w[i][j] ^ e_j per metric generator, read off the view.  The term
+    e_j ^ w[i][j] puts w[i][j](E_k) on e_j ^ e_k (a channel's on e_j ^ A), w[i][j] read as
+    ``omega`` builds it: the upper slots under the storage rule, negated below the diagonal;
+    ``sum_tables`` adds the terms as ``wedge_sum`` would, so keys, order, values and kinds agree."""
+    flat, channels = omega.view
+    rows = [[(2, {}, EXACT) for _ in range(5)] for _ in range(5)]  # e_j ^ w[i][j]; w[i][i] = 0
+    for i in range(5):
+        for j in range(i + 1, 5):  # the terms (k, w[i][j](E_k)) that ``omega`` keeps, their kind
+            row = chain(enumerate(flat[25 * i + 5 * j : 25 * i + 5 * j + 5]),
+                        ((a, m[i][j]) for a, m in channels))
+            kept = [(k, narrow(v)) for k, v in row if v or is_float(v)]
+            kind = table_kind(v for _, v in kept)
+            rows[i][j] = 2, {(j, k) if j < k else (k, j): 0 + v * (1 if j < k else -1)
+                             for k, v in kept if k != j}, kind  # 0 + v as _accumulate adds v
+            rows[j][i] = 2, {(i, k) if i < k else (k, i): 0 + v * (-1 if i < k else 1)  # -w[i][j]
+                             for k, v in kept if k != i}, kind
+    return ResidualReport({c.name_of(i): sum_tables(c.d_table[i], rows[i]) for i in range(5)})
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, IntegrabilityError
-from .exterior import F, Z1, Z2, CoframeData, Frozen, coframe, e, form, wedge
+from .exterior import CoframeData, Frozen, coframe, e, form, stored
 from .frames import (
     ConnectionForms,
     FrameChange,
@@ -77,25 +77,20 @@ def family_params(a1, a2, a3, a4) -> FamilyParams:
 
 
 def build(a1, a2, a3, a4) -> FamilyInstance:
-    """Construct and validate a family coframe."""
+    """Construct and validate a family coframe, its table written term by term (A2 has id 5)
+    with the keys, order, values and types of the equations' Form chain (family_table_oracle)."""
     params = family_params(a1, a2, a3, a4)
     a1, a2, a3, a4 = params.as_tuple()
-    p = 2 * a1 + a3
-    q = 2 * a2 + a4
-    alpha = -2 * ((a1 - a3) * p + (a2 - a4) * q)
-    d_table = {
-        "e1": wedge(A2, e(2)) - p * wedge(e(3), e(5)) - q * wedge(e(4), e(5)),
-        "e2": -1 * wedge(A2, e(1)) + p * wedge(e(4), e(5)) - q * wedge(e(3), e(5)),
-        "e3": -1 * wedge(A2, e(4)) + p * wedge(e(1), e(5)) + q * wedge(e(2), e(5)),
-        "e4": wedge(A2, e(3)) - p * wedge(e(2), e(5)) + q * wedge(e(1), e(5)),
-        "e5": (-2 * (a1 - a3)) * Z1 + (-2 * (a2 - a4)) * Z2,
-        "A2": alpha * F,
-    }
-    cf = coframe(d_table, auxiliary=("A2",))
-    report = cf.d_squared_gate
-    if not report.ok:
+    p, q, b, c = 2 * a1 + a3, 2 * a2 + a4, a1 - a3, a2 - a4
+    alpha = -2 * (b * p + c * q)
+    cf = coframe({name: stored(2, terms) for name, terms in (
+        ("e1", {(1, 5): -1, (2, 4): -p, (3, 4): -q}), ("e2", {(0, 5): 1, (3, 4): p, (2, 4): -q}),
+        ("e3", {(3, 5): 1, (0, 4): p, (1, 4): q}), ("e4", {(2, 5): -1, (1, 4): -p, (0, 4): q}),
+        ("e5", {(0, 2): -2 * b, (1, 3): 2 * b, (0, 3): -2 * c, (1, 2): -2 * c}),
+        ("A2", {(0, 1): alpha, (2, 3): -alpha}),
+    )}, auxiliary=("A2",))
+    if not (report := cf.d_squared_gate).ok:
         raise IntegrabilityError(f"d^2 != 0 on {report.failing}")
-    b, c = a1 - a3, a2 - a4
     flat = [0] * 125
     for (i, j, k), v in {  # w[i][j](e_k), 0-based, i < j; the A2 legs are A2_CHANNEL
         (0, 2, 4): a1 + 2 * a3, (0, 3, 4): a2 + 2 * a4, (1, 2, 4): a2 + 2 * a4,
@@ -104,8 +99,7 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
     }.items():
         flat[25 * i + 5 * j + k], flat[25 * j + 5 * i + k] = narrow(v), narrow(-v)
     omega_g = ConnectionForms(tuple(flat), (A2_CHANNEL,))
-    fs = verify_first_structure(cf, omega_g)
-    if not fs.ok:
+    if not (fs := verify_first_structure(cf, omega_g)).ok:
         raise IntegrabilityError(f"first structure equation fails on {fs.failing}")
     return FamilyInstance(params, cf, alpha, omega_g)
 

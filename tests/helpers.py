@@ -12,7 +12,9 @@ and kernel that the R^8 signed-permutation tables of ``connection`` replaced.
 The wedge-based exterior derivative (``ext_d_oracle``) is the one that
 ``exterior.ext_d``'s direct Leibniz accumulation replaced.  The Form chain
 of ``first_structure_oracle`` is the one that one ``exterior.wedge_sum`` per
-entry replaced, and that of ``connection_plus_tensor_oracle`` (an
+entry replaced, and then the read of each residual off the connection's view; the
+chain of ``wedge``, scales, ``+`` and ``-`` of ``family_table_oracle`` is the one that
+``groups.build``'s term tables replaced; that of ``connection_plus_tensor_oracle`` (an
 ``exterior.stored`` form added onto each entry) the one that the compatible
 connection's view, written slot by slot, replaced.  ``curvature_grid_oracle`` (the Form chain
 d w[i][j] + sum_k w[i][k] ^ w[k][j] of ``ext_d``, ``wedge`` and ``+``) and
@@ -89,7 +91,10 @@ from acm5.errors import (
 )
 from acm5.exterior import (
     METRIC_IDS,
+    Z1,
+    Z2,
     CoframeData,
+    F,
     Form,
     TrigRules,
     coframe,
@@ -412,6 +417,22 @@ def first_structure_oracle(c: CoframeData, omega: ConnectionForms) -> dict:
             acc = acc - wedge(omega.omega[i][j], e(j + 1))
         residuals[c.name_of(i)] = acc
     return residuals
+
+
+def family_table_oracle(a1, a2, a3, a4) -> dict:
+    """The structure table of ``groups.build`` at the exact parameters, by name, as the
+    chain of ``wedge``, scales, ``+`` and ``-`` that its term tables replaced (A2 has id 5)."""
+    a2_leg = form(1, {(5,): 1})
+    p, q = 2 * a1 + a3, 2 * a2 + a4
+    alpha = -2 * ((a1 - a3) * p + (a2 - a4) * q)
+    return {
+        "e1": wedge(a2_leg, e(2)) - p * wedge(e(3), e(5)) - q * wedge(e(4), e(5)),
+        "e2": -1 * wedge(a2_leg, e(1)) + p * wedge(e(4), e(5)) - q * wedge(e(3), e(5)),
+        "e3": -1 * wedge(a2_leg, e(4)) + p * wedge(e(1), e(5)) + q * wedge(e(2), e(5)),
+        "e4": wedge(a2_leg, e(3)) - p * wedge(e(2), e(5)) + q * wedge(e(1), e(5)),
+        "e5": (-2 * (a1 - a3)) * Z1 + (-2 * (a2 - a4)) * Z2,
+        "A2": alpha * F,
+    }
 
 
 def curvature_readings_oracle(grid):

@@ -143,6 +143,50 @@ def test_curvature_antisymmetry_failure_names_the_pair_and_monomials(capsys, mon
     )
 
 
+def test_curvature_antisymmetry_failure_lists_the_first_entry_s_monomials_first(
+    capsys, monkeypatch
+):
+    """On family_1_0_2_0, R(1,2) = 8 e1^e2 - 8 e3^e4.  With R(1,2) at e3^e4 moved by 1 and
+    R(2,1) given e1^e3, which R(1,2) lacks, the sum is nonzero on e3^e4 and e1^e3: R(1,2)'s
+    monomial comes first, as in the Form sum R(1,2) + R(2,1), though e1^e3 sorts before it."""
+    from acm5 import connection
+
+    real = connection._curvature_tables
+
+    def skewed(c, omega):
+        tables = real(c, omega)
+        tables[2, 3][0][1] += 1
+        tables.setdefault((0, 2), [[0] * 5 for _ in range(5)])[1][0] += 1
+        return dict(sorted(tables.items()))
+
+    monkeypatch.setattr(connection, "_curvature_tables", skewed)
+    code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / "family_1_0_2_0.json")])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ACM5Error: internal consistency: curvature matrix is not antisymmetric: "
+        "R(1,2) + R(2,1) is nonzero on e3^e4, e1^e3\n"
+    )
+
+
+def test_curvature_auxiliary_residue_names_the_entry_and_its_symbols(capsys, monkeypatch):
+    """A curvature entry R(3,4) that keeps a term in e2^A2 stops classify, naming the
+    entry and the auxiliary symbol ids that it uses."""
+    from acm5 import connection
+
+    real = connection._curvature_tables
+
+    def residue(c, omega):
+        tables = real(c, omega)
+        tables.setdefault((1, 5), [[0] * 5 for _ in range(5)])[2][3] += 1
+        return dict(sorted(tables.items()))
+
+    monkeypatch.setattr(connection, "_curvature_tables", residue)
+    code, out, err = run(capsys, ["classify", str(GOLDEN / "inputs" / "family_1_0_2_0.json")])
+    assert (code, out, err) == (
+        1, "", "error: SymbolicResidueError: curvature entry (3,4) keeps auxiliary symbols [5]\n"
+    )
+
+
 @pytest.mark.parametrize(
     "action, module, name",
     [

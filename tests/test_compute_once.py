@@ -14,11 +14,14 @@ norms need no linear solve.  The Levi-Civita solve is a closed form and
 runs no elimination, and the d^2-gate contracts a constant table without
 ext_d and runs once per coframe: ``CoframeData.d_squared_gate`` keeps its
 report, so curvature does not gate again a coframe that ``family.build`` or
-the classify report has gated.  A first-structure residual is one
-``exterior.wedge_sum``, so it calls no ``exterior.wedge``, and curvature
-reads the connection's matrices, so it calls neither ``exterior.wedge`` nor
-``exterior.ext_d``; the Ricci values and the holonomy are read from its
-R(E_a, E_b) tables.  The
+the classify report has gated.  A first-structure residual is read off the
+connection's view and summed by ``exterior.sum_tables``, so it calls neither
+``exterior.wedge`` nor ``exterior.wedge_sum``, and ``groups.build`` writes its
+structure table term by term, so building a family instance makes no wedge
+and builds no connection form.  Curvature reads the connection's matrices, so
+it calls neither ``exterior.wedge`` nor ``exterior.ext_d``; the Ricci values,
+the holonomy and the checks on the entries are read from its R(E_a, E_b)
+tables.  The
 Levi-Civita solve writes the flat view that the kernels read, and the
 compatible connection is written as a view too, so a classify report never
 builds the Levi-Civita forms and builds the characteristic connection's
@@ -57,11 +60,21 @@ def test_identity_replay_computes_each_invariant_once():
 def test_identity_replay_builds_no_connection_form():
     """The replay compares the solve with the tabulated connection, and the compatible
     connection with the expected one, by their views; curvature and the spin lift read
-    the matrices.  Only ``build``'s first-structure check reads the forms."""
+    the matrices."""
     inst = build(1, 0, 2, 0)
     with count_calls("frames._grid") as calls:
         assert verify_identities(inst).ok
     assert calls["frames._grid"] == 0
+
+
+def test_build_makes_no_wedge_and_builds_no_connection_form():
+    """``build`` writes the structure table term by term and checks the first structure
+    equation on the view of the tabulated connection: no wedge and no connection form, at
+    the block, diagonal, Heisenberg and unclassified points below."""
+    with count_calls("exterior.wedge", "exterior.wedge_sum", "frames._grid") as calls:
+        for point in [(1, 0, 2, 0), (1, 2, 3, 6), (0, 0, 1, -1), (3, 4, 0, 0), (1, 0, -2, 0)]:
+            build(*point)
+    assert calls == {}
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

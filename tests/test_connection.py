@@ -508,9 +508,9 @@ def _grid_items(grid):
 @settings(max_examples=40, deadline=None)
 @given(connection_cases())
 def test_one_table_per_entry_matches_the_form_chains(case):
-    """Each curvature entry as one wedge_sum and the first-structure residuals as one
-    wedge_sum each give the keys, the key order, the values and their types (floats by
-    repr) that the chains of Form operators gave.  The compatible connection's view,
+    """Each curvature entry as one wedge_sum and the first-structure residuals read off the
+    view give the keys, the key order, the values and their types (floats by repr) and the
+    kind that the chains of Form operators gave.  The compatible connection's view,
     written slot by slot, is the flattened Form chain, type and bits per slot, channels
     included, and each of its forms w[i][j], i < j, has the chain's keys and values."""
     c, omega, a = case
@@ -579,6 +579,18 @@ def test_view_equality_on_a_float_near_an_exact_value_and_on_a_missing_channel()
     zeros = connection_forms({(1, 2): form(1, {(0,): 1.0, (5,): 0.0})})
     assert zeros.view[1] and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
     assert connection_forms({}) != connection_forms({(1, 2): form(1, {(5,): 1})})
+
+
+def test_connections_that_are_equal_hash_alike():
+    """== allows FLOAT_RTOL per slot and mixes kinds, so the hash reads no slot: the exact
+    and near connections above, and an exact and a float connection at 1 and 1.0, are
+    equal and hash alike, and a set keeps one of each pair."""
+    exact = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1})})
+    near = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 1e-12})})
+    one = connection_forms({(1, 2): form(1, {(0,): 1})})
+    one_float = connection_forms({(1, 2): form(1, {(0,): 1.0})})
+    for a, b in ((exact, near), (one, one_float)):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 @pytest.mark.parametrize("coframe_mode, connection_mode", [("float", "exact"), ("exact", "float")])

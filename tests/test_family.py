@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from acm5.frames import ConnectionForms
 from acm5.groups import build, family_params, identify_group, rational_sqrt
 from acm5.torsionclass import classify, intrinsic_torsion
 
-from helpers import random_fraction, t3_from_func
+from helpers import family_table_oracle, form_items, random_fraction, t3_from_func
 
 
 def random_valid_params(rng):
@@ -35,6 +36,27 @@ def test_build_frozen_values():
     inst2 = build(0, 0, 1, 0)
     assert inst2.coframe.d_table[4] == 2 * Z1
     assert inst2.alpha == 2
+
+
+# the integrable points of {0, 1, -1, 2, -3, 1/2, -3/4, 5}^4
+TABLE_GRID = [
+    p for p in itertools.product((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), 5), repeat=4)
+    if p[0] * p[3] == p[1] * p[2]
+]
+
+
+def test_build_writes_the_table_of_the_form_chain():
+    """At every integrable grid point, each entry of the structure table that ``build``
+    writes term by term has the keys, key order, values, their types and the kind
+    of the Form chain of wedges, scales, sums and differences that it replaced."""
+    assert len(TABLE_GRID) == 334
+    for point in TABLE_GRID:
+        c = build(*point).coframe
+        oracle = family_table_oracle(*family_params(*point).as_tuple())
+        assert [c.name_of(s) for s in c.d_table] == list(oracle)
+        assert [form_items(f) for f in c.d_table.values()] == [
+            form_items(f) for f in oracle.values()
+        ], point
 
 
 def test_build_constraint_gate():

@@ -27,7 +27,7 @@ from acm5.frames import (
     verify_first_structure,
 )
 from acm5.groups import build, identify_group, rational_sqrt
-from acm5.scalars import COS_F
+from acm5.scalars import COS_F, sis_zero
 
 from helpers import (
     GOLDEN,
@@ -324,6 +324,27 @@ def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(
     bad[i][j] += 1
     with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
         ConnectionForms(flat, ((5, tuple(map(tuple, bad))),))
+
+
+@pytest.mark.parametrize("a, b", [
+    (Fraction(1, 3), Fraction(-1, 3)), (Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 10**12)),
+    (2, -2), (2, -1), (1, -1.0), (0.1, -0.1), (0.1, -0.1 + 1e-12), (0.1, -0.1 + 2e-9),
+    (Fraction(1, 10**12), 0.0), (0.0, -0.0), (float("nan"), float("nan")),
+])
+def test_antisymmetry_verdict_is_that_of_the_sum(a, b):
+    """The constructor tests a == -b first and sis_zero(a + b) after it: on a metric slot
+    pair and on a channel pair of finite values or NaN, it accepts exactly the pairs whose
+    sum sis_zero accepts (only inf and -inf, equal to -b but summing to NaN, would differ)."""
+    flat = [0] * 125
+    flat[25 * 0 + 5 * 1 + 2], flat[25 * 1 + 5 * 0 + 2] = a, b
+    channel = [[0] * 5 for _ in range(5)]
+    channel[1][3], channel[3][1] = a, b
+    for view in ((tuple(flat), ()), ((0,) * 125, ((5, tuple(map(tuple, channel))),))):
+        if sis_zero(a + b):
+            assert ConnectionForms(*view).view == view
+        else:
+            with pytest.raises(ValueError, match="antisymmetric"):
+                ConnectionForms(*view)
 
 
 HEIS5 = GOLDEN / "inputs" / "heis5_sasakian.json"

@@ -167,7 +167,7 @@ def test_every_value_class_method_is_reached_outside_tests():
     assert not unreached, f"value class methods that only tests reach: {sorted(unreached)}"
 
 
-SRC_LINE_BUDGET = 3371  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3370  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

@@ -14,7 +14,11 @@ connection that already holds those invariants), ``torsion_type``,
 ``curvature`` (on a coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
 ``identify_group``.  ``curvature`` and ``parallel_spinor_check`` read the
 connection's symbol matrices, which its memo keeps after the first read.  A
-golden input has no ``build`` or ``identify_group`` stage.  ``identify_group``
+golden input has no ``build`` or ``identify_group`` stage.  ``build`` writes
+the structure table term by term and runs the d^2-gate and
+``verify_first_structure``, which reads the residuals off the connection's
+view: no stage here builds the forms of the Levi-Civita connection, so the
+``verify_first_structure`` column times that read alone.  ``identify_group``
 refuses the degenerate point (0, 0, 0, 0) with DegenerateInputError; that
 refusal is what is timed there.
 
