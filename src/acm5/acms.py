@@ -26,11 +26,13 @@ values on COMPLEMENT_MONOMIALS (0,2), (1,3), (0,3), (1,2), (0,4), (1,4),
 (2,4), (3,4), each summed as the projection of the 2-form sums it, so a
 float keeps its bits (``torsionclass`` states the order rule).
 
-Everything here is pointwise multilinear algebra driven by connection
-values w[i][j](e_k).  Auxiliary symbols appearing in connection entries are
-tracked as independent linear channels; operations that must produce
-numbers verify that every channel cancels and raise SymbolicResidueError
-otherwise.
+Everything here is pointwise multilinear algebra driven by the connection's
+view, the blocks M_s[i][j] = w[i][j](E_s) of ``frames.ConnectionForms``: its
+first 125 values are the metric blocks, w[i][j](e_k) at slot at(k, i, j), read
+by the index plans as a trilinear tensor antisymmetric in its last two slots.
+The block of an auxiliary symbol tracks its (unknown) frame value linearly;
+operations that must produce numbers verify that every auxiliary block cancels
+and raise SymbolicResidueError otherwise.
 
 Memo rule: read the invariants of one structure (the torsion view of the
 w(e_k), nabla Phi, N, dPhi, d eta, gamma, the predicates) through
@@ -52,7 +54,7 @@ from .errors import (
 from .exterior import (
     METRIC_IDS, F, Z1, Z2, Form, Frozen, dense2, dense3, form, grid_form, hodge, stored,
 )
-from .frames import ConnectionForms
+from .frames import ConnectionForms, at
 from .scalars import EXACT, ZERO, div_const, sis_zero, table_kind
 
 XI = 4  # 0-based id of the Reeb direction e5
@@ -74,11 +76,6 @@ PHI_ENTRIES = tuple(
 PHI_COL = tuple(
     next(((u, s) for u, c, s in PHI_ENTRIES if c == b), (b, 0)) for b in range(5)
 )
-
-
-def at(i, j, k):
-    """The slot of entry [i][j][k] of a 5x5x5 cube in its flat view."""
-    return 25 * i + 5 * j + k
 
 
 PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))  # the monomials of a 2-form
@@ -137,25 +134,17 @@ COMPLEMENT_FRAME = tuple((b, inner_form(b, b)) for b in LAMBDA2_BASES[2] + LAMBD
 COMPLEMENT_MONOMIALS = tuple(idx for b, _ in COMPLEMENT_FRAME for idx in b.terms)  # view slot order
 
 
-def complement_plan(slot):
-    """Per direction k, the inner product of the 2-form with beta(e_i, e_j) at
-    slot(k, i, j) with each basis form of COMPLEMENT_FRAME, from the int 0 in slot 125."""
-    return tuple(
-        (125, tuple((s, slot(k, i, j), None) for (i, j), s in b.terms.items()))
-        for k in range(5)
-        for b, _ in COMPLEMENT_FRAME
-    )
-
-
-W_COMPLEMENT = complement_plan(lambda k, i, j: at(i, j, k))  # the 2-forms w(e_k) of a connection
-T_COMPLEMENT = complement_plan(at)  # the first-slot 2-forms of a Tensor3
+# per direction k, the inner product of the first-slot 2-form beta(e_i, e_j) at slot at(k, i, j)
+# with each basis form of COMPLEMENT_FRAME, from the int 0 that ``complement_view`` appends
+T_COMPLEMENT = tuple((-1, tuple((s, at(k, i, j), None) for (i, j), s in b.terms.items()))
+                     for k in range(5) for b, _ in COMPLEMENT_FRAME)
 
 
 def complement_view(plan, flat):
     """The flat torsion view (8 values per direction on COMPLEMENT_MONOMIALS) of
-    the projection to the complement of the stabilizer of the five 2-forms that
-    ``plan`` reads off the 125 values ``flat``: the projections onto the types 2
-    and 4 as a coordinate map, (beta_02 - beta_13)/2 on Z1,
+    the projection to the complement of the stabilizer of the 2-forms, one per
+    direction, that ``plan`` reads off the values ``flat``: the projections onto
+    the types 2 and 4 as a coordinate map, (beta_02 - beta_13)/2 on Z1,
     (beta_03 + beta_12)/2 on Z2, each Reeb leg beta_i4.  Each value is 0 plus
     the product the general projection adds, so a float keeps its bits (0.0 +
     -0.0 is 0.0), an integral value is an int and an exact zero the int 0."""
@@ -183,8 +172,8 @@ PULLBACK = tuple(_pullback_entry(a, b) for a, b in PAIRS)
 
 # ---------------------------------------------------------------------------
 # trilinear tensors on the frame, 125 values by slot at(i, j, k): the derivative
-# tensors (antisymmetric in the last two slots), the torsion (in the first two)
-# and the connection values w[i][j](e_k) (in the first two)
+# tensors and a connection's metric blocks (antisymmetric in the last two slots),
+# the torsion (in the first two)
 
 
 class Tensor3(Frozen):
@@ -244,8 +233,8 @@ def vartheta(beta: Form) -> Tensor3:
 
 
 # ---------------------------------------------------------------------------
-# connections: the values w[i][j](e_k) at slot at(i, j, k) of a flat view, plus one constant
-# matrix [i][j] per auxiliary symbol tracking its (unknown) frame values linearly
+# connections: the blocks M_s[i][j] = w[i][j](E_s) at slot at(s, i, j) of a flat view, one
+# per symbol; an auxiliary symbol's block tracks its (unknown) frame values linearly
 
 
 def derived(fc: ConnectionForms, fn):
@@ -258,11 +247,13 @@ def derived(fc: ConnectionForms, fn):
 
 def frame_connection(source) -> ConnectionForms:
     """ConnectionForms as they are, or the connection of free pointwise values w[i][j](e_k)
-    given as a Tensor3 (no integrability implied), which ``ConnectionForms`` checks."""
+    given as a Tensor3 at slot at(i, j, k) (no integrability implied), transposed to the
+    view's at(k, i, j), which ``ConnectionForms`` checks."""
     if isinstance(source, ConnectionForms):
         return source
     if isinstance(source, Tensor3):
-        return ConnectionForms(source.flat)
+        flat = source.flat
+        return ConnectionForms(tuple(flat[at(i, j, k)] for k, i, j in product(range(5), repeat=3)))
     raise TypeError(f"cannot build frame connection from {source!r}")
 
 
@@ -293,11 +284,13 @@ def _mu(mats):
     return contract(MU[: 25 * len(mats)], view)
 
 
-def _require_channels_vanish(fc: ConnectionForms, what, residue):
-    """Raise unless residue(mat), an iterable of scalars, vanishes on every auxiliary channel."""
-    for sid, mat in fc.view[1]:
-        if not all(sis_zero(v) for v in residue(mat)):
-            raise SymbolicResidueError(f"auxiliary symbol id {sid} leaves a residue in {what}")
+def require_aux_vanish(fc: ConnectionForms, what, residue):
+    """Raise "auxiliary symbol id s <what>" unless residue(M_s), an iterable of scalars,
+    vanishes on the block M_s (25 values by rows) of every auxiliary symbol s."""
+    view = fc.view
+    for sid in range(5, len(view) // 25):
+        if not all(sis_zero(v) for v in residue(view[25 * sid : 25 * sid + 25])):
+            raise SymbolicResidueError(f"auxiliary symbol id {sid} {what}")
 
 
 # -- base-path tensors -------------------------------------------------------
@@ -305,8 +298,8 @@ def _require_channels_vanish(fc: ConnectionForms, what, residue):
 
 def nabla_xi_matrix(fc: ConnectionForms):
     """NX[k][a] = g(nabla_{e_k} xi, e_a)."""
-    _require_channels_vanish(fc, "nabla xi", lambda mat: mat[XI])
-    return tuple(fc.view[0][at(XI, 0, k) :: 5] for k in range(5))
+    require_aux_vanish(fc, "leaves a residue in nabla xi", lambda m: m[5 * XI : 5 * XI + 5])
+    return tuple(fc.view[at(k, XI, 0) : at(k, XI, 5)] for k in range(5))
 
 
 def d_eta_form(fc: ConnectionForms) -> Form:
@@ -321,30 +314,30 @@ def xi_is_killing(fc: ConnectionForms):
 
 def nabla_phi(source) -> Tensor3:
     """(nabla_X Phi)(Y, Z) from connection values; the stabilizer part of the
-    connection drops out, and auxiliary channels are required to cancel.
+    connection drops out, and auxiliary blocks are required to cancel.
 
     Computed from the full connection 2-forms and, independently, from
     their projection to the complement of the stabilizer; both paths must
     agree by equivariance and are asserted equal.
     """
     fc = frame_connection(source)
-    _require_channels_vanish(fc, "nabla Phi", lambda mat: _mu([[v for r in mat for v in r]]))
-    full = np_full(fc.view[0])
+    require_aux_vanish(fc, "leaves a residue in nabla Phi", lambda m: _mu([m]))
+    full = np_full(fc.view)
     if not (full - np_gamma(derived(fc, torsion_view))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
 
 
 def np_full(w) -> Tensor3:
-    """(nabla_{e_k} Phi)(e_a, e_b) = mu(w(e_k))(a, b) from the 125 values w[i][j](e_k)."""
-    return Tensor3(tuple(_mu([w[k::5] for k in range(5)])))  # C_k[i][a] = w[i][a](e_k)
+    """(nabla_{e_k} Phi)(e_a, e_b) = mu(M_k)(a, b) from the metric blocks M_k of a view."""
+    return Tensor3(tuple(_mu([w[25 * k : 25 * k + 25] for k in range(5)])))
 
 
 def torsion_view(fc: ConnectionForms) -> tuple:
     """The torsion view of the projections of the five 2-forms w(e_k) to the
     complement of the stabilizer: the intrinsic torsion, and the second path of
     nabla Phi."""
-    return complement_view(W_COMPLEMENT, fc.view[0])
+    return complement_view(T_COMPLEMENT, fc.view)
 
 
 def np_gamma(view) -> Tensor3:

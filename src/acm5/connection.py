@@ -8,11 +8,12 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
 
 and the torsion is the antisymmetrization of A in the first two slots.
 The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
-``int`` and the torsion and its Cartan parts add ints.  The compatible
-connection's view is the Levi-Civita view plus the difference tensor, slot by
-slot, and the torsion's Cartan parts are read in its own slot order.
-Curvature reads the matrices M_s[i][j] = w[i][j](E_s) of the connection's flat
-view, one per coframe symbol: R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
+``int`` and the torsion and its Cartan parts add ints.  A connection's view is
+its blocks M_s[i][j] = w[i][j](E_s), one per coframe symbol, so A(e_k, e_i, e_j)
+sits at the slot of w[i][j](e_k): the compatible connection's view is the
+Levi-Civita view plus the difference tensor, slot by slot, and the torsion's
+Cartan parts are read in its own slot order.  Curvature reads the blocks:
+R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
 for a < b, each entry summed from the int 0 over s in id order, then over k with
 M_a[i][k] M_b[k][j] - M_b[i][k] M_a[k][j] one step: the order of the Form chain
 d w[i][j] + sum_k w[i][k] ^ w[k][j], so a float keeps its bits.  Ricci, the
@@ -82,11 +83,10 @@ TORSION = plan(lambda x, y, z: (at(x, y, z), ((-1, at(y, x, z), None),)))
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
-    """w[i][j] + (the 1-form X -> a(X, e_i, e_j)) as a checked view: w[i][j](e_k) at slot
-    s = 25 i + 5 j + k plus a(e_k, e_i, e_j) at 25 (s % 5) + s // 5, the same channels."""
-    flat, channels = omega.view
-    return ConnectionForms(
-        tuple(narrow(flat[s] + a.flat[25 * (s % 5) + s // 5]) for s in range(125)), channels)
+    """w[i][j] + (the 1-form X -> a(X, e_i, e_j)) as a checked view: w[i][j](e_k) plus
+    a(e_k, e_i, e_j), both at slot at(k, i, j), and the same auxiliary blocks."""
+    view = omega.view
+    return ConnectionForms(tuple(narrow(w + x) for w, x in zip(view, a.flat)) + view[125:])
 
 
 class CompatibilityReport(NamedTuple):
@@ -175,10 +175,15 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
 
 
 def _symbol_matrices(omega: ConnectionForms):
-    """{s: M_s} for each symbol whose M_s[i][j] = w[i][j](E_s) has a truthy entry, id order."""
-    flat, channels = omega.view
-    mats = {s: [flat[25 * i + s : 25 * i + 25 : 5] for i in range(5)] for s in METRIC_IDS}
-    return {s: m for s, m in chain(mats.items(), channels) if any(map(any, m))}
+    """{s: M_s} for each block of the view, M_s[i][j] = w[i][j](E_s) at 5 i + j, with a
+    truthy entry, in id order."""
+    view = omega.view
+    blocks = (view[o : o + 25] for o in range(0, len(view), 25))
+    return {s: m for s, m in enumerate(blocks) if any(m)}
+
+
+# (i, j, [i][k], [k][j]) for i, j, k in order, the entries of 5x5 blocks by rows
+MATMUL = tuple((i, j, 5 * i + k, 5 * k + j) for i, j, k in product(range(5), repeat=3))
 
 
 def _curvature_tables(c: CoframeData, omega: ConnectionForms):
@@ -187,18 +192,18 @@ def _curvature_tables(c: CoframeData, omega: ConnectionForms):
     if any(s >= c.n_symbols for s in mats):
         raise UnsupportedSymbolError("form uses symbols outside the coframe")
     terms = [v for f in c.d_table.values() for v in f.terms.values()]
-    kinds = table_kind(terms), table_kind(chain.from_iterable(chain.from_iterable(mats.values())))
+    kinds = table_kind(terms), table_kind(chain.from_iterable(mats.values()))
     if mats and terms and kinds[0] != kinds[1]:  # the kinds of the values that the sums read
         raise ModeMismatchError("curvature mixes a %s coframe with a %s connection" % kinds)
     tables = defaultdict(lambda: [[0] * 5 for _ in range(5)])
     for s, m in mats.items():  # s in id order; a de_s that is zero at the tolerance adds nothing
         if not c.d_table[s].is_zero():
             for (p, v), i, j in product(c.d_table[s].terms.items(), range(5), range(5)):
-                tables[p][i][j] += m[i][j] * v
+                tables[p][i][j] += m[5 * i + j] * v
     for (a, ma), (b, mb) in combinations(mats.items(), 2):  # then + [M_a, M_b], k in order
-        for i, j, k in product(range(5), repeat=3):
-            if ma[i][k] and mb[k][j] or mb[i][k] and ma[k][j]:
-                tables[a, b][i][j] += ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j]
+        for i, j, ik, kj in MATMUL:
+            if ma[ik] and mb[kj] or mb[ik] and ma[kj]:
+                tables[a, b][i][j] += ma[ik] * mb[kj] - mb[ik] * ma[kj]
     return {p: [[0 if sis_zero(x) else narrow(x) for x in row] for row in r]
             for p, r in sorted(tables.items())}
 
@@ -217,17 +222,23 @@ def _dot(row, m, j):
 
 def _bracket_closure(elements):
     """The 2-forms of a basis of the bracket closure of so(5) elements given as 5x5 tables: a
-    round tries the elements, then the commutators of the basis, until one adds none."""
+    round takes the elements, then the commutators of the basis, until one adds none.  The
+    candidate with the largest reduced entry is stored first, so no multiplier exceeds 1 and a
+    small float element's rounding error adds no dimension."""
     rows, candidates, size = [], elements, -1  # (pivot, reduced PAIRS values, table) per element
     while len(rows) > size:  # the last round grew the basis
-        size = len(rows)
-        for m in candidates:  # one pass against the stored rows, which are never reduced again
-            v = [m[i][j] for i, j in PAIRS]
-            for p, row, _ in rows:
-                v = v if sis_zero(v[p]) else [y - v[p] * r for y, r in zip(v, row)]
+        size, fresh = len(rows), rows[:]  # fresh: the rows the candidates are not reduced by
+        todo = [([m[i][j] for i, j in PAIRS], m) for m in candidates]
+        while todo and len(rows) < len(PAIRS):
+            for p, row, _ in fresh:  # each candidate meets each stored row once, in order
+                todo = [(v if sis_zero(v[p]) else [y - v[p] * r for y, r in zip(v, row)], m)
+                        for v, m in todo]
+            v, m = todo.pop(max(range(len(todo)), key=lambda t: max(map(abs, todo[t][0]))))
             p = max(range(len(v)), key=lambda q: abs(v[q]))
-            if len(rows) < len(PAIRS) and not sis_zero(v[p]):  # new: stored scaled to 1 at p
-                rows.append((p, [div(y, v[p]) for y in v], m))
+            if sis_zero(v[p]):  # the largest entry left is zero: no candidate is new
+                break
+            fresh = [(p, [div(y, v[p]) for y in v], m)]  # stored scaled to 1 at p
+            rows += fresh
         candidates = (_commutator(x, y) for (_, _, x), (_, _, y) in combinations(rows, 2))
     return tuple(grid_form(lambda i, j: m[i][j]) for _, _, m in rows)
 
@@ -321,7 +332,7 @@ def parallel_spinor_check(space: SpinorSpace, omega: ConnectionForms, spinors):
     for m in derived(omega, _symbol_matrices).values():
         rows = [[0] * 8 for _ in spinors]
         for (i, j), table in space.products.items():
-            if coef := m[i][j]:
+            if coef := m[5 * i + j]:
                 for row, psi in zip(rows, spinors):
                     for r, (c, s) in enumerate(table):
                         row[r] += s * coef * psi[c]

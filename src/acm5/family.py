@@ -143,7 +143,7 @@ def verify_identities(inst: FamilyInstance) -> IdentityReplayReport:
     )
 
     cc = characteristic_connection(solved)
-    expected_c = ConnectionForms((0,) * 125, (A2_CHANNEL,))
+    expected_c = ConnectionForms((0,) * 125 + A2_CHANNEL)
     check("A2 determines the compatible connection", cc.omega_c == expected_c)
     check("compatible connection parallelizes xi, eta, phi", cc.compatibility.ok)
 

@@ -29,6 +29,7 @@ from .exterior import CoframeData, Frozen, coframe, e, form, stored
 from .frames import (
     ConnectionForms,
     FrameChange,
+    at,
     canonical_algebra,
     frame_change_verify,
     verify_first_structure,
@@ -36,8 +37,8 @@ from .frames import (
 from .scalars import COS_F, COS_G, SIN_F, SIN_G, div, narrow, rat
 
 A2 = form(1, {(5,): 1})
-# the A2 channel of the tabulated connection: w[1][2](A2) = 1, w[3][4](A2) = -1 (1-based)
-A2_CHANNEL = (5, ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, -1, 0), (0, 0, 1, 0, 0), (0,) * 5))
+# the A2 block of the tabulated connection, by rows: w[1][2](A2) = 1, w[3][4](A2) = -1 (1-based)
+A2_CHANNEL = (0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 # the metric legs, and the same legs with the 34-plane rotated, which implements
 # the parameter swap (a1, a2, a3, a4) -> (a2, a1, a4, a3) on the structure equations
 STD_BASIS = (e(1), e(2), e(3), e(4), e(5))
@@ -82,7 +83,7 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
     params = family_params(a1, a2, a3, a4)
     a1, a2, a3, a4 = params.as_tuple()
     p, q, b, c = 2 * a1 + a3, 2 * a2 + a4, a1 - a3, a2 - a4
-    alpha = -2 * (b * p + c * q)
+    alpha = narrow(-2 * (b * p + c * q))
     cf = coframe({name: stored(2, terms) for name, terms in (
         ("e1", {(1, 5): -1, (2, 4): -p, (3, 4): -q}), ("e2", {(0, 5): 1, (3, 4): p, (2, 4): -q}),
         ("e3", {(3, 5): 1, (0, 4): p, (1, 4): q}), ("e4", {(2, 5): -1, (1, 4): -p, (0, 4): q}),
@@ -91,14 +92,14 @@ def build(a1, a2, a3, a4) -> FamilyInstance:
     )}, auxiliary=("A2",))
     if not (report := cf.d_squared_gate).ok:
         raise IntegrabilityError(f"d^2 != 0 on {report.failing}")
-    flat = [0] * 125
+    view = [0] * 125 + list(A2_CHANNEL)
     for (i, j, k), v in {  # w[i][j](e_k), 0-based, i < j; the A2 legs are A2_CHANNEL
         (0, 2, 4): a1 + 2 * a3, (0, 3, 4): a2 + 2 * a4, (1, 2, 4): a2 + 2 * a4,
         (1, 3, 4): -(a1 + 2 * a3), (0, 4, 2): -b, (0, 4, 3): -c, (1, 4, 2): -c, (1, 4, 3): b,
         (2, 4, 0): b, (2, 4, 1): c, (3, 4, 0): c, (3, 4, 1): -b,
     }.items():
-        flat[25 * i + 5 * j + k], flat[25 * j + 5 * i + k] = narrow(v), narrow(-v)
-    omega_g = ConnectionForms(tuple(flat), (A2_CHANNEL,))
+        view[at(k, i, j)], view[at(k, j, i)] = narrow(v), narrow(-v)
+    omega_g = ConnectionForms(tuple(view))
     if not (fs := verify_first_structure(cf, omega_g)).ok:
         raise IntegrabilityError(f"first structure equation fails on {fs.failing}")
     return FamilyInstance(params, cf, alpha, omega_g)

@@ -7,9 +7,9 @@ constructed by pushing the four 2-form types through the two equivariant
 embeddings and projecting; the orthogonal complement of their sum is
 reported as a residual without further decomposition.
 
-An ``IntrinsicTorsion`` holds one flat torsion view: 8 values per direction
+An ``IntrinsicTorsion`` is one flat torsion view: 8 values per direction
 on ``acms.COMPLEMENT_MONOMIALS``, read off 125 values by an index plan
-(``acms.complement_view``); its 2-forms are built from it when read.  Each
+(``acms.complement_view``).  Each
 basis is orthogonal, so ``classify`` reads each module norm as sum c_i^2 g_ii
 with c_i = <b_i, gamma>/g_ii and solves no linear system.  <b_i, gamma> runs
 the dot plan of b_i, its nonzero slots with their values on ints: b_i times
@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .acms import (
-    COMPLEMENT_MONOMIALS,
     LAMBDA2_BASES,
     SYM_12,
     SYM_23,
@@ -41,76 +39,59 @@ from .acms import (
     contract,
     derived,
     frame_connection,
-    inner_form,
     plan,
+    require_aux_vanish,
     theta,
     torsion_view,
     vartheta,
 )
-from .errors import ACM5Error, SymbolicResidueError
-from .exterior import Frozen, stored
+from .errors import ACM5Error
+from .exterior import Frozen
 from .scalars import EXACT, div, div_const, narrow, sis_zero, table_kind
-
-_U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
 
 MODULE_NAMES = ("W3", "W4", "W5", "W6", "W7")
 ROWS = range(0, 40, 8)  # the first slot of each direction in a torsion view
 
 
 class IntrinsicTorsion(Frozen):
-    """Five 2-forms, one per frame direction, each valued in the complement of
-    the stabilizer algebra, held as their torsion view; the view drops what
-    a validated 2-form holds off the complement, within the float tolerance."""
+    """Five 2-forms, one per frame direction, each valued in the complement of the
+    stabilizer algebra, as their torsion view.  ``==`` compares the views slot by slot
+    by ``sis_zero(a - b)``, as ``Tensor3`` does, and like it has no hash."""
 
     flat: tuple  # 40 values, 8 per direction on COMPLEMENT_MONOMIALS
-    _compared = ("components",)
+    _compared = ("flat",)
 
-    def __init__(self, components):
-        for f in components:
-            if any(i > 4 for i in f.symbols_used()):
-                raise SymbolicResidueError("torsion components must be numeric 2-forms")
-            if not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
-                raise ValueError("torsion components must avoid the stabilizer algebra")
-        flat = (narrow(f.coefficient(m)) for f in components for m in COMPLEMENT_MONOMIALS)
-        self.__dict__["flat"] = tuple(flat)
+    def __init__(self, flat):
+        if len(flat) != 40:
+            raise ValueError("a torsion view is 40 values, 8 per direction")
+        self.__dict__["flat"] = flat
 
-    @cached_property
-    def components(self):
-        """The five 2-forms of the view, under the storage rule."""
-        v = self.flat
-        return tuple(stored(2, dict(zip(COMPLEMENT_MONOMIALS, v[r : r + 8]))) for r in ROWS)
+    def __eq__(self, other):
+        if not isinstance(other, IntrinsicTorsion):
+            return NotImplemented
+        return all(sis_zero(a - b) for a, b in zip(self.flat, other.flat))
 
     def is_zero(self):
         return all(map(sis_zero, self.flat))
 
 
-def _torsion(flat) -> IntrinsicTorsion:
-    """The IntrinsicTorsion of a view that the library computed, without re-validation."""
-    t = object.__new__(IntrinsicTorsion)
-    t.__dict__["flat"] = flat
-    return t
-
-
 def tensor_to_w(a: Tensor3) -> IntrinsicTorsion:
     """Read a last-two-antisymmetric tensor as a torsion-space element,
     projecting each first-slot 2-form."""
-    return _torsion(complement_view(T_COMPLEMENT, a.flat))
+    return IntrinsicTorsion(complement_view(T_COMPLEMENT, a.flat))
 
 
 def intrinsic_torsion(source) -> IntrinsicTorsion:
     """Project the connection values onto the complement of the stabilizer
     algebra, direction by direction.
 
-    Auxiliary-symbol channels must sit inside the stabilizer algebra, i.e.
+    Auxiliary-symbol blocks must sit inside the stabilizer algebra, i.e.
     project to zero; otherwise the input is outside scope.
     """
     fc = frame_connection(source)
-    for sid, mat in fc.view[1]:  # the channel as the first-slot 2-form of a Tensor3
-        if not all(map(sis_zero, complement_view(T_COMPLEMENT, (*chain(*mat), *(0,) * 100)))):
-            raise SymbolicResidueError(
-                f"auxiliary symbol id {sid} contributes to the intrinsic torsion"
-            )
-    return _torsion(derived(fc, torsion_view))
+    require_aux_vanish(fc, "contributes to the intrinsic torsion",
+                       lambda m: complement_view(T_COMPLEMENT[:6], m))  # M_s as a direction
+    return IntrinsicTorsion(derived(fc, torsion_view))
 
 
 @lru_cache(maxsize=1)

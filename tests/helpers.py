@@ -46,10 +46,11 @@ So do the readers of the value classes that only tests use: ``nested``
 (a Tensor3's values as [i][j][k]), ``t3_get`` (one 1-based entry) and
 ``t3_scale`` (every entry times a scalar) of a Tensor3, ``inner`` (of two Tensor3s),
 ``evaluate`` (a Form on frame directions), ``entry`` (of ConnectionForms
-and CurvatureData), ``cartan_parts``, ``as_coords``, ``norm_sq``,
-``inner_w`` and ``lin_comb`` (of IntrinsicTorsions, through their
-2-forms), and ``project_u2_complement`` (the library's complement
-projection of one 2-form, as a Form).
+and CurvatureData), ``cartan_parts``, ``torsion_of_forms`` (the validating
+constructor of an IntrinsicTorsion from its five 2-forms), ``components`` (its
+2-forms), ``as_coords``, ``norm_sq``, ``inner_w`` and ``lin_comb`` (of
+IntrinsicTorsions, through their 2-forms), and ``project_u2_complement`` (the
+library's complement projection of one 2-form, as a Form).
 """
 
 import contextlib
@@ -180,10 +181,32 @@ def evaluate(f: Form, *ids):
     return c if key == ids else c * perm_sign(ids)
 
 
+_U2_BASIS = LAMBDA2_BASES[1] + LAMBDA2_BASES[3]
+
+
+def torsion_of_forms(forms) -> IntrinsicTorsion:
+    """The IntrinsicTorsion of five numeric 2-forms valued in the complement of the
+    stabilizer algebra, validated; the view drops what a 2-form holds off the complement,
+    within the float tolerance."""
+    for f in forms:
+        if any(i > 4 for i in f.symbols_used()):
+            raise SymbolicResidueError("torsion components must be numeric 2-forms")
+        if not all(sis_zero(inner_form(f, b)) for b in _U2_BASIS):
+            raise ValueError("torsion components must avoid the stabilizer algebra")
+    return IntrinsicTorsion(
+        tuple(narrow(f.coefficient(m)) for f in forms for m in COMPLEMENT_MONOMIALS))
+
+
+def components(t: IntrinsicTorsion):
+    """The five 2-forms of a torsion view, under the storage rule."""
+    v = t.flat
+    return tuple(stored(2, dict(zip(COMPLEMENT_MONOMIALS, v[r : r + 8]))) for r in range(0, 40, 8))
+
+
 def inner_w(u: IntrinsicTorsion, v: IntrinsicTorsion):
     """The inner product of two torsions, summed over their 2-forms by ``inner_form``."""
     acc = 0
-    for a, b in zip(u.components, v.components):
+    for a, b in zip(components(u), components(v)):
         acc += inner_form(a, b)
     return acc
 
@@ -204,8 +227,8 @@ def lin_comb(*pairs) -> IntrinsicTorsion:
     """sum s * t over the (s, t) pairs, scalars and IntrinsicTorsions, through their 2-forms."""
     forms = (zero_form(2),) * 5
     for s, t in pairs:
-        forms = tuple(a + f.scale(s) for a, f in zip(forms, t.components))
-    return IntrinsicTorsion(forms)
+        forms = tuple(a + f.scale(s) for a, f in zip(forms, components(t)))
+    return torsion_of_forms(forms)
 
 
 def norm_sq(t: IntrinsicTorsion):
@@ -214,7 +237,7 @@ def norm_sq(t: IntrinsicTorsion):
 
 def as_coords(t: IntrinsicTorsion):
     """The 30 coordinates of a torsion on COMPLEMENT_FRAME, direction by direction."""
-    return [div_const(inner_form(f, b), nb) for f in t.components for b, nb in COMPLEMENT_FRAME]
+    return [div_const(inner_form(f, b), nb) for f in components(t) for b, nb in COMPLEMENT_FRAME]
 
 
 def project_u2_complement(beta: Form) -> Form:
@@ -293,8 +316,21 @@ def _derivation(alpha: Form, entry) -> Form:
 def covariant_derivative_form(fc: ConnectionForms, alpha: Form, k: int) -> Form:
     """(nabla_{e_k} alpha) for a metric-symbol form, from the values w[s][j](e_k)
     of the flat view: the derivation with those entries."""
-    w = fc.view[0]
-    return _derivation(alpha, lambda s, j: w[at(s, j, k)])
+    w = fc.view
+    return _derivation(alpha, lambda s, j: w[at(k, s, j)])
+
+
+def pointwise(fc: ConnectionForms) -> Tensor3:
+    """A connection's metric values w[i][j](e_k) as a Tensor3 at slot at(i, j, k), the
+    convention that ``frame_connection`` reads."""
+    v = fc.view
+    return Tensor3(tuple(v[at(k, i, j)] for i, j, k in itertools.product(range(5), repeat=3)))
+
+
+def aux_blocks(fc: ConnectionForms):
+    """(s, M_s by rows) for the block of each auxiliary symbol s in a connection's view."""
+    v = fc.view
+    return [(s, v[25 * s : 25 * s + 25]) for s in range(5, len(v) // 25)]
 
 
 def codifferential(alpha: Form, source) -> Form:
@@ -304,7 +340,7 @@ def codifferential(alpha: Form, source) -> Form:
     if alpha.degree == 0:
         return zero_form(0)
     fc = frame_connection(source)
-    for sid, mat in fc.view[1]:
+    for sid, mat in aux_blocks(fc):
         if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the codifferential"
@@ -317,13 +353,13 @@ def codifferential(alpha: Form, source) -> Form:
 
 
 def _channel_kills_form(mat, alpha: Form):
-    """True when the constant so(5) channel acts trivially on the form."""
-    return _derivation(alpha, lambda s, j: mat[s][j]).is_zero()
+    """True when the constant so(5) block, by rows, acts trivially on the form."""
+    return _derivation(alpha, lambda s, j: mat[5 * s + j]).is_zero()
 
 
 def d_form_via_connection(fc, alpha: Form) -> Form:
     """d alpha = sum_i e_i ^ nabla_{e_i} alpha (valid for torsion-free values)."""
-    for sid, mat in fc.view[1]:
+    for sid, mat in aux_blocks(fc):
         if not _channel_kills_form(mat, alpha):
             raise SymbolicResidueError(
                 f"auxiliary symbol id {sid} leaves a residue in the differential"
@@ -439,11 +475,11 @@ def curvature_readings_oracle(grid):
     """The Ricci matrix and the holonomy basis of curvature entries as the 25
     ``dense2`` tables, the endomorphisms read off them and the bracket closure
     over every ordered pair gave them before they were read from term tables.
-    A candidate joins the basis when its ``PAIRS`` coefficients keep a nonzero
-    entry after one pass of elimination against the rows of the basis so far,
-    each reduced once, when its element joined, and scaled to 1 at its largest
-    entry, the rule of ``connection._bracket_closure``, and none once the basis
-    spans so(5)."""
+    A round reduces the ``PAIRS`` coefficients of each candidate by one pass of
+    elimination against the rows of the basis so far, each reduced once, when its
+    element joined, and scaled to 1 at its largest entry; the candidate that keeps
+    the largest entry joins, until none keeps a nonzero one or the basis spans
+    so(5), the rule of ``connection._bracket_closure``."""
     tables = [[dense2(f) for f in row] for row in grid]  # tables[i][j][a][b] = R[i][j](e_a, e_b)
     ricci = []
     for a in range(5):
@@ -456,34 +492,35 @@ def curvature_readings_oracle(grid):
         ricci.append(tuple(rrow))
     basis, dense, echelon = [], [], []  # the elements, their dense2 tables, (pivot, row)
 
-    def try_add(f):
-        if len(basis) == len(PAIRS):  # the basis spans so(5): nothing is new
-            return False
+    def reduced(f):
         v = [f.coefficient(p) for p in PAIRS]
         for pivot, row in echelon:
             if not sis_zero(x := v[pivot]):
                 v = [y - x * r for y, r in zip(v, row)]
-        pivot = max(range(len(v)), key=lambda q: abs(v[q]))
-        if sis_zero(v[pivot]):
-            return False
-        echelon.append((pivot, [div(y, v[pivot]) for y in v]))
-        basis.append(f)
-        dense.append(dense2(f))
-        return True
+        return v
 
-    for a, b in PAIRS:
-        f = grid_form(lambda i, j: tables[i][j][a][b])
-        if not f.is_zero():
-            try_add(f)
-    changed = True
+    def add_round(candidates):
+        """Adds the candidates that are new, the one with the largest reduced entry first."""
+        grown = False
+        while candidates and len(basis) < len(PAIRS):  # a full basis spans so(5)
+            vs = [reduced(f) for f in candidates]
+            top = max(range(len(vs)), key=lambda t: max(abs(y) for y in vs[t]))
+            v, f = vs[top], candidates.pop(top)
+            pivot = max(range(len(v)), key=lambda q: abs(v[q]))
+            if sis_zero(v[pivot]):
+                break
+            echelon.append((pivot, [div(y, v[pivot]) for y in v]))
+            basis.append(f)
+            dense.append(dense2(f))
+            grown = True
+        return grown
+
+    forms = [grid_form(lambda i, j: tables[i][j][a][b]) for a, b in PAIRS]
+    changed = add_round([f for f in forms if not f.is_zero()])
     while changed:
-        changed = False
         snapshot = list(dense)
-        for x in snapshot:
-            for y in snapshot:
-                f = grid_form(lambda i, j: _bracket(x, y, i, j))
-                if not f.is_zero() and try_add(f):
-                    changed = True
+        forms = [grid_form(lambda i, j: _bracket(x, y, i, j)) for x in snapshot for y in snapshot]
+        changed = add_round([f for f in forms if not f.is_zero()])
     return tuple(ricci), tuple(basis)
 
 
@@ -524,7 +561,7 @@ def torsion_from_coords(coords) -> IntrinsicTorsion:
         for (b, _), c in zip(COMPLEMENT_FRAME, coords[6 * k : 6 * k + 6]):
             f = f + b.scale(c)
         comps.append(f)
-    return IntrinsicTorsion(tuple(comps))
+    return torsion_of_forms(tuple(comps))
 
 
 @functools.cache
@@ -532,7 +569,7 @@ def residual_basis() -> tuple:
     """Orthogonal complement of W3 + ... + W7 inside the torsion space: the
     coordinates x with sum_j x_j <v, b_j> = 0 for every spanning vector v."""
     rows = [
-        [inner_form(f, b) for f in v.components for b, _ in COMPLEMENT_FRAME]
+        [inner_form(f, b) for f in components(v) for b, _ in COMPLEMENT_FRAME]
         for vecs in w_subspaces().values()
         for v in vecs
     ]
@@ -686,27 +723,23 @@ def connection_forms(entries):
     for (i, j), f in entries.items():
         grid[i - 1][j - 1], grid[j - 1][i - 1] = f, -f
     grid = tuple(map(tuple, grid))
-    out = ConnectionForms(*flatten_oracle(grid))
+    out = ConnectionForms(flatten_oracle(grid))
     out.__dict__["omega"] = grid
     return out
 
 
-def flatten_oracle(grid):
-    """(the 125 values w[i][j](e_k) by slot at(i, j, k), the auxiliary channels) of a 5x5
-    grid of connection forms."""
-    base = [0] * 125
-    chans = {}
+def flatten_oracle(grid, n_symbols=5):
+    """The view of a 5x5 grid of connection forms: w[i][j](E_s) at slot at(s, i, j), one
+    block for each symbol s below n_symbols or named in the grid."""
+    view = [0] * (25 * n_symbols)
     for i in range(5):
         for j in range(5):
             for (sid,), coef in grid[i][j].terms.items():
                 if isinstance(coef, TrigScalar):
                     raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-                if sid in METRIC_IDS:
-                    base[at(i, j, sid)] = coef
-                else:
-                    chans.setdefault(sid, [[0] * 5 for _ in range(5)])
-                    chans[sid][i][j] = coef
-    return tuple(base), tuple((sid, tuple(tuple(r) for r in mat)) for sid, mat in sorted(chans.items()))
+                view += [0] * (25 * sid + 25 - len(view))
+                view[at(sid, i, j)] = coef
+    return tuple(view)
 
 
 def _cube(fn):

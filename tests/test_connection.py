@@ -39,12 +39,13 @@ from acm5.connection import (
     _bracket_closure,
 )
 from acm5.errors import (
-    ACM5Error, ModeMismatchError, NotGeneralizedQuasiSasakiError, SymbolicResidueError
+    ACM5Error, ModeMismatchError, NotGeneralizedQuasiSasakiError, SymbolicResidueError,
+    UnsupportedSymbolError,
 )
 from acm5.exterior import (
     CoframeData, coframe, d_squared_zero, dense2, e, ext_d, form, stored, wedge, wedge_sum
 )
-from acm5.frames import connection_from_structure, verify_first_structure
+from acm5.frames import ConnectionForms, connection_from_structure, verify_first_structure
 from acm5.scalars import sis_zero
 from acm5.groups import build
 
@@ -70,6 +71,7 @@ from helpers import (
     gaussian_parallel,
     matmul,
     nested,
+    pointwise,
     random_fraction,
     realify,
     rotate,
@@ -108,8 +110,7 @@ def test_characteristic_connection_of_pointwise_values_equals_that_of_the_forms(
     if mode == "float":
         c = _to_float_coframe(c)
     solved = connection_from_structure(c)
-    pointwise = Tensor3(solved.view[0])
-    assert characteristic_connection(pointwise) == characteristic_connection(solved)
+    assert characteristic_connection(pointwise(solved)) == characteristic_connection(solved)
 
 
 def test_characteristic_connection_abelian_is_levi_civita():
@@ -254,6 +255,17 @@ def test_curvature_refuses_a_non_integrable_coframe():
     assert not d_squared_zero(doubled).ok
     with pytest.raises(ACM5Error, match=r"curvature needs an integrable coframe \(d\^2 = 0\)"):
         curvature(doubled, inst.omega_g)
+
+
+def test_curvature_refuses_a_nonzero_block_beyond_the_coframe_symbols():
+    """A view may hold blocks past the coframe's symbols: a zero one adds nothing, and one
+    with a nonzero entry is refused."""
+    c = load_coframe(str(GOLDEN / "inputs" / "heis5_sasakian.json"))
+    view = connection_from_structure(c).view
+    assert curvature(c, ConnectionForms(view + (0,) * 25)) == curvature(c, ConnectionForms(view))
+    skew = (0, 1, 0, 0, 0, -1) + (0,) * 19  # w[1][2](E_6) = 1, 1-based
+    with pytest.raises(UnsupportedSymbolError, match="^form uses symbols outside the coframe$"):
+        curvature(c, ConnectionForms(view + skew))
 
 
 def test_bracket_closure_grows_so3():
@@ -511,8 +523,8 @@ def test_one_table_per_entry_matches_the_form_chains(case):
     """Each curvature entry as one wedge_sum and the first-structure residuals read off the
     view give the keys, the key order, the values and their types (floats by repr) and the
     kind that the chains of Form operators gave.  The compatible connection's view,
-    written slot by slot, is the flattened Form chain, type and bits per slot, channels
-    included, and each of its forms w[i][j], i < j, has the chain's keys and values."""
+    written slot by slot, is the flattened Form chain, type and bits per slot, auxiliary
+    blocks included, and each of its forms w[i][j], i < j, has the chain's keys and values."""
     c, omega, a = case
     w = omega.omega
     fused = [
@@ -521,11 +533,8 @@ def test_one_table_per_entry_matches_the_form_chains(case):
     ]
     assert _grid_items(fused) == _grid_items(curvature_grid_oracle(c, omega))
     plus, chain = connection_plus_tensor(omega, a), connection_plus_tensor_oracle(omega, a)
-    flat, channels = flatten_oracle(chain)
-    assert [bits(v) for v in plus.view[0]] == [bits(v) for v in flat]
-    assert [(s, [list(map(bits, row)) for row in m]) for s, m in plus.view[1]] == [
-        (s, [list(map(bits, row)) for row in m]) for s, m in channels
-    ]
+    flat = flatten_oracle(chain, len(plus.view) // 25)
+    assert [bits(v) for v in plus.view] == [bits(v) for v in flat]
     upper = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert _values([[plus.omega[i][j] for i, j in upper]]) == _values(
         [[chain[i][j] for i, j in upper]]
@@ -544,7 +553,7 @@ def test_view_equality_gives_the_verdict_of_the_forms(case, data):
     on all 25 entries: the drawn connection against itself with one upper entry
     dropped, or changed by one term of the same kind (a zero or, for floats, one
     within FLOAT_RTOL or just above it), or with every auxiliary leg dropped, so that
-    a channel that one side lacks reads as zeros."""
+    an auxiliary block that one side lacks reads as zeros."""
     c, omega, a = case
     floats = any(type(v) is float for v in a.flat)
     tiny = st.sampled_from([1e-10, -1e-10, 2e-9])
@@ -558,7 +567,7 @@ def test_view_equality_gives_the_verdict_of_the_forms(case, data):
     elif change == "add":
         k, v = data.draw(st.integers(0, c.n_symbols - 1)), data.draw(values)
         entries[i + 1, j + 1] = entries[i + 1, j + 1] + form(1, {(k,): v})
-    else:  # every channel goes
+    else:  # every auxiliary leg goes
         entries = {p: form(1, {k: v for k, v in f.terms.items() if k[0] < 5})
                    for p, f in entries.items()}
     other = connection_forms(entries)
@@ -569,7 +578,7 @@ def test_view_equality_gives_the_verdict_of_the_forms(case, data):
 def test_view_equality_on_a_float_near_an_exact_value_and_on_a_missing_channel():
     """The one deliberate difference from Form ==, which never equates an exact and a
     float form that both hold terms: the views compare slot by slot by sis_zero(a - b).
-    A channel that one side lacks reads as zeros."""
+    An auxiliary block that one side lacks reads as zeros."""
     exact = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1})})
     near = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 1e-12})})
     assert exact.omega[2][3] != near.omega[2][3]
@@ -577,7 +586,7 @@ def test_view_equality_on_a_float_near_an_exact_value_and_on_a_missing_channel()
     far = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 2e-9})})
     assert exact != far and far != exact
     zeros = connection_forms({(1, 2): form(1, {(0,): 1.0, (5,): 0.0})})
-    assert zeros.view[1] and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
+    assert len(zeros.view) == 150 and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
     assert connection_forms({}) != connection_forms({(1, 2): form(1, {(5,): 1})})
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from acm5 import family
-from acm5.acms import Z1, nijenhuis
+from acm5.acms import Z1, at, nijenhuis
 from acm5.errors import DegenerateInputError, IntegrabilityError
 from acm5.exterior import e, form, wedge
 from acm5.family import verify_identities
@@ -36,6 +36,33 @@ def test_build_frozen_values():
     inst2 = build(0, 0, 1, 0)
     assert inst2.coframe.d_table[4] == 2 * Z1
     assert inst2.alpha == 2
+
+
+@pytest.mark.parametrize("point, alpha", [
+    ((Fraction(1, 2), 0, Fraction(-1, 2), 0), -1), ((Fraction(1, 2), 0, 1, 0), 2),
+])
+def test_an_integral_alpha_is_an_int_and_the_ricci_check_compares_ints(monkeypatch, point, alpha):
+    """alpha is stored narrowed, so the replay's expected Ricci matrix, -alpha on the
+    diagonal, holds ints where the storage rule keeps them, as the computed one does."""
+    inst = build(*point)
+    assert type(inst.alpha) is int and inst.alpha == alpha
+    compared = []
+
+    class Recorded(tuple):  # the computed Ricci matrix, recording what it is compared with
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            compared.append(other)
+            return tuple.__eq__(self, other)
+
+    real = family.curvature
+    monkeypatch.setattr(family, "curvature", lambda *args: (
+        lambda cur: cur._replace(ricci=Recorded(cur.ricci)))(real(*args)))
+    assert verify_identities(inst).ok
+    [expected] = compared
+    assert expected == ((-alpha, 0, 0, 0, 0), (0, -alpha, 0, 0, 0), (0, 0, -alpha, 0, 0),
+                        (0, 0, 0, -alpha, 0), (0,) * 5)
+    assert all(type(v) is int for row in expected for v in row)
 
 
 # the integrable points of {0, 1, -1, 2, -3, 1/2, -3/4, 5}^4
@@ -106,11 +133,11 @@ def _failing(inst):
 def _perturb_pair(omega, i, j, f):
     """The connection with the metric 1-form f added at (i, j) and subtracted at (j, i),
     0-based, written into its view."""
-    flat = list(omega.view[0])
+    view = list(omega.view)
     for (k,), v in f.terms.items():
-        flat[25 * i + 5 * j + k] += v
-        flat[25 * j + 5 * i + k] -= v
-    return ConnectionForms(tuple(flat), omega.view[1])
+        view[at(k, i, j)] += v
+        view[at(k, j, i)] -= v
+    return ConnectionForms(tuple(view))
 
 
 def _bump(t, entry):
@@ -133,7 +160,7 @@ def test_replay_fails_on_a_perturbed_levi_civita_entry(pair):
 def test_replay_fails_on_a_perturbed_compatible_connection_entry(monkeypatch, pair):
     inst = build(1, 0, 2, 0)
     monkeypatch.setattr(  # the replay builds one connection: the expected compatible one
-        family, "ConnectionForms", lambda *view: _perturb_pair(ConnectionForms(*view), *pair, e(2))
+        family, "ConnectionForms", lambda view: _perturb_pair(ConnectionForms(view), *pair, e(2))
     )
     assert _failing(inst) == {"A2 determines the compatible connection"}
 

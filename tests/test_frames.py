@@ -21,6 +21,7 @@ from acm5.exterior import (
 from acm5.frames import (
     ConnectionForms,
     FrameChange,
+    at,
     canonical_algebra,
     connection_from_structure,
     frame_change_verify,
@@ -244,14 +245,11 @@ def solve_tables(draw):
     return CoframeData(standard_symbols([f"A{k}" for k in range(nsym - 5)]), table)
 
 
-def _channel_bits(channels):
-    return [(sid, [[bits(v) for v in row] for row in m]) for sid, m in channels]
-
-
 def _check_solve(c):
     """The solve against the forms and flatten it replaced: the same RankError, or the
-    same view (type and bits per slot), channels and forms (item by item), the
-    forms built only when first read, and frame_connection returning the solve itself."""
+    same view (type and bits per slot, one block per coframe symbol) and forms (item by
+    item), the forms built only when first read, and frame_connection returning the
+    solve itself."""
     try:
         ref = connection_from_structure_oracle(c)
     except RankError as exc:
@@ -260,9 +258,7 @@ def _check_solve(c):
         assert str(info.value) == str(exc)
         return
     cf = connection_from_structure(c)
-    flat, channels = flatten_oracle(ref.omega)
-    assert [bits(v) for v in cf.view[0]] == [bits(v) for v in flat]
-    assert _channel_bits(cf.view[1]) == _channel_bits(channels)
+    assert [bits(v) for v in cf.view] == [bits(v) for v in flatten_oracle(ref.omega, c.n_symbols)]
     assert "omega" not in vars(cf)
     assert frame_connection(cf) is cf
     assert "omega" not in vars(cf)
@@ -314,16 +310,19 @@ def test_trig_value_is_refused_when_the_connection_is_built(make):
     assert str(info.value) == "trig-valued connection entries are out of scope"
 
 
+SKEW01 = (0, 1, 0, 0, 0, -1) + (0,) * 19  # the block M with M[0][1] = 1, M[1][0] = -1
+
+
 @pytest.mark.parametrize("i, j", [(0, 1), (3, 3), (4, 2)])
 def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(i, j):
-    """The one check of ConnectionForms reads the channel matrices as well as the 125 slots."""
-    flat, channels = connection_forms({(1, 2): form(1, {(0,): 2, (5,): 1})}).view
-    assert channels == ((5, ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0)) + ((0,) * 5,) * 3),)
-    assert ConnectionForms(flat, channels).view == (flat, channels)
-    bad = [list(row) for row in channels[0][1]]
-    bad[i][j] += 1
+    """The one check of ConnectionForms reads the auxiliary blocks as well as the metric ones."""
+    view = connection_forms({(1, 2): form(1, {(0,): 2, (5,): 1})}).view
+    assert view[125:] == SKEW01
+    assert ConnectionForms(view).view == view
+    bad = list(view)
+    bad[at(5, i, j)] += 1
     with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
-        ConnectionForms(flat, ((5, tuple(map(tuple, bad))),))
+        ConnectionForms(tuple(bad))
 
 
 @pytest.mark.parametrize("a, b", [
@@ -332,40 +331,49 @@ def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(
     (Fraction(1, 10**12), 0.0), (0.0, -0.0), (float("nan"), float("nan")),
 ])
 def test_antisymmetry_verdict_is_that_of_the_sum(a, b):
-    """The constructor tests a == -b first and sis_zero(a + b) after it: on a metric slot
-    pair and on a channel pair of finite values or NaN, it accepts exactly the pairs whose
-    sum sis_zero accepts (only inf and -inf, equal to -b but summing to NaN, would differ)."""
-    flat = [0] * 125
-    flat[25 * 0 + 5 * 1 + 2], flat[25 * 1 + 5 * 0 + 2] = a, b
-    channel = [[0] * 5 for _ in range(5)]
-    channel[1][3], channel[3][1] = a, b
-    for view in ((tuple(flat), ()), ((0,) * 125, ((5, tuple(map(tuple, channel))),))):
+    """The constructor tests a == -b first and sis_zero(a + b) after it: on a slot pair of a
+    metric block and of an auxiliary block, of finite values or NaN, it accepts exactly the
+    pairs whose sum sis_zero accepts (only inf and -inf, equal to -b but summing to NaN,
+    would differ)."""
+    metric, aux = [0] * 125, [0] * 150
+    metric[at(2, 0, 1)], metric[at(2, 1, 0)] = a, b
+    aux[at(5, 1, 3)], aux[at(5, 3, 1)] = a, b
+    for view in (tuple(metric), tuple(aux)):
         if sis_zero(a + b):
-            assert ConnectionForms(*view).view == view
+            assert ConnectionForms(view).view == view
         else:
             with pytest.raises(ValueError, match="antisymmetric"):
-                ConnectionForms(*view)
+                ConnectionForms(view)
 
 
 HEIS5 = GOLDEN / "inputs" / "heis5_sasakian.json"
-SKEW01 = ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0)) + ((0,) * 5,) * 3  # M[0][1] = 1, M[1][0] = -1
 
 
-@pytest.mark.parametrize("flat, channels", [
-    ((0,) * 124, ()),
-    ((0,) * 126, ()),
-    ("heis5", ((2, SKEW01),)),
-    ((0,) * 125, ((6, SKEW01), (5, SKEW01))),
-    ((0,) * 125, ((5, SKEW01), (5, SKEW01))),
-], ids=["short", "long", "heis5-metric-id", "decreasing-ids", "repeated-id"])
-def test_malformed_view_is_refused(flat, channels):
-    """A view is 125 values and channels of distinct auxiliary ids (>= 5) in increasing
-    order.  A channel on a metric id would be read as M_s of that metric symbol, so on
-    heis5 omega[0][1] would read e3 + e5 and the curvature would be silently wrong."""
-    if flat == "heis5":
-        flat = connection_from_structure(load_coframe(str(HEIS5))).view[0]
-    with pytest.raises(ValueError, match=r"^a connection view is 125 values and its channels"):
-        ConnectionForms(flat, channels)
+@pytest.mark.parametrize("n", [124, 126, 0, 100, 160],
+                         ids=["short", "long", "empty", "four-blocks", "not-whole-blocks"])
+def test_malformed_view_is_refused(n):
+    """A view is 25 values per symbol, the five metric symbols' blocks at least: a length
+    that is not a positive multiple of 25, or is below 125, is refused."""
+    with pytest.raises(ValueError, match=r"^a connection view is 25 values per symbol, the 5 "):
+        ConnectionForms((0,) * n)
+
+
+def test_a_block_is_a_symbol_s_and_a_coframe_solves_to_one_block_per_symbol():
+    """With auxiliary symbols A and B, de1 = B ^ e2 and de2 = -B ^ e1, only B has a
+    nonzero block: the solve writes the zero block 5 of A and w[1][2](B) = 1 in block 6."""
+    b = form(1, {(6,): 1})
+    c = coframe({"e1": wedge(b, e(2)), "e2": -1 * wedge(b, e(1))}, auxiliary=("A", "B"))
+    view = connection_from_structure(c).view
+    assert view == (0,) * 150 + SKEW01
+
+
+def test_view_equality_reads_a_block_that_one_side_lacks_as_zeros():
+    """== holds across a missing trailing zero block, both ways, and fails across a
+    nonzero one."""
+    view = connection_from_structure(load_coframe(str(HEIS5))).view
+    short, padded = ConnectionForms(view), ConnectionForms(view + (0,) * 25)
+    assert short == padded and padded == short
+    assert short != ConnectionForms(view + SKEW01) and ConnectionForms(view + SKEW01) != short
 
 
 A_WEDGE = {"e1": wedge(e(2), form(1, {(5,): 1}))}

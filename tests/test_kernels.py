@@ -43,7 +43,7 @@ from acm5.exterior import (
 from acm5.frames import connection_from_structure
 from acm5.groups import build
 from acm5.scalars import narrow, sis_zero
-from acm5.torsionclass import IntrinsicTorsion, cartan_decompose, classify, intrinsic_torsion
+from acm5.torsionclass import cartan_decompose, classify, intrinsic_torsion
 from helpers import (
     GOLDEN_FAMILY_POINTS,
     GOLDEN_INPUTS,
@@ -59,11 +59,13 @@ from helpers import (
     nested,
     nijenhuis_oracle,
     phi_pullback_oracle,
+    pointwise,
     predicates_oracle,
     project_u2_complement,
     project_u2_complement_oracle,
     rotate,
     t3_get,
+    torsion_of_forms,
     torsion_type_oracle,
     trig_coframe,
     u2_rotation,
@@ -89,7 +91,7 @@ def _same(tensor, cube):
 def _check_kernels(w):
     oracle = nabla_phi_oracle(nested(w))
     fc = acms.frame_connection(w)
-    full = acms.np_full(w.flat)
+    full = acms.np_full(fc.view)
     _same(full, oracle["np_full"])
     _same(acms.np_gamma(acms.torsion_view(fc)), oracle["np_gamma"])
     deta = acms.d_eta_form(fc)
@@ -135,12 +137,12 @@ def test_kernels_match_oracles_on_golden_inputs(path, mode):
         c = _to_float_coframe(c)
     if mode == "integer":
         c, _ = _working_scale(c)
-    _check_kernels(acms.Tensor3(connection_from_structure(c).view[0]))
+    _check_kernels(pointwise(connection_from_structure(c)))
 
 
 @pytest.mark.parametrize("point", GOLDEN_FAMILY_POINTS, ids=lambda p: "_".join(map(str, p)))
 def test_kernels_match_oracles_on_golden_family_points(point):
-    _check_kernels(acms.Tensor3(build(*point).omega_g.view[0]))
+    _check_kernels(pointwise(build(*point).omega_g))
 
 
 rationals = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
@@ -186,7 +188,7 @@ def _check_classify(gamma):
 
 def _check_coordinate_maps(fc):
     for k in range(5):
-        _check_projection(grid_form(lambda i, j: fc.view[0][acms.at(i, j, k)]))
+        _check_projection(grid_form(lambda i, j: fc.view[acms.at(k, i, j)]))
     _check_classify(intrinsic_torsion(fc))
 
 
@@ -232,7 +234,7 @@ def test_projection_matches_type_projections_on_random_2forms(beta):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(*(st.lists(f, min_size=5, max_size=5) for f in (float_forms, rational_forms))))
 def test_classify_matches_gram_solve_on_random_torsion(betas):
-    _check_classify(IntrinsicTorsion(tuple(project_u2_complement(b) for b in betas)))
+    _check_classify(torsion_of_forms(tuple(project_u2_complement(b) for b in betas)))
 
 
 # -- the d^2-gate -------------------------------------------------------------

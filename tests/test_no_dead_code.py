@@ -16,12 +16,9 @@ defines, dunder methods aside (operators call them), must be read as an
 attribute in ``src/`` or ``bench/``, or named in a ``_compared`` tuple.
 
 Every check matches by name only, so it cannot see a method whose name
-another reader in ``src/`` shares.  Two methods that only tests reach
-pass that way: ``IdentityReplayReport.failing`` (``ResidualReport.failing``)
-and ``IntrinsicTorsion.components``, which ``Frozen`` reads through
-``_compared`` for ``==`` and the repr, and which the library keeps public
-for callers that want the 2-forms.  Only the
-standard library ``ast`` module is used.
+another reader in ``src/`` shares.  One method that only tests reach
+passes that way: ``IdentityReplayReport.failing`` (``ResidualReport.failing``).
+Only the standard library ``ast`` module is used.
 """
 
 import ast
@@ -167,7 +164,7 @@ def test_every_value_class_method_is_reached_outside_tests():
     assert not unreached, f"value class methods that only tests reach: {sorted(unreached)}"
 
 
-SRC_LINE_BUDGET = 3370  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3350  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

@@ -58,8 +58,8 @@ def _instance_args():
 
 
 def _view(k):
-    """The view of w[0][1] = e_k, 0-based: 1 at slot (0, 1, k) and -1 at slot (1, 0, k)."""
-    return tuple(1 if s == 5 + k else -1 if s == 25 + k else 0 for s in range(125))
+    """The view of w[0][1] = e_k, 0-based: 1 at slot (k, 0, 1) and -1 at slot (k, 1, 0)."""
+    return tuple(1 if s == 25 * k + 1 else -1 if s == 25 * k + 5 else 0 for s in range(125))
 
 
 def _negated_generators():
@@ -75,7 +75,7 @@ CASES = {
     ResidualReport: (lambda: ({"e1": e(1)},), 0, lambda: {"e1": e(2)}),
     Tensor3: (lambda: (tuple(range(125)),), 0, lambda: tuple(range(1, 126))),
     Predicates: (lambda: (False,) * 9, 3, lambda: True),
-    ConnectionForms: (lambda: (_view(2), ()), 0, lambda: _view(3)),
+    ConnectionForms: (lambda: (_view(2),), 0, lambda: _view(3)),
     CanonicalAlgebra: (
         lambda: ("abelian6", {i: {} for i in range(6)}),
         1,
@@ -83,9 +83,9 @@ CASES = {
     ),
     FrameChange: (lambda: (tuple(map(e, range(1, 6))),), 0, lambda: tuple(map(e, range(5, 0, -1)))),
     IntrinsicTorsion: (
-        lambda: (tensor_to_w(theta(Z1)).components,),
+        lambda: (tensor_to_w(theta(Z1)).flat,),
         0,
-        lambda: tensor_to_w(theta(Z2)).components,
+        lambda: tensor_to_w(theta(Z2)).flat,
     ),
     ClassReport: (lambda: ({"W3": 1}, ("W3",), 1), 2, lambda: 2),
     CartanParts: (lambda: (_cube(), (0,) * 5, _cube(), _cube()), 1, lambda: (1, 0, 0, 0, 0)),

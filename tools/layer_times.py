@@ -13,7 +13,8 @@ as the solve's own, with an empty memo), ``characteristic_connection`` (on a
 connection that already holds those invariants), ``torsion_type``,
 ``curvature`` (on a coframe that has passed its d^2-gate), ``parallel_spinor_check`` and
 ``identify_group``.  ``curvature`` and ``parallel_spinor_check`` read the
-connection's symbol matrices, which its memo keeps after the first read.  A
+nonzero blocks M_s of the connection's view, which its memo keeps after the
+first read.  A
 golden input has no ``build`` or ``identify_group`` stage.  ``build`` writes
 the structure table term by term and runs the d^2-gate and
 ``verify_first_structure``, which reads the residuals off the connection's
@@ -123,7 +124,7 @@ def stage_times(c, omega, point=None):
     times["verify_first_structure"] = median_us(lambda: frames.verify_first_structure(c, omega))
     times["connection_from_structure"] = median_us(lambda: frames.connection_from_structure(c))
     times["acms_invariants"] = median_us(
-        lambda: invariants(frames.ConnectionForms(*omega.view))
+        lambda: invariants(frames.ConnectionForms(omega.view))
     )
     fc = invariants(omega)
     if not acms.derived(fc, acms.predicates).generalized_quasi_sasaki:
