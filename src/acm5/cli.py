@@ -40,36 +40,39 @@ from .exterior import (
     proportionality,
     render_form,
     stored,
-    zero_form,
 )
-from .scalars import FLOAT, fmt_scalar, is_rational, sis_zero
+from .scalars import EXACT, FLOAT, fmt_scalar, is_rational, sis_zero, table_kind
 
 _RAT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
-def _parse_rational(s, where):
-    """A coefficient: a JSON integer or a 'p/q' string, read as an int or a
-    Fraction (``exterior.stored`` applies the storage rule); SchemaError for
-    anything else, and for a numerator or denominator over the interpreter's
-    digit limit."""
+def _parse_pair(s, where):
+    """A JSON integer or 'p/q' string as the ints (p, q) it writes, q = 1 for an integer;
+    SchemaError for anything else, and for digits over the interpreter's int limit."""
     if type(s) is int:  # JSON true/false are bools, not coefficients
-        return s
+        return s, 1
     m = _RAT.match(s.strip()) if isinstance(s, str) else None
     if m is None:
         raise SchemaError(f"{where}: not a rational 'p/q' string: {s!r}")
     p, q = m.groups()
     try:
-        return int(p) if q is None else Fraction(int(p), int(q))
+        return int(p), int(q or 1)
     except ValueError as exc:  # more digits than int() may read
         raise SchemaError(f"{where}: coefficient over the integer digit limit") from exc
+
+
+def _rationals(pairs):
+    """{monomial: (p, q)} as {monomial: int or Fraction}, as the loader stores them."""
+    return {idx: p if q == 1 else Fraction(p, q) for idx, (p, q) in pairs.items()}
 
 
 def _is_name_list(x):
     return isinstance(x, list) and {*map(type, x)} <= {str}  # JSON strings are str
 
 
-def load_coframe(path: str) -> CoframeData:
-    """Parse and schema-check a coframe document."""
+def _read(path):
+    """(symbols, pairs, trig rules) of a schema-checked coframe document: ``pairs`` maps each
+    symbol id to the {monomial: (p, q)} of its derivative as written (:func:`_parse_pair`)."""
     import json  # only the commands that read or write a document load it
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -133,19 +136,17 @@ def load_coframe(path: str) -> CoframeData:
                 raise SchemaError(f"{where}: unknown symbol {exc.args[0]!r}") from exc
             if degree == 2 and idx[0] >= idx[1]:  # the degree is 1 or 2
                 raise SchemaError(f"{where}: wedge list must be strictly increasing")
-            coef = _parse_rational(t["coeff"], where)
+            coef = _parse_pair(t["coeff"], where)
             if idx in out:
                 raise SchemaError(f"{where}: duplicate monomial {names}")
             out[idx] = coef
-        return stored(degree, out)
+        return out
 
     if set(doc["d"].keys()) - set(ids):
         raise SchemaError(f"d-table names unknown symbols: {sorted(set(doc['d']) - set(ids))}")
-    d_table = {}
-    for name, terms in doc["d"].items():
-        d_table[ids[name]] = parse_form(terms, 2, f"d[{name}]")
-    for name, sid in ids.items():
-        d_table.setdefault(sid, zero_form(2))
+    pairs = {ids[name]: parse_form(terms, 2, f"d[{name}]") for name, terms in doc["d"].items()}
+    for sid in ids.values():
+        pairs.setdefault(sid, {})
     orientation = doc["orientation"]  # checked, then dropped: the structure fixes it
     if not _is_name_list(orientation) or sorted(orientation) != sorted(s.name for s in metric):
         raise SchemaError("orientation must list the five metric symbols")
@@ -154,9 +155,15 @@ def load_coframe(path: str) -> CoframeData:
         tr = doc["trig"]
         if not isinstance(tr, dict) or set(tr) - {"df", "dg"}:
             raise SchemaError("trig: expected an object with optional 'df' and 'dg' term lists")
-        rules = {k: parse_form(tr[k], 1, f"trig.{k}") for k in ("df", "dg") if k in tr}
-        trig_rules = TrigRules(**rules)
-    return CoframeData(tuple(ordered), d_table, trig_rules)
+        trig_rules = TrigRules(**{k: stored(1, _rationals(parse_form(tr[k], 1, f"trig.{k}")))
+                                  for k in ("df", "dg") if k in tr})
+    return tuple(ordered), pairs, trig_rules
+
+
+def load_coframe(path: str) -> CoframeData:
+    """Parse and schema-check a coframe document."""
+    symbols, pairs, trig_rules = _read(path)
+    return CoframeData(symbols, {s: stored(2, _rationals(t)) for s, t in pairs.items()}, trig_rules)
 
 
 def emit_coframe(c: CoframeData, path: str):
@@ -172,7 +179,7 @@ def coframe_document(c: CoframeData):
     """The JSON document of a coframe; SchemaError on a coefficient load cannot read."""
 
     def coeff(v, where):
-        _parse_rational(s := fmt_scalar(v), where)  # refuses what load_coframe refuses
+        _parse_pair(s := fmt_scalar(v), where)  # refuses what load_coframe refuses
         return s
 
     def term_list(f: Form, where):
@@ -199,44 +206,45 @@ def coframe_document(c: CoframeData):
     return doc
 
 
-def _with_coefficients(c: CoframeData, fn) -> CoframeData:
-    """c with every coefficient v replaced by fn(v), under the storage rule."""
-    table = {
-        sid: stored(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
-        for sid, f in c.d_table.items()
-    }
-    return CoframeData(c.symbols, table, c.trig_rules)
-
-
-def _largest_coefficient(c: CoframeData):
-    return max((abs(v) for f in c.d_table.values() for v in f.terms.values()), default=0.0)
-
-
-def _to_float_coframe(c: CoframeData) -> CoframeData:
-    """The binary64 coframe; OverflowError when max|c|^2 is not finite."""
-    out = _with_coefficients(c, float)
-    m = _largest_coefficient(out)
-    if not math.isfinite(m * m):
-        raise OverflowError("max|c|^2 is not finite")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # report assembly
+
+
+def _scaled(symbols, tables, trig_rules):
+    """(the coframe of tables at its working scale, unit): floats times 2^-e, e the binary
+    exponent of the largest |value|; (p, q) pairs as ints p lam / q, lam = 4 lcm(reduced q)."""
+    if table_kind(v for t in tables.values() for v in t.values()) == FLOAT:
+        e = math.frexp(max(abs(v) for t in tables.values() for v in t.values()))[1]
+        tables = {s: {i: math.ldexp(v, -e) for i, v in t.items()} for s, t in tables.items()}
+        unit = Fraction(2) ** e
+    else:
+        lam = 4 * math.lcm(*(q // math.gcd(p, q) for t in tables.values() for p, q in t.values()))
+        tables = {s: {i: p * lam // q for i, (p, q) in t.items()} for s, t in tables.items()}
+        unit = Fraction(1, lam)
+    return CoframeData(symbols, {s: stored(2, t) for s, t in tables.items()}, trig_rules), unit
 
 
 def _working_scale(c: CoframeData):
     """(c at its working scale, unit): the coframe that the report computes on
     and the exact factor that takes its degree-1 values back to c."""
-    if c.mode() == FLOAT:
-        e = math.frexp(_largest_coefficient(c))[1]
-        scaled = _with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c
-        return scaled, Fraction(2) ** e
-    values = [v for f in c.d_table.values() for v in f.terms.values()]
-    if not all(map(is_rational, values)):
-        return c, Fraction(1)
-    lam = 4 * math.lcm(*(v.denominator for v in values))
-    return _with_coefficients(c, lambda v: v.numerator * (lam // v.denominator)), Fraction(1, lam)
+    tables = {sid: f.terms for sid, f in c.d_table.items()}
+    if c.mode() == EXACT:
+        if not all(is_rational(v) for t in tables.values() for v in t.values()):
+            return c, Fraction(1)
+        tables = {s: {i: v.as_integer_ratio() for i, v in t.items()} for s, t in tables.items()}
+    return _scaled(c.symbols, tables, c.trig_rules)
+
+
+def _ingest(path, to_float):
+    """``_working_scale`` of the document's coframe or its binary64 copy, one Form per symbol,
+    a float as p / q (the bits of float(Fraction(p, q))); OverflowError if max|c|^2 overflows."""
+    symbols, tables, trig_rules = _read(path)
+    if to_float:  # an exact zero is no term (the storage rule), so it never becomes 0.0
+        tables = {s: {i: p / q for i, (p, q) in t.items() if p} for s, t in tables.items()}
+    c, unit = _scaled(symbols, tables, trig_rules)
+    if unit > 2**512:  # 2^e > max|c| >= 2^(e-1): max|c|^2 is finite exactly when e <= 512
+        raise OverflowError("max|c|^2 is not finite")
+    return c, unit
 
 
 def classification_report(c: CoframeData):
@@ -251,9 +259,14 @@ def classification_report(c: CoframeData):
     complement projection (its 1/2) is then an integer, so the tensor kernels
     add ints.  Any other table (trig coefficients) runs as given.  Degree-1
     values come back times the unit, degree-2 values times the unit twice
-    (its square alone can exceed binary64).
+    (its square alone can exceed binary64).  ``classify`` writes that copy
+    straight from the document (``_ingest``), one Form per generator.
     """
-    c, unit = _working_scale(c)  # unit is exact, so an exact zero still prints "0"
+    return _report(*_working_scale(c))
+
+
+def _report(c, unit):
+    """(report, exit code) of c at its working scale; unit is exact, so a zero prints "0"."""
     failing = c.d_squared_gate.failing  # read once: each read zero-tests every residual
     report = {
         "symbols": [s.name for s in c.symbols],
@@ -372,10 +385,10 @@ def render_text(report, color=False):
 # subcommands
 
 
-def _load_or_exit_code(path):
-    """(coframe, None), or (None, exit code) after printing why the file cannot be read."""
+def _load_or_exit_code(read, path, *args):
+    """(read(path, *args), None), or (None, exit code) after printing why it failed."""
     try:
-        return load_coframe(path), None
+        return read(path, *args), None
     except OSError as exc:
         missing = isinstance(exc, FileNotFoundError)
         why = "no such file" if missing else f"cannot read ({exc.strerror})"
@@ -384,10 +397,13 @@ def _load_or_exit_code(path):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return None, 1
+    except OverflowError:
+        print("error: --float: a coefficient is too large for binary64", file=sys.stderr)
+        return None, 2
 
 
 def cmd_validate(args):
-    c, code = _load_or_exit_code(args.path)
+    c, code = _load_or_exit_code(load_coframe, args.path)
     if c is None:
         return code
     gate = c.d_squared_gate
@@ -402,17 +418,11 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
-    c, code = _load_or_exit_code(args.path)
-    if c is None:
+    scaled, code = _load_or_exit_code(_ingest, args.path, args.float)
+    if scaled is None:
         return code
-    if args.float:
-        try:
-            c = _to_float_coframe(c)
-        except OverflowError:
-            print("error: --float: a coefficient is too large for binary64", file=sys.stderr)
-            return 2
     try:
-        report, code = classification_report(c)
+        report, code = _report(*scaled)
     except ACM5Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -18,9 +18,9 @@ Conventions, fixed once and used everywhere:
   df/dg rules.
 * The d^2-gate contracts a constant table of one kind directly:
   d(de_i) = sum c^i_jk (de_j^e_k - e_j^de_k), accumulated in the order
-  ext_d(ext_d(e_i)) would add the same products.  Each product reads its
-  monomial (as a bit-mask code) and sign in the tail table of its leg k,
-  ``_tails(k)``: index combinatorics only, filled on first read; an exact
+  ext_d(ext_d(e_i)) would add the same products.  The signed leg table of
+  (j, k) lists the (code, +-b) of de_j^e_k - de_k^e_j, the monomial as a bit
+  mask, so each product is one multiply-add, with no sign test; an exact
   sum is narrowed and its zeros dropped once at the end.  Any other table
   goes through ext_d twice.
 * :func:`wedge_sum` builds first + a1^b1 + a2^b2 + ... as one Form: each
@@ -162,10 +162,6 @@ def _trusted(degree, terms, mode):
     return f
 
 
-def _product_mode(*modes):
-    return FLOAT if FLOAT in modes else EXACT
-
-
 def form(degree, terms=None):
     """Validating Form constructor for terms from outside the library, under the storage rule."""
     out = {}
@@ -267,25 +263,6 @@ def _join(i1, i2):
     """(monomial, sign) with e_i1 ^ e_i2 = sign * monomial, or None on a repeated id.  Memoized."""
     ids = i1 + i2
     return None if len(set(ids)) < len(ids) else (tuple(sorted(ids)), perm_sign(ids))
-
-
-class _Tails(dict):
-    """Leg k's tail table, filled on first read: idx -> (code, sign) with e_idx ^ e_k =
-    sign * _MONOMIALS[code], the code its ids as a bit mask; None when k is in idx."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def __missing__(self, idx):
-        if hit := _join(idx, (self.k,)):
-            _MONOMIALS[code := sum(1 << i for i in hit[0])] = hit[0]
-            hit = code, hit[1]
-        self[idx] = hit
-        return hit
-
-
-_tails = functools.cache(_Tails)  # leg k -> its tail table: index combinatorics, like _join's memo
-_MONOMIALS = {}  # bit mask -> the monomial of its ids
 
 
 def wedge(a, b):
@@ -414,7 +391,7 @@ class CoframeData(Frozen):
         return d_squared_zero(self)
 
     def mode(self):
-        return _product_mode(*(f.mode for f in self.d_table.values() if f.terms))
+        return FLOAT if any(f.mode == FLOAT for f in self.d_table.values() if f.terms) else EXACT
 
 
 def standard_symbols(auxiliary=()):
@@ -514,24 +491,35 @@ def d_squared_zero(c):
 
 
 def _d_squared_constant(c):
-    """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - e_j^de_k).
-
-    ext_d skips a generator whose derivative is zero at the default
-    tolerance, and so does this contraction.
-    """
+    """d(de_i) = sum over terms a e_j^e_k of de_i of a (de_j^e_k - de_k^e_j), each (j, k)'s
+    leg table built at its first term; like ext_d, it skips a generator whose derivative is
+    zero at the default tolerance."""
     live = {sid: tuple(f.terms.items()) for sid, f in c.d_table.items() if not f.is_zero()}
+    legs = {}  # (j, k) -> the signed leg table of de_j^e_k - de_k^e_j
     out = []
     for sid in range(c.n_symbols):
         terms = {}
-        for (j, k), a in live.get(sid, ()):
-            for t, rows, s in ((k, live.get(j, ()), 1), (j, live.get(k, ()), -1)):
-                tails = _tails(t)
-                for idx, b in rows:
-                    if hit := tails[idx]:
-                        code, sign = hit
-                        terms[code] = terms.get(code, 0) + (a * b if sign == s else -(a * b))
-        out.append(stored(3, {_MONOMIALS[code]: v for code, v in terms.items()}))
+        for jk, a in live.get(sid, ()):
+            if (leg := legs.get(jk)) is None:
+                j, k = jk
+                leg = legs[jk] = _leg(live.get(j, ()), k, False) + _leg(live.get(k, ()), j, True)
+            for code, b in leg:  # a (-b) is -(a b), float bits included
+                terms[code] = terms.get(code, 0) + a * b
+        out.append(stored(3, {_monomial(code): v for code, v in terms.items()}))
     return out
+
+
+def _leg(rows, t, minus):
+    """The signed leg table of +-(sum of b e_i^e_j over rows, i < j) ^ e_t, - when minus, in the
+    order of rows: (code, +-b), +-b e_i^e_j^e_t being +-b times the monomial of the mask code."""
+    return [((1 << i) | (1 << j) | (1 << t), -b if (i > t) ^ (j > t) ^ minus else b)
+            for (i, j), b in rows if t != i and t != j]
+
+
+@functools.cache
+def _monomial(code):
+    """The ids of a bit mask, increasing."""
+    return tuple(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 def proportionality(f1, f2):

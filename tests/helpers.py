@@ -36,6 +36,11 @@ read of a grid of forms into a flat view, that the solve's own flat view replace
 ``trig_mul_oracle`` is the trig product on ``Fraction`` coefficients, with
 its four-way case split and its ``Fraction(1, 2)`` per term, that the int
 coefficients and the product table of ``scalars.TrigScalar`` replaced.
+``working_scale_oracle`` rebuilds a loaded coframe's Forms at working scale
+(``with_coefficients``), after ``to_float_coframe`` for ``--float``: the two
+steps that ``cli._ingest``, which writes the table once from the parsed
+document, replaced; ``to_float_coframe`` is also the float copy of a coframe
+at its own scale that the tests compute on.
 Definitions that only tests use (``abelian_coframe``, ``lambda2_project``,
 ``project_u2``, ``codifferential`` with ``covariant_derivative_form``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
@@ -59,6 +64,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -130,8 +136,8 @@ GOLDEN_FAMILY_POINTS = [
 ]
 
 
-def replay_points(seed):
-    """The family points of the benchmark's replay corpus at this seed."""
+def _bench_corpus():
+    """The benchmark's corpus generator, ``bench/corpus.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("acm5_bench_corpus", ROOT / "bench" / "corpus.py")
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # dataclasses look their module up
@@ -139,7 +145,20 @@ def replay_points(seed):
         spec.loader.exec_module(corpus)
     finally:
         del sys.modules[spec.name]
+    return corpus
+
+
+def replay_points(seed):
+    """The family points of the benchmark's replay corpus at this seed."""
+    corpus = _bench_corpus()
     return [params for _, params in corpus.replay_params(random.Random(f"replay:{seed}"))]
+
+
+def classify_corpus_files(seed, directory):
+    """The input files of the benchmark's classify-generic corpus at this seed, written
+    under directory."""
+    items = _bench_corpus().build_corpus("classify-generic", seed, Path(directory))
+    return [Path(item.commands[0][1]) for item in items]
 
 
 def abelian_coframe():
@@ -1056,6 +1075,43 @@ def parse_rational_oracle(s):
 def bits(v):
     """A value with its Python type, floats by their bit pattern (so 0.0 and -0.0 differ)."""
     return (type(v), v.hex() if isinstance(v, float) else v)
+
+
+def with_coefficients(c: CoframeData, fn) -> CoframeData:
+    """c with every coefficient v replaced by fn(v), under the storage rule."""
+    table = {
+        sid: stored(f.degree, {idx: fn(v) for idx, v in f.terms.items()})
+        for sid, f in c.d_table.items()
+    }
+    return CoframeData(c.symbols, table, c.trig_rules)
+
+
+def _largest_coefficient(c: CoframeData):
+    return max((abs(v) for f in c.d_table.values() for v in f.terms.values()), default=0.0)
+
+
+def to_float_coframe(c: CoframeData) -> CoframeData:
+    """The binary64 copy of c at its own scale, each coefficient float(v); OverflowError
+    when max|c|^2 is not finite."""
+    out = with_coefficients(c, float)
+    m = _largest_coefficient(out)
+    if not math.isfinite(m * m):
+        raise OverflowError("max|c|^2 is not finite")
+    return out
+
+
+def working_scale_oracle(c: CoframeData):
+    """(c at its working scale, unit) by a rebuild of c's Forms: times 2^-e for a float
+    coframe, e the binary exponent of its largest coefficient, times 4 lcm(denominators)
+    for a rational one, as given otherwise."""
+    if c.mode() == "float":
+        e = math.frexp(_largest_coefficient(c))[1]
+        return (with_coefficients(c, lambda v: math.ldexp(v, -e)) if e else c), Fraction(2) ** e
+    values = [v for f in c.d_table.values() for v in f.terms.values()]
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return c, Fraction(1)
+    lam = 4 * math.lcm(*(v.denominator for v in values))
+    return with_coefficients(c, lambda v: v.numerator * (lam // v.denominator)), Fraction(1, lam)
 
 
 def random_pointwise(rng):

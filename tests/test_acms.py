@@ -62,6 +62,7 @@ from helpers import (
     random_fraction,
     random_pointwise,
     t3_get,
+    to_float_coframe,
 )
 
 ABELIAN_OMEGA = connection_from_structure(abelian_coframe())
@@ -418,11 +419,11 @@ def test_d_via_connection_matches_ext_d_for_valid_coframes():
 
 
 def test_d_via_connection_in_float_mode():
-    from acm5.cli import _to_float_coframe, load_coframe
+    from acm5.cli import load_coframe
     from acm5.exterior import ext_d
 
     exact = load_coframe(str(GOLDEN / "inputs" / "su2_block.json"))
-    c = _to_float_coframe(exact)
+    c = to_float_coframe(exact)
     fc = frame_connection(connection_from_structure(c))
     for alpha in (form(1, {(0,): 1.0}), form(2, {(0, 1): 1.0, (2, 4): -0.5})):
         got = d_form_via_connection(fc, alpha)

@@ -13,8 +13,8 @@ from acm5 import acms, cli, torsionclass
 from acm5.cli import _parser as cli_parser
 from acm5.acms import frame_connection
 from acm5.cli import (
-    _parse_rational,
-    _to_float_coframe,
+    _parse_pair,
+    _rationals,
     _working_scale,
     classification_report,
     coframe_document,
@@ -34,6 +34,7 @@ from helpers import (
     parse_rational_oracle,
     rotate,
     scaled,
+    to_float_coframe,
     trig_coframe,
     u2_rotation,
 )
@@ -429,7 +430,7 @@ def test_float_mode_agrees_with_exact_mode_on_rotated_inputs(path, rotation, k):
     c = scaled(rotate(load_coframe(str(path)), u2_rotation(*rotation)), Fraction(10) ** k)
     exact, code = classification_report(c)
     assert code == 0
-    floating, code = classification_report(_to_float_coframe(c))
+    floating, code = classification_report(to_float_coframe(c))
     assert code == 0
     assert _float_invariants(floating) == _float_invariants(exact)
 
@@ -712,7 +713,7 @@ def test_parse_rational_accepts_what_the_pattern_and_fraction_accepted(s):
     ``exterior.stored`` applies the storage rule, as the loader does (an
     exact zero is not stored, and reads back as the int 0)."""
     try:
-        got = stored(1, {(0,): _parse_rational(s, "d[e5]")}).coefficient((0,))
+        got = stored(1, _rationals({(0,): _parse_pair(s, "d[e5]")})).coefficient((0,))
     except SchemaError:
         got = None
     want = parse_rational_oracle(s)

@@ -33,14 +33,21 @@ from pathlib import Path
 
 import pytest
 
-from acm5 import acms, frames
-from acm5.cli import _to_float_coframe, classification_report, load_coframe
+from acm5 import acms, exterior, frames
+from acm5.cli import classification_report, load_coframe, main
 from acm5.connection import characteristic_connection, curvature
 from acm5.exterior import d_squared_zero
 from acm5.family import verify_identities
 from acm5.groups import build
 from acm5.torsionclass import w_subspaces
-from helpers import GOLDEN_INPUTS, count_calls, fixed_so5_rotation, rotate, trig_coframe
+from helpers import (
+    GOLDEN_INPUTS,
+    count_calls,
+    fixed_so5_rotation,
+    rotate,
+    to_float_coframe,
+    trig_coframe,
+)
 
 ONCE = (
     "acms.nijenhuis", "acms.d_phi_tensor", "acms.predicates", "acms.gamma_form", "acms.d_eta_form"
@@ -81,7 +88,7 @@ def test_build_makes_no_wedge_and_builds_no_connection_form():
 def test_classification_report_computes_each_invariant_once(mode):
     c = load_coframe(str(INPUT))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     with count_calls("acms.nabla_phi", *ONCE) as calls:
         report, code = classification_report(c)
     assert code == 0 and report["characteristic_connection"] is not None
@@ -100,7 +107,7 @@ def test_classification_report_projects_each_connection_form_once(name, structur
     submodule bases are built once per process, before counting."""
     c = load_coframe(str(INPUT.parent / name))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     w_subspaces()
     with count_calls("acms.complement_view", "linalg.solve_unique") as calls:
         report, code = classification_report(c)
@@ -121,11 +128,34 @@ def test_identity_replay_gates_the_coframe_once():
 def test_classification_report_gates_the_coframe_once(mode):
     c = load_coframe(str(INPUT))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     with count_calls("exterior.d_squared_zero", "connection.curvature") as calls:
         report, code = classification_report(c)
     assert code == 0 and report["characteristic_connection"] is not None
     assert calls == {"exterior.d_squared_zero": 1, "connection.curvature": 1}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["family_1_0_2_0.json", "su2_block.json", "abelian.json"])
+def test_classify_builds_each_working_scale_form_once(name, mode, monkeypatch, capsys):
+    """Every 2-form that a classify command builds before its d^2-gate is a generator's
+    derivative in the gated coframe, at working scale (ints, or floats below 1 in
+    size): each is built once, and none at the scale of the file."""
+    built, gated = [], []
+    trusted, gate = exterior._trusted, exterior.d_squared_zero
+    monkeypatch.setattr(exterior, "_trusted", lambda *a: built.append(trusted(*a)) or built[-1])
+    monkeypatch.setattr(exterior, "d_squared_zero", lambda c: gated.append((c, len(built))) or gate(c))
+    argv = ["classify", str(INPUT.parent / name), "--json"] + ["--float"] * (mode == "float")
+    assert main(argv) == 0
+    capsys.readouterr()
+    ((c, before),) = gated
+    ingest = [f for f in built[:before] if f.degree == 2]
+    assert list(map(id, ingest)) == list(map(id, c.d_table.values()))
+    values = [v for f in ingest for v in f.terms.values()]
+    if mode == "float" and values:
+        assert {type(v) for v in values} == {float} and max(map(abs, values)) < 1
+    else:
+        assert {type(v) for v in values} <= {int}
 
 
 def test_gate_report_is_kept_per_coframe():
@@ -159,7 +189,7 @@ def test_every_reader_of_one_connection_shares_its_memo():
 def test_levi_civita_solve_runs_no_elimination(mode):
     c = load_coframe(str(INPUT))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     with count_calls("linalg.rref", "frames.connection_from_structure") as calls:
         omega = frames.connection_from_structure(c)
     assert frames.verify_first_structure(c, omega).ok
@@ -171,7 +201,7 @@ def test_levi_civita_solve_runs_no_elimination(mode):
 def test_d_squared_gate_runs_no_ext_d_on_constant_tables(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     with count_calls("exterior.ext_d", "exterior.wedge") as calls:
         assert d_squared_zero(c).ok
     assert calls == {}
@@ -188,7 +218,7 @@ def test_d_squared_gate_keeps_ext_d_for_trig_coefficients():
 def test_curvature_and_first_structure_make_no_wedge_call(mode):
     c = load_coframe(str(INPUT))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     omega = frames.connection_from_structure(c)
     cc = characteristic_connection(omega)
     with count_calls("exterior.wedge", "exterior.ext_d") as calls:
@@ -213,7 +243,7 @@ def test_classification_report_builds_connection_forms_only_when_gqs(path, turn,
     if turn:
         c = rotate(c, fixed_so5_rotation())
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     solved, solve = [], frames.connection_from_structure
     monkeypatch.setattr(
         frames, "connection_from_structure", lambda c: solved.append(solve(c)) or solved[-1]

@@ -23,7 +23,7 @@ from acm5.acms import (
     theta,
     vartheta,
 )
-from acm5.cli import _to_float_coframe, load_coframe
+from acm5.cli import load_coframe
 from acm5.linalg import nullspace, rank
 from acm5.connection import (
     J,
@@ -77,6 +77,7 @@ from helpers import (
     rotate,
     t3_scale,
     table_matrix,
+    to_float_coframe,
     u2_rotation,
 )
 
@@ -108,7 +109,7 @@ GQS_METRIC_INPUTS = [
 def test_characteristic_connection_of_pointwise_values_equals_that_of_the_forms(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     solved = connection_from_structure(c)
     assert characteristic_connection(pointwise(solved)) == characteristic_connection(solved)
 
@@ -392,7 +393,7 @@ def _oracle_agrees(omega, beta=F):
 def test_spinors_match_oracle_on_golden_inputs(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     omega = connection_from_structure(c)
     _oracle_agrees(omega)
     fc = frame_connection(omega)
@@ -478,7 +479,7 @@ def test_kernel_dimension_matches_oracle_on_random_2forms(coefs):
 def _integrable_coframe(name, mode):
     """A golden input, or the family coframe (1, 0, 2, 0) with its auxiliary symbol."""
     c = build(1, 0, 2, 0).coframe if name == "family+A2" else load_coframe(str(name))
-    return _to_float_coframe(c) if mode == "float" else c
+    return to_float_coframe(c) if mode == "float" else c
 
 
 SCALARS = {

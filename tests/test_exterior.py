@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acm5.cli import _to_float_coframe
 from acm5.errors import MissingDerivationError, ModeMismatchError, UnsupportedSymbolError
 from acm5.exterior import (
     Form,
@@ -33,6 +32,7 @@ from helpers import (
     ext_d_oracle,
     hodge_oracle,
     random_form,
+    to_float_coframe,
     wedge_eval_oracle,
 )
 
@@ -278,7 +278,7 @@ RULED_SOLVABLE = coframe(
     trig_rules=RULES,
 )
 EXACT_COFRAMES = st.sampled_from([RULED_FAMILY, RULED_SOLVABLE])
-FLOAT_COFRAMES = st.sampled_from([_to_float_coframe(RULED_FAMILY), _to_float_coframe(RULED_SOLVABLE)])
+FLOAT_COFRAMES = st.sampled_from([to_float_coframe(RULED_FAMILY), to_float_coframe(RULED_SOLVABLE)])
 
 rationals = st.fractions(-4, 4, max_denominator=7).filter(bool)
 floats = st.floats(-1e3, 1e3, allow_nan=False)

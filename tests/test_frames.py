@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acm5.acms import frame_connection
-from acm5.cli import _to_float_coframe, emit_coframe, load_coframe, main
+from acm5.cli import emit_coframe, load_coframe, main
 from acm5.errors import RankError, UnsupportedSymbolError
 from acm5.exterior import (
     CoframeData,
@@ -46,6 +46,7 @@ from helpers import (
     pointwise_from_upper,
     random_fraction,
     structure_solve_oracle,
+    to_float_coframe,
     trig_coframe,
 )
 
@@ -278,7 +279,7 @@ def test_solve_writes_the_view_of_the_forms_it_replaced(c):
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=[p.name for p in GOLDEN_INPUTS])
 def test_solve_writes_the_view_of_the_forms_it_replaced_on_golden_inputs(path, mode):
     c = load_coframe(str(path))
-    _check_solve(c if mode == "exact" else _to_float_coframe(c))
+    _check_solve(c if mode == "exact" else to_float_coframe(c))
 
 
 @pytest.mark.parametrize(
@@ -402,7 +403,7 @@ def test_unsolvable_structure_raises_rank_error(table, auxiliary, tmp_path, caps
 
 
 def test_first_structure_in_float_mode():
-    c = _to_float_coframe(load_coframe(str(GOLDEN / "inputs" / "family_1_0_2_0.json")))
+    c = to_float_coframe(load_coframe(str(GOLDEN / "inputs" / "family_1_0_2_0.json")))
     omega = connection_from_structure(c)
     assert omega.omega[0][2].mode == "float"
     assert verify_first_structure(c, omega).ok

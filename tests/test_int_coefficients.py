@@ -33,7 +33,7 @@ from acm5.acms import (
     nijenhuis,
     predicates,
 )
-from acm5.cli import _to_float_coframe, _working_scale, classification_report, load_coframe
+from acm5.cli import _working_scale, classification_report, load_coframe
 from acm5.connection import (
     characteristic_connection,
     kernel_of_f,
@@ -57,6 +57,7 @@ from helpers import (
     nested,
     replay_points,
     rotate,
+    to_float_coframe,
     trig_mul_oracle,
     u2_rotation,
 )
@@ -332,7 +333,7 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
     c = load_coframe(str(path))
     if frame == "rotated":
         c = rotate(c, ROTATION)
-    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    c, _ = _working_scale(to_float_coframe(c) if mode == "float" else c)
     fc = frame_connection(connection_from_structure(c))
     if not predicates(fc).generalized_quasi_sasaki:
         with pytest.raises(NotGeneralizedQuasiSasakiError):
@@ -446,7 +447,7 @@ def test_spinor_kernel_basis_is_stored_as_ints():
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
 def test_parallel_spinor_verdicts_keep_the_fraction_basis_verdicts(path, mode):
     c = load_coframe(str(path))
-    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    c, _ = _working_scale(to_float_coframe(c) if mode == "float" else c)
     fc = frame_connection(connection_from_structure(c))
     if not predicates(fc).generalized_quasi_sasaki:
         return

@@ -4,7 +4,11 @@
 lam = 4 lcm(denominators) before it computes, and scales the values back by
 1/lam.  The oracle is the same report with the working-scale helper
 patched to lam = 1, compared byte for byte as JSON; the type pin shows that
-at integer scale the tensor kernels hold ints, not Fractions.
+at integer scale the tensor kernels hold ints, not Fractions.  ``classify``
+writes its working-scale coframe straight from the parsed document
+(``cli._ingest``); it must equal, term by term and bit for bit, the coframe
+that loading and then rescaling gives (``working_scale_oracle``, after
+``to_float_coframe`` under --float).
 """
 
 import json
@@ -16,16 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acm5 import cli, frames
-from acm5.cli import classification_report, load_coframe
+from acm5.cli import _ingest, _working_scale, classification_report, load_coframe
 from acm5.errors import ACM5Error
 from acm5.exterior import coframe, e, form, wedge
 from helpers import (
     GOLDEN_INPUTS,
+    bits,
+    classify_corpus_files,
     nested,
     rotate,
     scaled,
+    to_float_coframe,
     trig_coframe,
     u2_rotation,
+    working_scale_oracle,
 )
 
 
@@ -98,3 +106,95 @@ def test_report_kernels_hold_ints(path, monkeypatch):
     for name in ("nabla_phi", "nijenhuis"):
         values = nested(fc._memo[name])
         assert {type(v) for m in values for r in m for v in r} == {int}, name
+
+
+def _written(c, unit):
+    """All that a coframe at working scale holds, in order, each value by its type and bits."""
+    table = [
+        (sid, f.degree, f.mode, [(idx, bits(v)) for idx, v in f.terms.items()])
+        for sid, f in c.d_table.items()
+    ]
+    return c.symbols, table, c.trig_rules, bits(unit)
+
+
+def _check_one_pass(path):
+    """The table of ``classify`` and of ``classify --float``, and the one that
+    ``_working_scale`` writes of a loaded coframe, equal the two-step table."""
+    c = load_coframe(str(path))
+    for to_float, loaded in ((False, c), (True, to_float_coframe(c))):
+        want = _written(*working_scale_oracle(loaded))
+        assert _written(*_ingest(str(path), to_float)) == want, to_float
+        assert _written(*_working_scale(loaded)) == want, to_float
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_one_pass_table_equals_load_then_rescale_on_golden_inputs(path):
+    _check_one_pass(path)
+
+
+def test_one_pass_table_equals_load_then_rescale_on_the_benchmark_corpus(tmp_path):
+    files = classify_corpus_files(1, tmp_path)
+    assert len(files) == 10
+    for path in files:
+        _check_one_pass(path)
+
+
+def _document(d, **extra):
+    return {
+        "symbols": [{"name": f"e{i}", "kind": "metric", "index": i} for i in range(1, 6)]
+        + [{"name": "A", "kind": "auxiliary"}],
+        "d": {name: [{"coeff": v, "wedge": w} for v, w in terms] for name, terms in d.items()},
+        "orientation": ["e1", "e2", "e3", "e4", "e5"],
+        **extra,
+    }
+
+
+EDGE_DOCUMENTS = {
+    # exact zeros, an unreduced and a negative denominator, a JSON integer, an auxiliary leg
+    "zeros-unreduced": _document({
+        "e5": [("0/7", ["e1", "e2"]), ("6/4", ["e3", "e4"]), (-3, ["e1", "A"])],
+        "e1": [("-10/15", ["e2", "e3"]), ("0", ["e4", "e5"])],
+        "A": [("9/6", ["e1", "e2"])],
+    }),
+    # a value that rounds to 0.0 in binary64 is a kept float term
+    "underflow": _document({"e5": [("1/1" + "0" * 400, ["e1", "e2"]), ("2", ["e3", "e4"])]}),
+    # no term survives: --float leaves an exact table, at unit 1/4
+    "all-zero": _document({"e5": [("0", ["e1", "e2"]), ("0/3", ["e3", "e4"])]}),
+    "trig-rules": _document(
+        {"e5": [("1/3", ["e1", "e2"])]}, trig={"df": [{"coeff": "1/2", "wedge": ["e1"]}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DOCUMENTS)
+def test_one_pass_table_equals_load_then_rescale_on_edge_documents(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(EDGE_DOCUMENTS[name]), encoding="utf-8")
+    _check_one_pass(path)
+
+
+# around max|c| = 2^512, where max|c|^2 leaves binary64, and far beyond it
+HUGE = {
+    "below": str(2**512 - 2**459),
+    "at": str(2**512),
+    "rounds-up": f"{2**513 - 1}/2",
+    "int-overflow": "9" * 400,
+}
+
+
+@pytest.mark.parametrize("name", HUGE)
+def test_one_pass_float_table_refuses_what_the_float_copy_refuses(tmp_path, name):
+    path = tmp_path / "huge.json"
+    doc = _document({"e5": [(HUGE[name], ["e1", "e2"]), ("1/3", ["e3", "e4"])]})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        want = _written(*working_scale_oracle(to_float_coframe(load_coframe(str(path)))))
+    except OverflowError:
+        want = OverflowError
+    try:
+        got = _written(*_ingest(str(path), True))
+    except OverflowError:
+        got = OverflowError
+    assert got == want and (want is OverflowError) == (name != "below")
+    exact = working_scale_oracle(load_coframe(str(path)))
+    assert _written(*_ingest(str(path), False)) == _written(*exact)

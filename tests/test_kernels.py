@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acm5 import acms
-from acm5.cli import _to_float_coframe, _working_scale, load_coframe
+from acm5.cli import _working_scale, load_coframe
 from acm5.connection import CharacteristicConnection, characteristic_connection, torsion_type
 from acm5.errors import NotGeneralizedQuasiSasakiError
 from acm5.exterior import (
@@ -65,6 +65,7 @@ from helpers import (
     project_u2_complement_oracle,
     rotate,
     t3_get,
+    to_float_coframe,
     torsion_of_forms,
     torsion_type_oracle,
     trig_coframe,
@@ -134,7 +135,7 @@ def test_phi_map_reads_phi_mat():
 def test_kernels_match_oracles_on_golden_inputs(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     if mode == "integer":
         c, _ = _working_scale(c)
     _check_kernels(pointwise(connection_from_structure(c)))
@@ -197,7 +198,7 @@ def _check_coordinate_maps(fc):
 def test_coordinate_maps_match_oracles_on_golden_inputs(path, mode):
     c = load_coframe(str(path))
     if mode == "float":
-        c = _to_float_coframe(c)
+        c = to_float_coframe(c)
     _check_coordinate_maps(acms.frame_connection(connection_from_structure(c)))
 
 
@@ -294,8 +295,15 @@ def constant_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(constant_tables())
 def test_d_squared_matches_ext_d_twice_on_random_tables(c):
-    _check_d_squared(c)
-    _check_d_squared(_to_float_coframe(c))
+    _check_d_squared_as_classify_gates(c)
+
+
+def _check_d_squared_as_classify_gates(c):
+    """The gate on c and its float copy, and on the tables that ``classify`` gates: c at
+    integer scale (ints) and the float copy at unit scale."""
+    floats = to_float_coframe(c)
+    for table in (c, floats, _working_scale(c)[0], _working_scale(floats)[0]):
+        _check_d_squared(table)
 
 
 @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
@@ -305,8 +313,7 @@ def test_d_squared_matches_ext_d_twice_on_rotated_golden_inputs(path):
     for n, (i, j) in enumerate(itertools.combinations(range(5), 2)):
         s[i][j], s[j][i] = Fraction(n - 4, 3), -Fraction(n - 4, 3)
     for table in (c, rotate(c, cayley(s))):
-        _check_d_squared(table)
-        _check_d_squared(_to_float_coframe(table))
+        _check_d_squared_as_classify_gates(table)
         assert d_squared_zero(table).ok
 
 
@@ -491,7 +498,7 @@ def test_characteristic_connection_matches_oracles_on_random_family_points(point
     c = build(*point).coframe
     if turn:
         c = rotate(c, u2_rotation(1, Fraction(1, 2), -1, 2))
-    c, _ = _working_scale(_to_float_coframe(c) if mode == "float" else c)
+    c, _ = _working_scale(to_float_coframe(c) if mode == "float" else c)
     fc = acms.frame_connection(connection_from_structure(c))
     cc = characteristic_connection(fc)
     nij = nested(acms.derived(fc, acms.nijenhuis))

@@ -6,7 +6,8 @@ deleted, retyped, swapped with a sibling or perturbed.  ``validate``,
 exception may escape ``cli.main``, and every exit code is 0, 1 or 2.  A
 document that ``load_coframe`` refuses is a schema failure: each command
 exits 1 with exactly one stderr line, which starts with ``schema error:``,
-and prints nothing on stdout.
+and prints nothing on stdout.  ``validate`` and ``classify`` read a document
+through the same reader, so the three commands print the same line.
 """
 
 import contextlib
@@ -109,6 +110,7 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, doc, mutations,
         schema_failure = False
     except SchemaError:
         schema_failure = True
+    errors = set()
     for command in COMMANDS:
         code, out, err = _run([command[0], str(path), *command[1:]])
         assert code in (0, 1, 2), (command, code, err)
@@ -116,3 +118,5 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, doc, mutations,
             lines = err.splitlines()
             assert (code, out, len(lines)) == (1, "", 1), (command, err)
             assert lines[0].startswith("schema error:")
+            errors.add(err)
+    assert len(errors) == schema_failure, errors  # one reader: the same line from each command

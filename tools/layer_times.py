@@ -25,13 +25,15 @@ refusal is what is timed there.
 
 It prints each stage's median, one row per structure, then the column
 medians, for the exact rows and for the float rows.  Then it times the
-ingest of ``classify`` the same way: the d^2-gate
+ingest of ``classify`` the same way: ``load`` (``cli._ingest``: the reader
+of the document and the write of its table at working scale), the d^2-gate
 (``exterior.d_squared_zero``), ``frames.connection_from_structure``
 and ``acms.frame_connection`` of the solved connection (which returns it as
 it is: the solve wrote its view, and its forms are never built), on each
 golden input turned by one fixed SO(5) Cayley rotation (``fixed_so5_rotation`` of
-``tests/helpers.py``, the rotation of ``tests/test_kernels.py``), exact and
-float, each at the working scale that ``classify`` computes on.  Last it
+``tests/helpers.py``, the rotation of ``tests/test_kernels.py``) and written
+to a document in a temporary directory, exact and under ``--float``, each
+stage after ``load`` on the coframe that ``load`` writes.  Last it
 prints all the numbers as one JSON object: each time a [raw, normalised]
 pair, the column medians under "raw" and "normalised" (the float rows under
 "float_median" and "float_structures").
@@ -51,6 +53,7 @@ Run from the repository root:  python3 tools/layer_times.py
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,9 +63,9 @@ sys.path.insert(1, str(ROOT / "tests"))
 sys.path.insert(2, str(ROOT / "bench"))
 
 from acm5 import acms, connection, exterior, frames, groups  # noqa: E402
-from acm5.cli import _to_float_coframe, _working_scale, load_coframe  # noqa: E402
+from acm5.cli import _ingest, _working_scale, emit_coframe, load_coframe  # noqa: E402
 from acm5.errors import DegenerateInputError  # noqa: E402
-from helpers import fixed_so5_rotation, rotate  # noqa: E402
+from helpers import fixed_so5_rotation, rotate, to_float_coframe  # noqa: E402
 from run import REFERENCE_S, normalised, timed_reference  # noqa: E402
 
 RUNS = 101
@@ -72,7 +75,7 @@ STAGES = (
     "characteristic_connection", "torsion_type", "curvature", "parallel_spinor_check",
     "identify_group",
 )
-INGEST = ("d_squared_gate", "connection_from_structure", "frame_connection")
+INGEST = ("load", "d_squared_gate", "connection_from_structure", "frame_connection")
 INVARIANTS = (acms.nabla_phi, acms.nijenhuis, acms.predicates, acms.gamma_form, acms.d_eta_form)
 POINTS = {  # identify_group branch -> family point
     "su2+su2 block": (6, 8, 0, 0),
@@ -141,11 +144,12 @@ def stage_times(c, omega, point=None):
     return times
 
 
-def ingest_times(c):
-    """{stage: median us} of the ingest of one coframe at its working scale."""
-    c = _working_scale(c)[0]
+def ingest_times(path, to_float):
+    """{stage: median us} of the ingest of one document, exact or under --float."""
+    c = _ingest(path, to_float)[0]
     solved = frames.connection_from_structure(c)
     return {
+        "load": median_us(lambda: _ingest(path, to_float)),
         "d_squared_gate": median_us(lambda: exterior.d_squared_zero(c)),
         "connection_from_structure": median_us(lambda: frames.connection_from_structure(c)),
         "frame_connection": median_us(lambda: acms.frame_connection(solved)),
@@ -182,16 +186,18 @@ def main():
         omega = frames.connection_from_structure(c)
         if acms.predicates(acms.frame_connection(omega)).generalized_quasi_sasaki:
             rows[f"golden {path.stem}"] = stage_times(c, omega)
-            cf = _working_scale(_to_float_coframe(c))[0]
+            cf = _working_scale(to_float_coframe(c))[0]
             omega = frames.connection_from_structure(cf)
             floats[f"golden {path.stem} float"] = stage_times(cf, omega)
     medians = print_table(rows, STAGES, f"median of {RUNS} runs per stage, in us")
     float_medians = print_table(floats, STAGES[1:-1], "the same stages under --float, in us")
     ingest = {}
-    for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
-        turned = rotate(load_coframe(str(path)), fixed_so5_rotation())
-        ingest[f"{path.stem} exact"] = ingest_times(turned)
-        ingest[f"{path.stem} float"] = ingest_times(_to_float_coframe(turned))
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json")):
+            doc = str(Path(tmp) / path.name)
+            emit_coframe(rotate(load_coframe(str(path)), fixed_so5_rotation()), doc)
+            ingest[f"{path.stem} exact"] = ingest_times(doc, False)
+            ingest[f"{path.stem} float"] = ingest_times(doc, True)
     ingest_medians = print_table(ingest, INGEST, "ingest of the SO(5)-rotated golden inputs, in us")
     print(json.dumps({"runs": RUNS, "reference_s": REFERENCE_S, "median": medians,
                       "structures": rows, "float_median": float_medians,
