@@ -3,7 +3,7 @@
 
 The public surface groups as follows:
 
-* :mod:`acm5.exterior` -- scalars, forms, wedge/star/contraction, d;
+* :mod:`acm5.exterior` -- scalars, forms, wedge/star, d;
 * :mod:`acm5.frames` -- connection forms, structure-equation solves,
   canonical algebras and frame-change certificates;
 * :mod:`acm5.acms` -- the adapted structure, 2-form types, Nijenhuis
@@ -29,7 +29,7 @@ _SURFACE = {
                    "characteristic_connection", "curvature", "parallel_spinor_check",
                    "spinor_kernel", "spinor_space", "torsion_type"),
     "exterior": ("CoframeData", "Form", "Symbol", "coframe", "d_squared_zero", "e", "ext_d",
-                 "form", "hodge", "interior", "wedge"),
+                 "form", "hodge", "wedge"),
     "family": ("verify_identities",),
     "frames": ("CanonicalAlgebra", "ConnectionForms", "FrameChange", "canonical_algebra",
                "connection_from_structure", "frame_change_verify", "verify_first_structure"),

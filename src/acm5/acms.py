@@ -52,7 +52,7 @@ from .errors import (
     ACM5Error, NotGeneralizedQuasiSasakiError, SymbolicResidueError, UnsupportedSymbolError,
 )
 from .exterior import (
-    METRIC_IDS, F, Z1, Z2, Form, Frozen, dense2, dense3, form, grid_form, hodge, stored,
+    METRIC_IDS, F, Z1, Z2, Form, View, dense2, dense3, form, grid_form, hodge, stored,
 )
 from .frames import ConnectionForms, at
 from .scalars import EXACT, ZERO, div_const, sis_zero, table_kind
@@ -171,22 +171,13 @@ PULLBACK = tuple(_pullback_entry(a, b) for a, b in PAIRS)
 
 
 # ---------------------------------------------------------------------------
-# trilinear tensors on the frame, 125 values by slot at(i, j, k): the derivative
-# tensors and a connection's metric blocks (antisymmetric in the last two slots),
-# the torsion (in the first two)
+# trilinear tensors on the frame, 125 values by slot at(i, j, k): the derivative tensors, a
+# connection's metric blocks, the difference tensor and the torsion, each antisymmetric in its
+# last two slots; T(e_x, e_y, e_z) sits at slot at(z, x, y), so block z is the 2-form T(., ., e_z)
 
 
-class Tensor3(Frozen):
-    flat: tuple  # the 125 values by slot at(i, j, k): the view that index plans read
-    _compared = ("flat",)
-
-    def __init__(self, flat):
-        if len(flat) != 125:
-            raise ValueError("a Tensor3 holds its 125 values in slot order")
-        self.__dict__["flat"] = flat
-
-    def is_zero(self):
-        return all(map(sis_zero, self.flat))
+class Tensor3(View):
+    _shape = (125,), "a Tensor3 holds its 125 values in slot order"
 
     def _zip(self, other, op):
         return Tensor3(tuple(map(op, self.flat, other.flat)))
@@ -196,11 +187,6 @@ class Tensor3(Frozen):
 
     def __sub__(self, other):
         return self._zip(other, operator.sub)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def is_totally_skew(self):
         return all(map(sis_zero, chain(contract(SYM_23, self.flat), contract(SYM_12, self.flat))))
@@ -287,7 +273,7 @@ def _mu(mats):
 def require_aux_vanish(fc: ConnectionForms, what, residue):
     """Raise "auxiliary symbol id s <what>" unless residue(M_s), an iterable of scalars,
     vanishes on the block M_s (25 values by rows) of every auxiliary symbol s."""
-    view = fc.view
+    view = fc.flat
     for sid in range(5, len(view) // 25):
         if not all(sis_zero(v) for v in residue(view[25 * sid : 25 * sid + 25])):
             raise SymbolicResidueError(f"auxiliary symbol id {sid} {what}")
@@ -299,7 +285,7 @@ def require_aux_vanish(fc: ConnectionForms, what, residue):
 def nabla_xi_matrix(fc: ConnectionForms):
     """NX[k][a] = g(nabla_{e_k} xi, e_a)."""
     require_aux_vanish(fc, "leaves a residue in nabla xi", lambda m: m[5 * XI : 5 * XI + 5])
-    return tuple(fc.view[at(k, XI, 0) : at(k, XI, 5)] for k in range(5))
+    return tuple(fc.flat[at(k, XI, 0) : at(k, XI, 5)] for k in range(5))
 
 
 def d_eta_form(fc: ConnectionForms) -> Form:
@@ -322,7 +308,7 @@ def nabla_phi(source) -> Tensor3:
     """
     fc = frame_connection(source)
     require_aux_vanish(fc, "leaves a residue in nabla Phi", lambda m: _mu([m]))
-    full = np_full(fc.view)
+    full = np_full(fc.flat)
     if not (full - np_gamma(derived(fc, torsion_view))).is_zero():
         raise ACM5Error("internal consistency: the two derivative paths disagree")
     return full
@@ -337,7 +323,7 @@ def torsion_view(fc: ConnectionForms) -> tuple:
     """The torsion view of the projections of the five 2-forms w(e_k) to the
     complement of the stabilizer: the intrinsic torsion, and the second path of
     nabla Phi."""
-    return complement_view(T_COMPLEMENT, fc.view)
+    return complement_view(T_COMPLEMENT, fc.flat)
 
 
 def np_gamma(view) -> Tensor3:

@@ -190,7 +190,7 @@ def coframe_document(c: CoframeData):
 
     doc = {
         "symbols": [
-            {"name": s.name, "kind": s.kind, **({"index": s.index} if s.index else {})}
+            {"name": s.name, "kind": s.kind, **({} if s.index is None else {"index": s.index})}
             for s in c.symbols
         ],
         "d": {

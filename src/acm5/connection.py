@@ -6,13 +6,15 @@ endomorphism.  Its difference tensor relative to Levi-Civita is
 
     A(X, Y, Z) = 1/2 { ((d eta - gamma) ^ eta)(X, Y, Z) - N(X, Y, Z) },
 
-and the torsion is the antisymmetrization of A in the first two slots.
-The 1/2 goes through ``scalars.div_const``, so an integral entry of A is an
-``int`` and the torsion and its Cartan parts add ints.  A connection's view is
-its blocks M_s[i][j] = w[i][j](E_s), one per coframe symbol, so A(e_k, e_i, e_j)
-sits at the slot of w[i][j](e_k): the compatible connection's view is the
-Levi-Civita view plus the difference tensor, slot by slot, and the torsion's
-Cartan parts are read in its own slot order.  Curvature reads the blocks:
+and the torsion T(X, Y, Z) = A(X, Y, Z) - A(Y, X, Z) is its antisymmetrization
+in the first two slots.  The 1/2 goes through ``scalars.div_const``, so an
+integral entry of A is an ``int`` and the torsion and its Cartan parts add ints.
+A connection's view is its blocks M_s[i][j] = w[i][j](E_s), one per coframe
+symbol, so A(e_k, e_i, e_j) sits at the slot of w[i][j](e_k): the compatible
+connection's view is the Levi-Civita view plus the difference tensor, slot by
+slot.  The torsion is held in the same layout, T(e_x, e_y, e_z) at slot
+at(z, x, y), antisymmetric in its last two slots like every tensor here, and
+``torsionclass.cartan_decompose`` splits it as it stands.  Curvature reads the blocks:
 R(E_a, E_b) = sum_s de_s(E_a, E_b) M_s + [M_a, M_b]
 for a < b, each entry summed from the int 0 over s in id order, then over k with
 M_a[i][k] M_b[k][j] - M_b[i][k] M_a[k][j] one step: the order of the Form chain
@@ -49,8 +51,8 @@ from .torsionclass import cartan_decompose
 
 class CharacteristicConnection(NamedTuple):
     omega_c: ConnectionForms
-    a_c: Tensor3  # difference tensor, antisymmetric in the last two slots
-    torsion: Tensor3  # T(X, Y, Z), antisymmetric in the first two slots
+    a_c: Tensor3  # difference tensor, A(e_k, e_i, e_j) at slot at(k, i, j)
+    torsion: Tensor3  # T(e_x, e_y, e_z) at slot at(z, x, y): last-two antisymmetric, as a_c
     compatibility: CompatibilityReport  # its defining check, run once on construction
 
 
@@ -78,14 +80,14 @@ def characteristic_connection(omega_g):
     return CharacteristicConnection(omega_c, a_c, torsion, report)
 
 
-# T(x, y, z) = A(x, y, z) - A(y, x, z)
-TORSION = plan(lambda x, y, z: (at(x, y, z), ((-1, at(y, x, z), None),)))
+# T(x, y, z) = A(x, y, z) - A(y, x, z), at slot at(z, x, y)
+TORSION = plan(lambda z, x, y: (at(x, y, z), ((-1, at(y, x, z), None),)))
 
 
 def connection_plus_tensor(omega: ConnectionForms, a: Tensor3) -> ConnectionForms:
     """w[i][j] + (the 1-form X -> a(X, e_i, e_j)) as a checked view: w[i][j](e_k) plus
     a(e_k, e_i, e_j), both at slot at(k, i, j), and the same auxiliary blocks."""
-    view = omega.view
+    view = omega.flat
     return ConnectionForms(tuple(narrow(w + x) for w, x in zip(view, a.flat)) + view[125:])
 
 
@@ -122,8 +124,8 @@ def _failure(name, entry, values, rank):
 
 
 def torsion_type(cc: CharacteristicConnection):
-    """Cartan decomposition of the torsion, read in its own slot order, plus a type tag."""
-    parts = cartan_decompose(cc.torsion, first_two=True)
+    """Cartan decomposition of the torsion, in its layout, plus a type tag."""
+    parts = cartan_decompose(cc.torsion)
     zero = parts.vectorial.is_zero(), parts.skew.is_zero(), parts.cyclic.is_zero()
     return parts, TORSION_TAGS.get(zero, "mixed")
 
@@ -177,7 +179,7 @@ def curvature(c: CoframeData, omega: ConnectionForms) -> CurvatureData:
 def _symbol_matrices(omega: ConnectionForms):
     """{s: M_s} for each block of the view, M_s[i][j] = w[i][j](E_s) at 5 i + j, with a
     truthy entry, in id order."""
-    view = omega.view
+    view = omega.flat
     blocks = (view[o : o + 25] for o in range(0, len(view), 25))
     return {s: m for s, m in enumerate(blocks) if any(m)}
 

@@ -45,13 +45,13 @@ The operators here build through ``_trusted`` with the kind the rule gives.
 from __future__ import annotations
 
 import functools
-from itertools import chain, starmap
+from itertools import chain, starmap, zip_longest
 from typing import Mapping, NamedTuple
 
 from .errors import MissingDerivationError, ModeMismatchError, SchemaError, UnsupportedSymbolError
 from .scalars import (
     EXACT, FLOAT, IS_ZERO, TrigScalar, coerce, div, fmt_scalar, is_exact_zero, is_float,
-    is_rational, narrow, table_kind,
+    is_rational, narrow, sis_zero, table_kind,
 )
 
 METRIC_IDS = (0, 1, 2, 3, 4)
@@ -78,6 +78,34 @@ class Frozen:
     def __repr__(self):
         shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._compared, self._values()))
         return f"{type(self).__name__}({shown})"
+
+
+class View(Frozen):
+    """Base of the flat views ``acms.Tensor3``, ``torsionclass.IntrinsicTorsion`` and
+    ``frames.ConnectionForms``: the values ``flat`` in slot order, of a length in the first
+    entry of the class's ``_shape``, else ValueError with its second.  ``==`` compares two
+    views of one class slot by slot by ``sis_zero(a - b)``, a slot that one side lacks reading
+    as 0; it reads no slot exactly, so every view hashes as its class."""
+
+    flat: tuple
+    _compared = ("flat",)
+
+    def __init__(self, flat):
+        lengths, message = self._shape
+        if len(flat) not in lengths:
+            raise ValueError(message)
+        self.__dict__["flat"] = flat
+
+    def is_zero(self):
+        return all(map(sis_zero, self.flat))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(sis_zero(a - b) for a, b in zip_longest(self.flat, other.flat, fillvalue=0))
+
+    def __hash__(self):
+        return hash(type(self))
 
 
 class Form(Frozen):
@@ -316,23 +344,6 @@ def hodge(a):
         comp = tuple(i for i in METRIC_IDS if i not in idx)
         _accumulate(out, comp, c * perm_sign(idx + comp), a.mode)
     return _trusted(5 - a.degree, out, a.mode)
-
-
-def interior(i, a):
-    """Contraction of the first slot with the frame vector e_i (1-based)."""
-    if not 1 <= i <= 5:
-        raise ValueError("frame index out of range")
-    sym = i - 1
-    if a.degree == 0:
-        return zero_form(0)
-    out = {}
-    for idx, c in a.terms.items():
-        if sym not in idx:
-            continue
-        pos = idx.index(sym)
-        rest = idx[:pos] + idx[pos + 1 :]
-        _accumulate(out, rest, -c if pos % 2 else c, a.mode)
-    return _trusted(a.degree - 1, out, a.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,24 @@ one closed form: the Koszul formula for a left-invariant metric on the metric
 blocks, and a direct read of the structure table on each auxiliary block.  The
 antisymmetric solution is unique whenever it exists, and its existence is two
 checks on the table.  The solve writes the solution's view straight from the
-table.  ``ConnectionForms(view)`` builds every connection of the library from
+table.  ``ConnectionForms(flat)`` builds every connection of the library from
 such a view, checked once (its shape, no trig value, antisymmetry per block), and
-compares connections by their views; it keeps the memo that ``acms.derived``
-fills, and its forms are a cache built when first read.
+compares connections by their views, as every ``exterior.View`` does; it keeps
+the memo that ``acms.derived`` fills, and its forms are a cache built when first read.
 ``verify_first_structure`` reads its residuals off the view too, and builds no form.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .errors import RankError, UnsupportedSymbolError
 from .exterior import (
-    CoframeData, Frozen, ResidualReport, ext_d, stored, sum_tables, wedge_all, wedge_sum,
-    zero_form,
+    CoframeData, ResidualReport, View, ext_d, stored, sum_tables, wedge_all, wedge_sum, zero_form,
 )
 from .scalars import EXACT, TrigScalar, div_const, is_float, narrow, sis_zero, table_kind
 
@@ -46,39 +46,29 @@ def at(i, j, k):
 ANTISYMMETRIC = tuple((at(0, i, j), at(0, j, i)) for i in range(5) for j in range(i, 5))
 
 
-class ConnectionForms(Frozen):
-    """Antisymmetric connection by its flat ``view``, M_s[i][j] = w[i][j](E_s) at slot
+class ConnectionForms(View):
+    """Antisymmetric connection by its flat view, M_s[i][j] = w[i][j](E_s) at slot
     ``at(s, i, j)`` for s = 0, 1, ...: the five metric symbols, then the auxiliary ones; with
-    the memo of its invariants, and its forms built when first read.  ``==`` compares the views
-    slot by slot by ``sis_zero(a - b)``, a block that one side lacks reading as zeros, and the
-    repr reads the view; the hash is the class's, so connections that are == hash alike."""
+    the memo of its invariants, and its forms built when first read.  ``==``, the hash and the
+    repr are those of every ``View``, so a block that one side lacks reads as zeros."""
 
-    view: tuple
     _memo: dict  # fn name -> fn(self), filled by ``acms.derived``
-    _compared = ("view",)
+    _shape = (range(125, sys.maxsize, 25),
+              "a connection view is 25 values per symbol, the 5 metric ones first")
 
-    def __init__(self, view):
-        if len(view) % 25 or len(view) < 125:
-            raise ValueError("a connection view is 25 values per symbol, the 5 metric ones first")
-        if TrigScalar in map(type, view):
+    def __init__(self, flat):
+        super().__init__(flat)
+        if TrigScalar in map(type, flat):
             raise UnsupportedSymbolError("trig-valued connection entries are out of scope")
-        if not all(view[o + a] == -view[o + b] or sis_zero(view[o + a] + view[o + b])
-                   for o in range(0, len(view), 25) for a, b in ANTISYMMETRIC):
+        if not all(flat[o + a] == -flat[o + b] or sis_zero(flat[o + a] + flat[o + b])
+                   for o in range(0, len(flat), 25) for a, b in ANTISYMMETRIC):
             raise ValueError("pointwise data must be antisymmetric in (i, j)")
-        self.__dict__.update(view=view, _memo={})
-
-    def __eq__(self, other):
-        if type(other) is not ConnectionForms:
-            return NotImplemented
-        return all(sis_zero(a - b) for a, b in zip_longest(self.view, other.view, fillvalue=0))
-
-    def __hash__(self):  # == reads no slot exactly, so every == pair shares only the class
-        return hash(ConnectionForms)
+        self.__dict__["_memo"] = {}
 
     @cached_property
     def omega(self):
         """The forms of the view by ``_grid``: w[i][j], i < j, under the storage rule."""
-        v = self.view
+        v = self.flat
         return _grid({(i, j): stored(1, {(s,): x for s, x in enumerate(v[5 * i + j :: 25])})
                       for i in range(5) for j in range(i + 1, 5)})
 
@@ -148,7 +138,7 @@ def verify_first_structure(c: CoframeData, omega: ConnectionForms):
     rows = [[(2, {}, EXACT) for _ in range(5)] for _ in range(5)]  # e_j ^ w[i][j]; w[i][i] = 0
     for i in range(5):
         for j in range(i + 1, 5):  # the terms (k, w[i][j](E_k)) that ``omega`` keeps, their kind
-            kept = [(k, narrow(v)) for k, v in enumerate(omega.view[5 * i + j :: 25])
+            kept = [(k, narrow(v)) for k, v in enumerate(omega.flat[5 * i + j :: 25])
                     if v or is_float(v)]
             kind = table_kind(v for _, v in kept)
             rows[i][j] = 2, {(j, k) if j < k else (k, j): 0 + v * (1 if j < k else -1)

@@ -30,7 +30,6 @@ from typing import Mapping, NamedTuple
 
 from .acms import (
     LAMBDA2_BASES,
-    SYM_12,
     SYM_23,
     T_COMPLEMENT,
     Tensor3,
@@ -46,33 +45,19 @@ from .acms import (
     vartheta,
 )
 from .errors import ACM5Error
-from .exterior import Frozen
+from .exterior import View
 from .scalars import EXACT, div, div_const, narrow, sis_zero, table_kind
 
 MODULE_NAMES = ("W3", "W4", "W5", "W6", "W7")
 ROWS = range(0, 40, 8)  # the first slot of each direction in a torsion view
 
 
-class IntrinsicTorsion(Frozen):
+class IntrinsicTorsion(View):
     """Five 2-forms, one per frame direction, each valued in the complement of the
-    stabilizer algebra, as their torsion view.  ``==`` compares the views slot by slot
-    by ``sis_zero(a - b)``, as ``Tensor3`` does, and like it has no hash."""
+    stabilizer algebra, as their torsion view: 8 values per direction on
+    COMPLEMENT_MONOMIALS."""
 
-    flat: tuple  # 40 values, 8 per direction on COMPLEMENT_MONOMIALS
-    _compared = ("flat",)
-
-    def __init__(self, flat):
-        if len(flat) != 40:
-            raise ValueError("a torsion view is 40 values, 8 per direction")
-        self.__dict__["flat"] = flat
-
-    def __eq__(self, other):
-        if not isinstance(other, IntrinsicTorsion):
-            return NotImplemented
-        return all(sis_zero(a - b) for a, b in zip(self.flat, other.flat))
-
-    def is_zero(self):
-        return all(map(sis_zero, self.flat))
+    _shape = (40,), "a torsion view is 40 values, 8 per direction"
 
 
 def tensor_to_w(a: Tensor3) -> IntrinsicTorsion:
@@ -201,18 +186,17 @@ class CartanParts(NamedTuple):
     cyclic: Tensor3
 
 
-def cartan_decompose(a: Tensor3, first_two=False) -> CartanParts:
-    """Split into vectorial, totally skew-symmetric and traceless cyclic parts.
+def cartan_decompose(a: Tensor3) -> CartanParts:
+    """Split a tensor antisymmetric in its last two slots into vectorial, totally
+    skew-symmetric and traceless cyclic parts, each in the same layout.
 
-    The three pieces are orthogonal projections of dimensions (5, 10, 35).
-    With first_two, a is a torsion T, antisymmetric in its first two slots:
-    the parts of T(y, z, x), read in T's slot order by plans that compose it.
+    The three pieces are orthogonal projections of dimensions (5, 10, 35).  A torsion
+    T(e_x, e_y, e_z), held at slot at(z, x, y), is split as the tensor T(y, z, x).
     """
-    slots, sym, vec_plan, vectorial_plan = CARTAN_PLANS[first_two]
-    if not all(map(sis_zero, contract(sym, a.flat))):
-        raise ValueError(f"Cartan decomposition needs antisymmetry in the {slots} two slots")
-    vec = [div_const(v, 4) for v in contract(vec_plan, a.flat + (0,))]
-    vectorial = Tensor3(tuple(contract(vectorial_plan, (*vec, 0))))
+    if not all(map(sis_zero, contract(SYM_23, a.flat))):
+        raise ValueError("Cartan decomposition needs antisymmetry in the last two slots")
+    vec = [div_const(v, 4) for v in contract(VEC, a.flat + (0,))]
+    vectorial = Tensor3(tuple(contract(VECTORIAL, (*vec, 0))))
     skew = Tensor3(tuple(div_const(v, 3) for v in contract(SKEW, a.flat)))
     cyclic = a - vectorial - skew
     return CartanParts(vectorial, tuple(vec), skew, cyclic)
@@ -221,11 +205,4 @@ def cartan_decompose(a: Tensor3, first_two=False) -> CartanParts:
 VEC = plan(lambda z: (125, tuple((1, at(i, i, z), None) for i in range(5))), rank=1)  # the traces
 # vec[z] where x = y, minus vec[y] where x = z, from the int 0 in slot 5 after the vector
 VECTORIAL = plan(lambda x, y, z: (5, ((1, z, None),) * (x == y) + ((-1, y, None),) * (x == z)))
-# the same two plans on T with T(y, z, x) in the last-two convention: the traces T(i, z, i), and
-# VECTORIAL at (z, x, y); SKEW's cyclic sum is the same in both conventions
-VEC_12 = plan(lambda z: (125, tuple((1, at(i, z, i), None) for i in range(5))), rank=1)
-VECTORIAL_12 = plan(lambda x, y, z: (5, ((1, y, None),) * (z == x) + ((-1, x, None),) * (z == y)))
-# by convention: the paired slots, their antisymmetry test, the trace and the vectorial plan
-CARTAN_PLANS = {False: ("last", SYM_23, VEC, VECTORIAL),
-                True: ("first", SYM_12, VEC_12, VECTORIAL_12)}
 SKEW = plan(lambda x, y, z: (at(x, y, z), ((1, at(y, z, x), None), (1, at(z, x, y), None))))

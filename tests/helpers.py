@@ -42,13 +42,15 @@ steps that ``cli._ingest``, which writes the table once from the parsed
 document, replaced; ``to_float_coframe`` is also the float copy of a coframe
 at its own scale that the tests compute on.
 Definitions that only tests use (``abelian_coframe``, ``lambda2_project``,
-``project_u2``, ``codifferential`` with ``covariant_derivative_form``,
+``project_u2``, ``codifferential`` with ``covariant_derivative_form`` and ``interior``,
 ``d_form_via_connection``, ``pointwise_from_upper``, ``induced_d_table``,
 ``pr_w``, ``torsion_from_coords``, ``residual_basis``, ``fixed_so5_rotation``,
 ``phi_invariance_type`` with ``AmbiguityError``, its only raiser) live here rather
 than in the library; ``pr_w`` is ``torsionclass.tensor_to_w`` as a Tensor3.
-So do the readers of the value classes that only tests use: ``nested``
-(a Tensor3's values as [i][j][k]), ``t3_get`` (one 1-based entry) and
+So do the readers of the value classes that only tests use: ``fields`` (the
+annotated fields of a value class and its bases), ``nested``
+(a Tensor3's values as [i][j][k]), ``torsion_cube`` (a torsion's values as
+T[x][y][z], in the one layout), ``t3_get`` (one 1-based entry) and
 ``t3_scale`` (every entry times a scalar) of a Tensor3, ``inner`` (of two Tensor3s),
 ``evaluate`` (a Form on frame directions), ``entry`` (of ConnectionForms
 and CurvatureData), ``cartan_parts``, ``torsion_of_forms`` (the validating
@@ -110,7 +112,6 @@ from acm5.exterior import (
     ext_d,
     form,
     grid_form,
-    interior,
     stored,
     wedge,
     zero_form,
@@ -169,6 +170,18 @@ def nested(t: Tensor3):
     """The values of a Tensor3 nested as [i][j][k]."""
     rows = [t.flat[r : r + 5] for r in range(0, 125, 5)]
     return tuple(tuple(rows[p : p + 5]) for p in range(0, 25, 5))
+
+
+def fields(cls):
+    """The annotated fields of a value class, those of its bases first (a ``View`` subclass
+    holds its ``flat`` through the base)."""
+    return list(dict.fromkeys(
+        n for k in reversed(cls.__mro__) for n in vars(k).get("__annotations__", ())))
+
+
+def torsion_cube(t: Tensor3):
+    """A torsion's values nested as T[x][y][z], T(e_x, e_y, e_z) read at slot at(z, x, y)."""
+    return _cube(lambda x, y, z: t.flat[at(z, x, y)])
 
 
 def t3_get(t: Tensor3, i, j, k):
@@ -335,20 +348,20 @@ def _derivation(alpha: Form, entry) -> Form:
 def covariant_derivative_form(fc: ConnectionForms, alpha: Form, k: int) -> Form:
     """(nabla_{e_k} alpha) for a metric-symbol form, from the values w[s][j](e_k)
     of the flat view: the derivation with those entries."""
-    w = fc.view
+    w = fc.flat
     return _derivation(alpha, lambda s, j: w[at(k, s, j)])
 
 
 def pointwise(fc: ConnectionForms) -> Tensor3:
     """A connection's metric values w[i][j](e_k) as a Tensor3 at slot at(i, j, k), the
     convention that ``frame_connection`` reads."""
-    v = fc.view
+    v = fc.flat
     return Tensor3(tuple(v[at(k, i, j)] for i, j, k in itertools.product(range(5), repeat=3)))
 
 
 def aux_blocks(fc: ConnectionForms):
     """(s, M_s by rows) for the block of each auxiliary symbol s in a connection's view."""
-    v = fc.view
+    v = fc.flat
     return [(s, v[25 * s : 25 * s + 25]) for s in range(5, len(v) // 25)]
 
 
@@ -369,6 +382,18 @@ def codifferential(alpha: Form, source) -> Form:
         na = covariant_derivative_form(fc, alpha, i)
         out = out - interior(i + 1, na)
     return out
+
+
+def interior(i, a: Form) -> Form:
+    """The contraction of a form's first slot with the frame vector e_i (1-based)."""
+    if not 1 <= i <= 5:
+        raise ValueError("frame index out of range")
+    out = {}
+    for idx, c in a.terms.items():
+        if i - 1 in idx:  # each monomial leaves its own rest
+            pos = idx.index(i - 1)
+            out[idx[:pos] + idx[pos + 1 :]] = -c if pos % 2 else c
+    return stored(max(a.degree - 1, 0), out)
 
 
 def _channel_kills_form(mat, alpha: Form):
@@ -907,7 +932,8 @@ def predicates_oracle(np, nij, dphi, nx, killing):
 
 def torsion_type_oracle(torsion):
     """The Cartan parts of a torsion cube: re-slotted to last-two antisymmetry,
-    split by ``cartan_decompose_oracle`` and re-slotted back."""
+    split by ``cartan_decompose_oracle`` and re-slotted back, each part as T[x][y][z]
+    (``torsion_cube`` reads the library's parts the same way)."""
     parts = cartan_decompose_oracle(_cube(lambda x, y, z: torsion[y][z][x]))
     names = ("vectorial", "skew", "cyclic")
     back = {name: _cube(lambda x, y, z: parts[name][z][x][y]) for name in names}

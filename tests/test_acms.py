@@ -204,7 +204,7 @@ def test_nabla_phi_abelian_vanishes():
 @pytest.mark.parametrize("slot", [(0, 1, 2), (4, 3, 0), (2, 2, 4)])
 def test_frame_connection_rejects_values_not_antisymmetric_in_i_j(slot):
     flat = list(random_pointwise(random.Random(19)).flat)
-    view = frame_connection(Tensor3(tuple(flat))).view
+    view = frame_connection(Tensor3(tuple(flat))).flat
     assert len(view) == 125 and all(view[at(k, i, j)] == flat[at(i, j, k)]
                                     for i, j, k in itertools.product(range(5), repeat=3))
     flat[at(*slot)] += 1

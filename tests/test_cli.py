@@ -24,7 +24,7 @@ from acm5.cli import (
 )
 from acm5.connection import characteristic_connection, curvature
 from acm5.errors import ACM5Error, SchemaError
-from acm5.exterior import stored
+from acm5.exterior import Symbol, stored
 from acm5.frames import connection_from_structure
 from acm5.groups import build, identify_group
 from acm5.torsionclass import classify, intrinsic_torsion
@@ -507,6 +507,23 @@ def test_emit_load_round_trip(tmp_path, make):
     assert loaded.trig_rules == c.trig_rules
     assert loaded.d_table.keys() == c.d_table.keys()
     assert all(loaded.d_table[sid] == c.d_table[sid] for sid in c.d_table)
+
+
+@pytest.mark.parametrize(
+    "index", [0, False, "", []], ids=["0", "false", "empty-string", "empty-list"]
+)
+def test_emit_load_round_trip_keeps_a_falsy_auxiliary_index(tmp_path, index):
+    """An auxiliary symbol's index is written whenever it is not None, so the reload
+    is == to the loaded coframe, its index of the same type."""
+    doc = json.loads((GOLDEN / "inputs" / "heis5_sasakian.json").read_text(encoding="utf-8"))
+    doc["symbols"].append({"name": "A", "kind": "auxiliary", "index": index})
+    given, emitted = tmp_path / "given.json", tmp_path / "emitted.json"
+    given.write_text(json.dumps(doc), encoding="utf-8")
+    c = load_coframe(str(given))
+    emit_coframe(c, str(emitted))
+    reloaded = load_coframe(str(emitted))
+    assert repr(c.symbols[5]) == repr(Symbol("A", "auxiliary", index))
+    assert reloaded == c and repr(reloaded.symbols) == repr(c.symbols)
 
 
 def test_emit_rejects_a_coefficient_load_cannot_read(tmp_path):

@@ -18,7 +18,12 @@ from acm5.acms import (
     Z1,
     Z2,
     Tensor3,
+    at,
+    d_phi,
+    derived,
     frame_connection,
+    nabla_phi,
+    nijenhuis,
     predicates,
     theta,
     vartheta,
@@ -70,14 +75,15 @@ from helpers import (
     gaussian_kernel,
     gaussian_parallel,
     matmul,
-    nested,
     pointwise,
     random_fraction,
     realify,
     rotate,
+    replay_points,
     t3_scale,
     table_matrix,
     to_float_coframe,
+    torsion_cube,
     u2_rotation,
 )
 
@@ -165,7 +171,7 @@ def test_torsion_types_across_family():
 def test_torsion_two_computation_paths():
     inst = build(2, 1, 4, 2)
     cc = characteristic_connection(inst.omega_g)
-    torsion = nested(cc.torsion)
+    torsion = torsion_cube(cc.torsion)
     for i in range(5):
         residual = ext_d(e(i + 1), inst.coframe)
         for j in range(5):
@@ -193,6 +199,37 @@ def test_cartan_parts_of_pure_type_torsions():
     parts, _ = torsion_type(cc)
     assert parts.cyclic == cc.torsion
     assert parts.vectorial.is_zero() and parts.skew.is_zero()
+
+
+GQS_GOLDEN_INPUTS = [
+    p for p in GOLDEN_INPUTS
+    if predicates(connection_from_structure(load_coframe(str(p)))).generalized_quasi_sasaki
+]
+
+
+@pytest.mark.parametrize(
+    "source",
+    GQS_GOLDEN_INPUTS + replay_points(1),
+    ids=lambda s: s.stem if hasattr(s, "stem") else "_".join(map(str, s)),
+)
+def test_every_tensor_is_held_antisymmetric_in_its_last_two_slots(source):
+    """The one convention: nabla Phi, N, dPhi, A, the torsion and its three Cartan parts
+    hold v(e_i, e_j, e_k) = -v(e_i, e_k, e_j), entry for entry."""
+    if isinstance(source, tuple):
+        fc = build(*source).omega_g
+    else:
+        fc = connection_from_structure(load_coframe(str(source)))
+    cc = characteristic_connection(fc)
+    parts, _ = torsion_type(cc)
+    tensors = {
+        "nabla Phi": derived(fc, nabla_phi), "N": derived(fc, nijenhuis),
+        "dPhi": derived(fc, d_phi), "A": cc.a_c, "torsion": cc.torsion,
+        "vectorial": parts.vectorial, "skew": parts.skew, "cyclic": parts.cyclic,
+    }
+    for name, t in tensors.items():
+        bad = [(i, j, k) for i, j, k in itertools.product(range(5), repeat=3)
+               if t.flat[at(i, j, k)] != -t.flat[at(i, k, j)]]
+        assert not bad, f"{name} is not antisymmetric in its last two slots at {bad[:3]}"
 
 
 # -- curvature -----------------------------------------------------------------
@@ -262,7 +299,7 @@ def test_curvature_refuses_a_nonzero_block_beyond_the_coframe_symbols():
     """A view may hold blocks past the coframe's symbols: a zero one adds nothing, and one
     with a nonzero entry is refused."""
     c = load_coframe(str(GOLDEN / "inputs" / "heis5_sasakian.json"))
-    view = connection_from_structure(c).view
+    view = connection_from_structure(c).flat
     assert curvature(c, ConnectionForms(view + (0,) * 25)) == curvature(c, ConnectionForms(view))
     skew = (0, 1, 0, 0, 0, -1) + (0,) * 19  # w[1][2](E_6) = 1, 1-based
     with pytest.raises(UnsupportedSymbolError, match="^form uses symbols outside the coframe$"):
@@ -534,8 +571,8 @@ def test_one_table_per_entry_matches_the_form_chains(case):
     ]
     assert _grid_items(fused) == _grid_items(curvature_grid_oracle(c, omega))
     plus, chain = connection_plus_tensor(omega, a), connection_plus_tensor_oracle(omega, a)
-    flat = flatten_oracle(chain, len(plus.view) // 25)
-    assert [bits(v) for v in plus.view] == [bits(v) for v in flat]
+    flat = flatten_oracle(chain, len(plus.flat) // 25)
+    assert [bits(v) for v in plus.flat] == [bits(v) for v in flat]
     upper = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert _values([[plus.omega[i][j] for i, j in upper]]) == _values(
         [[chain[i][j] for i, j in upper]]
@@ -587,7 +624,7 @@ def test_view_equality_on_a_float_near_an_exact_value_and_on_a_missing_channel()
     far = connection_forms({(1, 2): form(1, {(0,): 1}), (3, 4): form(1, {(0,): 1 + 2e-9})})
     assert exact != far and far != exact
     zeros = connection_forms({(1, 2): form(1, {(0,): 1.0, (5,): 0.0})})
-    assert len(zeros.view) == 150 and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
+    assert len(zeros.flat) == 150 and zeros == connection_forms({(1, 2): form(1, {(0,): 1.0})})
     assert connection_forms({}) != connection_forms({(1, 2): form(1, {(5,): 1})})
 
 

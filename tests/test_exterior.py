@@ -19,7 +19,6 @@ from acm5.exterior import (
     ext_d,
     form,
     hodge,
-    interior,
     wedge,
 )
 from acm5.groups import build
@@ -31,6 +30,7 @@ from helpers import (
     evaluate,
     ext_d_oracle,
     hodge_oracle,
+    interior,
     random_form,
     to_float_coframe,
     wedge_eval_oracle,
@@ -67,6 +67,7 @@ def test_hodge_examples():
 
 
 def test_interior_examples():
+    """The contraction of the tests' codifferential oracle."""
     a = form(3, {(0, 2, 4): 1, (1, 3, 4): -1})
     assert interior(5, a) == Z1
     assert interior(1, form(2, {(1, 2): 1})).is_zero()

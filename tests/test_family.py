@@ -133,7 +133,7 @@ def _failing(inst):
 def _perturb_pair(omega, i, j, f):
     """The connection with the metric 1-form f added at (i, j) and subtracted at (j, i),
     0-based, written into its view."""
-    view = list(omega.view)
+    view = list(omega.flat)
     for (k,), v in f.terms.items():
         view[at(k, i, j)] += v
         view[at(k, j, i)] -= v

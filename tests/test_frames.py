@@ -259,7 +259,7 @@ def _check_solve(c):
         assert str(info.value) == str(exc)
         return
     cf = connection_from_structure(c)
-    assert [bits(v) for v in cf.view] == [bits(v) for v in flatten_oracle(ref.omega, c.n_symbols)]
+    assert [bits(v) for v in cf.flat] == [bits(v) for v in flatten_oracle(ref.omega, c.n_symbols)]
     assert "omega" not in vars(cf)
     assert frame_connection(cf) is cf
     assert "omega" not in vars(cf)
@@ -317,9 +317,9 @@ SKEW01 = (0, 1, 0, 0, 0, -1) + (0,) * 19  # the block M with M[0][1] = 1, M[1][0
 @pytest.mark.parametrize("i, j", [(0, 1), (3, 3), (4, 2)])
 def test_view_antisymmetric_in_its_metric_slots_but_not_in_a_channel_is_refused(i, j):
     """The one check of ConnectionForms reads the auxiliary blocks as well as the metric ones."""
-    view = connection_forms({(1, 2): form(1, {(0,): 2, (5,): 1})}).view
+    view = connection_forms({(1, 2): form(1, {(0,): 2, (5,): 1})}).flat
     assert view[125:] == SKEW01
-    assert ConnectionForms(view).view == view
+    assert ConnectionForms(view).flat == view
     bad = list(view)
     bad[at(5, i, j)] += 1
     with pytest.raises(ValueError, match=r"^pointwise data must be antisymmetric in \(i, j\)$"):
@@ -341,7 +341,7 @@ def test_antisymmetry_verdict_is_that_of_the_sum(a, b):
     aux[at(5, 1, 3)], aux[at(5, 3, 1)] = a, b
     for view in (tuple(metric), tuple(aux)):
         if sis_zero(a + b):
-            assert ConnectionForms(view).view == view
+            assert ConnectionForms(view).flat == view
         else:
             with pytest.raises(ValueError, match="antisymmetric"):
                 ConnectionForms(view)
@@ -364,14 +364,14 @@ def test_a_block_is_a_symbol_s_and_a_coframe_solves_to_one_block_per_symbol():
     nonzero block: the solve writes the zero block 5 of A and w[1][2](B) = 1 in block 6."""
     b = form(1, {(6,): 1})
     c = coframe({"e1": wedge(b, e(2)), "e2": -1 * wedge(b, e(1))}, auxiliary=("A", "B"))
-    view = connection_from_structure(c).view
+    view = connection_from_structure(c).flat
     assert view == (0,) * 150 + SKEW01
 
 
 def test_view_equality_reads_a_block_that_one_side_lacks_as_zeros():
     """== holds across a missing trailing zero block, both ways, and fails across a
     nonzero one."""
-    view = connection_from_structure(load_coframe(str(HEIS5))).view
+    view = connection_from_structure(load_coframe(str(HEIS5))).flat
     short, padded = ConnectionForms(view), ConnectionForms(view + (0,) * 25)
     assert short == padded and padded == short
     assert short != ConnectionForms(view + SKEW01) and ConnectionForms(view + SKEW01) != short

@@ -54,10 +54,12 @@ from helpers import (
     cartan_parts,
     count_calls,
     difference_tensor_oracle,
+    fields,
     nested,
     replay_points,
     rotate,
     to_float_coframe,
+    torsion_cube,
     trig_mul_oracle,
     u2_rotation,
 )
@@ -132,7 +134,7 @@ def test_operators_store_integral_coefficients_as_ints():
 def _leaves(obj, in_form=False):
     """(value, stored in a Form) for every scalar in obj: Form terms, trig
     coefficients, tuples (the NamedTuple records among them), lists, dicts
-    and the annotated fields of the ``Frozen`` value classes.  Any other
+    and the annotated fields of the ``Frozen`` value classes, their bases' included.  Any other
     object but None is refused, so that no value is skipped unseen."""
     if obj is None or isinstance(obj, (bool, str)):
         return
@@ -151,7 +153,7 @@ def _leaves(obj, in_form=False):
         for v in obj:
             yield from _leaves(v, in_form)
     elif isinstance(obj, Frozen):
-        for name in type(obj).__annotations__:
+        for name in fields(type(obj)):
             yield from _leaves(getattr(obj, name), in_form)
     else:
         raise TypeError(f"no leaves known for a {type(obj).__name__}")
@@ -345,7 +347,7 @@ def test_difference_tensor_and_cartan_split_match_the_fraction_oracles(path, mod
     )
     assert _same_cubes(nested(cc.a_c), a)
     torsion = [[[a[x][y][z] - a[y][x][z] for z in range(5)] for y in range(5)] for x in range(5)]
-    assert _same_cubes(nested(cc.torsion), torsion)
+    assert _same_cubes(torsion_cube(cc.torsion), torsion)
     as_a = [[[torsion[y][z][x] for z in range(5)] for y in range(5)] for x in range(5)]
     for cube in (a, as_a):
         assert _same_parts(cartan_decompose(_tensor(cube)), cartan_decompose_oracle(cube))

@@ -66,6 +66,7 @@ from helpers import (
     rotate,
     t3_get,
     to_float_coframe,
+    torsion_cube,
     torsion_of_forms,
     torsion_type_oracle,
     trig_coframe,
@@ -82,9 +83,9 @@ def _key(v):
     return bits(v) if isinstance(v, float) else Fraction(v)
 
 
-def _same(tensor, cube):
-    """Entry by entry, by ``_key``."""
-    assert [_key(v) for m in nested(tensor) for r in m for v in r] == [
+def _same(tensor, cube, read=nested):
+    """Entry by entry, by ``_key``; a torsion is read with ``read=torsion_cube``."""
+    assert [_key(v) for m in read(tensor) for r in m for v in r] == [
         _key(v) for m in cube for r in m for v in r
     ]
 
@@ -92,7 +93,7 @@ def _same(tensor, cube):
 def _check_kernels(w):
     oracle = nabla_phi_oracle(nested(w))
     fc = acms.frame_connection(w)
-    full = acms.np_full(fc.view)
+    full = acms.np_full(fc.flat)
     _same(full, oracle["np_full"])
     _same(acms.np_gamma(acms.torsion_view(fc)), oracle["np_gamma"])
     deta = acms.d_eta_form(fc)
@@ -189,7 +190,7 @@ def _check_classify(gamma):
 
 def _check_coordinate_maps(fc):
     for k in range(5):
-        _check_projection(grid_form(lambda i, j: fc.view[acms.at(k, i, j)]))
+        _check_projection(grid_form(lambda i, j: fc.flat[acms.at(k, i, j)]))
     _check_classify(intrinsic_torsion(fc))
 
 
@@ -476,11 +477,12 @@ def test_cartan_decompose_matches_oracle_on_random_cubes(cube):
 @given(cubes())
 def test_torsion_type_matches_oracle_on_random_cubes(cube):
     torsion = _antisymmetrized(cube[0], FIRST_TWO)
-    cc = CharacteristicConnection(None, None, acms.Tensor3(_flat(torsion)), None)
+    held = [[[torsion[x][y][z] for y in range(5)] for x in range(5)] for z in range(5)]
+    cc = CharacteristicConnection(None, None, acms.Tensor3(_flat(held)), None)
     parts, _ = torsion_type(cc)
     oracle = torsion_type_oracle(torsion)
     for name, t in cartan_parts(parts).items():
-        _same(t, oracle[name])
+        _same(t, oracle[name], torsion_cube)
     assert list(map(_key, parts.vector)) == list(map(_key, oracle["vector"]))
 
 
@@ -507,11 +509,11 @@ def test_characteristic_connection_matches_oracles_on_random_family_points(point
     )
     _same(cc.a_c, a)
     torsion = [[[a[x][y][z] - a[y][x][z] for z in range(5)] for y in range(5)] for x in range(5)]
-    _same(cc.torsion, torsion)
+    _same(cc.torsion, torsion, torsion_cube)
     parts, _ = torsion_type(cc)
     oracle = torsion_type_oracle(torsion)
     for name, t in cartan_parts(parts).items():
-        _same(t, oracle[name])
+        _same(t, oracle[name], torsion_cube)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,8 @@ attribute, an imported name, a public name in the surface table
 in ``tests/helpers.py``.
 
 A value class in ``src/acm5`` is a class that declares annotated fields in
-its body: the ``NamedTuple`` records and the ``exterior.Frozen`` classes.
+its body, or derives from a value class by name: the ``NamedTuple`` records
+and the ``exterior.Frozen`` classes, ``exterior.View`` and its subclasses.
 Each such field must be read as an attribute somewhere in ``src/``,
 ``bench/`` or ``tests/``.  A class that serializes itself with
 ``self._asdict()`` reads all of its fields.  Each method that a value class
@@ -101,6 +102,24 @@ def _fields(node):
     ]
 
 
+def _value_classes():
+    """(module, class node) for each value class of the package, in file order."""
+    nodes = [
+        (path.stem, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    names = {node.name for _, node in nodes if _fields(node)}
+    while more := {
+        node.name
+        for _, node in nodes
+        if node.name not in names and any(getattr(b, "id", None) in names for b in node.bases)
+    }:
+        names |= more
+    return [(module, node) for module, node in nodes if node.name in names]
+
+
 def test_every_value_class_field_is_read():
     reads = Counter()
     for top in ("src", "bench", "tests"):
@@ -112,18 +131,12 @@ def test_every_value_class_field_is_read():
                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
             )
     unread, inspected = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.ClassDef) and _fields(node)):
-                continue
-            inspected.append(node.name)
-            if _serializes_itself(node):
-                continue
-            unread.extend(
-                f"{path.stem}.{node.name}.{name}" for name in _fields(node) if not reads[name]
-            )
-    assert len(inspected) >= 22, f"only {len(inspected)} value classes found: {inspected}"
+    for module, node in _value_classes():
+        inspected.append(node.name)
+        if _serializes_itself(node):
+            continue
+        unread.extend(f"{module}.{node.name}.{name}" for name in _fields(node) if not reads[name])
+    assert len(inspected) >= 23, f"only {len(inspected)} value classes found: {inspected}"
     assert not unread, f"value class fields never read: {sorted(unread)}"
 
 
@@ -152,19 +165,16 @@ def test_every_value_class_method_is_reached_outside_tests():
                 ):
                     reads.update(ast.literal_eval(n.value))
     unreached, inspected = [], 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _fields(node):
-                inspected += len(_methods(node))
-                unreached.extend(
-                    f"{path.stem}.{node.name}.{name}" for name in _methods(node) if not reads[name]
-                )
-    assert inspected >= 25, f"only {inspected} value class methods found"
+    for module, node in _value_classes():
+        inspected += len(_methods(node))
+        unreached.extend(
+            f"{module}.{node.name}.{name}" for name in _methods(node) if not reads[name]
+        )
+    assert inspected >= 24, f"only {inspected} value class methods found"
     assert not unreached, f"value class methods that only tests reach: {sorted(unreached)}"
 
 
-SRC_LINE_BUDGET = 3348  # the line budget of src/acm5, lowered to its line count as that falls
+SRC_LINE_BUDGET = 3314  # the line budget of src/acm5, lowered to its line count as that falls
 
 
 def test_src_line_budget():

@@ -1,10 +1,11 @@
 """The contract of the library's 22 value classes.
 
 Fifteen plain records are ``typing.NamedTuple``s, and the seven classes that
-validate or cache when they are built derive from ``exterior.Frozen``.  For
-each class, an instance refuses assignment to every annotated field, two
-instances built from equal (not identical) arguments are ``==`` and hash
-alike where the class is hashable, and changing one argument breaks ``==``.
+validate or cache when they are built derive from ``exterior.Frozen``, three of
+them through its flat-view base ``exterior.View``.  For each class, an instance
+refuses assignment to every annotated field, its bases' included, two instances
+built from equal (not identical) arguments are ``==`` and hash alike where the
+class is hashable, and changing one argument breaks ``==``.
 The validation errors are pinned by the tests of each module.
 """
 
@@ -27,6 +28,7 @@ from acm5.exterior import (
     ResidualReport,
     Symbol,
     TrigRules,
+    View,
     coframe,
     e,
     wedge,
@@ -41,6 +43,8 @@ from acm5.frames import (
 )
 from acm5.groups import FamilyInstance, FamilyParams, GroupIdentification, build
 from acm5.torsionclass import CartanParts, ClassReport, IntrinsicTorsion, tensor_to_w
+
+from helpers import fields
 
 
 def _cube(v=0):
@@ -111,8 +115,12 @@ CASES = {
 # the classes whose instances above hash; hashing any other raises TypeError
 HASHABLE = {
     Symbol,
+    Tensor3,
     Predicates,
     ConnectionForms,
+    IntrinsicTorsion,
+    CartanParts,
+    CharacteristicConnection,
     CompatibilityReport,
     SpinorKernelReport,
     SpinorSpace,
@@ -136,7 +144,7 @@ def test_every_value_class_is_covered():
         for m in (acms, connection, exterior, family, frames, groups, torsionclass)
         for v in vars(m).values()
         if isinstance(v, type) and v.__module__ == m.__name__
-        and (issubclass(v, Frozen) and v is not Frozen or issubclass(v, tuple))
+        and (issubclass(v, Frozen) and v not in (Frozen, View) or issubclass(v, tuple))
     }
     assert defined == set(CASES) and len(CASES) == 22
 
@@ -145,7 +153,7 @@ def test_every_value_class_is_covered():
 def test_value_class_contract(cls):
     make, position, changed = CASES[cls]
     a, b = cls(*make()), cls(*make())
-    for name in cls.__annotations__:
+    for name in fields(cls):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     assert a == b and not a != b

@@ -127,7 +127,7 @@ def stage_times(c, omega, point=None):
     times["verify_first_structure"] = median_us(lambda: frames.verify_first_structure(c, omega))
     times["connection_from_structure"] = median_us(lambda: frames.connection_from_structure(c))
     times["acms_invariants"] = median_us(
-        lambda: invariants(frames.ConnectionForms(omega.view))
+        lambda: invariants(frames.ConnectionForms(omega.flat))
     )
     fc = invariants(omega)
     if not acms.derived(fc, acms.predicates).generalized_quasi_sasaki:
